@@ -4,7 +4,9 @@ prediction sets, run studies, and benchmark suppression.
 Every run writes a manifest (JSON) describing the resolved configuration,
 seeds, paths, and wall-clock timing, so results are reproducible from the
 manifest alone. Data outputs are byte-deterministic under a fixed seed;
-manifests are not (they carry timings).
+manifests are not (they carry timings). JSON output is strict: no NaN or
+Infinity. The best-JI threshold is +inf only when the empty detection set
+scores best, and is then written as null.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -56,13 +59,13 @@ def _write_manifest(path: str, subcommand: str, config: dict, t0: float) -> None
         "wall_seconds": time.perf_counter() - t0,
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
+        json.dump(manifest, f, indent=2, allow_nan=False)
         f.write("\n")
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:  # tsv: flattened key\tvalue lines
         lines = []
 
@@ -71,7 +74,7 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
                 for k, v in obj.items():
                     flatten(f"{prefix}{k}." if prefix else f"{k}.", v) \
                         if isinstance(v, dict) else flatten(f"{prefix}{k}", v)
-            elif isinstance(obj, list):
+            elif obj is None or isinstance(obj, list):
                 lines.append(f"{prefix}\t{json.dumps(obj)}")
             else:
                 lines.append(f"{prefix}\t{obj}")
@@ -93,7 +96,8 @@ def _report_dict(report: EvalReport) -> dict:
         "ap": report.ap,
         "mr2": report.mr2,
         "ji": report.ji,
-        "ji_best_threshold": report.ji_best_threshold,
+        "ji_best_threshold": (None if report.ji_best_threshold == math.inf
+                              else report.ji_best_threshold),
         "recall": {
             "total": triple(report.recall_total),
             "sparse": triple(report.recall_sparse),
@@ -324,7 +328,7 @@ def cmd_study(args) -> int:
     }
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8",
               newline="\n") as f:
-        json.dump(report, f, indent=2)
+        json.dump(report, f, indent=2, allow_nan=False)
         f.write("\n")
     _write_manifest(os.path.join(args.out, "manifest.json"), "study", {
         "images": args.images, "seed": args.seed, "k": args.k,

@@ -4,6 +4,27 @@ index with best-threshold search, and crowd/sparse recall splits.
 All metrics run at a single IoU threshold (default 0.5). Ignored ground
 truths never enter a denominator; detections whose only qualifying overlap
 is an ignored ground truth are excluded from the precision/recall sweeps.
+
+Every metric reads one pass per image (:func:`_match_image`). The pass
+computes one IoU matrix between the image's detections and ground truths,
+lists for each detection the non-ignored, same-class ground truths with
+IoU >= threshold (highest IoU first, then lowest index), and admits the
+detections in rank order (descending score, ties by input index) into two
+walks over those lists:
+
+* the greedy walk: a detection takes its first unmatched candidate (TP),
+  else is IGNORED when it overlaps an ignored ground truth, else is a FP;
+* the maximum-matching walk: a detection searches one augmenting path
+  (Kuhn's algorithm, iterative), so the matching of the top n detections is
+  maximum for every n, and the per-rank gain says whether it grew.
+
+Neither walk's decision for a detection depends on lower-ranked detections,
+so keeping only the detections that score >= t gives a prefix of the pass
+for every threshold t. AP and MR^-2 sweep the greedy flags of all images;
+:func:`jaccard_index` sums the gains of each image's prefix (greedy-mode JI
+matches as the greedy walk does, so its gains are the TP flags);
+:func:`best_ji` scans every prefix end at once; and :func:`recall_split`
+counts a ground truth as found when its greedy match scores >= t.
 """
 
 from __future__ import annotations
@@ -82,6 +103,88 @@ class MatchResult:
     gt_matched: np.ndarray  # bool per input gt; ignored gts stay False
 
 
+@dataclass(frozen=True)
+class _ImageMatch:
+    """One image's pass; see the module docstring."""
+
+    scores: np.ndarray    # float64 per detection, input order
+    order: np.ndarray     # detection index at each rank
+    greedy: MatchResult
+    gains: np.ndarray     # int64 per rank: 1 where the maximum matching grew
+
+
+def _augment(root: int, adj: list[list[int]], match_right: list[int]) -> bool:
+    """Search one augmenting path from left vertex ``root`` (Kuhn's
+    algorithm) and flip it into ``match_right``. Iterative, so the path
+    length is not bounded by the interpreter's recursion limit."""
+    seen = set()
+    stack = [(root, iter(adj[root]))]
+    via: list[int] = []   # via[t]: right vertex that led to stack[t + 1]
+    while stack:
+        v = next((v for v in stack[-1][1] if v not in seen), -1)
+        if v < 0:
+            stack.pop()
+            if via:
+                via.pop()
+            continue
+        seen.add(v)
+        if match_right[v] == -1:
+            for (left, _), right in zip(stack, via + [v]):
+                match_right[right] = left
+            return True
+        via.append(v)
+        stack.append((match_right[v], iter(adj[match_right[v]])))
+    return False
+
+
+def _max_matching_gains(adj: list[list[int]], order: Iterable[int],
+                        n_right: int) -> np.ndarray:
+    """Admit left vertices in ``order``, augmenting from each; 1 at each
+    rank where the matching grew. The matching stays maximum at every
+    prefix, so the gains summed over the first n ranks are the maximum
+    matching size of the first n vertices."""
+    match_right = [-1] * n_right
+    return np.array([_augment(u, adj, match_right) for u in order],
+                    dtype=np.int64)
+
+
+def _match_image(dets: Sequence[Detection], gts: Sequence[GroundTruth],
+                 iou_thresh: float) -> _ImageMatch:
+    """Candidate lists from one IoU matrix, then the greedy walk and the
+    maximum-matching walk over them in rank order."""
+    n_det, n_gt = len(dets), len(gts)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    ignore = np.array([g.ignore for g in gts], dtype=bool)
+    ious = iou_matrix(boxes_to_array([d.box for d in dets]),
+                      boxes_to_array([g.box for g in gts]))
+    same_class = (np.array([d.class_id for d in dets])[:, None]
+                  == np.array([g.class_id for g in gts])[None, :])
+    qualifies = (ious >= iou_thresh) & same_class
+    hits_ignored = (qualifies & ignore).any(axis=1)
+    rows, cols = np.nonzero(qualifies & ~ignore)
+    by_iou = np.lexsort((cols, -ious[rows, cols], rows))
+    adj: list[list[int]] = [[] for _ in range(n_det)]
+    for i, j in zip(rows[by_iou].tolist(), cols[by_iou].tolist()):
+        adj[i].append(j)
+
+    ranked = order.tolist()
+    det_match = [-1] * n_det
+    taken = [False] * n_gt
+    for i in ranked:
+        for j in adj[i]:
+            if not taken[j]:
+                taken[j] = True
+                det_match[i] = j
+                break
+    det_match = np.array(det_match, dtype=np.int64)
+    det_flags = np.where(det_match >= 0, TP,
+                         np.where(hits_ignored, IGNORED, FP)).astype(np.int8)
+    greedy = MatchResult(det_flags, det_match, np.array(taken, dtype=bool))
+    return _ImageMatch(scores, order, greedy,
+                       _max_matching_gains(adj, ranked, n_gt))
+
+
 def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
                  iou_thresh: float) -> MatchResult:
     """Greedily match detections to ground truths in descending score order.
@@ -91,80 +194,135 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
     qualifying overlaps are ignored ground truths is flagged ignored;
     anything else is a FP. One ground truth matches at most one detection.
     """
-    n_det, n_gt = len(dets), len(gts)
-    det_flags = np.zeros(n_det, dtype=np.int8)
-    det_match = np.full(n_det, -1, dtype=np.int64)
-    gt_matched = np.zeros(n_gt, dtype=bool)
-    if n_det == 0:
-        return MatchResult(det_flags, det_match, gt_matched)
-    ious = iou_matrix(boxes_to_array([d.box for d in dets]),
-                      boxes_to_array([g.box for g in gts])) if n_gt else \
-        np.zeros((n_det, 0))
-    order = sorted(range(n_det), key=lambda i: (-dets[i].score, i))
-    for i in order:
-        det = dets[i]
-        best_j, best_iou = -1, 0.0
-        hits_ignored = False
-        for j, gt in enumerate(gts):
-            if gt.class_id != det.class_id or ious[i, j] < iou_thresh:
-                continue
-            if gt.ignore:
-                hits_ignored = True
-            elif not gt_matched[j] and (best_j == -1 or ious[i, j] > best_iou):
-                best_j, best_iou = j, ious[i, j]
-        if best_j >= 0:
-            det_flags[i] = TP
-            det_match[i] = best_j
-            gt_matched[best_j] = True
-        elif hits_ignored:
-            det_flags[i] = IGNORED
-        else:
-            det_flags[i] = FP
-    return MatchResult(det_flags, det_match, gt_matched)
+    return _match_image(dets, gts, iou_thresh).greedy
 
 
 def _count_real_gts(scenes: Iterable[SceneRecord]) -> int:
     return sum(1 for s in scenes for g in s.gts if not g.ignore)
 
 
-def _sweep_flags(scenes: Sequence[SceneRecord], cfg: EvalConfig):
-    """Global (score, is_tp) pairs sorted by descending score, ignored
-    detections dropped."""
-    scores, flags = [], []
-    for scene in scenes:
-        res = match_greedy(scene.dets, scene.gts, cfg.iou_thresh)
-        for det, flag in zip(scene.dets, res.det_flags):
-            if flag != IGNORED:
-                scores.append(det.score)
-                flags.append(flag == TP)
-    scores = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(flags, dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    return scores[order], flags[order]
+def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+class _Evaluation:
+    """Every image of a dataset matched once; each metric is a view."""
+
+    def __init__(self, scenes: Sequence[SceneRecord], cfg: EvalConfig):
+        self.scenes = scenes
+        self.cfg = cfg
+        self.n_gt = _count_real_gts(scenes)
+        self.images = [_match_image(s.dets, s.gts, cfg.iou_thresh)
+                       for s in scenes]
+
+    def _sweep(self) -> np.ndarray:
+        """Global is-TP flags sorted by descending score, ignored detections
+        dropped."""
+        kept = [m.greedy.det_flags != IGNORED for m in self.images]
+        scores = _cat([m.scores[k] for m, k in zip(self.images, kept)], np.float64)
+        flags = _cat([m.greedy.det_flags[k] == TP
+                      for m, k in zip(self.images, kept)], bool)
+        return flags[np.argsort(-scores, kind="stable")]
+
+    def average_precision(self) -> float:
+        if self.n_gt == 0:
+            raise ValueError("average precision is undefined without ground truths")
+        flags = self._sweep()
+        if flags.size == 0:
+            return 0.0
+        tp_cum = np.cumsum(flags)
+        fp_cum = np.cumsum(~flags)
+        recall = tp_cum / self.n_gt
+        precision = tp_cum / (tp_cum + fp_cum)
+        if self.cfg.ap_interpolation == "eleven_point":
+            vals = []
+            for t in np.linspace(0.0, 1.0, 11):
+                mask = recall >= t
+                vals.append(float(precision[mask].max()) if mask.any() else 0.0)
+            return float(np.mean(vals))
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        prev_recall = np.concatenate(([0.0], recall[:-1]))
+        return float(np.sum((recall - prev_recall) * envelope))
+
+    def mr2(self) -> float:
+        n_images, n_gt, cfg = len(self.scenes), self.n_gt, self.cfg
+        if n_images == 0 or n_gt == 0:
+            raise ValueError("miss rate needs at least one image and one ground truth")
+        flags = self._sweep()
+        tp_cum = np.cumsum(flags) if flags.size else np.zeros(0)
+        fp_cum = np.cumsum(~flags) if flags.size else np.zeros(0)
+        fppi = np.concatenate(([0.0], fp_cum / n_images))
+        miss = np.concatenate(([1.0], 1.0 - tp_cum / n_gt))
+        refs = np.logspace(math.log10(cfg.fppi_lo), math.log10(cfg.fppi_hi),
+                           cfg.fppi_points)
+        samples = []
+        for ref in refs:
+            within = miss[fppi <= ref]
+            samples.append(within.min() if within.size else miss[0])
+        logs = np.log(np.maximum(np.asarray(samples), _MR_FLOOR))
+        return float(np.exp(logs.mean()))
+
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and JI matching gains of all images, each image in rank
+        order."""
+        greedy = self.cfg.ji_matching == "greedy"
+        scores = _cat([m.scores[m.order] for m in self.images], np.float64)
+        gains = _cat([(m.greedy.det_flags[m.order] == TP).astype(np.int64)
+                      if greedy else m.gains for m in self.images], np.int64)
+        return scores, gains
+
+    def jaccard_index(self, score_threshold: float) -> float:
+        scores, gains = self._ranked()
+        kept = scores >= score_threshold
+        m, d = int(gains[kept].sum()), int(kept.sum())
+        if d + self.n_gt == 0:
+            return 1.0
+        return m / (d + self.n_gt - m)
+
+    def best_ji(self) -> tuple[float, float]:
+        scores, gains = self._ranked()
+        # Empty-set candidate at threshold +inf.
+        best_val = 1.0 if self.n_gt == 0 else 0.0
+        best_thr = math.inf
+        if scores.size:
+            order = np.argsort(-scores, kind="stable")
+            s_sorted = scores[order]
+            m_cum = np.cumsum(gains[order])
+            # Evaluate once per distinct score, after all ties are admitted;
+            # m <= min(d, n_gt) keeps every denominator >= 1.
+            ends = np.append(np.nonzero(np.diff(s_sorted))[0], scores.size - 1)
+            m = m_cum[ends]
+            vals = m / (ends + 1 + self.n_gt - m)
+            k = int(np.argmax(vals))   # first maximum: the highest threshold
+            if vals[k] > best_val:
+                best_val, best_thr = float(vals[k]), float(s_sorted[ends[k]])
+        return best_val, best_thr
+
+    def recall_split(self, score_threshold: float, crowd_iou: float
+                     ) -> tuple[RecallStats, RecallStats, RecallStats]:
+        real, crowd, found = [], [], []
+        for scene, m in zip(self.scenes, self.images):
+            hit = np.zeros(len(scene.gts), dtype=bool)
+            at = m.greedy.det_match[m.scores >= score_threshold]
+            hit[at[at >= 0]] = True
+            real.append(np.array([not g.ignore for g in scene.gts], dtype=bool))
+            crowd.append(crowd_flags(scene.gts, crowd_iou))
+            found.append(hit)
+        real, crowd, found = (_cat(x, bool) for x in (real, crowd, found))
+
+        def stats(mask: np.ndarray) -> RecallStats:
+            return RecallStats(int((found & mask).sum()), int(mask.sum()))
+
+        sparse, crowd_ = stats(real & ~crowd), stats(real & crowd)
+        total = RecallStats(sparse.matched + crowd_.matched,
+                            sparse.total + crowd_.total)
+        return total, sparse, crowd_
 
 
 def average_precision(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     """Area under the precision-recall curve from a global descending-score
     sweep. Raises on a dataset without ground truths (AP is undefined, not 0)."""
-    n_gt = _count_real_gts(scenes)
-    if n_gt == 0:
-        raise ValueError("average precision is undefined without ground truths")
-    _, flags = _sweep_flags(scenes, cfg)
-    if flags.size == 0:
-        return 0.0
-    tp_cum = np.cumsum(flags)
-    fp_cum = np.cumsum(~flags)
-    recall = tp_cum / n_gt
-    precision = tp_cum / (tp_cum + fp_cum)
-    if cfg.ap_interpolation == "eleven_point":
-        vals = []
-        for t in np.linspace(0.0, 1.0, 11):
-            mask = recall >= t
-            vals.append(float(precision[mask].max()) if mask.any() else 0.0)
-        return float(np.mean(vals))
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev_recall = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - prev_recall) * envelope))
+    return _Evaluation(scenes, cfg).average_precision()
 
 
 def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
@@ -175,82 +333,7 @@ def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     the lowest miss rate with FPPI within budget is taken; miss rates are
     clamped to 1e-10 inside the log average.
     """
-    n_images = len(scenes)
-    n_gt = _count_real_gts(scenes)
-    if n_images == 0 or n_gt == 0:
-        raise ValueError("miss rate needs at least one image and one ground truth")
-    _, flags = _sweep_flags(scenes, cfg)
-    tp_cum = np.cumsum(flags) if flags.size else np.zeros(0)
-    fp_cum = np.cumsum(~flags) if flags.size else np.zeros(0)
-    fppi = np.concatenate(([0.0], fp_cum / n_images))
-    miss = np.concatenate(([1.0], 1.0 - tp_cum / n_gt))
-    refs = np.logspace(math.log10(cfg.fppi_lo), math.log10(cfg.fppi_hi),
-                       cfg.fppi_points)
-    samples = []
-    for ref in refs:
-        within = miss[fppi <= ref]
-        samples.append(within.min() if within.size else miss[0])
-    logs = np.log(np.maximum(np.asarray(samples), _MR_FLOOR))
-    return float(np.exp(logs.mean()))
-
-
-def _augment(u: int, adj: list[list[int]], match_right: list[int],
-             seen: list[bool]) -> bool:
-    """One augmenting-path search from left vertex ``u`` (Kuhn's algorithm)."""
-    for v in adj[u]:
-        if seen[v]:
-            continue
-        seen[v] = True
-        if match_right[v] == -1 or _augment(match_right[v], adj, match_right, seen):
-            match_right[v] = u
-            return True
-    return False
-
-
-def _build_adjacency(dets: Sequence[Detection], gts: Sequence[GroundTruth],
-                     iou_thresh: float) -> tuple[list[list[int]], int]:
-    """Edges between detections and matchable (non-ignored, same-class)
-    ground truths with IoU >= threshold."""
-    real = [(j, g) for j, g in enumerate(gts) if not g.ignore]
-    if not dets or not real:
-        return [[] for _ in dets], len(real)
-    ious = iou_matrix(boxes_to_array([d.box for d in dets]),
-                      boxes_to_array([g.box for _, g in real]))
-    adj = []
-    for i, det in enumerate(dets):
-        adj.append([jj for jj, (_, g) in enumerate(real)
-                    if g.class_id == det.class_id and ious[i, jj] >= iou_thresh])
-    return adj, len(real)
-
-
-def _match_count(dets: Sequence[Detection], gts: Sequence[GroundTruth],
-                 cfg: EvalConfig) -> int:
-    """Matching cardinality between detections and real ground truths,
-    maximum (augmenting paths) or greedy per ``cfg.ji_matching``."""
-    adj, n_right = _build_adjacency(dets, gts, cfg.iou_thresh)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    match_right = [-1] * n_right
-    count = 0
-    if cfg.ji_matching == "greedy":
-        taken = set()
-        real_idx = [j for j, g in enumerate(gts) if not g.ignore]
-        ious = iou_matrix(boxes_to_array([d.box for d in dets]),
-                          boxes_to_array([gts[j].box for j in real_idx])) \
-            if dets and real_idx else np.zeros((len(dets), 0))
-        for i in order:
-            best, best_v = -1, 0.0
-            for jj in adj[i]:
-                if jj not in taken and ious[i, jj] > best_v:
-                    best, best_v = jj, ious[i, jj]
-            if best >= 0:
-                taken.add(best)
-                count += 1
-        return count
-    for i in order:
-        seen = [False] * n_right
-        if _augment(i, adj, match_right, seen):
-            count += 1
-    return count
+    return _Evaluation(scenes, cfg).mr2()
 
 
 def jaccard_index(scenes: Sequence[SceneRecord], cfg: EvalConfig,
@@ -264,102 +347,27 @@ def jaccard_index(scenes: Sequence[SceneRecord], cfg: EvalConfig,
     """
     if math.isnan(score_threshold):
         raise ValueError("score_threshold must not be NaN")
-    total_m = total_d = total_g = 0
-    for scene in scenes:
-        dets = [d for d in scene.dets if d.score >= score_threshold]
-        total_m += _match_count(dets, scene.gts, cfg)
-        total_d += len(dets)
-        total_g += sum(1 for g in scene.gts if not g.ignore)
-    if total_d + total_g == 0:
-        return 1.0
-    return total_m / (total_d + total_g - total_m)
-
-
-def _image_match_profile(scene: SceneRecord, cfg: EvalConfig):
-    """Scores (descending) and the per-detection matching gain as detections
-    are admitted one by one.
-
-    Adding a detection and augmenting from it keeps the matching maximum at
-    every prefix, so ``gains`` cumulated over the first n detections equals
-    the matching cardinality among the top-n scores.
-    """
-    dets = scene.dets
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    adj, n_right = _build_adjacency(dets, gts=scene.gts, iou_thresh=cfg.iou_thresh)
-    match_right = [-1] * n_right
-    scores = np.array([dets[i].score for i in order], dtype=np.float64)
-    gains = np.zeros(len(order), dtype=np.int64)
-    if cfg.ji_matching == "greedy":
-        real_idx = [j for j, g in enumerate(scene.gts) if not g.ignore]
-        ious = iou_matrix(boxes_to_array([d.box for d in dets]),
-                          boxes_to_array([scene.gts[j].box for j in real_idx])) \
-            if dets and real_idx else np.zeros((len(dets), 0))
-        taken = set()
-        for rank, i in enumerate(order):
-            best, best_v = -1, 0.0
-            for jj in adj[i]:
-                if jj not in taken and ious[i, jj] > best_v:
-                    best, best_v = jj, ious[i, jj]
-            if best >= 0:
-                taken.add(best)
-                gains[rank] = 1
-        return scores, gains
-    for rank, i in enumerate(order):
-        seen = [False] * n_right
-        if _augment(i, adj, match_right, seen):
-            gains[rank] = 1
-    return scores, gains
+    return _Evaluation(scenes, cfg).jaccard_index(score_threshold)
 
 
 def best_ji(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> tuple[float, float]:
     """Best Jaccard index over every distinct detection score, plus +inf for
-    the empty set; ties return the highest threshold.
-
-    Candidate values are produced incrementally (one augmenting path per
-    admitted detection) but agree exactly with :func:`jaccard_index`
-    evaluated at each threshold.
-    """
-    n_gt = _count_real_gts(scenes)
-    all_scores, all_gains = [], []
-    for scene in scenes:
-        s, g = _image_match_profile(scene, cfg)
-        all_scores.append(s)
-        all_gains.append(g)
-    scores = np.concatenate(all_scores) if all_scores else np.zeros(0)
-    gains = np.concatenate(all_gains) if all_gains else np.zeros(0, dtype=np.int64)
-    # Empty-set candidate at threshold +inf.
-    best_val = 1.0 if n_gt == 0 else 0.0
-    best_thr = math.inf
-    if scores.size:
-        order = np.argsort(-scores, kind="stable")
-        s_sorted = scores[order]
-        m_cum = np.cumsum(gains[order])
-        d_cum = np.arange(1, scores.size + 1)
-        # Evaluate once per distinct score, after all ties are admitted.
-        last = np.nonzero(np.diff(s_sorted))[0]
-        ends = np.append(last, scores.size - 1)
-        for e in ends:
-            m, d = int(m_cum[e]), int(d_cum[e])
-            denom = d + n_gt - m
-            val = 1.0 if denom == 0 else m / denom
-            if val > best_val:
-                best_val = val
-                best_thr = float(s_sorted[e])
-    return best_val, best_thr
+    the empty set; ties return the highest threshold. Agrees exactly with
+    :func:`jaccard_index` evaluated at each threshold."""
+    return _Evaluation(scenes, cfg).best_ji()
 
 
 def crowd_flags(gts: Sequence[GroundTruth], crowd_iou: float = CROWD_IOU) -> np.ndarray:
     """Boolean flag per ground truth: True when another non-ignored ground
     truth in the image overlaps it with IoU strictly above ``crowd_iou``."""
     flags = np.zeros(len(gts), dtype=bool)
-    real = [(j, g) for j, g in enumerate(gts) if not g.ignore]
+    real = [j for j, g in enumerate(gts) if not g.ignore]
     if len(real) < 2:
         return flags
-    boxes = boxes_to_array([g.box for _, g in real])
+    boxes = boxes_to_array([gts[j].box for j in real])
     ious = iou_matrix(boxes, boxes)
     np.fill_diagonal(ious, 0.0)
-    for row, (j, _) in enumerate(real):
-        flags[j] = bool((ious[row] > crowd_iou).any())
+    flags[real] = (ious > crowd_iou).any(axis=1)
     return flags
 
 
@@ -368,35 +376,20 @@ def recall_split(scenes: Sequence[SceneRecord], cfg: EvalConfig,
                  crowd_iou: float = CROWD_IOU) -> tuple[RecallStats, RecallStats, RecallStats]:
     """Recall of crowd vs. sparse ground truths at one confidence threshold.
 
-    Returns (total, sparse, crowd) counts; matched flags come from
+    Returns (total, sparse, crowd) counts; matched flags are those of
     :func:`match_greedy` on the thresholded detections.
     """
-    matched = {"sparse": 0, "crowd": 0}
-    total = {"sparse": 0, "crowd": 0}
-    for scene in scenes:
-        dets = [d for d in scene.dets if d.score >= score_threshold]
-        res = match_greedy(dets, scene.gts, cfg.iou_thresh)
-        crowd = crowd_flags(scene.gts, crowd_iou)
-        for j, g in enumerate(scene.gts):
-            if g.ignore:
-                continue
-            key = "crowd" if crowd[j] else "sparse"
-            total[key] += 1
-            if res.gt_matched[j]:
-                matched[key] += 1
-    sparse = RecallStats(matched["sparse"], total["sparse"])
-    crowd_ = RecallStats(matched["crowd"], total["crowd"])
-    total_ = RecallStats(sparse.matched + crowd_.matched, sparse.total + crowd_.total)
-    return total_, sparse, crowd_
+    return _Evaluation(scenes, cfg).recall_split(score_threshold, crowd_iou)
 
 
 def evaluate(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> EvalReport:
     """Full report: AP, MR^-2, best-threshold Jaccard index, and crowd/sparse
-    recall at the best-JI threshold."""
-    ap = average_precision(scenes, cfg)
-    mr = mr2(scenes, cfg)
-    ji, thr = best_ji(scenes, cfg)
-    total, sparse, crowd = recall_split(scenes, cfg, thr)
+    recall at the best-JI threshold, all from one pass per image."""
+    ev = _Evaluation(scenes, cfg)
+    ap = ev.average_precision()
+    mr = ev.mr2()
+    ji, thr = ev.best_ji()
+    total, sparse, crowd = ev.recall_split(thr, CROWD_IOU)
     return EvalReport(ap=ap, mr2=mr, ji=ji, ji_best_threshold=thr,
                       recall_total=total, recall_sparse=sparse, recall_crowd=crowd)
 

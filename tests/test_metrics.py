@@ -1,14 +1,18 @@
 import math
+import sys
 
+import metrics_oracle as oracle
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from crowdset.assignment import GroundTruth
 from crowdset.geometry import BBox
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
-                              average_precision, best_ji, crowd_flags,
-                              density_stats, evaluate, jaccard_index,
-                              match_greedy, mr2, recall_split)
+                              _max_matching_gains, average_precision, best_ji,
+                              crowd_flags, density_stats, evaluate,
+                              jaccard_index, match_greedy, mr2, recall_split)
 from crowdset.scene_io import SceneRecord
 from crowdset.suppression import Detection
 
@@ -95,6 +99,13 @@ class TestMatchGreedy:
         tight = gt(0, 0, 10, 10)       # iou 1.0
         res = match_greedy([d], [loose, tight], 0.5)
         assert res.det_match.tolist() == [1]
+
+    def test_equal_iou_goes_to_the_lower_index(self):
+        # The detection sits midway: IoU 90/110 with both ground truths.
+        left, right = gt(0, 0, 10, 10), gt(2, 0, 12, 10)
+        d = det(1, 0, 11, 10, 0.9)
+        assert match_greedy([d], [left, right], 0.5).det_match.tolist() == [0]
+        assert match_greedy([d], [right, left], 0.5).det_match.tolist() == [0]
 
     def test_no_double_booking(self):
         rng = np.random.default_rng(3)
@@ -229,6 +240,15 @@ class TestBestJi:
         val, thr = best_ji([s], CFG)
         assert val == 1.0 and thr == 0.9
 
+    def test_tie_returns_the_highest_threshold(self):
+        # 4 gts; TP .9, TP .8, FP .7, FP .6, TP .5: the index is 1/4, 2/4,
+        # 2/5, 2/6, 3/6, so the best 1/2 is reached at .8 and again at .5.
+        gts = [gt(100 * j, 0, 100 * j + 10, 10) for j in range(4)]
+        dets = [det(0, 0, 10, 10, 0.9), det(100, 0, 110, 10, 0.8),
+                det(500, 0, 510, 10, 0.7), det(600, 0, 610, 10, 0.6),
+                det(200, 0, 210, 10, 0.5)]
+        assert best_ji([scene("a", gts, dets)], CFG) == (0.5, 0.8)
+
     def test_matches_dense_grid_sweep(self):
         # Scores are quantized to 0.01 so every inter-score gap contains a
         # 1e-3 grid point and the grid realizes every threshold set.
@@ -323,3 +343,141 @@ class TestDensity:
 
     def test_empty(self):
         assert density_stats([]).objects_per_image == 0.0
+
+
+def oracle_scenes(rng, n_scenes):
+    """Crowded two-class scenes for the oracle comparisons: clusters of
+    overlapping ground truths (about 15% ignored), 0-2 detections per ground
+    truth plus strays, scores on a 0.1 grid so ties are common, and every
+    sixth image without ground truths, every sixth without detections."""
+    def score():
+        return round(int(rng.integers(1, 10)) / 10, 1)
+
+    scenes = []
+    for i in range(n_scenes):
+        gts, dets = [], []
+        if i % 6 != 0:
+            for _ in range(int(rng.integers(1, 5))):
+                x, y = rng.uniform(0, 200, 2)
+                w, h = rng.uniform(10, 40, 2)
+                for _ in range(int(rng.integers(1, 4))):
+                    dx, dy = rng.uniform(-0.3, 0.3, 2) * (w, h)
+                    gts.append(gt(x + dx, y + dy, x + dx + w, y + dy + h,
+                                  class_id=int(rng.integers(1, 3)),
+                                  ignore=bool(rng.random() < 0.15)))
+        if i % 6 != 1:
+            for g in gts:
+                b = g.box
+                for _ in range(int(rng.integers(0, 3))):
+                    jx, jy = rng.uniform(-0.25, 0.25, 2) * (b.width, b.height)
+                    cls = g.class_id if rng.random() < 0.9 else 3 - g.class_id
+                    dets.append(det(b.x1 + jx, b.y1 + jy, b.x2 + jx, b.y2 + jy,
+                                    score(), class_id=cls))
+            for _ in range(int(rng.integers(0, 3))):
+                x, y = rng.uniform(0, 200, 2)
+                dets.append(det(x, y, x + rng.uniform(10, 40), y + rng.uniform(10, 40),
+                                score(), class_id=int(rng.integers(1, 3))))
+        scenes.append(scene(f"o{i}", gts, dets))
+    return scenes
+
+
+ORACLE_CFGS = [EvalConfig(ji_matching=m, ap_interpolation=a)
+               for m in ("optimal", "greedy") for a in ("all_points", "eleven_point")]
+
+
+def oracle_datasets():
+    """Quantized crowded scenes, plus continuous-score two-class scenes
+    where nearly every score is a distinct threshold."""
+    for seed in range(3):
+        yield oracle_scenes(np.random.default_rng(100 + seed), 60)
+    yield random_scenes(np.random.default_rng(200), 25, n_classes=2)
+
+
+class TestOracleEquivalence:
+    """Every public metric equals the original per-metric loops exactly."""
+
+    def test_match_greedy(self):
+        for scenes in oracle_datasets():
+            for s in scenes:
+                got = match_greedy(s.dets, s.gts, 0.5)
+                want = oracle.match_greedy(s.dets, s.gts, 0.5)
+                for field in ("det_flags", "det_match", "gt_matched"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS,
+                             ids=lambda c: f"{c.ji_matching}-{c.ap_interpolation}")
+    def test_metrics(self, cfg):
+        for scenes in oracle_datasets():
+            want_ji, want_thr = oracle.best_ji(scenes, cfg)
+            rep = evaluate(scenes, cfg)
+            assert rep.ap == oracle.average_precision(scenes, cfg)
+            assert average_precision(scenes, cfg) == rep.ap
+            assert rep.mr2 == oracle.mr2(scenes, cfg) == mr2(scenes, cfg)
+            assert (rep.ji, rep.ji_best_threshold) == (want_ji, want_thr)
+            assert best_ji(scenes, cfg) == (want_ji, want_thr)
+            recall = (rep.recall_total, rep.recall_sparse, rep.recall_crowd)
+            assert recall == oracle.recall_split(scenes, cfg, want_thr)
+            for r in recall:
+                assert type(r.matched) is int and type(r.total) is int
+            scores = sorted({d.score for s in scenes for d in s.dets})
+            for thr in [0.0, 0.55, math.inf, *scores[::len(scores) // 8 + 1]]:
+                assert jaccard_index(scenes, cfg, thr) == \
+                    oracle.jaccard_index(scenes, cfg, thr)
+                assert recall_split(scenes, cfg, thr) == \
+                    oracle.recall_split(scenes, cfg, thr)
+
+    def test_scenes_cover_the_hard_cases(self):
+        scenes = oracle_scenes(np.random.default_rng(100), 60)
+        flags = np.concatenate([match_greedy(s.dets, s.gts, 0.5).det_flags
+                                for s in scenes])
+        assert {TP, FP, IGNORED} <= set(flags.tolist())
+        assert any(not s.gts for s in scenes) and any(not s.dets for s in scenes)
+        assert any(g.class_id == 2 for s in scenes for g in s.gts)
+        opt, greedy = (jaccard_index(scenes, EvalConfig(ji_matching=m), 0.0)
+                       for m in ("optimal", "greedy"))
+        assert opt > greedy
+
+
+def chain_adjacency(n):
+    """Left vertex t < n-1 joins right vertices t and t+1; the last left
+    vertex joins only right vertex 0. Admitted in index order, each left
+    vertex takes its first right vertex, and the last one completes the
+    matching only through an augmenting path over every vertex."""
+    return [[t, t + 1] for t in range(n - 1)] + [[0]]
+
+
+def scipy_matching_size(adj, n_right):
+    rows = [i for i, nbrs in enumerate(adj) for _ in nbrs]
+    cols = [j for nbrs in adj for j in nbrs]
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)),
+                       shape=(len(adj), n_right))
+    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+
+class TestAugmentingChain:
+    N = 3000   # 6,000 vertices on the final augmenting path
+
+    def test_long_chain_needs_no_recursion(self):
+        adj = chain_adjacency(self.N)
+        assert sys.getrecursionlimit() < self.N
+        gains = _max_matching_gains(adj, range(self.N), self.N)
+        assert gains[-1] == 1
+        assert int(gains.sum()) == scipy_matching_size(adj, self.N) == self.N
+        with pytest.raises(RecursionError):
+            match_right = [-1] * self.N
+            for u in range(self.N):
+                oracle._augment(u, adj, match_right, [False] * self.N)
+
+    def test_chain_of_boxes_through_the_public_api(self):
+        # gt t spans [5t, 5t+10]; det t sits 2 px right of it, so it has IoU
+        # 0.67 with gt t and 0.54 with gt t+1, and none with any other gt.
+        n = 1200
+        gts = [gt(5 * t, 0, 5 * t + 10, 10) for t in range(n)]
+        dets = [det(5 * t + 2, 0, 5 * t + 12, 10, 0.9) for t in range(n - 1)]
+        dets.append(det(-2, 0, 8, 10, 0.5))
+        s = scene("chain", gts, dets)
+        assert jaccard_index([s], CFG, 0.0) == 1.0
+        assert best_ji([s], CFG) == (1.0, 0.5)
+        with pytest.raises(RecursionError):
+            oracle.jaccard_index([s], CFG, 0.0)
