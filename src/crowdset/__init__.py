@@ -24,8 +24,7 @@ from .scene_io import (PredictionRecord, SceneFileError, SceneRecord,
                        iter_scene_file, parse_prediction_file,
                        parse_scene_file, write_prediction_file,
                        write_scene_file)
-from .suppression import (BenchReport, Detection, SuppressionConfig,
-                          bench_suppression, make_box_cloud, nms, set_nms,
+from .suppression import (Detection, SuppressionConfig, nms, set_nms,
                           soft_nms, suppress)
 from .synth import (DetectorSimParams, SceneGenerationError, SceneParams,
                     StudyRow, build_scenes, derive_seed, generate_scene,
@@ -45,8 +44,8 @@ __all__ = [
     "PredictionRecord", "SceneFileError", "SceneRecord", "iter_scene_file",
     "parse_prediction_file", "parse_scene_file", "write_prediction_file",
     "write_scene_file",
-    "BenchReport", "Detection", "SuppressionConfig", "bench_suppression",
-    "make_box_cloud", "nms", "set_nms", "soft_nms", "suppress",
+    "Detection", "SuppressionConfig", "nms", "set_nms", "soft_nms",
+    "suppress",
     "DetectorSimParams", "SceneGenerationError", "SceneParams", "StudyRow",
     "build_scenes", "derive_seed", "generate_scene", "run_study",
     "simulate_detector",

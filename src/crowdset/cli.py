@@ -1,5 +1,5 @@
 """Command-line surface: generate scenes, suppress, evaluate, score
-prediction sets, run studies, and benchmark suppression.
+prediction sets, and run studies.
 
 Every run writes a manifest (JSON) describing the resolved configuration,
 seeds, paths, and wall-clock timing, so results are reproducible from the
@@ -28,25 +28,13 @@ from .emd import EmdConfig, emd_loss
 from .metrics import EvalConfig, EvalReport, density_stats, evaluate
 from .scene_io import (SceneRecord, parse_prediction_file, parse_scene_file,
                        write_scene_file)
-from .suppression import SuppressionConfig, bench_suppression, suppress
+from .suppression import METHODS, SuppressionConfig, suppress
 from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
                     run_study)
 
 SCHEMA_VERSION = 1
 
-_METHOD_FLAGS = {
-    "nms": "nms",
-    "soft-linear": "soft_linear",
-    "soft-gaussian": "soft_gaussian",
-    "set-nms": "set_nms",
-}
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("CROWD_SUPPRESS_JOBS", "1")))
-    except ValueError:
-        return 1
+_METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
 
 
 def _write_manifest(path: str, subcommand: str, config: dict, t0: float) -> None:
@@ -156,12 +144,8 @@ def cmd_suppress(args) -> int:
             print(f"warning: {anonymous} detections carry no proposal_id; "
                   f"set-nms treats them as distinct proposals (plain nms)",
                   file=sys.stderr)
-    out_records = [
-        SceneRecord(id=r.id, width=r.width, height=r.height, gts=r.gts,
-                    dets=suppress(r.dets, cfg))
-        for r in records
-    ]
-    write_scene_file(out_records, args.out)
+    write_scene_file([replace(r, dets=suppress(r.dets, cfg)) for r in records],
+                     args.out)
     _write_manifest(args.out + ".manifest.json", "suppress", {
         "in": args.infile, "out": args.out, "method": args.method,
         "iou": args.iou, "sigma": args.sigma, "score_floor": args.score_floor,
@@ -169,19 +153,21 @@ def cmd_suppress(args) -> int:
     return 0
 
 
+def _gts_by_id(gt_records: list[SceneRecord], records, kind: str) -> dict:
+    """Ground-truth records by id; every id in ``records`` must be there."""
+    gt_by_id = {r.id: r for r in gt_records}
+    missing = [r.id for r in records if r.id not in gt_by_id]
+    if missing:
+        raise ValueError(f"{kind} ids missing from ground-truth file: "
+                         f"{', '.join(sorted(missing))}")
+    return gt_by_id
+
+
 def _merge_gt_det(gt_records: list[SceneRecord],
                   det_records: list[SceneRecord]) -> list[SceneRecord]:
-    gt_by_id = {r.id: r for r in gt_records}
-    missing = [r.id for r in det_records if r.id not in gt_by_id]
-    if missing:
-        raise ValueError(f"detection ids missing from ground-truth file: "
-                         f"{', '.join(sorted(missing))}")
-    det_by_id = {r.id: r for r in det_records}
-    return [
-        SceneRecord(id=r.id, width=r.width, height=r.height, gts=r.gts,
-                    dets=det_by_id[r.id].dets if r.id in det_by_id else [])
-        for r in gt_records
-    ]
+    _gts_by_id(gt_records, det_records, "detection")
+    det_by_id = {r.id: r.dets for r in det_records}
+    return [replace(r, dets=det_by_id.get(r.id, [])) for r in gt_records]
 
 
 def cmd_eval(args) -> int:
@@ -216,11 +202,7 @@ def cmd_emd(args) -> int:
     t0 = time.perf_counter()
     gt_records = parse_scene_file(args.gt)
     pred_records = parse_prediction_file(args.pred)
-    gt_by_id = {r.id: r for r in gt_records}
-    missing = [r.id for r in pred_records if r.id not in gt_by_id]
-    if missing:
-        raise ValueError(f"prediction ids missing from ground-truth file: "
-                         f"{', '.join(sorted(missing))}")
+    gt_by_id = _gts_by_id(gt_records, pred_records, "prediction")
     cls_mode = "cross_entropy" if args.cls_mode == "cross-entropy" else "focal"
     cfg = EmdConfig(k=args.k, cls_mode=cls_mode, focal_gamma=args.focal_gamma,
                     focal_alpha=args.focal_alpha)
@@ -340,29 +322,6 @@ def cmd_study(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    reports = []
-    for m in methods:
-        if m not in _METHOD_FLAGS:
-            raise ValueError(f"unknown method {m!r}; choose from "
-                             f"{', '.join(_METHOD_FLAGS)}")
-        cfg = SuppressionConfig(method=_METHOD_FLAGS[m], iou_thresh=args.iou)
-        rep = bench_suppression(args.boxes, args.duplication, cfg, args.seed,
-                                repeats=args.repeats)
-        reports.append({"method": m, "n_boxes": rep.n_boxes, "kept": rep.kept,
-                        "seconds": rep.seconds,
-                        "boxes_per_sec": rep.boxes_per_sec})
-    out = {"schema_version": SCHEMA_VERSION, "benchmarks": reports,
-           "config": {"boxes": args.boxes, "duplication": args.duplication,
-                      "iou": args.iou, "seed": args.seed}}
-    _emit(out, args.format, args.out)
-    if args.manifest:
-        _write_manifest(args.manifest, "bench", out["config"], t0)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdset",
@@ -372,10 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker pool size (env CROWD_SUPPRESS_JOBS)")
+    def common(p, seed=False, fmt=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for detector simulation "
+                            "(study only; accepted and unused elsewhere)")
         if fmt:
             p.add_argument("--format", choices=("json", "tsv"), default="json")
             p.add_argument("--out", default=None, help="write report here "
@@ -384,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="optional manifest path")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic scene file")
-    common(p, fmt=False)
+    common(p, seed=True, fmt=False)
     p.add_argument("--images", type=int, required=True)
     p.add_argument("--out", required=True, help="output scene JSONL path")
     _add_scene_flags(p)
@@ -428,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_emd)
 
     p = sub.add_parser("study", help="run the full synthetic comparison study")
-    common(p, fmt=False)
+    common(p, seed=True, fmt=False)
     p.add_argument("--images", type=int, default=200)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k", type=int, default=2)
@@ -441,15 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.5)
     _add_scene_flags(p)
     p.set_defaults(func=cmd_study)
-
-    p = sub.add_parser("bench", help="benchmark suppression throughput")
-    common(p)
-    p.add_argument("--boxes", type=int, required=True)
-    p.add_argument("--duplication", type=int, default=10)
-    p.add_argument("--methods", default="nms,set-nms")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,9 +1,23 @@
 """Axis-aligned box geometry: IoU and box-regression delta transforms.
 
 Boxes live in corner form (x1, y1, x2, y2) with real pixel coordinates.
-Zero-area boxes are legal inputs to :func:`iou` (the result is 0) but are
-rejected as proposals or targets for delta encoding, where log-size ratios
-must stay finite.
+Zero-area boxes are legal inputs to IoU (the result is 0) but are rejected
+as proposals or targets for delta encoding, where log-size ratios must stay
+finite.
+
+IoU arithmetic lives in two kernels that compute the same numbers:
+
+* :func:`iou_arrays` broadcasts box arrays against each other, with areas
+  supplied by the caller so that loops over one box set (the suppression
+  loops) compute them once. :func:`iou_matrix` is its all-pairs wrapper.
+* :func:`iou` takes one pair of :class:`BBox`. It stays scalar because its
+  callers ask for one pair at a time (the pair-IoU bisection in scene
+  generation, ``GtSet`` validation, ground-truth set construction), and
+  numpy's fixed per-call overhead costs over ten times the scalar
+  arithmetic on a single pair.
+
+:func:`ranked_overlaps` turns an IoU matrix into per-row candidate lists,
+the one ranking rule shared by the simulator and the evaluator.
 """
 
 from __future__ import annotations
@@ -95,6 +109,29 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def box_areas(boxes: np.ndarray) -> np.ndarray:
+    """Areas of corner-form boxes along the last axis."""
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
+
+
+def iou_arrays(a: np.ndarray, area_a: np.ndarray,
+               b: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """IoU of boxes ``a`` against boxes ``b`` under numpy broadcasting.
+
+    ``a`` and ``b`` hold corner-form boxes along their last axis and
+    ``area_a``/``area_b`` their :func:`box_areas`; the result has the
+    broadcast shape of the areas. Entries with zero union area are 0.
+    """
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
+                    - np.maximum(a[..., 0], b[..., 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3])
+                    - np.maximum(a[..., 1], b[..., 1]))
+    inter = iw * ih
+    union = area_a + area_b - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
+
+
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two box sets.
 
@@ -107,19 +144,20 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    iw = np.maximum(0.0, ix2 - ix1)
-    ih = np.maximum(0.0, iy2 - iy1)
-    inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(union > 0.0, inter / union, 0.0)
-    return out
+    return iou_arrays(a[:, None, :], box_areas(a)[:, None],
+                      b[None, :, :], box_areas(b)[None, :])
+
+
+def ranked_overlaps(ious: np.ndarray, thresh: float) -> list[list[int]]:
+    """For each row of ``ious``, the columns with IoU >= ``thresh``, highest
+    IoU first and ties to the lowest column index."""
+    ious = np.asarray(ious)
+    rows, cols = np.nonzero(ious >= thresh)
+    order = np.lexsort((cols, -ious[rows, cols], rows))
+    ranked: list[list[int]] = [[] for _ in range(ious.shape[0])]
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        ranked[i].append(j)
+    return ranked
 
 
 def boxes_to_array(boxes) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruth
-from .geometry import boxes_to_array, iou_matrix
+from .geometry import boxes_to_array, iou_matrix, ranked_overlaps
 from .scene_io import SceneRecord
 from .suppression import Detection
 
@@ -160,13 +160,9 @@ def _match_image(dets: Sequence[Detection], gts: Sequence[GroundTruth],
                       boxes_to_array([g.box for g in gts]))
     same_class = (np.array([d.class_id for d in dets])[:, None]
                   == np.array([g.class_id for g in gts])[None, :])
-    qualifies = (ious >= iou_thresh) & same_class
-    hits_ignored = (qualifies & ignore).any(axis=1)
-    rows, cols = np.nonzero(qualifies & ~ignore)
-    by_iou = np.lexsort((cols, -ious[rows, cols], rows))
-    adj: list[list[int]] = [[] for _ in range(n_det)]
-    for i, j in zip(rows[by_iou].tolist(), cols[by_iou].tolist()):
-        adj[i].append(j)
+    hits_ignored = ((ious >= iou_thresh) & same_class & ignore).any(axis=1)
+    # -1 sits below every threshold, so masked pairs never become candidates.
+    adj = ranked_overlaps(np.where(same_class & ~ignore, ious, -1.0), iou_thresh)
 
     ranked = order.tolist()
     det_match = [-1] * n_det

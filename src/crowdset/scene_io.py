@@ -97,8 +97,8 @@ def _open_for(source: PathOrStream, mode: str):
     return open(source, mode, encoding="utf-8", newline="\n"), True
 
 
-def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
-    """Stream records one line at a time (constant memory per line)."""
+def _iter_jsonl(source: PathOrStream, parse) -> Iterator:
+    """Parse one record per non-blank line, naming the line on failure."""
     stream, owned = _open_for(source, "r")
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -109,7 +109,7 @@ def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
             except json.JSONDecodeError as e:
                 raise SceneFileError(f"line {lineno}: malformed JSON ({e.msg})") from e
             try:
-                yield _parse_record(obj)
+                yield parse(obj)
             except (KeyError, TypeError, ValueError) as e:
                 if isinstance(e, SceneFileError):
                     raise
@@ -117,6 +117,25 @@ def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
     finally:
         if owned:
             stream.close()
+
+
+def _write_jsonl(objs: Iterable[dict], dest: PathOrStream, kind: str) -> None:
+    """Write one JSON object per line; I/O errors name the destination."""
+    stream, owned = _open_for(dest, "w")
+    try:
+        for obj in objs:
+            stream.write(json.dumps(obj))
+            stream.write("\n")
+    except OSError as e:
+        raise OSError(f"failed writing {kind} file {getattr(dest, 'name', dest)}: {e}") from e
+    finally:
+        if owned:
+            stream.close()
+
+
+def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
+    """Stream records one line at a time (constant memory per line)."""
+    return _iter_jsonl(source, _parse_record)
 
 
 def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
@@ -154,23 +173,10 @@ def _det_obj(d: Detection) -> dict:
 
 def write_scene_file(records: Iterable[SceneRecord], dest: PathOrStream) -> None:
     """Write records as one JSON object per line, corner-form boxes."""
-    stream, owned = _open_for(dest, "w")
-    try:
-        for r in records:
-            obj = {
-                "id": r.id,
-                "width": r.width,
-                "height": r.height,
-                "gts": [_gt_obj(g) for g in r.gts],
-                "dets": [_det_obj(d) for d in r.dets],
-            }
-            stream.write(json.dumps(obj))
-            stream.write("\n")
-    except OSError as e:
-        raise OSError(f"failed writing scene file {getattr(dest, 'name', dest)}: {e}") from e
-    finally:
-        if owned:
-            stream.close()
+    _write_jsonl(({"id": r.id, "width": r.width, "height": r.height,
+                   "gts": [_gt_obj(g) for g in r.gts],
+                   "dets": [_det_obj(d) for d in r.dets]} for r in records),
+                 dest, "scene")
 
 
 @dataclass
@@ -201,51 +207,19 @@ def _parse_prediction_record(obj: dict) -> PredictionRecord:
 def parse_prediction_file(source: PathOrStream) -> list[PredictionRecord]:
     """Read a JSONL prediction file: per line ``{"id", "proposals": [
     {"box_xyxy", "slots": [{"scores": [...], "delta": [dx,dy,dw,dh]}]}]}``."""
-    stream, owned = _open_for(source, "r")
-    records = []
-    try:
-        for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SceneFileError(f"line {lineno}: malformed JSON ({e.msg})") from e
-            try:
-                records.append(_parse_prediction_record(obj))
-            except (KeyError, TypeError, ValueError) as e:
-                if isinstance(e, SceneFileError):
-                    raise
-                raise SceneFileError(f"line {lineno}: bad record ({e})") from e
-    finally:
-        if owned:
-            stream.close()
-    return records
+    return list(_iter_jsonl(source, _parse_prediction_record))
+
+
+def _proposal_obj(p: PredictionSet) -> dict:
+    return {
+        "box_xyxy": list(p.proposal.as_tuple()),
+        "slots": [{"scores": [float(v) for v in s.class_scores],
+                   "delta": list(s.delta.as_tuple())} for s in p.slots],
+    }
 
 
 def write_prediction_file(records: Iterable[PredictionRecord],
                           dest: PathOrStream) -> None:
-    stream, owned = _open_for(dest, "w")
-    try:
-        for r in records:
-            obj = {
-                "id": r.id,
-                "proposals": [
-                    {
-                        "box_xyxy": list(p.proposal.as_tuple()),
-                        "slots": [
-                            {
-                                "scores": [float(v) for v in s.class_scores],
-                                "delta": list(s.delta.as_tuple()),
-                            }
-                            for s in p.slots
-                        ],
-                    }
-                    for p in r.proposals
-                ],
-            }
-            stream.write(json.dumps(obj))
-            stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+    """Write prediction records as one JSON object per line."""
+    _write_jsonl(({"id": r.id, "proposals": [_proposal_obj(p) for p in r.proposals]}
+                  for r in records), dest, "prediction")

@@ -10,12 +10,11 @@ Set NMS degenerates to plain NMS on such inputs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import BBox, boxes_to_array
+from .geometry import BBox, box_areas, boxes_to_array, iou_arrays
 
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
 
@@ -75,7 +74,7 @@ def _greedy_keep(boxes, scores, classes, pids, iou_thresh, respect_proposals):
     n = len(scores)
     if n == 0:
         return []
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    areas = box_areas(boxes)
     # Descending score, ties by ascending input index (stable sort).
     cand = np.argsort(-scores, kind="stable")
     keep = []
@@ -85,16 +84,7 @@ def _greedy_keep(boxes, scores, classes, pids, iou_thresh, respect_proposals):
         rest = cand[1:]
         if rest.size == 0:
             break
-        ix1 = np.maximum(boxes[i, 0], boxes[rest, 0])
-        iy1 = np.maximum(boxes[i, 1], boxes[rest, 1])
-        ix2 = np.minimum(boxes[i, 2], boxes[rest, 2])
-        iy2 = np.minimum(boxes[i, 3], boxes[rest, 3])
-        iw = np.maximum(0.0, ix2 - ix1)
-        ih = np.maximum(0.0, iy2 - iy1)
-        inter = iw * ih
-        union = areas[i] + areas[rest] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ovr = np.where(union > 0.0, inter / union, 0.0)
+        ovr = iou_arrays(boxes[i], areas[i], boxes[rest], areas[rest])
         suppress = (ovr > iou_thresh) & (classes[rest] == classes[i])
         if respect_proposals:
             suppress &= pids[rest] != pids[i]
@@ -135,7 +125,7 @@ def soft_nms(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
     if n == 0:
         return []
     gaussian = cfg.method == "soft_gaussian"
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    areas = box_areas(boxes)
     w = scores.copy()
     alive = np.ones(n, dtype=bool)
     picked: list[tuple[int, float]] = []
@@ -146,16 +136,7 @@ def soft_nms(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
         rest = np.nonzero(alive)[0]
         if rest.size == 0:
             break
-        ix1 = np.maximum(boxes[i, 0], boxes[rest, 0])
-        iy1 = np.maximum(boxes[i, 1], boxes[rest, 1])
-        ix2 = np.minimum(boxes[i, 2], boxes[rest, 2])
-        iy2 = np.minimum(boxes[i, 3], boxes[rest, 3])
-        iw = np.maximum(0.0, ix2 - ix1)
-        ih = np.maximum(0.0, iy2 - iy1)
-        inter = iw * ih
-        union = areas[i] + areas[rest] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ovr = np.where(union > 0.0, inter / union, 0.0)
+        ovr = iou_arrays(boxes[i], areas[i], boxes[rest], areas[rest])
         if gaussian:
             factor = np.exp(-(ovr * ovr) / cfg.sigma)
         else:
@@ -174,59 +155,3 @@ def suppress(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
         return set_nms(dets, cfg)
     return soft_nms(dets, cfg)
 
-
-def make_box_cloud(n_boxes: int, duplication_factor: int, seed: int) -> list[Detection]:
-    """Deterministic synthetic detection cloud for benchmarking.
-
-    Base boxes sit on a disjoint grid; each is repeated ``duplication_factor``
-    times as exact copies, so a factor of 1 yields an all-disjoint cloud and a
-    factor of ``n_boxes`` an identical one. Every detection gets a distinct
-    proposal_id and a distinct random score.
-    """
-    if n_boxes < 1:
-        raise ValueError(f"n_boxes must be >= 1, got {n_boxes}")
-    if duplication_factor < 1:
-        raise ValueError(f"duplication_factor must be >= 1, got {duplication_factor}")
-    rng = np.random.default_rng(seed)
-    n_bases = -(-n_boxes // duplication_factor)  # ceil division
-    cols = max(1, math.isqrt(n_bases - 1) + 1)
-    cell = 100.0
-    dets = []
-    for b in range(n_bases):
-        cx = (b % cols) * cell + 10.0
-        cy = (b // cols) * cell + 10.0
-        w = rng.uniform(30.0, 75.0)
-        h = rng.uniform(30.0, 75.0)
-        box = BBox(cx, cy, cx + w, cy + h)
-        for _ in range(duplication_factor):
-            if len(dets) == n_boxes:
-                break
-            dets.append(Detection(box=box, score=float(rng.uniform(0.1, 0.99)),
-                                  class_id=1, proposal_id=len(dets), slot=0))
-    return dets
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    method: str
-    n_boxes: int
-    kept: int
-    seconds: float
-    boxes_per_sec: float
-
-
-def bench_suppression(n_boxes: int, duplication_factor: int,
-                      cfg: SuppressionConfig, seed: int,
-                      repeats: int = 3) -> BenchReport:
-    """Time one suppression method over a seeded box cloud (best of
-    ``repeats`` runs)."""
-    dets = make_box_cloud(n_boxes, duplication_factor, seed)
-    best = math.inf
-    kept = 0
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        out = suppress(dets, cfg)
-        best = min(best, time.perf_counter() - t0)
-        kept = len(out)
-    return BenchReport(method=cfg.method, n_boxes=n_boxes, kept=kept,
-                       seconds=best, boxes_per_sec=n_boxes / best)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import GroundTruth
-from .geometry import BBox, boxes_to_array, iou, iou_matrix
+from .geometry import BBox, boxes_to_array, iou, iou_matrix, ranked_overlaps
 from .metrics import EvalConfig, EvalReport, evaluate
 from .scene_io import SceneRecord
 from .suppression import Detection, SuppressionConfig, suppress
@@ -80,9 +80,10 @@ class DetectorSimParams:
     ``proposals_per_gt`` models proposal over-completeness: real first stages
     put several proposals on every object, and those surplus near-duplicates
     are what loose suppression thresholds leave behind as false positives.
-    ``single`` mode is identical to ``mip`` with ``k=1`` and collapse
-    enabled. Scores follow quality: base score minus a penalty proportional
-    to the prediction's coordinate error over the box diagonal, clipped to
+    ``single`` mode is identical to ``mip`` with ``k=1``: a one-slot
+    proposal always collapses onto the cluster's dominant member. Scores
+    follow quality: base score minus a penalty proportional to the
+    prediction's coordinate error over the box diagonal, clipped to
     [0.05, 0.99].
     """
 
@@ -92,7 +93,6 @@ class DetectorSimParams:
     proposals_per_gt: int = 3
     score_base: float = 0.95
     score_penalty: float = 2.0
-    collapse_in_single_mode: bool = True
     theta: float = 0.5
     seed: int = 0
 
@@ -263,10 +263,11 @@ def simulate_detector(gts: Sequence[GroundTruth],
 
     Every proposal computes its assignment set (members with IoU >= theta,
     descending IoU). ``mip`` mode emits one detection per member up to ``k``
-    slots; ``single``/collapse mode emits one detection aimed at the
-    cluster's dominant member. Per-proposal random streams are keyed by
-    (seed, proposal index) and member draws are consumed in member order, so
-    different ``k`` budgets see identical noise.
+    slots; with one slot (``single`` mode or ``k=1``) the proposal emits one
+    detection aimed at the cluster's dominant member. Per-proposal random
+    streams are keyed by (seed, proposal index) and member draws are
+    consumed in member order, so different ``k`` budgets see identical
+    noise.
     """
     real = [g for g in gts if not g.ignore]
     if not real:
@@ -279,23 +280,18 @@ def simulate_detector(gts: Sequence[GroundTruth],
                     params.proposal_jitter, rngs[pi].normal(size=4))
         for pi in range(n_proposals)
     ]
-    all_ious = iou_matrix(boxes_to_array(proposals), gt_boxes)
+    ranked = ranked_overlaps(iou_matrix(boxes_to_array(proposals), gt_boxes),
+                             params.theta)
     detections: list[Detection] = []
     for pi in range(n_proposals):
-        rng = rngs[pi]
-        ious = all_ious[pi]
-        ranked = sorted(
-            (i for i in range(len(real)) if ious[i] >= params.theta),
-            key=lambda i: (-ious[i], i),
-        )
-        members = [real[i] for i in ranked]
+        members = [real[i] for i in ranked[pi]]
         # Draws for every member are consumed regardless of what gets
         # emitted, keeping streams aligned across modes and k values.
-        noises = [rng.normal(size=4) for _ in members]
+        noises = [rngs[pi].normal(size=4) for _ in members]
         if not members:
             continue
         k = params.effective_k
-        if k == 1 and params.collapse_in_single_mode:
+        if k == 1:
             chosen = [_dominant_rank(members)]
         else:
             chosen = list(range(min(k, len(members))))
@@ -362,20 +358,13 @@ def run_study(scene_params: SceneParams,
                  for i in range(n_images)]
         raw = _map_simulations(tasks, jobs)
         for cfg in suppression_cfgs:
-            eval_scenes = [
-                replace_dets(scenes[i], suppress(raw[i], cfg))
-                for i in range(n_images)
-            ]
+            eval_scenes = [replace(scenes[i], dets=suppress(raw[i], cfg))
+                           for i in range(n_images)]
             report = evaluate(eval_scenes, eval_cfg)
             rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
                                  method=cfg.method, iou_thresh=cfg.iou_thresh,
                                  report=report))
     return rows
-
-
-def replace_dets(scene: SceneRecord, dets: list[Detection]) -> SceneRecord:
-    return SceneRecord(id=scene.id, width=scene.width, height=scene.height,
-                       gts=scene.gts, dets=dets)
 
 
 def _simulate_task(task) -> list[Detection]:

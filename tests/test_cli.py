@@ -5,7 +5,8 @@ import math
 import pytest
 
 from crowdset.cli import main
-from crowdset.scene_io import SceneRecord, parse_scene_file, write_scene_file
+from crowdset.scene_io import (PredictionRecord, SceneRecord, parse_scene_file,
+                               write_prediction_file, write_scene_file)
 from crowdset.synth import DetectorSimParams, derive_seed, simulate_detector
 
 # sha256 of outputs whose bytes must not change; a change to any of them is a
@@ -122,9 +123,23 @@ class TestExitCodes:
                      str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "out.jsonl")]) == 1
 
+    def test_prediction_id_mismatch_is_runtime_failure(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        write_scene_file([SceneRecord(id="a")], gt)
+        pred = tmp_path / "pred.jsonl"
+        write_prediction_file([PredictionRecord(id="b")], pred)
+        assert main(["emd", "--gt", str(gt), "--pred", str(pred)]) == 1
+        assert ("prediction ids missing from ground-truth file: b"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--gt", "g", "--det", "d", "--bogus"],
         ["suppress", "--method", "fast-nms", "--in", "a", "--out", "b"],
+        ["suppress", "--method", "nms", "--in", "a", "--out", "b",
+         "--seed", "1"],
+        ["eval", "--gt", "g", "--det", "d", "--seed", "1"],
+        ["emd", "--gt", "g", "--pred", "p", "--seed", "1"],
+        ["bench", "--boxes", "10"],
         ["study"],
         [],
     ])
@@ -132,3 +147,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestSurface:
+    @pytest.mark.parametrize("flag", ["nms", "set-nms", "soft-linear",
+                                      "soft-gaussian"])
+    def test_every_method_flag_runs_with_jobs_1(self, round_trip, tmp_path,
+                                               flag):
+        _, det = round_trip
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", flag, "--in", str(det),
+                     "--jobs", "1", "--out", str(out)]) == 0
+        assert (strict_json(str(out) + ".manifest.json")["config"]["method"]
+                == flag)
+
+    def test_help_lists_no_bench(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "bench" not in capsys.readouterr().out

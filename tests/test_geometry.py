@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
-                               decode_delta, encode_delta, iou, iou_matrix)
+                               decode_delta, encode_delta, iou, iou_matrix,
+                               ranked_overlaps)
 
 
 def random_box(rng, lo=0.0, hi=100.0, min_size=1.0, max_size=40.0):
@@ -78,6 +80,36 @@ class TestIou:
 
     def test_matrix_empty(self):
         assert iou_matrix(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)
+
+
+class TestRankedOverlaps:
+    def test_threshold_inclusive_highest_first_ties_to_lowest_index(self):
+        ious = np.array([[0.4, 0.7, 0.5, 0.7, 0.49],
+                         [0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert ranked_overlaps(ious, 0.5) == [[1, 3, 2], []]
+
+    def test_empty(self):
+        assert ranked_overlaps(np.zeros((2, 0)), 0.5) == [[], []]
+        assert ranked_overlaps(np.zeros((0, 3)), 0.5) == []
+
+    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10),
+                              st.integers(0, 6), st.integers(0, 6),
+                              st.booleans()), max_size=12),
+           st.tuples(st.integers(0, 10), st.integers(0, 10),
+                     st.integers(1, 6), st.integers(1, 6)),
+           st.sampled_from([0.3, 0.5, 1.0]))
+    def test_same_order_as_build_gt_set(self, raw_gts, raw_prop, theta):
+        # A coarse integer grid gives exact IoU ties and duplicate boxes.
+        gts = [GroundTruth(box=BBox(x, y, x + w, y + h), ignore=ign)
+               for x, y, w, h, ign in raw_gts]
+        x, y, w, h = raw_prop
+        proposal = BBox(x, y, x + w, y + h)
+        ious = iou_matrix(boxes_to_array([proposal]),
+                          boxes_to_array([g.box for g in gts]))
+        ious[:, [g.ignore for g in gts]] = 0.0
+        (ranked,) = ranked_overlaps(ious, theta)
+        want = build_gt_set(proposal, gts, theta).entries
+        assert [gts[j] for j in ranked] == list(want)
 
 
 class TestDeltas:

@@ -160,3 +160,27 @@ class TestPredictionFiles:
     def test_malformed_line_reported(self):
         with pytest.raises(SceneFileError, match="line 1"):
             parse_prediction_file(io.StringIO("{broken"))
+
+    def test_bad_record_reports_line_number(self):
+        # The record on line 3 has a proposal without "slots".
+        text = ('{"id": "a", "proposals": []}\n\n'
+                '{"id": "b", "proposals": [{"box_xyxy": [0, 0, 1, 1]}]}\n')
+        with pytest.raises(SceneFileError, match="line 3: bad record"):
+            parse_prediction_file(io.StringIO(text))
+
+
+class _FailingStream(io.StringIO):
+    name = "full-disk.jsonl"
+
+    def write(self, text):
+        raise OSError("no space left on device")
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("write, record", [
+        (write_scene_file, SceneRecord(id="a")),
+        (write_prediction_file, PredictionRecord(id="a")),
+    ])
+    def test_os_error_names_the_file(self, write, record):
+        with pytest.raises(OSError, match="full-disk.jsonl.*no space left"):
+            write([record], _FailingStream())
