@@ -8,8 +8,10 @@ finite.
 IoU arithmetic lives in two kernels that compute the same numbers:
 
 * :func:`iou_arrays` broadcasts box arrays against each other, with areas
-  supplied by the caller so that loops over one box set (the suppression
-  loops) compute them once. :func:`iou_matrix` is its all-pairs wrapper.
+  supplied by the caller so that repeated calls over one box set compute
+  them once: the suppression sweep gathers its candidate pairs into
+  aligned arrays, and scene generation tests each candidate box against
+  the boxes placed so far. :func:`iou_matrix` is its all-pairs wrapper.
 * :func:`iou` takes one pair of :class:`BBox`. It stays scalar because its
   callers ask for one pair at a time (the pair-IoU bisection in scene
   generation, ``GtSet`` validation, ground-truth set construction), and

@@ -110,9 +110,9 @@ def _iter_jsonl(source: PathOrStream, parse) -> Iterator:
                 raise SceneFileError(f"line {lineno}: malformed JSON ({e.msg})") from e
             try:
                 yield parse(obj)
+            except SceneFileError as e:
+                raise SceneFileError(f"line {lineno}: {e}") from e
             except (KeyError, TypeError, ValueError) as e:
-                if isinstance(e, SceneFileError):
-                    raise
                 raise SceneFileError(f"line {lineno}: bad record ({e})") from e
     finally:
         if owned:

@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import GroundTruth
-from .geometry import BBox, boxes_to_array, iou, iou_matrix, ranked_overlaps
+from .geometry import (BBox, box_areas, boxes_to_array, iou, iou_arrays, iou_matrix,
+                       ranked_overlaps)
 from .metrics import EvalConfig, EvalReport, evaluate
 from .scene_io import SceneRecord
 from .suppression import Detection, SuppressionConfig, suppress
@@ -135,11 +136,26 @@ def _sample_box(rng: np.random.Generator, params: SceneParams) -> BBox:
     return BBox(x, y, x + w, y + h)
 
 
-def _max_iou_against(box: BBox, others: Sequence[BBox]) -> float:
-    if not others:
-        return 0.0
-    vals = iou_matrix(boxes_to_array([box]), boxes_to_array(list(others)))
-    return float(vals.max())
+class _Placed:
+    """The boxes placed so far, with their corner array and areas grown in
+    step, so each candidate costs one IoU call against the whole set."""
+
+    def __init__(self):
+        self.boxes: list[BBox] = []
+        self._array = np.zeros((0, 4))
+        self._areas = np.zeros(0)
+
+    def add(self, boxes: Sequence[BBox]) -> None:
+        self.boxes.extend(boxes)
+        array = boxes_to_array(boxes)
+        self._array = np.concatenate([self._array, array])
+        self._areas = np.concatenate([self._areas, box_areas(array)])
+
+    def max_iou(self, box: BBox) -> float:
+        if not self.boxes:
+            return 0.0
+        return float(iou_arrays(np.array(box.as_tuple()), box.area,
+                                self._array, self._areas).max())
 
 
 def _offset_for_target_iou(box: BBox, ux: float, uy: float, target: float) -> BBox:
@@ -160,12 +176,12 @@ def _offset_for_target_iou(box: BBox, ux: float, uy: float, target: float) -> BB
 
 
 def _place_cluster(rng: np.random.Generator, params: SceneParams,
-                   placed: list[BBox], n_partners: int) -> list[BBox]:
+                   placed: _Placed, n_partners: int) -> list[BBox]:
     """An anchor box plus ``n_partners`` offset copies, each hitting a target
     IoU with the anchor, none overlapping outside boxes beyond 0.5."""
     for _ in range(_PLACEMENT_TRIES):
         anchor = _sample_box(rng, params)
-        if _max_iou_against(anchor, placed) > 0.5:
+        if placed.max_iou(anchor) > 0.5:
             continue
         cluster = [anchor]
         ok = True
@@ -176,7 +192,7 @@ def _place_cluster(rng: np.random.Generator, params: SceneParams,
                 target = rng.uniform(*params.pair_iou_range)
                 cand = _offset_for_target_iou(anchor, np.cos(angle), np.sin(angle),
                                               target)
-                if _max_iou_against(cand, placed) > 0.5:
+                if placed.max_iou(cand) > 0.5:
                     continue
                 partner = cand
                 break
@@ -207,16 +223,16 @@ def generate_scene(params: SceneParams) -> list[GroundTruth]:
     n_triples = int(rng.poisson(params.crowd_triples_mean)) if params.crowd_triples_mean > 0 else 0
     n_isolated = max(0, n_total - 2 * n_pairs - 3 * n_triples)
 
-    placed: list[BBox] = []
+    placed = _Placed()
     for _ in range(n_triples):
-        placed.extend(_place_cluster(rng, params, placed, n_partners=2))
+        placed.add(_place_cluster(rng, params, placed, n_partners=2))
     for _ in range(n_pairs):
-        placed.extend(_place_cluster(rng, params, placed, n_partners=1))
+        placed.add(_place_cluster(rng, params, placed, n_partners=1))
     for _ in range(n_isolated):
         box = None
         for _ in range(_PLACEMENT_TRIES):
             cand = _sample_box(rng, params)
-            if _max_iou_against(cand, placed) <= 0.5:
+            if placed.max_iou(cand) <= 0.5:
                 box = cand
                 break
         if box is None:
@@ -224,8 +240,8 @@ def generate_scene(params: SceneParams) -> list[GroundTruth]:
                 f"could not place an isolated box without accidental IoU > 0.5 "
                 f"after {_PLACEMENT_TRIES} attempts"
             )
-        placed.append(box)
-    return [GroundTruth(box=b, class_id=1) for b in placed]
+        placed.add([box])
+    return [GroundTruth(box=b, class_id=1) for b in placed.boxes]
 
 
 def _jitter_box(box: BBox, rel_std: float, noise: np.ndarray) -> BBox:

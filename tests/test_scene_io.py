@@ -58,6 +58,20 @@ class TestParse:
         with pytest.raises(SceneFileError, match="img7"):
             parse_scene_file(io.StringIO(line))
 
+    def test_negative_size_reports_line_number(self):
+        text = (json.dumps({"id": "a"}) + "\n"
+                + json.dumps({"id": "img7", "gts": [{"box_xywh": [5, 5, -1, 20]}]}))
+        with pytest.raises(SceneFileError, match="line 2: record 'img7': negative"):
+            parse_scene_file(io.StringIO(text))
+
+    def test_box_without_coordinates_reports_line_number(self):
+        text = (json.dumps({"id": "a"}) + "\n\n"
+                + json.dumps({"id": "b", "dets": [{"box": [0, 0, 1, 1],
+                                                   "score": 0.5}]}))
+        with pytest.raises(SceneFileError,
+                           match="line 3: record 'b': box needs a box_xyxy"):
+            parse_scene_file(io.StringIO(text))
+
     def test_malformed_json_reports_line_number(self):
         text = json.dumps({"id": "a"}) + "\n{nope\n"
         with pytest.raises(SceneFileError, match="line 2"):

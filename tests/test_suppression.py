@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import suppression_oracle as oracle
+from crowdset import suppression
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (Detection, SuppressionConfig, _greedy_keep,
                                   _to_arrays, nms, set_nms, soft_nms, suppress)
+from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
+                            simulate_detector)
 
 B = BBox
 NMS = SuppressionConfig(method="nms", iou_thresh=0.5)
@@ -242,10 +245,25 @@ _box = st.one_of(st.tuples(_grid, _grid, _grid, _grid),
     lambda v: B(v[0], v[1], v[0] + v[2], v[1] + v[3]))
 _score = st.one_of(st.sampled_from([0.3, 0.6, 0.6, 0.9]),
                    st.floats(0.0, 1.0, allow_nan=False))
-_det = st.builds(
-    lambda box, score, cls, pid: Detection(
-        box=box, score=score, class_id=cls, proposal_id=pid),
-    _box, _score, st.integers(1, 2), st.one_of(st.none(), st.integers(0, 3)))
+# Boxes spread over a wide x-range: most sweep spans are empty, wide boxes
+# span many neighbours, and boxes that share x but not y have IoU 0.
+_wide_x = st.one_of(st.integers(0, 40).map(lambda v: 10.0 * v),
+                    st.floats(0.0, 400.0, allow_nan=False))
+_wide_w = st.one_of(st.sampled_from([0.0, 10.0, 20.0, 400.0]),
+                    st.floats(0.0, 60.0, allow_nan=False))
+_wide_box = st.builds(lambda x, w, y, h: B(x, y, x + w, y + h),
+                      _wide_x, _wide_w, st.sampled_from([0.0, 10.0, 20.0]),
+                      st.sampled_from([0.0, 10.0, 15.0, 30.0]))
+
+
+def _dets(box):
+    return st.builds(
+        lambda box, score, cls, pid: Detection(
+            box=box, score=score, class_id=cls, proposal_id=pid),
+        box, _score, st.integers(1, 2), st.one_of(st.none(), st.integers(0, 3)))
+
+
+_det = _dets(_box)
 _thresh = st.sampled_from([1 / 3, 0.5, 2 / 3])
 
 
@@ -257,11 +275,11 @@ def _lower_half(d: Detection) -> Detection:
 
 
 @st.composite
-def _cloud(draw):
+def _cloud(draw, det=_det):
     """Detections plus exact copies and lower halves of some of them;
     ``slot`` holds the input index so outputs can be traced back to
     inputs."""
-    dets = draw(st.lists(_det, max_size=24))
+    dets = draw(st.lists(det, max_size=24))
     if dets:
         dets += draw(st.lists(st.sampled_from(dets), max_size=6))
         dets += [_lower_half(d) for d in
@@ -269,12 +287,15 @@ def _cloud(draw):
     return [replace(d, slot=i) for i, d in enumerate(dets)]
 
 
+_clouds = st.one_of(_cloud(), _cloud(_dets(_wide_box)))
+
+
 class TestOracleEquivalence:
     """The library's loops against the reference loops in
     ``suppression_oracle``: same indices, same order, same bits."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(_cloud(), _thresh)
+    @settings(max_examples=600, deadline=None)
+    @given(_clouds, _thresh)
     def test_greedy_keep_same_indices_same_order(self, dets, thresh):
         for respect in (False, True):
             got = _greedy_keep(*_to_arrays(dets), thresh, respect)
@@ -285,8 +306,8 @@ class TestOracleEquivalence:
             dets[i] for i in oracle._greedy_keep(*oracle._to_arrays(dets),
                                                  thresh, True)]
 
-    @settings(max_examples=300, deadline=None)
-    @given(_cloud(), st.sampled_from(["soft_linear", "soft_gaussian"]),
+    @settings(max_examples=600, deadline=None)
+    @given(_clouds, st.sampled_from(["soft_linear", "soft_gaussian"]),
            _thresh, st.sampled_from([0.25, 0.5]),
            st.sampled_from([0.0, 0.001, 0.2]))
     def test_soft_scores_bit_identical(self, dets, method, thresh, sigma, floor):
@@ -319,3 +340,125 @@ class TestBench:
         assert len(nms(dets, NMS)) == 1
         assert len(set_nms(dets, SET)) == 1
         assert nms(dets, NMS)[0] is dets[-1]
+
+
+# Every method at two thresholds; the soft ones also with no floor, the
+# default floor and a floor high enough to drop untouched boxes.
+_CONFIGS = (
+    [SuppressionConfig(method=m, iou_thresh=t)
+     for m in ("nms", "set_nms") for t in (0.3, 0.5)]
+    + [SuppressionConfig(method=m, iou_thresh=t, score_floor=f)
+       for m in ("soft_linear", "soft_gaussian") for t in (0.3, 0.5)
+       for f in (0.0, 0.001, 0.2)])
+
+
+def oracle_suppress(dets, cfg):
+    if cfg.method in ("nms", "set_nms"):
+        keep = oracle._greedy_keep(*oracle._to_arrays(dets), cfg.iou_thresh,
+                                   cfg.method == "set_nms")
+        return [dets[i] for i in keep]
+    return oracle.soft_nms(dets, cfg)
+
+
+def indexed(dets):
+    """``slot`` set to the input index, so outputs trace back to inputs."""
+    return [replace(d, slot=i) for i, d in enumerate(dets)]
+
+
+def assert_same_output(got, want, cfg):
+    """Same inputs kept, in the same order, with the same score bits."""
+    assert [d.slot for d in got] == [d.slot for d in want], cfg
+    assert [d.score.hex() for d in got] == [d.score.hex() for d in want], cfg
+
+
+def assert_matches_oracle(dets):
+    for cfg in _CONFIGS:
+        assert_same_output(suppress(dets, cfg), oracle_suppress(dets, cfg), cfg)
+
+
+def crowd_cloud(n_scenes=16, seed=5):
+    """``simulate_detector`` output at k=3 for crowded scenes tiled on one
+    canvas; neighbouring tiles overlap at their borders, so boxes meet
+    boxes of other scenes. About a fifth of the boxes are moved to a
+    second class and a tenth lose their proposal id."""
+    params = SceneParams(n_objects_mean=20.0, crowd_pairs_mean=3.0,
+                         crowd_triples_mean=1.5)
+    dets = []
+    for j, scene in enumerate(build_scenes(params, n_scenes, seed)):
+        dx, dy = 1000.0 * (j % 4), 700.0 * (j // 4)
+        for d in simulate_detector(scene.gts, DetectorSimParams(k=3, seed=j)):
+            dets.append(replace(d, box=d.box.shifted(dx, dy),
+                                proposal_id=d.proposal_id + 1000 * j))
+    rng = np.random.default_rng(seed)
+    second = rng.random(len(dets)) < 0.2
+    anonymous = rng.random(len(dets)) < 0.1
+    return indexed([replace(d, class_id=2 if second[i] else d.class_id,
+                            proposal_id=None if anonymous[i] else d.proposal_id)
+                    for i, d in enumerate(dets)])
+
+
+class TestCrowdCloud:
+    def test_every_method_matches_the_oracle(self, monkeypatch):
+        dets = crowd_cloud()
+        assert 1200 <= len(dets) <= 2000
+        assert len({d.class_id for d in dets}) == 2
+        assert any(d.proposal_id is None for d in dets)
+        wants = [oracle_suppress(dets, cfg) for cfg in _CONFIGS]
+        # One-position chunks, odd-sized chunks and the default.
+        for chunk in (1, 97, suppression._SWEEP_PAIRS):
+            monkeypatch.setattr(suppression, "_SWEEP_PAIRS", chunk)
+            for cfg, want in zip(_CONFIGS, wants):
+                assert_same_output(suppress(dets, cfg), want, cfg)
+
+
+class TestSweepBoundaries:
+    """Inputs at the edges of the x-sweep, against the oracle loops under
+    every method and against the expected result."""
+
+    def test_boxes_touching_at_x_do_not_overlap(self):
+        # x2 of each box equals x1 of the next: IoU 0, nothing decays.
+        dets = indexed([det(0, 0, 10, 10, 0.9), det(10, 0, 20, 10, 0.8),
+                        det(20, 0, 30, 10, 0.7, class_id=2)])
+        assert_matches_oracle(dets)
+        for cfg in _CONFIGS:
+            assert [d.score for d in suppress(dets, cfg)] == [0.9, 0.8, 0.7]
+
+    def test_equal_x1(self):
+        # Slot 1 overlaps slot 2 at IoU 90/110; slot 0 shares their x1 but
+        # not their rows; slot 3 is a zero-width box on the same x1.
+        dets = indexed([det(0, 50, 10, 60, 0.7), det(0, 1, 10, 11, 0.8),
+                        det(0, 0, 10, 10, 0.9), det(0, 0, 0, 10, 0.6)])
+        assert_matches_oracle(dets)
+        assert [d.slot for d in nms(dets, NMS)] == [2, 0, 3]
+        assert [d.slot for d in set_nms(dets, SET)] == [2, 0, 3]
+
+    def test_zero_width_and_zero_height_boxes_never_overlap(self):
+        dets = indexed([det(5, 0, 5, 10, 0.9), det(5, 0, 5, 10, 0.8),
+                        det(0, 0, 10, 10, 0.7), det(0, 5, 10, 5, 0.6),
+                        det(5, 5, 5, 5, 0.5)])
+        assert_matches_oracle(dets)
+        for cfg in _CONFIGS:
+            out = suppress(dets, cfg)
+            assert [d.slot for d in out] == [0, 1, 2, 3, 4]
+            assert [d.score for d in out] == [0.9, 0.8, 0.7, 0.6, 0.5]
+
+    def test_floor_drops_boxes_that_overlap_nothing(self):
+        # Slots 1 and 2 overlap nothing and start under the 0.2 floor: the
+        # first pick drops them although no pick decays them.
+        dets = indexed([det(0, 0, 10, 10, 0.9), det(100, 0, 110, 10, 0.1),
+                        det(200, 0, 210, 10, 0.15), det(1, 0, 11, 10, 0.85)])
+        assert_matches_oracle(dets)
+        for method in ("soft_linear", "soft_gaussian"):
+            cfg = SuppressionConfig(method=method, score_floor=0.2)
+            slots = [d.slot for d in soft_nms(dets, cfg)]
+            assert slots[0] == 0 and 1 not in slots and 2 not in slots
+            cfg = SuppressionConfig(method=method, score_floor=0.0)
+            assert sorted(d.slot for d in soft_nms(dets, cfg)) == [0, 1, 2, 3]
+
+    def test_floor_keeps_only_the_first_pick_when_all_start_below_it(self):
+        dets = indexed([det(0, 0, 10, 10, 0.1), det(50, 0, 60, 10, 0.15)])
+        assert_matches_oracle(dets)
+        for method in ("soft_linear", "soft_gaussian"):
+            out = soft_nms(dets, SuppressionConfig(method=method,
+                                                   score_floor=0.2))
+            assert [(d.slot, d.score) for d in out] == [(1, 0.15)]
