@@ -4,6 +4,12 @@ A proposal's ground-truth set holds every annotated instance whose IoU with
 the proposal reaches the membership threshold ``theta``. Before matching,
 the set is padded to a fixed cardinality with background "dummy" slots that
 carry no regression target.
+
+:func:`gt_set_members` is the one membership rule: it computes one IoU
+matrix of a batch of proposals against an image's ground truths and ranks
+each row with :func:`~crowdset.geometry.ranked_overlaps`. The EMD engine,
+the detector simulator, :func:`build_gt_set` (a batch of one) and
+:func:`max_gt_set_cardinality` all call it.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import BBox, iou
+import numpy as np
+
+from .geometry import BBox, boxes_to_array, iou, iou_matrix, ranked_overlaps
 
 if TYPE_CHECKING:
     from .scene_io import SceneRecord
@@ -104,6 +112,18 @@ class GtSet:
         return None
 
 
+def gt_set_members(proposals: np.ndarray, gts: Sequence[GroundTruth],
+                   theta: float) -> list[list[int]]:
+    """For each proposal box in ``proposals`` (P, 4), the indices into
+    ``gts`` of its ground-truth set: the non-ignored ground truths with
+    IoU >= theta, highest IoU first, ties to the lowest index."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    ious = iou_matrix(proposals, boxes_to_array([g.box for g in gts]))
+    ious[:, np.array([g.ignore for g in gts], dtype=bool)] = -1.0
+    return ranked_overlaps(ious, theta)
+
+
 def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> GtSet:
     """Collect the ground truths overlapping ``proposal`` with IoU >= theta.
 
@@ -111,17 +131,8 @@ def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> Gt
     descending IoU with the proposal, ties broken by input index, and is
     unpadded (``n_slots == n_real``).
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
-    members = []
-    for i, g in enumerate(gts):
-        if g.ignore:
-            continue
-        v = iou(proposal, g.box)
-        if v >= theta:
-            members.append((-v, i, g))
-    members.sort(key=lambda t: (t[0], t[1]))
-    entries = tuple(g for _, _, g in members)
+    (members,) = gt_set_members(boxes_to_array([proposal]), gts, theta)
+    entries = tuple(gts[i] for i in members)
     return GtSet(entries=entries, source_proposal=proposal, theta=theta,
                  n_slots=len(entries))
 
@@ -162,9 +173,8 @@ def max_gt_set_cardinality(scenes: Iterable["SceneRecord"], theta: float) -> int
     """
     best = 0
     for scene in scenes:
-        gts = scene.gts
-        for g in gts:
-            if g.ignore:
-                continue
-            best = max(best, build_gt_set(g.box, gts, theta).n_real)
+        real = [g.box for g in scene.gts if not g.ignore]
+        if real:
+            members = gt_set_members(boxes_to_array(real), scene.gts, theta)
+            best = max(best, max(map(len, members)))
     return best

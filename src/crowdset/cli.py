@@ -23,10 +23,9 @@ import time
 from dataclasses import asdict, replace
 
 from . import __version__
-from .assignment import build_gt_set, truncate_top_k
-from .emd import EmdConfig, emd_loss
+from .emd import EmdConfig, match_image
 from .metrics import EvalConfig, EvalReport, density_stats, evaluate
-from .scene_io import (SceneRecord, parse_prediction_file, parse_scene_file,
+from .scene_io import (SceneRecord, parse_prediction_arrays, parse_scene_file,
                        write_scene_file)
 from .suppression import METHODS, SuppressionConfig, suppress
 from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
@@ -37,7 +36,8 @@ SCHEMA_VERSION = 1
 _METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
 
 
-def _write_manifest(path: str, subcommand: str, config: dict, t0: float) -> None:
+def _write_manifest(path: str, subcommand: str, config: dict, t0: float,
+                    counters: dict | None = None) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "crowdset",
@@ -46,6 +46,8 @@ def _write_manifest(path: str, subcommand: str, config: dict, t0: float) -> None
         "config": config,
         "wall_seconds": time.perf_counter() - t0,
     }
+    if counters is not None:
+        manifest["counters"] = counters
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, allow_nan=False)
         f.write("\n")
@@ -201,41 +203,28 @@ def cmd_eval(args) -> int:
 def cmd_emd(args) -> int:
     t0 = time.perf_counter()
     gt_records = parse_scene_file(args.gt)
-    pred_records = parse_prediction_file(args.pred)
+    pred_records = parse_prediction_arrays(args.pred)
     gt_by_id = _gts_by_id(gt_records, pred_records, "prediction")
     cls_mode = "cross_entropy" if args.cls_mode == "cross-entropy" else "focal"
     cfg = EmdConfig(k=args.k, cls_mode=cls_mode, focal_gamma=args.focal_gamma,
                     focal_alpha=args.focal_alpha)
     rows = []
     total = 0.0
-    count = 0
+    counters = {"proposals": 0, "overflowing_sets": 0, "members_dropped": 0}
     for rec in pred_records:
-        gts = gt_by_id[rec.id].gts
-        for idx, pred in enumerate(rec.proposals):
-            if len(pred.slots) != args.k:
-                raise ValueError(f"record {rec.id!r} proposal {idx}: has "
-                                 f"{len(pred.slots)} slots, expected k={args.k}")
-            gt_set = build_gt_set(pred.proposal, gts, args.theta)
-            if gt_set.n_real > args.k:
-                if args.truncate_topk:
-                    gt_set = truncate_top_k(gt_set, args.k)
-                else:
-                    raise ValueError(
-                        f"record {rec.id!r} proposal {idx}: ground-truth set "
-                        f"has {gt_set.n_real} members for k={args.k} (excess "
-                        f"{gt_set.n_real - args.k}); pass --truncate-topk to "
-                        f"keep the top-k by IoU")
-            match = emd_loss(pred, gt_set, cfg)
-            rows.append({
-                "id": rec.id,
-                "proposal_index": idx,
-                "n_members": gt_set.n_real,
-                "permutation": list(match.permutation),
-                "per_slot_cost": list(match.per_slot_cost),
-                "total": match.total,
-            })
-            total += match.total
-            count += 1
+        match = match_image(rec, gt_by_id[rec.id].gts, cfg, args.theta,
+                            args.truncate_topk)
+        for idx, (n, perm, costs, t) in enumerate(zip(
+                match.n_members.tolist(), match.permutation.tolist(),
+                match.per_slot_cost.tolist(), match.total.tolist())):
+            rows.append({"id": rec.id, "proposal_index": idx, "n_members": n,
+                         "permutation": perm, "per_slot_cost": costs,
+                         "total": t})
+            total += t
+        counters["proposals"] += len(rec)
+        counters["overflowing_sets"] += match.overflowing
+        counters["members_dropped"] += match.dropped
+    count = counters["proposals"]
     out = {
         "schema_version": SCHEMA_VERSION,
         "proposals": rows,
@@ -244,7 +233,7 @@ def cmd_emd(args) -> int:
     }
     _emit(out, args.format, args.out)
     if args.manifest:
-        _write_manifest(args.manifest, "emd", out["config"], t0)
+        _write_manifest(args.manifest, "emd", out["config"], t0, counters)
     return 0
 
 

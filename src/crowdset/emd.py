@@ -6,6 +6,19 @@ padded ground-truth set one-to-one, scoring every pairing with a
 classification term plus a regression term, and keeps the permutation with
 the smallest total. At ``k == 1`` this reduces exactly to the ordinary
 single-instance detection loss.
+
+One batched engine computes the loss. :func:`match_image` scores every
+proposal of an image at once from :class:`PredictionArrays`: one IoU
+matrix gives the ground-truth sets
+(:func:`~crowdset.assignment.gt_set_members`), one (P, k, k) tensor holds
+the pair costs, and one argmin over the ``k!`` permutation totals per
+proposal picks the matching. :func:`pair_cost_matrix`, :func:`emd_match`
+and :func:`emd_loss` are one-proposal calls of the same code, so the cost
+formula and the tie rule live in one place. The scalar :func:`cls_loss`,
+:func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
+engine computes the same numbers bit for bit, with the logs and the focal
+powers taken by ``math.log`` and Python ``**`` (numpy's vectorised versions
+can differ in the last bit) and every sum in the scalar order.
 """
 
 from __future__ import annotations
@@ -13,12 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .assignment import GtSet, pad_to_k
-from .geometry import BBox, BoxDelta, encode_delta
+from .assignment import GroundTruth, GtSet, gt_set_members, pad_to_k
+from .geometry import BBox, BoxDelta, boxes_to_array, encode_delta
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
 SCORE_EPS = 1e-12
@@ -60,6 +74,106 @@ class PredictionSet:
             raise ValueError("a prediction set needs at least one slot")
 
 
+def _pad_ragged(values: np.ndarray, lengths: np.ndarray,
+                width: int | None = None) -> np.ndarray:
+    """Split ``values`` into consecutive rows of the given ``lengths`` and
+    zero-pad each to ``width`` (default: the longest), so (sum(lengths), ...)
+    becomes (len(lengths), width, ...)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    values = np.asarray(values)
+    if width is None:
+        width = int(lengths.max(initial=0))
+    out = np.zeros((len(lengths), width) + values.shape[1:], dtype=values.dtype)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.arange(len(values)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    out[rows, cols] = values
+    return out
+
+
+@dataclass(frozen=True)
+class PredictionArrays:
+    """One image's slot predictions as arrays, zero-padded where ragged.
+
+    ``boxes`` (P, 4) holds the proposal boxes and ``n_slots`` (P,) their
+    slot counts. ``scores`` (P, S, C), ``n_classes`` (P, S) and ``deltas``
+    (P, S, 4) hold the slots, S being the largest slot count and C the
+    longest score vector; entries past a proposal's slot count or past a
+    vector's length are 0. :meth:`validate` applies the checks of
+    :class:`BBox`, :class:`BoxDelta`, :class:`SlotPrediction` and
+    :class:`PredictionSet` to all proposals at once.
+    """
+
+    id: str
+    boxes: np.ndarray
+    n_slots: np.ndarray
+    scores: np.ndarray
+    n_classes: np.ndarray
+    deltas: np.ndarray
+
+    @classmethod
+    def stack(cls, id: str, boxes, n_slots, scores, deltas) -> "PredictionArrays":
+        """Arrays from per-proposal boxes and slot counts, and per-slot score
+        vectors and deltas listed in proposal order."""
+        def floats(rows, count):
+            return np.fromiter(itertools.chain.from_iterable(rows),
+                               dtype=np.float64, count=count)
+
+        lengths = np.fromiter(map(len, scores), dtype=np.intp, count=len(scores))
+        n_slots = np.asarray(n_slots, dtype=np.intp)
+        return cls(id=id, boxes=floats(boxes, 4 * len(boxes)).reshape(-1, 4),
+                   n_slots=n_slots,
+                   scores=_pad_ragged(_pad_ragged(floats(scores, int(lengths.sum())),
+                                                  lengths), n_slots),
+                   n_classes=_pad_ragged(lengths, n_slots),
+                   deltas=_pad_ragged(floats(deltas, 4 * len(deltas)).reshape(-1, 4),
+                                      n_slots))
+
+    @classmethod
+    def from_sets(cls, id: str, sets: Sequence[PredictionSet]) -> "PredictionArrays":
+        """Arrays of already validated prediction sets."""
+        slots = [s for p in sets for s in p.slots]
+        return cls.stack(id, [p.proposal.as_tuple() for p in sets],
+                         [len(p.slots) for p in sets],
+                         [s.class_scores for s in slots],
+                         [s.delta.as_tuple() for s in slots])
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def prediction_set(self, i: int) -> PredictionSet:
+        """Proposal ``i`` as a :class:`PredictionSet`, validated by the
+        dataclasses in the order a sequential parser meets them."""
+        return PredictionSet(
+            proposal=BBox(*self.boxes[i].tolist()),
+            slots=tuple(SlotPrediction(
+                class_scores=self.scores[i, s, :self.n_classes[i, s]],
+                delta=BoxDelta(*self.deltas[i, s].tolist()))
+                for s in range(int(self.n_slots[i]))))
+
+    def validate(self) -> None:
+        """Raise the dataclasses' own error for the first invalid proposal."""
+        bad = self._invalid()
+        if bad.any():
+            self.prediction_set(int(np.argmax(bad)))
+            raise AssertionError("array checks disagree with the dataclasses")
+
+    def _invalid(self) -> np.ndarray:
+        b = self.boxes
+        bad = (~np.isfinite(b).all(axis=1) | (b[:, 2] < b[:, 0])
+               | (b[:, 3] < b[:, 1]) | (self.n_slots == 0))
+        used = np.arange(self.scores.shape[1]) < self.n_slots[:, None]
+        # Sum each vector over its own length only: zero padding would change
+        # numpy's pairwise summation order on vectors of 8 or more.
+        sums = np.zeros(used.shape)
+        for n in np.unique(self.n_classes[used]):
+            at = used & (self.n_classes == n)
+            sums[at] = self.scores[at][:, :n].sum(axis=-1)
+        slot_bad = (~np.isfinite(self.deltas).all(axis=-1) | (self.n_classes < 2)
+                    | (self.scores < 0.0).any(axis=-1)
+                    | (np.abs(sums - 1.0) > 1e-6))
+        return bad | (used & slot_bad).any(axis=1)
+
+
 @dataclass(frozen=True)
 class EmdConfig:
     """Knobs for the matching loss.
@@ -98,6 +212,11 @@ class EmdMatch:
     total: float
 
 
+def _vocabulary_error(target_class, n_classes) -> ValueError:
+    return ValueError(f"target class {target_class} outside vocabulary of "
+                      f"{n_classes} classes")
+
+
 def cls_loss(scores: np.ndarray, target_class: int, mode: str = "cross_entropy",
              gamma: float = 2.0, alpha: float = 0.25) -> float:
     """Classification loss of a probability vector against a target class.
@@ -108,8 +227,7 @@ def cls_loss(scores: np.ndarray, target_class: int, mode: str = "cross_entropy",
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target_class < scores.size:
-        raise ValueError(f"target class {target_class} outside vocabulary of "
-                         f"{scores.size} classes")
+        raise _vocabulary_error(target_class, scores.size)
     p = max(float(scores[target_class]), SCORE_EPS)
     if mode == "cross_entropy":
         return -math.log(p)
@@ -144,6 +262,103 @@ def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None,
     )
 
 
+def _targets(members: Sequence[Sequence[GroundTruth]], k: int):
+    """Padded slot targets of P ground-truth sets of at most ``k`` members:
+    class ids (P, k) with background for dummies, boxes (P, k, 4) and a
+    real-member mask (P, k)."""
+    counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    flat = [g for m in members for g in m]
+    classes = np.fromiter((g.class_id for g in flat), dtype=np.intp, count=len(flat))
+    return (_pad_ragged(classes, counts, k),
+            _pad_ragged(boxes_to_array([g.box for g in flat]), counts, k),
+            _pad_ragged(np.ones(len(flat), dtype=bool), counts, k))
+
+
+def _class_errors(classes: np.ndarray, n_classes: np.ndarray) -> np.ndarray:
+    """(P, slot, target) mask of target classes outside a slot's vector."""
+    return classes[:, None, :] >= n_classes[:, :, None]
+
+
+def _cls_terms(p: np.ndarray, cfg: EmdConfig) -> np.ndarray:
+    """:func:`cls_loss` of clamped target-class scores, elementwise, with
+    ``math.log`` and Python ``**`` so every value equals the scalar one."""
+    flat = p.ravel().tolist()
+    if cfg.cls_mode == "cross_entropy":
+        terms = (-math.log(v) for v in flat)
+    else:
+        alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
+        terms = (-alpha * (1.0 - v) ** gamma * math.log(v) for v in flat)
+    return np.fromiter(terms, dtype=np.float64, count=len(flat)).reshape(p.shape)
+
+
+def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
+                 classes: np.ndarray, boxes: np.ndarray, real: np.ndarray,
+                 cfg: EmdConfig) -> np.ndarray:
+    """(P, k, k) pair costs: entry (p, i, j) scores slot i of proposal p
+    against target j, as :func:`cls_loss` and :func:`reg_loss` do.
+
+    ``scores`` (P, k, C) and ``deltas`` (P, k, 4) are the slots and
+    ``classes``, ``boxes`` and ``real`` the targets of :func:`_targets`.
+    Target classes outside a score vector are the caller's error to raise.
+    """
+    n, k = classes.shape
+    if n == 0:
+        return np.zeros((0, k, k))
+    target = np.minimum(classes, scores.shape[2] - 1)
+    p = scores[np.arange(n)[:, None, None], np.arange(k)[None, :, None],
+               target[:, None, :]]
+    cls = _cls_terms(np.maximum(p, SCORE_EPS), cfg)
+
+    # encode_delta of every real target against its proposal.
+    pw = (proposals[:, 2] - proposals[:, 0])[:, None]
+    ph = (proposals[:, 3] - proposals[:, 1])[:, None]
+    px = proposals[:, 0][:, None] + 0.5 * pw
+    py = proposals[:, 1][:, None] + 0.5 * ph
+    tw = boxes[..., 2] - boxes[..., 0]
+    th = boxes[..., 3] - boxes[..., 1]
+    want = np.zeros((n, k, 4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want[..., 0] = (boxes[..., 0] + 0.5 * tw - px) / pw
+        want[..., 1] = (boxes[..., 1] + 0.5 * th - py) / ph
+        for axis, ratio in ((2, tw / pw), (3, th / ph)):
+            want[..., axis][real] = [math.log(v) for v in ratio[real].tolist()]
+        x = deltas[:, :, None, :] - want[:, None, :, :]
+        ax = np.abs(x)
+        beta = cfg.smooth_l1_beta
+        sl1 = np.where(ax < beta, 0.5 * x * x / beta, ax - 0.5 * beta)
+        reg = sl1[..., 0] + sl1[..., 1] + sl1[..., 2] + sl1[..., 3]
+        reg = np.where(real[:, None, :], reg, 0.0)
+        return cfg.cls_weight * cls + cfg.reg_weight * reg
+
+
+def _match(costs: np.ndarray):
+    """Minimum-total permutation of each (k, k) matrix in ``costs``.
+
+    Up to ``ENUMERATION_LIMIT`` slots every permutation's total is summed
+    from 0.0 in slot order and the first minimum in ``itertools`` order
+    wins, so ties go to the lexicographically smallest permutation; above
+    it an assignment solver runs per matrix. Returns the permutations
+    (P, k), the matched costs (P, k) and their totals (P,), summed the same
+    way.
+    """
+    n, k, _ = costs.shape
+    if k <= ENUMERATION_LIMIT:
+        perms = np.array(list(itertools.permutations(range(k))),
+                         dtype=np.intp).reshape(math.factorial(k), k)
+        totals = np.zeros((n, len(perms)))
+        for i in range(k):
+            totals += costs[:, i, perms[:, i]]
+        chosen = perms[np.argmin(totals, axis=1)]
+    else:
+        chosen = np.array([linear_sum_assignment(c)[1] for c in costs],
+                          dtype=np.intp).reshape(n, k)
+    per_slot = np.take_along_axis(costs, chosen[:, :, None], axis=2)[:, :, 0]
+    total = np.zeros(n)
+    for i in range(k):
+        total += per_slot[:, i]
+    return chosen, per_slot, total
+
+
 def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndarray:
     """(k, k) cost matrix: entry (i, j) scores slot i against GT slot j."""
     if len(pred.slots) != cfg.k:
@@ -152,15 +367,16 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
     if gts.n_slots != cfg.k:
         raise ValueError(f"ground-truth set has {gts.n_slots} slots, config "
                          f"expects {cfg.k}")
-    costs = np.zeros((cfg.k, cfg.k), dtype=np.float64)
-    for i, slot in enumerate(pred.slots):
-        for j in range(cfg.k):
-            c = cls_loss(slot.class_scores, gts.slot_class(j), cfg.cls_mode,
-                         cfg.focal_gamma, cfg.focal_alpha)
-            r = reg_loss(slot.delta, pred.proposal, gts.slot_box(j),
-                         cfg.smooth_l1_beta)
-            costs[i, j] = cfg.cls_weight * c + cfg.reg_weight * r
-    return costs
+    arrays = PredictionArrays.from_sets("", [pred])
+    classes, boxes, real = _targets([gts.entries], cfg.k)
+    bad = _class_errors(classes, arrays.n_classes)[0]
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise _vocabulary_error(classes[0, j], arrays.n_classes[0, i])
+    if gts.entries and (pred.proposal.width <= 0.0 or pred.proposal.height <= 0.0):
+        encode_delta(pred.proposal, gts.entries[0].box)  # raises GeometryError
+    return _cost_tensor(arrays.boxes, arrays.scores, arrays.deltas, classes,
+                        boxes, real, cfg)[0]
 
 
 def emd_match(costs: np.ndarray) -> EmdMatch:
@@ -175,26 +391,10 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
         raise ValueError(f"cost matrix must be square, got shape {costs.shape}")
     if not np.all(np.isfinite(costs)):
         raise ValueError("cost matrix contains non-finite entries")
-    k = costs.shape[0]
-    if k <= ENUMERATION_LIMIT:
-        best_perm = None
-        best_total = math.inf
-        for perm in itertools.permutations(range(k)):
-            total = 0.0
-            for i in range(k):
-                total += costs[i, perm[i]]
-            if total < best_total:
-                best_total = total
-                best_perm = perm
-        perm = best_perm
-    else:
-        _, cols = linear_sum_assignment(costs)
-        perm = tuple(int(c) for c in cols)
-    per_slot = tuple(float(costs[i, perm[i]]) for i in range(k))
-    total = 0.0
-    for c in per_slot:
-        total += c
-    return EmdMatch(permutation=tuple(perm), per_slot_cost=per_slot, total=total)
+    perm, per_slot, total = _match(costs[None])
+    return EmdMatch(permutation=tuple(perm[0].tolist()),
+                    per_slot_cost=tuple(per_slot[0].tolist()),
+                    total=float(total[0]))
 
 
 def emd_loss(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> EmdMatch:
@@ -208,3 +408,69 @@ def emd_loss(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> EmdMatch:
     """
     gts = pad_to_k(gts, cfg.k)
     return emd_match(pair_cost_matrix(pred, gts, cfg))
+
+
+@dataclass(frozen=True)
+class ImageMatch:
+    """Every proposal of one image matched, in proposal order.
+
+    ``n_members`` (P,) counts the real targets after truncation;
+    ``permutation`` (P, k) maps each slot to its target,
+    ``per_slot_cost`` (P, k) and ``total`` (P,) are as in
+    :class:`EmdMatch`. ``overflowing`` counts the sets with more than ``k``
+    members and ``dropped`` the members truncation removed from them.
+    """
+
+    n_members: np.ndarray
+    permutation: np.ndarray
+    per_slot_cost: np.ndarray
+    total: np.ndarray
+    overflowing: int
+    dropped: int
+
+
+def match_image(pred: PredictionArrays, gts: Sequence[GroundTruth],
+                cfg: EmdConfig, theta: float, truncate: bool = False) -> ImageMatch:
+    """Build every proposal's ground-truth set (IoU >= ``theta``), keep its
+    top ``cfg.k`` members when ``truncate`` is set, pad it and match it.
+
+    The result equals a loop of :func:`~crowdset.assignment.build_gt_set`,
+    :func:`~crowdset.assignment.truncate_top_k` and :func:`emd_loss` over
+    the proposals, and so do the errors: a wrong slot count, a bad
+    ``theta``, an overflow without ``truncate``, a ground-truth class
+    outside a slot's score vector and non-finite costs are raised for the
+    first proposal that has one, in that order within a proposal.
+    """
+    k = cfg.k
+    wrong = np.flatnonzero(pred.n_slots != k)
+    n = int(wrong[0]) if wrong.size else len(pred)  # proposals with k slots
+    members = gt_set_members(pred.boxes[:n], gts, theta) if n else []
+    n_real = np.fromiter(map(len, members), dtype=np.intp, count=n)
+    classes, boxes, real = _targets([[gts[j] for j in m[:k]] for m in members], k)
+    scores, n_classes = pred.scores[:n, :k], pred.n_classes[:n, :k]
+    bad_class = _class_errors(classes, n_classes)
+    costs = _cost_tensor(pred.boxes[:n], scores, pred.deltas[:n, :k], classes,
+                         boxes, real, cfg)
+    over = n_real > k
+    failed = bad_class.any(axis=(1, 2)) | ~np.isfinite(costs).all(axis=(1, 2))
+    if not truncate:
+        failed |= over
+    if failed.any():
+        i = int(np.argmax(failed))
+        if over[i] and not truncate:
+            raise ValueError(
+                f"record {pred.id!r} proposal {i}: ground-truth set has "
+                f"{n_real[i]} members for k={k} (excess {n_real[i] - k}); "
+                f"pass --truncate-topk to keep the top-k by IoU")
+        if bad_class[i].any():
+            s, j = np.argwhere(bad_class[i])[0]
+            raise _vocabulary_error(classes[i, j], n_classes[i, s])
+        raise ValueError("cost matrix contains non-finite entries")
+    if wrong.size:
+        raise ValueError(f"record {pred.id!r} proposal {n}: has "
+                         f"{pred.n_slots[n]} slots, expected k={k}")
+    perm, per_slot, total = _match(costs)
+    return ImageMatch(n_members=np.minimum(n_real, k), permutation=perm,
+                      per_slot_cost=per_slot, total=total,
+                      overflowing=int(over.sum()),
+                      dropped=int((n_real - k)[over].sum()))

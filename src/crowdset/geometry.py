@@ -14,12 +14,13 @@ IoU arithmetic lives in two kernels that compute the same numbers:
   the boxes placed so far. :func:`iou_matrix` is its all-pairs wrapper.
 * :func:`iou` takes one pair of :class:`BBox`. It stays scalar because its
   callers ask for one pair at a time (the pair-IoU bisection in scene
-  generation, ``GtSet`` validation, ground-truth set construction), and
-  numpy's fixed per-call overhead costs over ten times the scalar
-  arithmetic on a single pair.
+  generation, ``GtSet`` validation), and numpy's fixed per-call overhead
+  costs over ten times the scalar arithmetic on a single pair.
 
 :func:`ranked_overlaps` turns an IoU matrix into per-row candidate lists,
-the one ranking rule shared by the simulator and the evaluator.
+the one ranking rule shared by ground-truth set construction
+(``assignment.gt_set_members``, which the simulator and the EMD engine
+call) and the evaluator.
 """
 
 from __future__ import annotations

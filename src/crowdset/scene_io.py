@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
 from .assignment import GroundTruth
-from .emd import PredictionSet, SlotPrediction
+from .emd import PredictionArrays, PredictionSet, SlotPrediction
 from .geometry import BBox, BoxDelta
 from .suppression import Detection
 
@@ -48,18 +48,23 @@ class SceneRecord:
     dets: list[Detection] = field(default_factory=list)
 
 
-def _parse_box(obj: dict, record_id: str) -> BBox:
+def _box_coords(obj: dict, record_id: str) -> tuple[float, float, float, float]:
+    """Corner coordinates of a record's box, not yet checked as a BBox."""
     if "box_xyxy" in obj:
         x1, y1, x2, y2 = (float(v) for v in obj["box_xyxy"])
-        return BBox(x1, y1, x2, y2)
+        return x1, y1, x2, y2
     if "box_xywh" in obj:
         x, y, w, h = (float(v) for v in obj["box_xywh"])
         if w < 0 or h < 0:
             raise SceneFileError(
                 f"record {record_id!r}: negative width/height in box_xywh {[x, y, w, h]}"
             )
-        return BBox(x, y, x + w, y + h)
+        return x, y, x + w, y + h
     raise SceneFileError(f"record {record_id!r}: box needs a box_xyxy or box_xywh key")
+
+
+def _parse_box(obj: dict, record_id: str) -> BBox:
+    return BBox(*_box_coords(obj, record_id))
 
 
 def _parse_record(obj: dict) -> SceneRecord:
@@ -188,26 +193,55 @@ class PredictionRecord:
     proposals: list[PredictionSet] = field(default_factory=list)
 
 
-def _parse_prediction_record(obj: dict) -> PredictionRecord:
+def _parse_prediction_arrays(obj: dict) -> PredictionArrays:
+    """One prediction record as arrays, validated as a whole once parsed.
+
+    Malformed structure (a missing key, a non-number, a delta without four
+    values) raises as it is met. The dataclass checks run on the arrays
+    afterwards, so on a structural error the elements parsed before it are
+    checked first: their error is the one a sequential parser reports.
+    """
     rid = str(obj["id"])
-    proposals = []
-    for p in obj.get("proposals", []):
-        box = _parse_box(p, rid)
-        slots = tuple(
-            SlotPrediction(
-                class_scores=[float(v) for v in s["scores"]],
-                delta=BoxDelta(*(float(v) for v in s["delta"])),
-            )
-            for s in p["slots"]
-        )
-        proposals.append(PredictionSet(proposal=box, slots=slots))
-    return PredictionRecord(id=rid, proposals=proposals)
+    boxes, n_slots, scores, deltas = [], [], [], []
+    try:
+        for p in obj.get("proposals", []):
+            boxes.append(_box_coords(p, rid))
+            n = 0
+            for s in p["slots"]:
+                vector = list(map(float, s["scores"]))
+                delta = tuple(map(float, s["delta"]))
+                if len(delta) != 4:
+                    BoxDelta(*delta)  # raises the dataclass's arity TypeError
+                scores.append(vector)
+                deltas.append(delta)
+                n += 1
+            n_slots.append(n)
+    except (KeyError, TypeError, ValueError):
+        done, n_done = len(n_slots), sum(n_slots)
+        PredictionArrays.stack(rid, boxes[:done], n_slots, scores[:n_done],
+                               deltas[:n_done]).validate()
+        if len(boxes) > done:  # the failing proposal, up to its failure
+            BBox(*boxes[done])
+            for vector, delta in zip(scores[n_done:], deltas[n_done:]):
+                SlotPrediction(class_scores=vector, delta=BoxDelta(*delta))
+        raise
+    arrays = PredictionArrays.stack(rid, boxes, n_slots, scores, deltas)
+    arrays.validate()
+    return arrays
+
+
+def parse_prediction_arrays(source: PathOrStream) -> list[PredictionArrays]:
+    """Read a JSONL prediction file (see :func:`parse_prediction_file`) as
+    one :class:`~crowdset.emd.PredictionArrays` per line."""
+    return list(_iter_jsonl(source, _parse_prediction_arrays))
 
 
 def parse_prediction_file(source: PathOrStream) -> list[PredictionRecord]:
     """Read a JSONL prediction file: per line ``{"id", "proposals": [
     {"box_xyxy", "slots": [{"scores": [...], "delta": [dx,dy,dw,dh]}]}]}``."""
-    return list(_iter_jsonl(source, _parse_prediction_record))
+    return [PredictionRecord(id=a.id, proposals=[a.prediction_set(i)
+                                                 for i in range(len(a))])
+            for a in parse_prediction_arrays(source)]
 
 
 def _proposal_obj(p: PredictionSet) -> dict:

@@ -24,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GroundTruth
-from .geometry import (BBox, box_areas, boxes_to_array, iou, iou_arrays, iou_matrix,
-                       ranked_overlaps)
+from .assignment import GroundTruth, gt_set_members
+from .geometry import BBox, box_areas, boxes_to_array, iou, iou_arrays
 from .metrics import EvalConfig, EvalReport, evaluate
 from .scene_io import SceneRecord
 from .suppression import Detection, SuppressionConfig, suppress
@@ -288,7 +287,6 @@ def simulate_detector(gts: Sequence[GroundTruth],
     real = [g for g in gts if not g.ignore]
     if not real:
         return []
-    gt_boxes = boxes_to_array([g.box for g in real])
     n_proposals = len(real) * params.proposals_per_gt
     rngs = [_rng(params.seed, pi) for pi in range(n_proposals)]
     proposals = [
@@ -296,8 +294,7 @@ def simulate_detector(gts: Sequence[GroundTruth],
                     params.proposal_jitter, rngs[pi].normal(size=4))
         for pi in range(n_proposals)
     ]
-    ranked = ranked_overlaps(iou_matrix(boxes_to_array(proposals), gt_boxes),
-                             params.theta)
+    ranked = gt_set_members(boxes_to_array(proposals), real, params.theta)
     detections: list[Detection] = []
     for pi in range(n_proposals):
         members = [real[i] for i in ranked[pi]]

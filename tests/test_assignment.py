@@ -1,11 +1,14 @@
+import emd_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdset.assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
                                  GtSetOverflowError, build_gt_set,
-                                 max_gt_set_cardinality, pad_to_k,
-                                 truncate_top_k)
-from crowdset.geometry import BBox, iou
+                                 gt_set_members, max_gt_set_cardinality,
+                                 pad_to_k, truncate_top_k)
+from crowdset.geometry import BBox, boxes_to_array, iou
 from crowdset.scene_io import SceneRecord
 
 B = BBox
@@ -129,6 +132,54 @@ class TestMaxCardinality:
                                    gt(0, 1.5, 10, 11.5),
                                    gt(0, 3, 10, 13)])]
         assert max_gt_set_cardinality(scenes, theta=0.5) == 3
+
+
+def grid_scene(rng):
+    """GTs on an integer grid with shifted copies and exact duplicates (IoU
+    ties), some ignored, plus proposals mostly on or next to them."""
+    gts = []
+    for _ in range(rng.integers(0, 6)):
+        x, y, w, h = rng.integers(0, 20), rng.integers(0, 20), *rng.integers(0, 9, 2)
+        for dx, dy in [(0, 0)] + [rng.integers(-1, 2, 2) for _ in range(rng.integers(0, 3))]:
+            gts.append(gt(x + dx, y + dy, x + dx + w, y + dy + h,
+                          ignore=bool(rng.random() < 0.2)))
+    proposals = []
+    for _ in range(rng.integers(0, 6)):
+        if gts and rng.random() < 0.8:
+            b = gts[rng.integers(len(gts))].box
+            dx, dy = rng.integers(-1, 2, 2)
+            proposals.append(B(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy))
+        else:
+            x, y, w, h = rng.integers(0, 20, 4)
+            proposals.append(B(x, y, x + w, y + h))
+    return gts, proposals
+
+
+class TestGtSetMembers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 1.0]))
+    def test_batch_equals_the_scalar_loop(self, seed, theta):
+        gts, proposals = grid_scene(np.random.default_rng(seed))
+        rows = gt_set_members(boxes_to_array(proposals), gts, theta)
+        assert len(rows) == len(proposals)
+        for p, row in zip(proposals, rows):
+            want = oracle.build_gt_set(p, gts, theta).entries
+            assert tuple(gts[j] for j in row) == want
+            assert all(not gts[j].ignore for j in row)
+            assert build_gt_set(p, gts, theta).entries == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_max_cardinality_equals_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        scenes = [SceneRecord(id=str(i), gts=grid_scene(rng)[0]) for i in range(3)]
+        want = max((oracle.build_gt_set(g.box, s.gts, 0.5).n_real
+                    for s in scenes for g in s.gts if not g.ignore), default=0)
+        assert max_gt_set_cardinality(scenes, theta=0.5) == want
+
+    def test_theta_checked_before_any_overlap(self):
+        with pytest.raises(ValueError, match="theta must be in"):
+            gt_set_members(np.zeros((0, 4)), [], 0.0)
 
 
 class TestGtSetValidation:

@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.cli import main
+from crowdset.emd import PredictionSet, SlotPrediction
+from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneRecord, parse_scene_file,
                                write_prediction_file, write_scene_file)
-from crowdset.synth import DetectorSimParams, derive_seed, simulate_detector
+from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
+                            derive_seed, simulate_detector)
 
 # sha256 of outputs whose bytes must not change; a change to any of them is a
 # behaviour change to declare, not a test to update silently.
@@ -165,3 +171,199 @@ class TestSurface:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "bench" not in capsys.readouterr().out
+
+
+# Small crowded scenes with triples, so some proposals overflow k=2.
+EMD_SCENES = SceneParams(image_w=480, image_h=320, n_objects_mean=8.0,
+                         crowd_pairs_mean=1.0, crowd_triples_mean=1.5)
+EMD_SHA256 = {
+    "k2-truncate": "2f3eecaed03ee55268f14da9f66ffade99c78642aa10e06ef085097ddafb6375",
+    "k3": "0a432a0ebb47899525120a272bee108c050a045aec94523e4d26f6a23bee930a",
+    "k2-focal-truncate": "ade3065876e17ca6dd23dc85b61997b071242ddc15fedc7771e807d5cebb148d",
+}
+EMD_ARGV = {
+    "k2-truncate": ["--k", "2", "--truncate-topk"],
+    "k3": ["--k", "3"],
+    "k2-focal-truncate": ["--k", "2", "--cls-mode", "focal", "--truncate-topk"],
+}
+
+
+def _jittered(rng, box):
+    n = rng.normal(0.0, 1.0, 4)
+    w = box.width * float(np.exp(0.06 * n[2]))
+    h = box.height * float(np.exp(0.06 * n[3]))
+    cx = box.center[0] + 0.06 * box.width * n[0]
+    cy = box.center[1] + 0.06 * box.height * n[1]
+    return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def _slot(rng, n_classes):
+    v = rng.uniform(0.05, 1.0, n_classes)
+    return SlotPrediction(class_scores=v / v.sum(),
+                          delta=BoxDelta(*(float(d) for d in rng.normal(0, 0.2, 4))))
+
+
+@pytest.fixture
+def emd_inputs(tmp_path):
+    """Ground truths and k=2/k=3 predictions: two proposals per GT, sets of
+    at most three members, one ignored GT, a record without GTs, a record
+    without proposals, and some 3-class score vectors among 2-class ones."""
+    scenes = build_scenes(EMD_SCENES, 3, seed=5)
+    gts = list(scenes[0].gts)
+    gts[0] = replace(gts[0], ignore=True)
+    scenes[0] = replace(scenes[0], gts=gts)
+    scenes.append(SceneRecord(id="no-gts"))
+    scenes.append(SceneRecord(id="no-proposals", gts=[
+        GroundTruth(box=BBox(10.0, 10.0, 50.0, 90.0))]))
+    rng = np.random.default_rng(17)
+    preds = {2: [], 3: []}
+    for scene in scenes:
+        anchors = [g.box for g in scene.gts]
+        if scene.id == "no-gts":
+            anchors = [BBox(5.0, 5.0, 45.0, 85.0), BBox(200.0, 40.0, 260.0, 160.0)]
+        props = {2: [], 3: []}
+        if scene.id != "no-proposals":
+            for box in anchors:
+                for _ in range(2):
+                    p = _jittered(rng, box)
+                    if build_gt_set(p, scene.gts, 0.5).n_real > 3:
+                        continue
+                    slots = [_slot(rng, 3 if (len(props[3]) + j) % 4 == 1 else 2)
+                             for j in range(3)]
+                    for k in props:
+                        props[k].append(PredictionSet(proposal=p,
+                                                      slots=tuple(slots[:k])))
+        for k in preds:
+            preds[k].append(PredictionRecord(id=scene.id, proposals=props[k]))
+    gt_path = tmp_path / "emd_gt.jsonl"
+    write_scene_file(scenes, gt_path)
+    paths = {}
+    for k, records in preds.items():
+        paths[k] = tmp_path / f"emd_pred_k{k}.jsonl"
+        write_prediction_file(records, paths[k])
+    return gt_path, paths
+
+
+def _run_emd(tmp_path, gt, pred, extra, name="emd.json"):
+    out = tmp_path / name
+    manifest = tmp_path / (name + ".manifest.json")
+    code = main(["emd", "--gt", str(gt), "--pred", str(pred), "--out", str(out),
+                 "--manifest", str(manifest), *extra])
+    return code, out, manifest
+
+
+class TestEmd:
+    @pytest.mark.parametrize("run", list(EMD_ARGV))
+    def test_report_bytes_are_pinned(self, emd_inputs, tmp_path, run):
+        gt, preds = emd_inputs
+        k = int(EMD_ARGV[run][1])
+        code, out, _ = _run_emd(tmp_path, gt, preds[k], EMD_ARGV[run])
+        assert code == 0
+        assert sha256(out) == EMD_SHA256[run]
+
+    def test_inputs_cover_the_edge_cases(self, emd_inputs, tmp_path):
+        gt, preds = emd_inputs
+        _, out, _ = _run_emd(tmp_path, gt, preds[3], ["--k", "3"])
+        rows = strict_json(out)["proposals"]
+        ids = {r["id"] for r in rows}
+        assert "no-gts" in ids and "no-proposals" not in ids
+        assert any(r["n_members"] == 3 for r in rows)   # overflows k=2
+        assert all(r["n_members"] == 0 for r in rows if r["id"] == "no-gts")
+        assert any(g.ignore for g in parse_scene_file(gt)[0].gts)
+
+    def test_manifest_counts_proposals_overflows_and_drops(self, emd_inputs,
+                                                          tmp_path):
+        gt, preds = emd_inputs
+        _, out, manifest = _run_emd(tmp_path, gt, preds[3], ["--k", "3"], "k3.json")
+        sizes = [r["n_members"] for r in strict_json(out)["proposals"]]
+        assert strict_json(manifest)["counters"] == {
+            "proposals": len(sizes), "overflowing_sets": 0, "members_dropped": 0}
+        _, _, manifest = _run_emd(tmp_path, gt, preds[2],
+                                  EMD_ARGV["k2-truncate"], "k2.json")
+        overflowing = sum(n == 3 for n in sizes)
+        assert overflowing > 0
+        assert strict_json(manifest)["counters"] == {
+            "proposals": len(sizes), "overflowing_sets": overflowing,
+            "members_dropped": overflowing}
+
+
+def _proposal(box, slots):
+    return {"box_xyxy": list(box),
+            "slots": [{"scores": list(s), "delta": [0.0, 0.0, 0.0, 0.0]}
+                      for s in slots]}
+
+
+TWO_SLOTS = [[0.3, 0.7], [0.6, 0.4]]
+# Three near-identical ground truths: a proposal on them has three members.
+STACK = [GroundTruth(box=BBox(0.0, 0.0, 40.0, 80.0)),
+         GroundTruth(box=BBox(1.0, 0.0, 41.0, 80.0)),
+         GroundTruth(box=BBox(0.0, 2.0, 40.0, 82.0))]
+
+
+class TestEmdErrors:
+    def _run(self, tmp_path, capsys, gts, pred_lines, extra=()):
+        gt = tmp_path / "gt.jsonl"
+        write_scene_file([SceneRecord(id="a", gts=gts)], gt)
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("".join(json.dumps(obj) + "\n" for obj in pred_lines))
+        code = main(["emd", "--gt", str(gt), "--pred", str(pred), "--k", "2",
+                     *extra])
+        return code, capsys.readouterr().err
+
+    def test_wrong_slot_count(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, STACK[:1], [
+            {"id": "a", "proposals": [_proposal((0, 0, 40, 80), [[0.5, 0.5]])]}])
+        assert code == 1
+        assert "record 'a' proposal 0: has 1 slots, expected k=2" in err
+
+    def test_overflow_without_truncation(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, STACK, [
+            {"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]}])
+        assert code == 1
+        assert ("record 'a' proposal 0: ground-truth set has 3 members for "
+                "k=2 (excess 1); pass --truncate-topk" in err)
+
+    def test_gt_class_outside_score_vector(self, tmp_path, capsys):
+        code, err = self._run(
+            tmp_path, capsys, [GroundTruth(box=BBox(0.0, 0.0, 40.0, 80.0),
+                                           class_id=2)],
+            [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]}])
+        assert code == 1
+        assert "target class 2 outside vocabulary of 2 classes" in err
+
+    def test_bad_probability_vector_names_its_line(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, STACK[:1], [
+            {"id": "a", "proposals": []},
+            {"id": "a2", "proposals": [
+                _proposal((0, 0, 40, 80), [[0.3, 0.7], [0.5, 0.6]])]}])
+        assert code == 1
+        assert ("line 2: bad record (class_scores must be a probability "
+                "vector (sum 1))" in err)
+
+    @pytest.mark.parametrize("first, second, message", [
+        ([[0.3, 0.7], [0.6, 0.4]], [[1.0, 0.0]],
+         "record 'a' proposal 0: ground-truth set has 3 members"),
+        ([[1.0, 0.0]], [[0.3, 0.7], [0.6, 0.4]],
+         "record 'a' proposal 0: has 1 slots, expected k=2"),
+        ([[0.3, 0.7], [0.6, 0.4]], [[0.2, 0.3, 0.5], [0.5, 0.5]],
+         "record 'a' proposal 0: ground-truth set has 3 members"),
+    ])
+    def test_earlier_proposal_fails_first(self, tmp_path, capsys, first,
+                                          second, message):
+        code, err = self._run(tmp_path, capsys, STACK, [
+            {"id": "a", "proposals": [_proposal((0, 0, 40, 80), first),
+                                      _proposal((1, 1, 41, 81), second)]}])
+        assert code == 1
+        assert message in err
+        assert "proposal 1" not in err
+
+    def test_class_error_before_a_later_overflow(self, tmp_path, capsys):
+        # Proposal 0 covers only the class-2 box; proposal 1 overflows.
+        gts = [GroundTruth(box=BBox(200.0, 0.0, 240.0, 80.0), class_id=2),
+               *STACK]
+        code, err = self._run(tmp_path, capsys, gts, [
+            {"id": "a", "proposals": [_proposal((200, 0, 240, 80), TWO_SLOTS),
+                                      _proposal((0, 0, 40, 80), TWO_SLOTS)]}])
+        assert code == 1
+        assert err.strip() == ("error: target class 2 outside vocabulary of "
+                               "2 classes")

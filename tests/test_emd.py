@@ -1,14 +1,19 @@
 import itertools
 import math
 
+import emd_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from crowdset.assignment import GroundTruth, build_gt_set, pad_to_k
-from crowdset.emd import (EmdConfig, PredictionSet, SlotPrediction, cls_loss,
-                          emd_loss, emd_match, pair_cost_matrix, reg_loss,
-                          smooth_l1)
+from crowdset.assignment import (GroundTruth, build_gt_set, pad_to_k,
+                                 truncate_top_k)
+from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
+                          SlotPrediction, cls_loss, emd_loss, emd_match,
+                          match_image, pair_cost_matrix, reg_loss, smooth_l1)
 from crowdset.geometry import BBox, BoxDelta, encode_delta
+from crowdset.scene_io import PredictionRecord
 
 B = BBox
 
@@ -286,3 +291,121 @@ class TestEmdLoss:
             t3 = emd_loss(pred3, gt_set, EmdConfig(k=3)).total
             extra_bg = cls_loss(pred3.slots[2].class_scores, 0)
             assert t3 <= t2 + extra_bg + 1e-9
+
+
+@st.composite
+def emd_images(draw):
+    """One image for the engine, drawn from a seed: crowds of GT boxes on an
+    integer grid (shifted copies and exact duplicates give IoU ties),
+    ignored GTs, classes that can fall outside a slot's score vector,
+    ragged score vectors, duplicate slots (cost ties), proposals mostly
+    near a GT, and now and then a proposal with a wrong slot count."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def box(x, y, w, h):
+        return BBox(float(x), float(y), float(x + w), float(y + h))
+
+    gts = []
+    for _ in range(rng.integers(1, 6)):
+        x, y, h = rng.integers(0, 20), rng.integers(0, 20), rng.integers(3, 11)
+        w = rng.choice([0, 3, 6, 8, 10])
+        shifts = [(0, 0)] + [rng.integers(-1, 2, 2) for _ in range(rng.integers(0, 4))]
+        for dx, dy in shifts:
+            gts.append(GroundTruth(box=box(x + dx, y + dy, w, h),
+                                   class_id=int(rng.choice([1] * 8 + [2, 3])),
+                                   ignore=bool(rng.random() < 0.15)))
+    sets = []
+    for _ in range(rng.integers(0, 9)):
+        if rng.random() < 0.8:
+            g = gts[rng.integers(len(gts))].box
+            dx, dy = rng.integers(-1, 2, 2)
+            proposal = box(g.x1 + dx, g.y1 + dy, g.width, g.height)
+        else:
+            proposal = box(*rng.integers(0, 20, 2), *rng.integers(0, 11, 2))
+        n_slots = k if rng.random() < 0.95 else max(1, k + rng.choice([-1, 1]))
+        slots = []
+        for _ in range(n_slots):
+            if slots and rng.random() < 0.25:
+                slots.append(slots[-1])
+                continue
+            v = rng.uniform(0.0, 1.0, rng.integers(2, 5))
+            slots.append(SlotPrediction(class_scores=v / v.sum(),
+                                        delta=BoxDelta(*rng.normal(0, 0.5, 4))))
+        sets.append(PredictionSet(proposal=proposal, slots=tuple(slots)))
+    cfg = EmdConfig(k=k, cls_mode=draw(st.sampled_from(["cross_entropy", "focal"])))
+    return sets, gts, cfg, draw(st.sampled_from([0.3, 0.5, 1.0])), draw(st.booleans())
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEngineOracle:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(emd_images())
+    def test_match_image_equals_per_proposal_loop(self, image):
+        sets, gts, cfg, theta, truncate = image
+        try:
+            want = oracle.score_record(PredictionRecord(id="img", proposals=sets),
+                                       gts, cfg, theta, truncate)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                match_image(PredictionArrays.from_sets("img", sets), gts, cfg,
+                            theta, truncate)
+            assert str(got.value) == str(e)
+            return
+        got = match_image(PredictionArrays.from_sets("img", sets), gts, cfg,
+                          theta, truncate)
+        assert got.n_members.tolist() == [n for n, _ in want]
+        assert [tuple(p) for p in got.permutation.tolist()] == \
+            [m.permutation for _, m in want]
+        for costs, total, (_, m) in zip(got.per_slot_cost, got.total, want):
+            assert _bits(costs) == _bits(m.per_slot_cost)
+            assert float(total).hex() == m.total.hex()
+        n_real = [oracle.build_gt_set(p.proposal, gts, theta).n_real for p in sets]
+        assert got.overflowing == sum(n > cfg.k for n in n_real)
+        assert got.dropped == sum(n - cfg.k for n in n_real if n > cfg.k)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(emd_images())
+    def test_one_proposal_calls_equal_the_scalar_loops(self, image):
+        sets, gts, cfg, theta, _ = image
+        for pred in sets:
+            if len(pred.slots) != cfg.k:
+                continue
+            gt_set = truncate_top_k(build_gt_set(pred.proposal, gts, theta), cfg.k)
+            try:
+                want = oracle.pair_cost_matrix(pred, gt_set, cfg)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    pair_cost_matrix(pred, gt_set, cfg)
+                continue
+            costs = pair_cost_matrix(pred, gt_set, cfg)
+            assert _bits(costs.ravel()) == _bits(want.ravel())
+            got, expected = emd_match(costs), oracle.emd_match(want)
+            assert got.permutation == expected.permutation
+            assert _bits(got.per_slot_cost) == _bits(expected.per_slot_cost)
+            assert got.total.hex() == expected.total.hex()
+            assert emd_loss(pred, gt_set, cfg) == got
+
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_emd_match_ties_equal_the_permutation_loop(self, k, seed):
+        # Costs on a coarse grid tie often; the first minimum in itertools
+        # order must win.
+        costs = np.random.default_rng(seed).integers(0, 3, (k, k)) * 0.5
+        got, want = emd_match(costs), oracle.emd_match(costs)
+        assert got.permutation == want.permutation
+        assert got.total.hex() == want.total.hex()
+
+    def test_empty_cost_matrix(self):
+        assert emd_match(np.zeros((0, 0))) == oracle.emd_match(np.zeros((0, 0)))
+
+    def test_image_without_proposals(self):
+        got = match_image(PredictionArrays.from_sets("img", []),
+                          [GroundTruth(box=B(0, 0, 10, 10))], EmdConfig(k=2), 0.5)
+        assert got.total.shape == (0,) and got.permutation.shape == (0, 2)
+        assert got.overflowing == 0 and got.dropped == 0

@@ -1,14 +1,18 @@
 import io
 import json
 
+import emd_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdset.assignment import GroundTruth
 from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneFileError, SceneRecord,
-                               iter_scene_file, parse_prediction_file,
+                               _parse_prediction_arrays, iter_scene_file,
+                               parse_prediction_arrays, parse_prediction_file,
                                parse_scene_file, write_prediction_file,
                                write_scene_file)
 from crowdset.suppression import Detection
@@ -181,6 +185,130 @@ class TestPredictionFiles:
                 '{"id": "b", "proposals": [{"box_xyxy": [0, 0, 1, 1]}]}\n')
         with pytest.raises(SceneFileError, match="line 3: bad record"):
             parse_prediction_file(io.StringIO(text))
+
+
+# Ways a proposal's box, its slot list or one slot can be written; all but
+# the first of each are rare, and some of them are valid.
+_BOXES = {
+    "xyxy": lambda b: {"box_xyxy": b},
+    "xywh": lambda b: {"box_xywh": [b[0], b[1], b[2] - b[0], b[3] - b[1]]},
+    "inverted": lambda b: {"box_xyxy": [b[2] + 1, b[1], b[0], b[3]]},
+    "nan": lambda b: {"box_xyxy": [float("nan"), *b[1:]]},
+    "inf": lambda b: {"box_xyxy": [*b[:3], float("inf")]},
+    "negative_xywh": lambda b: {"box_xywh": [b[0], b[1], -1.0, 2.0]},
+    "no_key": lambda b: {},
+    "three_values": lambda b: {"box_xyxy": b[:3]},
+    "string": lambda b: {"box_xyxy": ["a", *b[1:]]},
+}
+_SLOTS = {
+    "ok": None,
+    "sum": {"scores": [0.5, 0.6]},
+    "negative": {"scores": [-0.1, 1.1]},
+    "one_class": {"scores": [1.0]},
+    "no_classes": {"scores": []},
+    "nan_score": {"scores": [float("nan"), 1.0]},
+    "inf_score": {"scores": [float("inf"), 0.0]},
+    "just_over_one": {"scores": [1.0000005, 0.0]},
+    "nine_classes": {"scores": [0.1] * 8 + [0.2]},
+    "nan_delta": {"delta": [0.0, float("nan"), 0.0, 0.0]},
+    "three_deltas": {"delta": [0.0, 0.0, 0.0]},
+    "five_deltas": {"delta": [0.0] * 5},
+    "no_delta": {"delta": None},
+    "no_scores": {"scores": None},
+    "string_score": {"scores": ["x", 1.0]},
+    "nested_score": {"scores": [[0.5], 0.5]},
+}
+
+
+def _pick(rng, options):
+    names = list(options)
+    return names[0] if rng.random() < 0.8 else names[rng.integers(1, len(names))]
+
+
+def raw_prediction_record(rng):
+    proposals = []
+    for _ in range(rng.integers(0, 6)):
+        x, y = rng.uniform(0, 100, 2)
+        p = _BOXES[_pick(rng, _BOXES)]([x, y, x + 20.0, y + 40.0])
+        slots = []
+        for _ in range(rng.integers(1, 4)):
+            v = rng.uniform(0.05, 1.0, rng.integers(2, 5))
+            slot = {"scores": (v / v.sum()).tolist(),
+                    "delta": rng.normal(0, 0.2, 4).tolist()}
+            slot.update(_SLOTS[_pick(rng, _SLOTS)] or {})
+            slots.append({key: v for key, v in slot.items() if v is not None})
+        kind = rng.integers(0, 40)
+        if kind == 0:
+            slots = []
+        if kind != 1:
+            p["slots"] = 5 if kind == 2 else slots
+        proposals.append(p)
+    return {"id": "r", "proposals": proposals}
+
+
+def _outcome(parse, obj):
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+class TestPredictionArrays:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_records_and_errors_as_the_sequential_parser(self, seed):
+        obj = raw_prediction_record(np.random.default_rng(seed))
+        want = _outcome(oracle.parse_prediction_record, obj)
+        got = _outcome(lambda o: [_parse_prediction_arrays(o).prediction_set(i)
+                                  for i in range(len(o["proposals"]))], obj)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want.proposals)
+        for g, w in zip(got, want.proposals):
+            assert g.proposal == w.proposal
+            assert len(g.slots) == len(w.slots)
+            for gs, ws in zip(g.slots, w.slots):
+                assert gs.class_scores.tobytes() == ws.class_scores.tobytes()
+                assert gs.delta == ws.delta
+
+    def test_arrays_are_zero_padded(self):
+        text = json.dumps({"id": "a", "proposals": [
+            {"box_xyxy": [0, 0, 2, 2], "slots": [
+                {"scores": [0.5, 0.5], "delta": [0, 0, 0, 0]},
+                {"scores": [0.2, 0.3, 0.5], "delta": [1, 2, 3, 4]}]},
+            {"box_xyxy": [1, 1, 3, 3], "slots": [
+                {"scores": [1.0, 0.0], "delta": [0, 0, 0, 0]}]}]}) + "\n"
+        (a,) = parse_prediction_arrays(io.StringIO(text))
+        assert a.id == "a" and len(a) == 2
+        assert a.n_slots.tolist() == [2, 1]
+        assert a.n_classes.tolist() == [[2, 3], [2, 0]]
+        assert a.scores.tolist() == [[[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]],
+                                     [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+        assert a.deltas[0, 1].tolist() == [1, 2, 3, 4]
+        assert a.deltas[1, 1].tolist() == [0, 0, 0, 0]
+
+    def test_vector_sums_ignore_the_padding(self):
+        # This 9-class vector sums to 1 + 1e-6 + 1 ulp, one ulp over the
+        # tolerance; zero-padded to 16 classes, numpy's pairwise sum groups
+        # it differently and lands on 1 + 1e-6, inside it.
+        nine = [0.1016954675289198, 0.18072400393115975, 0.03545514865151257,
+                0.18039713729586446, 0.06566397017635575, 0.08575161565329352,
+                0.15860658545787312, 0.08320634945434692, 0.10850072185067405]
+        record = {"id": "a", "proposals": [{"box_xyxy": [0, 0, 2, 2], "slots": [
+            {"scores": [1 / 16] * 16, "delta": [0, 0, 0, 0]},
+            {"scores": nine, "delta": [0, 0, 0, 0]}]}]}
+        text = json.dumps(record) + "\n"
+        for parse in (parse_prediction_arrays, parse_prediction_file):
+            with pytest.raises(SceneFileError, match="line 1: bad record "
+                               r"\(class_scores must be a probability vector"):
+                parse(io.StringIO(text))
+        assert _outcome(oracle.parse_prediction_record, record)[1] == \
+            "class_scores must be a probability vector (sum 1)"
+
+    def test_record_without_proposals(self):
+        (a,) = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
+        assert len(a) == 0 and a.scores.shape[0] == 0
 
 
 class _FailingStream(io.StringIO):
