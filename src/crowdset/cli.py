@@ -238,28 +238,18 @@ def cmd_emd(args) -> int:
 
 
 def _study_rows(args) -> list[StudyRow]:
-    scene_params = _scene_params_from(args)
-    eval_cfg = EvalConfig(iou_thresh=args.iou)
-    sims = [
-        DetectorSimParams(mode="single", proposal_jitter=args.jitter,
-                          theta=args.theta),
-        DetectorSimParams(mode="mip", k=args.k, proposal_jitter=args.jitter,
-                          theta=args.theta),
-    ]
-    for k in args.k_sweep:
-        if k != args.k:
-            sims.append(DetectorSimParams(mode="mip", k=k,
-                                          proposal_jitter=args.jitter,
-                                          theta=args.theta))
-    cfgs = [
+    """One model per distinct k and one config per distinct (method,
+    threshold), each in first-seen order, so no row is computed twice."""
+    sims = dict.fromkeys(
+        DetectorSimParams(k=k, proposal_jitter=args.jitter, theta=args.theta)
+        for k in [1, args.k, *args.k_sweep])
+    cfgs = dict.fromkeys([
         SuppressionConfig(method="nms", iou_thresh=args.iou),
         SuppressionConfig(method="set_nms", iou_thresh=args.iou),
-    ]
-    for t in args.nms_sweep:
-        if t != args.iou:
-            cfgs.append(SuppressionConfig(method="nms", iou_thresh=t))
-    return run_study(scene_params, sims, cfgs, eval_cfg, args.images,
-                     args.seed, jobs=args.jobs)
+        *(SuppressionConfig(method="nms", iou_thresh=t) for t in args.nms_sweep),
+    ])
+    return run_study(_scene_params_from(args), list(sims), list(cfgs),
+                     EvalConfig(iou_thresh=args.iou), args.images, args.seed)
 
 
 _CSV_COLUMNS = ["sim", "k", "method", "iou_thresh", "ap", "mr2", "ji",
@@ -305,7 +295,7 @@ def cmd_study(args) -> int:
         "images": args.images, "seed": args.seed, "k": args.k,
         "k_sweep": args.k_sweep, "nms_sweep": args.nms_sweep,
         "iou": args.iou, "jitter": args.jitter, "theta": args.theta,
-        "jobs": args.jobs, "out": args.out,
+        "out": args.out,
         "scene_params": asdict(_scene_params_from(args)),
     }, t0)
     return 0
@@ -324,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for detector simulation "
-                            "(study only; accepted and unused elsewhere)")
+                       help="accepted and ignored; every subcommand runs in "
+                            "one process")
         if fmt:
             p.add_argument("--format", choices=("json", "tsv"), default="json")
             p.add_argument("--out", default=None, help="write report here "

@@ -57,7 +57,8 @@ class SlotPrediction:
         object.__setattr__(self, "class_scores", scores)
         if scores.ndim != 1 or scores.size < 2:
             raise ValueError("class_scores must be a 1-D vector with >= 2 classes")
-        if np.any(scores < 0.0) or abs(float(scores.sum()) - 1.0) > 1e-6:
+        # Written so a NaN sum fails too; _invalid applies the same test.
+        if np.any(scores < 0.0) or not abs(float(scores.sum()) - 1.0) <= 1e-6:
             raise ValueError("class_scores must be a probability vector (sum 1)")
 
 
@@ -170,7 +171,7 @@ class PredictionArrays:
             sums[at] = self.scores[at][:, :n].sum(axis=-1)
         slot_bad = (~np.isfinite(self.deltas).all(axis=-1) | (self.n_classes < 2)
                     | (self.scores < 0.0).any(axis=-1)
-                    | (np.abs(sums - 1.0) > 1e-6))
+                    | ~(np.abs(sums - 1.0) <= 1e-6))
         return bad | (used & slot_bad).any(axis=1)
 
 

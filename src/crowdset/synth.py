@@ -3,18 +3,19 @@
 The generator places isolated boxes plus deliberately overlapping "crowd"
 pairs at configurable per-image densities, so suppression strategies can be
 compared on data whose crowd structure is known exactly. The detector
-simulator turns those ground truths into detections two ways:
+simulator turns those ground truths into detections, one prediction slot
+budget ``k`` per model:
 
-* ``single`` mode reproduces the classic failure: every proposal over a
-  crowded cluster regresses toward the cluster's dominant member, so the
-  cluster yields near-duplicate predictions and greedy NMS can keep only one.
-* ``mip`` mode lets each proposal emit one prediction per ground truth in
-  its assignment set (up to ``k`` slots sharing the proposal's id), which is
+* ``k=1`` reproduces the classic failure: every proposal over a crowded
+  cluster regresses toward the cluster's dominant member, so the cluster
+  yields near-duplicate predictions and greedy NMS can keep only one.
+* ``k >= 2`` lets each proposal emit one prediction per ground truth in its
+  assignment set (up to ``k`` slots sharing the proposal's id), which is
   exactly the structure Set NMS preserves.
 
-Everything is deterministic under the configured seeds; per-image and
-per-proposal streams are derived so that runs with different slot budgets
-consume identical random draws.
+Everything is deterministic under the configured seeds. Each image's
+detector noise comes from one stream, drawn in an order that does not
+depend on ``k``, so models with different slot budgets see identical noise.
 """
 
 from __future__ import annotations
@@ -80,11 +81,14 @@ class DetectorSimParams:
     ``proposals_per_gt`` models proposal over-completeness: real first stages
     put several proposals on every object, and those surplus near-duplicates
     are what loose suppression thresholds leave behind as false positives.
-    ``single`` mode is identical to ``mip`` with ``k=1``: a one-slot
-    proposal always collapses onto the cluster's dominant member. Scores
-    follow quality: base score minus a penalty proportional to the
-    prediction's coordinate error over the box diagonal, clipped to
+    A one-slot proposal always collapses onto the cluster's dominant
+    member. Scores follow quality: base score minus a penalty proportional
+    to the prediction's coordinate error over the box diagonal, clipped to
     [0.05, 0.99].
+
+    ``mode="single"`` is ``mip`` with ``k=1`` whatever ``k`` says. It,
+    ``label`` and ``effective_k`` are kept only because the benchmark's
+    traced run (``bench/traced.py``) still builds ``mode="single"``.
     """
 
     mode: str = "mip"             # single | mip
@@ -121,10 +125,6 @@ def derive_seed(*key: int) -> int:
     """Stable 64-bit child seed from an integer key path."""
     state = np.random.SeedSequence(list(key)).generate_state(2)
     return int(state[0]) | (int(state[1]) << 32)
-
-
-def _rng(*key: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(*key))
 
 
 def _sample_box(rng: np.random.Generator, params: SceneParams) -> BBox:
@@ -243,32 +243,19 @@ def generate_scene(params: SceneParams) -> list[GroundTruth]:
     return [GroundTruth(box=b, class_id=1) for b in placed.boxes]
 
 
-def _jitter_box(box: BBox, rel_std: float, noise: np.ndarray) -> BBox:
-    """Perturb a box: center shift scaled by size, log-normal size scale.
+def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
+    """Perturb (N, 4) corner-form boxes: center shift scaled by size,
+    log-normal size scale.
 
-    ``noise`` is four standard-normal draws; a zero ``rel_std`` returns the
-    box unchanged (bit-exact), which the zero-jitter fixtures rely on.
+    ``noise`` is (N, 4) standard-normal draws; a zero ``rel_std`` returns the
+    boxes unchanged (bit-exact), which the zero-jitter fixtures rely on.
     """
     if rel_std == 0.0:
-        return box
-    w, h = box.width, box.height
-    cx, cy = box.center
-    cx += noise[0] * rel_std * w
-    cy += noise[1] * rel_std * h
-    w *= float(np.exp(noise[2] * rel_std))
-    h *= float(np.exp(noise[3] * rel_std))
-    return BBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
-
-
-def _dominant_rank(members: list[GroundTruth]) -> int:
-    """Index of the largest-area member; ties broken by corner coordinates so
-    every proposal over the same cluster picks the same box."""
-    best = 0
-    for r in range(1, len(members)):
-        a, b = members[r].box, members[best].box
-        if (a.area, *a.as_tuple()) > (b.area, *b.as_tuple()):
-            best = r
-    return best
+        return boxes
+    size = boxes[:, 2:] - boxes[:, :2]
+    center = boxes[:, :2] + 0.5 * size + noise[:, :2] * rel_std * size
+    half = 0.5 * size * np.exp(noise[:, 2:] * rel_std)
+    return np.concatenate([center - half, center + half], axis=1)
 
 
 def simulate_detector(gts: Sequence[GroundTruth],
@@ -277,48 +264,50 @@ def simulate_detector(gts: Sequence[GroundTruth],
     per ground truth, each predicting from its own assignment set.
 
     Every proposal computes its assignment set (members with IoU >= theta,
-    descending IoU). ``mip`` mode emits one detection per member up to ``k``
-    slots; with one slot (``single`` mode or ``k=1``) the proposal emits one
-    detection aimed at the cluster's dominant member. Per-proposal random
-    streams are keyed by (seed, proposal index) and member draws are
-    consumed in member order, so different ``k`` budgets see identical
-    noise.
+    descending IoU). With ``k >= 2`` slots a proposal emits one detection
+    per member, up to ``k``; with one slot it emits one detection aimed at
+    the cluster's dominant member: the largest area, ties to the larger
+    corner tuple, then to the lower rank. One stream, seeded by
+    ``params.seed``, gives first the proposal noise and then every member's
+    noise in (proposal, rank) order, so different ``k`` see identical noise.
     """
     real = [g for g in gts if not g.ignore]
     if not real:
         return []
-    n_proposals = len(real) * params.proposals_per_gt
-    rngs = [_rng(params.seed, pi) for pi in range(n_proposals)]
-    proposals = [
-        _jitter_box(real[pi // params.proposals_per_gt].box,
-                    params.proposal_jitter, rngs[pi].normal(size=4))
-        for pi in range(n_proposals)
-    ]
-    ranked = gt_set_members(boxes_to_array(proposals), real, params.theta)
-    detections: list[Detection] = []
-    for pi in range(n_proposals):
-        members = [real[i] for i in ranked[pi]]
-        # Draws for every member are consumed regardless of what gets
-        # emitted, keeping streams aligned across modes and k values.
-        noises = [rngs[pi].normal(size=4) for _ in members]
-        if not members:
-            continue
-        k = params.effective_k
-        if k == 1:
-            chosen = [_dominant_rank(members)]
-        else:
-            chosen = list(range(min(k, len(members))))
-        for slot, rank in enumerate(chosen):
-            member = members[rank]
-            box = _jitter_box(member.box, params.proposal_jitter, noises[rank])
-            err = np.linalg.norm(np.subtract(box.as_tuple(), member.box.as_tuple()))
-            mag = float(err) / max(member.box.diagonal, 1e-9)
-            score = float(np.clip(params.score_base - params.score_penalty * mag,
-                                  0.05, 0.99))
-            detections.append(Detection(box=box, score=score,
-                                        class_id=member.class_id,
-                                        proposal_id=pi, slot=slot))
-    return detections
+    rng = np.random.default_rng(params.seed)
+    gt_boxes = boxes_to_array([g.box for g in real])
+    owners = np.repeat(np.arange(len(real)), params.proposals_per_gt)
+    proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
+                        rng.standard_normal((len(owners), 4)))
+    ranked = gt_set_members(proposals, real, params.theta)
+    sizes = np.array([len(m) for m in ranked], dtype=np.intp)
+    member = np.array([i for m in ranked for i in m], dtype=np.intp)
+    proposal = np.repeat(np.arange(len(ranked)), sizes)
+    rank = np.arange(len(member)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    noise = rng.standard_normal((len(member), 4))
+    if params.effective_k == 1:
+        b = gt_boxes[member]
+        order = np.lexsort((rank, -b[:, 3], -b[:, 2], -b[:, 1], -b[:, 0],
+                            -box_areas(b), proposal))
+        # Sorting keeps each proposal's members in the positions they held,
+        # so a group's first sorted position is where its rank 0 was.
+        chosen = order[rank == 0]
+        slots = np.zeros(len(chosen), dtype=np.intp)
+    else:
+        chosen = np.flatnonzero(rank < params.k)
+        slots = rank[chosen]
+    target = gt_boxes[member[chosen]]
+    boxes = _jitter(target, params.proposal_jitter, noise[chosen])
+    size = target[:, 2:] - target[:, :2]
+    error = (np.linalg.norm(boxes - target, axis=1)
+             / np.maximum(np.hypot(size[:, 0], size[:, 1]), 1e-9))
+    scores = np.clip(params.score_base - params.score_penalty * error,
+                     0.05, 0.99)
+    return [Detection(box=BBox(*box), score=score,
+                      class_id=real[gt].class_id, proposal_id=pid, slot=slot)
+            for box, score, gt, pid, slot in zip(
+                boxes.tolist(), scores.tolist(), member[chosen].tolist(),
+                proposal[chosen].tolist(), slots.tolist())]
 
 
 @dataclass(frozen=True)
@@ -351,15 +340,14 @@ def run_study(scene_params: SceneParams,
               suppression_cfgs: Sequence[SuppressionConfig],
               eval_cfg: EvalConfig,
               n_images: int,
-              seed: int,
-              jobs: int = 1) -> list[StudyRow]:
+              seed: int) -> list[StudyRow]:
     """Simulate and evaluate every (simulator, suppression) combination over
     the same ``n_images`` seeded scenes.
 
     Scene seeds depend only on (seed, image); detector seeds only on
     (seed, image), shared by all simulator configs, so rows differ purely in
-    model structure, not in random draws. Fully deterministic; ``jobs``
-    parallelizes per-image simulation without changing any output.
+    model structure, not in random draws. Each simulator config runs once,
+    in this process; the rows are fully deterministic.
     """
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
@@ -367,29 +355,13 @@ def run_study(scene_params: SceneParams,
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
     rows: list[StudyRow] = []
     for sim in sim_params_list:
-        tasks = [(scenes[i].gts, replace(sim, seed=sim_seeds[i]))
-                 for i in range(n_images)]
-        raw = _map_simulations(tasks, jobs)
+        raw = [simulate_detector(scene.gts, replace(sim, seed=s))
+               for scene, s in zip(scenes, sim_seeds)]
         for cfg in suppression_cfgs:
-            eval_scenes = [replace(scenes[i], dets=suppress(raw[i], cfg))
-                           for i in range(n_images)]
+            eval_scenes = [replace(scene, dets=suppress(dets, cfg))
+                           for scene, dets in zip(scenes, raw)]
             report = evaluate(eval_scenes, eval_cfg)
             rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
                                  method=cfg.method, iou_thresh=cfg.iou_thresh,
                                  report=report))
     return rows
-
-
-def _simulate_task(task) -> list[Detection]:
-    gts, sim = task
-    return simulate_detector(gts, sim)
-
-
-def _map_simulations(tasks, jobs: int) -> list[list[Detection]]:
-    if jobs <= 1 or len(tasks) < 2:
-        return [_simulate_task(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_simulate_task, tasks, chunksize=chunk))

@@ -17,9 +17,10 @@ from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
 
 # sha256 of outputs whose bytes must not change; a change to any of them is a
 # behaviour change to declare, not a test to update silently.
-EVAL_SET_NMS_SHA256 = "8d8d3ee353a62cc89be5309a26969073e0950f47e914163ea8354f5ae3523f35"
-STUDY_ROWS_SHA256 = "9e9a73208fab28e9b85c0f342bfef50ee3bdf253c6a79af61a38d1362087bf46"
-STUDY_REPORT_SHA256 = "300d973742e3fd6d36291a5599c774d8db5de0bfb82714645432e615a13688ef"
+RAW_DETECTIONS_SHA256 = "d1894d7acfc152ed5413f09d64a0f3787111dd3aef2628ce69c1e88c32c9dc31"
+EVAL_SET_NMS_SHA256 = "b489e1286cd06b5722b48b8bc135d763209202d6ec085b964219d5b6716b3965"
+STUDY_ROWS_SHA256 = "ab8c18cf8b9dc2b8f5d256fe673100a61ac9fbb11d2dcbb58eac8d2548c04e97"
+STUDY_REPORT_SHA256 = "b2541d0d647b601c6f2dabd61c809d0bc389340e69a4661ee0013d10333651f1"
 
 
 def sha256(path) -> str:
@@ -53,6 +54,9 @@ def round_trip(tmp_path):
 
 
 class TestRoundTrip:
+    def test_simulated_bytes_are_pinned(self, round_trip, tmp_path):
+        assert sha256(tmp_path / "raw.jsonl") == RAW_DETECTIONS_SHA256
+
     def test_eval_bytes_are_pinned(self, round_trip, tmp_path):
         gt, det = round_trip
         out = tmp_path / "eval.json"
@@ -113,6 +117,17 @@ class TestStudy:
         rows = strict_json(out / "report.json")["rows"]
         assert all(math.isfinite(r["ji_best_threshold"]) for r in rows)
         assert strict_json(out / "manifest.json")["subcommand"] == "study"
+
+    def test_each_model_and_threshold_runs_once(self, tmp_path):
+        out = tmp_path / "study"
+        assert main(["study", "--images", "1", "--k", "3", "--k-sweep",
+                     "3,1,2,2", "--nms-sweep", "0.3,0.5,0.3", "--out",
+                     str(out)]) == 0
+        rows = [(r["sim"], r["k"], r["method"], r["iou_thresh"])
+                for r in strict_json(out / "report.json")["rows"]]
+        assert rows == [(f"mip{k}", k, method, t) for k in (1, 3, 2)
+                        for method, t in (("nms", 0.5), ("set_nms", 0.5),
+                                          ("nms", 0.3))]
 
 
 class TestExitCodes:
@@ -338,6 +353,16 @@ class TestEmdErrors:
                 _proposal((0, 0, 40, 80), [[0.3, 0.7], [0.5, 0.6]])]}])
         assert code == 1
         assert ("line 2: bad record (class_scores must be a probability "
+                "vector (sum 1))" in err)
+
+    def test_nan_score_is_not_a_probability_vector(self, tmp_path, capsys):
+        # NaN sums to NaN, which no tolerance comparison accepts; no ground
+        # truth targets class 2, so only the check can catch it.
+        code, err = self._run(tmp_path, capsys, STACK[:1], [
+            {"id": "a", "proposals": [
+                _proposal((0, 0, 40, 80), [[0.5, 0.5, math.nan], [0.3, 0.7]])]}])
+        assert code == 1
+        assert ("line 1: bad record (class_scores must be a probability "
                 "vector (sum 1))" in err)
 
     @pytest.mark.parametrize("first, second, message", [

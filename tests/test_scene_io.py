@@ -306,6 +306,19 @@ class TestPredictionArrays:
         assert _outcome(oracle.parse_prediction_record, record)[1] == \
             "class_scores must be a probability vector (sum 1)"
 
+    @pytest.mark.parametrize("scores", [_SLOTS["nan_score"]["scores"],
+                                        [0.5, 0.5, float("nan")]])
+    def test_nan_score_is_not_a_probability_vector(self, scores):
+        record = {"id": "a", "proposals": [{"box_xyxy": [0, 0, 2, 2], "slots": [
+            {"scores": scores, "delta": [0, 0, 0, 0]}]}]}
+        text = json.dumps(record) + "\n"
+        for parse in (parse_prediction_arrays, parse_prediction_file):
+            with pytest.raises(SceneFileError, match="line 1: bad record "
+                               r"\(class_scores must be a probability vector"):
+                parse(io.StringIO(text))
+        assert _outcome(oracle.parse_prediction_record, record)[1] == \
+            "class_scores must be a probability vector (sum 1)"
+
     def test_record_without_proposals(self):
         (a,) = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
         assert len(a) == 0 and a.scores.shape[0] == 0

@@ -1,21 +1,17 @@
-import hashlib
-
 import pytest
 
+from crowdset.assignment import GroundTruth
 from crowdset.cli import main
-from crowdset.geometry import iou
+from crowdset.geometry import BBox, iou
+from crowdset.metrics import EvalConfig
+from crowdset.suppression import SuppressionConfig
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
-                            derive_seed, simulate_detector)
+                            derive_seed, run_study, simulate_detector)
 
 # Crowded scenes with triples, so three-member assignment sets occur and
 # k=3 emits slots that k=2 does not.
 CROWDED = SceneParams(n_objects_mean=14.0, crowd_pairs_mean=2.0,
                       crowd_triples_mean=2.0)
-
-
-def digest(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 def crowded_scenes(n=6):
@@ -35,15 +31,6 @@ class TestDeterminism:
         assert main(["synth", "--images", "5", "--seed", "10",
                      "--triples-mean", "1", "--out", str(other)]) == 0
         assert other.read_bytes() != outs[0]
-
-    def test_study_output_does_not_depend_on_jobs(self, tmp_path):
-        for jobs in ("1", "2"):
-            assert main(["study", "--images", "4", "--k-sweep", "1,3",
-                         "--nms-sweep", "0.4", "--jobs", jobs,
-                         "--out", str(tmp_path / f"jobs{jobs}")]) == 0
-        for name in ("rows.csv", "report.json"):
-            assert (digest(tmp_path / "jobs1" / name)
-                    == digest(tmp_path / "jobs2" / name))
 
 
 class TestSimulator:
@@ -84,8 +71,42 @@ class TestSimulator:
             assert overlaps == sorted(overlaps, reverse=True)
             assert all(v >= 0.5 for v in overlaps)
 
+    def test_k1_collapses_onto_the_dominant_member(self):
+        # Zero jitter puts each proposal exactly on its own ground truth.
+        # The last two boxes have equal areas and IoU 2/3, far from the
+        # generated ones, so the larger corner tuple decides between them.
+        tie = [GroundTruth(box=BBox(2000.0, 0.0, 2040.0, 80.0)),
+               GroundTruth(box=BBox(2008.0, 0.0, 2048.0, 80.0))]
+        gts = crowded_scenes(1)[0] + tie
+        dets = simulate_detector(gts, DetectorSimParams(
+            k=1, proposal_jitter=0.0, proposals_per_gt=1, seed=1))
+        assert [d.proposal_id for d in dets] == list(range(len(gts)))
+        for d in dets:
+            members = [g.box for g in gts
+                       if iou(gts[d.proposal_id].box, g.box) >= 0.5]
+            assert d.box == max(members, key=lambda b: (b.area, *b.as_tuple()))
+            assert d.slot == 0
+        # The smaller members of the generated pairs and triples move too.
+        assert sum(d.box != gts[d.proposal_id].box for d in dets) >= 4
+        assert dets[-2].box == dets[-1].box == tie[1].box
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             DetectorSimParams(mode="double")
         with pytest.raises(ValueError):
             DetectorSimParams(k=0)
+
+
+class TestStudy:
+    def test_set_nms_on_sets_beats_nms_beats_one_slot(self):
+        nms = SuppressionConfig(method="nms")
+        set_nms = SuppressionConfig(method="set_nms")
+        rows = run_study(SceneParams(), [DetectorSimParams(k=1),
+                                         DetectorSimParams(k=2)],
+                         [nms, set_nms], EvalConfig(), n_images=24, seed=0)
+        by = {(r.sim_label, r.method): r.report for r in rows}
+        order = [by["mip2", "set_nms"], by["mip2", "nms"], by["mip1", "nms"]]
+        for better, worse in zip(order, order[1:]):
+            assert better.ap > worse.ap
+            assert better.mr2 < worse.mr2
+            assert better.ji > worse.ji
