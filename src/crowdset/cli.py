@@ -25,9 +25,9 @@ from dataclasses import asdict, replace
 from . import __version__
 from .emd import EmdConfig, match_image
 from .metrics import EvalConfig, EvalReport, density_stats, evaluate
-from .scene_io import (SceneRecord, parse_prediction_arrays, parse_scene_file,
-                       write_scene_file)
-from .suppression import METHODS, SuppressionConfig, suppress
+from .scene_io import (SceneRecord, parse_prediction_arrays, parse_scene_arrays,
+                       parse_scene_file, write_scene_arrays, write_scene_file)
+from .suppression import METHODS, SuppressionConfig, suppress_arrays
 from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
                     run_study)
 
@@ -136,22 +136,28 @@ def cmd_synth(args) -> int:
 
 def cmd_suppress(args) -> int:
     t0 = time.perf_counter()
-    records = parse_scene_file(args.infile)
+    records = parse_scene_arrays(args.infile)
     method = _METHOD_FLAGS[args.method]
     cfg = SuppressionConfig(method=method, iou_thresh=args.iou,
                             sigma=args.sigma, score_floor=args.score_floor)
-    if method == "set_nms":
-        anonymous = sum(1 for r in records for d in r.dets if d.proposal_id is None)
-        if anonymous:
-            print(f"warning: {anonymous} detections carry no proposal_id; "
-                  f"set-nms treats them as distinct proposals (plain nms)",
-                  file=sys.stderr)
-    write_scene_file([replace(r, dets=suppress(r.dets, cfg)) for r in records],
-                     args.out)
+    counters = {"images": len(records), "dets_in": 0, "dets_out": 0,
+                "anonymous": 0}
+    kept = []
+    for r in records:
+        keep, scores = suppress_arrays(r.dets, cfg)
+        kept.append(replace(r, dets=r.dets.take(keep, scores)))
+        counters["dets_in"] += len(r.dets)
+        counters["dets_out"] += len(keep)
+        counters["anonymous"] += int((r.dets.proposal_ids < 0).sum())
+    if method == "set_nms" and counters["anonymous"]:
+        print(f"warning: {counters['anonymous']} detections carry no "
+              f"proposal_id; set-nms treats them as distinct proposals "
+              f"(plain nms)", file=sys.stderr)
+    write_scene_arrays(kept, args.out)
     _write_manifest(args.out + ".manifest.json", "suppress", {
         "in": args.infile, "out": args.out, "method": args.method,
         "iou": args.iou, "sigma": args.sigma, "score_floor": args.score_floor,
-    }, t0)
+    }, t0, counters)
     return 0
 
 

@@ -10,12 +10,22 @@ One JSON object per line, UTF-8, LF endings. A scene record looks like::
 Boxes are accepted in corner form (``box_xyxy``) or corner+size form
 (``box_xywh``) and normalized to corner form internally and on output.
 Boxes are never clipped to the image bounds: crowd annotations legitimately
-extend past image borders, so clipping is a caller policy.
+extend past image borders, so clipping is a caller policy. ``ignore`` must
+be a JSON boolean; ``class``, ``proposal_id`` and ``slot`` must be JSON
+integers that fit in 64 bits, and ``slot`` must not be negative.
 
 ``proposal_id``/``slot`` are optional on detections; a missing proposal_id
 leaves the detection anonymous (treated as unique by Set NMS) and is omitted
 again on write, so files from single-prediction detectors round-trip without
 fabricated identities.
+
+Scene records parse into columns, :class:`SceneArrays`. Each line is
+decoded once, and the checks of ``BBox``, ``GroundTruth`` and ``Detection``
+run on the arrays; only a record that fails one is rebuilt element by
+element in file order, so that its error is the file's first, in the
+dataclass's own words. One writer emits columns through ``.tolist()``,
+whose floats keep their ``repr``. :func:`parse_scene_file` and
+:func:`write_scene_file` convert to and from the dataclasses.
 """
 
 from __future__ import annotations
@@ -23,14 +33,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Iterator, Union
+
+import numpy as np
 
 from .assignment import GroundTruth
 from .emd import PredictionArrays, PredictionSet, SlotPrediction
-from .geometry import BBox, BoxDelta
-from .suppression import Detection
+from .geometry import BBox, BoxDelta, boxes_to_array
+from .suppression import Detection, Detections
 
 PathOrStream = Union[str, os.PathLike, IO[str]]
+
+_REAL, _INT = {float, int}, {int}
+_ABSENT = object()  # a detection's missing proposal_id, while parsing
 
 
 class SceneFileError(ValueError):
@@ -48,6 +64,36 @@ class SceneRecord:
     dets: list[Detection] = field(default_factory=list)
 
 
+@dataclass
+class SceneArrays:
+    """One scene record as columns: ``gt_boxes`` (G, 4) float64,
+    ``gt_classes`` int64 and ``gt_ignore`` bool, and the detections."""
+
+    id: str
+    width: int
+    height: int
+    gt_boxes: np.ndarray
+    gt_classes: np.ndarray
+    gt_ignore: np.ndarray
+    dets: Detections
+
+    @classmethod
+    def from_record(cls, r: SceneRecord) -> "SceneArrays":
+        return cls(r.id, r.width, r.height, boxes_to_array([g.box for g in r.gts]),
+                   np.array([g.class_id for g in r.gts], dtype=np.int64),
+                   np.array([g.ignore for g in r.gts], dtype=bool),
+                   Detections.from_list(r.dets))
+
+    def record(self) -> SceneRecord:
+        return SceneRecord(
+            id=self.id, width=self.width, height=self.height,
+            gts=[GroundTruth(box=BBox(*box), class_id=cls, ignore=ignore)
+                 for box, cls, ignore in zip(self.gt_boxes.tolist(),
+                                             self.gt_classes.tolist(),
+                                             self.gt_ignore.tolist())],
+            dets=self.dets.to_list())
+
+
 def _box_coords(obj: dict, record_id: str) -> tuple[float, float, float, float]:
     """Corner coordinates of a record's box, not yet checked as a BBox."""
     if "box_xyxy" in obj:
@@ -63,37 +109,108 @@ def _box_coords(obj: dict, record_id: str) -> tuple[float, float, float, float]:
     raise SceneFileError(f"record {record_id!r}: box needs a box_xyxy or box_xywh key")
 
 
-def _parse_box(obj: dict, record_id: str) -> BBox:
-    return BBox(*_box_coords(obj, record_id))
+def _int_field(obj: dict, key: str, default, record_id: str) -> int:
+    value = obj.get(key, default)
+    if type(value) is not int or not -2**63 <= value < 2**63:
+        raise SceneFileError(
+            f"record {record_id!r}: {key} must be a 64-bit integer, got {value!r}")
+    return value
 
 
-def _parse_record(obj: dict) -> SceneRecord:
+def _gt(obj: dict, record_id: str) -> GroundTruth:
+    """One ground truth, its fields checked in the order they are read."""
+    box = BBox(*_box_coords(obj, record_id))
+    class_id = _int_field(obj, "class", 1, record_id)
+    ignore = obj.get("ignore", False)
+    if type(ignore) is not bool:
+        raise SceneFileError(
+            f"record {record_id!r}: ignore must be true or false, got {ignore!r}")
+    return GroundTruth(box=box, class_id=class_id, ignore=ignore)
+
+
+def _det(obj: dict, record_id: str) -> Detection:
+    """One detection, its fields checked in the order they are read."""
+    return Detection(
+        box=BBox(*_box_coords(obj, record_id)), score=float(obj["score"]),
+        class_id=_int_field(obj, "class", 1, record_id),
+        proposal_id=(_int_field(obj, "proposal_id", None, record_id)
+                     if "proposal_id" in obj else None),
+        slot=_int_field(obj, "slot", 0, record_id))
+
+
+def _typed(values, kinds: set) -> bool:
+    return set(map(type, values)) <= kinds
+
+
+def _box_column(objs: list, record_id: str) -> np.ndarray | None:
+    """(N, 4) corner boxes, or None when a value is not a JSON number or a
+    box is not finite or inverted."""
+    rows = [o["box_xyxy"] if "box_xyxy" in o else _box_coords(o, record_id)
+            for o in objs]
+    if not _typed(chain.from_iterable(rows), _REAL):
+        return None
+    boxes = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    if (~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] < boxes[:, 0])
+            | (boxes[:, 3] < boxes[:, 1])).any():
+        return None
+    return boxes
+
+
+def _gt_columns(gts: list, record_id: str):
+    """``(boxes, classes, ignore)``, or None when a check fails."""
+    boxes = _box_column(gts, record_id)
+    classes = [g.get("class", 1) for g in gts]
+    ignore = [g.get("ignore", False) for g in gts]
+    if boxes is None or not (_typed(classes, _INT) and _typed(ignore, {bool})):
+        return None
+    classes = np.array(classes, dtype=np.int64)
+    if (classes <= 0).any():
+        return None
+    return boxes, classes, np.array(ignore, dtype=bool)
+
+
+def _det_columns(dets: list, record_id: str) -> Detections | None:
+    """The detections' columns, or None when a check fails."""
+    boxes = _box_column(dets, record_id)
+    scores = [d["score"] for d in dets]
+    classes = [d.get("class", 1) for d in dets]
+    pids = [d.get("proposal_id", _ABSENT) for d in dets]
+    slots = [d.get("slot", 0) for d in dets]
+    anonymous = [i for i, p in enumerate(pids) if p is _ABSENT]
+    for i in anonymous:
+        pids[i] = -i - 1
+    if boxes is None or not (_typed(scores, _REAL)
+                             and _typed(chain(classes, pids, slots), _INT)):
+        return None
+    columns = Detections(boxes=boxes, scores=np.array(scores, dtype=np.float64),
+                         classes=np.array(classes, dtype=np.int64),
+                         proposal_ids=np.array(pids, dtype=np.int64),
+                         slots=np.array(slots, dtype=np.int64))
+    s = columns.scores
+    if ((~np.isfinite(s) | (s < 0.0) | (s > 1.0) | (columns.slots < 0)).any()
+            or np.count_nonzero(columns.proposal_ids < 0) != len(anonymous)):
+        return None
+    return columns
+
+
+def _parse_scene_arrays(obj: dict) -> SceneArrays:
     rid = str(obj["id"])
-    gts = [
-        GroundTruth(
-            box=_parse_box(g, rid),
-            class_id=int(g.get("class", 1)),
-            ignore=bool(g.get("ignore", False)),
-        )
-        for g in obj.get("gts", [])
-    ]
-    dets = [
-        Detection(
-            box=_parse_box(d, rid),
-            score=float(d["score"]),
-            class_id=int(d.get("class", 1)),
-            proposal_id=(int(d["proposal_id"]) if "proposal_id" in d else None),
-            slot=int(d.get("slot", 0)),
-        )
-        for d in obj.get("dets", [])
-    ]
-    return SceneRecord(
-        id=rid,
-        width=int(obj.get("width", 0)),
-        height=int(obj.get("height", 0)),
-        gts=gts,
-        dets=dets,
-    )
+    gts, dets = obj.get("gts", []), obj.get("dets", [])
+    try:
+        gt_columns, det_columns = _gt_columns(gts, rid), _det_columns(dets, rid)
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        gt_columns = det_columns = None
+    if gt_columns is None or det_columns is None:
+        # A check failed or a field is odd (a number written as a string, a
+        # box in an unexpected form): build the dataclasses in file order.
+        # The first invalid element raises its own error; otherwise the
+        # record parses as float() and int() read it.
+        rec = SceneArrays.from_record(SceneRecord(
+            id=rid, gts=[_gt(g, rid) for g in gts], dets=[_det(d, rid) for d in dets]))
+        gt_columns = rec.gt_boxes, rec.gt_classes, rec.gt_ignore
+        det_columns = rec.dets
+    return SceneArrays(rid, int(obj.get("width", 0)), int(obj.get("height", 0)),
+                       *gt_columns, det_columns)
 
 
 def _open_for(source: PathOrStream, mode: str):
@@ -107,7 +224,7 @@ def _iter_jsonl(source: PathOrStream, parse) -> Iterator:
     stream, owned = _open_for(source, "r")
     try:
         for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)
@@ -138,14 +255,9 @@ def _write_jsonl(objs: Iterable[dict], dest: PathOrStream, kind: str) -> None:
             stream.close()
 
 
-def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
-    """Stream records one line at a time (constant memory per line)."""
-    return _iter_jsonl(source, _parse_record)
-
-
-def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
-    """Read a whole scene file, enforcing unique record ids."""
-    records = list(iter_scene_file(source))
+def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
+    """Read a whole scene file as columns, enforcing unique record ids."""
+    records = list(_iter_jsonl(source, _parse_scene_arrays))
     seen = set()
     for r in records:
         if r.id in seen:
@@ -154,34 +266,46 @@ def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
     return records
 
 
-def _gt_obj(g: GroundTruth) -> dict:
-    return {
-        "box_xyxy": list(g.box.as_tuple()),
-        "class": g.class_id,
-        "ignore": g.ignore,
-    }
+def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
+    """Stream records one line at a time (constant memory per line)."""
+    return (a.record() for a in _iter_jsonl(source, _parse_scene_arrays))
 
 
-def _det_obj(d: Detection) -> dict:
-    obj = {
-        "box_xyxy": list(d.box.as_tuple()),
-        "score": d.score,
-        "class": d.class_id,
-    }
-    if d.proposal_id is not None:
-        obj["proposal_id"] = d.proposal_id
-        obj["slot"] = d.slot
-    elif d.slot != 0:
-        obj["slot"] = d.slot
-    return obj
+def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
+    """Read a whole scene file, enforcing unique record ids."""
+    return [a.record() for a in parse_scene_arrays(source)]
+
+
+def _scene_obj(r: SceneArrays) -> dict:
+    d = r.dets
+    dets = []
+    for box, score, cls, pid, slot in zip(d.boxes.tolist(), d.scores.tolist(),
+                                          d.classes.tolist(),
+                                          d.proposal_ids.tolist(), d.slots.tolist()):
+        obj = {"box_xyxy": box, "score": score, "class": cls}
+        if pid >= 0:
+            obj["proposal_id"] = pid
+            obj["slot"] = slot
+        elif slot:
+            obj["slot"] = slot
+        dets.append(obj)
+    return {"id": r.id, "width": r.width, "height": r.height,
+            "gts": [{"box_xyxy": box, "class": cls, "ignore": ignore}
+                    for box, cls, ignore in zip(r.gt_boxes.tolist(),
+                                                r.gt_classes.tolist(),
+                                                r.gt_ignore.tolist())],
+            "dets": dets}
+
+
+def write_scene_arrays(records: Iterable[SceneArrays], dest: PathOrStream) -> None:
+    """Write records as one JSON object per line, corner-form boxes."""
+    _write_jsonl(map(_scene_obj, records), dest, "scene")
 
 
 def write_scene_file(records: Iterable[SceneRecord], dest: PathOrStream) -> None:
-    """Write records as one JSON object per line, corner-form boxes."""
-    _write_jsonl(({"id": r.id, "width": r.width, "height": r.height,
-                   "gts": [_gt_obj(g) for g in r.gts],
-                   "dets": [_det_obj(d) for d in r.dets]} for r in records),
-                 dest, "scene")
+    """Write records as one JSON object per line, corner-form boxes. Box
+    coordinates and scores are written as floats."""
+    write_scene_arrays(map(SceneArrays.from_record, records), dest)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneRecord, parse_scene_file,
                                write_prediction_file, write_scene_file)
+from crowdset.suppression import Detection
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             derive_seed, simulate_detector)
 
@@ -21,6 +22,13 @@ RAW_DETECTIONS_SHA256 = "d1894d7acfc152ed5413f09d64a0f3787111dd3aef2628ce69c1e88
 EVAL_SET_NMS_SHA256 = "b489e1286cd06b5722b48b8bc135d763209202d6ec085b964219d5b6716b3965"
 STUDY_ROWS_SHA256 = "ab8c18cf8b9dc2b8f5d256fe673100a61ac9fbb11d2dcbb58eac8d2548c04e97"
 STUDY_REPORT_SHA256 = "b2541d0d647b601c6f2dabd61c809d0bc389340e69a4661ee0013d10333651f1"
+# crowdset suppress of the round trip's raw detections, per method flag.
+SUPPRESS_SHA256 = {
+    "nms": "4890cdbb2c1a3c334ceb5864a0fa850ec8bcaccfc90c3f35fce85d2db228a067",
+    "set-nms": "86fcf38a0d65bba128d1218d1e384ce4d84879de054c0f830b7a847f6dc02f3d",
+    "soft-linear": "09abf9f337289ef950eeeee5af685491c06f49786443f4eaf06d4184736fbd2f",
+    "soft-gaussian": "3985953f9721e4f0a698a283b0871a161d1c9f7baa8a112a4e5f940b4e3bda11",
+}
 
 
 def sha256(path) -> str:
@@ -186,6 +194,65 @@ class TestSurface:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "bench" not in capsys.readouterr().out
+
+
+class TestSuppress:
+    @pytest.mark.parametrize("flag", list(SUPPRESS_SHA256))
+    def test_output_bytes_are_pinned(self, round_trip, tmp_path, flag):
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", flag, "--in",
+                     str(tmp_path / "raw.jsonl"), "--out", str(out)]) == 0
+        assert sha256(out) == SUPPRESS_SHA256[flag]
+
+    def _anonymous_input(self, tmp_path):
+        """Two records: four boxes on one spot, two of them without a
+        proposal id, and an empty record."""
+        dets = [Detection(box=BBox(0.0, 0.0, 10.0, 10.0), score=0.9 - 0.1 * i,
+                          proposal_id=None if i % 2 else 0, slot=i)
+                for i in range(4)]
+        path = tmp_path / "anon.jsonl"
+        write_scene_file([SceneRecord(id="a", dets=dets), SceneRecord(id="b")],
+                         path)
+        return path
+
+    @pytest.mark.parametrize("flag, kept", [("set-nms", 2), ("nms", 1),
+                                            ("soft-gaussian", 4)])
+    def test_manifest_counts_and_anonymous_warning(self, tmp_path, capsys,
+                                                   flag, kept):
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", flag, "--in",
+                     str(self._anonymous_input(tmp_path)), "--out",
+                     str(out)]) == 0
+        assert strict_json(str(out) + ".manifest.json")["counters"] == {
+            "images": 2, "dets_in": 4, "dets_out": kept, "anonymous": 2}
+        assert sum(len(r.dets) for r in parse_scene_file(out)) == kept
+        err = capsys.readouterr().err
+        if flag == "set-nms":
+            assert err == ("warning: 2 detections carry no proposal_id; "
+                           "set-nms treats them as distinct proposals "
+                           "(plain nms)\n")
+        else:
+            assert err == ""
+
+    def test_no_warning_when_every_detection_has_a_proposal(self, round_trip,
+                                                            tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", "set-nms", "--in",
+                     str(tmp_path / "raw.jsonl"), "--out", str(out)]) == 0
+        counters = strict_json(str(out) + ".manifest.json")["counters"]
+        assert counters["anonymous"] == 0 and counters["images"] == 6
+        assert counters["dets_out"] == sum(len(r.dets)
+                                           for r in parse_scene_file(out))
+        assert capsys.readouterr().err == ""
+
+    def test_strict_field_error_is_a_runtime_failure(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "dets": [
+            {"box_xyxy": [0, 0, 1, 1], "score": 0.5, "proposal_id": 2.7}]}) + "\n")
+        assert main(["suppress", "--method", "set-nms", "--in", str(path),
+                     "--out", str(tmp_path / "out.jsonl")]) == 1
+        assert ("line 1: record 'a': proposal_id must be a 64-bit integer, "
+                "got 2.7" in capsys.readouterr().err)
 
 
 # Small crowded scenes with triples, so some proposals overflow k=2.

@@ -3,6 +3,7 @@ import json
 
 import emd_oracle as oracle
 import numpy as np
+import scene_io_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,11 @@ from crowdset.assignment import GroundTruth
 from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneFileError, SceneRecord,
-                               _parse_prediction_arrays, iter_scene_file,
-                               parse_prediction_arrays, parse_prediction_file,
+                               _parse_prediction_arrays, _parse_scene_arrays,
+                               iter_scene_file, parse_prediction_arrays,
+                               parse_prediction_file, parse_scene_arrays,
                                parse_scene_file, write_prediction_file,
-                               write_scene_file)
+                               write_scene_arrays, write_scene_file)
 from crowdset.suppression import Detection
 
 B = BBox
@@ -104,6 +106,72 @@ class TestParse:
         text = "\n".join(json.dumps({"id": f"r{i}"}) for i in range(5))
         recs = list(iter_scene_file(io.StringIO(text)))
         assert [r.id for r in recs] == [f"r{i}" for i in range(5)]
+
+
+def _one_line(gt=None, det=None):
+    record = {"id": "a", "gts": [], "dets": []}
+    if gt is not None:
+        record["gts"].append({"box_xyxy": [0, 0, 4, 4], **gt})
+    if det is not None:
+        record["dets"].append({"box_xyxy": [0, 0, 4, 4], "score": 0.5, **det})
+    return io.StringIO(json.dumps({"id": "ok"}) + "\n" + json.dumps(record) + "\n")
+
+
+class TestStrictFields:
+    """Field types are checked, not coerced: each case used to parse to a
+    different value (``bool("false")`` is True, ``int(2.7)`` is 2) or, out
+    of int64 range, to fail later with an uncaught OverflowError."""
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_ignore_must_be_a_json_boolean(self, value):
+        with pytest.raises(SceneFileError, match=r"line 2: record 'a': ignore "
+                           r"must be true or false, got " + repr(value)):
+            parse_scene_file(_one_line(gt={"ignore": value}))
+
+    @pytest.mark.parametrize("field", [{"gt": {"class": 1.9}},
+                                       {"gt": {"class": True}},
+                                       {"det": {"class": 1.9}},
+                                       {"det": {"class": "1"}}])
+    def test_class_must_be_a_json_integer(self, field):
+        (value,) = next(iter(field.values())).values()
+        with pytest.raises(SceneFileError, match=r"line 2: record 'a': class "
+                           r"must be a 64-bit integer, got " + repr(value)):
+            parse_scene_file(_one_line(**field))
+
+    @pytest.mark.parametrize("value", [2.7, False, "3", None])
+    def test_proposal_id_must_be_a_json_integer(self, value):
+        with pytest.raises(SceneFileError, match=r"line 2: record 'a': "
+                           r"proposal_id must be a 64-bit integer, got "
+                           + repr(value)):
+            parse_scene_file(_one_line(det={"proposal_id": value}))
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_slot_must_be_a_json_integer(self, value):
+        with pytest.raises(SceneFileError, match=r"line 2: record 'a': slot "
+                           r"must be a 64-bit integer, got " + repr(value)):
+            parse_scene_file(_one_line(det={"proposal_id": 0, "slot": value}))
+
+    def test_slot_must_not_be_negative(self):
+        with pytest.raises(SceneFileError, match=r"line 2: bad record \(slot "
+                           r"must be non-negative, got -3\)"):
+            parse_scene_file(_one_line(det={"slot": -3}))
+
+    @pytest.mark.parametrize("field", [{"gt": {"class": 2**63}},
+                                       {"det": {"class": -2**63 - 1}},
+                                       {"det": {"proposal_id": 2**63}},
+                                       {"det": {"slot": 2**64}}])
+    def test_integers_must_fit_in_int64(self, field):
+        ((key, value),) = next(iter(field.values())).items()
+        with pytest.raises(SceneFileError, match=rf"line 2: record 'a': {key} "
+                           rf"must be a 64-bit integer, got {value}"):
+            parse_scene_arrays(_one_line(**field))
+
+    def test_int64_bounds_are_accepted(self):
+        (rec,) = parse_scene_file(io.StringIO(json.dumps({"id": "a", "dets": [
+            {"box_xyxy": [0, 0, 1, 1], "score": 0.5, "class": -2**63,
+             "proposal_id": 2**63 - 1, "slot": 2**63 - 1}]})))
+        assert rec.dets[0].class_id == -2**63
+        assert rec.dets[0].proposal_id == rec.dets[0].slot == 2**63 - 1
 
 
 class TestRoundTrip:
@@ -322,6 +390,194 @@ class TestPredictionArrays:
     def test_record_without_proposals(self):
         (a,) = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
         assert len(a) == 0 and a.scores.shape[0] == 0
+
+
+# Ways one ground truth or detection can be written: the fields it sets or
+# drops (_DROP), and the strict-field error it raises where the sequential
+# parser coerced the value instead. All but the first of each are rare, and
+# some of them are valid.
+_DROP = object()
+_SCENE_BOXES = {
+    **_BOXES,
+    "integers": lambda b: {"box_xyxy": [int(v) for v in b]},
+    "numeric_string": lambda b: {"box_xyxy": [str(b[0]), *b[1:]]},
+    "none": lambda b: {"box_xyxy": [None, *b[1:]]},
+    "bool": lambda b: {"box_xyxy": [False, *b[1:]]},
+    "nested": lambda b: {"box_xyxy": [[v] for v in b]},
+    "not_a_list": lambda b: {"box_xyxy": 7},
+}
+
+
+def _strict(key, value):
+    rule = ("true or false" if key == "ignore" else "a 64-bit integer")
+    return {key: value}, f"record 'r': {key} must be {rule}, got {value!r}"
+
+
+_GT_FIELDS = {
+    "ok": ({}, None),
+    "no_class": ({"class": _DROP}, None),
+    "ignored": ({"ignore": True}, None),
+    "no_ignore": ({"ignore": _DROP}, None),
+    "class_zero": ({"class": 0}, None),
+    "class_negative": ({"class": -1}, None),
+    "class_float": _strict("class", 1.9),
+    "class_bool": _strict("class", True),
+    "class_string": _strict("class", "2"),
+    "class_huge": _strict("class", 2**63),
+    "ignore_string": _strict("ignore", "false"),
+    "ignore_int": _strict("ignore", 0),
+}
+_DET_FIELDS = {
+    "ok": ({}, None),
+    "anonymous": ({"proposal_id": _DROP, "slot": _DROP}, None),
+    "anonymous_slot": ({"proposal_id": _DROP, "slot": 2}, None),
+    "no_slot": ({"slot": _DROP}, None),
+    "no_score": ({"score": _DROP}, None),
+    "score_high": ({"score": 1.5}, None),
+    "score_negative": ({"score": -0.1}, None),
+    "score_nan": ({"score": float("nan")}, None),
+    "score_string": ({"score": "0.25"}, None),
+    "score_none": ({"score": None}, None),
+    "score_int": ({"score": 1}, None),
+    "class_zero": ({"class": 0}, None),
+    "pid_negative": ({"proposal_id": -2}, None),
+    "slot_negative": ({"slot": -3}, None),
+    "class_float": _strict("class", 1.9),
+    "class_bool": _strict("class", False),
+    "pid_float": _strict("proposal_id", 2.7),
+    "pid_null": _strict("proposal_id", None),
+    "pid_string": _strict("proposal_id", "3"),
+    "pid_huge": _strict("proposal_id", 2**63),
+    "slot_float": _strict("slot", 1.0),
+    "slot_huge": _strict("slot", -2**63 - 1),
+}
+
+
+def _element(rng, base):
+    """One element: a box mode or a field mode, never both, so that an
+    element breaks at most one rule."""
+    x, y, w, h = rng.uniform([0, 0, 1, 1], [100, 100, 40, 80]).tolist()
+    b = [x, y, x + w, y + h]
+    fields = _GT_FIELDS if "ignore" in base else _DET_FIELDS
+    mode = _pick(rng, fields) if rng.random() < 0.5 else "ok"
+    box = _pick(rng, _SCENE_BOXES) if mode == "ok" else "xyxy"
+    update, strict = fields[mode]
+    obj = {**_SCENE_BOXES[box](b), **base, **update}
+    return {k: v for k, v in obj.items() if v is not _DROP}, strict
+
+
+def raw_scene_record(rng):
+    """A scene record and, per element in file order, its strict-field
+    error or None."""
+    gts = [_element(rng, {"class": int(rng.integers(1, 3)), "ignore": False})
+           for _ in range(rng.integers(0, 5))]
+    dets = [_element(rng, {"score": float(rng.uniform(0, 1)),
+                           "class": int(rng.integers(1, 3)),
+                           "proposal_id": int(rng.integers(0, 4)),
+                           "slot": int(rng.integers(0, 3))})
+            for _ in range(rng.integers(0, 7))]
+    obj = {"id": "r", "width": 640, "height": 480,
+           "gts": [g for g, _ in gts], "dets": [d for d, _ in dets]}
+    kind = rng.integers(0, 30)
+    if kind in (0, 1, 2):
+        del obj[("width", "gts", "dets")[kind]]
+    elif kind == 3:
+        obj["height"] = "tall"
+    elif kind == 4:
+        obj["dets"] = None
+    return obj, [(key, j, e) for key, elements in (("gts", gts), ("dets", dets))
+                 if isinstance(obj.get(key), list)
+                 for j, (_, e) in enumerate(elements) if e]
+
+
+def _expected(obj, strict):
+    """The sequential parser's outcome, with the first strict-field error in
+    file order taking the place of every later outcome."""
+    if not strict:
+        return _outcome(scene_io_oracle.parse_record, obj)
+    section, j, error = strict[0]
+    prefix = {"id": obj["id"], "gts": obj["gts"][:j] if section == "gts"
+              else obj.get("gts", [])}
+    if section == "dets":
+        prefix["dets"] = obj["dets"][:j]
+    before = _outcome(scene_io_oracle.parse_record, prefix)
+    return before if isinstance(before, tuple) else (SceneFileError, error)
+
+
+class TestSceneArrays:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_records_bytes_and_errors_as_the_sequential_parser(self, seed):
+        obj, strict = raw_scene_record(np.random.default_rng(seed))
+        want = _expected(obj, strict)
+        got = _outcome(_parse_scene_arrays, obj)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.record() == want
+        line = scene_io_oracle.record_line(want)
+        for write, record in ((write_scene_arrays, got), (write_scene_file, want)):
+            buf = io.StringIO()
+            write([record], buf)
+            assert buf.getvalue() == line
+
+    def test_generator_reaches_every_case(self):
+        seen = set()
+        for seed in range(400):
+            obj, strict = raw_scene_record(np.random.default_rng(seed))
+            want = _expected(obj, strict)
+            seen.add("error" if isinstance(want, tuple) else "record")
+            seen.update(e.split(":")[1].split()[0] for _, _, e in strict)
+            for d in obj.get("dets") or []:
+                if "proposal_id" not in d:
+                    seen.add("anonymous-slot" if d.get("slot") else "anonymous")
+            seen.update(k for k in ("width", "gts", "dets") if k not in obj)
+            seen.update(f"empty-{k}" for k in ("gts", "dets") if obj.get(k) == [])
+            for g in obj.get("gts", []):
+                seen.update(k for k in ("box_xywh",) if k in g)
+        assert seen >= {"error", "record", "class", "ignore", "proposal_id",
+                        "slot", "anonymous", "anonymous-slot", "width", "gts",
+                        "dets", "empty-gts", "empty-dets", "box_xywh"}
+
+    @pytest.mark.parametrize("det", [
+        {"score": [0.5]}, {"score": "0.5"}, {"score": True},
+        {"box_xyxy": [[0], [0], [1], [1]]}, {"box_xyxy": [0, 0, 1, 1, 2, 3, 4, 5]},
+        {"box_xyxy": ["0", 0, "1", 1]}])
+    def test_a_lone_odd_field_parses_as_the_sequential_parser(self, det):
+        # Every detection of the record has the odd field, so numpy sees
+        # only it: a homogeneous column numpy would accept in another shape
+        # or with another value.
+        obj = {"id": "r", "dets": [{"box_xyxy": [0, 0, 1, 1], "score": 0.5,
+                                    **det}] * 2}
+        want = _expected(obj, [])
+        got = _outcome(_parse_scene_arrays, obj)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.record() == want
+
+    def test_columns(self):
+        text = json.dumps({"id": "a", "width": 8, "gts": [
+            {"box_xywh": [1, 2, 3, 4], "class": 2, "ignore": True}], "dets": [
+            {"box_xyxy": [0, 0, 2, 2], "score": 0.5, "proposal_id": 7, "slot": 1},
+            {"box_xyxy": [1, 1, 3, 3], "score": 0.25, "class": 3},
+            {"box_xyxy": [1, 1, 3, 3], "score": 1, "slot": 2}]}) + "\n"
+        (a,) = parse_scene_arrays(io.StringIO(text))
+        assert (a.id, a.width, a.height) == ("a", 8, 0)
+        assert a.gt_boxes.tolist() == [[1.0, 2.0, 4.0, 6.0]]
+        assert a.gt_classes.tolist() == [2] and a.gt_ignore.tolist() == [True]
+        d = a.dets
+        assert d.boxes.dtype == d.scores.dtype == np.float64
+        assert d.classes.dtype == d.proposal_ids.dtype == d.slots.dtype == np.int64
+        assert d.scores.tolist() == [0.5, 0.25, 1.0]
+        assert d.classes.tolist() == [1, 3, 1]
+        assert d.proposal_ids.tolist() == [7, -2, -3]
+        assert d.slots.tolist() == [1, 0, 2]
+
+    def test_duplicate_ids_rejected(self):
+        text = "\n".join(json.dumps({"id": "x"}) for _ in range(2))
+        with pytest.raises(SceneFileError, match="duplicate"):
+            parse_scene_arrays(io.StringIO(text))
 
 
 class _FailingStream(io.StringIO):

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 import suppression_oracle as oracle
 from crowdset import suppression
 from crowdset.geometry import BBox, iou
-from crowdset.suppression import (Detection, SuppressionConfig, _greedy_keep,
-                                  _to_arrays, nms, set_nms, soft_nms, suppress)
+from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
+                                  Detections, SuppressionConfig, _greedy_keep,
+                                  nms, set_nms, soft_nms, suppress,
+                                  suppress_arrays)
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             simulate_detector)
 
@@ -298,7 +300,7 @@ class TestOracleEquivalence:
     @given(_clouds, _thresh)
     def test_greedy_keep_same_indices_same_order(self, dets, thresh):
         for respect in (False, True):
-            got = _greedy_keep(*_to_arrays(dets), thresh, respect)
+            got = _greedy_keep(Detections.from_list(dets), thresh, respect)
             want = oracle._greedy_keep(*oracle._to_arrays(dets), thresh, respect)
             assert got == want
         cfg = SuppressionConfig(method="set_nms", iou_thresh=thresh)
@@ -462,3 +464,59 @@ class TestSweepBoundaries:
             out = soft_nms(dets, SuppressionConfig(method=method,
                                                    score_floor=0.2))
             assert [(d.slot, d.score) for d in out] == [(1, 0.15)]
+
+
+class TestDetections:
+    def test_from_list_and_back(self):
+        dets = [det(0, 0, 10, 10, 0.9, class_id=2, pid=4, slot=1),
+                det(1, 1, 5, 5, 0.25), det(2, 2, 6, 6, 0.5, slot=3)]
+        arrays = Detections.from_list(dets)
+        assert len(arrays) == 3
+        assert arrays.boxes.shape == (3, 4)
+        assert arrays.proposal_ids.tolist() == [4, -2, -3]
+        assert arrays.slots.tolist() == [1, 0, 3]
+        assert arrays.to_list() == dets
+
+    def test_empty(self):
+        arrays = Detections.from_list([])
+        assert arrays.boxes.shape == (0, 4) and len(arrays) == 0
+        for method in METHOD_NAMES:
+            keep, scores = suppress_arrays(arrays, SuppressionConfig(method=method))
+            assert keep.tolist() == [] and scores.tolist() == []
+
+    def test_take_keeps_anonymous_ids_negative(self):
+        arrays = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7, pid=2)])
+        taken = arrays.take(np.array([1, 0]), np.array([0.7, 0.4]))
+        assert [d.proposal_id for d in taken.to_list()] == [2, None]
+        assert [d.score for d in taken.to_list()] == [0.7, 0.4]
+
+    def test_negative_slot_rejected(self):
+        with pytest.raises(ValueError, match="slot must be non-negative"):
+            det(0, 0, 1, 1, 0.5, slot=-1)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_arrays_and_list_api_agree(self, method):
+        dets = crowd_cloud(n_scenes=4)
+        cfg = SuppressionConfig(method=method, iou_thresh=0.4)
+        keep, scores = suppress_arrays(Detections.from_list(dets), cfg)
+        out = suppress(dets, cfg)
+        assert keep.dtype == np.intp and scores.dtype == np.float64
+        assert keep.tolist() == [d.slot for d in out]
+        assert [s.hex() for s in scores.tolist()] == [d.score.hex() for d in out]
+
+
+class TestGraphEdges:
+    def test_greedy_methods_store_each_edge_once(self):
+        n = 200
+        arrays = Detections.from_list(
+            [det(10, 10, 55, 80, 0.1 + 0.004 * i, pid=i) for i in range(n)])
+        order = np.argsort(-arrays.scores, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        _, both, ious = suppression._overlap_graph(arrays, 0.5)
+        indptr, once, none = suppression._overlap_graph(arrays, 0.5, True, rank)
+        assert len(both) == len(ious) == n * (n - 1)
+        assert len(once) == n * (n - 1) // 2 and none is None
+        # Each stored edge runs from the higher score to the lower one.
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        assert (rank[src] < rank[once]).all()
