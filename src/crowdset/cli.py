@@ -24,10 +24,10 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .emd import EmdConfig, match_image
-from .metrics import EvalConfig, EvalReport, density_stats, evaluate
-from .scene_io import (SceneRecord, parse_prediction_arrays, parse_scene_arrays,
+from .metrics import EvalConfig, EvalReport, Evaluation
+from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        parse_scene_file, write_scene_arrays, write_scene_file)
-from .suppression import METHODS, SuppressionConfig, suppress_arrays
+from .suppression import METHODS, Detections, SuppressionConfig, suppress_arrays
 from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
                     run_study)
 
@@ -161,7 +161,7 @@ def cmd_suppress(args) -> int:
     return 0
 
 
-def _gts_by_id(gt_records: list[SceneRecord], records, kind: str) -> dict:
+def _gts_by_id(gt_records: list, records, kind: str) -> dict:
     """Ground-truth records by id; every id in ``records`` must be there."""
     gt_by_id = {r.id: r for r in gt_records}
     missing = [r.id for r in records if r.id not in gt_by_id]
@@ -171,25 +171,26 @@ def _gts_by_id(gt_records: list[SceneRecord], records, kind: str) -> dict:
     return gt_by_id
 
 
-def _merge_gt_det(gt_records: list[SceneRecord],
-                  det_records: list[SceneRecord]) -> list[SceneRecord]:
+def _merge_gt_det(gt_records: list[SceneArrays],
+                  det_records: list[SceneArrays]) -> list[SceneArrays]:
     _gts_by_id(gt_records, det_records, "detection")
     det_by_id = {r.id: r.dets for r in det_records}
-    return [replace(r, dets=det_by_id.get(r.id, [])) for r in gt_records]
+    no_dets = Detections.from_list([])
+    return [replace(r, dets=det_by_id.get(r.id, no_dets)) for r in gt_records]
 
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
-    gt_records = parse_scene_file(args.gt)
-    det_records = parse_scene_file(args.det)
+    gt_records = parse_scene_arrays(args.gt)
+    det_records = parse_scene_arrays(args.det)
     scenes = _merge_gt_det(gt_records, det_records)
     cfg = EvalConfig(iou_thresh=args.iou, fppi_lo=args.fppi_lo,
                      fppi_hi=args.fppi_hi, fppi_points=args.fppi_points)
-    report = evaluate(scenes, cfg)
-    density = density_stats(scenes)
+    ev = Evaluation.of_arrays(scenes, cfg)
+    density = ev.density_stats()
     out = {
         "schema_version": SCHEMA_VERSION,
-        **_report_dict(report),
+        **_report_dict(ev.report()),
         "density": {
             "objects_per_image": density.objects_per_image,
             "overlaps_per_image": density.overlaps_per_image,
@@ -202,7 +203,7 @@ def cmd_eval(args) -> int:
         _write_manifest(args.manifest, "eval", {
             "gt": args.gt, "det": args.det, "iou": args.iou,
             "fppi": [args.fppi_lo, args.fppi_hi, args.fppi_points],
-        }, t0)
+        }, t0, ev.counters())
     return 0
 
 

@@ -17,10 +17,18 @@ IoU arithmetic lives in two kernels that compute the same numbers:
   generation, ``GtSet`` validation), and numpy's fixed per-call overhead
   costs over ten times the scalar arithmetic on a single pair.
 
+:func:`sweep_pairs` is the one candidate-pair search for IoU over many
+boxes: a sort-and-sweep on x1 that lists the pairs whose x-extents
+intersect, so callers compute IoU for those pairs only (every other pair
+has IoU exactly 0). Suppression sweeps one image's detections, the
+evaluator every image's detections against ground truths and ground truths
+against each other at once.
+
 :func:`ranked_overlaps` turns an IoU matrix into per-row candidate lists,
-the one ranking rule shared by ground-truth set construction
-(``assignment.gt_set_members``, which the simulator and the EMD engine
-call) and the evaluator.
+highest IoU first, ties to the lowest column: the ranking rule of
+ground-truth set construction (``assignment.gt_set_members``, which the
+simulator and the EMD engine call). The evaluator ranks its sparse pairs
+by the same rule.
 """
 
 from __future__ import annotations
@@ -149,6 +157,70 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
     return iou_arrays(a[:, None, :], box_areas(a)[:, None],
                       b[None, :, :], box_areas(b)[None, :])
+
+
+def _x_keys(boxes: np.ndarray, col: int, groups) -> np.ndarray:
+    """Sweep keys of one box edge: the x coordinate, or (group, x) pairs as
+    complex numbers, which numpy sorts and searches lexicographically."""
+    if groups is None:
+        return boxes[:, col]
+    keys = np.empty(len(boxes), dtype=np.complex128)
+    keys.real, keys.imag = groups, boxes[:, col]
+    return keys
+
+
+def _range_pairs(lo: np.ndarray, hi: np.ndarray, chunk: int):
+    """Chunks ``(p, q)`` holding every q in ``[lo[p], hi[p])`` for each p.
+    A chunk stops at the first p whose run starts ``chunk`` pairs in, so it
+    overshoots ``chunk`` by at most one run."""
+    span = np.maximum(hi - lo, 0)
+    first = np.cumsum(span) - span  # where position p's pairs start
+    n, s = len(span), 0
+    while s < n:
+        e = max(s + 1, int(np.searchsorted(first, first[s] + chunk)))
+        counts = span[s:e]
+        p = np.repeat(np.arange(s, e), counts)
+        q = np.arange(len(p)) + np.repeat(lo[s:e] - first[s:e] + first[s], counts)
+        yield p, q
+        s = e
+
+
+def sweep_pairs(a: np.ndarray, chunk: int, groups_a=None,
+                b: np.ndarray | None = None, groups_b=None):
+    """Every pair of boxes that can have IoU > 0, by a sort-and-sweep on x1.
+
+    Yields chunks ``(i, j)`` of index arrays, about ``chunk`` pairs each, so
+    the caller's temporaries over one chunk stay bounded. Without ``b``,
+    each unordered pair of distinct boxes of ``a`` whose x-extents intersect
+    comes once; with ``b``, each such pair of a box ``i`` of ``a`` and a box
+    ``j`` of ``b``. With ``groups_a`` (and ``groups_b``), integer group ids
+    such as image indices, only boxes of one group pair up. Boxes whose
+    x-extents only touch are not paired; their IoU is 0.
+
+    Boxes are sorted by (group, x1), and ``searchsorted`` on a box's edges
+    bounds the run of boxes whose left edge falls inside its x-extent. Every
+    pair whose x-extents intersect has one box's left edge inside the other
+    box's extent: within one set that is the later box in x1 order; between
+    two sets ``a`` claims the ``b`` boxes with x1 in ``[x1, x2)`` and ``b``
+    the ``a`` boxes with x1 in ``(x1, x2)``, so no pair comes twice.
+    """
+    if b is None:
+        keys = _x_keys(a, 0, groups_a)
+        order = np.argsort(keys, kind="stable")
+        end = np.searchsorted(keys[order], _x_keys(a, 2, groups_a)[order],
+                              side="left")
+        for p, q in _range_pairs(np.arange(1, len(a) + 1), end, chunk):
+            yield order[p], order[q]
+        return
+    for x, gx, y, gy, side, flip in ((a, groups_a, b, groups_b, "left", False),
+                                     (b, groups_b, a, groups_a, "right", True)):
+        keys = _x_keys(y, 0, gy)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        lo = np.searchsorted(keys, _x_keys(x, 0, gx), side=side)
+        hi = np.searchsorted(keys, _x_keys(x, 2, gx), side="left")
+        for p, q in _range_pairs(lo, hi, chunk):
+            yield (order[q], p) if flip else (p, order[q])
 
 
 def ranked_overlaps(ious: np.ndarray, thresh: float) -> list[list[int]]:

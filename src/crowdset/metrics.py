@@ -5,39 +5,54 @@ All metrics run at a single IoU threshold (default 0.5). Ignored ground
 truths never enter a denominator; detections whose only qualifying overlap
 is an ignored ground truth are excluded from the precision/recall sweeps.
 
-Every metric reads one pass per image (:func:`_match_image`). The pass
-computes one IoU matrix between the image's detections and ground truths,
-lists for each detection the non-ignored, same-class ground truths with
-IoU >= threshold (highest IoU first, then lowest index), and admits the
-detections in rank order (descending score, ties by input index) into two
-walks over those lists:
+Every metric is a view of one pass over all images of a call
+(:class:`Evaluation`). The pass holds the images as columns, one image
+after another, and builds no dense IoU matrix:
 
-* the greedy walk: a detection takes its first unmatched candidate (TP),
-  else is IGNORED when it overlaps an ignored ground truth, else is a FP;
-* the maximum-matching walk: a detection searches one augmenting path
-  (Kuhn's algorithm, iterative), so the matching of the top n detections is
-  maximum for every n, and the per-rank gain says whether it grew.
+* One sort-and-sweep keyed by (image, x1)
+  (:func:`~crowdset.geometry.sweep_pairs`) lists every same-image
+  detection/ground-truth pair and ground-truth/ground-truth pair whose
+  x-extents intersect. IoU is computed for those pairs only; every other
+  pair has IoU exactly 0.
+* A detection's candidates are the non-ignored, same-class ground truths
+  with IoU >= threshold, highest IoU first, then lowest index: one
+  ``lexsort`` of the surviving pairs.
+* The detections are admitted in rank order (descending score, ties by
+  input index) into two walks over those lists:
+
+  * the greedy walk: a detection takes its first unmatched candidate (TP),
+    else is IGNORED when it overlaps an ignored ground truth, else is a FP;
+  * the maximum-matching walk: a detection searches one augmenting path
+    (Kuhn's algorithm, iterative), so the matching of the top n detections
+    is maximum for every n, and the per-rank gain says whether it grew.
+
+  Each walk runs once over all images, with global ground-truth indices.
+  No candidate joins two images, so each image's flags and gains are
+  those of a walk over that image alone.
+* The pairs of non-ignored ground truths with IoU > 0 are kept, so the
+  crowd flags and the density count at any ``crowd_iou`` are views too.
 
 Neither walk's decision for a detection depends on lower-ranked detections,
 so keeping only the detections that score >= t gives a prefix of the pass
 for every threshold t. AP and MR^-2 sweep the greedy flags of all images;
-:func:`jaccard_index` sums the gains of each image's prefix (greedy-mode JI
-matches as the greedy walk does, so its gains are the TP flags);
-:func:`best_ji` scans every prefix end at once; and :func:`recall_split`
-counts a ground truth as found when its greedy match scores >= t.
+:func:`jaccard_index` sums the gains of the prefix (greedy-mode JI matches
+as the greedy walk does, so its gains are the TP flags); :func:`best_ji`
+scans every prefix end at once; and :func:`recall_split` counts a ground
+truth as found when its greedy match scores >= t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .assignment import GroundTruth
-from .geometry import boxes_to_array, iou_matrix, ranked_overlaps
-from .scene_io import SceneRecord
+from .geometry import box_areas, boxes_to_array, iou_arrays, sweep_pairs
+from .scene_io import SceneArrays, SceneRecord
 from .suppression import Detection
 
 # A ground truth is "crowd" when another ground truth in the same image
@@ -48,6 +63,9 @@ CROWD_IOU = 0.5
 TP, FP, IGNORED = 1, 0, -1
 
 _MR_FLOOR = 1e-10
+
+# Candidate pairs per sweep chunk; bounds the sweep's temporary arrays.
+_SWEEP_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -104,24 +122,31 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
-class _ImageMatch:
-    """One image's pass; see the module docstring."""
-
-    scores: np.ndarray    # float64 per detection, input order
-    order: np.ndarray     # detection index at each rank
-    greedy: MatchResult
-    gains: np.ndarray     # int64 per rank: 1 where the maximum matching grew
+class DensityStats:
+    objects_per_image: float
+    overlaps_per_image: float
 
 
-def _augment(root: int, adj: list[list[int]], match_right: list[int]) -> bool:
+def _augment(root: int, adj: list[list[int]], match_right: list[int],
+             dead: set[int]) -> bool:
     """Search one augmenting path from left vertex ``root`` (Kuhn's
     algorithm) and flip it into ``match_right``. Iterative, so the path
-    length is not bounded by the interpreter's recursion limit."""
+    length is not bounded by the interpreter's recursion limit.
+
+    A failed search adds the right vertices it reached to ``dead``: they
+    are all matched, and every path through one of them stays among them,
+    so no later search can end there and none flips their edges."""
+    # A free neighbour is a path of one edge. Any augmenting path grows the
+    # matching by one, so taking it changes no gain.
+    for v in adj[root]:
+        if match_right[v] == -1:
+            match_right[v] = root
+            return True
     seen = set()
     stack = [(root, iter(adj[root]))]
     via: list[int] = []   # via[t]: right vertex that led to stack[t + 1]
     while stack:
-        v = next((v for v in stack[-1][1] if v not in seen), -1)
+        v = next((v for v in stack[-1][1] if v not in seen and v not in dead), -1)
         if v < 0:
             stack.pop()
             if via:
@@ -134,6 +159,7 @@ def _augment(root: int, adj: list[list[int]], match_right: list[int]) -> bool:
             return True
         via.append(v)
         stack.append((match_right[v], iter(adj[match_right[v]])))
+    dead |= seen
     return False
 
 
@@ -144,81 +170,156 @@ def _max_matching_gains(adj: list[list[int]], order: Iterable[int],
     prefix, so the gains summed over the first n ranks are the maximum
     matching size of the first n vertices."""
     match_right = [-1] * n_right
-    return np.array([_augment(u, adj, match_right) for u in order],
+    dead: set[int] = set()
+    return np.array([_augment(u, adj, match_right, dead) for u in order],
                     dtype=np.int64)
 
 
-def _match_image(dets: Sequence[Detection], gts: Sequence[GroundTruth],
-                 iou_thresh: float) -> _ImageMatch:
-    """Candidate lists from one IoU matrix, then the greedy walk and the
-    maximum-matching walk over them in rank order."""
-    n_det, n_gt = len(dets), len(gts)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    ignore = np.array([g.ignore for g in gts], dtype=bool)
-    ious = iou_matrix(boxes_to_array([d.box for d in dets]),
-                      boxes_to_array([g.box for g in gts]))
-    same_class = (np.array([d.class_id for d in dets])[:, None]
-                  == np.array([g.class_id for g in gts])[None, :])
-    hits_ignored = ((ious >= iou_thresh) & same_class & ignore).any(axis=1)
-    # -1 sits below every threshold, so masked pairs never become candidates.
-    adj = ranked_overlaps(np.where(same_class & ~ignore, ious, -1.0), iou_thresh)
-
-    ranked = order.tolist()
-    det_match = [-1] * n_det
-    taken = [False] * n_gt
-    for i in ranked:
-        for j in adj[i]:
-            if not taken[j]:
-                taken[j] = True
-                det_match[i] = j
-                break
-    det_match = np.array(det_match, dtype=np.int64)
-    det_flags = np.where(det_match >= 0, TP,
-                         np.where(hits_ignored, IGNORED, FP)).astype(np.int8)
-    greedy = MatchResult(det_flags, det_match, np.array(taken, dtype=bool))
-    return _ImageMatch(scores, order, greedy,
-                       _max_matching_gains(adj, ranked, n_gt))
+def _check_crowd_iou(crowd_iou: float) -> None:
+    # Only ground-truth pairs with IoU > 0 are kept.
+    if not crowd_iou >= 0.0:
+        raise ValueError(f"crowd_iou must be >= 0, got {crowd_iou}")
 
 
-def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
-                 iou_thresh: float) -> MatchResult:
-    """Greedily match detections to ground truths in descending score order.
+def _cat(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    return np.concatenate(parts) if parts else empty
 
-    Each detection takes the unmatched, non-ignored, same-class ground truth
-    with the highest IoU >= ``iou_thresh`` (TP); a detection whose only
-    qualifying overlaps are ignored ground truths is flagged ignored;
-    anything else is a FP. One ground truth matches at most one detection.
+
+class Evaluation:
+    """Every image of one call matched in one sparse pass (see the module
+    docstring); each metric is a view.
+
+    The columns run over all images, one image after another: ground truths
+    ``gt_boxes`` (G, 4), ``gt_classes`` and ``gt_ignore``, detections
+    ``det_boxes`` (D, 4), ``det_scores`` and ``det_classes``, and the image
+    index of each row in ``gt_image`` and ``det_image``. :meth:`of_arrays`
+    builds one from :class:`~crowdset.scene_io.SceneArrays`.
+
+    After construction, ``candidates`` lists each detection's candidate
+    ground truths (global indices), ``order`` is the detection at each
+    global rank, and ``det_flags``, ``det_match`` and ``gt_matched`` are the
+    greedy walk's result, as in :class:`MatchResult` with global indices.
     """
-    return _match_image(dets, gts, iou_thresh).greedy
 
-
-def _count_real_gts(scenes: Iterable[SceneRecord]) -> int:
-    return sum(1 for s in scenes for g in s.gts if not g.ignore)
-
-
-def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
-class _Evaluation:
-    """Every image of a dataset matched once; each metric is a view."""
-
-    def __init__(self, scenes: Sequence[SceneRecord], cfg: EvalConfig):
-        self.scenes = scenes
+    def __init__(self, cfg: EvalConfig, n_images: int,
+                 gt_image: np.ndarray, gt_boxes: np.ndarray,
+                 gt_classes: np.ndarray, gt_ignore: np.ndarray,
+                 det_image: np.ndarray, det_boxes: np.ndarray,
+                 det_scores: np.ndarray, det_classes: np.ndarray):
         self.cfg = cfg
-        self.n_gt = _count_real_gts(scenes)
-        self.images = [_match_image(s.dets, s.gts, cfg.iou_thresh)
-                       for s in scenes]
+        self.n_images = n_images
+        self.gt_image, self.gt_boxes, self.gt_ignore = gt_image, gt_boxes, gt_ignore
+        self.scores = det_scores
+        self.n_gt = int(np.count_nonzero(~gt_ignore))
+        # Descending score, ties by image, then input index: each image's
+        # rank order, and the global order of the AP and MR^-2 sweeps.
+        self.order = np.argsort(-det_scores, kind="stable")
+        (self.candidates, hits_ignored, self.det_gt_swept,
+         self.det_gt_above) = self._candidates(det_image, det_boxes,
+                                               det_classes, gt_classes)
+        det_match = [-1] * len(det_scores)
+        taken = [False] * len(gt_boxes)
+        for i in self.order.tolist():
+            for j in self.candidates[i]:
+                if not taken[j]:
+                    taken[j] = True
+                    det_match[i] = j
+                    break
+        self.det_match = np.array(det_match, dtype=np.int64)
+        self.gt_matched = np.array(taken, dtype=bool)
+        self.det_flags = np.where(
+            self.det_match >= 0, TP,
+            np.where(hits_ignored, IGNORED, FP)).astype(np.int8)
+
+    @classmethod
+    def of_arrays(cls, images: Sequence[SceneArrays],
+                  cfg: EvalConfig) -> "Evaluation":
+        n = len(images)
+        dets = [r.dets for r in images]
+        return cls(
+            cfg, n,
+            np.repeat(np.arange(n), [len(r.gt_boxes) for r in images]),
+            _cat([r.gt_boxes for r in images], np.zeros((0, 4))),
+            _cat([r.gt_classes for r in images], np.zeros(0, dtype=np.int64)),
+            _cat([r.gt_ignore for r in images], np.zeros(0, dtype=bool)),
+            np.repeat(np.arange(n), [len(d) for d in dets]),
+            _cat([d.boxes for d in dets], np.zeros((0, 4))),
+            _cat([d.scores for d in dets], np.zeros(0)),
+            _cat([d.classes for d in dets], np.zeros(0, dtype=np.int64)))
+
+    def _candidates(self, det_image, det_boxes, det_classes, gt_classes):
+        """Each detection's candidate list, whether it reaches an ignored
+        ground truth, the det/GT pairs swept, and how many of them are of
+        one class with IoU >= threshold."""
+        gt_boxes, n_det = self.gt_boxes, len(det_boxes)
+        det_areas, gt_areas = box_areas(det_boxes), box_areas(gt_boxes)
+        empty = np.zeros(0, dtype=np.intp)
+        dets, gts, ious = [empty], [empty], [np.zeros(0)]
+        swept = 0
+        for i, j in sweep_pairs(det_boxes, _SWEEP_PAIRS, det_image,
+                                gt_boxes, self.gt_image):
+            swept += len(i)
+            ov = iou_arrays(det_boxes[i], det_areas[i], gt_boxes[j], gt_areas[j])
+            hit = (ov >= self.cfg.iou_thresh) & (det_classes[i] == gt_classes[j])
+            dets.append(i[hit])
+            gts.append(j[hit])
+            ious.append(ov[hit])
+        d, g, ov = (np.concatenate(x) for x in (dets, gts, ious))
+        above = len(d)
+        ignored = self.gt_ignore[g]
+        hits_ignored = np.zeros(n_det, dtype=bool)
+        hits_ignored[d[ignored]] = True
+        d, g, ov = d[~ignored], g[~ignored], ov[~ignored]
+        g = g[np.lexsort((g, -ov, d))].tolist()
+        ptr = np.zeros(n_det + 1, dtype=np.intp)
+        np.cumsum(np.bincount(d, minlength=n_det), out=ptr[1:])
+        ptr = ptr.tolist()
+        return ([g[lo:hi] for lo, hi in zip(ptr, ptr[1:])], hits_ignored,
+                swept, above)
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """The maximum-matching walk's gain at each global rank."""
+        return _max_matching_gains(self.candidates, self.order.tolist(),
+                                   len(self.gt_boxes))
+
+    @cached_property
+    def _gt_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Each pair of non-ignored ground truths of one image with IoU > 0,
+        once, with its IoU; and the number of ground-truth pairs swept."""
+        boxes, real = self.gt_boxes, ~self.gt_ignore
+        areas = box_areas(boxes)
+        empty = np.zeros(0, dtype=np.intp)
+        firsts, seconds, ious = [empty], [empty], [np.zeros(0)]
+        swept = 0
+        for a, b in sweep_pairs(boxes, _SWEEP_PAIRS, self.gt_image):
+            swept += len(a)
+            both = real[a] & real[b]
+            a, b = a[both], b[both]
+            ov = iou_arrays(boxes[a], areas[a], boxes[b], areas[b])
+            over = ov > 0.0
+            firsts.append(a[over])
+            seconds.append(b[over])
+            ious.append(ov[over])
+        return (np.concatenate(firsts), np.concatenate(seconds),
+                np.concatenate(ious), swept)
+
+    def counters(self) -> dict:
+        """What the pass saw: images, ground truths and detections; pairs
+        the sweep listed (det/GT and GT/GT); same-class det/GT pairs at or
+        above the IoU threshold; GT pairs overlapping beyond ``CROWD_IOU``."""
+        _, _, gt_ious, gt_swept = self._gt_pairs
+        return {"images": self.n_images, "gts": len(self.gt_boxes),
+                "dets": len(self.scores),
+                "candidate_pairs": self.det_gt_swept + gt_swept,
+                "det_gt_pairs_above_iou": self.det_gt_above,
+                "crowd_pairs": int(np.count_nonzero(gt_ious > CROWD_IOU))}
 
     def _sweep(self) -> np.ndarray:
         """Global is-TP flags sorted by descending score, ignored detections
         dropped."""
-        kept = [m.greedy.det_flags != IGNORED for m in self.images]
-        scores = _cat([m.scores[k] for m, k in zip(self.images, kept)], np.float64)
-        flags = _cat([m.greedy.det_flags[k] == TP
-                      for m, k in zip(self.images, kept)], bool)
-        return flags[np.argsort(-scores, kind="stable")]
+        flags = self.det_flags[self.order]
+        return flags[flags != IGNORED] == TP
 
     def average_precision(self) -> float:
         if self.n_gt == 0:
@@ -241,7 +342,7 @@ class _Evaluation:
         return float(np.sum((recall - prev_recall) * envelope))
 
     def mr2(self) -> float:
-        n_images, n_gt, cfg = len(self.scenes), self.n_gt, self.cfg
+        n_images, n_gt, cfg = self.n_images, self.n_gt, self.cfg
         if n_images == 0 or n_gt == 0:
             raise ValueError("miss rate needs at least one image and one ground truth")
         flags = self._sweep()
@@ -258,35 +359,29 @@ class _Evaluation:
         logs = np.log(np.maximum(np.asarray(samples), _MR_FLOOR))
         return float(np.exp(logs.mean()))
 
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and JI matching gains of all images, each image in rank
-        order."""
-        greedy = self.cfg.ji_matching == "greedy"
-        scores = _cat([m.scores[m.order] for m in self.images], np.float64)
-        gains = _cat([(m.greedy.det_flags[m.order] == TP).astype(np.int64)
-                      if greedy else m.gains for m in self.images], np.int64)
-        return scores, gains
+    def _ji_gains(self) -> np.ndarray:
+        """JI matching gain at each global rank."""
+        if self.cfg.ji_matching == "greedy":
+            return (self.det_flags[self.order] == TP).astype(np.int64)
+        return self.gains
 
     def jaccard_index(self, score_threshold: float) -> float:
-        scores, gains = self._ranked()
-        kept = scores >= score_threshold
-        m, d = int(gains[kept].sum()), int(kept.sum())
+        kept = self.scores[self.order] >= score_threshold
+        m, d = int(self._ji_gains()[kept].sum()), int(kept.sum())
         if d + self.n_gt == 0:
             return 1.0
         return m / (d + self.n_gt - m)
 
     def best_ji(self) -> tuple[float, float]:
-        scores, gains = self._ranked()
+        s_sorted = self.scores[self.order]
         # Empty-set candidate at threshold +inf.
         best_val = 1.0 if self.n_gt == 0 else 0.0
         best_thr = math.inf
-        if scores.size:
-            order = np.argsort(-scores, kind="stable")
-            s_sorted = scores[order]
-            m_cum = np.cumsum(gains[order])
+        if s_sorted.size:
+            m_cum = np.cumsum(self._ji_gains())
             # Evaluate once per distinct score, after all ties are admitted;
             # m <= min(d, n_gt) keeps every denominator >= 1.
-            ends = np.append(np.nonzero(np.diff(s_sorted))[0], scores.size - 1)
+            ends = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
             m = m_cum[ends]
             vals = m / (ends + 1 + self.n_gt - m)
             k = int(np.argmax(vals))   # first maximum: the highest threshold
@@ -294,17 +389,23 @@ class _Evaluation:
                 best_val, best_thr = float(vals[k]), float(s_sorted[ends[k]])
         return best_val, best_thr
 
+    def crowd_flags(self, crowd_iou: float) -> np.ndarray:
+        """Per ground truth: another non-ignored ground truth of its image
+        overlaps it with IoU > ``crowd_iou``; ignored ones stay False."""
+        _check_crowd_iou(crowd_iou)
+        a, b, ious, _ = self._gt_pairs
+        over = ious > crowd_iou
+        flags = np.zeros(len(self.gt_boxes), dtype=bool)
+        flags[a[over]] = True
+        flags[b[over]] = True
+        return flags
+
     def recall_split(self, score_threshold: float, crowd_iou: float
                      ) -> tuple[RecallStats, RecallStats, RecallStats]:
-        real, crowd, found = [], [], []
-        for scene, m in zip(self.scenes, self.images):
-            hit = np.zeros(len(scene.gts), dtype=bool)
-            at = m.greedy.det_match[m.scores >= score_threshold]
-            hit[at[at >= 0]] = True
-            real.append(np.array([not g.ignore for g in scene.gts], dtype=bool))
-            crowd.append(crowd_flags(scene.gts, crowd_iou))
-            found.append(hit)
-        real, crowd, found = (_cat(x, bool) for x in (real, crowd, found))
+        found = np.zeros(len(self.gt_boxes), dtype=bool)
+        at = self.det_match[self.scores >= score_threshold]
+        found[at[at >= 0]] = True
+        real, crowd = ~self.gt_ignore, self.crowd_flags(crowd_iou)
 
         def stats(mask: np.ndarray) -> RecallStats:
             return RecallStats(int((found & mask).sum()), int(mask.sum()))
@@ -314,11 +415,63 @@ class _Evaluation:
                             sparse.total + crowd_.total)
         return total, sparse, crowd_
 
+    def density_stats(self, crowd_iou: float = CROWD_IOU) -> DensityStats:
+        _check_crowd_iou(crowd_iou)
+        if self.n_images == 0:
+            return DensityStats(0.0, 0.0)
+        pairs = int(np.count_nonzero(self._gt_pairs[2] > crowd_iou))
+        return DensityStats(self.n_gt / self.n_images, pairs / self.n_images)
+
+    def report(self) -> EvalReport:
+        """AP, MR^-2, best-threshold JI, and crowd/sparse recall at the
+        best-JI threshold."""
+        ji, thr = self.best_ji()
+        total, sparse, crowd = self.recall_split(thr, CROWD_IOU)
+        return EvalReport(ap=self.average_precision(), mr2=self.mr2(), ji=ji,
+                          ji_best_threshold=thr, recall_total=total,
+                          recall_sparse=sparse, recall_crowd=crowd)
+
+
+def _of_lists(cfg: EvalConfig, gt_lists: Sequence[Sequence[GroundTruth]],
+              det_lists: Sequence[Sequence[Detection]]) -> Evaluation:
+    """The pass over dataclasses, one list of each per image."""
+    gts = [g for image in gt_lists for g in image]
+    dets = [d for image in det_lists for d in image]
+    n = len(gt_lists)
+    return Evaluation(
+        cfg, n,
+        np.repeat(np.arange(n), [len(image) for image in gt_lists]),
+        boxes_to_array([g.box for g in gts]),
+        np.array([g.class_id for g in gts], dtype=np.int64),
+        np.array([g.ignore for g in gts], dtype=bool),
+        np.repeat(np.arange(n), [len(image) for image in det_lists]),
+        boxes_to_array([d.box for d in dets]),
+        np.array([d.score for d in dets], dtype=np.float64),
+        np.array([d.class_id for d in dets], dtype=np.int64))
+
+
+def _of_scenes(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> Evaluation:
+    return _of_lists(cfg, [s.gts for s in scenes], [s.dets for s in scenes])
+
+
+def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
+                 iou_thresh: float) -> MatchResult:
+    """Greedily match detections to ground truths in descending score order.
+
+    Each detection takes the unmatched, non-ignored, same-class ground truth
+    with the highest IoU >= ``iou_thresh`` (TP); a detection whose only
+    qualifying overlaps are ignored ground truths is flagged ignored;
+    anything else is a FP. One ground truth matches at most one detection.
+    ``iou_thresh`` must be in (0, 1), as in :class:`EvalConfig`.
+    """
+    ev = _of_lists(EvalConfig(iou_thresh=iou_thresh), [gts], [dets])
+    return MatchResult(ev.det_flags, ev.det_match, ev.gt_matched)
+
 
 def average_precision(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     """Area under the precision-recall curve from a global descending-score
     sweep. Raises on a dataset without ground truths (AP is undefined, not 0)."""
-    return _Evaluation(scenes, cfg).average_precision()
+    return _of_scenes(scenes, cfg).average_precision()
 
 
 def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
@@ -329,7 +482,7 @@ def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     the lowest miss rate with FPPI within budget is taken; miss rates are
     clamped to 1e-10 inside the log average.
     """
-    return _Evaluation(scenes, cfg).mr2()
+    return _of_scenes(scenes, cfg).mr2()
 
 
 def jaccard_index(scenes: Sequence[SceneRecord], cfg: EvalConfig,
@@ -343,28 +496,21 @@ def jaccard_index(scenes: Sequence[SceneRecord], cfg: EvalConfig,
     """
     if math.isnan(score_threshold):
         raise ValueError("score_threshold must not be NaN")
-    return _Evaluation(scenes, cfg).jaccard_index(score_threshold)
+    return _of_scenes(scenes, cfg).jaccard_index(score_threshold)
 
 
 def best_ji(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> tuple[float, float]:
     """Best Jaccard index over every distinct detection score, plus +inf for
     the empty set; ties return the highest threshold. Agrees exactly with
     :func:`jaccard_index` evaluated at each threshold."""
-    return _Evaluation(scenes, cfg).best_ji()
+    return _of_scenes(scenes, cfg).best_ji()
 
 
 def crowd_flags(gts: Sequence[GroundTruth], crowd_iou: float = CROWD_IOU) -> np.ndarray:
     """Boolean flag per ground truth: True when another non-ignored ground
-    truth in the image overlaps it with IoU strictly above ``crowd_iou``."""
-    flags = np.zeros(len(gts), dtype=bool)
-    real = [j for j, g in enumerate(gts) if not g.ignore]
-    if len(real) < 2:
-        return flags
-    boxes = boxes_to_array([gts[j].box for j in real])
-    ious = iou_matrix(boxes, boxes)
-    np.fill_diagonal(ious, 0.0)
-    flags[real] = (ious > crowd_iou).any(axis=1)
-    return flags
+    truth in the image overlaps it with IoU strictly above ``crowd_iou``
+    (which must be >= 0). Reads the ground-truth pairs the sweep finds."""
+    return _of_lists(EvalConfig(), [gts], [[]]).crowd_flags(crowd_iou)
 
 
 def recall_split(scenes: Sequence[SceneRecord], cfg: EvalConfig,
@@ -375,41 +521,19 @@ def recall_split(scenes: Sequence[SceneRecord], cfg: EvalConfig,
     Returns (total, sparse, crowd) counts; matched flags are those of
     :func:`match_greedy` on the thresholded detections.
     """
-    return _Evaluation(scenes, cfg).recall_split(score_threshold, crowd_iou)
+    return _of_scenes(scenes, cfg).recall_split(score_threshold, crowd_iou)
 
 
 def evaluate(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> EvalReport:
     """Full report: AP, MR^-2, best-threshold Jaccard index, and crowd/sparse
-    recall at the best-JI threshold, all from one pass per image."""
-    ev = _Evaluation(scenes, cfg)
-    ap = ev.average_precision()
-    mr = ev.mr2()
-    ji, thr = ev.best_ji()
-    total, sparse, crowd = ev.recall_split(thr, CROWD_IOU)
-    return EvalReport(ap=ap, mr2=mr, ji=ji, ji_best_threshold=thr,
-                      recall_total=total, recall_sparse=sparse, recall_crowd=crowd)
-
-
-@dataclass(frozen=True)
-class DensityStats:
-    objects_per_image: float
-    overlaps_per_image: float
+    recall at the best-JI threshold, all from one pass over every image."""
+    return _of_scenes(scenes, cfg).report()
 
 
 def density_stats(scenes: Sequence[SceneRecord],
                   crowd_iou: float = CROWD_IOU) -> DensityStats:
     """Instance density: mean non-ignored ground truths per image and mean
-    count of ground-truth pairs overlapping beyond ``crowd_iou``."""
-    if not scenes:
-        return DensityStats(0.0, 0.0)
-    n_obj = 0
-    n_pairs = 0
-    for scene in scenes:
-        real = [g for g in scene.gts if not g.ignore]
-        n_obj += len(real)
-        if len(real) >= 2:
-            boxes = boxes_to_array([g.box for g in real])
-            ious = iou_matrix(boxes, boxes)
-            iu = np.triu_indices(len(real), k=1)
-            n_pairs += int((ious[iu] > crowd_iou).sum())
-    return DensityStats(n_obj / len(scenes), n_pairs / len(scenes))
+    count of ground-truth pairs overlapping beyond ``crowd_iou`` (which
+    must be >= 0), from the ground-truth pairs the sweep finds."""
+    return _of_lists(EvalConfig(), [s.gts for s in scenes],
+                     [[] for _ in scenes]).density_stats(crowd_iou)

@@ -15,11 +15,11 @@ building a :class:`Detection` per box. :func:`nms`, :func:`set_nms`,
 Every method walks one sparse overlap graph instead of comparing every
 pick with every surviving box:
 
-* A sort-and-sweep on x1 finds the candidate pairs. Boxes are sorted by
-  their left edge, and ``searchsorted`` on each box's right edge bounds the
-  run of later boxes whose x-extent can intersect it. IoU is computed for
-  those pairs only; every other pair has IoU exactly 0. The sweep works in
-  chunks of a bounded number of pairs, so its temporaries stay small.
+* A sort-and-sweep on x1 (:func:`~crowdset.geometry.sweep_pairs`) finds
+  the candidate pairs: the pairs whose x-extents intersect. IoU is
+  computed for those pairs only; every other pair has IoU exactly 0. The
+  sweep works in chunks of a bounded number of pairs, so its temporaries
+  stay small.
 * An edge is kept only where the method would act on it: same class, and
   IoU above ``iou_thresh`` (above 0 for gaussian Soft-NMS, whose decay
   touches any overlap). Set NMS's same-proposal skip is one more edge mask,
@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, box_areas, boxes_to_array, iou_arrays
+from .geometry import BBox, box_areas, boxes_to_array, iou_arrays, sweep_pairs
 
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
 
@@ -157,21 +157,9 @@ def _overlap_graph(dets: Detections, min_iou, respect_proposals=False,
     boxes, classes, pids = dets.boxes, dets.classes, dets.proposal_ids
     n = len(boxes)
     areas = box_areas(boxes)
-    order = np.argsort(boxes[:, 0], kind="stable")
-    # A box later in x1 order can only intersect box p if it starts left of
-    # p's right edge: positions p+1 .. end[p]-1.
-    end = np.searchsorted(boxes[order, 0], boxes[order, 2], side="left")
-    span = np.maximum(end - np.arange(n) - 1, 0)
-    first = np.cumsum(span) - span  # where position p's pairs start
     empty = np.zeros(0, dtype=np.intp)
     src, dst, val = [empty], [empty], [np.zeros(0)]
-    lo = 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _SWEEP_PAIRS)))
-        counts = span[lo:hi]
-        p = np.repeat(np.arange(lo, hi), counts)
-        q = p + 1 + np.arange(len(p)) - np.repeat(first[lo:hi] - first[lo], counts)
-        a, b = order[p], order[q]
+    for a, b in sweep_pairs(boxes, _SWEEP_PAIRS):
         ov = iou_arrays(boxes[a], areas[a], boxes[b], areas[b])
         edge = (ov > min_iou) & (classes[a] == classes[b])
         if respect_proposals:
@@ -184,7 +172,6 @@ def _overlap_graph(dets: Detections, min_iou, respect_proposals=False,
             a, b = np.where(fwd, a, b), np.where(fwd, b, a)
         src.append(a)
         dst.append(b)
-        lo = hi
     if rank is None:
         src, dst, val = [*src, *dst], [*dst, *src], [*val, *val]
     a = np.concatenate(src)

@@ -27,9 +27,9 @@ import numpy as np
 
 from .assignment import GroundTruth, gt_set_members
 from .geometry import BBox, box_areas, boxes_to_array, iou, iou_arrays
-from .metrics import EvalConfig, EvalReport, evaluate
-from .scene_io import SceneRecord
-from .suppression import Detection, SuppressionConfig, suppress
+from .metrics import EvalConfig, EvalReport, Evaluation
+from .scene_io import SceneArrays, SceneRecord
+from .suppression import Detection, Detections, SuppressionConfig, suppress_arrays
 
 # Namespaces for derived seed streams.
 _NS_SCENE = 0
@@ -352,15 +352,16 @@ def run_study(scene_params: SceneParams,
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     scenes = build_scenes(scene_params, n_images, seed)
+    columns = [SceneArrays.from_record(scene) for scene in scenes]
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
     rows: list[StudyRow] = []
     for sim in sim_params_list:
-        raw = [simulate_detector(scene.gts, replace(sim, seed=s))
+        raw = [Detections.from_list(simulate_detector(scene.gts, replace(sim, seed=s)))
                for scene, s in zip(scenes, sim_seeds)]
         for cfg in suppression_cfgs:
-            eval_scenes = [replace(scene, dets=suppress(dets, cfg))
-                           for scene, dets in zip(scenes, raw)]
-            report = evaluate(eval_scenes, eval_cfg)
+            kept = [replace(c, dets=dets.take(*suppress_arrays(dets, cfg)))
+                    for c, dets in zip(columns, raw)]
+            report = Evaluation.of_arrays(kept, eval_cfg).report()
             rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
                                  method=cfg.method, iou_thresh=cfg.iou_thresh,
                                  report=report))

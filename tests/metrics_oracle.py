@@ -2,10 +2,11 @@
 
 These are the original per-metric loops: one greedy match per image for each
 of AP, MR^-2 and the recall split, and a separate adjacency plus recursive
-augmenting-path (Kuhn) search for the Jaccard index. ``crowdset.metrics``
-derives all of them from one pass per image; the tests require both to give
-identical numbers. ``best_ji`` here is a brute force over
-:func:`jaccard_index` at every distinct score.
+augmenting-path (Kuhn) search for the Jaccard index, each over a dense IoU
+matrix per image. ``crowdset.metrics`` derives all of them from one sparse
+pass over every image of a call; the tests require both to give identical
+numbers. ``best_ji`` here is a brute force over :func:`jaccard_index` at
+every distinct score, and ``density_stats`` the dense pair count.
 """
 
 import math
@@ -270,3 +271,19 @@ def best_ji(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> tuple[float, floa
         if val > best_val:
             best_val, best_thr = val, thr
     return best_val, best_thr
+
+
+def density_stats(scenes: Sequence[SceneRecord], crowd_iou: float = CROWD_IOU):
+    """(mean non-ignored ground truths, mean ground-truth pairs with IoU
+    strictly above ``crowd_iou``) per image, from one IoU matrix each."""
+    if not scenes:
+        return 0.0, 0.0
+    n_obj = n_pairs = 0
+    for scene in scenes:
+        real = [g for g in scene.gts if not g.ignore]
+        n_obj += len(real)
+        if len(real) >= 2:
+            ious = iou_matrix(boxes_to_array([g.box for g in real]),
+                              boxes_to_array([g.box for g in real]))
+            n_pairs += int((ious[np.triu_indices(len(real), k=1)] > crowd_iou).sum())
+    return n_obj / len(scenes), n_pairs / len(scenes)

@@ -115,6 +115,54 @@ class TestStrictJson:
         assert "ji_best_threshold\tnull" in out.read_text().splitlines()
 
 
+class TestEvalCounters:
+    def test_manifest_counts_the_sparse_pass(self, tmp_path):
+        # Image a: a crowd pair (IoU 0.6), a lone box and an ignored box;
+        # a detection on the pair's first box, one on nothing and one on the
+        # ignored box. Image b has one ground truth and no detections.
+        def gt(x1, y1, x2, y2, ignore=False):
+            return GroundTruth(box=BBox(x1, y1, x2, y2), ignore=ignore)
+
+        def det(x1, y1, x2, y2, score):
+            return Detection(box=BBox(x1, y1, x2, y2), score=score)
+
+        gts = [gt(0.0, 0.0, 10.0, 10.0), gt(0.0, 2.5, 10.0, 12.5),
+               gt(100.0, 100.0, 110.0, 110.0), gt(5.0, 0.0, 15.0, 10.0, True)]
+        dets = [det(0.0, 0.0, 10.0, 10.0, 0.9), det(200.0, 0.0, 210.0, 10.0, 0.5),
+                det(5.0, 0.0, 15.0, 10.0, 0.8)]
+        write_scene_file([SceneRecord(id="a", gts=gts),
+                          SceneRecord(id="b", gts=gts[:1])], tmp_path / "gt.jsonl")
+        write_scene_file([SceneRecord(id="a", dets=dets)], tmp_path / "det.jsonl")
+        manifest = tmp_path / "eval.manifest.json"
+        assert main(["eval", "--gt", str(tmp_path / "gt.jsonl"), "--det",
+                     str(tmp_path / "det.jsonl"), "--out",
+                     str(tmp_path / "eval.json"), "--manifest", str(manifest)]) == 0
+        # Pairs whose x-extents intersect: 6 det/GT, 3 GT/GT. At IoU >= 0.5
+        # and the same class: the first detection with both boxes of the
+        # pair, the third with the ignored box.
+        assert strict_json(manifest)["counters"] == {
+            "images": 2, "gts": 5, "dets": 3, "candidate_pairs": 9,
+            "det_gt_pairs_above_iou": 3, "crowd_pairs": 1}
+        rep = strict_json(tmp_path / "eval.json")
+        assert rep["density"] == {"objects_per_image": 2.0,
+                                  "overlaps_per_image": 0.5}
+        assert rep["recall"]["crowd"] == {"matched": 1, "total": 2, "ratio": 0.5}
+
+    def test_counters_agree_with_the_report(self, round_trip, tmp_path):
+        gt, det = round_trip
+        manifest = tmp_path / "eval.manifest.json"
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--out",
+                     str(tmp_path / "e.json"), "--manifest", str(manifest)]) == 0
+        counters = strict_json(manifest)["counters"]
+        rep = strict_json(tmp_path / "e.json")
+        assert counters["images"] == 6
+        assert counters["gts"] == sum(len(r.gts) for r in parse_scene_file(gt))
+        assert counters["dets"] == sum(len(r.dets) for r in parse_scene_file(det))
+        assert counters["crowd_pairs"] == rep["density"]["overlaps_per_image"] * 6
+        assert (counters["candidate_pairs"] >= counters["det_gt_pairs_above_iou"]
+                >= rep["recall"]["total"]["matched"] > 0)
+
+
 class TestStudy:
     def test_rows_and_report_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "study"

@@ -1,19 +1,25 @@
 import math
 import sys
+import tracemalloc
+from unittest.mock import patch
 
 import metrics_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from crowdset import metrics
 from crowdset.assignment import GroundTruth
-from crowdset.geometry import BBox
+from crowdset.geometry import BBox, boxes_to_array, iou_matrix, ranked_overlaps
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
-                              _max_matching_gains, average_precision, best_ji,
-                              crowd_flags, density_stats, evaluate,
-                              jaccard_index, match_greedy, mr2, recall_split)
-from crowdset.scene_io import SceneRecord
+                              Evaluation, RecallStats, _max_matching_gains,
+                              average_precision, best_ji, crowd_flags,
+                              density_stats, evaluate, jaccard_index,
+                              match_greedy, mr2, recall_split)
+from crowdset.scene_io import SceneArrays, SceneRecord
 from crowdset.suppression import Detection
 
 B = BBox
@@ -481,3 +487,145 @@ class TestAugmentingChain:
         assert best_ji([s], CFG) == (1.0, 0.5)
         with pytest.raises(RecursionError):
             oracle.jaccard_index([s], CFG, 0.0)
+
+
+# Corners on a small integer grid: duplicate boxes, boxes sharing an x-edge,
+# zero-area boxes and pair IoUs of exactly 1/4, 1/3 and 1/2 are common.
+_grid_box = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 4),
+                      st.integers(0, 4)).map(
+    lambda b: (float(b[0]), float(b[1]), float(b[0] + b[2]), float(b[1] + b[3])))
+_THRESHOLDS = (0.25, 1 / 3, 0.5, 0.7)
+
+
+@st.composite
+def _image(draw, sid):
+    gts = [gt(*draw(_grid_box), class_id=draw(st.integers(1, 2)),
+              ignore=draw(st.sampled_from([False, False, False, True])))
+           for _ in range(draw(st.integers(0, 6)))]
+    boxes = [g.box.as_tuple() for g in gts]
+    dets = []
+    for _ in range(draw(st.integers(0, 8))):
+        box = (draw(st.sampled_from(boxes)) if boxes and draw(st.booleans())
+               else draw(_grid_box))
+        score = draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                               st.floats(0.0, 1.0)))
+        dets.append(det(*box, score=score, class_id=draw(st.integers(1, 2))))
+    return scene(sid, gts, dets)
+
+
+_datasets = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(*(_image(f"i{k}") for k in range(n))).map(list))
+
+
+def _raises_value_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+class TestSparsePass:
+    """Multi-image evaluation and every view against the dense oracle loops,
+    and the sparse candidate lists against the dense ranking rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenes=_datasets, iou_thresh=st.sampled_from(_THRESHOLDS),
+           crowd_iou=st.sampled_from((0.0, *_THRESHOLDS)),
+           ji_matching=st.sampled_from(["optimal", "greedy"]),
+           ap_interpolation=st.sampled_from(["all_points", "eleven_point"]),
+           chunk=st.sampled_from([1, 7, metrics._SWEEP_PAIRS]))
+    def test_equals_the_dense_oracle(self, scenes, iou_thresh, crowd_iou,
+                                     ji_matching, ap_interpolation, chunk):
+        cfg = EvalConfig(iou_thresh=iou_thresh, ji_matching=ji_matching,
+                         ap_interpolation=ap_interpolation)
+        with patch.object(metrics, "_SWEEP_PAIRS", chunk):
+            ev = Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes], cfg)
+            self._check(scenes, cfg, crowd_iou, ev)
+
+    def _check(self, scenes, cfg, crowd_iou, ev):
+        if any(not g.ignore for s in scenes for g in s.gts):
+            assert ev.report() == evaluate(scenes, cfg)
+            assert ev.average_precision() == oracle.average_precision(scenes, cfg)
+            assert ev.mr2() == oracle.mr2(scenes, cfg)
+        else:
+            for fn in (evaluate, average_precision, mr2, oracle.average_precision):
+                assert _raises_value_error(fn, scenes, cfg)
+        assert best_ji(scenes, cfg) == ev.best_ji() == oracle.best_ji(scenes, cfg)
+        thresholds = {0.0, 0.5, math.inf, *(d.score for s in scenes for d in s.dets)}
+        for t in sorted(thresholds)[::3]:
+            assert ev.jaccard_index(t) == jaccard_index(scenes, cfg, t) \
+                == oracle.jaccard_index(scenes, cfg, t)
+            want = oracle.recall_split(scenes, cfg, t, crowd_iou)
+            assert ev.recall_split(t, crowd_iou) == want
+            assert recall_split(scenes, cfg, t, crowd_iou) == want
+        density = density_stats(scenes, crowd_iou)
+        assert (density.objects_per_image, density.overlaps_per_image) == \
+            oracle.density_stats(scenes, crowd_iou)
+        g0 = d0 = 0
+        for s in scenes:
+            n_gt, n_det = len(s.gts), len(s.dets)
+            assert crowd_flags(s.gts, crowd_iou).tolist() == \
+                oracle.crowd_flags(s.gts, crowd_iou).tolist() == \
+                ev.crowd_flags(crowd_iou)[g0:g0 + n_gt].tolist()
+            got = match_greedy(s.dets, s.gts, cfg.iou_thresh)
+            want = oracle.match_greedy(s.dets, s.gts, cfg.iou_thresh)
+            for field in ("det_flags", "det_match", "gt_matched"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and np.array_equal(g, w), field
+            assert ev.det_flags[d0:d0 + n_det].tolist() == want.det_flags.tolist()
+            # The dense ranking rule: same class, not ignored, IoU >= thresh,
+            # highest IoU first, ties to the lowest index.
+            ious = iou_matrix(boxes_to_array([d.box for d in s.dets]),
+                              boxes_to_array([g.box for g in s.gts]))
+            usable = (np.array([[d.class_id == g.class_id and not g.ignore
+                                 for g in s.gts] for d in s.dets], dtype=bool)
+                      .reshape(ious.shape))
+            dense = ranked_overlaps(np.where(usable, ious, -1.0), cfg.iou_thresh)
+            assert [[j - g0 for j in ev.candidates[d0 + i]] for i in range(n_det)] \
+                == dense
+            g0, d0 = g0 + n_gt, d0 + n_det
+
+    def test_the_grid_meets_the_boundaries(self):
+        # IoU exactly at the threshold counts for matching (>=) and not for
+        # crowding (>); shared x-edges and zero-area boxes never overlap.
+        half = [gt(0, 0, 4, 2), gt(0, 0, 4, 4), gt(4, 0, 8, 4), gt(2, 2, 2, 6)]
+        dets = [det(0, 0, 4, 2, 0.9), det(0, 0, 4, 2, 0.8), det(2, 2, 2, 6, 0.7)]
+        s = scene("edge", half, dets)
+        assert match_greedy(dets, half, 0.5).det_match.tolist() == [0, 1, -1]
+        assert crowd_flags(half).tolist() == [False] * 4
+        assert crowd_flags(half, 0.49).tolist() == [True, True, False, False]
+        assert density_stats([s], 0.0).overlaps_per_image == 1.0
+        ev = Evaluation.of_arrays([SceneArrays.from_record(s)], CFG)
+        assert ev.candidates == [[0, 1], [0, 1], []]
+        # The sweep lists each pair whose x-extents meet in more than an
+        # edge: 8 det/GT pairs (the zero-width boxes sit inside two boxes'
+        # extents) and 3 GT/GT pairs.
+        assert ev.counters() == {"images": 1, "gts": 4, "dets": 3,
+                                 "candidate_pairs": 11,
+                                 "det_gt_pairs_above_iou": 4, "crowd_pairs": 0}
+
+    def test_negative_crowd_iou_is_rejected(self):
+        with pytest.raises(ValueError, match="crowd_iou"):
+            crowd_flags([gt(0, 0, 1, 1)], -0.1)
+        with pytest.raises(ValueError, match="iou_thresh"):
+            match_greedy([], [gt(0, 0, 1, 1)], 0.0)
+
+
+class TestScale:
+    def test_wide_image_needs_no_dense_matrix(self):
+        # 20,000 disjoint ground truths, each with one detection 1 px to its
+        # right (IoU 56/72): a dense 20k x 20k float64 matrix is 3.2 GB.
+        n = 20_000
+        gts = [gt(10.0 * t, 0.0, 10.0 * t + 8.0, 8.0) for t in range(n)]
+        dets = [det(10.0 * t + 1.0, 0.0, 10.0 * t + 9.0, 8.0, (t % 97 + 1) / 100)
+                for t in range(n)]
+        tracemalloc.start()
+        try:
+            rep = evaluate([scene("wide", gts, dets)], CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert (rep.ap, rep.ji) == (1.0, 1.0)
+        assert rep.recall_total == RecallStats(n, n)
