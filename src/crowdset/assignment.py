@@ -5,10 +5,13 @@ the proposal reaches the membership threshold ``theta``. Before matching,
 the set is padded to a fixed cardinality with background "dummy" slots that
 carry no regression target.
 
-:func:`gt_set_members` is the one membership rule: it computes one IoU
-matrix of a batch of proposals against an image's ground truths and ranks
-each row with :func:`~crowdset.geometry.ranked_overlaps`. The EMD engine,
-the detector simulator, :func:`build_gt_set` (a batch of one) and
+The core takes ground truths as columns: boxes (G, 4), class ids and
+ignore flags. :func:`gt_columns` is the one converter from
+:class:`GroundTruth` lists to those columns. :func:`gt_set_members` is the
+one membership rule: it computes one IoU matrix of a batch of proposals
+against an image's ground-truth boxes and ranks each row with
+:func:`~crowdset.geometry.ranked_overlaps`. The EMD engine, the detector
+simulator, :func:`build_gt_set` (a batch of one) and
 :func:`max_gt_set_cardinality` all call it.
 """
 
@@ -112,15 +115,25 @@ class GtSet:
         return None
 
 
-def gt_set_members(proposals: np.ndarray, gts: Sequence[GroundTruth],
-                   theta: float) -> list[list[int]]:
-    """For each proposal box in ``proposals`` (P, 4), the indices into
-    ``gts`` of its ground-truth set: the non-ignored ground truths with
-    IoU >= theta, highest IoU first, ties to the lowest index."""
+def gt_columns(gts: Sequence[GroundTruth]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ground truths as columns: boxes (G, 4) float64, class ids int64 and
+    ignore flags bool."""
+    return (boxes_to_array([g.box for g in gts]),
+            np.array([g.class_id for g in gts], dtype=np.int64),
+            np.array([g.ignore for g in gts], dtype=bool))
+
+
+def gt_set_members(proposals: np.ndarray, gt_boxes: np.ndarray,
+                   gt_ignore: np.ndarray, theta: float) -> list[list[int]]:
+    """For each proposal box in ``proposals`` (P, 4), the indices into the
+    ground truths ``gt_boxes`` (G, 4) of its ground-truth set: the ones not
+    flagged in ``gt_ignore`` with IoU >= theta, highest IoU first, ties to
+    the lowest index."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    ious = iou_matrix(proposals, boxes_to_array([g.box for g in gts]))
-    ious[:, np.array([g.ignore for g in gts], dtype=bool)] = -1.0
+    ious = iou_matrix(proposals, gt_boxes)
+    ious[:, gt_ignore] = -1.0
     return ranked_overlaps(ious, theta)
 
 
@@ -131,7 +144,8 @@ def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> Gt
     descending IoU with the proposal, ties broken by input index, and is
     unpadded (``n_slots == n_real``).
     """
-    (members,) = gt_set_members(boxes_to_array([proposal]), gts, theta)
+    boxes, _, ignore = gt_columns(gts)
+    (members,) = gt_set_members(boxes_to_array([proposal]), boxes, ignore, theta)
     entries = tuple(gts[i] for i in members)
     return GtSet(entries=entries, source_proposal=proposal, theta=theta,
                  n_slots=len(entries))
@@ -173,8 +187,8 @@ def max_gt_set_cardinality(scenes: Iterable["SceneRecord"], theta: float) -> int
     """
     best = 0
     for scene in scenes:
-        real = [g.box for g in scene.gts if not g.ignore]
-        if real:
-            members = gt_set_members(boxes_to_array(real), scene.gts, theta)
+        boxes, _, ignore = gt_columns(scene.gts)
+        if not ignore.all():
+            members = gt_set_members(boxes[~ignore], boxes, ignore, theta)
             best = max(best, max(map(len, members)))
     return best

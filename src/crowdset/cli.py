@@ -26,7 +26,7 @@ from . import __version__
 from .emd import EmdConfig, match_image
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
-                       parse_scene_file, write_scene_arrays, write_scene_file)
+                       write_scene_arrays, write_scene_file)
 from .suppression import METHODS, Detections, SuppressionConfig, suppress_arrays
 from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
                     run_study)
@@ -209,7 +209,7 @@ def cmd_eval(args) -> int:
 
 def cmd_emd(args) -> int:
     t0 = time.perf_counter()
-    gt_records = parse_scene_file(args.gt)
+    gt_records = parse_scene_arrays(args.gt)
     pred_records = parse_prediction_arrays(args.pred)
     gt_by_id = _gts_by_id(gt_records, pred_records, "prediction")
     cls_mode = "cross_entropy" if args.cls_mode == "cross-entropy" else "focal"
@@ -219,8 +219,9 @@ def cmd_emd(args) -> int:
     total = 0.0
     counters = {"proposals": 0, "overflowing_sets": 0, "members_dropped": 0}
     for rec in pred_records:
-        match = match_image(rec, gt_by_id[rec.id].gts, cfg, args.theta,
-                            args.truncate_topk)
+        g = gt_by_id[rec.id]
+        match = match_image(rec, g.gt_boxes, g.gt_classes, g.gt_ignore, cfg,
+                            args.theta, args.truncate_topk)
         for idx, (n, perm, costs, t) in enumerate(zip(
                 match.n_members.tolist(), match.permutation.tolist(),
                 match.per_slot_cost.tolist(), match.total.tolist())):

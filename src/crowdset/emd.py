@@ -8,12 +8,13 @@ the smallest total. At ``k == 1`` this reduces exactly to the ordinary
 single-instance detection loss.
 
 One batched engine computes the loss. :func:`match_image` scores every
-proposal of an image at once from :class:`PredictionArrays`: one IoU
-matrix gives the ground-truth sets
-(:func:`~crowdset.assignment.gt_set_members`), one (P, k, k) tensor holds
-the pair costs, and one argmin over the ``k!`` permutation totals per
-proposal picks the matching. :func:`pair_cost_matrix`, :func:`emd_match`
-and :func:`emd_loss` are one-proposal calls of the same code, so the cost
+proposal of an image at once from :class:`PredictionArrays` and the
+image's ground-truth columns: one IoU matrix gives each ground-truth set as
+member indices (:func:`~crowdset.assignment.gt_set_members`), which index
+the columns for the slot targets; one (P, k, k) tensor holds the pair
+costs, and one argmin over the ``k!`` permutation totals per proposal
+picks the matching. :func:`pair_cost_matrix`, :func:`emd_match` and
+:func:`emd_loss` are one-proposal calls of the same code, so the cost
 formula and the tie rule live in one place. The scalar :func:`cls_loss`,
 :func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
 engine computes the same numbers bit for bit, with the logs and the focal
@@ -31,8 +32,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .assignment import GroundTruth, GtSet, gt_set_members, pad_to_k
-from .geometry import BBox, BoxDelta, boxes_to_array, encode_delta
+from .assignment import GtSet, gt_columns, gt_set_members, pad_to_k
+from .geometry import BBox, BoxDelta, encode_delta
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
 SCORE_EPS = 1e-12
@@ -177,19 +178,12 @@ class PredictionArrays:
 
 @dataclass(frozen=True)
 class EmdConfig:
-    """Knobs for the matching loss.
-
-    ``cls_weight``/``reg_weight`` default to 1 (the two terms are summed
-    unweighted); they exist so downstream training code can rebalance.
-    """
+    """Knobs for the matching loss."""
 
     k: int = 2
     cls_mode: str = "cross_entropy"
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
-    smooth_l1_beta: float = 1.0
-    cls_weight: float = 1.0
-    reg_weight: float = 1.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -200,8 +194,6 @@ class EmdConfig:
             raise ValueError("focal_gamma must be >= 0")
         if not 0.0 < self.focal_alpha <= 1.0:
             raise ValueError("focal_alpha must be in (0, 1]")
-        if self.smooth_l1_beta <= 0.0:
-            raise ValueError("smooth_l1_beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -263,15 +255,16 @@ def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None,
     )
 
 
-def _targets(members: Sequence[Sequence[GroundTruth]], k: int):
-    """Padded slot targets of P ground-truth sets of at most ``k`` members:
-    class ids (P, k) with background for dummies, boxes (P, k, 4) and a
-    real-member mask (P, k)."""
+def _targets(members: Sequence[Sequence[int]], gt_boxes: np.ndarray,
+             gt_classes: np.ndarray, k: int):
+    """Padded slot targets of P sets of at most ``k`` member indices into
+    ``gt_boxes`` and ``gt_classes``: class ids (P, k) with background for
+    dummies, boxes (P, k, 4) and a real-member mask (P, k)."""
     counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
-    flat = [g for m in members for g in m]
-    classes = np.fromiter((g.class_id for g in flat), dtype=np.intp, count=len(flat))
-    return (_pad_ragged(classes, counts, k),
-            _pad_ragged(boxes_to_array([g.box for g in flat]), counts, k),
+    flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
+                       count=int(counts.sum()))
+    return (_pad_ragged(gt_classes[flat], counts, k),
+            _pad_ragged(gt_boxes[flat], counts, k),
             _pad_ragged(np.ones(len(flat), dtype=bool), counts, k))
 
 
@@ -325,11 +318,10 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
             want[..., axis][real] = [math.log(v) for v in ratio[real].tolist()]
         x = deltas[:, :, None, :] - want[:, None, :, :]
         ax = np.abs(x)
-        beta = cfg.smooth_l1_beta
-        sl1 = np.where(ax < beta, 0.5 * x * x / beta, ax - 0.5 * beta)
+        sl1 = np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
         reg = sl1[..., 0] + sl1[..., 1] + sl1[..., 2] + sl1[..., 3]
         reg = np.where(real[:, None, :], reg, 0.0)
-        return cfg.cls_weight * cls + cfg.reg_weight * reg
+        return cls + reg
 
 
 def _match(costs: np.ndarray):
@@ -369,7 +361,9 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
         raise ValueError(f"ground-truth set has {gts.n_slots} slots, config "
                          f"expects {cfg.k}")
     arrays = PredictionArrays.from_sets("", [pred])
-    classes, boxes, real = _targets([gts.entries], cfg.k)
+    gt_boxes, gt_classes, _ = gt_columns(gts.entries)
+    classes, boxes, real = _targets([range(gts.n_real)], gt_boxes, gt_classes,
+                                    cfg.k)
     bad = _class_errors(classes, arrays.n_classes)[0]
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -430,10 +424,12 @@ class ImageMatch:
     dropped: int
 
 
-def match_image(pred: PredictionArrays, gts: Sequence[GroundTruth],
-                cfg: EmdConfig, theta: float, truncate: bool = False) -> ImageMatch:
-    """Build every proposal's ground-truth set (IoU >= ``theta``), keep its
-    top ``cfg.k`` members when ``truncate`` is set, pad it and match it.
+def match_image(pred: PredictionArrays, gt_boxes: np.ndarray,
+                gt_classes: np.ndarray, gt_ignore: np.ndarray, cfg: EmdConfig,
+                theta: float, truncate: bool = False) -> ImageMatch:
+    """Build every proposal's ground-truth set (IoU >= ``theta``) among the
+    image's ground-truth columns, keep its top ``cfg.k`` members when
+    ``truncate`` is set, pad it and match it.
 
     The result equals a loop of :func:`~crowdset.assignment.build_gt_set`,
     :func:`~crowdset.assignment.truncate_top_k` and :func:`emd_loss` over
@@ -445,9 +441,10 @@ def match_image(pred: PredictionArrays, gts: Sequence[GroundTruth],
     k = cfg.k
     wrong = np.flatnonzero(pred.n_slots != k)
     n = int(wrong[0]) if wrong.size else len(pred)  # proposals with k slots
-    members = gt_set_members(pred.boxes[:n], gts, theta) if n else []
+    members = gt_set_members(pred.boxes[:n], gt_boxes, gt_ignore, theta) if n else []
     n_real = np.fromiter(map(len, members), dtype=np.intp, count=n)
-    classes, boxes, real = _targets([[gts[j] for j in m[:k]] for m in members], k)
+    classes, boxes, real = _targets([m[:k] for m in members], gt_boxes,
+                                    gt_classes, k)
     scores, n_classes = pred.scores[:n, :k], pred.n_classes[:n, :k]
     bad_class = _class_errors(classes, n_classes)
     costs = _cost_tensor(pred.boxes[:n], scores, pred.deltas[:n, :k], classes,

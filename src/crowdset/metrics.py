@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruth
-from .geometry import box_areas, boxes_to_array, iou_arrays, sweep_pairs
+from .geometry import box_areas, iou_arrays, sweep_pairs
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import Detection
 
@@ -432,26 +432,9 @@ class Evaluation:
                           recall_sparse=sparse, recall_crowd=crowd)
 
 
-def _of_lists(cfg: EvalConfig, gt_lists: Sequence[Sequence[GroundTruth]],
-              det_lists: Sequence[Sequence[Detection]]) -> Evaluation:
-    """The pass over dataclasses, one list of each per image."""
-    gts = [g for image in gt_lists for g in image]
-    dets = [d for image in det_lists for d in image]
-    n = len(gt_lists)
-    return Evaluation(
-        cfg, n,
-        np.repeat(np.arange(n), [len(image) for image in gt_lists]),
-        boxes_to_array([g.box for g in gts]),
-        np.array([g.class_id for g in gts], dtype=np.int64),
-        np.array([g.ignore for g in gts], dtype=bool),
-        np.repeat(np.arange(n), [len(image) for image in det_lists]),
-        boxes_to_array([d.box for d in dets]),
-        np.array([d.score for d in dets], dtype=np.float64),
-        np.array([d.class_id for d in dets], dtype=np.int64))
-
-
 def _of_scenes(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> Evaluation:
-    return _of_lists(cfg, [s.gts for s in scenes], [s.dets for s in scenes])
+    """The pass over dataclasses, converted at the edge."""
+    return Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes], cfg)
 
 
 def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
@@ -464,7 +447,8 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
     anything else is a FP. One ground truth matches at most one detection.
     ``iou_thresh`` must be in (0, 1), as in :class:`EvalConfig`.
     """
-    ev = _of_lists(EvalConfig(iou_thresh=iou_thresh), [gts], [dets])
+    ev = _of_scenes([SceneRecord("", gts=gts, dets=dets)],
+                    EvalConfig(iou_thresh=iou_thresh))
     return MatchResult(ev.det_flags, ev.det_match, ev.gt_matched)
 
 
@@ -510,7 +494,7 @@ def crowd_flags(gts: Sequence[GroundTruth], crowd_iou: float = CROWD_IOU) -> np.
     """Boolean flag per ground truth: True when another non-ignored ground
     truth in the image overlaps it with IoU strictly above ``crowd_iou``
     (which must be >= 0). Reads the ground-truth pairs the sweep finds."""
-    return _of_lists(EvalConfig(), [gts], [[]]).crowd_flags(crowd_iou)
+    return _of_scenes([SceneRecord("", gts=gts)], EvalConfig()).crowd_flags(crowd_iou)
 
 
 def recall_split(scenes: Sequence[SceneRecord], cfg: EvalConfig,
@@ -535,5 +519,5 @@ def density_stats(scenes: Sequence[SceneRecord],
     """Instance density: mean non-ignored ground truths per image and mean
     count of ground-truth pairs overlapping beyond ``crowd_iou`` (which
     must be >= 0), from the ground-truth pairs the sweep finds."""
-    return _of_lists(EvalConfig(), [s.gts for s in scenes],
-                     [[] for _ in scenes]).density_stats(crowd_iou)
+    return _of_scenes([SceneRecord(s.id, gts=s.gts) for s in scenes],
+                      EvalConfig()).density_stats(crowd_iou)

@@ -38,9 +38,9 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .assignment import GroundTruth
+from .assignment import GroundTruth, gt_columns
 from .emd import PredictionArrays, PredictionSet, SlotPrediction
-from .geometry import BBox, BoxDelta, boxes_to_array
+from .geometry import BBox, BoxDelta
 from .suppression import Detection, Detections
 
 PathOrStream = Union[str, os.PathLike, IO[str]]
@@ -79,9 +79,7 @@ class SceneArrays:
 
     @classmethod
     def from_record(cls, r: SceneRecord) -> "SceneArrays":
-        return cls(r.id, r.width, r.height, boxes_to_array([g.box for g in r.gts]),
-                   np.array([g.class_id for g in r.gts], dtype=np.int64),
-                   np.array([g.ignore for g in r.gts], dtype=bool),
+        return cls(r.id, r.width, r.height, *gt_columns(r.gts),
                    Detections.from_list(r.dets))
 
     def record(self) -> SceneRecord:
@@ -197,20 +195,18 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
     rid = str(obj["id"])
     gts, dets = obj.get("gts", []), obj.get("dets", [])
     try:
-        gt_columns, det_columns = _gt_columns(gts, rid), _det_columns(dets, rid)
+        gt_cols, det_cols = _gt_columns(gts, rid), _det_columns(dets, rid)
     except (LookupError, TypeError, ValueError, ArithmeticError):
-        gt_columns = det_columns = None
-    if gt_columns is None or det_columns is None:
+        gt_cols = det_cols = None
+    if gt_cols is None or det_cols is None:
         # A check failed or a field is odd (a number written as a string, a
         # box in an unexpected form): build the dataclasses in file order.
         # The first invalid element raises its own error; otherwise the
         # record parses as float() and int() read it.
-        rec = SceneArrays.from_record(SceneRecord(
-            id=rid, gts=[_gt(g, rid) for g in gts], dets=[_det(d, rid) for d in dets]))
-        gt_columns = rec.gt_boxes, rec.gt_classes, rec.gt_ignore
-        det_columns = rec.dets
+        gt_cols = gt_columns([_gt(g, rid) for g in gts])
+        det_cols = Detections.from_list([_det(d, rid) for d in dets])
     return SceneArrays(rid, int(obj.get("width", 0)), int(obj.get("height", 0)),
-                       *gt_columns, det_columns)
+                       *gt_cols, det_cols)
 
 
 def _open_for(source: PathOrStream, mode: str):

@@ -13,6 +13,11 @@ budget ``k`` per model:
   assignment set (up to ``k`` slots sharing the proposal's id), which is
   exactly the structure Set NMS preserves.
 
+The simulator takes ground-truth columns and returns
+:class:`~crowdset.suppression.Detections`; the study feeds it its
+:class:`~crowdset.scene_io.SceneArrays`, and :func:`simulate_detector`
+converts dataclasses at the edge.
+
 Everything is deterministic under the configured seeds. Each image's
 detector noise comes from one stream, drawn in an order that does not
 depend on ``k``, so models with different slot budgets see identical noise.
@@ -25,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GroundTruth, gt_set_members
+from .assignment import GroundTruth, gt_columns, gt_set_members
 from .geometry import BBox, box_areas, boxes_to_array, iou, iou_arrays
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import SceneArrays, SceneRecord
@@ -34,6 +39,10 @@ from .suppression import Detection, Detections, SuppressionConfig, suppress_arra
 # Namespaces for derived seed streams.
 _NS_SCENE = 0
 _NS_SIM = 1
+
+# A detection scores SCORE_BASE minus SCORE_PENALTY times its coordinate
+# error over its target's diagonal, clipped to [0.05, 0.99].
+SCORE_BASE, SCORE_PENALTY = 0.95, 2.0
 
 _PLACEMENT_TRIES = 200
 _PAIR_IOU_TOL = 1e-4
@@ -82,9 +91,7 @@ class DetectorSimParams:
     put several proposals on every object, and those surplus near-duplicates
     are what loose suppression thresholds leave behind as false positives.
     A one-slot proposal always collapses onto the cluster's dominant
-    member. Scores follow quality: base score minus a penalty proportional
-    to the prediction's coordinate error over the box diagonal, clipped to
-    [0.05, 0.99].
+    member. Scores follow quality (``SCORE_BASE``, ``SCORE_PENALTY``).
 
     ``mode="single"`` is ``mip`` with ``k=1`` whatever ``k`` says. It,
     ``label`` and ``effective_k`` are kept only because the benchmark's
@@ -95,8 +102,6 @@ class DetectorSimParams:
     k: int = 2
     proposal_jitter: float = 0.06
     proposals_per_gt: int = 3
-    score_base: float = 0.95
-    score_penalty: float = 2.0
     theta: float = 0.5
     seed: int = 0
 
@@ -258,28 +263,14 @@ def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=1)
 
 
-def simulate_detector(gts: Sequence[GroundTruth],
-                      params: DetectorSimParams) -> list[Detection]:
-    """Emit detections for a scene: ``proposals_per_gt`` jittered proposals
-    per ground truth, each predicting from its own assignment set.
-
-    Every proposal computes its assignment set (members with IoU >= theta,
-    descending IoU). With ``k >= 2`` slots a proposal emits one detection
-    per member, up to ``k``; with one slot it emits one detection aimed at
-    the cluster's dominant member: the largest area, ties to the larger
-    corner tuple, then to the lower rank. One stream, seeded by
-    ``params.seed``, gives first the proposal noise and then every member's
-    noise in (proposal, rank) order, so different ``k`` see identical noise.
-    """
-    real = [g for g in gts if not g.ignore]
-    if not real:
-        return []
+def _simulate(gt_boxes: np.ndarray, gt_classes: np.ndarray,
+              gt_ignore: np.ndarray, params: DetectorSimParams) -> Detections:
+    """:func:`simulate_detector` on ground-truth columns."""
     rng = np.random.default_rng(params.seed)
-    gt_boxes = boxes_to_array([g.box for g in real])
-    owners = np.repeat(np.arange(len(real)), params.proposals_per_gt)
+    owners = np.repeat(np.flatnonzero(~gt_ignore), params.proposals_per_gt)
     proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
                         rng.standard_normal((len(owners), 4)))
-    ranked = gt_set_members(proposals, real, params.theta)
+    ranked = gt_set_members(proposals, gt_boxes, gt_ignore, params.theta)
     sizes = np.array([len(m) for m in ranked], dtype=np.intp)
     member = np.array([i for m in ranked for i in m], dtype=np.intp)
     proposal = np.repeat(np.arange(len(ranked)), sizes)
@@ -292,22 +283,36 @@ def simulate_detector(gts: Sequence[GroundTruth],
         # Sorting keeps each proposal's members in the positions they held,
         # so a group's first sorted position is where its rank 0 was.
         chosen = order[rank == 0]
-        slots = np.zeros(len(chosen), dtype=np.intp)
+        slots = np.zeros(len(chosen), dtype=np.int64)
     else:
         chosen = np.flatnonzero(rank < params.k)
-        slots = rank[chosen]
+        slots = rank[chosen].astype(np.int64)
     target = gt_boxes[member[chosen]]
     boxes = _jitter(target, params.proposal_jitter, noise[chosen])
     size = target[:, 2:] - target[:, :2]
     error = (np.linalg.norm(boxes - target, axis=1)
              / np.maximum(np.hypot(size[:, 0], size[:, 1]), 1e-9))
-    scores = np.clip(params.score_base - params.score_penalty * error,
-                     0.05, 0.99)
-    return [Detection(box=BBox(*box), score=score,
-                      class_id=real[gt].class_id, proposal_id=pid, slot=slot)
-            for box, score, gt, pid, slot in zip(
-                boxes.tolist(), scores.tolist(), member[chosen].tolist(),
-                proposal[chosen].tolist(), slots.tolist())]
+    return Detections(boxes=boxes,
+                      scores=np.clip(SCORE_BASE - SCORE_PENALTY * error, 0.05, 0.99),
+                      classes=gt_classes[member[chosen]],
+                      proposal_ids=proposal[chosen].astype(np.int64), slots=slots)
+
+
+def simulate_detector(gts: Sequence[GroundTruth],
+                      params: DetectorSimParams) -> list[Detection]:
+    """Emit detections for a scene: ``proposals_per_gt`` jittered proposals
+    per ground truth, each predicting from its own assignment set.
+
+    Every proposal computes its assignment set (members with IoU >= theta,
+    descending IoU). With ``k >= 2`` slots a proposal emits one detection
+    per member, up to ``k``; with one slot it emits one detection aimed at
+    the cluster's dominant member: the largest area, ties to the larger
+    corner tuple, then to the lower rank. One stream, seeded by
+    ``params.seed``, gives first the proposal noise and then every member's
+    noise in (proposal, rank) order, so different ``k`` see identical noise.
+    Ignored ground truths get no proposal and join no set.
+    """
+    return _simulate(*gt_columns(gts), params).to_list()
 
 
 @dataclass(frozen=True)
@@ -356,8 +361,8 @@ def run_study(scene_params: SceneParams,
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
     rows: list[StudyRow] = []
     for sim in sim_params_list:
-        raw = [Detections.from_list(simulate_detector(scene.gts, replace(sim, seed=s)))
-               for scene, s in zip(scenes, sim_seeds)]
+        raw = [_simulate(c.gt_boxes, c.gt_classes, c.gt_ignore, replace(sim, seed=s))
+               for c, s in zip(columns, sim_seeds)]
         for cfg in suppression_cfgs:
             kept = [replace(c, dets=dets.take(*suppress_arrays(dets, cfg)))
                     for c, dets in zip(columns, raw)]

@@ -77,9 +77,8 @@ def pair_cost_matrix(pred, gts, cfg):
         for j in range(cfg.k):
             c = cls_loss(slot.class_scores, gts.slot_class(j), cfg.cls_mode,
                          cfg.focal_gamma, cfg.focal_alpha)
-            r = reg_loss(slot.delta, pred.proposal, gts.slot_box(j),
-                         cfg.smooth_l1_beta)
-            costs[i, j] = cfg.cls_weight * c + cfg.reg_weight * r
+            r = reg_loss(slot.delta, pred.proposal, gts.slot_box(j))
+            costs[i, j] = c + r
     return costs
 
 

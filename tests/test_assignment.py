@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdset.assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
-                                 GtSetOverflowError, build_gt_set,
+                                 GtSetOverflowError, build_gt_set, gt_columns,
                                  gt_set_members, max_gt_set_cardinality,
                                  pad_to_k, truncate_top_k)
 from crowdset.geometry import BBox, boxes_to_array, iou
@@ -160,7 +160,8 @@ class TestGtSetMembers:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 1.0]))
     def test_batch_equals_the_scalar_loop(self, seed, theta):
         gts, proposals = grid_scene(np.random.default_rng(seed))
-        rows = gt_set_members(boxes_to_array(proposals), gts, theta)
+        boxes, _, ignore = gt_columns(gts)
+        rows = gt_set_members(boxes_to_array(proposals), boxes, ignore, theta)
         assert len(rows) == len(proposals)
         for p, row in zip(proposals, rows):
             want = oracle.build_gt_set(p, gts, theta).entries
@@ -179,7 +180,8 @@ class TestGtSetMembers:
 
     def test_theta_checked_before_any_overlap(self):
         with pytest.raises(ValueError, match="theta must be in"):
-            gt_set_members(np.zeros((0, 4)), [], 0.0)
+            gt_set_members(np.zeros((0, 4)), np.zeros((0, 4)),
+                           np.zeros(0, dtype=bool), 0.0)
 
 
 class TestGtSetValidation:

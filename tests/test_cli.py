@@ -497,6 +497,25 @@ class TestEmdErrors:
         assert message in err
         assert "proposal 1" not in err
 
+    @pytest.mark.parametrize("bad_gt", [
+        {"box_xyxy": [0.0, 0.0, 40.0, 80.0], "ignore": "yes"},
+        {"box_xyxy": [40.0, 0.0, 0.0, 80.0]},
+    ])
+    def test_bad_gt_file_fails_as_eval_does(self, tmp_path, capsys, bad_gt):
+        good = {"box_xyxy": [0.0, 0.0, 40.0, 80.0]}
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps({"id": "a", "gts": [good]}) + "\n"
+                      + json.dumps({"id": "b", "gts": [good, bad_gt]}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "a", "proposals": []}) + "\n")
+        det = tmp_path / "det.jsonl"
+        write_scene_file([SceneRecord(id="a")], det)
+        assert main(["emd", "--gt", str(gt), "--pred", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ")
+        assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 1
+        assert capsys.readouterr().err == err
+
     def test_class_error_before_a_later_overflow(self, tmp_path, capsys):
         # Proposal 0 covers only the class-2 box; proposal 1 overflows.
         gts = [GroundTruth(box=BBox(200.0, 0.0, 240.0, 80.0), class_id=2),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crowdset.assignment import (GroundTruth, build_gt_set, pad_to_k,
-                                 truncate_top_k)
+from crowdset.assignment import (GroundTruth, build_gt_set, gt_columns,
+                                 pad_to_k, truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
                           SlotPrediction, cls_loss, emd_loss, emd_match,
                           match_image, pair_cost_matrix, reg_loss, smooth_l1)
@@ -352,12 +352,12 @@ class TestEngineOracle:
                                        gts, cfg, theta, truncate)
         except ValueError as e:
             with pytest.raises(ValueError) as got:
-                match_image(PredictionArrays.from_sets("img", sets), gts, cfg,
-                            theta, truncate)
+                match_image(PredictionArrays.from_sets("img", sets),
+                            *gt_columns(gts), cfg, theta, truncate)
             assert str(got.value) == str(e)
             return
-        got = match_image(PredictionArrays.from_sets("img", sets), gts, cfg,
-                          theta, truncate)
+        got = match_image(PredictionArrays.from_sets("img", sets),
+                          *gt_columns(gts), cfg, theta, truncate)
         assert got.n_members.tolist() == [n for n, _ in want]
         assert [tuple(p) for p in got.permutation.tolist()] == \
             [m.permutation for _, m in want]
@@ -406,6 +406,7 @@ class TestEngineOracle:
 
     def test_image_without_proposals(self):
         got = match_image(PredictionArrays.from_sets("img", []),
-                          [GroundTruth(box=B(0, 0, 10, 10))], EmdConfig(k=2), 0.5)
+                          *gt_columns([GroundTruth(box=B(0, 0, 10, 10))]),
+                          EmdConfig(k=2), 0.5)
         assert got.total.shape == (0,) and got.permutation.shape == (0, 2)
         assert got.overflowing == 0 and got.dropped == 0

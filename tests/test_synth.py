@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from crowdset.assignment import GroundTruth
@@ -16,6 +19,18 @@ CROWDED = SceneParams(n_objects_mean=14.0, crowd_pairs_mean=2.0,
 
 def crowded_scenes(n=6):
     return [s.gts for s in build_scenes(CROWDED, n, seed=21)]
+
+
+def edge_scenes():
+    """Crowded scenes with ignored ground truths of three classes, then an
+    empty scene and an all-ignored one."""
+    mixed = [[GroundTruth(box=g.box, class_id=1 + i % 3, ignore=i % 4 == 1)
+              for i, g in enumerate(gts)] for gts in crowded_scenes(3)]
+    return mixed + [[], [replace(g, ignore=True) for g in mixed[0]]]
+
+
+# sha256 of simulate_detector over edge_scenes() at k = 1, 2 and 3.
+EDGE_SCENES_SHA256 = "27183d786003f98a5d55bf8e64b45e220d5254ddde1405967dd9b1e1f90b074d"
 
 
 class TestDeterminism:
@@ -89,6 +104,30 @@ class TestSimulator:
         # The smaller members of the generated pairs and triples move too.
         assert sum(d.box != gts[d.proposal_id].box for d in dets) >= 4
         assert dets[-2].box == dets[-1].box == tie[1].box
+
+    def test_edge_scene_output_is_pinned(self):
+        digest = hashlib.sha256()
+        scenes = edge_scenes()
+        for k in (1, 2, 3):
+            for i, gts in enumerate(scenes):
+                dets = simulate_detector(gts, DetectorSimParams(
+                    k=k, seed=derive_seed(21, 1, i)))
+                digest.update(repr([(d.box.as_tuple(), d.score, d.class_id,
+                                     d.proposal_id, d.slot)
+                                    for d in dets]).encode())
+        assert digest.hexdigest() == EDGE_SCENES_SHA256
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_targets_are_real_and_give_their_class(self, k):
+        # Zero jitter puts every proposal on its ground truth, which is then
+        # a member, and every prediction exactly on its target box; no
+        # ignored box equals a real one.
+        for gts in edge_scenes():
+            real = {g.box: g.class_id for g in gts if not g.ignore}
+            dets = simulate_detector(gts, DetectorSimParams(
+                k=k, proposal_jitter=0.0, proposals_per_gt=2, seed=1))
+            assert {d.proposal_id for d in dets} == set(range(2 * len(real)))
+            assert all(real.get(d.box) == d.class_id for d in dets)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
