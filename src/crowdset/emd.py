@@ -58,7 +58,7 @@ class SlotPrediction:
         object.__setattr__(self, "class_scores", scores)
         if scores.ndim != 1 or scores.size < 2:
             raise ValueError("class_scores must be a 1-D vector with >= 2 classes")
-        # Written so a NaN sum fails too; _invalid applies the same test.
+        # Written so a NaN sum fails too; invalid() applies the same test.
         if np.any(scores < 0.0) or not abs(float(scores.sum()) - 1.0) <= 1e-6:
             raise ValueError("class_scores must be a probability vector (sum 1)")
 
@@ -100,7 +100,7 @@ class PredictionArrays:
     slot counts. ``scores`` (P, S, C), ``n_classes`` (P, S) and ``deltas``
     (P, S, 4) hold the slots, S being the largest slot count and C the
     longest score vector; entries past a proposal's slot count or past a
-    vector's length are 0. :meth:`validate` applies the checks of
+    vector's length are 0. :meth:`invalid` applies the checks of
     :class:`BBox`, :class:`BoxDelta`, :class:`SlotPrediction` and
     :class:`PredictionSet` to all proposals at once.
     """
@@ -152,14 +152,8 @@ class PredictionArrays:
                 delta=BoxDelta(*self.deltas[i, s].tolist()))
                 for s in range(int(self.n_slots[i]))))
 
-    def validate(self) -> None:
-        """Raise the dataclasses' own error for the first invalid proposal."""
-        bad = self._invalid()
-        if bad.any():
-            self.prediction_set(int(np.argmax(bad)))
-            raise AssertionError("array checks disagree with the dataclasses")
-
-    def _invalid(self) -> np.ndarray:
+    def invalid(self) -> np.ndarray:
+        """Per proposal: whether a check of the dataclasses fails."""
         b = self.boxes
         bad = (~np.isfinite(b).all(axis=1) | (b[:, 2] < b[:, 0])
                | (b[:, 3] < b[:, 1]) | (self.n_slots == 0))

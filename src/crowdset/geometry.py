@@ -9,7 +9,7 @@ IoU arithmetic lives in two kernels that compute the same numbers:
 
 * :func:`iou_arrays` broadcasts box arrays against each other, with areas
   supplied by the caller so that repeated calls over one box set compute
-  them once: the suppression sweep gathers its candidate pairs into
+  them once: the overlap engine gathers its candidate pairs into
   aligned arrays, and scene generation tests each candidate box against
   the boxes placed so far. :func:`iou_matrix` is its all-pairs wrapper.
 * :func:`iou` takes one pair of :class:`BBox`. It stays scalar because its
@@ -17,18 +17,18 @@ IoU arithmetic lives in two kernels that compute the same numbers:
   generation, ``GtSet`` validation), and numpy's fixed per-call overhead
   costs over ten times the scalar arithmetic on a single pair.
 
-:func:`sweep_pairs` is the one candidate-pair search for IoU over many
-boxes: a sort-and-sweep on x1 that lists the pairs whose x-extents
-intersect, so callers compute IoU for those pairs only (every other pair
-has IoU exactly 0). Suppression sweeps one image's detections, the
-evaluator every image's detections against ground truths and ground truths
-against each other at once.
+:func:`overlaps` is the one overlap engine for many boxes. It walks
+:func:`sweep_pairs`, a sort-and-sweep on x1 that lists the pairs whose
+x-extents intersect (every other pair has IoU exactly 0) in chunks of at
+most ``_SWEEP_PAIRS``, computes their IoU and keeps the pairs the caller's
+mask accepts. Suppression runs it on one image's detections, the evaluator
+on every image's detections against ground truths and ground truths
+against each other.
 
-:func:`ranked_overlaps` turns an IoU matrix into per-row candidate lists,
-highest IoU first, ties to the lowest column: the ranking rule of
-ground-truth set construction (``assignment.gt_set_members``, which the
-simulator and the EMD engine call). The evaluator ranks its sparse pairs
-by the same rule.
+:func:`rank_pairs` is the one ranking rule, highest IoU first and ties to
+the lowest column. The evaluator ranks its sparse pairs with it, and
+ground-truth set construction (``assignment.gt_set_members``) ranks an IoU
+matrix through its dense wrapper :func:`ranked_overlaps`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# Candidate pairs per sweep chunk; bounds the sweep's temporary arrays.
+_SWEEP_PAIRS = 1 << 14
 
 
 class GeometryError(ValueError):
@@ -223,16 +227,45 @@ def sweep_pairs(a: np.ndarray, chunk: int, groups_a=None,
             yield (order[q], p) if flip else (p, order[q])
 
 
+def overlaps(a: np.ndarray, keep, groups_a=None,
+             b: np.ndarray | None = None, groups_b=None):
+    """``(i, j, ious, swept)``: the pairs of :func:`sweep_pairs` (same
+    arguments) that ``keep(i, j, ious)``, a mask over one chunk, accepts, as
+    aligned arrays in sweep order; and the number of pairs swept."""
+    other = a if b is None else b
+    area_a = box_areas(a)
+    area_b = area_a if b is None else box_areas(b)
+    empty = np.zeros(0, dtype=np.intp)
+    firsts, seconds, values = [empty], [empty], [np.zeros(0)]
+    swept = 0
+    for i, j in sweep_pairs(a, _SWEEP_PAIRS, groups_a, b, groups_b):
+        swept += len(i)
+        ious = iou_arrays(a[i], area_a[i], other[j], area_b[j])
+        hit = keep(i, j, ious)
+        firsts.append(i[hit])
+        seconds.append(j[hit])
+        values.append(ious[hit])
+    return (np.concatenate(firsts), np.concatenate(seconds),
+            np.concatenate(values), swept)
+
+
+def rank_pairs(rows: np.ndarray, cols: np.ndarray, ious: np.ndarray,
+               n_rows: int) -> list[list[int]]:
+    """For each of ``n_rows`` rows, the ``cols`` of its (row, col, IoU)
+    triplets, highest IoU first and ties to the lowest column index."""
+    cols = cols[np.lexsort((cols, -ious, rows))].tolist()
+    ptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
+    ptr = ptr.tolist()
+    return [cols[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
 def ranked_overlaps(ious: np.ndarray, thresh: float) -> list[list[int]]:
-    """For each row of ``ious``, the columns with IoU >= ``thresh``, highest
-    IoU first and ties to the lowest column index."""
+    """For each row of ``ious``, the columns with IoU >= ``thresh``, ranked
+    by :func:`rank_pairs`."""
     ious = np.asarray(ious)
     rows, cols = np.nonzero(ious >= thresh)
-    order = np.lexsort((cols, -ious[rows, cols], rows))
-    ranked: list[list[int]] = [[] for _ in range(ious.shape[0])]
-    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
-        ranked[i].append(j)
-    return ranked
+    return rank_pairs(rows, cols, ious[rows, cols], ious.shape[0])
 
 
 def boxes_to_array(boxes) -> np.ndarray:

@@ -9,14 +9,12 @@ Every metric is a view of one pass over all images of a call
 (:class:`Evaluation`). The pass holds the images as columns, one image
 after another, and builds no dense IoU matrix:
 
-* One sort-and-sweep keyed by (image, x1)
-  (:func:`~crowdset.geometry.sweep_pairs`) lists every same-image
-  detection/ground-truth pair and ground-truth/ground-truth pair whose
-  x-extents intersect. IoU is computed for those pairs only; every other
-  pair has IoU exactly 0.
+* The geometry overlap engine (:func:`~crowdset.geometry.overlaps`),
+  keyed by image, lists every same-image detection/ground-truth pair and
+  ground-truth/ground-truth pair that overlaps, in one sweep each.
 * A detection's candidates are the non-ignored, same-class ground truths
-  with IoU >= threshold, highest IoU first, then lowest index: one
-  ``lexsort`` of the surviving pairs.
+  with IoU >= threshold, ranked by :func:`~crowdset.geometry.rank_pairs`:
+  highest IoU first, then lowest index.
 * The detections are admitted in rank order (descending score, ties by
   input index) into two walks over those lists:
 
@@ -51,7 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import GroundTruth
-from .geometry import box_areas, iou_arrays, sweep_pairs
+from .geometry import overlaps, rank_pairs
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import Detection
 
@@ -63,9 +61,6 @@ CROWD_IOU = 0.5
 TP, FP, IGNORED = 1, 0, -1
 
 _MR_FLOOR = 1e-10
-
-# Candidate pairs per sweep chunk; bounds the sweep's temporary arrays.
-_SWEEP_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -251,31 +246,17 @@ class Evaluation:
         """Each detection's candidate list, whether it reaches an ignored
         ground truth, the det/GT pairs swept, and how many of them are of
         one class with IoU >= threshold."""
-        gt_boxes, n_det = self.gt_boxes, len(det_boxes)
-        det_areas, gt_areas = box_areas(det_boxes), box_areas(gt_boxes)
-        empty = np.zeros(0, dtype=np.intp)
-        dets, gts, ious = [empty], [empty], [np.zeros(0)]
-        swept = 0
-        for i, j in sweep_pairs(det_boxes, _SWEEP_PAIRS, det_image,
-                                gt_boxes, self.gt_image):
-            swept += len(i)
-            ov = iou_arrays(det_boxes[i], det_areas[i], gt_boxes[j], gt_areas[j])
-            hit = (ov >= self.cfg.iou_thresh) & (det_classes[i] == gt_classes[j])
-            dets.append(i[hit])
-            gts.append(j[hit])
-            ious.append(ov[hit])
-        d, g, ov = (np.concatenate(x) for x in (dets, gts, ious))
-        above = len(d)
+        thresh, n_det = self.cfg.iou_thresh, len(det_boxes)
+        d, g, ious, swept = overlaps(
+            det_boxes,
+            lambda i, j, ov: (ov >= thresh) & (det_classes[i] == gt_classes[j]),
+            det_image, self.gt_boxes, self.gt_image)
         ignored = self.gt_ignore[g]
         hits_ignored = np.zeros(n_det, dtype=bool)
         hits_ignored[d[ignored]] = True
-        d, g, ov = d[~ignored], g[~ignored], ov[~ignored]
-        g = g[np.lexsort((g, -ov, d))].tolist()
-        ptr = np.zeros(n_det + 1, dtype=np.intp)
-        np.cumsum(np.bincount(d, minlength=n_det), out=ptr[1:])
-        ptr = ptr.tolist()
-        return ([g[lo:hi] for lo, hi in zip(ptr, ptr[1:])], hits_ignored,
-                swept, above)
+        real = ~ignored
+        return (rank_pairs(d[real], g[real], ious[real], n_det), hits_ignored,
+                swept, len(d))
 
     @cached_property
     def gains(self) -> np.ndarray:
@@ -287,22 +268,10 @@ class Evaluation:
     def _gt_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Each pair of non-ignored ground truths of one image with IoU > 0,
         once, with its IoU; and the number of ground-truth pairs swept."""
-        boxes, real = self.gt_boxes, ~self.gt_ignore
-        areas = box_areas(boxes)
-        empty = np.zeros(0, dtype=np.intp)
-        firsts, seconds, ious = [empty], [empty], [np.zeros(0)]
-        swept = 0
-        for a, b in sweep_pairs(boxes, _SWEEP_PAIRS, self.gt_image):
-            swept += len(a)
-            both = real[a] & real[b]
-            a, b = a[both], b[both]
-            ov = iou_arrays(boxes[a], areas[a], boxes[b], areas[b])
-            over = ov > 0.0
-            firsts.append(a[over])
-            seconds.append(b[over])
-            ious.append(ov[over])
-        return (np.concatenate(firsts), np.concatenate(seconds),
-                np.concatenate(ious), swept)
+        real = ~self.gt_ignore
+        return overlaps(self.gt_boxes,
+                        lambda a, b, ov: real[a] & real[b] & (ov > 0.0),
+                        self.gt_image)
 
     def counters(self) -> dict:
         """What the pass saw: images, ground truths and detections; pairs

@@ -19,13 +19,14 @@ leaves the detection anonymous (treated as unique by Set NMS) and is omitted
 again on write, so files from single-prediction detectors round-trip without
 fabricated identities.
 
-Scene records parse into columns, :class:`SceneArrays`. Each line is
-decoded once, and the checks of ``BBox``, ``GroundTruth`` and ``Detection``
-run on the arrays; only a record that fails one is rebuilt element by
-element in file order, so that its error is the file's first, in the
-dataclass's own words. One writer emits columns through ``.tolist()``,
-whose floats keep their ``repr``. :func:`parse_scene_file` and
-:func:`write_scene_file` convert to and from the dataclasses.
+Scene records parse into columns, :class:`SceneArrays`, and prediction
+records into :class:`~crowdset.emd.PredictionArrays`. Each line is decoded
+once, and the dataclasses' checks run on the arrays; only a record that
+fails one is rebuilt element by element in file order, so that its error
+is the file's first, in the dataclass's own words. One writer emits
+columns through ``.tolist()``, whose floats keep their ``repr``.
+:func:`parse_scene_file` and :func:`write_scene_file` convert to and from
+the dataclasses.
 """
 
 from __future__ import annotations
@@ -313,40 +314,44 @@ class PredictionRecord:
     proposals: list[PredictionSet] = field(default_factory=list)
 
 
-def _parse_prediction_arrays(obj: dict) -> PredictionArrays:
-    """One prediction record as arrays, validated as a whole once parsed.
+def _prediction_set(p: dict, record_id: str) -> PredictionSet:
+    """One proposal, its dataclasses built in the order they are read."""
+    return PredictionSet(
+        proposal=BBox(*_box_coords(p, record_id)),
+        slots=tuple(SlotPrediction(class_scores=list(map(float, s["scores"])),
+                                   delta=BoxDelta(*map(float, s["delta"])))
+                    for s in p["slots"]))
 
-    Malformed structure (a missing key, a non-number, a delta without four
-    values) raises as it is met. The dataclass checks run on the arrays
-    afterwards, so on a structural error the elements parsed before it are
-    checked first: their error is the one a sequential parser reports.
-    """
+
+def _prediction_columns(proposals: list, record_id: str) -> PredictionArrays | None:
+    """The proposals as arrays, or None when a check fails."""
+    slots = [p["slots"] for p in proposals]
+    flat = list(chain.from_iterable(slots))
+    deltas = [tuple(map(float, s["delta"])) for s in flat]
+    # Checked before stacking: the flat delta column would absorb a short
+    # delta into its neighbour.
+    if any(len(d) != 4 for d in deltas):
+        return None
+    arrays = PredictionArrays.stack(
+        record_id, [_box_coords(p, record_id) for p in proposals],
+        list(map(len, slots)), [list(map(float, s["scores"])) for s in flat],
+        deltas)
+    return None if arrays.invalid().any() else arrays
+
+
+def _parse_prediction_arrays(obj: dict) -> PredictionArrays:
+    """One prediction record as arrays, failing as the scene parser does."""
     rid = str(obj["id"])
-    boxes, n_slots, scores, deltas = [], [], [], []
+    proposals = obj.get("proposals", [])
     try:
-        for p in obj.get("proposals", []):
-            boxes.append(_box_coords(p, rid))
-            n = 0
-            for s in p["slots"]:
-                vector = list(map(float, s["scores"]))
-                delta = tuple(map(float, s["delta"]))
-                if len(delta) != 4:
-                    BoxDelta(*delta)  # raises the dataclass's arity TypeError
-                scores.append(vector)
-                deltas.append(delta)
-                n += 1
-            n_slots.append(n)
-    except (KeyError, TypeError, ValueError):
-        done, n_done = len(n_slots), sum(n_slots)
-        PredictionArrays.stack(rid, boxes[:done], n_slots, scores[:n_done],
-                               deltas[:n_done]).validate()
-        if len(boxes) > done:  # the failing proposal, up to its failure
-            BBox(*boxes[done])
-            for vector, delta in zip(scores[n_done:], deltas[n_done:]):
-                SlotPrediction(class_scores=vector, delta=BoxDelta(*delta))
-        raise
-    arrays = PredictionArrays.stack(rid, boxes, n_slots, scores, deltas)
-    arrays.validate()
+        arrays = _prediction_columns(proposals, rid)
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        arrays = None
+    if arrays is None:
+        # Build the dataclasses in file order: the first invalid element
+        # raises its own error, as in _parse_scene_arrays.
+        arrays = PredictionArrays.from_sets(
+            rid, [_prediction_set(p, rid) for p in proposals])
     return arrays
 
 

@@ -15,14 +15,10 @@ building a :class:`Detection` per box. :func:`nms`, :func:`set_nms`,
 Every method walks one sparse overlap graph instead of comparing every
 pick with every surviving box:
 
-* A sort-and-sweep on x1 (:func:`~crowdset.geometry.sweep_pairs`) finds
-  the candidate pairs: the pairs whose x-extents intersect. IoU is
-  computed for those pairs only; every other pair has IoU exactly 0. The
-  sweep works in chunks of a bounded number of pairs, so its temporaries
-  stay small.
-* An edge is kept only where the method would act on it: same class, and
-  IoU above ``iou_thresh`` (above 0 for gaussian Soft-NMS, whose decay
-  touches any overlap). Set NMS's same-proposal skip is one more edge mask,
+* The geometry overlap engine (:func:`~crowdset.geometry.overlaps`)
+  lists the pairs the method would act on: same class, and IoU above
+  ``iou_thresh`` (above 0 for gaussian Soft-NMS, whose decay touches any
+  overlap). Set NMS's same-proposal skip is one more term of that mask,
   ``proposal ids differ``. The edges are stored in CSR arrays.
 * NMS and Set NMS make one greedy pass in descending-score order: a box
   still alive when reached is kept and kills its neighbours. A box only
@@ -52,12 +48,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, box_areas, boxes_to_array, iou_arrays, sweep_pairs
+from .geometry import BBox, boxes_to_array, overlaps
 
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
-
-# Candidate pairs per sweep chunk; bounds the sweep's temporary arrays.
-_SWEEP_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -154,32 +147,27 @@ def _overlap_graph(dets: Detections, min_iou, respect_proposals=False,
     ``neighbours[indptr[i]:indptr[i + 1]]``. Without ``rank`` each edge is
     stored both ways. With it, each edge is stored once, from the box of
     lower ``rank`` to the other, and ``ious`` is None."""
-    boxes, classes, pids = dets.boxes, dets.classes, dets.proposal_ids
-    n = len(boxes)
-    areas = box_areas(boxes)
-    empty = np.zeros(0, dtype=np.intp)
-    src, dst, val = [empty], [empty], [np.zeros(0)]
-    for a, b in sweep_pairs(boxes, _SWEEP_PAIRS):
-        ov = iou_arrays(boxes[a], areas[a], boxes[b], areas[b])
-        edge = (ov > min_iou) & (classes[a] == classes[b])
+    classes, pids = dets.classes, dets.proposal_ids
+
+    def edge(a, b, ious):
+        keep = (ious > min_iou) & (classes[a] == classes[b])
         if respect_proposals:
-            edge &= pids[a] != pids[b]
-        a, b = a[edge], b[edge]
-        if rank is None:
-            val.append(ov[edge])
-        else:
-            fwd = rank[a] < rank[b]
-            a, b = np.where(fwd, a, b), np.where(fwd, b, a)
-        src.append(a)
-        dst.append(b)
+            keep &= pids[a] != pids[b]
+        return keep
+
+    a, b, ious, _ = overlaps(dets.boxes, edge)
     if rank is None:
-        src, dst, val = [*src, *dst], [*dst, *src], [*val, *val]
-    a = np.concatenate(src)
+        a, b, ious = (np.concatenate((a, b)), np.concatenate((b, a)),
+                      np.tile(ious, 2))
+    else:
+        fwd = rank[a] < rank[b]
+        a, b, ious = np.where(fwd, a, b), np.where(fwd, b, a), None
+    n = len(dets)
     by_row = np.argsort(a, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
-    ious = None if rank is not None else np.concatenate(val)[by_row]
-    return indptr, np.concatenate(dst).astype(np.int32)[by_row], ious
+    return (indptr, b.astype(np.int32)[by_row],
+            None if ious is None else ious[by_row])
 
 
 def _greedy_keep(dets: Detections, iou_thresh, respect_proposals) -> list[int]:

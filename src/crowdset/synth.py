@@ -44,6 +44,10 @@ _NS_SIM = 1
 # error over its target's diagonal, clipped to [0.05, 0.99].
 SCORE_BASE, SCORE_PENALTY = 0.95, 2.0
 
+# A sampled box is BOX_SCALE_RANGE pixels wide and ASPECT_RANGE times as tall.
+BOX_SCALE_RANGE = (40.0, 90.0)
+ASPECT_RANGE = (1.6, 2.6)
+
 _PLACEMENT_TRIES = 200
 _PAIR_IOU_TOL = 1e-4
 
@@ -67,16 +71,12 @@ class SceneParams:
     crowd_pairs_mean: float = 2.40
     crowd_triples_mean: float = 0.0
     pair_iou_range: tuple[float, float] = (0.55, 0.8)
-    box_scale_range: tuple[float, float] = (40.0, 90.0)
-    aspect_range: tuple[float, float] = (1.6, 2.6)
     seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.pair_iou_range
         if not 0.5 < lo <= hi < 1.0:
             raise ValueError("pair_iou_range must lie inside (0.5, 1.0)")
-        if self.box_scale_range[0] <= 0 or self.box_scale_range[0] > self.box_scale_range[1]:
-            raise ValueError("box_scale_range must be positive and ordered")
         if self.n_objects_mean < 0 or self.crowd_pairs_mean < 0 or self.crowd_triples_mean < 0:
             raise ValueError("density means must be non-negative")
 
@@ -133,8 +133,8 @@ def derive_seed(*key: int) -> int:
 
 
 def _sample_box(rng: np.random.Generator, params: SceneParams) -> BBox:
-    w = rng.uniform(*params.box_scale_range)
-    h = w * rng.uniform(*params.aspect_range)
+    w = rng.uniform(*BOX_SCALE_RANGE)
+    h = w * rng.uniform(*ASPECT_RANGE)
     x = rng.uniform(0.0, max(1.0, params.image_w - w))
     y = rng.uniform(0.0, max(1.0, params.image_h - h))
     return BBox(x, y, x + w, y + h)
@@ -347,7 +347,8 @@ def run_study(scene_params: SceneParams,
               n_images: int,
               seed: int) -> list[StudyRow]:
     """Simulate and evaluate every (simulator, suppression) combination over
-    the same ``n_images`` seeded scenes.
+    the same ``n_images`` seeded scenes, except Set NMS on a one-slot
+    simulator, which equals its NMS row.
 
     Scene seeds depend only on (seed, image); detector seeds only on
     (seed, image), shared by all simulator configs, so rows differ purely in
@@ -364,6 +365,9 @@ def run_study(scene_params: SceneParams,
         raw = [_simulate(c.gt_boxes, c.gt_classes, c.gt_ignore, replace(sim, seed=s))
                for c, s in zip(columns, sim_seeds)]
         for cfg in suppression_cfgs:
+            # With one slot, no two boxes share a proposal: Set NMS is NMS.
+            if sim.effective_k == 1 and cfg.method == "set_nms":
+                continue
             kept = [replace(c, dets=dets.take(*suppress_arrays(dets, cfg)))
                     for c, dets in zip(columns, raw)]
             report = Evaluation.of_arrays(kept, eval_cfg).report()

@@ -20,8 +20,8 @@ from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
 # behaviour change to declare, not a test to update silently.
 RAW_DETECTIONS_SHA256 = "d1894d7acfc152ed5413f09d64a0f3787111dd3aef2628ce69c1e88c32c9dc31"
 EVAL_SET_NMS_SHA256 = "b489e1286cd06b5722b48b8bc135d763209202d6ec085b964219d5b6716b3965"
-STUDY_ROWS_SHA256 = "ab8c18cf8b9dc2b8f5d256fe673100a61ac9fbb11d2dcbb58eac8d2548c04e97"
-STUDY_REPORT_SHA256 = "b2541d0d647b601c6f2dabd61c809d0bc389340e69a4661ee0013d10333651f1"
+STUDY_ROWS_SHA256 = "d645246ca954da050c364203d1deceb7e14f9c79fab45eda04560e2e482069aa"
+STUDY_REPORT_SHA256 = "4aa56c0b0ee3ab7151ba18d0824dd330541738084454afd7aa877e804fbc16c2"
 # crowdset suppress of the round trip's raw detections, per method flag.
 SUPPRESS_SHA256 = {
     "nms": "4890cdbb2c1a3c334ceb5864a0fa850ec8bcaccfc90c3f35fce85d2db228a067",
@@ -181,9 +181,11 @@ class TestStudy:
                      str(out)]) == 0
         rows = [(r["sim"], r["k"], r["method"], r["iou_thresh"])
                 for r in strict_json(out / "report.json")["rows"]]
+        # A one-slot model has no Set NMS row: it would equal its NMS row.
         assert rows == [(f"mip{k}", k, method, t) for k in (1, 3, 2)
                         for method, t in (("nms", 0.5), ("set_nms", 0.5),
-                                          ("nms", 0.3))]
+                                          ("nms", 0.3))
+                        if (k, method) != (1, "set_nms")]
 
 
 class TestExitCodes:

@@ -1,14 +1,16 @@
 import math
+from unittest.mock import patch
 
 import emd_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from crowdset import geometry
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
                                decode_delta, encode_delta, iou, iou_matrix,
-                               ranked_overlaps)
+                               overlaps, rank_pairs, ranked_overlaps)
 
 
 def random_box(rng, lo=0.0, hi=100.0, min_size=1.0, max_size=40.0):
@@ -114,6 +116,61 @@ class TestRankedOverlaps:
         want = oracle.build_gt_set(proposal, gts, theta).entries
         assert [gts[j] for j in ranked] == list(want)
         assert build_gt_set(proposal, gts, theta).entries == want
+
+
+class TestRankPairs:
+    def test_ties_and_empty_rows(self):
+        rows = np.array([2, 0, 2, 2, 0])
+        cols = np.array([3, 4, 0, 1, 1])
+        ious = np.array([0.6, 0.9, 0.8, 0.6, 0.9])
+        assert rank_pairs(rows, cols, ious, 4) == [[1, 4], [], [0, 1, 3], []]
+        assert rank_pairs(rows[:0], cols[:0], ious[:0], 2) == [[], []]
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_shuffled_triplets_rank_as_the_dense_matrix(self, n_rows, n_cols,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        # Four IoU levels give ties; a row with nothing >= 0.5 stays empty.
+        dense = rng.choice([0.0, 0.25, 0.5, 0.75], size=(n_rows, n_cols))
+        rows, cols = np.nonzero(dense >= 0.5)
+        shuffle = rng.permutation(len(rows))
+        rows, cols = rows[shuffle], cols[shuffle]
+        assert (rank_pairs(rows, cols, dense[rows, cols], n_rows)
+                == ranked_overlaps(dense, 0.5))
+
+
+class TestOverlaps:
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.sampled_from([1, 3, geometry._SWEEP_PAIRS]))
+    def test_the_kept_pairs_of_the_dense_matrix(self, seed, two_sets, grouped,
+                                                chunk):
+        rng = np.random.default_rng(seed)
+
+        def boxes(n):
+            # A coarse grid gives shared edges, duplicates and zero areas.
+            xy = rng.integers(0, 12, size=(n, 2))
+            return np.hstack([xy, xy + rng.integers(0, 6, size=(n, 2))]
+                             ).astype(np.float64)
+
+        a = boxes(int(rng.integers(0, 10)))
+        b = boxes(int(rng.integers(0, 10))) if two_sets else None
+        ga = rng.integers(0, 2, len(a)) if grouped else None
+        gb = rng.integers(0, 2, len(b)) if grouped and two_sets else None
+        with patch.object(geometry, "_SWEEP_PAIRS", chunk):
+            i, j, ious, swept = overlaps(a, lambda i, j, ov: ov >= 0.2,
+                                         ga, b, gb)
+        other, g_other = (a, ga) if b is None else (b, gb)
+        dense = iou_matrix(a, other)
+        want = dense >= 0.2
+        if grouped:
+            want &= ga[:, None] == g_other[None, :]
+        if b is None:
+            want = np.triu(want, 1)
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        assert sorted(zip(i.tolist(), j.tolist())) == list(zip(*np.nonzero(want)))
+        assert ious.tolist() == dense[i, j].tolist()
+        assert swept >= len(i)
 
 
 class TestDeltas:

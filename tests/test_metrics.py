@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from crowdset import metrics
+from crowdset import geometry
 from crowdset.assignment import GroundTruth
 from crowdset.geometry import BBox, boxes_to_array, iou_matrix, ranked_overlaps
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
@@ -534,12 +534,12 @@ class TestSparsePass:
            crowd_iou=st.sampled_from((0.0, *_THRESHOLDS)),
            ji_matching=st.sampled_from(["optimal", "greedy"]),
            ap_interpolation=st.sampled_from(["all_points", "eleven_point"]),
-           chunk=st.sampled_from([1, 7, metrics._SWEEP_PAIRS]))
+           chunk=st.sampled_from([1, 7, geometry._SWEEP_PAIRS]))
     def test_equals_the_dense_oracle(self, scenes, iou_thresh, crowd_iou,
                                      ji_matching, ap_interpolation, chunk):
         cfg = EvalConfig(iou_thresh=iou_thresh, ji_matching=ji_matching,
                          ap_interpolation=ap_interpolation)
-        with patch.object(metrics, "_SWEEP_PAIRS", chunk):
+        with patch.object(geometry, "_SWEEP_PAIRS", chunk):
             ev = Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes], cfg)
             self._check(scenes, cfg, crowd_iou, ev)
 

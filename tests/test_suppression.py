@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import suppression_oracle as oracle
-from crowdset import suppression
+from crowdset import geometry, suppression
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, SuppressionConfig, _greedy_keep,
@@ -407,8 +407,8 @@ class TestCrowdCloud:
         assert any(d.proposal_id is None for d in dets)
         wants = [oracle_suppress(dets, cfg) for cfg in _CONFIGS]
         # One-position chunks, odd-sized chunks and the default.
-        for chunk in (1, 97, suppression._SWEEP_PAIRS):
-            monkeypatch.setattr(suppression, "_SWEEP_PAIRS", chunk)
+        for chunk in (1, 97, geometry._SWEEP_PAIRS):
+            monkeypatch.setattr(geometry, "_SWEEP_PAIRS", chunk)
             for cfg, want in zip(_CONFIGS, wants):
                 assert_same_output(suppress(dets, cfg), want, cfg)
 

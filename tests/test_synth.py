@@ -7,7 +7,7 @@ from crowdset.assignment import GroundTruth
 from crowdset.cli import main
 from crowdset.geometry import BBox, iou
 from crowdset.metrics import EvalConfig
-from crowdset.suppression import SuppressionConfig
+from crowdset.suppression import SuppressionConfig, nms, set_nms
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             derive_seed, run_study, simulate_detector)
 
@@ -149,3 +149,14 @@ class TestStudy:
             assert better.ap > worse.ap
             assert better.mr2 < worse.mr2
             assert better.ji > worse.ji
+
+    def test_one_slot_set_nms_is_nms(self):
+        # Why the study computes no Set NMS row for a one-slot model.
+        for i, gts in enumerate(crowded_scenes()):
+            dets = simulate_detector(
+                gts, DetectorSimParams(k=1, seed=derive_seed(21, i)))
+            for t in (0.3, 0.5, 0.7):
+                cfg = SuppressionConfig(method="nms", iou_thresh=t)
+                kept = nms(dets, cfg)
+                assert len(kept) < len(dets)
+                assert set_nms(dets, replace(cfg, method="set_nms")) == kept
