@@ -27,8 +27,8 @@ from .scene_io import (PredictionRecord, SceneFileError, SceneRecord,
 from .suppression import (Detection, SuppressionConfig, nms, set_nms,
                           soft_nms, suppress)
 from .synth import (DetectorSimParams, SceneGenerationError, SceneParams,
-                    StudyRow, build_scenes, derive_seed, generate_scene,
-                    run_study, simulate_detector)
+                    StudyRow, build_scenes, derive_seed, run_study,
+                    simulate_detector)
 
 __all__ = [
     "__version__",
@@ -47,6 +47,5 @@ __all__ = [
     "Detection", "SuppressionConfig", "nms", "set_nms", "soft_nms",
     "suppress",
     "DetectorSimParams", "SceneGenerationError", "SceneParams", "StudyRow",
-    "build_scenes", "derive_seed", "generate_scene", "run_study",
-    "simulate_detector",
+    "build_scenes", "derive_seed", "run_study", "simulate_detector",
 ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .assignment import GtSet, gt_columns, gt_set_members, pad_to_k
 from .geometry import BBox, BoxDelta, encode_delta
@@ -324,9 +323,9 @@ def _match(costs: np.ndarray):
     Up to ``ENUMERATION_LIMIT`` slots every permutation's total is summed
     from 0.0 in slot order and the first minimum in ``itertools`` order
     wins, so ties go to the lexicographically smallest permutation; above
-    it an assignment solver runs per matrix. Returns the permutations
-    (P, k), the matched costs (P, k) and their totals (P,), summed the same
-    way.
+    it scipy's assignment solver runs per matrix, imported on first use so
+    that smaller k never loads scipy. Returns the permutations (P, k), the
+    matched costs (P, k) and their totals (P,), summed the same way.
     """
     n, k, _ = costs.shape
     if k <= ENUMERATION_LIMIT:
@@ -337,6 +336,7 @@ def _match(costs: np.ndarray):
             totals += costs[:, i, perms[:, i]]
         chosen = perms[np.argmin(totals, axis=1)]
     else:
+        from scipy.optimize import linear_sum_assignment
         chosen = np.array([linear_sum_assignment(c)[1] for c in costs],
                           dtype=np.intp).reshape(n, k)
     per_slot = np.take_along_axis(costs, chosen[:, :, None], axis=2)[:, :, 0]
@@ -372,8 +372,9 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
     """Minimum-total one-to-one matching of a square cost matrix.
 
     Up to ``ENUMERATION_LIMIT`` rows every permutation is tried and ties go
-    to the lexicographically smallest permutation; larger matrices use an
-    assignment solver (same optimum, tie order unspecified).
+    to the lexicographically smallest permutation; larger matrices use
+    scipy's assignment solver, imported on first use (same optimum, tie
+    order unspecified).
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:

@@ -1,16 +1,22 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import emd_oracle as oracle
 import numpy as np
 import pytest
 
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.cli import main
-from crowdset.emd import PredictionSet, SlotPrediction
+from crowdset.emd import EmdConfig, PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
-from crowdset.scene_io import (PredictionRecord, SceneRecord, parse_scene_file,
+from crowdset.scene_io import (PredictionRecord, SceneRecord,
+                               parse_prediction_file, parse_scene_file,
                                write_prediction_file, write_scene_file)
 from crowdset.suppression import Detection
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
@@ -376,6 +382,21 @@ def emd_inputs(tmp_path):
     return gt_path, paths
 
 
+@pytest.fixture
+def emd_k7_pred(emd_inputs, tmp_path):
+    """k=7 predictions on the emd_inputs ground truths: one proposal per
+    GT, each with seven slots of 2- and 3-class scores."""
+    gt, _ = emd_inputs
+    rng = np.random.default_rng(23)
+    records = [PredictionRecord(id=r.id, proposals=[
+        PredictionSet(proposal=_jittered(rng, g.box),
+                      slots=tuple(_slot(rng, 2 + j % 2) for j in range(7)))
+        for g in r.gts]) for r in parse_scene_file(gt)]
+    path = tmp_path / "emd_pred_k7.jsonl"
+    write_prediction_file(records, path)
+    return path
+
+
 def _run_emd(tmp_path, gt, pred, extra, name="emd.json"):
     out = tmp_path / name
     manifest = tmp_path / (name + ".manifest.json")
@@ -417,6 +438,76 @@ class TestEmd:
         assert strict_json(manifest)["counters"] == {
             "proposals": len(sizes), "overflowing_sets": overflowing,
             "members_dropped": overflowing}
+
+    def test_k7_totals_equal_the_solver_oracle(self, emd_inputs, emd_k7_pred,
+                                               tmp_path):
+        gt, _ = emd_inputs
+        code, out, _ = _run_emd(tmp_path, gt, emd_k7_pred, ["--k", "7"])
+        assert code == 0
+        rows = strict_json(out)["proposals"]
+        gts = {r.id: r.gts for r in parse_scene_file(gt)}
+        want = [(n, m.total) for rec in parse_prediction_file(emd_k7_pred)
+                for n, m in oracle.score_record(rec, gts[rec.id],
+                                                EmdConfig(k=7), 0.5, False)]
+        assert any(n > 1 for n, _ in want)
+        # Tie order above the limit is unspecified: compare totals only.
+        assert [(r["n_members"], r["total"]) for r in rows] == want
+        assert all(sorted(r["permutation"]) == list(range(7)) for r in rows)
+
+
+# Run in a fresh interpreter: the tests import scipy themselves (the oracles
+# use its solvers), so only a new process shows what crowdset loads.
+IMPORT_PROBE = """
+import json, sys
+
+steps = []
+
+
+def step(name, code=0):
+    steps.append([name, code, "scipy" in sys.modules])
+
+
+import crowdset
+step("import crowdset")
+import crowdset.cli
+step("import crowdset.cli")
+for name, argv in json.loads(sys.argv[1]):
+    step(name, crowdset.cli.main(argv))
+print(json.dumps(steps))
+"""
+
+
+class TestImports:
+    def test_scipy_loads_only_above_the_enumeration_limit(
+            self, round_trip, emd_inputs, emd_k7_pred, tmp_path):
+        gt, det = round_trip
+        emd_gt, preds = emd_inputs
+        out = str(tmp_path / "out")
+        runs = [("synth", ["synth", "--images", "1", "--out", out])]
+        runs += [(f"suppress {flag}", ["suppress", "--method", flag, "--in",
+                                       str(tmp_path / "raw.jsonl"), "--out", out])
+                 for flag in SUPPRESS_SHA256]
+        runs.append(("eval", ["eval", "--gt", str(gt), "--det", str(det),
+                              "--out", out]))
+        runs += [(f"emd {' '.join(flags)}", ["emd", "--gt", str(emd_gt),
+                                             "--pred", str(pred), "--out", out,
+                                             *flags])
+                 for pred, flags in ((preds[2], EMD_ARGV["k2-truncate"]),
+                                     (preds[3], EMD_ARGV["k3"]))]
+        runs.append(("study", ["study", "--images", "1", "--out",
+                               str(tmp_path / "study")]))
+        runs.append(("emd --k 7", ["emd", "--gt", str(emd_gt), "--pred",
+                                   str(emd_k7_pred), "--out", out, "--k", "7"]))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                               json.dumps(runs)], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        names = ["import crowdset", "import crowdset.cli"] + [n for n, _ in runs]
+        assert steps == [[n, 0, n == "emd --k 7"] for n in names]
 
 
 def _proposal(box, slots):
