@@ -24,8 +24,7 @@ from .scene_io import (PredictionRecord, SceneFileError, SceneRecord,
                        iter_scene_file, parse_prediction_file,
                        parse_scene_file, write_prediction_file,
                        write_scene_file)
-from .suppression import (Detection, SuppressionConfig, nms, set_nms,
-                          soft_nms, suppress)
+from .suppression import Detection, SuppressionConfig, nms, set_nms, soft_nms
 from .synth import (DetectorSimParams, SceneGenerationError, SceneParams,
                     StudyRow, build_scenes, derive_seed, run_study,
                     simulate_detector)
@@ -45,7 +44,6 @@ __all__ = [
     "parse_prediction_file", "parse_scene_file", "write_prediction_file",
     "write_scene_file",
     "Detection", "SuppressionConfig", "nms", "set_nms", "soft_nms",
-    "suppress",
     "DetectorSimParams", "SceneGenerationError", "SceneParams", "StudyRow",
     "build_scenes", "derive_seed", "run_study", "simulate_detector",
 ]

@@ -62,6 +62,12 @@ class GroundTruth:
             raise ValueError("a real instance cannot carry the background class")
 
 
+def check_theta(theta: float) -> None:
+    """Raise unless the membership threshold ``theta`` is in (0, 1]."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
+
+
 @dataclass(frozen=True)
 class GtSet:
     """Ground truths assigned to one proposal, ordered by descending IoU.
@@ -77,8 +83,7 @@ class GtSet:
     n_slots: int
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+        check_theta(self.theta)
         if self.n_slots < len(self.entries):
             raise ValueError("n_slots cannot be smaller than the real member count")
         for g in self.entries:
@@ -130,8 +135,7 @@ def gt_set_members(proposals: np.ndarray, gt_boxes: np.ndarray,
     ground truths ``gt_boxes`` (G, 4) of its ground-truth set: the ones not
     flagged in ``gt_ignore`` with IoU >= theta, highest IoU first, ties to
     the lowest index."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    check_theta(theta)
     ious = iou_matrix(proposals, gt_boxes)
     ious[:, gt_ignore] = -1.0
     return ranked_overlaps(ious, theta)

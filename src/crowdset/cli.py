@@ -8,6 +8,12 @@ manifests are not (they carry timings). JSON output is strict: no NaN or
 Infinity. The best-JI threshold is +inf only when the empty detection set
 scores best, and is then written as null.
 
+``eval`` and ``emd`` write one JSON report, indented by two spaces, to
+``--out`` or stdout. Each metric has one protocol: ``eval`` reports
+all-point AP, MR^-2, JI over a maximum matching and the crowd/sparse recall
+split; ``emd`` reports the set-matching loss with a cross-entropy plus
+smooth-L1 cost.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -23,6 +29,7 @@ import time
 from dataclasses import asdict, replace
 
 from . import __version__
+from .assignment import check_theta
 from .emd import EmdConfig, match_image
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
@@ -53,24 +60,8 @@ def _write_manifest(path: str, subcommand: str, config: dict, t0: float,
         f.write("\n")
 
 
-def _emit(report: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    else:  # tsv: flattened key\tvalue lines
-        lines = []
-
-        def flatten(prefix: str, obj):
-            if isinstance(obj, dict):
-                for k, v in obj.items():
-                    flatten(f"{prefix}{k}." if prefix else f"{k}.", v) \
-                        if isinstance(v, dict) else flatten(f"{prefix}{k}", v)
-            elif obj is None or isinstance(obj, list):
-                lines.append(f"{prefix}\t{json.dumps(obj)}")
-            else:
-                lines.append(f"{prefix}\t{obj}")
-
-        flatten("", report)
-        text = "\n".join(lines) + "\n"
+def _emit(report: dict, out: str | None) -> None:
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
@@ -181,11 +172,11 @@ def _merge_gt_det(gt_records: list[SceneArrays],
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
+    cfg = EvalConfig(iou_thresh=args.iou, fppi_lo=args.fppi_lo,
+                     fppi_hi=args.fppi_hi, fppi_points=args.fppi_points)
     gt_records = parse_scene_arrays(args.gt)
     det_records = parse_scene_arrays(args.det)
     scenes = _merge_gt_det(gt_records, det_records)
-    cfg = EvalConfig(iou_thresh=args.iou, fppi_lo=args.fppi_lo,
-                     fppi_hi=args.fppi_hi, fppi_points=args.fppi_points)
     ev = Evaluation.of_arrays(scenes, cfg)
     density = ev.density_stats()
     out = {
@@ -198,7 +189,7 @@ def cmd_eval(args) -> int:
         "config": {"iou": args.iou, "fppi_lo": args.fppi_lo,
                    "fppi_hi": args.fppi_hi, "fppi_points": args.fppi_points},
     }
-    _emit(out, args.format, args.out)
+    _emit(out, args.out)
     if args.manifest:
         _write_manifest(args.manifest, "eval", {
             "gt": args.gt, "det": args.det, "iou": args.iou,
@@ -209,12 +200,11 @@ def cmd_eval(args) -> int:
 
 def cmd_emd(args) -> int:
     t0 = time.perf_counter()
+    cfg = EmdConfig(k=args.k)
+    check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
     pred_records = parse_prediction_arrays(args.pred)
     gt_by_id = _gts_by_id(gt_records, pred_records, "prediction")
-    cls_mode = "cross_entropy" if args.cls_mode == "cross-entropy" else "focal"
-    cfg = EmdConfig(k=args.k, cls_mode=cls_mode, focal_gamma=args.focal_gamma,
-                    focal_alpha=args.focal_alpha)
     rows = []
     total = 0.0
     counters = {"proposals": 0, "overflowing_sets": 0, "members_dropped": 0}
@@ -237,9 +227,9 @@ def cmd_emd(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "proposals": rows,
         "mean_loss": (total / count) if count else 0.0,
-        "config": {"k": args.k, "cls_mode": cls_mode, "theta": args.theta},
+        "config": {"k": args.k, "theta": args.theta},
     }
-    _emit(out, args.format, args.out)
+    _emit(out, args.out)
     if args.manifest:
         _write_manifest(args.manifest, "emd", out["config"], t0, counters)
     return 0
@@ -318,21 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, fmt=True):
+    def common(p, seed=False, report=True):
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted and ignored; every subcommand runs in "
                             "one process")
-        if fmt:
-            p.add_argument("--format", choices=("json", "tsv"), default="json")
+        if report:
             p.add_argument("--out", default=None, help="write report here "
                            "instead of stdout")
             p.add_argument("--manifest", default=None,
                            help="optional manifest path")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic scene file")
-    common(p, seed=True, fmt=False)
+    common(p, seed=True, report=False)
     p.add_argument("--images", type=int, required=True)
     p.add_argument("--out", required=True, help="output scene JSONL path")
     _add_scene_flags(p)
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suppress", help="apply a suppression method to a "
                        "detection file")
-    common(p, fmt=False)
+    common(p, report=False)
     p.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True)
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--sigma", type=float, default=0.5)
@@ -365,10 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction JSONL path")
     p.add_argument("--gt", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--cls-mode", choices=("cross-entropy", "focal"),
-                   default="cross-entropy")
-    p.add_argument("--focal-gamma", type=float, default=2.0)
-    p.add_argument("--focal-alpha", type=float, default=0.25)
     p.add_argument("--theta", type=float, default=0.5,
                    help="IoU threshold for set membership")
     p.add_argument("--truncate-topk", action="store_true",
@@ -376,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_emd)
 
     p = sub.add_parser("study", help="run the full synthetic comparison study")
-    common(p, seed=True, fmt=False)
+    common(p, seed=True, report=False)
     p.add_argument("--images", type=int, default=200)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k", type=int, default=2)

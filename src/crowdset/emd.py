@@ -2,10 +2,10 @@
 ground-truth set.
 
 Each proposal emits ``k`` slot predictions. The loss pairs slots with the
-padded ground-truth set one-to-one, scoring every pairing with a
-classification term plus a regression term, and keeps the permutation with
-the smallest total. At ``k == 1`` this reduces exactly to the ordinary
-single-instance detection loss.
+padded ground-truth set one-to-one, scoring every pairing with one cost,
+cross-entropy of the target class plus smooth-L1 of the box delta, and
+keeps the permutation with the smallest total. At ``k == 1`` this reduces
+exactly to the ordinary single-instance detection loss.
 
 One batched engine computes the loss. :func:`match_image` scores every
 proposal of an image at once from :class:`PredictionArrays` and the
@@ -17,9 +17,9 @@ picks the matching. :func:`pair_cost_matrix`, :func:`emd_match` and
 :func:`emd_loss` are one-proposal calls of the same code, so the cost
 formula and the tie rule live in one place. The scalar :func:`cls_loss`,
 :func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
-engine computes the same numbers bit for bit, with the logs and the focal
-powers taken by ``math.log`` and Python ``**`` (numpy's vectorised versions
-can differ in the last bit) and every sum in the scalar order.
+engine computes the same numbers bit for bit, with the logs taken by
+``math.log`` (numpy's vectorised log can differ in the last bit) and every
+sum in the scalar order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GtSet, gt_columns, gt_set_members, pad_to_k
+from .assignment import (GtSet, check_theta, gt_columns, gt_set_members,
+                         pad_to_k)
 from .geometry import BBox, BoxDelta, encode_delta
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
@@ -40,8 +41,6 @@ SCORE_EPS = 1e-12
 # Above this slot count, exhaustive permutation search gives way to an
 # assignment solver (factorial guard).
 ENUMERATION_LIMIT = 6
-
-CLS_MODES = ("cross_entropy", "focal")
 
 
 @dataclass(frozen=True)
@@ -171,22 +170,13 @@ class PredictionArrays:
 
 @dataclass(frozen=True)
 class EmdConfig:
-    """Knobs for the matching loss."""
+    """The matching loss's one setting: ``k`` slots per proposal."""
 
     k: int = 2
-    cls_mode: str = "cross_entropy"
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.cls_mode not in CLS_MODES:
-            raise ValueError(f"cls_mode must be one of {CLS_MODES}, got {self.cls_mode!r}")
-        if self.focal_gamma < 0.0:
-            raise ValueError("focal_gamma must be >= 0")
-        if not 0.0 < self.focal_alpha <= 1.0:
-            raise ValueError("focal_alpha must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -203,23 +193,13 @@ def _vocabulary_error(target_class, n_classes) -> ValueError:
                       f"{n_classes} classes")
 
 
-def cls_loss(scores: np.ndarray, target_class: int, mode: str = "cross_entropy",
-             gamma: float = 2.0, alpha: float = 0.25) -> float:
-    """Classification loss of a probability vector against a target class.
-
-    ``cross_entropy`` returns -log(p); ``focal`` returns
-    -alpha * (1 - p)**gamma * log(p) where p is the target-class score, so
-    gamma=0, alpha=1 recovers cross entropy.
-    """
+def cls_loss(scores: np.ndarray, target_class: int) -> float:
+    """Cross-entropy of a probability vector against a target class:
+    -log(p), p being the target-class score clamped to ``SCORE_EPS``."""
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target_class < scores.size:
         raise _vocabulary_error(target_class, scores.size)
-    p = max(float(scores[target_class]), SCORE_EPS)
-    if mode == "cross_entropy":
-        return -math.log(p)
-    if mode == "focal":
-        return -alpha * (1.0 - p) ** gamma * math.log(p)
-    raise ValueError(f"cls_mode must be one of {CLS_MODES}, got {mode!r}")
+    return -math.log(max(float(scores[target_class]), SCORE_EPS))
 
 
 def smooth_l1(x: float, beta: float = 1.0) -> float:
@@ -266,21 +246,9 @@ def _class_errors(classes: np.ndarray, n_classes: np.ndarray) -> np.ndarray:
     return classes[:, None, :] >= n_classes[:, :, None]
 
 
-def _cls_terms(p: np.ndarray, cfg: EmdConfig) -> np.ndarray:
-    """:func:`cls_loss` of clamped target-class scores, elementwise, with
-    ``math.log`` and Python ``**`` so every value equals the scalar one."""
-    flat = p.ravel().tolist()
-    if cfg.cls_mode == "cross_entropy":
-        terms = (-math.log(v) for v in flat)
-    else:
-        alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
-        terms = (-alpha * (1.0 - v) ** gamma * math.log(v) for v in flat)
-    return np.fromiter(terms, dtype=np.float64, count=len(flat)).reshape(p.shape)
-
-
 def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
-                 classes: np.ndarray, boxes: np.ndarray, real: np.ndarray,
-                 cfg: EmdConfig) -> np.ndarray:
+                 classes: np.ndarray, boxes: np.ndarray,
+                 real: np.ndarray) -> np.ndarray:
     """(P, k, k) pair costs: entry (p, i, j) scores slot i of proposal p
     against target j, as :func:`cls_loss` and :func:`reg_loss` do.
 
@@ -294,7 +262,10 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
     target = np.minimum(classes, scores.shape[2] - 1)
     p = scores[np.arange(n)[:, None, None], np.arange(k)[None, :, None],
                target[:, None, :]]
-    cls = _cls_terms(np.maximum(p, SCORE_EPS), cfg)
+    # cls_loss of each clamped score, by math.log so it equals the scalar one.
+    flat = np.maximum(p, SCORE_EPS).ravel().tolist()
+    cls = np.fromiter((-math.log(v) for v in flat), dtype=np.float64,
+                      count=len(flat)).reshape(p.shape)
 
     # encode_delta of every real target against its proposal.
     pw = (proposals[:, 2] - proposals[:, 0])[:, None]
@@ -365,7 +336,7 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
     if gts.entries and (pred.proposal.width <= 0.0 or pred.proposal.height <= 0.0):
         encode_delta(pred.proposal, gts.entries[0].box)  # raises GeometryError
     return _cost_tensor(arrays.boxes, arrays.scores, arrays.deltas, classes,
-                        boxes, real, cfg)[0]
+                        boxes, real)[0]
 
 
 def emd_match(costs: np.ndarray) -> EmdMatch:
@@ -426,13 +397,16 @@ def match_image(pred: PredictionArrays, gt_boxes: np.ndarray,
     image's ground-truth columns, keep its top ``cfg.k`` members when
     ``truncate`` is set, pad it and match it.
 
-    The result equals a loop of :func:`~crowdset.assignment.build_gt_set`,
+    A bad ``theta`` is raised first, also for an image without proposals.
+    Otherwise the result equals a loop of
+    :func:`~crowdset.assignment.build_gt_set`,
     :func:`~crowdset.assignment.truncate_top_k` and :func:`emd_loss` over
-    the proposals, and so do the errors: a wrong slot count, a bad
-    ``theta``, an overflow without ``truncate``, a ground-truth class
-    outside a slot's score vector and non-finite costs are raised for the
-    first proposal that has one, in that order within a proposal.
+    the proposals, and so do the errors: a wrong slot count, an overflow
+    without ``truncate``, a ground-truth class outside a slot's score vector
+    and non-finite costs are raised for the first proposal that has one, in
+    that order within a proposal.
     """
+    check_theta(theta)
     k = cfg.k
     wrong = np.flatnonzero(pred.n_slots != k)
     n = int(wrong[0]) if wrong.size else len(pred)  # proposals with k slots
@@ -443,7 +417,7 @@ def match_image(pred: PredictionArrays, gt_boxes: np.ndarray,
     scores, n_classes = pred.scores[:n, :k], pred.n_classes[:n, :k]
     bad_class = _class_errors(classes, n_classes)
     costs = _cost_tensor(pred.boxes[:n], scores, pred.deltas[:n, :k], classes,
-                         boxes, real, cfg)
+                         boxes, real)
     over = n_real > k
     failed = bad_class.any(axis=(1, 2)) | ~np.isfinite(costs).all(axis=(1, 2))
     if not truncate:

@@ -1,9 +1,12 @@
 """Detection evaluation: average precision, log-average miss rate, Jaccard
 index with best-threshold search, and crowd/sparse recall splits.
 
-All metrics run at a single IoU threshold (default 0.5). Ignored ground
-truths never enter a denominator; detections whose only qualifying overlap
-is an ignored ground truth are excluded from the precision/recall sweeps.
+All metrics run at a single IoU threshold (default 0.5), each under one
+protocol: AP is the area under the all-point interpolated precision-recall
+curve, MR^-2 the log-average miss rate over log-spaced FPPI points, and JI
+counts a maximum one-to-one matching. Ignored ground truths never enter a
+denominator; detections whose only qualifying overlap is an ignored ground
+truth are excluded from the precision/recall sweeps.
 
 Every metric is a view of one pass over all images of a call
 (:class:`Evaluation`). The pass holds the images as columns, one image
@@ -33,10 +36,9 @@ after another, and builds no dense IoU matrix:
 Neither walk's decision for a detection depends on lower-ranked detections,
 so keeping only the detections that score >= t gives a prefix of the pass
 for every threshold t. AP and MR^-2 sweep the greedy flags of all images;
-:func:`jaccard_index` sums the gains of the prefix (greedy-mode JI matches
-as the greedy walk does, so its gains are the TP flags); :func:`best_ji`
-scans every prefix end at once; and :func:`recall_split` counts a ground
-truth as found when its greedy match scores >= t.
+:func:`jaccard_index` sums the maximum-matching gains of the prefix;
+:func:`best_ji` scans every prefix end at once; and :func:`recall_split`
+counts a ground truth as found when its greedy match scores >= t.
 """
 
 from __future__ import annotations
@@ -69,20 +71,15 @@ class EvalConfig:
     fppi_lo: float = 1e-2
     fppi_hi: float = 1e2
     fppi_points: int = 9
-    ap_interpolation: str = "all_points"   # or "eleven_point"
-    ji_matching: str = "optimal"           # or "greedy"
 
     def __post_init__(self):
         if not 0.0 < self.iou_thresh < 1.0:
             raise ValueError(f"iou_thresh must be in (0, 1), got {self.iou_thresh}")
-        if not self.fppi_lo < self.fppi_hi:
-            raise ValueError("fppi_lo must be < fppi_hi")
+        if not 0.0 < self.fppi_lo < self.fppi_hi < math.inf:
+            raise ValueError(f"fppi bounds must be finite with 0 < fppi_lo < "
+                             f"fppi_hi, got {self.fppi_lo} and {self.fppi_hi}")
         if self.fppi_points < 2:
             raise ValueError("fppi_points must be >= 2")
-        if self.ap_interpolation not in ("all_points", "eleven_point"):
-            raise ValueError(f"unknown ap_interpolation {self.ap_interpolation!r}")
-        if self.ji_matching not in ("optimal", "greedy"):
-            raise ValueError(f"unknown ji_matching {self.ji_matching!r}")
 
 
 @dataclass(frozen=True)
@@ -300,12 +297,6 @@ class Evaluation:
         fp_cum = np.cumsum(~flags)
         recall = tp_cum / self.n_gt
         precision = tp_cum / (tp_cum + fp_cum)
-        if self.cfg.ap_interpolation == "eleven_point":
-            vals = []
-            for t in np.linspace(0.0, 1.0, 11):
-                mask = recall >= t
-                vals.append(float(precision[mask].max()) if mask.any() else 0.0)
-            return float(np.mean(vals))
         envelope = np.maximum.accumulate(precision[::-1])[::-1]
         prev_recall = np.concatenate(([0.0], recall[:-1]))
         return float(np.sum((recall - prev_recall) * envelope))
@@ -328,15 +319,9 @@ class Evaluation:
         logs = np.log(np.maximum(np.asarray(samples), _MR_FLOOR))
         return float(np.exp(logs.mean()))
 
-    def _ji_gains(self) -> np.ndarray:
-        """JI matching gain at each global rank."""
-        if self.cfg.ji_matching == "greedy":
-            return (self.det_flags[self.order] == TP).astype(np.int64)
-        return self.gains
-
     def jaccard_index(self, score_threshold: float) -> float:
         kept = self.scores[self.order] >= score_threshold
-        m, d = int(self._ji_gains()[kept].sum()), int(kept.sum())
+        m, d = int(self.gains[kept].sum()), int(kept.sum())
         if d + self.n_gt == 0:
             return 1.0
         return m / (d + self.n_gt - m)
@@ -347,7 +332,7 @@ class Evaluation:
         best_val = 1.0 if self.n_gt == 0 else 0.0
         best_thr = math.inf
         if s_sorted.size:
-            m_cum = np.cumsum(self._ji_gains())
+            m_cum = np.cumsum(self.gains)
             # Evaluate once per distinct score, after all ties are admitted;
             # m <= min(d, n_gt) keeps every denominator >= 1.
             ends = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
@@ -443,7 +428,7 @@ def jaccard_index(scenes: Sequence[SceneRecord], cfg: EvalConfig,
     """Dataset-level Jaccard index at one confidence threshold.
 
     Per image, detections scoring >= threshold are matched one-to-one against
-    non-ignored ground truths (maximum matching by default); the index is
+    non-ignored ground truths (maximum matching); the index is
     sum(matches) / (sum(dets) + sum(gts) - sum(matches)). A dataset with no
     detections and no ground truths scores 1.0 (vacuous agreement).
     """

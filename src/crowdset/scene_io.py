@@ -10,9 +10,12 @@ One JSON object per line, UTF-8, LF endings. A scene record looks like::
 Boxes are accepted in corner form (``box_xyxy``) or corner+size form
 (``box_xywh``) and normalized to corner form internally and on output.
 Boxes are never clipped to the image bounds: crowd annotations legitimately
-extend past image borders, so clipping is a caller policy. ``ignore`` must
-be a JSON boolean; ``class``, ``proposal_id`` and ``slot`` must be JSON
-integers that fit in 64 bits, and ``slot`` must not be negative.
+extend past image borders, so clipping is a caller policy. Fields are
+checked, not coerced: box coordinates, detection scores, slot ``scores``
+and ``delta`` must be JSON numbers (not strings or booleans); ``ignore``
+must be a JSON boolean; ``width``, ``height``, ``class``, ``proposal_id``
+and ``slot`` must be JSON integers that fit in 64 bits, and ``slot`` must
+not be negative.
 
 ``proposal_id``/``slot`` are optional on detections; a missing proposal_id
 leaves the detection anonymous (treated as unique by Set NMS) and is omitted
@@ -93,13 +96,25 @@ class SceneArrays:
             dets=self.dets.to_list())
 
 
+def _field_error(record_id: str, key: str, rule: str, value) -> SceneFileError:
+    return SceneFileError(f"record {record_id!r}: {key} must be {rule}, got {value!r}")
+
+
+def _numbers(obj: dict, key: str, record_id: str) -> Iterator[float]:
+    """The list of JSON numbers at ``obj[key]``, as floats."""
+    values = obj[key]
+    if type(values) is not list or not _typed(values, _REAL):
+        raise _field_error(record_id, key, "a list of JSON numbers", values)
+    return map(float, values)
+
+
 def _box_coords(obj: dict, record_id: str) -> tuple[float, float, float, float]:
     """Corner coordinates of a record's box, not yet checked as a BBox."""
     if "box_xyxy" in obj:
-        x1, y1, x2, y2 = (float(v) for v in obj["box_xyxy"])
+        x1, y1, x2, y2 = _numbers(obj, "box_xyxy", record_id)
         return x1, y1, x2, y2
     if "box_xywh" in obj:
-        x, y, w, h = (float(v) for v in obj["box_xywh"])
+        x, y, w, h = _numbers(obj, "box_xywh", record_id)
         if w < 0 or h < 0:
             raise SceneFileError(
                 f"record {record_id!r}: negative width/height in box_xywh {[x, y, w, h]}"
@@ -111,9 +126,15 @@ def _box_coords(obj: dict, record_id: str) -> tuple[float, float, float, float]:
 def _int_field(obj: dict, key: str, default, record_id: str) -> int:
     value = obj.get(key, default)
     if type(value) is not int or not -2**63 <= value < 2**63:
-        raise SceneFileError(
-            f"record {record_id!r}: {key} must be a 64-bit integer, got {value!r}")
+        raise _field_error(record_id, key, "a 64-bit integer", value)
     return value
+
+
+def _number_field(obj: dict, key: str, record_id: str) -> float:
+    value = obj[key]
+    if type(value) not in _REAL:
+        raise _field_error(record_id, key, "a JSON number", value)
+    return float(value)
 
 
 def _gt(obj: dict, record_id: str) -> GroundTruth:
@@ -122,15 +143,15 @@ def _gt(obj: dict, record_id: str) -> GroundTruth:
     class_id = _int_field(obj, "class", 1, record_id)
     ignore = obj.get("ignore", False)
     if type(ignore) is not bool:
-        raise SceneFileError(
-            f"record {record_id!r}: ignore must be true or false, got {ignore!r}")
+        raise _field_error(record_id, "ignore", "true or false", ignore)
     return GroundTruth(box=box, class_id=class_id, ignore=ignore)
 
 
 def _det(obj: dict, record_id: str) -> Detection:
     """One detection, its fields checked in the order they are read."""
     return Detection(
-        box=BBox(*_box_coords(obj, record_id)), score=float(obj["score"]),
+        box=BBox(*_box_coords(obj, record_id)),
+        score=_number_field(obj, "score", record_id),
         class_id=_int_field(obj, "class", 1, record_id),
         proposal_id=(_int_field(obj, "proposal_id", None, record_id)
                      if "proposal_id" in obj else None),
@@ -201,13 +222,12 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
         gt_cols = det_cols = None
     if gt_cols is None or det_cols is None:
         # A check failed or a field is odd (a number written as a string, a
-        # box in an unexpected form): build the dataclasses in file order.
-        # The first invalid element raises its own error; otherwise the
-        # record parses as float() and int() read it.
+        # box in an unexpected form): build the dataclasses in file order,
+        # so that the first invalid element raises its own error.
         gt_cols = gt_columns([_gt(g, rid) for g in gts])
         det_cols = Detections.from_list([_det(d, rid) for d in dets])
-    return SceneArrays(rid, int(obj.get("width", 0)), int(obj.get("height", 0)),
-                       *gt_cols, det_cols)
+    return SceneArrays(rid, _int_field(obj, "width", 0, rid),
+                       _int_field(obj, "height", 0, rid), *gt_cols, det_cols)
 
 
 def _open_for(source: PathOrStream, mode: str):
@@ -318,24 +338,25 @@ def _prediction_set(p: dict, record_id: str) -> PredictionSet:
     """One proposal, its dataclasses built in the order they are read."""
     return PredictionSet(
         proposal=BBox(*_box_coords(p, record_id)),
-        slots=tuple(SlotPrediction(class_scores=list(map(float, s["scores"])),
-                                   delta=BoxDelta(*map(float, s["delta"])))
-                    for s in p["slots"]))
+        slots=tuple(SlotPrediction(
+            class_scores=list(_numbers(s, "scores", record_id)),
+            delta=BoxDelta(*_numbers(s, "delta", record_id))) for s in p["slots"]))
 
 
 def _prediction_columns(proposals: list, record_id: str) -> PredictionArrays | None:
     """The proposals as arrays, or None when a check fails."""
     slots = [p["slots"] for p in proposals]
     flat = list(chain.from_iterable(slots))
-    deltas = [tuple(map(float, s["delta"])) for s in flat]
+    scores = [s["scores"] for s in flat]
+    deltas = [s["delta"] for s in flat]
     # Checked before stacking: the flat delta column would absorb a short
     # delta into its neighbour.
-    if any(len(d) != 4 for d in deltas):
+    if (any(len(d) != 4 for d in deltas)
+            or not _typed(chain.from_iterable(scores + deltas), _REAL)):
         return None
     arrays = PredictionArrays.stack(
         record_id, [_box_coords(p, record_id) for p in proposals],
-        list(map(len, slots)), [list(map(float, s["scores"])) for s in flat],
-        deltas)
+        list(map(len, slots)), scores, deltas)
     return None if arrays.invalid().any() else arrays
 
 

@@ -9,8 +9,8 @@ Set NMS degenerates to plain NMS on such inputs.
 The methods run on :class:`Detections`, one image's detections as a struct
 of arrays: :func:`suppress_arrays` returns the kept indices and their
 scores, and the CLI parses, suppresses and writes these arrays without
-building a :class:`Detection` per box. :func:`nms`, :func:`set_nms`,
-:func:`soft_nms` and :func:`suppress` are the list API over the same core.
+building a :class:`Detection` per box. :func:`nms`, :func:`set_nms` and
+:func:`soft_nms` are the list API over the same core.
 
 Every method walks one sparse overlap graph instead of comparing every
 pick with every surviving box:
@@ -262,12 +262,3 @@ def soft_nms(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
     """
     keep, scores = _soft_keep(Detections.from_list(dets), cfg)
     return [replace(dets[i], score=s) for i, s in zip(keep, scores)]
-
-
-def suppress(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
-    """Dispatch to the configured suppression method."""
-    if cfg.method == "nms":
-        return nms(dets, cfg)
-    if cfg.method == "set_nms":
-        return set_nms(dets, cfg)
-    return soft_nms(dets, cfg)

@@ -1,6 +1,7 @@
 """The EMD path as it was before the batched engine, kept verbatim as an
 oracle: the prediction-record parser that validated one dataclass at a
-time, the scalar ground-truth set construction, the k x k cost loop, the
+time (its reading of number lists is a parameter, so a test can apply the
+strict number rule the parser has since gained), the scalar ground-truth set construction, the k x k cost loop, the
 permutation loop and the command's per-proposal loop. The engine must give
 the same permutations, member counts and cost bits, and raise the same
 errors for the same proposals.
@@ -19,12 +20,17 @@ from crowdset.geometry import BBox, BoxDelta, iou
 from crowdset.scene_io import PredictionRecord, SceneFileError
 
 
-def _parse_box(obj, record_id):
+def coerced_floats(values, key, record_id):
+    """A list of numbers as the parser first read it: float() of each."""
+    return (float(v) for v in values)
+
+
+def _parse_box(obj, record_id, floats):
     if "box_xyxy" in obj:
-        x1, y1, x2, y2 = (float(v) for v in obj["box_xyxy"])
+        x1, y1, x2, y2 = floats(obj["box_xyxy"], "box_xyxy", record_id)
         return BBox(x1, y1, x2, y2)
     if "box_xywh" in obj:
-        x, y, w, h = (float(v) for v in obj["box_xywh"])
+        x, y, w, h = floats(obj["box_xywh"], "box_xywh", record_id)
         if w < 0 or h < 0:
             raise SceneFileError(
                 f"record {record_id!r}: negative width/height in box_xywh {[x, y, w, h]}"
@@ -33,15 +39,17 @@ def _parse_box(obj, record_id):
     raise SceneFileError(f"record {record_id!r}: box needs a box_xyxy or box_xywh key")
 
 
-def parse_prediction_record(obj):
+def parse_prediction_record(obj, floats=coerced_floats):
+    """One record; ``floats(values, key, record_id)`` reads each list of
+    numbers."""
     rid = str(obj["id"])
     proposals = []
     for p in obj.get("proposals", []):
-        box = _parse_box(p, rid)
+        box = _parse_box(p, rid, floats)
         slots = tuple(
             SlotPrediction(
-                class_scores=[float(v) for v in s["scores"]],
-                delta=BoxDelta(*(float(v) for v in s["delta"])),
+                class_scores=list(floats(s["scores"], "scores", rid)),
+                delta=BoxDelta(*floats(s["delta"], "delta", rid)),
             )
             for s in p["slots"]
         )
@@ -75,8 +83,7 @@ def pair_cost_matrix(pred, gts, cfg):
     costs = np.zeros((cfg.k, cfg.k), dtype=np.float64)
     for i, slot in enumerate(pred.slots):
         for j in range(cfg.k):
-            c = cls_loss(slot.class_scores, gts.slot_class(j), cfg.cls_mode,
-                         cfg.focal_gamma, cfg.focal_alpha)
+            c = cls_loss(slot.class_scores, gts.slot_class(j))
             r = reg_loss(slot.delta, pred.proposal, gts.slot_box(j))
             costs[i, j] = c + r
     return costs

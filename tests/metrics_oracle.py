@@ -99,12 +99,6 @@ def average_precision(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     fp_cum = np.cumsum(~flags)
     recall = tp_cum / n_gt
     precision = tp_cum / (tp_cum + fp_cum)
-    if cfg.ap_interpolation == "eleven_point":
-        vals = []
-        for t in np.linspace(0.0, 1.0, 11):
-            mask = recall >= t
-            vals.append(float(precision[mask].max()) if mask.any() else 0.0)
-        return float(np.mean(vals))
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev_recall = np.concatenate(([0.0], recall[:-1]))
     return float(np.sum((recall - prev_recall) * envelope))
@@ -168,27 +162,12 @@ def _build_adjacency(dets: Sequence[Detection], gts: Sequence[GroundTruth],
 
 def _match_count(dets: Sequence[Detection], gts: Sequence[GroundTruth],
                  cfg: EvalConfig) -> int:
-    """Matching cardinality between detections and real ground truths,
-    maximum (augmenting paths) or greedy per ``cfg.ji_matching``."""
+    """Maximum matching cardinality between detections and real ground
+    truths, by augmenting paths."""
     adj, n_right = _build_adjacency(dets, gts, cfg.iou_thresh)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     match_right = [-1] * n_right
     count = 0
-    if cfg.ji_matching == "greedy":
-        taken = set()
-        real_idx = [j for j, g in enumerate(gts) if not g.ignore]
-        ious = iou_matrix(boxes_to_array([d.box for d in dets]),
-                          boxes_to_array([gts[j].box for j in real_idx])) \
-            if dets and real_idx else np.zeros((len(dets), 0))
-        for i in order:
-            best, best_v = -1, 0.0
-            for jj in adj[i]:
-                if jj not in taken and ious[i, jj] > best_v:
-                    best, best_v = jj, ious[i, jj]
-            if best >= 0:
-                taken.add(best)
-                count += 1
-        return count
     for i in order:
         seen = [False] * n_right
         if _augment(i, adj, match_right, seen):

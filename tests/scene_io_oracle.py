@@ -2,8 +2,9 @@
 path, kept verbatim as oracles: one dataclass at a time on read, one dict
 per dataclass on write. The columnar parser must give the same records, the
 same bytes and the same first error, except where the strict field rules
-(``ignore`` a JSON boolean; ``class``, ``proposal_id`` and ``slot`` 64-bit
-JSON integers) reject a value this parser coerces. The dataclasses are the
+(``ignore`` a JSON boolean; box coordinates and ``score`` JSON numbers;
+``width``, ``height``, ``class``, ``proposal_id`` and ``slot`` 64-bit JSON
+integers) reject a value this parser coerces. The dataclasses are the
 library's, so a rule they gained since (``slot`` non-negative) holds here
 too.
 """

@@ -81,14 +81,6 @@ class TestRoundTrip:
         assert rep["recall"]["total"]["matched"] > 0
         assert sha256(out) == EVAL_SET_NMS_SHA256
 
-    def test_tsv_format(self, round_trip, tmp_path):
-        gt, det = round_trip
-        out = tmp_path / "eval.tsv"
-        assert main(["eval", "--gt", str(gt), "--det", str(det),
-                     "--format", "tsv", "--out", str(out)]) == 0
-        keys = [line.split("\t")[0] for line in out.read_text().splitlines()]
-        assert "recall.crowd.matched" in keys and "ap" in keys
-
     def test_manifests_are_strict_json(self, round_trip, tmp_path):
         gt, det = round_trip
         manifest = tmp_path / "eval.manifest.json"
@@ -111,14 +103,6 @@ class TestStrictJson:
         rep = strict_json(out)
         assert rep["ji_best_threshold"] is None
         assert rep["ji"] == 0.0 and rep["recall"]["total"]["matched"] == 0
-
-    def test_tsv_mirrors_the_json_null(self, tmp_path):
-        gt = tmp_path / "gt.jsonl"
-        assert main(["synth", "--images", "1", "--out", str(gt)]) == 0
-        out = tmp_path / "eval.tsv"
-        assert main(["eval", "--gt", str(gt), "--det", str(gt),
-                     "--format", "tsv", "--out", str(out)]) == 0
-        assert "ji_best_threshold\tnull" in out.read_text().splitlines()
 
 
 class TestEvalCounters:
@@ -227,11 +211,42 @@ class TestExitCodes:
         ["bench", "--boxes", "10"],
         ["study"],
         [],
+        ["eval", "--gt", "g", "--det", "d", "--format", "json"],
+        ["emd", "--gt", "g", "--pred", "p", "--cls-mode", "cross-entropy"],
     ])
     def test_bad_flag_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--fppi-lo", "0"),
+                                             ("--fppi-lo", "-1"),
+                                             ("--fppi-hi", "inf")])
+    def test_fppi_bounds_are_runtime_failures(self, round_trip, tmp_path,
+                                               capsys, flag, value):
+        gt, det = round_trip
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--gt", str(gt), "--det", str(det), flag, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fppi bounds must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pred_text", ["", '{"id": "a", "proposals": []}\n',
+                                           "{broken\n"],
+                             ids=["empty", "no-proposals", "malformed"])
+    def test_theta_is_checked_before_predictions_are_read(self, tmp_path,
+                                                         capsys, pred_text):
+        gt = tmp_path / "gt.jsonl"
+        write_scene_file([SceneRecord(id="a")], gt)
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(pred_text)
+        out = tmp_path / "emd.json"
+        assert main(["emd", "--gt", str(gt), "--pred", str(pred), "--theta",
+                     "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: theta must be in (0, 1], got 0.0\n"
+        assert not out.exists()
 
 
 class TestSurface:
@@ -315,14 +330,12 @@ class TestSuppress:
 EMD_SCENES = SceneParams(image_w=480, image_h=320, n_objects_mean=8.0,
                          crowd_pairs_mean=1.0, crowd_triples_mean=1.5)
 EMD_SHA256 = {
-    "k2-truncate": "2f3eecaed03ee55268f14da9f66ffade99c78642aa10e06ef085097ddafb6375",
-    "k3": "0a432a0ebb47899525120a272bee108c050a045aec94523e4d26f6a23bee930a",
-    "k2-focal-truncate": "ade3065876e17ca6dd23dc85b61997b071242ddc15fedc7771e807d5cebb148d",
+    "k2-truncate": "c04daa6b954402d21e14cde7fb4b21a6aa19c41bf8bc5ec35c6f8276386c79b5",
+    "k3": "cd4bd62179e7d779836fbe09e46273609a93c9e1e9764204db966de2d0556508",
 }
 EMD_ARGV = {
     "k2-truncate": ["--k", "2", "--truncate-topk"],
     "k3": ["--k", "3"],
-    "k2-focal-truncate": ["--k", "2", "--cls-mode", "focal", "--truncate-topk"],
 }
 
 

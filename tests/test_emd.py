@@ -52,21 +52,6 @@ class TestClsLoss:
         v = cls_loss(np.array([0.0, 1.0]), 0)
         assert v == pytest.approx(-math.log(1e-12), abs=1e-6)
 
-    def test_focal_reduces_to_cross_entropy(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            scores = random_scores(rng, 4)
-            target = int(rng.integers(0, 4))
-            ce = cls_loss(scores, target, "cross_entropy")
-            fo = cls_loss(scores, target, "focal", gamma=0.0, alpha=1.0)
-            assert fo == pytest.approx(ce, abs=1e-12)
-
-    def test_focal_formula(self):
-        scores = np.array([0.3, 0.7])
-        got = cls_loss(scores, 1, "focal", gamma=2.0, alpha=0.25)
-        want = -0.25 * (1 - 0.7) ** 2 * math.log(0.7)
-        assert got == pytest.approx(want, abs=1e-15)
-
     def test_target_outside_vocabulary(self):
         with pytest.raises(ValueError):
             cls_loss(np.array([0.5, 0.5]), 2)
@@ -333,7 +318,7 @@ def emd_images(draw):
             slots.append(SlotPrediction(class_scores=v / v.sum(),
                                         delta=BoxDelta(*rng.normal(0, 0.5, 4))))
         sets.append(PredictionSet(proposal=proposal, slots=tuple(slots)))
-    cfg = EmdConfig(k=k, cls_mode=draw(st.sampled_from(["cross_entropy", "focal"])))
+    cfg = EmdConfig(k=k)
     return sets, gts, cfg, draw(st.sampled_from([0.3, 0.5, 1.0])), draw(st.booleans())
 
 
@@ -410,3 +395,10 @@ class TestEngineOracle:
                           EmdConfig(k=2), 0.5)
         assert got.total.shape == (0,) and got.permutation.shape == (0, 2)
         assert got.overflowing == 0 and got.dropped == 0
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+    def test_image_without_proposals_checks_theta(self, theta):
+        with pytest.raises(ValueError, match=r"theta must be in \(0, 1\]"):
+            match_image(PredictionArrays.from_sets("img", []),
+                        *gt_columns([GroundTruth(box=B(0, 0, 10, 10))]),
+                        EmdConfig(k=2), theta)

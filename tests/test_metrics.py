@@ -154,14 +154,6 @@ class TestAveragePrecision:
         base = average_precision(scenes, CFG)
         assert average_precision(scenes[::-1], CFG) == pytest.approx(base, abs=1e-12)
 
-    def test_eleven_point_close_to_all_points(self):
-        rng = np.random.default_rng(17)
-        scenes = random_scenes(rng, 20)
-        ap_all = average_precision(scenes, CFG)
-        ap11 = average_precision(scenes, EvalConfig(ap_interpolation="eleven_point"))
-        assert 0.0 <= ap11 <= 1.0
-        assert abs(ap_all - ap11) < 0.15
-
 
 class TestMr2:
     def test_perfect_detector_is_zero(self):
@@ -188,6 +180,13 @@ class TestMr2:
     def test_zero_gts_is_an_error(self):
         with pytest.raises(ValueError):
             mr2([scene("a", [], [])], CFG)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.1, 1.0), (1e-2, math.inf),
+                                        (math.nan, 1.0), (1e-2, math.nan),
+                                        (1.0, 1.0)])
+    def test_fppi_bounds_must_be_finite_and_positive(self, lo, hi):
+        with pytest.raises(ValueError, match="fppi"):
+            EvalConfig(fppi_lo=lo, fppi_hi=hi)
 
     def test_high_scoring_fp_never_decreases_mr2(self):
         rng = np.random.default_rng(19)
@@ -228,11 +227,8 @@ class TestJaccard:
         d1 = det(0, 1, 10, 11, 0.9)    # overlaps both, higher iou on g1
         d2 = det(0, 0.5, 10, 10.5, 0.8)  # qualifies only with g1
         s = scene("a", [g1, g2], [d1, d2])
-        opt = jaccard_index([s], EvalConfig(ji_matching="optimal"), 0.0)
-        greedy = jaccard_index([s], EvalConfig(ji_matching="greedy"), 0.0)
-        assert opt == pytest.approx(2 / (2 + 2 - 2), abs=0)
-        assert greedy == pytest.approx(1 / (2 + 2 - 1), abs=0)
-        assert opt > greedy
+        assert match_greedy([d1, d2], [g1, g2], 0.5).det_match.tolist() == [0, -1]
+        assert jaccard_index([s], CFG, 0.0) == 2 / (2 + 2 - 2)
 
 
 class TestBestJi:
@@ -387,8 +383,8 @@ def oracle_scenes(rng, n_scenes):
     return scenes
 
 
-ORACLE_CFGS = [EvalConfig(ji_matching=m, ap_interpolation=a)
-               for m in ("optimal", "greedy") for a in ("all_points", "eleven_point")]
+# The one protocol: JI over a maximum matching, all-point AP.
+ORACLE_CFGS = {"optimal-all_points": EvalConfig()}
 
 
 def oracle_datasets():
@@ -411,8 +407,7 @@ class TestOracleEquivalence:
                     g, w = getattr(got, field), getattr(want, field)
                     assert g.dtype == w.dtype and np.array_equal(g, w), field
 
-    @pytest.mark.parametrize("cfg", ORACLE_CFGS,
-                             ids=lambda c: f"{c.ji_matching}-{c.ap_interpolation}")
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS.values(), ids=ORACLE_CFGS)
     def test_metrics(self, cfg):
         for scenes in oracle_datasets():
             want_ji, want_thr = oracle.best_ji(scenes, cfg)
@@ -440,9 +435,10 @@ class TestOracleEquivalence:
         assert {TP, FP, IGNORED} <= set(flags.tolist())
         assert any(not s.gts for s in scenes) and any(not s.dets for s in scenes)
         assert any(g.class_id == 2 for s in scenes for g in s.gts)
-        opt, greedy = (jaccard_index(scenes, EvalConfig(ji_matching=m), 0.0)
-                       for m in ("optimal", "greedy"))
-        assert opt > greedy
+        # Some image has more maximum-matching pairs than greedy TPs.
+        ev = Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes],
+                                  CFG)
+        assert ev.gains.sum() > np.count_nonzero(ev.det_flags == TP)
 
 
 def chain_adjacency(n):
@@ -532,13 +528,9 @@ class TestSparsePass:
     @settings(max_examples=300, deadline=None)
     @given(scenes=_datasets, iou_thresh=st.sampled_from(_THRESHOLDS),
            crowd_iou=st.sampled_from((0.0, *_THRESHOLDS)),
-           ji_matching=st.sampled_from(["optimal", "greedy"]),
-           ap_interpolation=st.sampled_from(["all_points", "eleven_point"]),
            chunk=st.sampled_from([1, 7, geometry._SWEEP_PAIRS]))
-    def test_equals_the_dense_oracle(self, scenes, iou_thresh, crowd_iou,
-                                     ji_matching, ap_interpolation, chunk):
-        cfg = EvalConfig(iou_thresh=iou_thresh, ji_matching=ji_matching,
-                         ap_interpolation=ap_interpolation)
+    def test_equals_the_dense_oracle(self, scenes, iou_thresh, crowd_iou, chunk):
+        cfg = EvalConfig(iou_thresh=iou_thresh)
         with patch.object(geometry, "_SWEEP_PAIRS", chunk):
             ev = Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes], cfg)
             self._check(scenes, cfg, crowd_iou, ev)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import emd_oracle as oracle
 import numpy as np
@@ -119,8 +120,9 @@ def _one_line(gt=None, det=None):
 
 class TestStrictFields:
     """Field types are checked, not coerced: each case used to parse to a
-    different value (``bool("false")`` is True, ``int(2.7)`` is 2) or, out
-    of int64 range, to fail later with an uncaught OverflowError."""
+    different value (``bool("false")`` is True, ``int(2.7)`` is 2,
+    ``float("0.5")`` is 0.5) or, out of int64 range, to fail later with an
+    uncaught OverflowError."""
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_ignore_must_be_a_json_boolean(self, value):
@@ -165,6 +167,40 @@ class TestStrictFields:
         with pytest.raises(SceneFileError, match=rf"line 2: record 'a': {key} "
                            rf"must be a 64-bit integer, got {value}"):
             parse_scene_arrays(_one_line(**field))
+
+    @pytest.mark.parametrize("field", [{"gt": {"box_xyxy": ["1", 0, 10, True]}},
+                                       {"det": {"box_xyxy": [0, 0, None, 4]}},
+                                       {"det": {"score": "0.5"}},
+                                       {"det": {"score": True}}])
+    def test_boxes_and_scores_must_be_json_numbers(self, field):
+        ((key, value),) = next(iter(field.values())).items()
+        rule = "a JSON number" if key == "score" else "a list of JSON numbers"
+        with pytest.raises(SceneFileError, match=re.escape(
+                f"line 2: record 'a': {key} must be {rule}, got {value!r}")):
+            parse_scene_file(_one_line(**field))
+
+    @pytest.mark.parametrize("key, value", [("width", 640.7), ("height", True),
+                                            ("width", "640")])
+    def test_width_and_height_must_be_json_integers(self, key, value):
+        line = json.dumps({"id": "a", key: value})
+        with pytest.raises(SceneFileError, match=re.escape(
+                f"line 1: record 'a': {key} must be a 64-bit integer, got "
+                f"{value!r}")):
+            parse_scene_file(io.StringIO(line))
+
+    @pytest.mark.parametrize("key, value", [("box_xyxy", ["0", 0, 2, 2]),
+                                            ("scores", ["0.5", 0.5]),
+                                            ("delta", [True, 0, 0, 0])])
+    def test_prediction_numbers_must_be_json_numbers(self, key, value):
+        slot = {"scores": [0.5, 0.5], "delta": [0, 0, 0, 0]}
+        proposal = {"box_xyxy": [0, 0, 2, 2], "slots": [slot]}
+        (proposal if key == "box_xyxy" else slot)[key] = value
+        text = json.dumps({"id": "a", "proposals": [proposal]}) + "\n"
+        for parse in (parse_prediction_arrays, parse_prediction_file):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    f"line 1: record 'a': {key} must be a list of JSON "
+                    f"numbers, got {value!r}")):
+                parse(io.StringIO(text))
 
     def test_int64_bounds_are_accepted(self):
         (rec,) = parse_scene_file(io.StringIO(json.dumps({"id": "a", "dets": [
@@ -296,7 +332,7 @@ def _pick(rng, options):
 def raw_prediction_record(rng):
     proposals = []
     for _ in range(rng.integers(0, 6)):
-        x, y = rng.uniform(0, 100, 2)
+        x, y = rng.uniform(0, 100, 2).tolist()
         p = _BOXES[_pick(rng, _BOXES)]([x, y, x + 20.0, y + 40.0])
         slots = []
         for _ in range(rng.integers(1, 4)):
@@ -321,12 +357,23 @@ def _outcome(parse, obj):
         return type(e), str(e)
 
 
+def _strict_floats(values, key, record_id):
+    """A list of numbers under the strict rule: JSON numbers only, so no
+    strings, booleans, nulls or nested lists."""
+    if type(values) is not list or not all(type(v) in (int, float)
+                                           for v in values):
+        raise SceneFileError(f"record {record_id!r}: {key} must be a list of "
+                             f"JSON numbers, got {values!r}")
+    return (float(v) for v in values)
+
+
 class TestPredictionArrays:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_same_records_and_errors_as_the_sequential_parser(self, seed):
         obj = raw_prediction_record(np.random.default_rng(seed))
-        want = _outcome(oracle.parse_prediction_record, obj)
+        want = _outcome(lambda o: oracle.parse_prediction_record(
+            o, _strict_floats), obj)
         got = _outcome(lambda o: [_parse_prediction_arrays(o).prediction_set(i)
                                   for i in range(len(o["proposals"]))], obj)
         if isinstance(want, tuple):
@@ -395,7 +442,8 @@ class TestPredictionArrays:
 # Ways one ground truth or detection can be written: the fields it sets or
 # drops (_DROP), and the strict-field error it raises where the sequential
 # parser coerced the value instead. All but the first of each are rare, and
-# some of them are valid.
+# some of them are valid. The box modes in _STRICT_BOXES hold values that
+# are not JSON numbers.
 _DROP = object()
 _SCENE_BOXES = {
     **_BOXES,
@@ -406,10 +454,14 @@ _SCENE_BOXES = {
     "nested": lambda b: {"box_xyxy": [[v] for v in b]},
     "not_a_list": lambda b: {"box_xyxy": 7},
 }
+_STRICT_BOXES = {"string", "numeric_string", "none", "bool", "nested",
+                 "not_a_list"}
+_RULES = {"ignore": "true or false", "score": "a JSON number",
+          "box_xyxy": "a list of JSON numbers"}
 
 
 def _strict(key, value):
-    rule = ("true or false" if key == "ignore" else "a 64-bit integer")
+    rule = _RULES.get(key, "a 64-bit integer")
     return {key: value}, f"record 'r': {key} must be {rule}, got {value!r}"
 
 
@@ -436,8 +488,8 @@ _DET_FIELDS = {
     "score_high": ({"score": 1.5}, None),
     "score_negative": ({"score": -0.1}, None),
     "score_nan": ({"score": float("nan")}, None),
-    "score_string": ({"score": "0.25"}, None),
-    "score_none": ({"score": None}, None),
+    "score_string": _strict("score", "0.25"),
+    "score_none": _strict("score", None),
     "score_int": ({"score": 1}, None),
     "class_zero": ({"class": 0}, None),
     "pid_negative": ({"proposal_id": -2}, None),
@@ -463,6 +515,8 @@ def _element(rng, base):
     box = _pick(rng, _SCENE_BOXES) if mode == "ok" else "xyxy"
     update, strict = fields[mode]
     obj = {**_SCENE_BOXES[box](b), **base, **update}
+    if box in _STRICT_BOXES:
+        strict = _strict("box_xyxy", obj["box_xyxy"])[1]
     return {k: v for k, v in obj.items() if v is not _DROP}, strict
 
 
@@ -485,9 +539,12 @@ def raw_scene_record(rng):
         obj["height"] = "tall"
     elif kind == 4:
         obj["dets"] = None
-    return obj, [(key, j, e) for key, elements in (("gts", gts), ("dets", dets))
-                 if isinstance(obj.get(key), list)
-                 for j, (_, e) in enumerate(elements) if e]
+    strict = [(key, j, e) for key, elements in (("gts", gts), ("dets", dets))
+              if isinstance(obj.get(key), list)
+              for j, (_, e) in enumerate(elements) if e]
+    if kind == 3:  # read after every element
+        strict.append(("height", None, _strict("height", "tall")[1]))
+    return obj, strict
 
 
 def _expected(obj, strict):
@@ -496,10 +553,13 @@ def _expected(obj, strict):
     if not strict:
         return _outcome(scene_io_oracle.parse_record, obj)
     section, j, error = strict[0]
-    prefix = {"id": obj["id"], "gts": obj["gts"][:j] if section == "gts"
-              else obj.get("gts", [])}
-    if section == "dets":
-        prefix["dets"] = obj["dets"][:j]
+    if section == "height":
+        prefix = {k: v for k, v in obj.items() if k != "height"}
+    else:
+        prefix = {"id": obj["id"], "gts": obj["gts"][:j] if section == "gts"
+                  else obj.get("gts", [])}
+        if section == "dets":
+            prefix["dets"] = obj["dets"][:j]
     before = _outcome(scene_io_oracle.parse_record, prefix)
     return before if isinstance(before, tuple) else (SceneFileError, error)
 
@@ -536,8 +596,9 @@ class TestSceneArrays:
             for g in obj.get("gts", []):
                 seen.update(k for k in ("box_xywh",) if k in g)
         assert seen >= {"error", "record", "class", "ignore", "proposal_id",
-                        "slot", "anonymous", "anonymous-slot", "width", "gts",
-                        "dets", "empty-gts", "empty-dets", "box_xywh"}
+                        "slot", "score", "box_xyxy", "height", "anonymous",
+                        "anonymous-slot", "width", "gts", "dets", "empty-gts",
+                        "empty-dets", "box_xywh"}
 
     @pytest.mark.parametrize("det", [
         {"score": [0.5]}, {"score": "0.5"}, {"score": True},
@@ -546,10 +607,14 @@ class TestSceneArrays:
     def test_a_lone_odd_field_parses_as_the_sequential_parser(self, det):
         # Every detection of the record has the odd field, so numpy sees
         # only it: a homogeneous column numpy would accept in another shape
-        # or with another value.
+        # or with another value. All but the eight-number box hold values
+        # that are not JSON numbers, which the first detection rejects.
         obj = {"id": "r", "dets": [{"box_xyxy": [0, 0, 1, 1], "score": 0.5,
                                     **det}] * 2}
-        want = _expected(obj, [])
+        ((key, value),) = det.items()
+        strict = ([] if len(det.get("box_xyxy", ())) == 8
+                  else [("dets", 0, _strict(key, value)[1])])
+        want = _expected(obj, strict)
         got = _outcome(_parse_scene_arrays, obj)
         if isinstance(want, tuple):
             assert got == want

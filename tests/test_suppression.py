@@ -9,8 +9,7 @@ from crowdset import geometry, suppression
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, SuppressionConfig, _greedy_keep,
-                                  nms, set_nms, soft_nms, suppress,
-                                  suppress_arrays)
+                                  nms, set_nms, soft_nms, suppress_arrays)
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             simulate_detector)
 
@@ -26,6 +25,15 @@ def det(x1, y1, x2, y2, score, class_id=1, pid=None, slot=0):
 
 def ids(dets):
     return [(d.proposal_id, d.slot) for d in dets]
+
+
+_LIST_API = {"nms": nms, "set_nms": set_nms, "soft_linear": soft_nms,
+             "soft_gaussian": soft_nms}
+
+
+def suppress(dets, cfg):
+    """The list-API function of ``cfg.method``."""
+    return _LIST_API[cfg.method](dets, cfg)
 
 
 def random_scene(rng, n=20, n_classes=1, distinct_pids=True):
@@ -226,10 +234,10 @@ class TestSoftNms:
 
 class TestSuppressDispatch:
     def test_dispatches_by_method(self):
-        dets = [det(0, 0, 10, 10, 0.9, pid=0, slot=0),
-                det(0, 0, 10, 10, 0.8, pid=0, slot=1)]
-        assert len(suppress(dets, NMS)) == 1
-        assert len(suppress(dets, SET)) == 2
+        dets = Detections.from_list([det(0, 0, 10, 10, 0.9, pid=0, slot=0),
+                                     det(0, 0, 10, 10, 0.8, pid=0, slot=1)])
+        assert suppress_arrays(dets, NMS)[0].tolist() == [0]
+        assert suppress_arrays(dets, SET)[0].tolist() == [0, 1]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
