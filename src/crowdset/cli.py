@@ -9,10 +9,11 @@ Infinity. The best-JI threshold is +inf only when the empty detection set
 scores best, and is then written as null.
 
 ``eval`` and ``emd`` write one JSON report, indented by two spaces, to
-``--out`` or stdout. Each metric has one protocol: ``eval`` reports
-all-point AP, MR^-2, JI over a maximum matching and the crowd/sparse recall
-split; ``emd`` reports the set-matching loss with a cross-entropy plus
-smooth-L1 cost.
+``--out`` or stdout; ``emd`` writes its report row by row, with the bytes of
+``json.dumps(report, indent=2, allow_nan=False)``. Each metric has one
+protocol: ``eval`` reports all-point AP, MR^-2, JI over a maximum matching
+and the crowd/sparse recall split; ``emd`` reports the set-matching loss with
+a cross-entropy plus smooth-L1 cost.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -28,9 +29,11 @@ import sys
 import time
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import __version__
 from .assignment import check_theta
-from .emd import EmdConfig, match_image
+from .emd import EmdConfig, ImageMatch, match_image
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays, write_scene_file)
@@ -41,6 +44,10 @@ from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
 SCHEMA_VERSION = 1
 
 _METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _write_manifest(path: str, subcommand: str, config: dict, t0: float,
@@ -56,12 +63,10 @@ def _write_manifest(path: str, subcommand: str, config: dict, t0: float,
     if counters is not None:
         manifest["counters"] = counters
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(_json_text(manifest))
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
@@ -189,7 +194,7 @@ def cmd_eval(args) -> int:
         "config": {"iou": args.iou, "fppi_lo": args.fppi_lo,
                    "fppi_hi": args.fppi_hi, "fppi_points": args.fppi_points},
     }
-    _emit(out, args.out)
+    _emit(_json_text(out), args.out)
     if args.manifest:
         _write_manifest(args.manifest, "eval", {
             "gt": args.gt, "det": args.det, "iou": args.iou,
@@ -198,40 +203,63 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_EMD_ROW = ('    {\n      "id": %s,\n      "proposal_index": %d,\n'
+            '      "n_members": %d,\n      "permutation": [\n        %s\n      ],\n'
+            '      "per_slot_cost": [\n        %s\n      ],\n'
+            '      "total": %s\n    }')
+_ITEMS = ",\n        "
+
+
+def _emd_report(matches: list[tuple[str, ImageMatch]], config: dict) -> str:
+    """The emd report of each image's match, one row per proposal, built
+    row by row: the text of :func:`_json_text`, json's int and float
+    spellings, and its ValueError for the first non-finite cost."""
+    rows = []
+    total = 0.0
+    for rid, m in matches:
+        if not (np.isfinite(m.per_slot_cost).all() and np.isfinite(m.total).all()):
+            costs = np.column_stack([m.per_slot_cost, m.total])  # report order
+            _json_text(float(costs[~np.isfinite(costs)][0]))  # raises
+        quoted = json.dumps(rid)
+        for idx, (n, perm, slot_costs, t) in enumerate(zip(
+                m.n_members.tolist(), m.permutation.tolist(),
+                m.per_slot_cost.tolist(), m.total.tolist())):
+            rows.append(_EMD_ROW % (quoted, idx, n, _ITEMS.join(map(str, perm)),
+                                    _ITEMS.join(map(float.__repr__, slot_costs)),
+                                    float.__repr__(t)))
+            total += t
+    text = _json_text({"schema_version": SCHEMA_VERSION, "proposals": [],
+                       "mean_loss": (total / len(rows)) if rows else 0.0,
+                       "config": config})
+    if not rows:
+        return text
+    return text.replace('"proposals": []',
+                        '"proposals": [\n' + ",\n".join(rows) + "\n  ]", 1)
+
+
 def cmd_emd(args) -> int:
+    """Score each prediction record against its ground truths; the report
+    is written row by row (:func:`_emd_report`)."""
     t0 = time.perf_counter()
     cfg = EmdConfig(k=args.k)
     check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
     pred_records = parse_prediction_arrays(args.pred)
     gt_by_id = _gts_by_id(gt_records, pred_records, "prediction")
-    rows = []
-    total = 0.0
+    matches = []
     counters = {"proposals": 0, "overflowing_sets": 0, "members_dropped": 0}
     for rec in pred_records:
         g = gt_by_id[rec.id]
         match = match_image(rec, g.gt_boxes, g.gt_classes, g.gt_ignore, cfg,
                             args.theta, args.truncate_topk)
-        for idx, (n, perm, costs, t) in enumerate(zip(
-                match.n_members.tolist(), match.permutation.tolist(),
-                match.per_slot_cost.tolist(), match.total.tolist())):
-            rows.append({"id": rec.id, "proposal_index": idx, "n_members": n,
-                         "permutation": perm, "per_slot_cost": costs,
-                         "total": t})
-            total += t
+        matches.append((rec.id, match))
         counters["proposals"] += len(rec)
         counters["overflowing_sets"] += match.overflowing
         counters["members_dropped"] += match.dropped
-    count = counters["proposals"]
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "proposals": rows,
-        "mean_loss": (total / count) if count else 0.0,
-        "config": {"k": args.k, "theta": args.theta},
-    }
-    _emit(out, args.out)
+    config = {"k": args.k, "theta": args.theta}
+    _emit(_emd_report(matches, config), args.out)
     if args.manifest:
-        _write_manifest(args.manifest, "emd", out["config"], t0, counters)
+        _write_manifest(args.manifest, "emd", config, t0, counters)
     return 0
 
 
@@ -287,8 +315,7 @@ def cmd_study(args) -> int:
     }
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8",
               newline="\n") as f:
-        json.dump(report, f, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(_json_text(report))
     _write_manifest(os.path.join(args.out, "manifest.json"), "study", {
         "images": args.images, "seed": args.seed, "k": args.k,
         "k_sweep": args.k_sweep, "nms_sweep": args.nms_sweep,

@@ -245,13 +245,18 @@ def _iter_jsonl(source: PathOrStream, parse) -> Iterator:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SceneFileError(f"line {lineno}: malformed JSON ({e.msg})") from e
+            except ValueError as e:
+                # A JSONDecodeError, or an integer literal longer than
+                # Python's int-string conversion limit.
+                raise SceneFileError(
+                    f"line {lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
             try:
                 yield parse(obj)
             except SceneFileError as e:
                 raise SceneFileError(f"line {lineno}: {e}") from e
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+                # ArithmeticError: an integer beyond float range, as float()
+                # raises it.
                 raise SceneFileError(f"line {lineno}: bad record ({e})") from e
     finally:
         if owned:

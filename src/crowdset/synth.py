@@ -74,6 +74,9 @@ class SceneParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, size in (("image_w", self.image_w), ("image_h", self.image_h)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
         lo, hi = self.pair_iou_range
         if not 0.5 < lo <= hi < 1.0:
             raise ValueError("pair_iou_range must lie inside (0.5, 1.0)")
@@ -327,7 +330,10 @@ class StudyRow:
 
 
 def build_scenes(scene_params: SceneParams, n_images: int, seed: int) -> list[SceneRecord]:
-    """Generate ``n_images`` scene records with per-image derived seeds."""
+    """Generate ``n_images`` (at least one) scene records with per-image
+    derived seeds."""
+    if n_images < 1:
+        raise ValueError(f"n_images must be >= 1, got {n_images}")
     scenes = []
     for i in range(n_images):
         p = replace(scene_params, seed=derive_seed(seed, _NS_SCENE, i))
@@ -355,8 +361,6 @@ def run_study(scene_params: SceneParams,
     model structure, not in random draws. Each simulator config runs once,
     in this process; the rows are fully deterministic.
     """
-    if n_images < 1:
-        raise ValueError(f"n_images must be >= 1, got {n_images}")
     scenes = build_scenes(scene_params, n_images, seed)
     columns = [SceneArrays.from_record(scene) for scene in scenes]
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]

@@ -10,10 +10,12 @@ from pathlib import Path
 import emd_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdset.assignment import GroundTruth, build_gt_set
-from crowdset.cli import main
-from crowdset.emd import EmdConfig, PredictionSet, SlotPrediction
+from crowdset.cli import _emd_report, main
+from crowdset.emd import EmdConfig, ImageMatch, PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneRecord,
                                parse_prediction_file, parse_scene_file,
@@ -200,6 +202,26 @@ class TestExitCodes:
         assert main(["emd", "--gt", str(gt), "--pred", str(pred)]) == 1
         assert ("prediction ids missing from ground-truth file: b"
                 in capsys.readouterr().err)
+
+    def test_integer_beyond_float_range_is_a_bad_record(self, tmp_path,
+                                                        capsys):
+        paths = {}
+        for name, record in [
+                ("gt", {"id": "a", "gts": [{"box_xyxy": [0, 0, 40, 80]}]}),
+                ("big_gt", {"id": "a", "gts": [{"box_xyxy": [0, 0, 40, 10**400]}]}),
+                ("pred", {"id": "a", "proposals": []}),
+                ("big_pred", {"id": "a", "proposals": [{
+                    "box_xyxy": [0, 0, 40, 80],
+                    "slots": [{"scores": [0.5, 0.5], "delta": [0, 10**400, 0, 0]}]}]})]:
+            paths[name] = str(tmp_path / f"{name}.jsonl")
+            Path(paths[name]).write_text(json.dumps(record) + "\n")
+        for argv in (["eval", "--gt", paths["big_gt"], "--det", paths["gt"]],
+                     ["emd", "--gt", paths["big_gt"], "--pred", paths["pred"]],
+                     ["emd", "--k", "1", "--gt", paths["gt"], "--pred",
+                      paths["big_pred"]]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: line 1: bad record (int too large to convert to float)\n")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--gt", "g", "--det", "d", "--bogus"],
@@ -468,6 +490,73 @@ class TestEmd:
         assert all(sorted(r["permutation"]) == list(range(7)) for r in rows)
 
 
+def json_report(matches, config):
+    """The emd report as one dict through json.dumps(indent=2), the way
+    the writer's output is specified."""
+    rows, total = [], 0.0
+    for rid, m in matches:
+        for idx, (n, perm, costs, t) in enumerate(zip(
+                m.n_members.tolist(), m.permutation.tolist(),
+                m.per_slot_cost.tolist(), m.total.tolist())):
+            rows.append({"id": rid, "proposal_index": idx, "n_members": n,
+                         "permutation": perm, "per_slot_cost": costs,
+                         "total": t})
+            total += t
+    report = {"schema_version": 1, "proposals": rows,
+              "mean_loss": (total / len(rows)) if rows else 0.0,
+              "config": config}
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+_IDS = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "a\"b\\c\nd\te", "é☃\U0001f600\u2028", ""]))
+# -0.0, the smallest subnormal and normal, the largest finite magnitude and
+# integral floats, among arbitrary finite ones; some examples also draw
+# NaN and infinities.
+_EDGE_COSTS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308, 1.0, 3.0, 1e16, 2.0**53])
+_FINITE = st.one_of(_EDGE_COSTS, st.floats(allow_nan=False,
+                                           allow_infinity=False))
+
+
+@st.composite
+def emd_matches(draw):
+    """(matches, config): up to four records of up to four proposals each,
+    k from 1 to 7; the arrays need not come from a real matching."""
+    k = draw(st.integers(1, 7))
+    costs = st.one_of(_FINITE, st.floats()) if draw(st.booleans()) else _FINITE
+    matches = []
+    for _ in range(draw(st.integers(0, 4))):
+        p = draw(st.integers(0, 4))
+        per_slot = draw(st.lists(costs, min_size=p * k, max_size=p * k))
+        matches.append((draw(_IDS), ImageMatch(
+            n_members=np.array(draw(st.lists(st.integers(0, k), min_size=p,
+                                             max_size=p)), dtype=np.intp),
+            permutation=np.array([draw(st.permutations(range(k)))
+                                  for _ in range(p)], dtype=np.intp).reshape(p, k),
+            per_slot_cost=np.array(per_slot, dtype=np.float64).reshape(p, k),
+            total=np.array(draw(st.lists(costs, min_size=p, max_size=p)),
+                           dtype=np.float64),
+            overflowing=0, dropped=0)))
+    theta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return matches, {"k": k, "theta": theta}
+
+
+class TestEmdReport:
+    @settings(max_examples=300, deadline=None)
+    @given(emd_matches())
+    def test_writer_equals_json_dumps(self, drawn):
+        matches, config = drawn
+        try:
+            want = json_report(matches, config)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                _emd_report(matches, config)
+            assert str(got.value) == str(e)
+        else:
+            assert _emd_report(matches, config) == want
+
+
 # Run in a fresh interpreter: the tests import scipy themselves (the oracles
 # use its solvers), so only a new process shows what crowdset loads.
 IMPORT_PROBE = """
@@ -621,6 +710,23 @@ class TestEmdErrors:
         assert err.startswith("error: line 2: ")
         assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 1
         assert capsys.readouterr().err == err
+
+    def test_total_beyond_float_range_writes_no_report(self, tmp_path,
+                                                       capsys):
+        # Each slot's cost is finite, about 1.5e308; their sum is not. The
+        # matcher's numpy sum warns as it overflows.
+        slots = [{"scores": s, "delta": [1.5e308, 0.0, 0.0, 0.0]}
+                 for s in TWO_SLOTS]
+        out = tmp_path / "emd.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, err = self._run(tmp_path, capsys, STACK[:2], [
+                {"id": "a", "proposals": [{"box_xyxy": [0, 0, 40, 80],
+                                           "slots": slots}]}],
+                ("--out", str(out)))
+        assert code == 1
+        assert err.startswith("error: Out of range float values are not "
+                              "JSON compliant")
+        assert not out.exists()
 
     def test_class_error_before_a_later_overflow(self, tmp_path, capsys):
         # Proposal 0 covers only the class-2 box; proposal 1 overflows.

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 
 import emd_oracle as oracle
 import numpy as np
@@ -201,6 +202,34 @@ class TestStrictFields:
                     f"line 1: record 'a': {key} must be a list of JSON "
                     f"numbers, got {value!r}")):
                 parse(io.StringIO(text))
+
+    @pytest.mark.parametrize("field", [{"gt": {"box_xyxy": [0, 0, 10**400, 4]}},
+                                       {"det": {"box_xyxy": [0, -10**400, 4, 4]}},
+                                       {"det": {"score": 10**400}}])
+    def test_integer_beyond_float_range_is_a_bad_record(self, field):
+        for parse in (parse_scene_arrays, parse_scene_file):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    "line 2: bad record (int too large to convert to float)")):
+                parse(_one_line(**field))
+
+    @pytest.mark.parametrize("key", ["box_xyxy", "scores", "delta"])
+    def test_prediction_integer_beyond_float_range_is_a_bad_record(self, key):
+        slot = {"scores": [0.5, 0.5], "delta": [0, 0, 0, 0]}
+        proposal = {"box_xyxy": [0, 0, 2, 2], "slots": [slot]}
+        (proposal if key == "box_xyxy" else slot)[key][1] = 10**400
+        text = json.dumps({"id": "a", "proposals": [proposal]}) + "\n"
+        for parse in (parse_prediction_arrays, parse_prediction_file):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    "line 1: bad record (int too large to convert to float)")):
+                parse(io.StringIO(text))
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python has no int-string conversion limit")
+    def test_integer_past_the_digit_limit_is_malformed_json(self):
+        digits = "1" + "0" * sys.get_int_max_str_digits()
+        text = json.dumps({"id": "ok"}) + '\n{"id": "a", "width": ' + digits + "}\n"
+        with pytest.raises(SceneFileError, match=r"line 2: malformed JSON \(Exceeds"):
+            parse_scene_file(io.StringIO(text))
 
     def test_int64_bounds_are_accepted(self):
         (rec,) = parse_scene_file(io.StringIO(json.dumps({"id": "a", "dets": [

@@ -136,6 +136,21 @@ class TestSimulator:
             DetectorSimParams(k=0)
 
 
+class TestSizes:
+    @pytest.mark.parametrize("argv, message", [
+        (["--images", "1", "--image-w", "0"], "image_w must be >= 1, got 0"),
+        (["--images", "1", "--image-h", "-1"], "image_h must be >= 1, got -1"),
+        (["--images", "0"], "n_images must be >= 1, got 0"),
+        (["--images", "-1"], "n_images must be >= 1, got -1"),
+    ])
+    def test_synth_writes_nothing_it_cannot_draw(self, tmp_path, capsys, argv,
+                                                 message):
+        out = tmp_path / "scenes.jsonl"
+        assert main(["synth", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestStudy:
     def test_set_nms_on_sets_beats_nms_beats_one_slot(self):
         nms = SuppressionConfig(method="nms")
