@@ -38,8 +38,8 @@ from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays, write_scene_file)
 from .suppression import METHODS, Detections, SuppressionConfig, suppress_arrays
-from .synth import (DetectorSimParams, SceneParams, StudyRow, build_scenes,
-                    run_study)
+from .synth import (DetectorSimParams, SceneParams, StudyRow, StudyRows,
+                    build_scenes, run_study)
 
 SCHEMA_VERSION = 1
 
@@ -263,7 +263,7 @@ def cmd_emd(args) -> int:
     return 0
 
 
-def _study_rows(args) -> list[StudyRow]:
+def _study_rows(args) -> StudyRows:
     """One model per distinct k and one config per distinct (method,
     threshold), each in first-seen order, so no row is computed twice."""
     sims = dict.fromkeys(
@@ -322,7 +322,7 @@ def cmd_study(args) -> int:
         "iou": args.iou, "jitter": args.jitter, "theta": args.theta,
         "out": args.out,
         "scene_params": asdict(_scene_params_from(args)),
-    }, t0)
+    }, t0, rows.counters())
     return 0
 
 

@@ -296,15 +296,18 @@ def _match(costs: np.ndarray):
     wins, so ties go to the lexicographically smallest permutation; above
     it scipy's assignment solver runs per matrix, imported on first use so
     that smaller k never loads scipy. Returns the permutations (P, k), the
-    matched costs (P, k) and their totals (P,), summed the same way.
+    matched costs (P, k) and their totals (P,), summed the same way. A
+    total beyond float range is inf, without a numpy warning; the report
+    writer rejects it.
     """
     n, k, _ = costs.shape
     if k <= ENUMERATION_LIMIT:
         perms = np.array(list(itertools.permutations(range(k))),
                          dtype=np.intp).reshape(math.factorial(k), k)
         totals = np.zeros((n, len(perms)))
-        for i in range(k):
-            totals += costs[:, i, perms[:, i]]
+        with np.errstate(over="ignore"):
+            for i in range(k):
+                totals += costs[:, i, perms[:, i]]
         chosen = perms[np.argmin(totals, axis=1)]
     else:
         from scipy.optimize import linear_sum_assignment
@@ -312,8 +315,9 @@ def _match(costs: np.ndarray):
                           dtype=np.intp).reshape(n, k)
     per_slot = np.take_along_axis(costs, chosen[:, :, None], axis=2)[:, :, 0]
     total = np.zeros(n)
-    for i in range(k):
-        total += per_slot[:, i]
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            total += per_slot[:, i]
     return chosen, per_slot, total
 
 

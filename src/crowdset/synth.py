@@ -13,10 +13,15 @@ budget ``k`` per model:
   assignment set (up to ``k`` slots sharing the proposal's id), which is
   exactly the structure Set NMS preserves.
 
-The simulator takes ground-truth columns and returns
-:class:`~crowdset.suppression.Detections`; the study feeds it its
-:class:`~crowdset.scene_io.SceneArrays`, and :func:`simulate_detector`
-converts dataclasses at the edge.
+The simulator works in two steps on ground-truth columns. The draw does
+everything that does not depend on ``k``: the proposals, each proposal's
+ranked assignment set, the (proposal, rank) index and the noise, and with
+them every member's prediction. A selection then picks one model's
+:class:`~crowdset.suppression.Detections` from the draw. The study draws
+once per image per model family (simulator configs that differ only in
+``k`` or ``mode``) from its :class:`~crowdset.scene_io.SceneArrays` and
+selects each ``k`` from that draw; :func:`simulate_detector` draws and
+selects once, converting dataclasses at the edge.
 
 Everything is deterministic under the configured seeds. Each image's
 detector noise comes from one stream, drawn in an order that does not
@@ -34,7 +39,7 @@ from .assignment import GroundTruth, gt_columns, gt_set_members
 from .geometry import BBox, box_areas, boxes_to_array, iou, iou_arrays
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import SceneArrays, SceneRecord
-from .suppression import Detection, Detections, SuppressionConfig, suppress_arrays
+from .suppression import Detection, Detections, SuppressionConfig, suppress_many
 
 # Namespaces for derived seed streams.
 _NS_SCENE = 0
@@ -266,39 +271,52 @@ def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=1)
 
 
-def _simulate(gt_boxes: np.ndarray, gt_classes: np.ndarray,
-              gt_ignore: np.ndarray, params: DetectorSimParams) -> Detections:
-    """:func:`simulate_detector` on ground-truth columns."""
-    rng = np.random.default_rng(params.seed)
-    owners = np.repeat(np.flatnonzero(~gt_ignore), params.proposals_per_gt)
-    proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
-                        rng.standard_normal((len(owners), 4)))
-    ranked = gt_set_members(proposals, gt_boxes, gt_ignore, params.theta)
-    sizes = np.array([len(m) for m in ranked], dtype=np.intp)
-    member = np.array([i for m in ranked for i in m], dtype=np.intp)
-    proposal = np.repeat(np.arange(len(ranked)), sizes)
-    rank = np.arange(len(member)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    noise = rng.standard_normal((len(member), 4))
-    if params.effective_k == 1:
-        b = gt_boxes[member]
-        order = np.lexsort((rank, -b[:, 3], -b[:, 2], -b[:, 1], -b[:, 0],
-                            -box_areas(b), proposal))
+class _Draw:
+    """One image's detector draw, shared by every slot budget ``k``.
+
+    ``dets`` holds every (proposal, rank) member's prediction in that order,
+    with its rank in ``slots``; ``dominant`` is the row of each proposal's
+    one-slot prediction. :meth:`select` picks a model's detections from it.
+    """
+
+    def __init__(self, gt_boxes: np.ndarray, gt_classes: np.ndarray,
+                 gt_ignore: np.ndarray, params: DetectorSimParams):
+        rng = np.random.default_rng(params.seed)
+        owners = np.repeat(np.flatnonzero(~gt_ignore), params.proposals_per_gt)
+        proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
+                            rng.standard_normal((len(owners), 4)))
+        ranked = gt_set_members(proposals, gt_boxes, gt_ignore, params.theta)
+        sizes = np.array([len(m) for m in ranked], dtype=np.intp)
+        member = np.array([i for m in ranked for i in m], dtype=np.intp)
+        proposal = np.repeat(np.arange(len(ranked)), sizes)
+        rank = np.arange(len(member)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        target = gt_boxes[member]
+        boxes = _jitter(target, params.proposal_jitter,
+                        rng.standard_normal((len(member), 4)))
+        size = target[:, 2:] - target[:, :2]
+        error = (np.linalg.norm(boxes - target, axis=1)
+                 / np.maximum(np.hypot(size[:, 0], size[:, 1]), 1e-9))
+        self.dets = Detections(
+            boxes=boxes,
+            scores=np.clip(SCORE_BASE - SCORE_PENALTY * error, 0.05, 0.99),
+            classes=gt_classes[member], proposal_ids=proposal.astype(np.int64),
+            slots=rank.astype(np.int64))
+        order = np.lexsort((rank, -target[:, 3], -target[:, 2], -target[:, 1],
+                            -target[:, 0], -box_areas(target), proposal))
         # Sorting keeps each proposal's members in the positions they held,
         # so a group's first sorted position is where its rank 0 was.
-        chosen = order[rank == 0]
-        slots = np.zeros(len(chosen), dtype=np.int64)
-    else:
-        chosen = np.flatnonzero(rank < params.k)
-        slots = rank[chosen].astype(np.int64)
-    target = gt_boxes[member[chosen]]
-    boxes = _jitter(target, params.proposal_jitter, noise[chosen])
-    size = target[:, 2:] - target[:, :2]
-    error = (np.linalg.norm(boxes - target, axis=1)
-             / np.maximum(np.hypot(size[:, 0], size[:, 1]), 1e-9))
-    return Detections(boxes=boxes,
-                      scores=np.clip(SCORE_BASE - SCORE_PENALTY * error, 0.05, 0.99),
-                      classes=gt_classes[member[chosen]],
-                      proposal_ids=proposal[chosen].astype(np.int64), slots=slots)
+        self.dominant = order[rank == 0]
+
+    def select(self, k: int) -> Detections:
+        """The detections of a model with ``k`` slots: each proposal's
+        members of rank below ``k``, or with one slot its dominant member."""
+        d = self.dets
+        if k > 1:
+            rows = np.flatnonzero(d.slots < k)
+            return d.take(rows, d.scores[rows])
+        rows = self.dominant
+        return replace(d.take(rows, d.scores[rows]),
+                       slots=np.zeros(len(rows), dtype=np.int64))
 
 
 def simulate_detector(gts: Sequence[GroundTruth],
@@ -315,7 +333,7 @@ def simulate_detector(gts: Sequence[GroundTruth],
     noise in (proposal, rank) order, so different ``k`` see identical noise.
     Ignored ground truths get no proposal and join no set.
     """
-    return _simulate(*gt_columns(gts), params).to_list()
+    return _Draw(*gt_columns(gts), params).select(params.effective_k).to_list()
 
 
 @dataclass(frozen=True)
@@ -346,36 +364,66 @@ def build_scenes(scene_params: SceneParams, n_images: int, seed: int) -> list[Sc
     return scenes
 
 
+class StudyRows(list):
+    """:func:`run_study`'s rows, in order, with :meth:`counters` of the work
+    done to build them."""
+
+    def __init__(self, rows: Sequence[StudyRow], counters: dict):
+        super().__init__(rows)
+        self._counters = counters
+
+    def counters(self) -> dict:
+        """Images, detector draws (one per image per model family), overlap
+        sweeps (one per image per model) and rows."""
+        return dict(self._counters)
+
+
 def run_study(scene_params: SceneParams,
               sim_params_list: Sequence[DetectorSimParams],
               suppression_cfgs: Sequence[SuppressionConfig],
               eval_cfg: EvalConfig,
               n_images: int,
-              seed: int) -> list[StudyRow]:
+              seed: int) -> StudyRows:
     """Simulate and evaluate every (simulator, suppression) combination over
     the same ``n_images`` seeded scenes, except Set NMS on a one-slot
     simulator, which equals its NMS row.
 
     Scene seeds depend only on (seed, image); detector seeds only on
     (seed, image), shared by all simulator configs, so rows differ purely in
-    model structure, not in random draws. Each simulator config runs once,
-    in this process; the rows are fully deterministic.
+    model structure, not in random draws. Each image's work is shared
+    between rows: simulator configs that differ only in ``k`` (or ``mode``)
+    form one family, drawn once per image and selected per ``k``; each
+    model's detections are swept for overlaps once per image, and every
+    suppression config is derived from that sweep. The rows are fully
+    deterministic.
     """
     scenes = build_scenes(scene_params, n_images, seed)
     columns = [SceneArrays.from_record(scene) for scene in scenes]
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
+    draws: dict[DetectorSimParams, list[_Draw]] = {}
+    counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0}
     rows: list[StudyRow] = []
     for sim in sim_params_list:
-        raw = [_simulate(c.gt_boxes, c.gt_classes, c.gt_ignore, replace(sim, seed=s))
-               for c, s in zip(columns, sim_seeds)]
-        for cfg in suppression_cfgs:
-            # With one slot, no two boxes share a proposal: Set NMS is NMS.
-            if sim.effective_k == 1 and cfg.method == "set_nms":
-                continue
-            kept = [replace(c, dets=dets.take(*suppress_arrays(dets, cfg)))
-                    for c, dets in zip(columns, raw)]
-            report = Evaluation.of_arrays(kept, eval_cfg).report()
-            rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
-                                 method=cfg.method, iou_thresh=cfg.iou_thresh,
-                                 report=report))
-    return rows
+        family = replace(sim, mode="mip", k=1, seed=0)
+        if family not in draws:
+            draws[family] = [
+                _Draw(c.gt_boxes, c.gt_classes, c.gt_ignore, replace(family, seed=s))
+                for c, s in zip(columns, sim_seeds)]
+            counters["draws"] += n_images
+        k = sim.effective_k
+        # With one slot, no two boxes share a proposal: Set NMS is NMS.
+        cfgs = [cfg for cfg in suppression_cfgs
+                if not (k == 1 and cfg.method == "set_nms")]
+        if not cfgs:
+            continue
+        raw = [d.select(k) for d in draws[family]]
+        kept = [suppress_many(dets, cfgs) for dets in raw]
+        counters["sweeps"] += n_images
+        for j, cfg in enumerate(cfgs):
+            images = [replace(c, dets=dets.take(*per_cfg[j]))
+                      for c, dets, per_cfg in zip(columns, raw, kept)]
+            report = Evaluation.of_arrays(images, eval_cfg).report()
+            rows.append(StudyRow(sim_label=sim.label, k=k, method=cfg.method,
+                                 iou_thresh=cfg.iou_thresh, report=report))
+    counters["rows"] = len(rows)
+    return StudyRows(rows, counters)

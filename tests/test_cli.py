@@ -166,6 +166,17 @@ class TestStudy:
         assert all(math.isfinite(r["ji_best_threshold"]) for r in rows)
         assert strict_json(out / "manifest.json")["subcommand"] == "study"
 
+    def test_manifest_counts_the_shared_work(self, tmp_path):
+        # Three models (k = 1, 2, 3) of one family and three configs: one
+        # draw per image, one sweep per image per model, and no Set NMS
+        # row for the one-slot model.
+        out = tmp_path / "study"
+        assert main(["study", "--images", "3", "--k-sweep", "1,2,3",
+                     "--nms-sweep", "0.3", "--out", str(out)]) == 0
+        counters = strict_json(out / "manifest.json")["counters"]
+        assert counters == {"images": 3, "draws": 3, "sweeps": 9, "rows": 8}
+        assert len(strict_json(out / "report.json")["rows"]) == 8
+
     def test_each_model_and_threshold_runs_once(self, tmp_path):
         out = tmp_path / "study"
         assert main(["study", "--images", "1", "--k", "3", "--k-sweep",
@@ -714,18 +725,19 @@ class TestEmdErrors:
     def test_total_beyond_float_range_writes_no_report(self, tmp_path,
                                                        capsys):
         # Each slot's cost is finite, about 1.5e308; their sum is not. The
-        # matcher's numpy sum warns as it overflows.
+        # matcher's sum overflows without a warning (which pytest's
+        # filterwarnings = error would raise), so the error is all of stderr.
         slots = [{"scores": s, "delta": [1.5e308, 0.0, 0.0, 0.0]}
                  for s in TWO_SLOTS]
         out = tmp_path / "emd.json"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, err = self._run(tmp_path, capsys, STACK[:2], [
-                {"id": "a", "proposals": [{"box_xyxy": [0, 0, 40, 80],
-                                           "slots": slots}]}],
-                ("--out", str(out)))
+        code, err = self._run(tmp_path, capsys, STACK[:2], [
+            {"id": "a", "proposals": [{"box_xyxy": [0, 0, 40, 80],
+                                       "slots": slots}]}],
+            ("--out", str(out)))
         assert code == 1
         assert err.startswith("error: Out of range float values are not "
                               "JSON compliant")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_class_error_before_a_later_overflow(self, tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import suppression_oracle as oracle
-from crowdset import geometry, suppression
+from crowdset import geometry
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
-                                  Detections, SuppressionConfig, _greedy_keep,
-                                  nms, set_nms, soft_nms, suppress_arrays)
+                                  Detections, OverlapGraph, SuppressionConfig,
+                                  nms, set_nms, soft_nms, suppress_arrays,
+                                  suppress_many)
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             simulate_detector)
 
@@ -307,8 +308,9 @@ class TestOracleEquivalence:
     @settings(max_examples=600, deadline=None)
     @given(_clouds, _thresh)
     def test_greedy_keep_same_indices_same_order(self, dets, thresh):
-        for respect in (False, True):
-            got = _greedy_keep(Detections.from_list(dets), thresh, respect)
+        for method, respect in (("nms", False), ("set_nms", True)):
+            cfg = SuppressionConfig(method=method, iou_thresh=thresh)
+            got = suppress_arrays(Detections.from_list(dets), cfg)[0].tolist()
             want = oracle._greedy_keep(*oracle._to_arrays(dets), thresh, respect)
             assert got == want
         cfg = SuppressionConfig(method="set_nms", iou_thresh=thresh)
@@ -327,6 +329,45 @@ class TestOracleEquivalence:
         want = oracle.soft_nms(dets, cfg)
         assert [d.slot for d in got] == [d.slot for d in want]
         assert [d.score.hex() for d in got] == [d.score.hex() for d in want]
+
+
+_config = st.builds(SuppressionConfig, method=st.sampled_from(METHOD_NAMES),
+                    iou_thresh=_thresh, sigma=st.sampled_from([0.25, 0.5]),
+                    score_floor=st.sampled_from([0.0, 0.001, 0.2]))
+
+
+@st.composite
+def _config_lists(draw):
+    """One to five configs of any method, thresholds drawn from three
+    values so equal thresholds are common, plus repeats of some of them."""
+    cfgs = draw(st.lists(_config, min_size=1, max_size=5))
+    return cfgs + draw(st.lists(st.sampled_from(cfgs), max_size=2))
+
+
+class TestSharedSweep:
+    """Configs that share one image's sweep against the reference loops,
+    each as if it ran alone: same indices, same order, same bits."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_clouds, _config_lists())
+    def test_every_config_equals_the_oracle(self, dets, cfgs):
+        results = suppress_many(Detections.from_list(dets), cfgs)
+        assert len(results) == len(cfgs)
+        for cfg, (keep, scores) in zip(cfgs, results):
+            want = oracle_suppress(dets, cfg)
+            assert keep.tolist() == [d.slot for d in want], cfg
+            assert ([s.hex() for s in scores.tolist()]
+                    == [d.score.hex() for d in want]), cfg
+
+    def test_no_configs_no_sweep(self):
+        assert suppress_many(Detections.from_list([det(0, 0, 1, 1, 0.5)]), []) == []
+
+    def test_config_below_the_sweep_is_rejected(self):
+        graph = OverlapGraph(Detections.from_list([det(0, 0, 1, 1, 0.5)]), 0.5)
+        for cfg in (SuppressionConfig(iou_thresh=0.4),
+                    SuppressionConfig(method="soft_gaussian")):
+            with pytest.raises(ValueError, match="the sweep at IoU 0.5"):
+                graph.suppress(cfg)
 
 
 class TestBench:
@@ -521,10 +562,11 @@ class TestGraphEdges:
         order = np.argsort(-arrays.scores, kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
-        _, both, ious = suppression._overlap_graph(arrays, 0.5)
-        indptr, once, none = suppression._overlap_graph(arrays, 0.5, True, rank)
+        graph = OverlapGraph(arrays, 0.5)
+        _, both, ious = graph.graph(0.5)
+        indptr, once, once_ious = graph.graph(0.5, True, ranked=True)
         assert len(both) == len(ious) == n * (n - 1)
-        assert len(once) == n * (n - 1) // 2 and none is None
+        assert len(once) == len(once_ious) == n * (n - 1) // 2
         # Each stored edge runs from the higher score to the lower one.
         src = np.repeat(np.arange(n), np.diff(indptr))
         assert (rank[src] < rank[once]).all()

@@ -6,10 +6,13 @@ import pytest
 from crowdset.assignment import GroundTruth
 from crowdset.cli import main
 from crowdset.geometry import BBox, iou
-from crowdset.metrics import EvalConfig
-from crowdset.suppression import SuppressionConfig, nms, set_nms
-from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
-                            derive_seed, run_study, simulate_detector)
+from crowdset.metrics import EvalConfig, Evaluation
+from crowdset.scene_io import SceneArrays
+from crowdset.suppression import (Detections, SuppressionConfig, nms, set_nms,
+                                  suppress_arrays)
+from crowdset.synth import (DetectorSimParams, SceneParams, StudyRow,
+                            build_scenes, derive_seed, run_study,
+                            simulate_detector)
 
 # Crowded scenes with triples, so three-member assignment sets occur and
 # k=3 emits slots that k=2 does not.
@@ -175,3 +178,42 @@ class TestStudy:
                 kept = nms(dets, cfg)
                 assert len(kept) < len(dets)
                 assert set_nms(dets, replace(cfg, method="set_nms")) == kept
+
+    def test_shared_rows_equal_rows_built_one_at_a_time(self):
+        # Two model families (the jitter differs) and every method, with
+        # equal and distinct thresholds; triples make k=3 differ from k=2.
+        sims = [DetectorSimParams(k=1), DetectorSimParams(k=3),
+                DetectorSimParams(k=2), DetectorSimParams(k=2, proposal_jitter=0.1),
+                DetectorSimParams(mode="single", k=3)]
+        cfgs = [SuppressionConfig(method="nms"),
+                SuppressionConfig(method="set_nms"),
+                SuppressionConfig(method="nms", iou_thresh=0.3),
+                SuppressionConfig(method="soft_gaussian", score_floor=0.05),
+                SuppressionConfig(method="soft_linear", iou_thresh=0.4),
+                SuppressionConfig(method="set_nms", iou_thresh=0.3)]
+        eval_cfg, n, seed = EvalConfig(), 5, 21
+        rows = run_study(CROWDED, sims, cfgs, eval_cfg, n, seed)
+
+        scenes = build_scenes(CROWDED, n, seed)
+        want = []
+        for sim in sims:
+            raw = [Detections.from_list(simulate_detector(
+                       scene.gts, replace(sim, seed=derive_seed(seed, 1, i))))
+                   for i, scene in enumerate(scenes)]
+            for cfg in cfgs:
+                if sim.effective_k == 1 and cfg.method == "set_nms":
+                    continue
+                images = [replace(SceneArrays.from_record(scene),
+                                  dets=dets.take(*suppress_arrays(dets, cfg)))
+                          for scene, dets in zip(scenes, raw)]
+                want.append(StudyRow(sim.label, sim.effective_k, cfg.method,
+                                     cfg.iou_thresh,
+                                     Evaluation.of_arrays(images, eval_cfg).report()))
+        assert [repr(r) for r in rows] == [repr(r) for r in want]
+        # The k=3 model's rows are not its family's k=2 rows.
+        k3 = [r.report for r in rows if r.k == 3]
+        k2 = [r.report for r in rows if r.k == 2][:len(k3)]
+        assert len(k3) == len(cfgs) and k3 != k2
+        assert rows.counters() == {"images": n, "draws": 2 * n,
+                                   "sweeps": len(sims) * n,
+                                   "rows": len(want)}
