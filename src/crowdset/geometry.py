@@ -10,10 +10,10 @@ IoU arithmetic lives in two kernels that compute the same numbers:
 * :func:`iou_arrays` broadcasts box arrays against each other, with areas
   supplied by the caller so that repeated calls over one box set compute
   them once: the overlap engine gathers its candidate pairs into
-  aligned arrays, and scene generation tests each candidate box against
-  the boxes placed so far. :func:`iou_matrix` is its all-pairs wrapper.
-* :func:`iou` takes one pair of :class:`BBox`. It stays scalar because its
-  callers ask for one pair at a time (the pair-IoU bisection in scene
+  aligned arrays, and scene generation scores candidate boxes against the
+  placed ones. :func:`iou_matrix` is its all-pairs wrapper.
+* :func:`iou_xyxy` takes one pair of coordinate tuples (:func:`iou` one
+  pair of :class:`BBox`): its callers ask for one pair at a time (scene
   generation, ``GtSet`` validation), and numpy's fixed per-call overhead
   costs over ten times the scalar arithmetic on a single pair.
 
@@ -109,16 +109,19 @@ class BoxDelta:
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes; 0 when the union has zero area."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
+    return iou_xyxy(a.as_tuple(), b.as_tuple())
+
+
+def iou_xyxy(a: tuple, b: tuple) -> float:
+    """:func:`iou` of two (x1, y1, x2, y2) tuples of floats."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

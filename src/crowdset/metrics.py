@@ -32,6 +32,7 @@ after another, and builds no dense IoU matrix:
   those of a walk over that image alone.
 * The pairs of non-ignored ground truths with IoU > 0 are kept, so the
   crowd flags and the density count at any ``crowd_iou`` are views too.
+  They are swept once per :class:`Truth`, which the study's rows share.
 
 Neither walk's decision for a detection depends on lower-ranked detections,
 so keeping only the detections that score >= t gives a prefix of the pass
@@ -53,7 +54,7 @@ import numpy as np
 from .assignment import GroundTruth
 from .geometry import overlaps, rank_pairs
 from .scene_io import SceneArrays, SceneRecord
-from .suppression import Detection
+from .suppression import Detection, Detections
 
 # A ground truth is "crowd" when another ground truth in the same image
 # overlaps it beyond this IoU; everything else is "sparse".
@@ -177,15 +178,39 @@ def _cat(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else empty
 
 
+class Truth:
+    """The ground truths of every image, as columns one image after
+    another: ``boxes`` (G, 4), ``classes``, ``ignore`` and each row's
+    ``image``; evaluations over the same images share one, and with it the
+    sweep of :attr:`pairs`."""
+
+    def __init__(self, images: Sequence[SceneArrays]):
+        self.n_images = len(images)
+        self.image = np.repeat(np.arange(self.n_images),
+                               [len(r.gt_boxes) for r in images])
+        self.boxes = _cat([r.gt_boxes for r in images], np.zeros((0, 4)))
+        self.classes = _cat([r.gt_classes for r in images],
+                            np.zeros(0, dtype=np.int64))
+        self.ignore = _cat([r.gt_ignore for r in images], np.zeros(0, dtype=bool))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Each pair of non-ignored ground truths of one image with IoU > 0,
+        once, with its IoU; and the number of ground-truth pairs swept."""
+        real = ~self.ignore
+        return overlaps(self.boxes,
+                        lambda a, b, ov: real[a] & real[b] & (ov > 0.0),
+                        self.image)
+
+
 class Evaluation:
     """Every image of one call matched in one sparse pass (see the module
     docstring); each metric is a view.
 
-    The columns run over all images, one image after another: ground truths
-    ``gt_boxes`` (G, 4), ``gt_classes`` and ``gt_ignore``, detections
-    ``det_boxes`` (D, 4), ``det_scores`` and ``det_classes``, and the image
-    index of each row in ``gt_image`` and ``det_image``. :meth:`of_arrays`
-    builds one from :class:`~crowdset.scene_io.SceneArrays`.
+    ``truth`` holds the images' ground truths and ``dets`` each image's
+    detections, in the same image order. The detection columns run over
+    all images, one image after another. :meth:`of_arrays` builds one from
+    :class:`~crowdset.scene_io.SceneArrays`.
 
     After construction, ``candidates`` lists each detection's candidate
     ground truths (global indices), ``order`` is the detection at each
@@ -193,24 +218,21 @@ class Evaluation:
     greedy walk's result, as in :class:`MatchResult` with global indices.
     """
 
-    def __init__(self, cfg: EvalConfig, n_images: int,
-                 gt_image: np.ndarray, gt_boxes: np.ndarray,
-                 gt_classes: np.ndarray, gt_ignore: np.ndarray,
-                 det_image: np.ndarray, det_boxes: np.ndarray,
-                 det_scores: np.ndarray, det_classes: np.ndarray):
-        self.cfg = cfg
-        self.n_images = n_images
-        self.gt_image, self.gt_boxes, self.gt_ignore = gt_image, gt_boxes, gt_ignore
-        self.scores = det_scores
-        self.n_gt = int(np.count_nonzero(~gt_ignore))
+    def __init__(self, cfg: EvalConfig, truth: Truth,
+                 dets: Sequence[Detections]):
+        self.cfg, self.truth, self.n_images = cfg, truth, truth.n_images
+        self.n_gt = int(np.count_nonzero(~truth.ignore))
+        det_image = np.repeat(np.arange(self.n_images), [len(d) for d in dets])
+        self.scores = _cat([d.scores for d in dets], np.zeros(0))
         # Descending score, ties by image, then input index: each image's
         # rank order, and the global order of the AP and MR^-2 sweeps.
-        self.order = np.argsort(-det_scores, kind="stable")
+        self.order = np.argsort(-self.scores, kind="stable")
         (self.candidates, hits_ignored, self.det_gt_swept,
-         self.det_gt_above) = self._candidates(det_image, det_boxes,
-                                               det_classes, gt_classes)
-        det_match = [-1] * len(det_scores)
-        taken = [False] * len(gt_boxes)
+         self.det_gt_above) = self._candidates(
+            det_image, _cat([d.boxes for d in dets], np.zeros((0, 4))),
+            _cat([d.classes for d in dets], np.zeros(0, dtype=np.int64)))
+        det_match = [-1] * len(self.scores)
+        taken = [False] * len(truth.boxes)
         for i in self.order.tolist():
             for j in self.candidates[i]:
                 if not taken[j]:
@@ -226,29 +248,18 @@ class Evaluation:
     @classmethod
     def of_arrays(cls, images: Sequence[SceneArrays],
                   cfg: EvalConfig) -> "Evaluation":
-        n = len(images)
-        dets = [r.dets for r in images]
-        return cls(
-            cfg, n,
-            np.repeat(np.arange(n), [len(r.gt_boxes) for r in images]),
-            _cat([r.gt_boxes for r in images], np.zeros((0, 4))),
-            _cat([r.gt_classes for r in images], np.zeros(0, dtype=np.int64)),
-            _cat([r.gt_ignore for r in images], np.zeros(0, dtype=bool)),
-            np.repeat(np.arange(n), [len(d) for d in dets]),
-            _cat([d.boxes for d in dets], np.zeros((0, 4))),
-            _cat([d.scores for d in dets], np.zeros(0)),
-            _cat([d.classes for d in dets], np.zeros(0, dtype=np.int64)))
+        return cls(cfg, Truth(images), [r.dets for r in images])
 
-    def _candidates(self, det_image, det_boxes, det_classes, gt_classes):
+    def _candidates(self, det_image, det_boxes, det_classes):
         """Each detection's candidate list, whether it reaches an ignored
         ground truth, the det/GT pairs swept, and how many of them are of
         one class with IoU >= threshold."""
-        thresh, n_det = self.cfg.iou_thresh, len(det_boxes)
+        thresh, n_det, truth = self.cfg.iou_thresh, len(det_boxes), self.truth
         d, g, ious, swept = overlaps(
             det_boxes,
-            lambda i, j, ov: (ov >= thresh) & (det_classes[i] == gt_classes[j]),
-            det_image, self.gt_boxes, self.gt_image)
-        ignored = self.gt_ignore[g]
+            lambda i, j, ov: (ov >= thresh) & (det_classes[i] == truth.classes[j]),
+            det_image, truth.boxes, truth.image)
+        ignored = truth.ignore[g]
         hits_ignored = np.zeros(n_det, dtype=bool)
         hits_ignored[d[ignored]] = True
         real = ~ignored
@@ -259,23 +270,14 @@ class Evaluation:
     def gains(self) -> np.ndarray:
         """The maximum-matching walk's gain at each global rank."""
         return _max_matching_gains(self.candidates, self.order.tolist(),
-                                   len(self.gt_boxes))
-
-    @cached_property
-    def _gt_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Each pair of non-ignored ground truths of one image with IoU > 0,
-        once, with its IoU; and the number of ground-truth pairs swept."""
-        real = ~self.gt_ignore
-        return overlaps(self.gt_boxes,
-                        lambda a, b, ov: real[a] & real[b] & (ov > 0.0),
-                        self.gt_image)
+                                   len(self.truth.boxes))
 
     def counters(self) -> dict:
         """What the pass saw: images, ground truths and detections; pairs
         the sweep listed (det/GT and GT/GT); same-class det/GT pairs at or
         above the IoU threshold; GT pairs overlapping beyond ``CROWD_IOU``."""
-        _, _, gt_ious, gt_swept = self._gt_pairs
-        return {"images": self.n_images, "gts": len(self.gt_boxes),
+        _, _, gt_ious, gt_swept = self.truth.pairs
+        return {"images": self.n_images, "gts": len(self.truth.boxes),
                 "dets": len(self.scores),
                 "candidate_pairs": self.det_gt_swept + gt_swept,
                 "det_gt_pairs_above_iou": self.det_gt_above,
@@ -347,19 +349,19 @@ class Evaluation:
         """Per ground truth: another non-ignored ground truth of its image
         overlaps it with IoU > ``crowd_iou``; ignored ones stay False."""
         _check_crowd_iou(crowd_iou)
-        a, b, ious, _ = self._gt_pairs
+        a, b, ious, _ = self.truth.pairs
         over = ious > crowd_iou
-        flags = np.zeros(len(self.gt_boxes), dtype=bool)
+        flags = np.zeros(len(self.truth.boxes), dtype=bool)
         flags[a[over]] = True
         flags[b[over]] = True
         return flags
 
     def recall_split(self, score_threshold: float, crowd_iou: float
                      ) -> tuple[RecallStats, RecallStats, RecallStats]:
-        found = np.zeros(len(self.gt_boxes), dtype=bool)
+        found = np.zeros(len(self.truth.boxes), dtype=bool)
         at = self.det_match[self.scores >= score_threshold]
         found[at[at >= 0]] = True
-        real, crowd = ~self.gt_ignore, self.crowd_flags(crowd_iou)
+        real, crowd = ~self.truth.ignore, self.crowd_flags(crowd_iou)
 
         def stats(mask: np.ndarray) -> RecallStats:
             return RecallStats(int((found & mask).sum()), int(mask.sum()))
@@ -373,7 +375,7 @@ class Evaluation:
         _check_crowd_iou(crowd_iou)
         if self.n_images == 0:
             return DensityStats(0.0, 0.0)
-        pairs = int(np.count_nonzero(self._gt_pairs[2] > crowd_iou))
+        pairs = int(np.count_nonzero(self.truth.pairs[2] > crowd_iou))
         return DensityStats(self.n_gt / self.n_images, pairs / self.n_images)
 
     def report(self) -> EvalReport:

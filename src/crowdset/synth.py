@@ -1,10 +1,16 @@
 """Seeded synthetic crowded scenes and simulated detector outputs.
 
 The generator places isolated boxes plus deliberately overlapping "crowd"
-pairs at configurable per-image densities, so suppression strategies can be
-compared on data whose crowd structure is known exactly. The detector
-simulator turns those ground truths into detections, one prediction slot
-budget ``k`` per model:
+pairs and triples at configurable per-image densities, so suppression
+strategies can be compared on data whose crowd structure is known exactly.
+It builds each scene as a (G, 4) array. The isolated boxes come last, and
+each candidate takes the next 4 uniforms whether or not it is rejected, so
+their candidates are a fixed stream: drawn in blocks with ``random()`` (a
+``Generator.uniform`` is exactly ``lo + (hi - lo) * random()``), each block
+is scored in one IoU matrix and walked like NMS.
+
+The detector simulator turns those ground truths into detections, one
+prediction slot budget ``k`` per model:
 
 * ``k=1`` reproduces the classic failure: every proposal over a crowded
   cluster regresses toward the cluster's dominant member, so the cluster
@@ -13,19 +19,15 @@ budget ``k`` per model:
   assignment set (up to ``k`` slots sharing the proposal's id), which is
   exactly the structure Set NMS preserves.
 
-The simulator works in two steps on ground-truth columns. The draw does
-everything that does not depend on ``k``: the proposals, each proposal's
-ranked assignment set, the (proposal, rank) index and the noise, and with
-them every member's prediction. A selection then picks one model's
-:class:`~crowdset.suppression.Detections` from the draw. The study draws
-once per image per model family (simulator configs that differ only in
-``k`` or ``mode``) from its :class:`~crowdset.scene_io.SceneArrays` and
-selects each ``k`` from that draw; :func:`simulate_detector` draws and
-selects once, converting dataclasses at the edge.
-
-Everything is deterministic under the configured seeds. Each image's
-detector noise comes from one stream, drawn in an order that does not
-depend on ``k``, so models with different slot budgets see identical noise.
+A draw does everything that does not depend on ``k`` (the proposals, their
+ranked assignment sets and the noise, in an order that does not depend on
+``k``), and a selection picks one model's
+:class:`~crowdset.suppression.Detections` from it. The study generates its
+scenes as :class:`~crowdset.scene_io.SceneArrays`, draws once per image per
+model family (configs that differ only in ``k`` or ``mode``), selects each
+``k`` from that draw, and sweeps the ground truths' overlaps once for all
+its rows. :func:`generate_scene`, :func:`build_scenes` and
+:func:`simulate_detector` convert dataclasses at the edge.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import GroundTruth, gt_columns, gt_set_members
-from .geometry import BBox, box_areas, boxes_to_array, iou, iou_arrays
-from .metrics import EvalConfig, EvalReport, Evaluation
+from .geometry import BBox, box_areas, iou_arrays, iou_xyxy
+from .metrics import EvalConfig, EvalReport, Evaluation, Truth
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import Detection, Detections, SuppressionConfig, suppress_many
 
@@ -55,6 +57,8 @@ ASPECT_RANGE = (1.6, 2.6)
 
 _PLACEMENT_TRIES = 200
 _PAIR_IOU_TOL = 1e-4
+_BISECTION_STEPS = 80
+_CANDIDATE_BLOCK = 32  # isolated candidates drawn and scored at a time
 
 
 class SceneGenerationError(RuntimeError):
@@ -85,8 +89,10 @@ class SceneParams:
         lo, hi = self.pair_iou_range
         if not 0.5 < lo <= hi < 1.0:
             raise ValueError("pair_iou_range must lie inside (0.5, 1.0)")
-        if self.n_objects_mean < 0 or self.crowd_pairs_mean < 0 or self.crowd_triples_mean < 0:
-            raise ValueError("density means must be non-negative")
+        for name in ("n_objects_mean", "crowd_pairs_mean", "crowd_triples_mean"):
+            mean = getattr(self, name)
+            if not (np.isfinite(mean) and mean >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {mean}")
 
 
 @dataclass(frozen=True)
@@ -140,120 +146,131 @@ def derive_seed(*key: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-def _sample_box(rng: np.random.Generator, params: SceneParams) -> BBox:
-    w = rng.uniform(*BOX_SCALE_RANGE)
-    h = w * rng.uniform(*ASPECT_RANGE)
-    x = rng.uniform(0.0, max(1.0, params.image_w - w))
-    y = rng.uniform(0.0, max(1.0, params.image_h - h))
-    return BBox(x, y, x + w, y + h)
+def _uniform(lo, hi, u):
+    """``Generator.uniform(lo, hi)`` from its ``random()`` draw ``u``."""
+    return lo + (hi - lo) * u
 
 
-class _Placed:
-    """The boxes placed so far, with their corner array and areas grown in
-    step, so each candidate costs one IoU call against the whole set."""
-
-    def __init__(self):
-        self.boxes: list[BBox] = []
-        self._array = np.zeros((0, 4))
-        self._areas = np.zeros(0)
-
-    def add(self, boxes: Sequence[BBox]) -> None:
-        self.boxes.extend(boxes)
-        array = boxes_to_array(boxes)
-        self._array = np.concatenate([self._array, array])
-        self._areas = np.concatenate([self._areas, box_areas(array)])
-
-    def max_iou(self, box: BBox) -> float:
-        if not self.boxes:
-            return 0.0
-        return float(iou_arrays(np.array(box.as_tuple()), box.area,
-                                self._array, self._areas).max())
+def _box_corners(uw, ua, ux, uy, params: SceneParams):
+    """Corners (x1, y1, x2, y2) from 4 uniforms: width, aspect, x and y;
+    floats give one box, arrays one box per element."""
+    w = _uniform(*BOX_SCALE_RANGE, uw)
+    h = w * _uniform(*ASPECT_RANGE, ua)
+    x = _uniform(0.0, np.maximum(1.0, params.image_w - w), ux)
+    y = _uniform(0.0, np.maximum(1.0, params.image_h - h), uy)
+    return x, y, x + w, y + h
 
 
-def _offset_for_target_iou(box: BBox, ux: float, uy: float, target: float) -> BBox:
-    """Partner box: ``box`` shifted along (ux, uy) so the pair IoU hits
-    ``target``; the offset magnitude is solved by bisection."""
-    lo, hi = 0.0, box.width + box.height  # IoU(hi) == 0 < target
-    for _ in range(80):
+def _shift_to_iou(anchor: tuple, ux: float, uy: float,
+                  target: float) -> tuple[tuple, bool]:
+    """``anchor`` shifted along (ux, uy) to IoU ``target`` with it, by
+    bisection on the offset; and whether every step ran."""
+    x1, y1, x2, y2 = anchor
+    lo, hi = 0.0, (x2 - x1) + (y2 - y1)  # IoU(hi) == 0 < target
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        shifted = box.shifted(mid * ux, mid * uy)
-        v = iou(box, shifted)
+        box = (x1 + mid * ux, y1 + mid * uy, x2 + mid * ux, y2 + mid * uy)
+        v = iou_xyxy(anchor, box)
         if abs(v - target) <= _PAIR_IOU_TOL:
-            return shifted
-        if v > target:
-            lo = mid
-        else:
-            hi = mid
-    return box.shifted(0.5 * (lo + hi) * ux, 0.5 * (lo + hi) * uy)
+            return box, False
+        lo, hi = (mid, hi) if v > target else (lo, mid)
+    mid = 0.5 * (lo + hi)
+    return (x1 + mid * ux, y1 + mid * uy, x2 + mid * ux, y2 + mid * uy), True
 
 
-def _place_cluster(rng: np.random.Generator, params: SceneParams,
-                   placed: _Placed, n_partners: int) -> list[BBox]:
-    """An anchor box plus ``n_partners`` offset copies, each hitting a target
-    IoU with the anchor, none overlapping outside boxes beyond 0.5."""
-    for _ in range(_PLACEMENT_TRIES):
-        anchor = _sample_box(rng, params)
-        if placed.max_iou(anchor) > 0.5:
-            continue
-        cluster = [anchor]
-        ok = True
-        for _ in range(n_partners):
-            partner = None
-            for _ in range(_PLACEMENT_TRIES):
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-                target = rng.uniform(*params.pair_iou_range)
-                cand = _offset_for_target_iou(anchor, np.cos(angle), np.sin(angle),
-                                              target)
-                if placed.max_iou(cand) > 0.5:
-                    continue
-                partner = cand
-                break
-            if partner is None:
-                ok = False
-                break
-            cluster.append(partner)
-        if ok:
-            return cluster
-    raise SceneGenerationError(
-        f"could not place a {n_partners + 1}-box cluster without accidental "
-        f"IoU > 0.5 against existing boxes after {_PLACEMENT_TRIES} attempts"
-    )
+class _Scene:
+    """One scene generated (see :func:`generate_scene`): its (G, 4)
+    ``boxes``, candidate boxes rejected and bisections capped."""
+
+    def __init__(self, params: SceneParams):
+        self.rng = rng = np.random.default_rng(params.seed)
+        n_total = int(rng.poisson(params.n_objects_mean))
+        n_pairs = int(rng.poisson(params.crowd_pairs_mean))
+        n_triples = (int(rng.poisson(params.crowd_triples_mean))
+                     if params.crowd_triples_mean > 0 else 0)
+        self.params, self.placed = params, []
+        self.retries = self.cap_hits = 0
+        for n_partners in [2] * n_triples + [1] * n_pairs:
+            self.cluster(n_partners)
+        self.boxes = self.isolated(max(0, n_total - 2 * n_pairs - 3 * n_triples))
+
+    def fits(self, box: tuple) -> bool:
+        """No placed box overlaps ``box`` beyond 0.5; counts a rejection."""
+        ok = all(iou_xyxy(box, other) <= 0.5 for other in self.placed)
+        self.retries += not ok
+        return ok
+
+    def partner(self, anchor: tuple) -> tuple | None:
+        """The first of ``_PLACEMENT_TRIES`` partners of ``anchor`` that
+        fits, or None."""
+        for _ in range(_PLACEMENT_TRIES):
+            angle = self.rng.uniform(0.0, 2.0 * np.pi)
+            box, capped = _shift_to_iou(
+                anchor, float(np.cos(angle)), float(np.sin(angle)),
+                self.rng.uniform(*self.params.pair_iou_range))
+            self.cap_hits += capped
+            if self.fits(box):
+                return box
+        return None
+
+    def cluster(self, n_partners: int) -> None:
+        """An anchor and its partners; a partner that fails every try
+        abandons its anchor."""
+        for _ in range(_PLACEMENT_TRIES):
+            anchor = tuple(map(float, _box_corners(*self.rng.random(4), self.params)))
+            members = [anchor] if self.fits(anchor) else [None]
+            while members[-1] is not None and len(members) <= n_partners:
+                members.append(self.partner(anchor))
+            if members[-1] is not None:
+                self.placed += members
+                return
+        raise SceneGenerationError(
+            f"could not place a {n_partners + 1}-box cluster without accidental "
+            f"IoU > 0.5 against existing boxes after {_PLACEMENT_TRIES} attempts")
+
+    def isolated(self, n: int) -> np.ndarray:
+        """The placed boxes, then ``n`` isolated ones, as a (G, 4) array.
+        Candidates are scored a block at a time in one IoU matrix, against
+        the placed boxes and each other, then walked in order like NMS."""
+        boxes, misses = np.array(self.placed).reshape(-1, 4), 0
+        while n:
+            cands = np.stack(_box_corners(*self.rng.random((_CANDIDATE_BLOCK, 4)).T,
+                                          self.params), axis=1)
+            both = np.concatenate([boxes, cands])
+            over = iou_arrays(cands[:, None], box_areas(cands)[:, None],
+                              both[None], box_areas(both)[None]) > 0.5
+            blocked, kept = over[:, :len(boxes)].any(axis=1), []
+            for i in range(_CANDIDATE_BLOCK):
+                misses = misses + 1 if blocked[i] else 0
+                if misses == _PLACEMENT_TRIES:
+                    raise SceneGenerationError(
+                        f"could not place an isolated box without accidental "
+                        f"IoU > 0.5 after {_PLACEMENT_TRIES} attempts")
+                if not blocked[i]:
+                    kept.append(i)
+                    blocked |= over[i, len(boxes):]
+                    if len(kept) == n:
+                        break
+            self.retries += i + 1 - len(kept)
+            boxes, n = np.concatenate([boxes, cands[kept]]), n - len(kept)
+        return boxes
 
 
 def generate_scene(params: SceneParams) -> list[GroundTruth]:
     """Generate one scene's ground truths, deterministic under params.seed.
 
-    Object and crowd-cluster counts are Poisson around the configured means.
-    Crowd pairs (and optional triples) hit a target IoU drawn from
-    ``pair_iou_range`` via bisection; isolated boxes reject any accidental
-    IoU > 0.5 with already-placed boxes, so the crowd structure is exactly
-    the generated clusters.
+    Object and cluster counts are Poisson around the configured means;
+    triples, then pairs, then isolated boxes are placed, each partner at a
+    target IoU from ``pair_iou_range`` with its anchor. Every box rejects
+    an accidental IoU > 0.5 with the boxes placed before it, and
+    ``_PLACEMENT_TRIES`` rejections in a row raise
+    :class:`SceneGenerationError`. Isolated candidates, 4 uniforms each,
+    are a fixed stream, drawn and scored a block at a time; a block may
+    draw past the last candidate needed, which is harmless, since the
+    generator dies with the scene.
     """
-    rng = np.random.default_rng(params.seed)
-    n_total = int(rng.poisson(params.n_objects_mean))
-    n_pairs = int(rng.poisson(params.crowd_pairs_mean))
-    n_triples = int(rng.poisson(params.crowd_triples_mean)) if params.crowd_triples_mean > 0 else 0
-    n_isolated = max(0, n_total - 2 * n_pairs - 3 * n_triples)
-
-    placed = _Placed()
-    for _ in range(n_triples):
-        placed.add(_place_cluster(rng, params, placed, n_partners=2))
-    for _ in range(n_pairs):
-        placed.add(_place_cluster(rng, params, placed, n_partners=1))
-    for _ in range(n_isolated):
-        box = None
-        for _ in range(_PLACEMENT_TRIES):
-            cand = _sample_box(rng, params)
-            if placed.max_iou(cand) <= 0.5:
-                box = cand
-                break
-        if box is None:
-            raise SceneGenerationError(
-                f"could not place an isolated box without accidental IoU > 0.5 "
-                f"after {_PLACEMENT_TRIES} attempts"
-            )
-        placed.add([box])
-    return [GroundTruth(box=b, class_id=1) for b in placed.boxes]
+    return [GroundTruth(box=BBox(*box), class_id=1)
+            for box in _Scene(params).boxes.tolist()]
 
 
 def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
@@ -329,9 +346,8 @@ def simulate_detector(gts: Sequence[GroundTruth],
     per member, up to ``k``; with one slot it emits one detection aimed at
     the cluster's dominant member: the largest area, ties to the larger
     corner tuple, then to the lower rank. One stream, seeded by
-    ``params.seed``, gives first the proposal noise and then every member's
-    noise in (proposal, rank) order, so different ``k`` see identical noise.
-    Ignored ground truths get no proposal and join no set.
+    ``params.seed``, gives the proposal noise and then every member's noise
+    in (proposal, rank) order. Ignored ground truths join no set.
     """
     return _Draw(*gt_columns(gts), params).select(params.effective_k).to_list()
 
@@ -347,21 +363,30 @@ class StudyRow:
     report: EvalReport
 
 
-def build_scenes(scene_params: SceneParams, n_images: int, seed: int) -> list[SceneRecord]:
-    """Generate ``n_images`` (at least one) scene records with per-image
-    derived seeds."""
+def _scene_arrays(scene_params: SceneParams, n_images: int, seed: int,
+                  counters: dict) -> list[SceneArrays]:
+    """:func:`build_scenes` as columns; counts rejections and capped
+    bisections into ``counters``."""
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     scenes = []
     for i in range(n_images):
-        p = replace(scene_params, seed=derive_seed(seed, _NS_SCENE, i))
-        scenes.append(SceneRecord(
-            id=f"synthetic-{i:05d}",
-            width=scene_params.image_w,
-            height=scene_params.image_h,
-            gts=generate_scene(p),
-        ))
+        scene = _Scene(replace(scene_params, seed=derive_seed(seed, _NS_SCENE, i)))
+        counters["placement_retries"] += scene.retries
+        counters["bisection_cap_hits"] += scene.cap_hits
+        g = len(scene.boxes)
+        scenes.append(SceneArrays(
+            f"synthetic-{i:05d}", scene_params.image_w, scene_params.image_h,
+            scene.boxes, np.ones(g, dtype=np.int64), np.zeros(g, dtype=bool),
+            Detections.from_list([])))
     return scenes
+
+
+def build_scenes(scene_params: SceneParams, n_images: int, seed: int) -> list[SceneRecord]:
+    """Generate ``n_images`` (at least one) scene records with per-image
+    derived seeds."""
+    counters = {"placement_retries": 0, "bisection_cap_hits": 0}
+    return [s.record() for s in _scene_arrays(scene_params, n_images, seed, counters)]
 
 
 class StudyRows(list):
@@ -374,7 +399,8 @@ class StudyRows(list):
 
     def counters(self) -> dict:
         """Images, detector draws (one per image per model family), overlap
-        sweeps (one per image per model) and rows."""
+        sweeps (one per image per model), rows, candidate boxes rejected in
+        scene generation, and pair bisections that ran all their steps."""
         return dict(self._counters)
 
 
@@ -394,14 +420,15 @@ def run_study(scene_params: SceneParams,
     between rows: simulator configs that differ only in ``k`` (or ``mode``)
     form one family, drawn once per image and selected per ``k``; each
     model's detections are swept for overlaps once per image, and every
-    suppression config is derived from that sweep. The rows are fully
-    deterministic.
+    suppression config is derived from that sweep; the ground truths are
+    swept once for all rows. The rows are fully deterministic.
     """
-    scenes = build_scenes(scene_params, n_images, seed)
-    columns = [SceneArrays.from_record(scene) for scene in scenes]
+    counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0,
+                "placement_retries": 0, "bisection_cap_hits": 0}
+    columns = _scene_arrays(scene_params, n_images, seed, counters)
+    truth = Truth(columns)
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
     draws: dict[DetectorSimParams, list[_Draw]] = {}
-    counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0}
     rows: list[StudyRow] = []
     for sim in sim_params_list:
         family = replace(sim, mode="mip", k=1, seed=0)
@@ -420,9 +447,8 @@ def run_study(scene_params: SceneParams,
         kept = [suppress_many(dets, cfgs) for dets in raw]
         counters["sweeps"] += n_images
         for j, cfg in enumerate(cfgs):
-            images = [replace(c, dets=dets.take(*per_cfg[j]))
-                      for c, dets, per_cfg in zip(columns, raw, kept)]
-            report = Evaluation.of_arrays(images, eval_cfg).report()
+            dets = [d.take(*per_cfg[j]) for d, per_cfg in zip(raw, kept)]
+            report = Evaluation(eval_cfg, truth, dets).report()
             rows.append(StudyRow(sim_label=sim.label, k=k, method=cfg.method,
                                  iou_thresh=cfg.iou_thresh, report=report))
     counters["rows"] = len(rows)

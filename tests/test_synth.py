@@ -1,17 +1,26 @@
 import hashlib
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import synth_oracle as oracle
 from crowdset.assignment import GroundTruth
+from crowdset import metrics
 from crowdset.cli import main
-from crowdset.geometry import BBox, iou
+from crowdset.geometry import BBox, boxes_to_array, iou, overlaps
 from crowdset.metrics import EvalConfig, Evaluation
 from crowdset.scene_io import SceneArrays
 from crowdset.suppression import (Detections, SuppressionConfig, nms, set_nms,
                                   suppress_arrays)
-from crowdset.synth import (DetectorSimParams, SceneParams, StudyRow,
-                            build_scenes, derive_seed, run_study,
+from crowdset.synth import (_BISECTION_STEPS, DetectorSimParams,
+                            SceneGenerationError, SceneParams, StudyRow,
+                            _shift_to_iou, _Scene, build_scenes,
+                            derive_seed, generate_scene, run_study,
                             simulate_detector)
 
 # Crowded scenes with triples, so three-member assignment sets occur and
@@ -35,6 +44,51 @@ def edge_scenes():
 # sha256 of simulate_detector over edge_scenes() at k = 1, 2 and 3.
 EDGE_SCENES_SHA256 = "27183d786003f98a5d55bf8e64b45e220d5254ddde1405967dd9b1e1f90b074d"
 
+# sha256 of `crowdset synth --images 8 --seed 5` at (--pairs-mean,
+# --triples-mean), as the scalar generator wrote it.
+SYNTH_SHA256 = {
+    ("0", "0"): "530abb6b34c5dd8e435a068b1425ae1b23f65fd8818bd0417fb8dbb6c439fd10",
+    ("0", "0.8"): "a6ba3029a0d422768243fcb5cf533c30208d7cc15f1081b292f32eec6a442d47",
+    ("0.6", "0"): "0a64716a765375a0d4b2081c39dc55881f0f7f1f380bd41253ce759b64c2bcaf",
+    ("0.6", "0.8"): "7d2a6761d29d9ccec01025a6c44f2cecc102659be685187b9aa5476e46589e12",
+    ("2.4", "0"): "3902198364acf955a41fe4a991c39bb2de3a0c9580a4c71de32de1a7353175b3",
+    ("2.4", "0.8"): "ebda027172cb23868e5c64d70b718d4736474d02dee073e51fd12cf64550bace",
+    ("6.0", "0"): "66570a8ad5e8902fb107ef805c1c6eae5231cb38a76005bc0d6a883ebf71b271",
+    ("6.0", "0.8"): "c20cc4e96911e926cfdcfa4f79e62535e158789e442c970c715116f062aead0e",
+}
+
+# Too many clusters for the image: seed 4 cannot place them all.
+TINY_CROWD = SceneParams(image_w=120, image_h=100, n_objects_mean=6.0,
+                         crowd_pairs_mean=3.0, crowd_triples_mean=1.5,
+                         pair_iou_range=(0.51, 0.52), seed=4)
+
+
+@st.composite
+def scene_params(draw):
+    """Generator parameters from sparse to dense, on images down to ones
+    too small for their boxes, with pair IoU ranges at both limits."""
+    below_one = math.nextafter(1.0, 0.0)
+    lo = draw(st.one_of(st.just(math.nextafter(0.5, 1.0)), st.just(below_one),
+                        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)))
+    hi = draw(st.one_of(st.just(lo), st.just(below_one),
+                        st.floats(lo, 1.0, exclude_max=True)))
+    w, h = draw(st.sampled_from([(1280, 800), (400, 300), (200, 150),
+                                 (120, 100)]))
+    return SceneParams(
+        image_w=w, image_h=h,
+        n_objects_mean=draw(st.floats(0.0, 80.0)),
+        crowd_pairs_mean=draw(st.floats(0.0, 6.0)),
+        crowd_triples_mean=draw(st.floats(0.0, 1.5)),
+        pair_iou_range=(lo, hi), seed=draw(st.integers(0, 2**63 - 1)))
+
+
+def outcome(generate, params):
+    """The generated boxes' bytes, or the error message."""
+    try:
+        return generate(params).tobytes()
+    except SceneGenerationError as e:
+        return str(e)
+
 
 class TestDeterminism:
     def test_synth_bytes_repeat_under_a_seed(self, tmp_path):
@@ -49,6 +103,63 @@ class TestDeterminism:
         assert main(["synth", "--images", "5", "--seed", "10",
                      "--triples-mean", "1", "--out", str(other)]) == 0
         assert other.read_bytes() != outs[0]
+
+    @pytest.mark.parametrize("pairs, triples", list(SYNTH_SHA256))
+    def test_synth_bytes_are_pinned(self, tmp_path, pairs, triples):
+        out = tmp_path / "scenes.jsonl"
+        assert main(["synth", "--images", "8", "--seed", "5", "--pairs-mean",
+                     pairs, "--triples-mean", triples, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == SYNTH_SHA256[pairs, triples]
+
+
+class TestGenerator:
+    @given(scene_params())
+    @settings(max_examples=300, deadline=None)
+    @example(TINY_CROWD)  # a 2-box cluster fails
+    @example(replace(TINY_CROWD, crowd_triples_mean=3.0))  # a 3-box one
+    def test_array_generator_equals_the_scalar_oracle(self, params):
+        want = outcome(lambda p: boxes_to_array(
+            [g.box for g in oracle.generate_scene(p)]), params)
+        assert outcome(lambda p: _Scene(p).boxes, params) == want
+
+    def test_generate_scene_gives_the_oracles_ground_truths(self):
+        for seed in range(5):
+            params = replace(CROWDED, seed=seed)
+            assert generate_scene(params) == oracle.generate_scene(params)
+
+    def test_rejections_are_counted_on_a_hand_made_stream(self):
+        # A uniform row (0, 0, ux, uy) is a 40 x 64 box at
+        # (1000 ux, 1000 uy) on this image. A box 10 px right of another
+        # overlaps it at IoU 30/50 = 0.6, one 30 px right at 10/70.
+        scene = _Scene(SceneParams(image_w=1040, image_h=1064,
+                                   n_objects_mean=0.0, crowd_pairs_mean=0.0))
+        assert scene.boxes.shape == (0, 4) and scene.retries == 0
+        scene.placed.append((900.0, 900.0, 940.0, 964.0))
+        rows = np.array([(0, 0, 0, 0),       # placed
+                         (0, 0, 0, 0),       # rejected: equals the first
+                         (0, 0, 0.01, 0),    # rejected: IoU 0.6 with it
+                         (0, 0, 0.9, 0.9),   # rejected: equals the old box
+                         (0, 0, 0.5, 0.5),   # placed
+                         (0, 0, 0.03, 0)],   # placed: IoU 1/7 with the first
+                        dtype=float)
+        scene.rng = SimpleNamespace(random=lambda shape: np.resize(rows, shape))
+        boxes = scene.isolated(3)
+        assert scene.retries == 3
+        assert boxes.tolist() == [[900, 900, 940, 964], [0, 0, 40, 64],
+                                  [500, 500, 540, 564], [30, 0, 70, 64]]
+
+    def test_bisection_reports_when_it_runs_out_of_steps(self):
+        # Shifting a 40 x 64 box d px right gives IoU (40 - d) / (40 + d),
+        # which is 0.6 at d = 10.
+        box, capped = _shift_to_iou((0.0, 0.0, 40.0, 64.0), 1.0, 0.0, 0.6)
+        assert not capped
+        assert box[0] == pytest.approx(10.0, abs=0.01)
+        assert box[1:] == (0.0, box[0] + 40.0, 64.0)
+        # A zero-area anchor has IoU 0 with every shift: every step runs.
+        assert _shift_to_iou((5.0, 5.0, 5.0, 5.0), 1.0, 0.0, 0.6) == (
+            (5.0, 5.0, 5.0, 5.0), True)
+        assert _BISECTION_STEPS == 80
 
 
 class TestSimulator:
@@ -145,12 +256,28 @@ class TestSizes:
         (["--images", "1", "--image-h", "-1"], "image_h must be >= 1, got -1"),
         (["--images", "0"], "n_images must be >= 1, got 0"),
         (["--images", "-1"], "n_images must be >= 1, got -1"),
+        (["--images", "1", "--objects-mean", "nan"],
+         "n_objects_mean must be finite and >= 0, got nan"),
+        (["--images", "1", "--pairs-mean", "inf"],
+         "crowd_pairs_mean must be finite and >= 0, got inf"),
+        (["--images", "1", "--triples-mean=-inf"],
+         "crowd_triples_mean must be finite and >= 0, got -inf"),
+        (["--images", "1", "--pairs-mean", "-0.5"],
+         "crowd_pairs_mean must be finite and >= 0, got -0.5"),
     ])
     def test_synth_writes_nothing_it_cannot_draw(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "scenes.jsonl"
         assert main(["synth", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_study_rejects_a_nan_density_mean(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        assert main(["study", "--images", "1", "--objects-mean", "nan",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: n_objects_mean must be finite and >= 0, got nan\n")
         assert not out.exists()
 
 
@@ -216,4 +343,32 @@ class TestStudy:
         assert len(k3) == len(cfgs) and k3 != k2
         assert rows.counters() == {"images": n, "draws": 2 * n,
                                    "sweeps": len(sims) * n,
-                                   "rows": len(want)}
+                                   "rows": len(want), "placement_retries": 0,
+                                   "bisection_cap_hits": 0}
+
+    def test_ground_truths_are_swept_once_per_study(self, monkeypatch):
+        gt_sweeps = []
+
+        def counting(a, keep, groups_a=None, b=None, groups_b=None):
+            if b is None:  # the GT/GT sweep; the det/GT sweep passes b
+                gt_sweeps.append(len(a))
+            return overlaps(a, keep, groups_a, b, groups_b)
+
+        monkeypatch.setattr(metrics, "overlaps", counting)
+        rows = run_study(CROWDED, [DetectorSimParams(k=1), DetectorSimParams(k=2)],
+                         [SuppressionConfig(method="nms"),
+                          SuppressionConfig(method="set_nms")],
+                         EvalConfig(), n_images=3, seed=21)
+        assert len(rows) == 3
+        assert gt_sweeps == [sum(len(s.gts) for s in build_scenes(CROWDED, 3, 21))]
+
+    def test_counters_add_up_each_scenes_rejections(self):
+        # Crowded scenes on a small image reject candidates.
+        params, n, seed = replace(CROWDED, image_w=400, image_h=300), 4, 3
+        rows = run_study(params, [DetectorSimParams()], [SuppressionConfig()],
+                         EvalConfig(), n, seed)
+        retries = [_Scene(replace(params, seed=derive_seed(seed, 0, i))).retries
+                   for i in range(n)]
+        counters = rows.counters()
+        assert counters["placement_retries"] == sum(retries) > 0
+        assert counters["bisection_cap_hits"] == 0
