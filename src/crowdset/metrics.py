@@ -207,10 +207,11 @@ class Evaluation:
     """Every image of one call matched in one sparse pass (see the module
     docstring); each metric is a view.
 
-    ``truth`` holds the images' ground truths and ``dets`` each image's
-    detections, in the same image order. The detection columns run over
-    all images, one image after another. :meth:`of_arrays` builds one from
-    :class:`~crowdset.scene_io.SceneArrays`.
+    ``truth`` holds the images' ground truths, and ``dets`` the detections
+    of every image, one image after another, with each row's ``image`` in
+    the same image order (:meth:`Detections.concat
+    <crowdset.suppression.Detections.concat>`). :meth:`of_arrays` builds one
+    from :class:`~crowdset.scene_io.SceneArrays`.
 
     After construction, ``candidates`` lists each detection's candidate
     ground truths (global indices), ``order`` is the detection at each
@@ -218,19 +219,16 @@ class Evaluation:
     greedy walk's result, as in :class:`MatchResult` with global indices.
     """
 
-    def __init__(self, cfg: EvalConfig, truth: Truth,
-                 dets: Sequence[Detections]):
+    def __init__(self, cfg: EvalConfig, truth: Truth, dets: Detections,
+                 image: np.ndarray):
         self.cfg, self.truth, self.n_images = cfg, truth, truth.n_images
         self.n_gt = int(np.count_nonzero(~truth.ignore))
-        det_image = np.repeat(np.arange(self.n_images), [len(d) for d in dets])
-        self.scores = _cat([d.scores for d in dets], np.zeros(0))
+        self.scores = dets.scores
         # Descending score, ties by image, then input index: each image's
         # rank order, and the global order of the AP and MR^-2 sweeps.
         self.order = np.argsort(-self.scores, kind="stable")
         (self.candidates, hits_ignored, self.det_gt_swept,
-         self.det_gt_above) = self._candidates(
-            det_image, _cat([d.boxes for d in dets], np.zeros((0, 4))),
-            _cat([d.classes for d in dets], np.zeros(0, dtype=np.int64)))
+         self.det_gt_above) = self._candidates(image, dets.boxes, dets.classes)
         det_match = [-1] * len(self.scores)
         taken = [False] * len(truth.boxes)
         for i in self.order.tolist():
@@ -248,7 +246,8 @@ class Evaluation:
     @classmethod
     def of_arrays(cls, images: Sequence[SceneArrays],
                   cfg: EvalConfig) -> "Evaluation":
-        return cls(cfg, Truth(images), [r.dets for r in images])
+        return cls(cfg, Truth(images),
+                   *Detections.concat([r.dets for r in images]))
 
     def _candidates(self, det_image, det_boxes, det_classes):
         """Each detection's candidate list, whether it reaches an ignored

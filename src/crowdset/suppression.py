@@ -6,42 +6,55 @@ predictions are distinct instances by construction. Detections carrying no
 proposal identity (``proposal_id is None``) are treated as all-distinct, so
 Set NMS degenerates to plain NMS on such inputs.
 
-The methods run on :class:`Detections`, one image's detections as a struct
-of arrays: :func:`suppress_arrays` returns the kept indices and their
-scores, and the CLI parses, suppresses and writes these arrays without
-building a :class:`Detection` per box. :func:`nms`, :func:`set_nms` and
+The methods run on :class:`Detections`, detections as a struct of arrays:
+:func:`suppress_arrays` returns one image's kept indices and their scores,
+and the CLI parses, suppresses and writes these arrays without building a
+:class:`Detection` per box. :func:`nms`, :func:`set_nms` and
 :func:`soft_nms` are the list API over the same core.
 
 Every method walks a sparse overlap graph instead of comparing every pick
-with every surviving box, and the configs run on one image share one sweep
-(:class:`OverlapGraph`; :func:`suppress_many` runs a list of configs,
-:func:`suppress_arrays` one):
+with every surviving box, and the configs run on one set of detections
+share one sweep (:class:`OverlapGraph`; :func:`suppress_many` runs a list
+of configs, :func:`suppress_arrays` one). The set may hold many images, one
+after another, with each row's ``image``: every image is suppressed as if
+it ran alone, and the study suppresses each model's images in one pass.
 
 * The geometry overlap engine (:func:`~crowdset.geometry.overlaps`) sweeps
-  the image once, at the loosest threshold its configs need (0 for
-  gaussian Soft-NMS, whose decay touches any overlap, else the smallest
-  ``iou_thresh``), and keeps the same-class pairs with their IoU. Each
-  config masks that edge list: IoU above its own threshold and, for Set
-  NMS's same-proposal skip, ``proposal ids differ``. Its edges are stored
-  in CSR arrays; the edge list is sorted by source box once per
-  orientation, so a mask keeps each box's edges in sweep order.
-* NMS and Set NMS make one greedy pass in descending-score order: a box
-  still alive when reached is kept and kills its neighbours. A box only
-  ever kills boxes ranked after it, so each edge is stored once, from the
-  higher-ranked box; a clique of N boxes holds N(N-1)/2 edges.
+  the detections once, keyed by image, at the loosest threshold its configs
+  need (0 for gaussian Soft-NMS, whose decay touches any overlap, else the
+  smallest ``iou_thresh``), and keeps the same-class pairs of one image with
+  their IoU. Each config masks that edge list: IoU above its own threshold
+  and, for Set NMS's same-proposal skip, ``proposal ids differ``. The edge
+  list is sorted by source box once per orientation, so a mask keeps each
+  box's edges in sweep order.
+* NMS and Set NMS rank the boxes by image, then descending score, then
+  input index. A box only ever kills boxes ranked after it, so each edge is
+  stored once, from the higher-ranked box; a clique of N boxes holds
+  N(N-1)/2 edges. Greedy NMS keeps a box if and only if no kept box ranked
+  above it overlaps it. That rule has one fixed point, and the iteration
+  ``killed[dst[keep[src]]] = True; keep = ~killed``, from every box kept,
+  reaches it (Cluster-NMS; Zheng et al., arXiv 2005.03572): each round
+  settles the boxes one edge further down the longest chain of ranked
+  edges, in numpy over every image at once. A chain of N boxes, each
+  overlapping only the next, takes N rounds, so a config still moving after
+  ``_FIXED_POINT_CAP`` rounds finishes with the greedy walk over the same
+  graph: in rank order, a box still alive when reached is kept and kills
+  its neighbours.
 * Soft-NMS decays both ends of an edge, so it stores edges both ways. It
   computes the decay factors once, over all edges. Its picks come from a
   lazy max-heap keyed ``(-score, index)``: scores only decay, so a popped
   entry whose key is stale is pushed back with the current score, and a
-  fresh one is the maximum, ties to the lowest index as ``argmax``.
-* Both passes run over Python lists (``tolist()`` of the graph, scores,
+  fresh one is the maximum, ties to the lowest index as ``argmax``. No edge
+  joins two images, so each image's picks come in its own order; an
+  image's first pick drops that image's boxes already under
+  ``score_floor``.
+* The walks run over Python lists (``tolist()`` of the graph, scores,
   decay factors and flags): a pick touches about a dozen neighbours, too
   few for numpy's per-call cost to pay. Python floats multiply exactly as
   float64 arrays do.
 
-The output equals that of the dense loops bit for bit: a pair without an
-edge has a decay factor of exactly 1, and the first pick still drops every
-box already under ``score_floor``.
+The output equals that of the dense loops on each image bit for bit: a
+pair without an edge has a decay factor of exactly 1.
 """
 
 from __future__ import annotations
@@ -57,6 +70,9 @@ import numpy as np
 from .geometry import BBox, boxes_to_array, overlaps
 
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
+
+# Rounds of the NMS fixed point before a config falls back to the walk.
+_FIXED_POINT_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -86,8 +102,8 @@ class Detections:
     ``boxes`` (N, 4) float64 in corner form, and (N,) ``scores`` float64,
     ``classes``, ``proposal_ids`` and ``slots`` int64. An anonymous
     detection at index i has proposal id -(i + 1): ids never compare equal
-    between two anonymous detections or to an explicit id, and ``id < 0``
-    means anonymous.
+    between two anonymous detections of one image or to an explicit id, and
+    ``id < 0`` means anonymous.
     """
 
     boxes: np.ndarray
@@ -106,6 +122,20 @@ class Detections:
                 [-i - 1 if d.proposal_id is None else d.proposal_id
                  for i, d in enumerate(dets)], dtype=np.int64),
             slots=np.array([d.slot for d in dets], dtype=np.int64))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Detections"]
+               ) -> tuple["Detections", np.ndarray]:
+        """Every image's detections, one image after another, and each
+        row's ``image`` (its index in ``parts``). Ids are compared only
+        within an image, so they need not differ between images."""
+        image = np.repeat(np.arange(len(parts)),
+                          np.array([len(p) for p in parts], dtype=np.intp))
+        if not parts:
+            return cls.from_list([]), image
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("boxes", "scores", "classes",
+                                  "proposal_ids", "slots"))), image
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -158,22 +188,33 @@ def _by_source(src: np.ndarray, dst: np.ndarray, ious: np.ndarray):
 
 
 class OverlapGraph:
-    """One image's same-class pairs with IoU above ``min_iou``, swept once.
+    """The same-class pairs of one image with IoU above ``min_iou``, swept
+    once; with ``image``, each row's image index, non-decreasing, the pairs
+    of every image.
 
     :meth:`graph` masks the pairs into the CSR graph of one config and
-    :meth:`suppress` runs one config's walk over it, so every config whose
-    threshold is at least ``min_iou`` shares the sweep.
+    :meth:`suppress` runs one config over it, so every config whose
+    threshold is at least ``min_iou`` shares the sweep. ``walk_fallbacks``
+    counts the NMS configs that ran out of fixed-point rounds.
     """
 
-    def __init__(self, dets: Detections, min_iou: float):
+    def __init__(self, dets: Detections, min_iou: float,
+                 image: np.ndarray | None = None):
         self.dets, self.min_iou = dets, min_iou
+        if image is not None and np.any(np.diff(image) < 0):
+            raise ValueError("image must list the detections image by image")
         classes = dets.classes
         a, b, self._ious, _ = overlaps(
             dets.boxes,
-            lambda i, j, ov: (ov > min_iou) & (classes[i] == classes[j]))
+            lambda i, j, ov: (ov > min_iou) & (classes[i] == classes[j]),
+            image)
         self._a, self._b = a.astype(np.int32), b.astype(np.int32)
-        # Descending score, ties by ascending input index (stable sort).
-        self.order = np.argsort(-dets.scores, kind="stable")
+        if image is None:
+            image = np.zeros(len(dets), dtype=np.intp)
+        self.image = image
+        # By image, then descending score, ties by ascending input index.
+        self.order = np.lexsort((-dets.scores, image))
+        self.walk_fallbacks = 0
 
     @cached_property
     def _ranked(self):
@@ -191,13 +232,11 @@ class OverlapGraph:
         return _by_source(np.concatenate((a, b)), np.concatenate((b, a)),
                           np.tile(self._ious, 2))
 
-    def graph(self, min_iou: float, respect_proposals: bool = False,
-              ranked: bool = False):
-        """The pairs with IoU > ``min_iou`` (and, under
-        ``respect_proposals``, different proposal ids) as a CSR graph
-        ``(indptr, neighbours, ious)``: box i's neighbours are
-        ``neighbours[indptr[i]:indptr[i + 1]]``. Each edge is stored both
-        ways, or with ``ranked`` once, from the box ranked first."""
+    def _edges(self, min_iou: float, respect_proposals: bool, ranked: bool):
+        """The edges ``(src, dst, ious)`` with IoU > ``min_iou`` (and, under
+        ``respect_proposals``, different proposal ids), sorted by source;
+        each stored both ways, or with ``ranked`` once, from the box ranked
+        first."""
         src, dst, ious = self._ranked if ranked else self._both
         keep = ious > min_iou
         if respect_proposals:
@@ -205,27 +244,50 @@ class OverlapGraph:
             keep &= pids[src] != pids[dst]
         if not keep.all():
             src, dst, ious = src[keep], dst[keep], ious[keep]
+        return src, dst, ious
+
+    def graph(self, min_iou: float, respect_proposals: bool = False,
+              ranked: bool = False):
+        """:meth:`_edges` as a CSR graph ``(indptr, neighbours, ious)``: box
+        i's neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``."""
+        src, dst, ious = self._edges(min_iou, respect_proposals, ranked)
         n = len(self.dets)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return indptr, dst, ious
 
     def suppress(self, cfg: SuppressionConfig):
-        """:func:`suppress_arrays` of ``cfg``, whose threshold must not be
-        below the sweep's."""
+        """:func:`suppress_arrays` of ``cfg`` on every image, whose threshold
+        must not be below the sweep's: the kept indices image by image,
+        each image in its own output order."""
         if _sweep_floor(cfg) < self.min_iou:
             raise ValueError(f"{cfg.method} at IoU {_sweep_floor(cfg)} needs "
                              f"pairs the sweep at IoU {self.min_iou} dropped")
         if cfg.method in ("nms", "set_nms"):
-            keep = np.array(self._greedy_keep(cfg.iou_thresh,
-                                              cfg.method == "set_nms"),
-                            dtype=np.intp)
+            keep = self._greedy_keep(cfg.iou_thresh, cfg.method == "set_nms")
             return keep, self.dets.scores[keep]
         keep, scores = self._soft_keep(cfg)
-        return np.array(keep, dtype=np.intp), np.array(scores, dtype=np.float64)
+        keep = np.array(keep, dtype=np.intp)
+        scores = np.array(scores, dtype=np.float64)
+        by_image = np.argsort(self.image[keep], kind="stable")
+        return keep[by_image], scores[by_image]
 
-    def _greedy_keep(self, iou_thresh, respect_proposals) -> list[int]:
-        """Greedy suppression loop; returns kept input indices in keep
+    def _greedy_keep(self, iou_thresh, respect_proposals) -> np.ndarray:
+        """Kept input indices in rank order: the fixed point of the greedy
+        rule, or after ``_FIXED_POINT_CAP`` rounds the greedy walk."""
+        src, dst, _ = self._edges(iou_thresh, respect_proposals, ranked=True)
+        keep = np.ones(len(self.order), dtype=bool)
+        for _ in range(_FIXED_POINT_CAP):
+            killed = np.zeros_like(keep)
+            killed[dst[keep[src]]] = True
+            if np.array_equal(killed, ~keep):
+                return self.order[keep[self.order]]
+            keep = ~killed
+        self.walk_fallbacks += 1
+        return np.array(self._walk(iou_thresh, respect_proposals), dtype=np.intp)
+
+    def _walk(self, iou_thresh, respect_proposals) -> list[int]:
+        """Greedy suppression loop; returns kept input indices in rank
         order."""
         indptr, nbrs, _ = self.graph(iou_thresh, respect_proposals, ranked=True)
         ptr, nbrs = indptr.tolist(), nbrs.tolist()
@@ -249,6 +311,11 @@ class OverlapGraph:
         floor = cfg.score_floor
         w = self.dets.scores.tolist()
         alive = [True] * len(w)
+        image = self.image.tolist()
+        n_images = image[-1] + 1 if image else 0
+        # Image m holds rows rows[m]:rows[m + 1].
+        rows = np.searchsorted(self.image, np.arange(n_images + 1)).tolist()
+        unpicked = [True] * n_images
         heap = [(-s, i) for i, s in enumerate(w)]
         heapq.heapify(heap)
         keep: list[int] = []
@@ -269,21 +336,34 @@ class OverlapGraph:
                 w[j] *= f
                 if w[j] < floor:
                     alive[j] = False
-            if len(keep) == 1:
-                # The floor applies to every box left after the first pick,
-                # overlapping or not.
-                alive = [a and s >= floor for a, s in zip(alive, w)]
+            m = image[i]
+            if unpicked[m]:
+                # The floor applies to every box of the image left after its
+                # first pick, overlapping or not.
+                unpicked[m] = False
+                lo, hi = rows[m], rows[m + 1]
+                alive[lo:hi] = [a and s >= floor
+                                for a, s in zip(alive[lo:hi], w[lo:hi])]
         return keep, scores
 
 
-def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig]):
-    """Run each config on one image's arrays over one overlap sweep, at the
-    loosest threshold they need: a list of :func:`suppress_arrays` results,
-    one per config."""
+def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig],
+                  image: np.ndarray | None = None,
+                  counters: dict | None = None):
+    """Run each config over one overlap sweep, at the loosest threshold they
+    need: a list of :func:`suppress_arrays` results, one per config.
+
+    ``dets`` is one image, or with ``image`` (each row's image index,
+    non-decreasing) many, and each config's kept indices then run image by
+    image, each image in its own output order. ``counters`` gains the NMS
+    configs that ran out of fixed-point rounds (``nms_walk_fallbacks``)."""
     if not cfgs:
         return []
-    graph = OverlapGraph(dets, min(_sweep_floor(cfg) for cfg in cfgs))
-    return [graph.suppress(cfg) for cfg in cfgs]
+    graph = OverlapGraph(dets, min(_sweep_floor(cfg) for cfg in cfgs), image)
+    results = [graph.suppress(cfg) for cfg in cfgs]
+    if counters is not None:
+        counters["nms_walk_fallbacks"] += graph.walk_fallbacks
+    return results
 
 
 def suppress_arrays(dets: Detections, cfg: SuppressionConfig):

@@ -124,8 +124,9 @@ class DetectorSimParams:
             raise ValueError(f"mode must be 'single' or 'mip', got {self.mode!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.proposal_jitter < 0:
-            raise ValueError("proposal_jitter must be >= 0")
+        if not (np.isfinite(self.proposal_jitter) and self.proposal_jitter >= 0):
+            raise ValueError(f"proposal_jitter must be finite and >= 0, "
+                             f"got {self.proposal_jitter}")
         if self.proposals_per_gt < 1:
             raise ValueError("proposals_per_gt must be >= 1")
         if not 0.0 < self.theta <= 1.0:
@@ -399,8 +400,10 @@ class StudyRows(list):
 
     def counters(self) -> dict:
         """Images, detector draws (one per image per model family), overlap
-        sweeps (one per image per model), rows, candidate boxes rejected in
-        scene generation, and pair bisections that ran all their steps."""
+        sweeps (one per model, over all its images), NMS configs that ran
+        out of fixed-point rounds and finished with the greedy walk, rows,
+        candidate boxes rejected in scene generation, and pair bisections
+        that ran all their steps."""
         return dict(self._counters)
 
 
@@ -418,12 +421,14 @@ def run_study(scene_params: SceneParams,
     (seed, image), shared by all simulator configs, so rows differ purely in
     model structure, not in random draws. Each image's work is shared
     between rows: simulator configs that differ only in ``k`` (or ``mode``)
-    form one family, drawn once per image and selected per ``k``; each
-    model's detections are swept for overlaps once per image, and every
-    suppression config is derived from that sweep; the ground truths are
+    form one family, drawn once per image and selected per ``k``. Each
+    model's detections of all images are handled in one pass: one overlap
+    sweep, from which every suppression config is derived, and one
+    :class:`~crowdset.metrics.Evaluation` per config. The ground truths are
     swept once for all rows. The rows are fully deterministic.
     """
-    counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0,
+    counters = {"images": n_images, "draws": 0, "sweeps": 0,
+                "nms_walk_fallbacks": 0, "rows": 0,
                 "placement_retries": 0, "bisection_cap_hits": 0}
     columns = _scene_arrays(scene_params, n_images, seed, counters)
     truth = Truth(columns)
@@ -443,12 +448,12 @@ def run_study(scene_params: SceneParams,
                 if not (k == 1 and cfg.method == "set_nms")]
         if not cfgs:
             continue
-        raw = [d.select(k) for d in draws[family]]
-        kept = [suppress_many(dets, cfgs) for dets in raw]
-        counters["sweeps"] += n_images
-        for j, cfg in enumerate(cfgs):
-            dets = [d.take(*per_cfg[j]) for d, per_cfg in zip(raw, kept)]
-            report = Evaluation(eval_cfg, truth, dets).report()
+        raw, image = Detections.concat([d.select(k) for d in draws[family]])
+        kept = suppress_many(raw, cfgs, image, counters)
+        counters["sweeps"] += 1
+        for cfg, (keep, scores) in zip(cfgs, kept):
+            report = Evaluation(eval_cfg, truth, raw.take(keep, scores),
+                                image[keep]).report()
             rows.append(StudyRow(sim_label=sim.label, k=k, method=cfg.method,
                                  iou_thresh=cfg.iou_thresh, report=report))
     counters["rows"] = len(rows)

@@ -1,11 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import suppression_oracle as oracle
-from crowdset import geometry
+from crowdset import geometry, suppression
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, OverlapGraph, SuppressionConfig,
@@ -368,6 +369,63 @@ class TestSharedSweep:
                     SuppressionConfig(method="soft_gaussian")):
             with pytest.raises(ValueError, match="the sweep at IoU 0.5"):
                 graph.suppress(cfg)
+
+
+@st.composite
+def _images(draw):
+    """A cloud cut into one to four images, some of them empty, and in some
+    examples one image replaced by a copy of another: the same coordinates
+    and proposal ids in two images. Anonymous ids repeat between images, as
+    :meth:`Detections.from_list` numbers them per image. ``slot`` holds the
+    index within the image."""
+    dets = draw(_clouds)
+    cuts = sorted(draw(st.lists(st.integers(0, len(dets)), max_size=3)))
+    images = [dets[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(dets)])]
+    if len(images) > 1 and draw(st.booleans()):
+        images[draw(st.integers(0, len(images) - 1))] = draw(st.sampled_from(images))
+    return [indexed(image) for image in images]
+
+
+class TestBatchedImages:
+    """Many images suppressed in one pass against the reference loops on
+    each image alone: same indices, same order, same bits."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(_images(), _config_lists(),
+           st.sampled_from([1, 2, suppression._FIXED_POINT_CAP]))
+    def test_each_image_equals_the_oracle_alone(self, images, cfgs, cap):
+        dets, image = Detections.concat([Detections.from_list(d) for d in images])
+        start = np.cumsum([0] + [len(d) for d in images])
+        with mock.patch.object(suppression, "_FIXED_POINT_CAP", cap):
+            results = suppress_many(dets, cfgs, image)
+        for cfg, (keep, scores) in zip(cfgs, results):
+            at = image[keep]
+            assert (np.diff(at) >= 0).all(), cfg  # image by image
+            for m, part in enumerate(images):
+                want = oracle_suppress(part, cfg)
+                assert (keep[at == m] - start[m]).tolist() == [d.slot for d in want], cfg
+                assert ([s.hex() for s in scores[at == m].tolist()]
+                        == [d.score.hex() for d in want]), cfg
+
+    def test_a_chain_past_the_cap_finishes_with_the_walk(self):
+        # Box i overlaps box i + 1 at IoU 0.6 and box i + 2 at 1/3, scores
+        # fall along the chain, and each fixed-point round settles one more
+        # box: every other box is kept.
+        n = 2000
+        dets = indexed([det(2.5 * i, 0, 2.5 * i + 10, 10, 0.9 - 0.0004 * i, pid=i)
+                        for i in range(n)])
+        counters = {"nms_walk_fallbacks": 0}
+        results = suppress_many(Detections.from_list(dets), [NMS, SET],
+                                counters=counters)
+        assert counters["nms_walk_fallbacks"] == 2
+        for cfg, (keep, _) in zip((NMS, SET), results):
+            assert keep.tolist() == [d.slot for d in oracle_suppress(dets, cfg)]
+            assert keep.tolist() == list(range(0, n, 2))
+
+    def test_images_out_of_order_are_rejected(self):
+        dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])
+        with pytest.raises(ValueError, match="image by image"):
+            suppress_many(dets, [NMS], np.array([1, 0]))
 
 
 class TestBench:

@@ -280,6 +280,15 @@ class TestSizes:
             "error: n_objects_mean must be finite and >= 0, got nan\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jitter", ["nan", "inf"])
+    def test_study_rejects_a_non_finite_jitter(self, tmp_path, capsys, jitter):
+        out = tmp_path / "study"
+        assert main(["study", "--images", "2", "--jitter", jitter,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: proposal_jitter must be finite and >= 0, got {jitter}\n")
+        assert not (out / "rows.csv").exists()
+
 
 class TestStudy:
     def test_set_nms_on_sets_beats_nms_beats_one_slot(self):
@@ -342,7 +351,8 @@ class TestStudy:
         k2 = [r.report for r in rows if r.k == 2][:len(k3)]
         assert len(k3) == len(cfgs) and k3 != k2
         assert rows.counters() == {"images": n, "draws": 2 * n,
-                                   "sweeps": len(sims) * n,
+                                   "sweeps": len(sims),
+                                   "nms_walk_fallbacks": 0,
                                    "rows": len(want), "placement_retries": 0,
                                    "bisection_cap_hits": 0}
 
