@@ -10,11 +10,11 @@ scores best, and is then written as null.
 
 ``eval`` and ``emd`` write one JSON report, indented by two spaces, to
 ``--out`` or stdout, and ``study`` writes ``rows.csv``, ``report.json`` and
-``manifest.json`` to its ``--out`` directory. ``emd`` and ``study`` write
-their reports row by row, with the bytes of
-``json.dumps(report, indent=2, allow_nan=False)``. A manifest's text is
-built before its file is opened, and ``study`` builds all three texts before
-it opens any file, so a study that fails writes nothing.
+``manifest.json`` to its ``--out`` directory. ``emd`` writes its report row
+by row, with the bytes of ``json.dumps(report, indent=2, allow_nan=False)``.
+A manifest's text is built before its file is opened, and ``study`` builds
+all three texts before it opens any file, so a study that fails writes
+nothing.
 
 Each metric has one protocol: ``eval`` reports all-point AP, MR^-2, JI over
 a maximum matching and the crowd/sparse recall split; ``emd`` reports the
@@ -305,41 +305,6 @@ def _row_csv(row: StudyRow) -> list:
             r.recall_crowd.total]
 
 
-_STUDY_ROW = ('    {\n      "sim": %s,\n      "k": %d,\n      "method": %s,\n'
-              '      "iou_thresh": %s,\n      "ap": %s,\n      "mr2": %s,\n'
-              '      "ji": %s,\n      "ji_best_threshold": %s,\n'
-              '      "recall": {\n%s\n      }\n    }')
-_STUDY_RECALL = ('        "%s": {\n          "matched": %d,\n'
-                 '          "total": %d,\n          "ratio": %s\n        }')
-
-
-def _study_report(rows: list[StudyRow]) -> str:
-    """The study report, one fixed template per row: the text of
-    :func:`_json_text` of each row's config and :func:`_report_dict`, and
-    its ValueError for the first non-finite float."""
-    texts = []
-    for row in rows:
-        r = row.report
-        recalls = (("total", r.recall_total), ("sparse", r.recall_sparse),
-                   ("crowd", r.recall_crowd))
-        thr = r.ji_best_threshold
-        floats = [row.iou_thresh, r.ap, r.mr2, r.ji,
-                  *([] if thr == math.inf else [thr]),
-                  *(stats.ratio for _, stats in recalls)]
-        bad = [v for v in floats if not math.isfinite(v)]
-        if bad:
-            _json_text(bad[0])  # raises
-        texts.append(_STUDY_ROW % (
-            json.dumps(row.sim_label), row.k, json.dumps(row.method),
-            *map(float.__repr__, floats[:4]),
-            "null" if thr == math.inf else float.__repr__(thr),
-            ",\n".join(_STUDY_RECALL % (name, stats.matched, stats.total,
-                                        float.__repr__(stats.ratio))
-                       for name, stats in recalls)))
-    body = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
-    return '{\n  "schema_version": %d,\n  "rows": %s\n}\n' % (SCHEMA_VERSION, body)
-
-
 def cmd_study(args) -> int:
     t0 = time.perf_counter()
     rows = _study_rows(args)
@@ -349,7 +314,12 @@ def cmd_study(args) -> int:
     w.writerows(map(_row_csv, rows))
     texts = {
         "rows.csv": table.getvalue(),
-        "report.json": _study_report(rows),
+        "report.json": _json_text({
+            "schema_version": SCHEMA_VERSION,
+            "rows": [{"sim": row.sim_label, "k": row.k, "method": row.method,
+                      "iou_thresh": row.iou_thresh, **_report_dict(row.report)}
+                     for row in rows],
+        }),
         "manifest.json": _manifest_text("study", {
             "images": args.images, "seed": args.seed, "k": args.k,
             "k_sweep": args.k_sweep, "nms_sweep": args.nms_sweep,

@@ -24,22 +24,15 @@ it ran alone, and the study suppresses each model's images in one pass.
   need (0 for gaussian Soft-NMS, whose decay touches any overlap, else the
   smallest ``iou_thresh``), and keeps the same-class pairs of one image with
   their IoU. Each config masks that edge list: IoU above its own threshold
-  and, for Set NMS's same-proposal skip, ``proposal ids differ``. The edge
-  list is sorted by source box once per orientation, so a mask keeps each
-  box's edges in sweep order.
-* NMS and Set NMS rank the boxes by image, then descending score, then
-  input index. A box only ever kills boxes ranked after it, so each edge is
-  stored once, from the higher-ranked box; a clique of N boxes holds
-  N(N-1)/2 edges. Greedy NMS keeps a box if and only if no kept box ranked
-  above it overlaps it. That rule has one fixed point, and the iteration
-  ``killed[dst[keep[src]]] = True; keep = ~killed``, from every box kept,
-  reaches it (Cluster-NMS; Zheng et al., arXiv 2005.03572): each round
-  settles the boxes one edge further down the longest chain of ranked
-  edges, in numpy over every image at once. A chain of N boxes, each
-  overlapping only the next, takes N rounds, so a config still moving after
-  ``_FIXED_POINT_CAP`` rounds finishes with the greedy walk over the same
-  graph: in rank order, a box still alive when reached is kept and kills
-  its neighbours.
+  and, for Set NMS's same-proposal skip, ``proposal ids differ``. Its edges
+  are stored in CSR arrays; the edge list is sorted by source box once per
+  orientation, so a mask keeps each box's edges in sweep order.
+* NMS and Set NMS make one greedy pass over the boxes ranked by image,
+  then descending score, then input index: a box still alive when reached
+  is kept and kills its neighbours. No edge joins two images, so the pass
+  is each image's own pass, one image after another. A box only ever kills
+  boxes ranked after it, so each edge is stored once, from the
+  higher-ranked box; a clique of N boxes holds N(N-1)/2 edges.
 * Soft-NMS decays both ends of an edge, so it stores edges both ways. It
   computes the decay factors once, over all edges. Its picks come from a
   lazy max-heap keyed ``(-score, index)``: scores only decay, so a popped
@@ -70,9 +63,6 @@ import numpy as np
 from .geometry import BBox, boxes_to_array, overlaps
 
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
-
-# Rounds of the NMS fixed point before a config falls back to the walk.
-_FIXED_POINT_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -194,8 +184,7 @@ class OverlapGraph:
 
     :meth:`graph` masks the pairs into the CSR graph of one config and
     :meth:`suppress` runs one config over it, so every config whose
-    threshold is at least ``min_iou`` shares the sweep. ``walk_fallbacks``
-    counts the NMS configs that ran out of fixed-point rounds.
+    threshold is at least ``min_iou`` shares the sweep.
     """
 
     def __init__(self, dets: Detections, min_iou: float,
@@ -214,7 +203,6 @@ class OverlapGraph:
         self.image = image
         # By image, then descending score, ties by ascending input index.
         self.order = np.lexsort((-dets.scores, image))
-        self.walk_fallbacks = 0
 
     @cached_property
     def _ranked(self):
@@ -232,11 +220,13 @@ class OverlapGraph:
         return _by_source(np.concatenate((a, b)), np.concatenate((b, a)),
                           np.tile(self._ious, 2))
 
-    def _edges(self, min_iou: float, respect_proposals: bool, ranked: bool):
-        """The edges ``(src, dst, ious)`` with IoU > ``min_iou`` (and, under
-        ``respect_proposals``, different proposal ids), sorted by source;
-        each stored both ways, or with ``ranked`` once, from the box ranked
-        first."""
+    def graph(self, min_iou: float, respect_proposals: bool = False,
+              ranked: bool = False):
+        """The pairs with IoU > ``min_iou`` (and, under
+        ``respect_proposals``, different proposal ids) as a CSR graph
+        ``(indptr, neighbours, ious)``: box i's neighbours are
+        ``neighbours[indptr[i]:indptr[i + 1]]``. Each edge is stored both
+        ways, or with ``ranked`` once, from the box ranked first."""
         src, dst, ious = self._ranked if ranked else self._both
         keep = ious > min_iou
         if respect_proposals:
@@ -244,13 +234,6 @@ class OverlapGraph:
             keep &= pids[src] != pids[dst]
         if not keep.all():
             src, dst, ious = src[keep], dst[keep], ious[keep]
-        return src, dst, ious
-
-    def graph(self, min_iou: float, respect_proposals: bool = False,
-              ranked: bool = False):
-        """:meth:`_edges` as a CSR graph ``(indptr, neighbours, ious)``: box
-        i's neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``."""
-        src, dst, ious = self._edges(min_iou, respect_proposals, ranked)
         n = len(self.dets)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -264,7 +247,9 @@ class OverlapGraph:
             raise ValueError(f"{cfg.method} at IoU {_sweep_floor(cfg)} needs "
                              f"pairs the sweep at IoU {self.min_iou} dropped")
         if cfg.method in ("nms", "set_nms"):
-            keep = self._greedy_keep(cfg.iou_thresh, cfg.method == "set_nms")
+            keep = np.array(self._greedy_keep(cfg.iou_thresh,
+                                              cfg.method == "set_nms"),
+                            dtype=np.intp)
             return keep, self.dets.scores[keep]
         keep, scores = self._soft_keep(cfg)
         keep = np.array(keep, dtype=np.intp)
@@ -272,21 +257,7 @@ class OverlapGraph:
         by_image = np.argsort(self.image[keep], kind="stable")
         return keep[by_image], scores[by_image]
 
-    def _greedy_keep(self, iou_thresh, respect_proposals) -> np.ndarray:
-        """Kept input indices in rank order: the fixed point of the greedy
-        rule, or after ``_FIXED_POINT_CAP`` rounds the greedy walk."""
-        src, dst, _ = self._edges(iou_thresh, respect_proposals, ranked=True)
-        keep = np.ones(len(self.order), dtype=bool)
-        for _ in range(_FIXED_POINT_CAP):
-            killed = np.zeros_like(keep)
-            killed[dst[keep[src]]] = True
-            if np.array_equal(killed, ~keep):
-                return self.order[keep[self.order]]
-            keep = ~killed
-        self.walk_fallbacks += 1
-        return np.array(self._walk(iou_thresh, respect_proposals), dtype=np.intp)
-
-    def _walk(self, iou_thresh, respect_proposals) -> list[int]:
+    def _greedy_keep(self, iou_thresh, respect_proposals) -> list[int]:
         """Greedy suppression loop; returns kept input indices in rank
         order."""
         indptr, nbrs, _ = self.graph(iou_thresh, respect_proposals, ranked=True)
@@ -348,22 +319,17 @@ class OverlapGraph:
 
 
 def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig],
-                  image: np.ndarray | None = None,
-                  counters: dict | None = None):
+                  image: np.ndarray | None = None):
     """Run each config over one overlap sweep, at the loosest threshold they
     need: a list of :func:`suppress_arrays` results, one per config.
 
     ``dets`` is one image, or with ``image`` (each row's image index,
     non-decreasing) many, and each config's kept indices then run image by
-    image, each image in its own output order. ``counters`` gains the NMS
-    configs that ran out of fixed-point rounds (``nms_walk_fallbacks``)."""
+    image, each image in its own output order."""
     if not cfgs:
         return []
     graph = OverlapGraph(dets, min(_sweep_floor(cfg) for cfg in cfgs), image)
-    results = [graph.suppress(cfg) for cfg in cfgs]
-    if counters is not None:
-        counters["nms_walk_fallbacks"] += graph.walk_fallbacks
-    return results
+    return [graph.suppress(cfg) for cfg in cfgs]
 
 
 def suppress_arrays(dets: Detections, cfg: SuppressionConfig):

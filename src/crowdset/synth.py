@@ -400,10 +400,9 @@ class StudyRows(list):
 
     def counters(self) -> dict:
         """Images, detector draws (one per image per model family), overlap
-        sweeps (one per model, over all its images), NMS configs that ran
-        out of fixed-point rounds and finished with the greedy walk, rows,
-        candidate boxes rejected in scene generation, and pair bisections
-        that ran all their steps."""
+        sweeps (one per model, over all its images), rows, candidate boxes
+        rejected in scene generation, and pair bisections that ran all
+        their steps."""
         return dict(self._counters)
 
 
@@ -427,8 +426,7 @@ def run_study(scene_params: SceneParams,
     :class:`~crowdset.metrics.Evaluation` per config. The ground truths are
     swept once for all rows. The rows are fully deterministic.
     """
-    counters = {"images": n_images, "draws": 0, "sweeps": 0,
-                "nms_walk_fallbacks": 0, "rows": 0,
+    counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0,
                 "placement_retries": 0, "bisection_cap_hits": 0}
     columns = _scene_arrays(scene_params, n_images, seed, counters)
     truth = Truth(columns)
@@ -449,7 +447,7 @@ def run_study(scene_params: SceneParams,
         if not cfgs:
             continue
         raw, image = Detections.concat([d.select(k) for d in draws[family]])
-        kept = suppress_many(raw, cfgs, image, counters)
+        kept = suppress_many(raw, cfgs, image)
         counters["sweeps"] += 1
         for cfg, (keep, scores) in zip(cfgs, kept):
             report = Evaluation(eval_cfg, truth, raw.take(keep, scores),

@@ -14,17 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdset.assignment import GroundTruth, build_gt_set
-from crowdset.cli import (_emd_report, _report_dict, _study_report,
-                          _write_manifest, main)
+from crowdset.cli import _emd_report, _write_manifest, main
 from crowdset.emd import EmdConfig, ImageMatch, PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
-from crowdset.metrics import EvalReport, RecallStats
 from crowdset.scene_io import (PredictionRecord, SceneRecord,
                                parse_prediction_file, parse_scene_file,
                                write_prediction_file, write_scene_file)
 from crowdset.suppression import Detection
-from crowdset.synth import (DetectorSimParams, SceneParams, StudyRow,
-                            build_scenes, derive_seed, simulate_detector)
+from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
+                            derive_seed, simulate_detector)
 
 # sha256 of outputs whose bytes must not change; a change to any of them is a
 # behaviour change to declare, not a test to update silently.
@@ -170,16 +168,14 @@ class TestStudy:
 
     def test_manifest_counts_the_shared_work(self, tmp_path):
         # Three models (k = 1, 2, 3) of one family and three configs: one
-        # draw per image, one sweep per model over all its images, no NMS
-        # config that needs the greedy walk, and no Set NMS row for the
-        # one-slot model. Placing the three scenes rejects one candidate
-        # box, and no bisection runs out of steps.
+        # draw per image, one sweep per model over all its images, and no
+        # Set NMS row for the one-slot model. Placing the three scenes
+        # rejects one candidate box, and no bisection runs out of steps.
         out = tmp_path / "study"
         assert main(["study", "--images", "3", "--k-sweep", "1,2,3",
                      "--nms-sweep", "0.3", "--out", str(out)]) == 0
         counters = strict_json(out / "manifest.json")["counters"]
-        assert counters == {"images": 3, "draws": 3, "sweeps": 3,
-                            "nms_walk_fallbacks": 0, "rows": 8,
+        assert counters == {"images": 3, "draws": 3, "sweeps": 3, "rows": 8,
                             "placement_retries": 1, "bisection_cap_hits": 0}
         assert len(strict_json(out / "report.json")["rows"]) == 8
 
@@ -574,46 +570,7 @@ class TestEmdReport:
             assert _emd_report(matches, config) == want
 
 
-def json_study_report(rows):
-    """The study report as one dict through json.dumps(indent=2), the way
-    the writer's output is specified."""
-    report = {"schema_version": 1, "rows": [
-        {"sim": row.sim_label, "k": row.k, "method": row.method,
-         "iou_thresh": row.iou_thresh, **_report_dict(row.report)}
-        for row in rows]}
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
-
-
-@st.composite
-def study_rows(draw):
-    """Up to four rows with arbitrary labels, counts and floats, and a
-    best-JI threshold that may be +inf (written as null); some examples also
-    draw NaN and infinities elsewhere."""
-    floats = st.one_of(_FINITE, st.floats()) if draw(st.booleans()) else _FINITE
-    recall = st.builds(RecallStats, st.integers(0, 10**6), st.integers(0, 10**6))
-    report = st.builds(EvalReport, ap=floats, mr2=floats, ji=floats,
-                       ji_best_threshold=st.one_of(floats, st.just(math.inf)),
-                       recall_total=recall, recall_sparse=recall,
-                       recall_crowd=recall)
-    return draw(st.lists(st.builds(StudyRow, sim_label=_IDS,
-                                   k=st.integers(1, 10**6), method=_IDS,
-                                   iou_thresh=floats, report=report),
-                         max_size=4))
-
-
-class TestStudyReport:
-    @settings(max_examples=300, deadline=None)
-    @given(study_rows())
-    def test_writer_equals_json_dumps(self, rows):
-        try:
-            want = json_study_report(rows)
-        except ValueError as e:
-            with pytest.raises(ValueError) as got:
-                _study_report(rows)
-            assert str(got.value) == str(e)
-        else:
-            assert _study_report(rows) == want
-
+class TestManifest:
     def test_manifest_that_cannot_be_written_leaves_no_file(self, tmp_path):
         path = tmp_path / "manifest.json"
         with pytest.raises(ValueError, match="Out of range float values"):

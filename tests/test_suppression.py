@@ -1,12 +1,11 @@
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import suppression_oracle as oracle
-from crowdset import geometry, suppression
+from crowdset import geometry
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, OverlapGraph, SuppressionConfig,
@@ -391,13 +390,11 @@ class TestBatchedImages:
     each image alone: same indices, same order, same bits."""
 
     @settings(max_examples=250, deadline=None)
-    @given(_images(), _config_lists(),
-           st.sampled_from([1, 2, suppression._FIXED_POINT_CAP]))
-    def test_each_image_equals_the_oracle_alone(self, images, cfgs, cap):
+    @given(_images(), _config_lists())
+    def test_each_image_equals_the_oracle_alone(self, images, cfgs):
         dets, image = Detections.concat([Detections.from_list(d) for d in images])
         start = np.cumsum([0] + [len(d) for d in images])
-        with mock.patch.object(suppression, "_FIXED_POINT_CAP", cap):
-            results = suppress_many(dets, cfgs, image)
+        results = suppress_many(dets, cfgs, image)
         for cfg, (keep, scores) in zip(cfgs, results):
             at = image[keep]
             assert (np.diff(at) >= 0).all(), cfg  # image by image
@@ -406,21 +403,6 @@ class TestBatchedImages:
                 assert (keep[at == m] - start[m]).tolist() == [d.slot for d in want], cfg
                 assert ([s.hex() for s in scores[at == m].tolist()]
                         == [d.score.hex() for d in want]), cfg
-
-    def test_a_chain_past_the_cap_finishes_with_the_walk(self):
-        # Box i overlaps box i + 1 at IoU 0.6 and box i + 2 at 1/3, scores
-        # fall along the chain, and each fixed-point round settles one more
-        # box: every other box is kept.
-        n = 2000
-        dets = indexed([det(2.5 * i, 0, 2.5 * i + 10, 10, 0.9 - 0.0004 * i, pid=i)
-                        for i in range(n)])
-        counters = {"nms_walk_fallbacks": 0}
-        results = suppress_many(Detections.from_list(dets), [NMS, SET],
-                                counters=counters)
-        assert counters["nms_walk_fallbacks"] == 2
-        for cfg, (keep, _) in zip((NMS, SET), results):
-            assert keep.tolist() == [d.slot for d in oracle_suppress(dets, cfg)]
-            assert keep.tolist() == list(range(0, n, 2))
 
     def test_images_out_of_order_are_rejected(self):
         dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])

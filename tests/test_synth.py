@@ -352,7 +352,6 @@ class TestStudy:
         assert len(k3) == len(cfgs) and k3 != k2
         assert rows.counters() == {"images": n, "draws": 2 * n,
                                    "sweeps": len(sims),
-                                   "nms_walk_fallbacks": 0,
                                    "rows": len(want), "placement_retries": 0,
                                    "bisection_cap_hits": 0}
 
