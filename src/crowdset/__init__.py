@@ -10,20 +10,18 @@ harness for end-to-end studies.
 __version__ = "0.1.0"
 
 from .assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
-                         GtSetOverflowError, build_gt_set,
-                         max_gt_set_cardinality, pad_to_k, truncate_top_k)
+                         GtSetOverflowError, build_gt_set, pad_to_k,
+                         truncate_top_k)
 from .emd import (EmdConfig, EmdMatch, PredictionSet, SlotPrediction,
-                  cls_loss, emd_loss, emd_match, pair_cost_matrix, reg_loss,
-                  smooth_l1)
+                  cls_loss, emd_match, pair_cost_matrix, reg_loss, smooth_l1)
 from .geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
                        decode_delta, encode_delta, iou, iou_matrix)
 from .metrics import (EvalConfig, EvalReport, RecallStats, average_precision,
-                      best_ji, crowd_flags, density_stats, evaluate,
-                      jaccard_index, match_greedy, mr2, recall_split)
+                      best_ji, density_stats, evaluate, jaccard_index, mr2,
+                      recall_split)
 from .scene_io import (PredictionRecord, SceneFileError, SceneRecord,
-                       iter_scene_file, parse_prediction_file,
-                       parse_scene_file, write_prediction_file,
-                       write_scene_file)
+                       parse_prediction_file, parse_scene_file,
+                       write_prediction_file, write_scene_file)
 from .suppression import Detection, SuppressionConfig, nms, set_nms, soft_nms
 from .synth import (DetectorSimParams, SceneGenerationError, SceneParams,
                     StudyRow, build_scenes, derive_seed, run_study,
@@ -32,15 +30,14 @@ from .synth import (DetectorSimParams, SceneGenerationError, SceneParams,
 __all__ = [
     "__version__",
     "BACKGROUND_CLASS", "GroundTruth", "GtSet", "GtSetOverflowError",
-    "build_gt_set", "max_gt_set_cardinality", "pad_to_k", "truncate_top_k",
+    "build_gt_set", "pad_to_k", "truncate_top_k",
     "EmdConfig", "EmdMatch", "PredictionSet", "SlotPrediction", "cls_loss",
-    "emd_loss", "emd_match", "pair_cost_matrix", "reg_loss", "smooth_l1",
+    "emd_match", "pair_cost_matrix", "reg_loss", "smooth_l1",
     "BBox", "BoxDelta", "GeometryError", "boxes_to_array", "decode_delta",
     "encode_delta", "iou", "iou_matrix",
     "EvalConfig", "EvalReport", "RecallStats", "average_precision", "best_ji",
-    "crowd_flags", "density_stats", "evaluate", "jaccard_index",
-    "match_greedy", "mr2", "recall_split",
-    "PredictionRecord", "SceneFileError", "SceneRecord", "iter_scene_file",
+    "density_stats", "evaluate", "jaccard_index", "mr2", "recall_split",
+    "PredictionRecord", "SceneFileError", "SceneRecord",
     "parse_prediction_file", "parse_scene_file", "write_prediction_file",
     "write_scene_file",
     "Detection", "SuppressionConfig", "nms", "set_nms", "soft_nms",

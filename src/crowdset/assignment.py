@@ -11,21 +11,17 @@ ignore flags. :func:`gt_columns` is the one converter from
 one membership rule: it computes one IoU matrix of a batch of proposals
 against an image's ground-truth boxes and ranks each row with
 :func:`~crowdset.geometry.ranked_overlaps`. The EMD engine, the detector
-simulator, :func:`build_gt_set` (a batch of one) and
-:func:`max_gt_set_cardinality` all call it.
+simulator and :func:`build_gt_set` (a batch of one) all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import BBox, boxes_to_array, iou, iou_matrix, ranked_overlaps
-
-if TYPE_CHECKING:
-    from .scene_io import SceneRecord
 
 # Class id reserved for "no instance"; real annotations use ids >= 1.
 BACKGROUND_CLASS = 0
@@ -181,18 +177,3 @@ def truncate_top_k(gt_set: GtSet, k: int) -> GtSet:
         return pad_to_k(gt_set, k)
     return replace(gt_set, entries=gt_set.entries[:k], n_slots=k)
 
-
-def max_gt_set_cardinality(scenes: Iterable["SceneRecord"], theta: float) -> int:
-    """Largest ground-truth set cardinality across a dataset.
-
-    Each non-ignored ground-truth box stands in as a proposal (the densest
-    proposal a detector could place on that instance); the result bounds the
-    slot count needed so no set overflows. Empty datasets return 0.
-    """
-    best = 0
-    for scene in scenes:
-        boxes, _, ignore = gt_columns(scene.gts)
-        if not ignore.all():
-            members = gt_set_members(boxes[~ignore], boxes, ignore, theta)
-            best = max(best, max(map(len, members)))
-    return best

@@ -115,16 +115,17 @@ def _scene_params_from(args) -> SceneParams:
 
 
 def _add_scene_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--image-w", type=int, default=1280, dest="image_w")
-    p.add_argument("--image-h", type=int, default=800, dest="image_h")
-    p.add_argument("--objects-mean", type=float, default=22.64,
+    d = SceneParams
+    p.add_argument("--image-w", type=int, default=d.image_w, dest="image_w")
+    p.add_argument("--image-h", type=int, default=d.image_h, dest="image_h")
+    p.add_argument("--objects-mean", type=float, default=d.n_objects_mean,
                    help="mean ground truths per image")
-    p.add_argument("--pairs-mean", type=float, default=2.40,
+    p.add_argument("--pairs-mean", type=float, default=d.crowd_pairs_mean,
                    help="mean crowd pairs (IoU > 0.5) per image")
-    p.add_argument("--triples-mean", type=float, default=0.0,
+    p.add_argument("--triples-mean", type=float, default=d.crowd_triples_mean,
                    help="mean crowd triples per image")
-    p.add_argument("--pair-iou-lo", type=float, default=0.55)
-    p.add_argument("--pair-iou-hi", type=float, default=0.8)
+    p.add_argument("--pair-iou-lo", type=float, default=d.pair_iou_range[0])
+    p.add_argument("--pair-iou-hi", type=float, default=d.pair_iou_range[1])
 
 
 def cmd_synth(args) -> int:
@@ -142,10 +143,10 @@ def cmd_synth(args) -> int:
 
 def cmd_suppress(args) -> int:
     t0 = time.perf_counter()
-    records = parse_scene_arrays(args.infile)
     method = _METHOD_FLAGS[args.method]
     cfg = SuppressionConfig(method=method, iou_thresh=args.iou,
                             sigma=args.sigma, score_floor=args.score_floor)
+    records = parse_scene_arrays(args.infile)
     counters = {"images": len(records), "dets_in": 0, "dets_out": 0,
                 "anonymous": 0}
     kept = []
@@ -366,9 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "detection file")
     common(p, report=False)
     p.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True)
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--score-floor", type=float, default=0.001)
+    p.add_argument("--iou", type=float, default=SuppressionConfig.iou_thresh)
+    p.add_argument("--sigma", type=float, default=SuppressionConfig.sigma)
+    p.add_argument("--score-floor", type=float,
+                   default=SuppressionConfig.score_floor)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_suppress)
@@ -377,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gt", required=True)
     p.add_argument("--det", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--fppi-lo", type=float, default=1e-2)
-    p.add_argument("--fppi-hi", type=float, default=1e2)
-    p.add_argument("--fppi-points", type=int, default=9)
+    p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
+    p.add_argument("--fppi-lo", type=float, default=EvalConfig.fppi_lo)
+    p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi)
+    p.add_argument("--fppi-points", type=int, default=EvalConfig.fppi_points)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("emd", help="score slot predictions against "
@@ -388,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--pred", required=True, help="prediction JSONL path")
     p.add_argument("--gt", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--theta", type=float, default=0.5,
+    p.add_argument("--k", type=int, default=EmdConfig.k)
+    p.add_argument("--theta", type=float, default=DetectorSimParams.theta,
                    help="IoU threshold for set membership")
     p.add_argument("--truncate-topk", action="store_true",
                    help="keep the top-k members by IoU on overflow")
@@ -399,14 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True, report=False)
     p.add_argument("--images", type=int, default=200)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=DetectorSimParams.k)
     p.add_argument("--k-sweep", type=lambda s: [int(v) for v in s.split(",")],
                    default=[], help="extra mip k values, e.g. 1,2,3")
     p.add_argument("--nms-sweep", type=lambda s: [float(v) for v in s.split(",")],
                    default=[], help="extra nms thresholds, e.g. 0.3,0.4")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--jitter", type=float, default=0.06)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
+    p.add_argument("--jitter", type=float,
+                   default=DetectorSimParams.proposal_jitter)
+    p.add_argument("--theta", type=float, default=DetectorSimParams.theta)
     _add_scene_flags(p)
     p.set_defaults(func=cmd_study)
 

@@ -13,13 +13,13 @@ image's ground-truth columns: one IoU matrix gives each ground-truth set as
 member indices (:func:`~crowdset.assignment.gt_set_members`), which index
 the columns for the slot targets; one (P, k, k) tensor holds the pair
 costs, and one argmin over the ``k!`` permutation totals per proposal
-picks the matching. :func:`pair_cost_matrix`, :func:`emd_match` and
-:func:`emd_loss` are one-proposal calls of the same code, so the cost
-formula and the tie rule live in one place. The scalar :func:`cls_loss`,
-:func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
-engine computes the same numbers bit for bit, with the logs taken by
-``math.log`` (numpy's vectorised log can differ in the last bit) and every
-sum in the scalar order.
+picks the matching. :func:`pair_cost_matrix` and :func:`emd_match` are
+one-proposal calls of the same code, so the cost formula and the tie rule
+live in one place. The scalar :func:`cls_loss`, :func:`reg_loss` and
+:func:`smooth_l1` are the documented definitions; the engine computes the
+same numbers bit for bit, with the logs taken by ``math.log`` (numpy's
+vectorised log can differ in the last bit) and every sum in the scalar
+order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import (GtSet, check_theta, gt_columns, gt_set_members,
-                         pad_to_k)
+from .assignment import GtSet, check_theta, gt_columns, gt_set_members
 from .geometry import BBox, BoxDelta, encode_delta
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
@@ -362,19 +361,6 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
                     total=float(total[0]))
 
 
-def emd_loss(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> EmdMatch:
-    """Match a prediction set against a ground-truth set and return the
-    minimum-cost pairing.
-
-    Short sets are padded with background dummies internally; sets with more
-    real members than ``cfg.k`` raise
-    :class:`~crowdset.assignment.GtSetOverflowError` (truncate explicitly
-    with :func:`~crowdset.assignment.truncate_top_k` first).
-    """
-    gts = pad_to_k(gts, cfg.k)
-    return emd_match(pair_cost_matrix(pred, gts, cfg))
-
-
 @dataclass(frozen=True)
 class ImageMatch:
     """Every proposal of one image matched, in proposal order.
@@ -402,10 +388,11 @@ def match_image(pred: PredictionArrays, gt_boxes: np.ndarray,
     ``truncate`` is set, pad it and match it.
 
     A bad ``theta`` is raised first, also for an image without proposals.
-    Otherwise the result equals a loop of
-    :func:`~crowdset.assignment.build_gt_set`,
-    :func:`~crowdset.assignment.truncate_top_k` and :func:`emd_loss` over
-    the proposals, and so do the errors: a wrong slot count, an overflow
+    Otherwise the result equals a loop over the proposals of
+    :func:`~crowdset.assignment.build_gt_set`, then
+    :func:`~crowdset.assignment.truncate_top_k` or
+    :func:`~crowdset.assignment.pad_to_k`, :func:`pair_cost_matrix` and
+    :func:`emd_match`, and so do the errors: a wrong slot count, an overflow
     without ``truncate``, a ground-truth class outside a slot's score vector
     and non-finite costs are raised for the first proposal that has one, in
     that order within a proposal.

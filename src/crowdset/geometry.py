@@ -78,10 +78,6 @@ class BBox:
     def center(self) -> tuple[float, float]:
         return (self.x1 + 0.5 * self.width, self.y1 + 0.5 * self.height)
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
-
     def shifted(self, dx: float, dy: float) -> "BBox":
         return BBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 

@@ -51,16 +51,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import GroundTruth
 from .geometry import overlaps, rank_pairs
 from .scene_io import SceneArrays, SceneRecord
-from .suppression import Detection, Detections
+from .suppression import Detections
 
 # A ground truth is "crowd" when another ground truth in the same image
 # overlaps it beyond this IoU; everything else is "sparse".
 CROWD_IOU = 0.5
 
-# Flag values used by match_greedy.
+# Greedy-walk flag values of a detection (Evaluation.det_flags).
 TP, FP, IGNORED = 1, 0, -1
 
 _MR_FLOOR = 1e-10
@@ -102,16 +101,6 @@ class EvalReport:
     recall_total: RecallStats
     recall_sparse: RecallStats
     recall_crowd: RecallStats
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Per-detection TP/FP/ignored flags and per-GT matched flags, both in
-    input order."""
-
-    det_flags: np.ndarray   # int8: TP, FP, or IGNORED
-    det_match: np.ndarray   # matched gt index, -1 when unmatched
-    gt_matched: np.ndarray  # bool per input gt; ignored gts stay False
 
 
 @dataclass(frozen=True)
@@ -215,8 +204,10 @@ class Evaluation:
 
     After construction, ``candidates`` lists each detection's candidate
     ground truths (global indices), ``order`` is the detection at each
-    global rank, and ``det_flags``, ``det_match`` and ``gt_matched`` are the
-    greedy walk's result, as in :class:`MatchResult` with global indices.
+    global rank, and the greedy walk's result is, in input order:
+    ``det_flags`` (int8: TP, FP or IGNORED per detection), ``det_match``
+    (the matched global ground-truth index, -1 when unmatched) and
+    ``gt_matched`` (bool per ground truth; ignored ones stay False).
     """
 
     def __init__(self, cfg: EvalConfig, truth: Truth, dets: Detections,
@@ -392,21 +383,6 @@ def _of_scenes(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> Evaluation:
     return Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes], cfg)
 
 
-def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],
-                 iou_thresh: float) -> MatchResult:
-    """Greedily match detections to ground truths in descending score order.
-
-    Each detection takes the unmatched, non-ignored, same-class ground truth
-    with the highest IoU >= ``iou_thresh`` (TP); a detection whose only
-    qualifying overlaps are ignored ground truths is flagged ignored;
-    anything else is a FP. One ground truth matches at most one detection.
-    ``iou_thresh`` must be in (0, 1), as in :class:`EvalConfig`.
-    """
-    ev = _of_scenes([SceneRecord("", gts=gts, dets=dets)],
-                    EvalConfig(iou_thresh=iou_thresh))
-    return MatchResult(ev.det_flags, ev.det_match, ev.gt_matched)
-
-
 def average_precision(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     """Area under the precision-recall curve from a global descending-score
     sweep. Raises on a dataset without ground truths (AP is undefined, not 0)."""
@@ -445,20 +421,14 @@ def best_ji(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> tuple[float, floa
     return _of_scenes(scenes, cfg).best_ji()
 
 
-def crowd_flags(gts: Sequence[GroundTruth], crowd_iou: float = CROWD_IOU) -> np.ndarray:
-    """Boolean flag per ground truth: True when another non-ignored ground
-    truth in the image overlaps it with IoU strictly above ``crowd_iou``
-    (which must be >= 0). Reads the ground-truth pairs the sweep finds."""
-    return _of_scenes([SceneRecord("", gts=gts)], EvalConfig()).crowd_flags(crowd_iou)
-
-
 def recall_split(scenes: Sequence[SceneRecord], cfg: EvalConfig,
                  score_threshold: float,
                  crowd_iou: float = CROWD_IOU) -> tuple[RecallStats, RecallStats, RecallStats]:
     """Recall of crowd vs. sparse ground truths at one confidence threshold.
 
-    Returns (total, sparse, crowd) counts; matched flags are those of
-    :func:`match_greedy` on the thresholded detections.
+    Returns (total, sparse, crowd) counts; a ground truth counts as matched
+    when its greedy match scores >= ``score_threshold``, and as crowd when
+    another one overlaps it beyond ``crowd_iou``.
     """
     return _of_scenes(scenes, cfg).recall_split(score_threshold, crowd_iou)
 

@@ -288,11 +288,6 @@ def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
     return records
 
 
-def iter_scene_file(source: PathOrStream) -> Iterator[SceneRecord]:
-    """Stream records one line at a time (constant memory per line)."""
-    return (a.record() for a in _iter_jsonl(source, _parse_scene_arrays))
-
-
 def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
     """Read a whole scene file, enforcing unique record ids."""
     return [a.record() for a in parse_scene_arrays(source)]

@@ -159,10 +159,11 @@ class SuppressionConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.iou_thresh < 1.0:
             raise ValueError(f"iou_thresh must be in (0, 1), got {self.iou_thresh}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.score_floor < 0.0:
-            raise ValueError(f"score_floor must be >= 0, got {self.score_floor}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0.0 <= self.score_floor < math.inf:
+            raise ValueError(f"score_floor must be finite and >= 0, "
+                             f"got {self.score_floor}")
 
 
 def _sweep_floor(cfg: SuppressionConfig) -> float:

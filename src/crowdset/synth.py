@@ -26,8 +26,8 @@ ranked assignment sets and the noise, in an order that does not depend on
 scenes as :class:`~crowdset.scene_io.SceneArrays`, draws once per image per
 model family (configs that differ only in ``k`` or ``mode``), selects each
 ``k`` from that draw, and sweeps the ground truths' overlaps once for all
-its rows. :func:`generate_scene`, :func:`build_scenes` and
-:func:`simulate_detector` convert dataclasses at the edge.
+its rows. :func:`build_scenes` and :func:`simulate_detector` convert
+dataclasses at the edge.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GroundTruth, gt_columns, gt_set_members
-from .geometry import BBox, box_areas, iou_arrays, iou_xyxy
+from .assignment import GroundTruth, check_theta, gt_columns, gt_set_members
+from .geometry import box_areas, iou_arrays, iou_xyxy
 from .metrics import EvalConfig, EvalReport, Evaluation, Truth
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import Detection, Detections, SuppressionConfig, suppress_many
@@ -50,6 +50,11 @@ _NS_SIM = 1
 # A detection scores SCORE_BASE minus SCORE_PENALTY times its coordinate
 # error over its target's diagonal, clipped to [0.05, 0.99].
 SCORE_BASE, SCORE_PENALTY = 0.95, 2.0
+
+# Proposals per ground truth. Real first stages put several proposals on
+# every object, and those surplus near-duplicates are what loose suppression
+# thresholds leave behind as false positives.
+PROPOSALS_PER_GT = 3
 
 # A sampled box is BOX_SCALE_RANGE pixels wide and ASPECT_RANGE times as tall.
 BOX_SCALE_RANGE = (40.0, 90.0)
@@ -100,12 +105,10 @@ class DetectorSimParams:
     """Detector simulation knobs.
 
     ``proposal_jitter`` is the relative (fraction of box size) std of both
-    the proposal placement noise and the prediction regression noise.
-    ``proposals_per_gt`` models proposal over-completeness: real first stages
-    put several proposals on every object, and those surplus near-duplicates
-    are what loose suppression thresholds leave behind as false positives.
-    A one-slot proposal always collapses onto the cluster's dominant
-    member. Scores follow quality (``SCORE_BASE``, ``SCORE_PENALTY``).
+    the proposal placement noise and the prediction regression noise. Every
+    ground truth gets ``PROPOSALS_PER_GT`` proposals. A one-slot proposal
+    always collapses onto the cluster's dominant member. Scores follow
+    quality (``SCORE_BASE``, ``SCORE_PENALTY``).
 
     ``mode="single"`` is ``mip`` with ``k=1`` whatever ``k`` says. It,
     ``label`` and ``effective_k`` are kept only because the benchmark's
@@ -115,7 +118,6 @@ class DetectorSimParams:
     mode: str = "mip"             # single | mip
     k: int = 2
     proposal_jitter: float = 0.06
-    proposals_per_gt: int = 3
     theta: float = 0.5
     seed: int = 0
 
@@ -127,10 +129,7 @@ class DetectorSimParams:
         if not (np.isfinite(self.proposal_jitter) and self.proposal_jitter >= 0):
             raise ValueError(f"proposal_jitter must be finite and >= 0, "
                              f"got {self.proposal_jitter}")
-        if self.proposals_per_gt < 1:
-            raise ValueError("proposals_per_gt must be >= 1")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+        check_theta(self.theta)
 
     @property
     def effective_k(self) -> int:
@@ -180,8 +179,16 @@ def _shift_to_iou(anchor: tuple, ux: float, uy: float,
 
 
 class _Scene:
-    """One scene generated (see :func:`generate_scene`): its (G, 4)
-    ``boxes``, candidate boxes rejected and bisections capped."""
+    """One scene's ground truths, deterministic under ``params.seed``: its
+    (G, 4) ``boxes``, candidate boxes rejected and bisections capped.
+
+    Triples, then pairs, then isolated boxes are placed, in Poisson counts,
+    each partner at a target IoU from ``pair_iou_range`` with its anchor.
+    A box overlapping an earlier one beyond IoU 0.5 is rejected, and
+    ``_PLACEMENT_TRIES`` rejections in a row raise
+    :class:`SceneGenerationError`. A block of isolated candidates may draw
+    past the last one needed; the generator dies with the scene.
+    """
 
     def __init__(self, params: SceneParams):
         self.rng = rng = np.random.default_rng(params.seed)
@@ -257,23 +264,6 @@ class _Scene:
         return boxes
 
 
-def generate_scene(params: SceneParams) -> list[GroundTruth]:
-    """Generate one scene's ground truths, deterministic under params.seed.
-
-    Object and cluster counts are Poisson around the configured means;
-    triples, then pairs, then isolated boxes are placed, each partner at a
-    target IoU from ``pair_iou_range`` with its anchor. Every box rejects
-    an accidental IoU > 0.5 with the boxes placed before it, and
-    ``_PLACEMENT_TRIES`` rejections in a row raise
-    :class:`SceneGenerationError`. Isolated candidates, 4 uniforms each,
-    are a fixed stream, drawn and scored a block at a time; a block may
-    draw past the last candidate needed, which is harmless, since the
-    generator dies with the scene.
-    """
-    return [GroundTruth(box=BBox(*box), class_id=1)
-            for box in _Scene(params).boxes.tolist()]
-
-
 def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
     """Perturb (N, 4) corner-form boxes: center shift scaled by size,
     log-normal size scale.
@@ -300,7 +290,7 @@ class _Draw:
     def __init__(self, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                  gt_ignore: np.ndarray, params: DetectorSimParams):
         rng = np.random.default_rng(params.seed)
-        owners = np.repeat(np.flatnonzero(~gt_ignore), params.proposals_per_gt)
+        owners = np.repeat(np.flatnonzero(~gt_ignore), PROPOSALS_PER_GT)
         proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
                             rng.standard_normal((len(owners), 4)))
         ranked = gt_set_members(proposals, gt_boxes, gt_ignore, params.theta)
@@ -339,7 +329,7 @@ class _Draw:
 
 def simulate_detector(gts: Sequence[GroundTruth],
                       params: DetectorSimParams) -> list[Detection]:
-    """Emit detections for a scene: ``proposals_per_gt`` jittered proposals
+    """Emit detections for a scene: ``PROPOSALS_PER_GT`` jittered proposals
     per ground truth, each predicting from its own assignment set.
 
     Every proposal computes its assignment set (members with IoU >= theta,

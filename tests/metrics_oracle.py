@@ -10,13 +10,14 @@ every distinct score, and ``density_stats`` the dense pair count.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from crowdset.assignment import GroundTruth
 from crowdset.geometry import boxes_to_array, iou_matrix
-from crowdset.metrics import EvalConfig, MatchResult, RecallStats
+from crowdset.metrics import EvalConfig, RecallStats
 from crowdset.scene_io import SceneRecord
 from crowdset.suppression import Detection
 
@@ -24,6 +25,16 @@ CROWD_IOU = 0.5
 TP, FP, IGNORED = 1, 0, -1
 
 _MR_FLOOR = 1e-10
+
+
+@dataclass(frozen=True)
+class MatchResult:
+    """Per-detection TP/FP/ignored flags and per-GT matched flags, both in
+    input order."""
+
+    det_flags: np.ndarray   # int8: TP, FP, or IGNORED
+    det_match: np.ndarray   # matched gt index, -1 when unmatched
+    gt_matched: np.ndarray  # bool per input gt; ignored gts stay False
 
 
 def match_greedy(dets: Sequence[Detection], gts: Sequence[GroundTruth],

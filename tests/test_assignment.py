@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from crowdset.assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
                                  GtSetOverflowError, build_gt_set, gt_columns,
-                                 gt_set_members, max_gt_set_cardinality,
-                                 pad_to_k, truncate_top_k)
+                                 gt_set_members, pad_to_k, truncate_top_k)
 from crowdset.geometry import BBox, boxes_to_array, iou
-from crowdset.scene_io import SceneRecord
 
 B = BBox
 
@@ -109,29 +107,32 @@ class TestPadding:
         assert ious == sorted(ious, reverse=True)
 
 
-class TestMaxCardinality:
-    def scene(self, sid, gts):
-        return SceneRecord(id=sid, gts=gts)
+def max_cardinality(scenes, theta=0.5):
+    """Largest ground-truth set over the scenes, each real box standing in
+    as a proposal; 0 without one."""
+    sizes = [0]
+    for gts in scenes:
+        boxes, _, ignore = gt_columns(gts)
+        sizes += map(len, gt_set_members(boxes[~ignore], boxes, ignore, theta))
+    return max(sizes)
 
+
+class TestMaxCardinality:
     def test_empty_dataset(self):
-        assert max_gt_set_cardinality([], theta=0.5) == 0
+        assert max_cardinality([]) == 0
 
     def test_isolated_boxes(self):
-        scenes = [self.scene("a", [gt(0, 0, 10, 10)]),
-                  self.scene("b", [gt(0, 0, 5, 5), gt(50, 50, 60, 60)])]
-        assert max_gt_set_cardinality(scenes, theta=0.5) == 1
+        scenes = [[gt(0, 0, 10, 10)], [gt(0, 0, 5, 5), gt(50, 50, 60, 60)]]
+        assert max_cardinality(scenes) == 1
 
     def test_mutual_pair(self):
         # iou = 75 / 125 = 0.6
-        scenes = [self.scene("a", [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5)])]
-        assert max_gt_set_cardinality(scenes, theta=0.5) == 2
+        assert max_cardinality([[gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5)]]) == 2
 
     def test_triple_cluster(self):
         # pairwise IoUs: 85/115, 85/115, 70/130 -- all >= 0.5
-        scenes = [self.scene("a", [gt(0, 0, 10, 10),
-                                   gt(0, 1.5, 10, 11.5),
-                                   gt(0, 3, 10, 13)])]
-        assert max_gt_set_cardinality(scenes, theta=0.5) == 3
+        scenes = [[gt(0, 0, 10, 10), gt(0, 1.5, 10, 11.5), gt(0, 3, 10, 13)]]
+        assert max_cardinality(scenes) == 3
 
 
 def grid_scene(rng):
@@ -173,10 +174,10 @@ class TestGtSetMembers:
     @given(st.integers(0, 2**32 - 1))
     def test_max_cardinality_equals_the_scalar_loop(self, seed):
         rng = np.random.default_rng(seed)
-        scenes = [SceneRecord(id=str(i), gts=grid_scene(rng)[0]) for i in range(3)]
-        want = max((oracle.build_gt_set(g.box, s.gts, 0.5).n_real
-                    for s in scenes for g in s.gts if not g.ignore), default=0)
-        assert max_gt_set_cardinality(scenes, theta=0.5) == want
+        scenes = [grid_scene(rng)[0] for _ in range(3)]
+        want = max((oracle.build_gt_set(g.box, gts, 0.5).n_real
+                    for gts in scenes for g in gts if not g.ignore), default=0)
+        assert max_cardinality(scenes) == want
 
     def test_theta_checked_before_any_overlap(self):
         with pytest.raises(ValueError, match="theta must be in"):

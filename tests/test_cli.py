@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -340,6 +342,21 @@ class TestSuppress:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--sigma", "nan", "> 0"), ("--sigma", "inf", "> 0"),
+        ("--score-floor", "nan", ">= 0"), ("--score-floor", "inf", ">= 0")])
+    def test_non_finite_soft_settings_write_nothing(self, tmp_path, capsys,
+                                                    flag, value, rule):
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", "soft-gaussian", "--in",
+                     str(self._anonymous_input(tmp_path)), flag, value,
+                     "--out", str(out)]) == 1
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {field} must be finite and {rule}, got {value}\n")
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
     def test_no_warning_when_every_detection_has_a_proposal(self, round_trip,
                                                             tmp_path, capsys):
         out = tmp_path / "out.jsonl"
@@ -601,6 +618,23 @@ print(json.dumps(steps))
 
 
 class TestImports:
+    def test_every_bench_import_resolves(self):
+        # bench/ drives the public API; a name it imports must not be
+        # deleted from the package without the bench moving off it.
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        checked = 0
+        for path in sorted(bench.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").split(".")[0] == "crowdset"):
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), \
+                        f"{path.name}: {node.module} has no {alias.name}"
+                    checked += 1
+        assert checked >= 40
+
     def test_scipy_loads_only_above_the_enumeration_limit(
             self, round_trip, emd_inputs, emd_k7_pred, tmp_path):
         gt, det = round_trip

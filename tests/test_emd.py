@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from crowdset.assignment import (GroundTruth, build_gt_set, gt_columns,
                                  pad_to_k, truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
-                          SlotPrediction, cls_loss, emd_loss, emd_match,
+                          SlotPrediction, cls_loss, emd_match,
                           match_image, pair_cost_matrix, reg_loss, smooth_l1)
 from crowdset.geometry import BBox, BoxDelta, encode_delta
 from crowdset.scene_io import PredictionRecord
@@ -202,13 +202,19 @@ def random_fixture(rng, k, n_gts, theta=0.3):
     return PredictionSet(proposal=proposal, slots=slots), gt_set
 
 
+def padded_match(pred, gt_set, cfg):
+    """The one-proposal loss: the set padded to ``cfg.k`` slots, then
+    matched; a set with more than ``k`` real members raises."""
+    return emd_match(pair_cost_matrix(pred, pad_to_k(gt_set, cfg.k), cfg))
+
+
 class TestEmdLoss:
     def test_k1_reduces_to_direct_loss(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
             pred, gt_set = random_fixture(rng, k=1, n_gts=1)
             cfg = EmdConfig(k=1)
-            match = emd_loss(pred, gt_set, cfg)
+            match = padded_match(pred, gt_set, cfg)
             slot = pred.slots[0]
             if gt_set.n_real == 1:
                 direct = (cls_loss(slot.class_scores, gt_set.entries[0].class_id)
@@ -227,7 +233,7 @@ class TestEmdLoss:
         gt_set = build_gt_set(proposal,
                               [GroundTruth(box=B(0, 0, 10, 10), class_id=1)],
                               theta=0.5)
-        match = emd_loss(pred, gt_set, EmdConfig(k=2))
+        match = padded_match(pred, gt_set, EmdConfig(k=2))
         assert match.permutation == (0, 1)
 
     def test_matches_brute_force_oracle(self):
@@ -236,7 +242,7 @@ class TestEmdLoss:
             k = int(rng.integers(2, 4))
             pred, gt_set = random_fixture(rng, k=k, n_gts=int(rng.integers(0, k + 1)))
             cfg = EmdConfig(k=k)
-            match = emd_loss(pred, gt_set, cfg)
+            match = padded_match(pred, gt_set, cfg)
             costs = pair_cost_matrix(pred, pad_to_k(gt_set, k), cfg)
             _, total = brute_force_match(costs)
             assert match.total == pytest.approx(total, abs=1e-12)
@@ -247,10 +253,10 @@ class TestEmdLoss:
             pred, gt_set = random_fixture(rng, k=3, n_gts=3)
             if gt_set.n_real < 2:
                 continue
-            base = emd_loss(pred, gt_set, EmdConfig(k=3)).total
+            base = padded_match(pred, gt_set, EmdConfig(k=3)).total
             from dataclasses import replace
             flipped = replace(gt_set, entries=gt_set.entries[::-1])
-            assert emd_loss(pred, flipped, EmdConfig(k=3)).total == \
+            assert padded_match(pred, flipped, EmdConfig(k=3)).total == \
                 pytest.approx(base, abs=1e-12)
 
     def test_dummy_only_total_is_background_sum(self):
@@ -259,7 +265,7 @@ class TestEmdLoss:
         slots = tuple(random_slot(rng) for _ in range(2))
         pred = PredictionSet(proposal=proposal, slots=slots)
         gt_set = build_gt_set(proposal, [], theta=0.5)
-        match = emd_loss(pred, gt_set, EmdConfig(k=2))
+        match = padded_match(pred, gt_set, EmdConfig(k=2))
         want = sum(cls_loss(s.class_scores, 0) for s in slots)
         assert match.total == pytest.approx(want, abs=1e-12)
 
@@ -272,8 +278,8 @@ class TestEmdLoss:
             pred2 = PredictionSet(proposal=pred3.proposal, slots=pred3.slots[:2])
             if gt_set.n_real > 2:
                 continue
-            t2 = emd_loss(pred2, gt_set, EmdConfig(k=2)).total
-            t3 = emd_loss(pred3, gt_set, EmdConfig(k=3)).total
+            t2 = padded_match(pred2, gt_set, EmdConfig(k=2)).total
+            t3 = padded_match(pred3, gt_set, EmdConfig(k=3)).total
             extra_bg = cls_loss(pred3.slots[2].class_scores, 0)
             assert t3 <= t2 + extra_bg + 1e-9
 
@@ -374,7 +380,7 @@ class TestEngineOracle:
             assert got.permutation == expected.permutation
             assert _bits(got.per_slot_cost) == _bits(expected.per_slot_cost)
             assert got.total.hex() == expected.total.hex()
-            assert emd_loss(pred, gt_set, cfg) == got
+            assert padded_match(pred, gt_set, cfg) == got
 
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

@@ -16,9 +16,8 @@ from crowdset.assignment import GroundTruth
 from crowdset.geometry import BBox, boxes_to_array, iou_matrix, ranked_overlaps
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
                               Evaluation, RecallStats, _max_matching_gains,
-                              average_precision, best_ji, crowd_flags,
-                              density_stats, evaluate, jaccard_index,
-                              match_greedy, mr2, recall_split)
+                              average_precision, best_ji, density_stats,
+                              evaluate, jaccard_index, mr2, recall_split)
 from crowdset.scene_io import SceneArrays, SceneRecord
 from crowdset.suppression import Detection
 
@@ -36,6 +35,13 @@ def det(x1, y1, x2, y2, score, class_id=1):
 
 def scene(sid, gts, dets=()):
     return SceneRecord(id=sid, gts=list(gts), dets=list(dets))
+
+
+def one_image(gts, dets=(), iou_thresh=0.5):
+    """The evaluation pass over one image: its greedy walk's ``det_flags``,
+    ``det_match`` and ``gt_matched``, and its ``crowd_flags``."""
+    return Evaluation.of_arrays([SceneArrays.from_record(scene("", gts, dets))],
+                                EvalConfig(iou_thresh=iou_thresh))
 
 
 def perfect_scene(sid, boxes, score=0.9):
@@ -74,49 +80,49 @@ def random_scenes(rng, n_scenes, quantize=None, n_classes=1):
 
 class TestMatchGreedy:
     def test_exact_hit_is_tp(self):
-        res = match_greedy([det(0, 0, 10, 10, 0.9)], [gt(0, 0, 10, 10)], 0.5)
+        res = one_image([gt(0, 0, 10, 10)], [det(0, 0, 10, 10, 0.9)])
         assert res.det_flags.tolist() == [TP]
         assert res.gt_matched.tolist() == [True]
 
     def test_one_to_one_second_det_is_fp(self):
-        res = match_greedy([det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)],
-                           [gt(0, 0, 10, 10)], 0.5)
+        res = one_image([gt(0, 0, 10, 10)],
+                        [det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)])
         assert res.det_flags.tolist() == [TP, FP]
 
     def test_ignored_only_overlap_excluded(self):
-        res = match_greedy([det(0, 0, 10, 10, 0.9)],
-                           [gt(0, 0, 10, 10, ignore=True)], 0.5)
+        res = one_image([gt(0, 0, 10, 10, ignore=True)],
+                        [det(0, 0, 10, 10, 0.9)])
         assert res.det_flags.tolist() == [IGNORED]
         assert res.gt_matched.tolist() == [False]
 
     def test_class_mismatch_is_fp(self):
-        res = match_greedy([det(0, 0, 10, 10, 0.9, class_id=2)],
-                           [gt(0, 0, 10, 10, class_id=1)], 0.5)
+        res = one_image([gt(0, 0, 10, 10, class_id=1)],
+                        [det(0, 0, 10, 10, 0.9, class_id=2)])
         assert res.det_flags.tolist() == [FP]
 
     def test_higher_score_matches_first(self):
-        res = match_greedy([det(0, 0, 10, 10, 0.5), det(0, 0, 10, 10, 0.9)],
-                           [gt(0, 0, 10, 10)], 0.5)
+        res = one_image([gt(0, 0, 10, 10)],
+                        [det(0, 0, 10, 10, 0.5), det(0, 0, 10, 10, 0.9)])
         assert res.det_flags.tolist() == [FP, TP]
 
     def test_prefers_highest_iou(self):
         d = det(0, 0, 10, 10, 0.9)
         loose = gt(0, 2.5, 10, 12.5)   # iou 0.6
         tight = gt(0, 0, 10, 10)       # iou 1.0
-        res = match_greedy([d], [loose, tight], 0.5)
+        res = one_image([loose, tight], [d])
         assert res.det_match.tolist() == [1]
 
     def test_equal_iou_goes_to_the_lower_index(self):
         # The detection sits midway: IoU 90/110 with both ground truths.
         left, right = gt(0, 0, 10, 10), gt(2, 0, 12, 10)
         d = det(1, 0, 11, 10, 0.9)
-        assert match_greedy([d], [left, right], 0.5).det_match.tolist() == [0]
-        assert match_greedy([d], [right, left], 0.5).det_match.tolist() == [0]
+        assert one_image([left, right], [d]).det_match.tolist() == [0]
+        assert one_image([right, left], [d]).det_match.tolist() == [0]
 
     def test_no_double_booking(self):
         rng = np.random.default_rng(3)
         for s in random_scenes(rng, 30):
-            res = match_greedy(s.dets, s.gts, 0.5)
+            res = one_image(s.gts, s.dets)
             matched = [m for m in res.det_match if m >= 0]
             assert len(matched) == len(set(matched))
             assert ((res.det_flags == TP) == (res.det_match >= 0)).all()
@@ -227,7 +233,7 @@ class TestJaccard:
         d1 = det(0, 1, 10, 11, 0.9)    # overlaps both, higher iou on g1
         d2 = det(0, 0.5, 10, 10.5, 0.8)  # qualifies only with g1
         s = scene("a", [g1, g2], [d1, d2])
-        assert match_greedy([d1, d2], [g1, g2], 0.5).det_match.tolist() == [0, -1]
+        assert one_image([g1, g2], [d1, d2]).det_match.tolist() == [0, -1]
         assert jaccard_index([s], CFG, 0.0) == 2 / (2 + 2 - 2)
 
 
@@ -277,11 +283,11 @@ class TestBestJi:
 class TestRecallSplit:
     def test_pair_is_crowd(self):
         gts = [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5)]  # iou 0.6
-        flags = crowd_flags(gts)
+        flags = one_image(gts).crowd_flags(CROWD_IOU)
         assert flags.tolist() == [True, True]
 
     def test_isolated_is_sparse(self):
-        assert crowd_flags([gt(0, 0, 10, 10)]).tolist() == [False]
+        assert one_image([gt(0, 0, 10, 10)]).crowd_flags(CROWD_IOU).tolist() == [False]
 
     def test_two_crowd_one_sparse(self):
         gts = [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5), gt(100, 100, 120, 140)]
@@ -296,7 +302,7 @@ class TestRecallSplit:
         from crowdset.geometry import iou as scalar_iou
         rng = np.random.default_rng(31)
         for s in random_scenes(rng, 25):
-            flags = crowd_flags(s.gts)
+            flags = one_image(s.gts).crowd_flags(CROWD_IOU)
             for j, g in enumerate(s.gts):
                 want = any(scalar_iou(g.box, o.box) > CROWD_IOU
                            for jj, o in enumerate(s.gts) if jj != j)
@@ -401,7 +407,7 @@ class TestOracleEquivalence:
     def test_match_greedy(self):
         for scenes in oracle_datasets():
             for s in scenes:
-                got = match_greedy(s.dets, s.gts, 0.5)
+                got = one_image(s.gts, s.dets)
                 want = oracle.match_greedy(s.dets, s.gts, 0.5)
                 for field in ("det_flags", "det_match", "gt_matched"):
                     g, w = getattr(got, field), getattr(want, field)
@@ -430,7 +436,7 @@ class TestOracleEquivalence:
 
     def test_scenes_cover_the_hard_cases(self):
         scenes = oracle_scenes(np.random.default_rng(100), 60)
-        flags = np.concatenate([match_greedy(s.dets, s.gts, 0.5).det_flags
+        flags = np.concatenate([one_image(s.gts, s.dets).det_flags
                                 for s in scenes])
         assert {TP, FP, IGNORED} <= set(flags.tolist())
         assert any(not s.gts for s in scenes) and any(not s.dets for s in scenes)
@@ -557,10 +563,10 @@ class TestSparsePass:
         g0 = d0 = 0
         for s in scenes:
             n_gt, n_det = len(s.gts), len(s.dets)
-            assert crowd_flags(s.gts, crowd_iou).tolist() == \
+            got = one_image(s.gts, s.dets, cfg.iou_thresh)
+            assert got.crowd_flags(crowd_iou).tolist() == \
                 oracle.crowd_flags(s.gts, crowd_iou).tolist() == \
                 ev.crowd_flags(crowd_iou)[g0:g0 + n_gt].tolist()
-            got = match_greedy(s.dets, s.gts, cfg.iou_thresh)
             want = oracle.match_greedy(s.dets, s.gts, cfg.iou_thresh)
             for field in ("det_flags", "det_match", "gt_matched"):
                 g, w = getattr(got, field), getattr(want, field)
@@ -584,11 +590,11 @@ class TestSparsePass:
         half = [gt(0, 0, 4, 2), gt(0, 0, 4, 4), gt(4, 0, 8, 4), gt(2, 2, 2, 6)]
         dets = [det(0, 0, 4, 2, 0.9), det(0, 0, 4, 2, 0.8), det(2, 2, 2, 6, 0.7)]
         s = scene("edge", half, dets)
-        assert match_greedy(dets, half, 0.5).det_match.tolist() == [0, 1, -1]
-        assert crowd_flags(half).tolist() == [False] * 4
-        assert crowd_flags(half, 0.49).tolist() == [True, True, False, False]
+        ev = one_image(half, dets)
+        assert ev.det_match.tolist() == [0, 1, -1]
+        assert ev.crowd_flags(CROWD_IOU).tolist() == [False] * 4
+        assert ev.crowd_flags(0.49).tolist() == [True, True, False, False]
         assert density_stats([s], 0.0).overlaps_per_image == 1.0
-        ev = Evaluation.of_arrays([SceneArrays.from_record(s)], CFG)
         assert ev.candidates == [[0, 1], [0, 1], []]
         # The sweep lists each pair whose x-extents meet in more than an
         # edge: 8 det/GT pairs (the zero-width boxes sit inside two boxes'
@@ -599,9 +605,9 @@ class TestSparsePass:
 
     def test_negative_crowd_iou_is_rejected(self):
         with pytest.raises(ValueError, match="crowd_iou"):
-            crowd_flags([gt(0, 0, 1, 1)], -0.1)
+            one_image([gt(0, 0, 1, 1)]).crowd_flags(-0.1)
         with pytest.raises(ValueError, match="iou_thresh"):
-            match_greedy([], [gt(0, 0, 1, 1)], 0.0)
+            one_image([gt(0, 0, 1, 1)], [], 0.0)
 
 
 class TestScale:

@@ -15,10 +15,10 @@ from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneFileError, SceneRecord,
                                _parse_prediction_arrays, _parse_scene_arrays,
-                               iter_scene_file, parse_prediction_arrays,
-                               parse_prediction_file, parse_scene_arrays,
-                               parse_scene_file, write_prediction_file,
-                               write_scene_arrays, write_scene_file)
+                               parse_prediction_arrays, parse_prediction_file,
+                               parse_scene_arrays, parse_scene_file,
+                               write_prediction_file, write_scene_arrays,
+                               write_scene_file)
 from crowdset.suppression import Detection
 
 B = BBox
@@ -106,7 +106,7 @@ class TestParse:
 
     def test_streaming_order_preserved(self):
         text = "\n".join(json.dumps({"id": f"r{i}"}) for i in range(5))
-        recs = list(iter_scene_file(io.StringIO(text)))
+        recs = parse_scene_arrays(io.StringIO(text))
         assert [r.id for r in recs] == [f"r{i}" for i in range(5)]
 
 

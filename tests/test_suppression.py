@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,16 @@ class TestSuppressDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             SuppressionConfig(method="magic")
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("sigma", math.nan, "> 0"), ("sigma", math.inf, "> 0"),
+        ("sigma", 0.0, "> 0"), ("score_floor", math.nan, ">= 0"),
+        ("score_floor", math.inf, ">= 0"), ("score_floor", -0.5, ">= 0")])
+    def test_soft_settings_must_be_finite(self, field, value, rule):
+        # A NaN sigma or floor used to keep Soft-NMS's heap walk going forever.
+        with pytest.raises(ValueError) as exc:
+            SuppressionConfig(method="soft_gaussian", **{field: value})
+        assert str(exc.value) == f"{field} must be finite and {rule}, got {value}"
 
 
 # Grid boxes give exact duplicates, shared edges and IoUs exactly at the

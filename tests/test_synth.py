@@ -17,10 +17,10 @@ from crowdset.metrics import EvalConfig, Evaluation
 from crowdset.scene_io import SceneArrays
 from crowdset.suppression import (Detections, SuppressionConfig, nms, set_nms,
                                   suppress_arrays)
-from crowdset.synth import (_BISECTION_STEPS, DetectorSimParams,
-                            SceneGenerationError, SceneParams, StudyRow,
-                            _shift_to_iou, _Scene, build_scenes,
-                            derive_seed, generate_scene, run_study,
+from crowdset.synth import (_BISECTION_STEPS, PROPOSALS_PER_GT,
+                            DetectorSimParams, SceneGenerationError,
+                            SceneParams, StudyRow, _shift_to_iou, _Scene,
+                            build_scenes, derive_seed, run_study,
                             simulate_detector)
 
 # Crowded scenes with triples, so three-member assignment sets occur and
@@ -126,7 +126,8 @@ class TestGenerator:
     def test_generate_scene_gives_the_oracles_ground_truths(self):
         for seed in range(5):
             params = replace(CROWDED, seed=seed)
-            assert generate_scene(params) == oracle.generate_scene(params)
+            want = boxes_to_array([g.box for g in oracle.generate_scene(params)])
+            assert _Scene(params).boxes.tobytes() == want.tobytes()
 
     def test_rejections_are_counted_on_a_hand_made_stream(self):
         # A uniform row (0, 0, ux, uy) is a 40 x 64 box at
@@ -190,11 +191,11 @@ class TestSimulator:
         # less.
         gts = crowded_scenes(1)[0]
         dets = simulate_detector(gts, DetectorSimParams(
-            k=3, proposal_jitter=0.0, proposals_per_gt=1, seed=1))
+            k=3, proposal_jitter=0.0, seed=1))
         for pid in {d.proposal_id for d in dets}:
             slots = sorted((d for d in dets if d.proposal_id == pid),
                            key=lambda d: d.slot)
-            anchor = gts[pid].box
+            anchor = gts[pid // PROPOSALS_PER_GT].box
             assert slots[0].box == anchor
             overlaps = [iou(anchor, d.box) for d in slots]
             assert overlaps == sorted(overlaps, reverse=True)
@@ -208,16 +209,18 @@ class TestSimulator:
                GroundTruth(box=BBox(2008.0, 0.0, 2048.0, 80.0))]
         gts = crowded_scenes(1)[0] + tie
         dets = simulate_detector(gts, DetectorSimParams(
-            k=1, proposal_jitter=0.0, proposals_per_gt=1, seed=1))
-        assert [d.proposal_id for d in dets] == list(range(len(gts)))
-        for d in dets:
-            members = [g.box for g in gts
-                       if iou(gts[d.proposal_id].box, g.box) >= 0.5]
+            k=1, proposal_jitter=0.0, seed=1))
+        assert [d.proposal_id for d in dets] == \
+            list(range(PROPOSALS_PER_GT * len(gts)))
+        owner = [gts[d.proposal_id // PROPOSALS_PER_GT] for d in dets]
+        for d, g in zip(dets, owner):
+            members = [m.box for m in gts if iou(g.box, m.box) >= 0.5]
             assert d.box == max(members, key=lambda b: (b.area, *b.as_tuple()))
             assert d.slot == 0
         # The smaller members of the generated pairs and triples move too.
-        assert sum(d.box != gts[d.proposal_id].box for d in dets) >= 4
-        assert dets[-2].box == dets[-1].box == tie[1].box
+        assert len({d.proposal_id // PROPOSALS_PER_GT
+                    for d, g in zip(dets, owner) if d.box != g.box}) >= 4
+        assert {d.box for d in dets[-2 * PROPOSALS_PER_GT:]} == {tie[1].box}
 
     def test_edge_scene_output_is_pinned(self):
         digest = hashlib.sha256()
@@ -239,8 +242,9 @@ class TestSimulator:
         for gts in edge_scenes():
             real = {g.box: g.class_id for g in gts if not g.ignore}
             dets = simulate_detector(gts, DetectorSimParams(
-                k=k, proposal_jitter=0.0, proposals_per_gt=2, seed=1))
-            assert {d.proposal_id for d in dets} == set(range(2 * len(real)))
+                k=k, proposal_jitter=0.0, seed=1))
+            assert {d.proposal_id for d in dets} == \
+                set(range(PROPOSALS_PER_GT * len(real)))
             assert all(real.get(d.box) == d.class_id for d in dets)
 
     def test_bad_params_rejected(self):
