@@ -42,10 +42,10 @@ from .assignment import check_theta
 from .emd import EmdConfig, ImageMatch, match_image
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
-                       write_scene_arrays, write_scene_file)
+                       write_scene_arrays)
 from .suppression import METHODS, Detections, SuppressionConfig, suppress_arrays
 from .synth import (DetectorSimParams, SceneParams, StudyRow, StudyRows,
-                    build_scenes, run_study)
+                    _scene_arrays, run_study)
 
 SCHEMA_VERSION = 1
 
@@ -130,14 +130,15 @@ def _add_scene_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
-    scenes = build_scenes(_scene_params_from(args), args.images, args.seed)
-    write_scene_file(scenes, args.out)
+    counters = {"placement_retries": 0, "bisection_cap_hits": 0}
+    write_scene_arrays(_scene_arrays(_scene_params_from(args), args.images,
+                                     args.seed, counters), args.out)
     _write_manifest(args.out + ".manifest.json", "synth", {
         "images": args.images,
         "seed": args.seed,
         "out": args.out,
         "scene_params": asdict(_scene_params_from(args)),
-    }, t0)
+    }, t0, counters)
     return 0
 
 

@@ -282,34 +282,24 @@ class Evaluation:
     def average_precision(self) -> float:
         if self.n_gt == 0:
             raise ValueError("average precision is undefined without ground truths")
-        flags = self._sweep()
-        if flags.size == 0:
-            return 0.0
-        tp_cum = np.cumsum(flags)
-        fp_cum = np.cumsum(~flags)
-        recall = tp_cum / self.n_gt
-        precision = tp_cum / (tp_cum + fp_cum)
+        tp_cum = np.cumsum(self._sweep())
+        precision = tp_cum / np.arange(1, len(tp_cum) + 1)  # TP + FP = rank
         envelope = np.maximum.accumulate(precision[::-1])[::-1]
-        prev_recall = np.concatenate(([0.0], recall[:-1]))
-        return float(np.sum((recall - prev_recall) * envelope))
+        return float(np.sum(np.diff(tp_cum / self.n_gt, prepend=0.0) * envelope))
 
     def mr2(self) -> float:
         n_images, n_gt, cfg = self.n_images, self.n_gt, self.cfg
         if n_images == 0 or n_gt == 0:
             raise ValueError("miss rate needs at least one image and one ground truth")
         flags = self._sweep()
-        tp_cum = np.cumsum(flags) if flags.size else np.zeros(0)
-        fp_cum = np.cumsum(~flags) if flags.size else np.zeros(0)
-        fppi = np.concatenate(([0.0], fp_cum / n_images))
-        miss = np.concatenate(([1.0], 1.0 - tp_cum / n_gt))
+        fppi = np.concatenate(([0.0], np.cumsum(~flags) / n_images))
+        miss = np.concatenate(([1.0], 1.0 - np.cumsum(flags) / n_gt))
         refs = np.logspace(math.log10(cfg.fppi_lo), math.log10(cfg.fppi_hi),
                            cfg.fppi_points)
-        samples = []
-        for ref in refs:
-            within = miss[fppi <= ref]
-            samples.append(within.min() if within.size else miss[0])
-        logs = np.log(np.maximum(np.asarray(samples), _MR_FLOOR))
-        return float(np.exp(logs.mean()))
+        # FPPI rises from 0 < fppi_lo: each reference sees a non-empty prefix.
+        samples = np.minimum.accumulate(miss)[
+            np.searchsorted(fppi, refs, side="right") - 1]
+        return float(np.exp(np.log(np.maximum(samples, _MR_FLOOR)).mean()))
 
     def jaccard_index(self, score_threshold: float) -> float:
         kept = self.scores[self.order] >= score_threshold

@@ -11,11 +11,12 @@ Boxes are accepted in corner form (``box_xyxy``) or corner+size form
 (``box_xywh``) and normalized to corner form internally and on output.
 Boxes are never clipped to the image bounds: crowd annotations legitimately
 extend past image borders, so clipping is a caller policy. Fields are
-checked, not coerced: box coordinates, detection scores, slot ``scores``
-and ``delta`` must be JSON numbers (not strings or booleans); ``ignore``
-must be a JSON boolean; ``width``, ``height``, ``class``, ``proposal_id``
-and ``slot`` must be JSON integers that fit in 64 bits, and ``slot`` must
-not be negative.
+checked, not coerced: ``id`` must be a JSON string; ``gts``, ``dets``,
+``proposals`` and ``slots`` must be JSON arrays; box coordinates,
+detection scores, slot ``scores`` and ``delta`` must be JSON numbers (not
+strings or booleans); ``ignore`` must be a JSON boolean; ``width``,
+``height``, ``class``, ``proposal_id`` and ``slot`` must be JSON integers
+that fit in 64 bits, and ``slot`` must not be negative.
 
 ``proposal_id``/``slot`` are optional on detections; a missing proposal_id
 leaves the detection anonymous (treated as unique by Set NMS) and is omitted
@@ -98,6 +99,20 @@ class SceneArrays:
 
 def _field_error(record_id: str, key: str, rule: str, value) -> SceneFileError:
     return SceneFileError(f"record {record_id!r}: {key} must be {rule}, got {value!r}")
+
+
+def _array(values, key: str, record_id: str) -> list:
+    if type(values) is not list:
+        raise _field_error(record_id, key, "a JSON array", values)
+    return values
+
+
+def _record_fields(obj: dict, *arrays: str) -> tuple:
+    """``id``, a JSON string, then ``arrays``, JSON arrays (default empty)."""
+    rid = obj["id"]
+    if type(rid) is not str:
+        raise _field_error(rid, "id", "a JSON string", rid)
+    return (rid, *(_array(obj.get(key, []), key, rid) for key in arrays))
 
 
 def _numbers(obj: dict, key: str, record_id: str) -> Iterator[float]:
@@ -214,8 +229,7 @@ def _det_columns(dets: list, record_id: str) -> Detections | None:
 
 
 def _parse_scene_arrays(obj: dict) -> SceneArrays:
-    rid = str(obj["id"])
-    gts, dets = obj.get("gts", []), obj.get("dets", [])
+    rid, gts, dets = _record_fields(obj, "gts", "dets")
     try:
         gt_cols, det_cols = _gt_columns(gts, rid), _det_columns(dets, rid)
     except (LookupError, TypeError, ValueError, ArithmeticError):
@@ -338,9 +352,9 @@ def _prediction_set(p: dict, record_id: str) -> PredictionSet:
     """One proposal, its dataclasses built in the order they are read."""
     return PredictionSet(
         proposal=BBox(*_box_coords(p, record_id)),
-        slots=tuple(SlotPrediction(
-            class_scores=list(_numbers(s, "scores", record_id)),
-            delta=BoxDelta(*_numbers(s, "delta", record_id))) for s in p["slots"]))
+        slots=tuple(SlotPrediction(list(_numbers(s, "scores", record_id)),
+                                   BoxDelta(*_numbers(s, "delta", record_id)))
+                    for s in _array(p["slots"], "slots", record_id)))
 
 
 def _prediction_columns(proposals: list, record_id: str) -> PredictionArrays | None:
@@ -362,8 +376,7 @@ def _prediction_columns(proposals: list, record_id: str) -> PredictionArrays | N
 
 def _parse_prediction_arrays(obj: dict) -> PredictionArrays:
     """One prediction record as arrays, failing as the scene parser does."""
-    rid = str(obj["id"])
-    proposals = obj.get("proposals", [])
+    rid, proposals = _record_fields(obj, "proposals")
     try:
         arrays = _prediction_columns(proposals, rid)
     except (LookupError, TypeError, ValueError, ArithmeticError):

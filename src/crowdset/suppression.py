@@ -38,9 +38,9 @@ it ran alone, and the study suppresses each model's images in one pass.
   lazy max-heap keyed ``(-score, index)``: scores only decay, so a popped
   entry whose key is stale is pushed back with the current score, and a
   fresh one is the maximum, ties to the lowest index as ``argmax``. No edge
-  joins two images, so each image's picks come in its own order; an
-  image's first pick drops that image's boxes already under
-  ``score_floor``.
+  joins two images, so each image's picks come in its own order. A box
+  under ``score_floor`` is dead before the walk starts, unless it is its
+  image's first box in rank order: that box is the image's first pick.
 * The walks run over Python lists (``tolist()`` of the graph, scores,
   decay factors and flags): a pick touches about a dozen neighbours, too
   few for numpy's per-call cost to pay. Python floats multiply exactly as
@@ -185,7 +185,8 @@ class OverlapGraph:
 
     :meth:`graph` masks the pairs into the CSR graph of one config and
     :meth:`suppress` runs one config over it, so every config whose
-    threshold is at least ``min_iou`` shares the sweep.
+    threshold is at least ``min_iou`` shares the sweep. ``order``, by image
+    then descending score, is the walks' only per-image state.
     """
 
     def __init__(self, dets: Detections, min_iou: float,
@@ -281,14 +282,12 @@ class OverlapGraph:
                   else 1.0 - ovr).tolist()
         ptr, nbrs = indptr.tolist(), nbrs.tolist()
         floor = cfg.score_floor
-        w = self.dets.scores.tolist()
-        alive = [True] * len(w)
-        image = self.image.tolist()
-        n_images = image[-1] + 1 if image else 0
-        # Image m holds rows rows[m]:rows[m + 1].
-        rows = np.searchsorted(self.image, np.arange(n_images + 1)).tolist()
-        unpicked = [True] * n_images
-        heap = [(-s, i) for i, s in enumerate(w)]
+        # Scores only decay, so a box under the floor is dead from the start,
+        # unless it is its image's first box in ``order``: the first pick.
+        live = self.dets.scores >= floor
+        live[self.order[np.diff(self.image, prepend=-1) != 0]] = True
+        w, alive = self.dets.scores.tolist(), live.tolist()
+        heap = [(-w[i], i) for i in np.flatnonzero(live).tolist()]
         heapq.heapify(heap)
         keep: list[int] = []
         scores: list[float] = []
@@ -308,14 +307,6 @@ class OverlapGraph:
                 w[j] *= f
                 if w[j] < floor:
                     alive[j] = False
-            m = image[i]
-            if unpicked[m]:
-                # The floor applies to every box of the image left after its
-                # first pick, overlapping or not.
-                unpicked[m] = False
-                lo, hi = rows[m], rows[m + 1]
-                alive[lo:hi] = [a and s >= floor
-                                for a, s in zip(alive[lo:hi], w[lo:hi])]
         return keep, scores
 
 

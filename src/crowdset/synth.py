@@ -264,19 +264,24 @@ class _Scene:
         return boxes
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
     """Perturb (N, 4) corner-form boxes: center shift scaled by size,
     log-normal size scale.
 
     ``noise`` is (N, 4) standard-normal draws; a zero ``rel_std`` returns the
-    boxes unchanged (bit-exact), which the zero-jitter fixtures rely on.
+    boxes unchanged (bit-exact), which the zero-jitter fixtures rely on. It
+    raises, with numpy's overflow warnings off, when a box's area overflows.
     """
     if rel_std == 0.0:
         return boxes
     size = boxes[:, 2:] - boxes[:, :2]
     center = boxes[:, :2] + 0.5 * size + noise[:, :2] * rel_std * size
     half = 0.5 * size * np.exp(noise[:, 2:] * rel_std)
-    return np.concatenate([center - half, center + half], axis=1)
+    out = np.concatenate([center - half, center + half], axis=1)
+    if not np.isfinite(box_areas(out)).all():
+        raise ValueError(f"proposal_jitter {rel_std} overflows a box's area")
+    return out
 
 
 class _Draw:

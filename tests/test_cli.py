@@ -378,6 +378,26 @@ class TestSuppress:
                 "got 2.7" in capsys.readouterr().err)
 
 
+class TestRecordFields:
+    @pytest.mark.parametrize("record, error", [
+        ({"id": None}, "record None: id must be a JSON string, got None"),
+        ({"id": 1}, "record 1: id must be a JSON string, got 1"),
+        ({"id": "a", "gts": {}}, "record 'a': gts must be a JSON array, got {}")])
+    def test_a_coercible_field_fails_and_writes_nothing(self, tmp_path, capsys,
+                                                        record, error):
+        # suppress used to write {"id": 1} back as "1", and eval to read
+        # "gts": {} as no ground truths.
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "out.json"
+        for argv in (["eval", "--gt", str(path), "--det", str(path)],
+                     ["suppress", "--method", "nms", "--in", str(path)]):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: line 1: {error}\n"
+            assert not out.exists()
+            assert not Path(str(out) + ".manifest.json").exists()
+
+
 # Small crowded scenes with triples, so some proposals overflow k=2.
 EMD_SCENES = SceneParams(image_w=480, image_h=320, n_objects_mean=8.0,
                          crowd_pairs_mean=1.0, crowd_triples_mean=1.5)

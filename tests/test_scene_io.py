@@ -203,6 +203,50 @@ class TestStrictFields:
                     f"numbers, got {value!r}")):
                 parse(io.StringIO(text))
 
+    @pytest.mark.parametrize("value", [None, 1, ["a"], {"id": "a"}])
+    def test_id_must_be_a_json_string(self, value):
+        # null used to read as the id "None", and 1 as "1".
+        scene = json.dumps({"id": value}) + "\n"
+        prediction = json.dumps({"id": value, "proposals": []}) + "\n"
+        for parse, text in ((parse_scene_arrays, scene),
+                            (parse_scene_file, scene),
+                            (parse_prediction_arrays, prediction),
+                            (parse_prediction_file, prediction)):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    f"line 1: record {value!r}: id must be a JSON string, got "
+                    f"{value!r}")):
+                parse(io.StringIO(text))
+
+    @pytest.mark.parametrize("key", ["gts", "dets"])
+    @pytest.mark.parametrize("value", [
+        {}, {"box_xyxy": [0, 0, 1, 1], "score": 0.5}, "", None, 3])
+    def test_gts_and_dets_must_be_json_arrays(self, key, value):
+        # An empty object used to parse as an empty list. A record's fields
+        # are checked before its elements, so under dets the bad ground
+        # truth does not fail first.
+        record = {"id": "a", "gts": [{"box_xyxy": [0, 0, 1, 1], "class": 0.5}],
+                  key: value}
+        text = json.dumps(record) + "\n"
+        for parse in (parse_scene_arrays, parse_scene_file):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    f"line 1: record 'a': {key} must be a JSON array, got "
+                    f"{value!r}")):
+                parse(io.StringIO(text))
+
+    @pytest.mark.parametrize("key", ["proposals", "slots"])
+    @pytest.mark.parametrize("value", [
+        {}, {"scores": [0.5, 0.5], "delta": [0, 0, 0, 0]}, "ab", None, 3])
+    def test_proposals_and_slots_must_be_json_arrays(self, key, value):
+        proposal = {"box_xyxy": [0, 0, 2, 2], "slots": value}
+        record = {"id": "a", "proposals": value if key == "proposals"
+                  else [proposal]}
+        text = json.dumps(record) + "\n"
+        for parse in (parse_prediction_arrays, parse_prediction_file):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    f"line 1: record 'a': {key} must be a JSON array, got "
+                    f"{value!r}")):
+                parse(io.StringIO(text))
+
     @pytest.mark.parametrize("field", [{"gt": {"box_xyxy": [0, 0, 10**400, 4]}},
                                        {"det": {"box_xyxy": [0, -10**400, 4, 4]}},
                                        {"det": {"score": 10**400}}])
@@ -396,13 +440,33 @@ def _strict_floats(values, key, record_id):
     return (float(v) for v in values)
 
 
+class _NotAnArray:
+    """A ``slots`` value that is not a JSON array: iterating it raises the
+    strict rule's error, where the sequential parser iterates it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __iter__(self):
+        raise SceneFileError(f"record 'r': slots must be a JSON array, "
+                             f"got {self.value!r}")
+
+
+def _strict_slots(obj):
+    """``obj`` with each non-array ``slots`` wrapped in :class:`_NotAnArray`."""
+    return {**obj, "proposals": [
+        {**p, "slots": _NotAnArray(p["slots"])}
+        if "slots" in p and type(p["slots"]) is not list else p
+        for p in obj["proposals"]]}
+
+
 class TestPredictionArrays:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_same_records_and_errors_as_the_sequential_parser(self, seed):
         obj = raw_prediction_record(np.random.default_rng(seed))
         want = _outcome(lambda o: oracle.parse_prediction_record(
-            o, _strict_floats), obj)
+            _strict_slots(o), _strict_floats), obj)
         got = _outcome(lambda o: [_parse_prediction_arrays(o).prediction_set(i)
                                   for i in range(len(o["proposals"]))], obj)
         if isinstance(want, tuple):
@@ -486,7 +550,7 @@ _SCENE_BOXES = {
 _STRICT_BOXES = {"string", "numeric_string", "none", "bool", "nested",
                  "not_a_list"}
 _RULES = {"ignore": "true or false", "score": "a JSON number",
-          "box_xyxy": "a list of JSON numbers"}
+          "box_xyxy": "a list of JSON numbers", "dets": "a JSON array"}
 
 
 def _strict(key, value):
@@ -573,6 +637,8 @@ def raw_scene_record(rng):
               for j, (_, e) in enumerate(elements) if e]
     if kind == 3:  # read after every element
         strict.append(("height", None, _strict("height", "tall")[1]))
+    if kind == 4:  # checked before any element
+        strict.insert(0, ("record", None, _strict("dets", None)[1]))
     return obj, strict
 
 
@@ -582,6 +648,8 @@ def _expected(obj, strict):
     if not strict:
         return _outcome(scene_io_oracle.parse_record, obj)
     section, j, error = strict[0]
+    if section == "record":
+        return SceneFileError, error
     if section == "height":
         prefix = {k: v for k, v in obj.items() if k != "height"}
     else:

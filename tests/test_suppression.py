@@ -415,6 +415,26 @@ class TestBatchedImages:
                 assert ([s.hex() for s in scores[at == m].tolist()]
                         == [d.score.hex() for d in want]), cfg
 
+    @pytest.mark.parametrize("method", ["soft_linear", "soft_gaussian"])
+    def test_soft_floor_spares_only_each_images_first_box(self, method):
+        # Every box starts under the floor. Each image keeps its first box
+        # in rank order (a score tie goes to the lower index) at its input
+        # score, and drops the rest, overlapping or not.
+        cfg = SuppressionConfig(method=method, score_floor=0.2)
+        images = [indexed([det(0, 0, 10, 10, 0.05), det(20, 20, 30, 30, 0.1),
+                           det(50, 50, 60, 60, 0.1), det(20, 20, 30, 28, 0.08)]),
+                  indexed([det(0, 0, 10, 10, 0.1), det(20, 20, 30, 30, 0.15),
+                           det(80, 80, 90, 90, 0.02)])]
+        dets, image = Detections.concat([Detections.from_list(d) for d in images])
+        ((keep, scores),) = suppress_many(dets, [cfg], image)
+        assert keep.tolist() == [1, 5]
+        assert scores.tolist() == [0.1, 0.15]
+        for m, start in enumerate((0, 4)):
+            want = oracle_suppress(images[m], cfg)
+            at = image[keep] == m
+            assert (keep[at] - start).tolist() == [d.slot for d in want]
+            assert scores[at].tolist() == [d.score for d in want]
+
     def test_images_out_of_order_are_rejected(self):
         dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])
         with pytest.raises(ValueError, match="image by image"):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -103,6 +104,14 @@ class TestDeterminism:
         assert main(["synth", "--images", "5", "--seed", "10",
                      "--triples-mean", "1", "--out", str(other)]) == 0
         assert other.read_bytes() != outs[0]
+
+    def test_synth_manifest_counts_the_generator_work(self, tmp_path):
+        # The three scenes of TestStudy's shared-work study, with its counts.
+        out = tmp_path / "scenes.jsonl"
+        assert main(["synth", "--images", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "scenes.jsonl.manifest.json").read_text())
+        assert manifest["counters"] == {"placement_retries": 1,
+                                        "bisection_cap_hits": 0}
 
     @pytest.mark.parametrize("pairs, triples", list(SYNTH_SHA256))
     def test_synth_bytes_are_pinned(self, tmp_path, pairs, triples):
@@ -292,6 +301,18 @@ class TestSizes:
         assert capsys.readouterr().err == (
             f"error: proposal_jitter must be finite and >= 0, got {jitter}\n")
         assert not (out / "rows.csv").exists()
+
+    @pytest.mark.parametrize("jitter", ["1e308", "200"])
+    def test_study_rejects_a_jitter_that_overflows(self, tmp_path, capsys,
+                                                   jitter):
+        # Finite, but a jittered box's size overflows: the study used to
+        # warn, then write rows scored on NaN boxes and exit 0.
+        out = tmp_path / "study"
+        assert main(["study", "--images", "1", "--jitter", jitter,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: proposal_jitter {float(jitter)} overflows a box's area\n")
+        assert not out.exists()
 
 
 class TestStudy:
