@@ -10,8 +10,12 @@ ignore flags. :func:`gt_columns` is the one converter from
 :class:`GroundTruth` lists to those columns. :func:`gt_set_members` is the
 one membership rule: it computes one IoU matrix of a batch of proposals
 against an image's ground-truth boxes and ranks each row with
-:func:`~crowdset.geometry.ranked_overlaps`. The EMD engine, the detector
-simulator and :func:`build_gt_set` (a batch of one) all call it.
+:func:`~crowdset.geometry.ranked_overlaps`. The detector simulator and
+:func:`build_gt_set` (a batch of one) call it on one image at a time.
+:func:`grouped_gt_set_members` applies the same rule to the proposals of
+many images at once, with one sparse overlap sweep keyed by image in place
+of a dense matrix per image; the EMD engine calls it once per batch of
+prediction records.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, boxes_to_array, iou, iou_matrix, ranked_overlaps
+from .geometry import (BBox, boxes_to_array, iou, iou_matrix, overlaps,
+                       rank_pairs, ranked_overlaps)
 
 # Class id reserved for "no instance"; real annotations use ids >= 1.
 BACKGROUND_CLASS = 0
@@ -135,6 +140,25 @@ def gt_set_members(proposals: np.ndarray, gt_boxes: np.ndarray,
     ious = iou_matrix(proposals, gt_boxes)
     ious[:, gt_ignore] = -1.0
     return ranked_overlaps(ious, theta)
+
+
+def grouped_gt_set_members(proposals: np.ndarray, groups: np.ndarray,
+                           gt_boxes: np.ndarray, gt_groups: np.ndarray,
+                           gt_ignore: np.ndarray, theta: float
+                           ) -> list[list[int]]:
+    """:func:`gt_set_members` of many images at once: each proposal's set
+    among the ground truths of its own image, ``groups`` (P,) and
+    ``gt_groups`` (G,) holding integer image ids. One sweep
+    (:func:`~crowdset.geometry.overlaps`) lists the pairs; their IoUs come
+    from the kernel of :func:`~crowdset.geometry.iou_matrix`, so the sets
+    are the same."""
+    check_theta(theta)
+
+    def keep(i, j, ious):
+        return (ious >= theta) & ~gt_ignore[j]
+
+    rows, cols, ious, _ = overlaps(proposals, keep, groups, gt_boxes, gt_groups)
+    return rank_pairs(rows, cols, ious, len(proposals))
 
 
 def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> GtSet:

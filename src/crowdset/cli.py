@@ -10,8 +10,10 @@ scores best, and is then written as null.
 
 ``eval`` and ``emd`` write one JSON report, indented by two spaces, to
 ``--out`` or stdout, and ``study`` writes ``rows.csv``, ``report.json`` and
-``manifest.json`` to its ``--out`` directory. ``emd`` writes its report row
-by row, with the bytes of ``json.dumps(report, indent=2, allow_nan=False)``.
+``manifest.json`` to its ``--out`` directory. ``emd`` reads and matches its
+predictions in batches of records (``scene_io.BATCH_PROPOSALS``) and
+renders its report record by record, with the bytes of
+``json.dumps(report, indent=2, allow_nan=False)``.
 A manifest's text is built before its file is opened, and ``study`` builds
 all three texts before it opens any file, so a study that fails writes
 nothing.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .assignment import check_theta
-from .emd import EmdConfig, ImageMatch, match_image
+from .emd import EmdConfig, ImageMatch, match_batch
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays)
@@ -169,10 +172,10 @@ def cmd_suppress(args) -> int:
     return 0
 
 
-def _gts_by_id(gt_records: list, records, kind: str) -> dict:
-    """Ground-truth records by id; every id in ``records`` must be there."""
+def _gts_by_id(gt_records: list, ids, kind: str) -> dict:
+    """Ground-truth records by id; every id in ``ids`` must be there."""
     gt_by_id = {r.id: r for r in gt_records}
-    missing = [r.id for r in records if r.id not in gt_by_id]
+    missing = [i for i in ids if i not in gt_by_id]
     if missing:
         raise ValueError(f"{kind} ids missing from ground-truth file: "
                          f"{', '.join(sorted(missing))}")
@@ -181,7 +184,7 @@ def _gts_by_id(gt_records: list, records, kind: str) -> dict:
 
 def _merge_gt_det(gt_records: list[SceneArrays],
                   det_records: list[SceneArrays]) -> list[SceneArrays]:
-    _gts_by_id(gt_records, det_records, "detection")
+    _gts_by_id(gt_records, [r.id for r in det_records], "detection")
     det_by_id = {r.id: r.dets for r in det_records}
     no_dets = Detections.from_list([])
     return [replace(r, dets=det_by_id.get(r.id, no_dets)) for r in gt_records]
@@ -215,59 +218,75 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_EMD_ROW = ('    {\n      "id": %s,\n      "proposal_index": %d,\n'
-            '      "n_members": %d,\n      "permutation": [\n        %s\n      ],\n'
-            '      "per_slot_cost": [\n        %s\n      ],\n'
-            '      "total": %s\n    }')
 _ITEMS = ",\n        "
 
 
+def _emd_row(k: int) -> str:
+    """The ``%`` template of one report row at ``k`` slots: ``%s`` takes
+    the quoted id, ``%d`` json's int spelling and ``%r`` its float
+    spelling, ``float.__repr__``."""
+    return ('    {\n      "id": %s,\n      "proposal_index": %d,\n'
+            '      "n_members": %d,\n      "permutation": [\n        '
+            + _ITEMS.join(["%d"] * k) + '\n      ],\n'
+            '      "per_slot_cost": [\n        '
+            + _ITEMS.join(["%r"] * k) + '\n      ],\n'
+            '      "total": %r\n    }')
+
+
 def _emd_report(matches: list[tuple[str, ImageMatch]], config: dict) -> str:
-    """The emd report of each image's match, one row per proposal, built
-    row by row: the text of :func:`_json_text`, json's int and float
-    spellings, and its ValueError for the first non-finite cost."""
-    rows = []
-    total = 0.0
+    """The emd report of each record's match, one row per proposal, built
+    record by record with one template: the text of :func:`_json_text`,
+    json's int and float spellings, and its ValueError for the first
+    non-finite cost."""
+    chunks = []
+    total, n = 0.0, 0
     for rid, m in matches:
+        p, k = m.permutation.shape
+        if not p:
+            continue
         if not (np.isfinite(m.per_slot_cost).all() and np.isfinite(m.total).all()):
             costs = np.column_stack([m.per_slot_cost, m.total])  # report order
             _json_text(float(costs[~np.isfinite(costs)][0]))  # raises
-        quoted = json.dumps(rid)
-        for idx, (n, perm, slot_costs, t) in enumerate(zip(
-                m.n_members.tolist(), m.permutation.tolist(),
-                m.per_slot_cost.tolist(), m.total.tolist())):
-            rows.append(_EMD_ROW % (quoted, idx, n, _ITEMS.join(map(str, perm)),
-                                    _ITEMS.join(map(float.__repr__, slot_costs)),
-                                    float.__repr__(t)))
+        totals = m.total.tolist()
+        cells = zip(itertools.repeat(json.dumps(rid), p), range(p),
+                    m.n_members.tolist(), *m.permutation.T.tolist(),
+                    *m.per_slot_cost.T.tolist(), totals)
+        chunks.append(",\n".join([_emd_row(k)] * p)
+                      % tuple(itertools.chain.from_iterable(cells)))
+        for t in totals:
             total += t
+        n += p
     text = _json_text({"schema_version": SCHEMA_VERSION, "proposals": [],
-                       "mean_loss": (total / len(rows)) if rows else 0.0,
+                       "mean_loss": (total / n) if n else 0.0,
                        "config": config})
-    if not rows:
+    if not n:
         return text
     return text.replace('"proposals": []',
-                        '"proposals": [\n' + ",\n".join(rows) + "\n  ]", 1)
+                        '"proposals": [\n' + ",\n".join(chunks) + "\n  ]", 1)
 
 
 def cmd_emd(args) -> int:
-    """Score each prediction record against its ground truths; the report
-    is written row by row (:func:`_emd_report`)."""
+    """Score each prediction record against its ground truths, one batch
+    of records at a time; the report is written record by record
+    (:func:`_emd_report`)."""
     t0 = time.perf_counter()
     cfg = EmdConfig(k=args.k)
     check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
-    pred_records = parse_prediction_arrays(args.pred)
-    gt_by_id = _gts_by_id(gt_records, pred_records, "prediction")
+    batches = parse_prediction_arrays(args.pred)
+    gt_by_id = _gts_by_id(gt_records, [i for b in batches for i in b.ids],
+                          "prediction")
     matches = []
     counters = {"proposals": 0, "overflowing_sets": 0, "members_dropped": 0}
-    for rec in pred_records:
-        g = gt_by_id[rec.id]
-        match = match_image(rec, g.gt_boxes, g.gt_classes, g.gt_ignore, cfg,
-                            args.theta, args.truncate_topk)
-        matches.append((rec.id, match))
-        counters["proposals"] += len(rec)
-        counters["overflowing_sets"] += match.overflowing
-        counters["members_dropped"] += match.dropped
+    for batch in batches:
+        gts = [gt_by_id[i] for i in batch.ids]
+        found = match_batch(batch, [(g.gt_boxes, g.gt_classes, g.gt_ignore)
+                                    for g in gts],
+                            cfg, args.theta, args.truncate_topk)
+        matches += zip(batch.ids, found)
+        counters["proposals"] += len(batch)
+        counters["overflowing_sets"] += sum(m.overflowing for m in found)
+        counters["members_dropped"] += sum(m.dropped for m in found)
     config = {"k": args.k, "theta": args.theta}
     _emit(_emd_report(matches, config), args.out)
     if args.manifest:

@@ -7,19 +7,22 @@ cross-entropy of the target class plus smooth-L1 of the box delta, and
 keeps the permutation with the smallest total. At ``k == 1`` this reduces
 exactly to the ordinary single-instance detection loss.
 
-One batched engine computes the loss. :func:`match_image` scores every
-proposal of an image at once from :class:`PredictionArrays` and the
-image's ground-truth columns: one IoU matrix gives each ground-truth set as
-member indices (:func:`~crowdset.assignment.gt_set_members`), which index
-the columns for the slot targets; one (P, k, k) tensor holds the pair
-costs, and one argmin over the ``k!`` permutation totals per proposal
-picks the matching. :func:`pair_cost_matrix` and :func:`emd_match` are
-one-proposal calls of the same code, so the cost formula and the tie rule
-live in one place. The scalar :func:`cls_loss`, :func:`reg_loss` and
-:func:`smooth_l1` are the documented definitions; the engine computes the
-same numbers bit for bit, with the logs taken by ``math.log`` (numpy's
-vectorised log can differ in the last bit) and every sum in the scalar
-order.
+One batched engine computes the loss. :func:`match_batch` scores every
+proposal of a batch of prediction records at once from
+:class:`PredictionArrays` and each record's ground-truth columns: one
+overlap sweep keyed by record
+(:func:`~crowdset.assignment.grouped_gt_set_members`) gives each
+ground-truth set as member indices, which index the columns for the slot
+targets; one (P, k, k) tensor holds the pair costs, and one argmin over
+the ``k!`` permutation totals per proposal picks the matching. The
+command-line tool matches one batch of records at a time; a single record
+is a batch of one. :func:`pair_cost_matrix` and
+:func:`emd_match` are one-proposal calls of the same code, so the cost
+formula and the tie rule live in one place. The scalar :func:`cls_loss`,
+:func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
+engine computes the same numbers bit for bit, with the logs taken by
+``math.log`` (numpy's vectorised log can differ in the last bit) and every
+sum in the scalar order.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GtSet, check_theta, gt_columns, gt_set_members
-from .geometry import BBox, BoxDelta, encode_delta
+from .assignment import GtSet, check_theta, grouped_gt_set_members, gt_columns
+from .geometry import BBox, BoxDelta, boxes_to_array, encode_delta
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
 SCORE_EPS = 1e-12
@@ -91,8 +94,11 @@ def _pad_ragged(values: np.ndarray, lengths: np.ndarray,
 
 @dataclass(frozen=True)
 class PredictionArrays:
-    """One image's slot predictions as arrays, zero-padded where ragged.
+    """A batch of prediction records' slot predictions as arrays,
+    zero-padded where ragged.
 
+    ``ids`` holds the records' ids and ``counts`` (R,) their proposal
+    counts; the records' proposals follow each other in that order.
     ``boxes`` (P, 4) holds the proposal boxes and ``n_slots`` (P,) their
     slot counts. ``scores`` (P, S, C), ``n_classes`` (P, S) and ``deltas``
     (P, S, 4) hold the slots, S being the largest slot count and C the
@@ -102,7 +108,8 @@ class PredictionArrays:
     :class:`PredictionSet` to all proposals at once.
     """
 
-    id: str
+    ids: tuple[str, ...]
+    counts: np.ndarray
     boxes: np.ndarray
     n_slots: np.ndarray
     scores: np.ndarray
@@ -110,17 +117,19 @@ class PredictionArrays:
     deltas: np.ndarray
 
     @classmethod
-    def stack(cls, id: str, boxes, n_slots, scores, deltas) -> "PredictionArrays":
-        """Arrays from per-proposal boxes and slot counts, and per-slot score
-        vectors and deltas listed in proposal order."""
+    def stack(cls, ids, counts, boxes: np.ndarray, n_slots, scores,
+              deltas) -> "PredictionArrays":
+        """Arrays from the records' ids and proposal counts, the (P, 4)
+        proposal boxes and their slot counts, and per-slot score vectors and
+        deltas listed in proposal order."""
         def floats(rows, count):
             return np.fromiter(itertools.chain.from_iterable(rows),
                                dtype=np.float64, count=count)
 
         lengths = np.fromiter(map(len, scores), dtype=np.intp, count=len(scores))
         n_slots = np.asarray(n_slots, dtype=np.intp)
-        return cls(id=id, boxes=floats(boxes, 4 * len(boxes)).reshape(-1, 4),
-                   n_slots=n_slots,
+        return cls(ids=tuple(ids), counts=np.asarray(counts, dtype=np.intp),
+                   boxes=boxes, n_slots=n_slots,
                    scores=_pad_ragged(_pad_ragged(floats(scores, int(lengths.sum())),
                                                   lengths), n_slots),
                    n_classes=_pad_ragged(lengths, n_slots),
@@ -128,10 +137,15 @@ class PredictionArrays:
                                       n_slots))
 
     @classmethod
-    def from_sets(cls, id: str, sets: Sequence[PredictionSet]) -> "PredictionArrays":
-        """Arrays of already validated prediction sets."""
+    def from_sets(cls, records: Sequence[tuple[str, Sequence[PredictionSet]]]
+                  ) -> "PredictionArrays":
+        """Arrays of already validated prediction sets, given as
+        ``(id, sets)`` per record."""
+        sets = [p for _, record in records for p in record]
         slots = [s for p in sets for s in p.slots]
-        return cls.stack(id, [p.proposal.as_tuple() for p in sets],
+        return cls.stack([rid for rid, _ in records],
+                         [len(record) for _, record in records],
+                         boxes_to_array([p.proposal for p in sets]),
                          [len(p.slots) for p in sets],
                          [s.class_scores for s in slots],
                          [s.delta.as_tuple() for s in slots])
@@ -263,8 +277,8 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
                target[:, None, :]]
     # cls_loss of each clamped score, by math.log so it equals the scalar one.
     flat = np.maximum(p, SCORE_EPS).ravel().tolist()
-    cls = np.fromiter((-math.log(v) for v in flat), dtype=np.float64,
-                      count=len(flat)).reshape(p.shape)
+    cls = -np.fromiter(map(math.log, flat), dtype=np.float64,
+                       count=len(flat)).reshape(p.shape)
 
     # encode_delta of every real target against its proposal.
     pw = (proposals[:, 2] - proposals[:, 0])[:, None]
@@ -278,11 +292,15 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
         want[..., 0] = (boxes[..., 0] + 0.5 * tw - px) / pw
         want[..., 1] = (boxes[..., 1] + 0.5 * th - py) / ph
         for axis, ratio in ((2, tw / pw), (3, th / ph)):
-            want[..., axis][real] = [math.log(v) for v in ratio[real].tolist()]
-        x = deltas[:, :, None, :] - want[:, None, :, :]
-        ax = np.abs(x)
-        sl1 = np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
-        reg = sl1[..., 0] + sl1[..., 1] + sl1[..., 2] + sl1[..., 3]
+            want[..., axis][real] = list(map(math.log, ratio[real].tolist()))
+        # Smooth-L1 one delta axis at a time, summed s0 + s1 + s2 + s3 as
+        # reg_loss sums them, so no (P, k, k, 4) temporary is built.
+        reg = None
+        for axis in range(4):
+            x = deltas[:, :, None, axis] - want[:, None, :, axis]
+            ax = np.abs(x)
+            sl1 = np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
+            reg = sl1 if reg is None else reg + sl1
         reg = np.where(real[:, None, :], reg, 0.0)
         return cls + reg
 
@@ -328,7 +346,7 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
     if gts.n_slots != cfg.k:
         raise ValueError(f"ground-truth set has {gts.n_slots} slots, config "
                          f"expects {cfg.k}")
-    arrays = PredictionArrays.from_sets("", [pred])
+    arrays = PredictionArrays.from_sets([("", [pred])])
     gt_boxes, gt_classes, _ = gt_columns(gts.entries)
     classes, boxes, real = _targets([range(gts.n_real)], gt_boxes, gt_classes,
                                     cfg.k)
@@ -363,7 +381,7 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
 
 @dataclass(frozen=True)
 class ImageMatch:
-    """Every proposal of one image matched, in proposal order.
+    """Every proposal of one prediction record matched, in proposal order.
 
     ``n_members`` (P,) counts the real targets after truncation;
     ``permutation`` (P, k) maps each slot to its target,
@@ -380,28 +398,50 @@ class ImageMatch:
     dropped: int
 
 
-def match_image(pred: PredictionArrays, gt_boxes: np.ndarray,
-                gt_classes: np.ndarray, gt_ignore: np.ndarray, cfg: EmdConfig,
-                theta: float, truncate: bool = False) -> ImageMatch:
-    """Build every proposal's ground-truth set (IoU >= ``theta``) among the
-    image's ground-truth columns, keep its top ``cfg.k`` members when
-    ``truncate`` is set, pad it and match it.
+def _record_sums(values: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """Sums of integer ``values`` over each record's proposals."""
+    running = np.concatenate(([0], np.cumsum(values)))
+    return (running[bounds[1:]] - running[bounds[:-1]]).tolist()
 
-    A bad ``theta`` is raised first, also for an image without proposals.
-    Otherwise the result equals a loop over the proposals of
-    :func:`~crowdset.assignment.build_gt_set`, then
+
+def match_batch(pred: PredictionArrays,
+                gts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                cfg: EmdConfig, theta: float,
+                truncate: bool = False) -> list[ImageMatch]:
+    """Match every proposal of a batch of records, one :class:`ImageMatch`
+    per record. ``gts`` holds each record's ground-truth columns (boxes
+    (G, 4), class ids, ignore flags), aligned with ``pred.ids``.
+
+    Each proposal's ground-truth set holds its record's ground truths with
+    IoU >= ``theta``; the top ``cfg.k`` members are kept when ``truncate``
+    is set, and the set is padded and matched.
+
+    A bad ``theta`` is raised first, also for a batch without proposals.
+    Otherwise the result equals a loop over the records and their
+    proposals of :func:`~crowdset.assignment.build_gt_set`, then
     :func:`~crowdset.assignment.truncate_top_k` or
     :func:`~crowdset.assignment.pad_to_k`, :func:`pair_cost_matrix` and
     :func:`emd_match`, and so do the errors: a wrong slot count, an overflow
     without ``truncate``, a ground-truth class outside a slot's score vector
-    and non-finite costs are raised for the first proposal that has one, in
-    that order within a proposal.
+    and non-finite costs are raised for the first proposal in batch order
+    that has one, in that order within a proposal, and name its record and
+    its index there.
     """
     check_theta(theta)
     k = cfg.k
+    bounds = np.concatenate(([0], np.cumsum(pred.counts)))
+    record = np.repeat(np.arange(len(pred.ids)), pred.counts)
+
+    def where(i):
+        return f"record {pred.ids[record[i]]!r} proposal {i - bounds[record[i]]}"
+
     wrong = np.flatnonzero(pred.n_slots != k)
     n = int(wrong[0]) if wrong.size else len(pred)  # proposals with k slots
-    members = gt_set_members(pred.boxes[:n], gt_boxes, gt_ignore, theta) if n else []
+    gt_boxes, gt_classes, gt_ignore = (np.concatenate(c) for c in zip(*gts))
+    members = grouped_gt_set_members(
+        pred.boxes[:n], record[:n], gt_boxes,
+        np.repeat(np.arange(len(gts)), [len(g[0]) for g in gts]), gt_ignore,
+        theta)
     n_real = np.fromiter(map(len, members), dtype=np.intp, count=n)
     classes, boxes, real = _targets([m[:k] for m in members], gt_boxes,
                                     gt_classes, k)
@@ -417,18 +457,21 @@ def match_image(pred: PredictionArrays, gt_boxes: np.ndarray,
         i = int(np.argmax(failed))
         if over[i] and not truncate:
             raise ValueError(
-                f"record {pred.id!r} proposal {i}: ground-truth set has "
-                f"{n_real[i]} members for k={k} (excess {n_real[i] - k}); "
-                f"pass --truncate-topk to keep the top-k by IoU")
+                f"{where(i)}: ground-truth set has {n_real[i]} members for "
+                f"k={k} (excess {n_real[i] - k}); pass --truncate-topk to "
+                f"keep the top-k by IoU")
         if bad_class[i].any():
             s, j = np.argwhere(bad_class[i])[0]
             raise _vocabulary_error(classes[i, j], n_classes[i, s])
         raise ValueError("cost matrix contains non-finite entries")
     if wrong.size:
-        raise ValueError(f"record {pred.id!r} proposal {n}: has "
-                         f"{pred.n_slots[n]} slots, expected k={k}")
+        raise ValueError(f"{where(n)}: has {pred.n_slots[n]} slots, "
+                         f"expected k={k}")
     perm, per_slot, total = _match(costs)
-    return ImageMatch(n_members=np.minimum(n_real, k), permutation=perm,
-                      per_slot_cost=per_slot, total=total,
-                      overflowing=int(over.sum()),
-                      dropped=int((n_real - k)[over].sum()))
+    cuts = bounds[1:-1]
+    return [ImageMatch(*parts, overflowing=n_over, dropped=n_dropped)
+            for *parts, n_over, n_dropped in zip(
+                np.split(np.minimum(n_real, k), cuts), np.split(perm, cuts),
+                np.split(per_slot, cuts), np.split(total, cuts),
+                _record_sums(over, bounds),
+                _record_sums(np.where(over, n_real - k, 0), bounds))]

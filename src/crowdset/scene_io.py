@@ -23,14 +23,19 @@ leaves the detection anonymous (treated as unique by Set NMS) and is omitted
 again on write, so files from single-prediction detectors round-trip without
 fabricated identities.
 
-Scene records parse into columns, :class:`SceneArrays`, and prediction
-records into :class:`~crowdset.emd.PredictionArrays`. Each line is decoded
-once, and the dataclasses' checks run on the arrays; only a record that
-fails one is rebuilt element by element in file order, so that its error
-is the file's first, in the dataclass's own words. One writer emits
-columns through ``.tolist()``, whose floats keep their ``repr``.
-:func:`parse_scene_file` and :func:`write_scene_file` convert to and from
-the dataclasses.
+Scene records parse into columns, :class:`SceneArrays`, one per record.
+Prediction records parse into :class:`~crowdset.emd.PredictionArrays` in
+batches of consecutive records holding at least ``BATCH_PROPOSALS``
+proposals (the last batch may hold fewer), so the columns of a batch are
+built in one pass and only one batch's decoded JSON is held at a time.
+Each line is decoded once, and the dataclasses' checks run on the arrays;
+only a record, or a batch, that fails one is rebuilt element by element in
+file order, record by record, so that its error is the file's first, in
+the dataclass's own words and with its record's line. A malformed line
+first checks the records decoded before it, so an earlier bad record still
+fails first. One writer emits columns through ``.tolist()``, whose floats
+keep their ``repr``. :func:`parse_scene_file` and :func:`write_scene_file`
+convert to and from the dataclasses.
 """
 
 from __future__ import annotations
@@ -52,6 +57,11 @@ PathOrStream = Union[str, os.PathLike, IO[str]]
 
 _REAL, _INT = {float, int}, {int}
 _ABSENT = object()  # a detection's missing proposal_id, while parsing
+
+# Proposals per batch of prediction records. Batches amortise the fixed
+# cost of building columns and of matching over many small records, while
+# only one batch's decoded JSON and cost temporaries are held at a time.
+BATCH_PROPOSALS = 256
 
 
 class SceneFileError(ValueError):
@@ -250,8 +260,9 @@ def _open_for(source: PathOrStream, mode: str):
     return open(source, mode, encoding="utf-8", newline="\n"), True
 
 
-def _iter_jsonl(source: PathOrStream, parse) -> Iterator:
-    """Parse one record per non-blank line, naming the line on failure."""
+def _decoded(source: PathOrStream) -> Iterator[tuple[int, object]]:
+    """``(line number, value)`` of each non-blank line; a malformed line
+    raises, naming the line."""
     stream, owned = _open_for(source, "r")
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -264,17 +275,22 @@ def _iter_jsonl(source: PathOrStream, parse) -> Iterator:
                 # Python's int-string conversion limit.
                 raise SceneFileError(
                     f"line {lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
-            try:
-                yield parse(obj)
-            except SceneFileError as e:
-                raise SceneFileError(f"line {lineno}: {e}") from e
-            except (KeyError, TypeError, ValueError, ArithmeticError) as e:
-                # ArithmeticError: an integer beyond float range, as float()
-                # raises it.
-                raise SceneFileError(f"line {lineno}: bad record ({e})") from e
+            yield lineno, obj
     finally:
         if owned:
             stream.close()
+
+
+def _at_line(lineno: int, parse, obj):
+    """``parse(obj)``, its errors naming the record's line."""
+    try:
+        return parse(obj)
+    except SceneFileError as e:
+        raise SceneFileError(f"line {lineno}: {e}") from e
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        # ArithmeticError: an integer beyond float range, as float() raises
+        # it.
+        raise SceneFileError(f"line {lineno}: bad record ({e})") from e
 
 
 def _write_jsonl(objs: Iterable[dict], dest: PathOrStream, kind: str) -> None:
@@ -293,7 +309,8 @@ def _write_jsonl(objs: Iterable[dict], dest: PathOrStream, kind: str) -> None:
 
 def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
     """Read a whole scene file as columns, enforcing unique record ids."""
-    records = list(_iter_jsonl(source, _parse_scene_arrays))
+    records = [_at_line(lineno, _parse_scene_arrays, obj)
+               for lineno, obj in _decoded(source)]
     seen = set()
     for r in records:
         if r.id in seen:
@@ -357,50 +374,96 @@ def _prediction_set(p: dict, record_id: str) -> PredictionSet:
                     for s in _array(p["slots"], "slots", record_id)))
 
 
-def _prediction_columns(proposals: list, record_id: str) -> PredictionArrays | None:
-    """The proposals as arrays, or None when a check fails."""
+def _prediction_sets(obj: dict) -> tuple[str, list[PredictionSet]]:
+    """One record's id and proposals, its dataclasses built in file order."""
+    rid, proposals = _record_fields(obj, "proposals")
+    return rid, [_prediction_set(p, rid) for p in proposals]
+
+
+def _prediction_columns(objs: list) -> PredictionArrays | None:
+    """A batch of records as arrays, or None when a check fails."""
+    fields = [_record_fields(obj, "proposals") for obj in objs]
+    proposals = list(chain.from_iterable(p for _, p in fields))
     slots = [p["slots"] for p in proposals]
     flat = list(chain.from_iterable(slots))
     scores = [s["scores"] for s in flat]
     deltas = [s["delta"] for s in flat]
     # Checked before stacking: the flat delta column would absorb a short
     # delta into its neighbour.
-    if (any(len(d) != 4 for d in deltas)
+    if (set(map(len, deltas)) - {4}
             or not _typed(chain.from_iterable(scores + deltas), _REAL)):
         return None
-    arrays = PredictionArrays.stack(
-        record_id, [_box_coords(p, record_id) for p in proposals],
-        list(map(len, slots)), scores, deltas)
+    # A box error only sends the batch to the element path, which raises
+    # it again with its record's id.
+    boxes = _box_column(proposals, "")
+    if boxes is None:
+        return None
+    arrays = PredictionArrays.stack([rid for rid, _ in fields],
+                                    [len(p) for _, p in fields], boxes,
+                                    list(map(len, slots)), scores, deltas)
     return None if arrays.invalid().any() else arrays
 
 
-def _parse_prediction_arrays(obj: dict) -> PredictionArrays:
-    """One prediction record as arrays, failing as the scene parser does."""
-    rid, proposals = _record_fields(obj, "proposals")
+def _prediction_batch(lines: list[tuple[int, object]]) -> PredictionArrays:
+    """Decoded records ``(line number, value)`` as one batch of arrays."""
     try:
-        arrays = _prediction_columns(proposals, rid)
+        arrays = _prediction_columns([obj for _, obj in lines])
     except (LookupError, TypeError, ValueError, ArithmeticError):
         arrays = None
     if arrays is None:
-        # Build the dataclasses in file order: the first invalid element
-        # raises its own error, as in _parse_scene_arrays.
+        # Build the dataclasses record by record in file order: the first
+        # invalid element raises its own error, as in _parse_scene_arrays.
         arrays = PredictionArrays.from_sets(
-            rid, [_prediction_set(p, rid) for p in proposals])
+            [_at_line(lineno, _prediction_sets, obj) for lineno, obj in lines])
     return arrays
+
+
+def _proposal_count(obj) -> int:
+    proposals = obj.get("proposals") if type(obj) is dict else None
+    return len(proposals) if type(proposals) is list else 0
+
+
+def _batches(lines: Iterator[tuple[int, object]]) -> Iterator[list]:
+    """Consecutive decoded lines in lists of at least ``BATCH_PROPOSALS``
+    proposals. A malformed line first yields the lines before it, so that
+    an earlier bad record fails first."""
+    pending, size = [], 0
+    try:
+        for lineno, obj in lines:
+            pending.append((lineno, obj))
+            size += _proposal_count(obj)
+            if size >= BATCH_PROPOSALS:
+                yield pending
+                pending, size = [], 0
+    except SceneFileError:
+        if pending:
+            yield pending
+        raise
+    if pending:
+        yield pending
 
 
 def parse_prediction_arrays(source: PathOrStream) -> list[PredictionArrays]:
     """Read a JSONL prediction file (see :func:`parse_prediction_file`) as
-    one :class:`~crowdset.emd.PredictionArrays` per line."""
-    return list(_iter_jsonl(source, _parse_prediction_arrays))
+    batches of consecutive records, each a
+    :class:`~crowdset.emd.PredictionArrays` of at least ``BATCH_PROPOSALS``
+    proposals except the last."""
+    # map keeps no reference to a batch's decoded lines once their arrays
+    # are built, so at most one batch of decoded JSON is alive.
+    return list(map(_prediction_batch, _batches(_decoded(source))))
 
 
 def parse_prediction_file(source: PathOrStream) -> list[PredictionRecord]:
     """Read a JSONL prediction file: per line ``{"id", "proposals": [
     {"box_xyxy", "slots": [{"scores": [...], "delta": [dx,dy,dw,dh]}]}]}``."""
-    return [PredictionRecord(id=a.id, proposals=[a.prediction_set(i)
-                                                 for i in range(len(a))])
-            for a in parse_prediction_arrays(source)]
+    records = []
+    for a in parse_prediction_arrays(source):
+        start = 0
+        for rid, n in zip(a.ids, a.counts.tolist()):
+            records.append(PredictionRecord(id=rid, proposals=[
+                a.prediction_set(i) for i in range(start, start + n)]))
+            start += n
+    return records
 
 
 def _proposal_obj(p: PredictionSet) -> dict:

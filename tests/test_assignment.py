@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdset.assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
-                                 GtSetOverflowError, build_gt_set, gt_columns,
+                                 GtSetOverflowError, build_gt_set,
+                                 grouped_gt_set_members, gt_columns,
                                  gt_set_members, pad_to_k, truncate_top_k)
 from crowdset.geometry import BBox, boxes_to_array, iou
 
@@ -169,6 +170,26 @@ class TestGtSetMembers:
             assert tuple(gts[j] for j in row) == want
             assert all(not gts[j].ignore for j in row)
             assert build_gt_set(p, gts, theta).entries == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 1.0]))
+    def test_grouped_sweep_equals_each_image_alone(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        images = [grid_scene(rng) for _ in range(rng.integers(1, 5))]
+        columns = [gt_columns(gts) for gts, _ in images]
+        proposals = [boxes_to_array(p).reshape(-1, 4) for _, p in images]
+        rows = grouped_gt_set_members(
+            np.concatenate(proposals),
+            np.repeat(np.arange(len(images)), list(map(len, proposals))),
+            np.concatenate([c[0] for c in columns]),
+            np.repeat(np.arange(len(images)), [len(c[0]) for c in columns]),
+            np.concatenate([c[2] for c in columns]), theta)
+        offset, want = 0, []
+        for (boxes, _, ignore), p in zip(columns, proposals):
+            want += [[offset + j for j in row]
+                     for row in gt_set_members(p, boxes, ignore, theta)]
+            offset += len(boxes)
+        assert rows == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))

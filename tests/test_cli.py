@@ -1,20 +1,26 @@
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import emd_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_emd import emd_images
 
+from crowdset import scene_io
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.cli import _emd_report, _write_manifest, main
 from crowdset.emd import EmdConfig, ImageMatch, PredictionSet, SlotPrediction
@@ -539,6 +545,31 @@ class TestEmd:
         assert [(r["n_members"], r["total"]) for r in rows] == want
         assert all(sorted(r["permutation"]) == list(range(7)) for r in rows)
 
+    def test_peak_memory_is_bounded_by_the_batch(self, tmp_path):
+        # About 2,000 k=3 proposals. Read and matched in batches of any
+        # size up to 512, the traced peak was 2.7 MB (Python 3.11, numpy
+        # 2.4), mostly the report text; as one whole-file batch it was
+        # 5.3 MB, mostly the file's decoded JSON.
+        scenes = build_scenes(EMD_SCENES, 56, seed=11)
+        rng = np.random.default_rng(29)
+        records = [PredictionRecord(id=r.id, proposals=[
+            PredictionSet(proposal=_jittered(rng, g.box),
+                          slots=tuple(_slot(rng, 2) for _ in range(3)))
+            for g in r.gts for _ in range(4)]) for r in scenes]
+        assert 1800 <= sum(len(r.proposals) for r in records) <= 2200
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+        write_scene_file(scenes, gt)
+        write_prediction_file(records, pred)
+        argv = ["emd", "--k", "3", "--truncate-topk", "--gt", str(gt),
+                "--pred", str(pred), "--out", str(tmp_path / "emd.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6
+
 
 def json_report(matches, config):
     """The emd report as one dict through json.dumps(indent=2), the way
@@ -605,6 +636,86 @@ class TestEmdReport:
             assert str(got.value) == str(e)
         else:
             assert _emd_report(matches, config) == want
+
+
+@st.composite
+def emd_files(draw):
+    """(records, gts, cfg, theta, truncate): several emd_images() as one
+    prediction file scored at one k, theta and truncate flag. Now and then
+    a record takes an earlier record's id, and with it that record's
+    ground truths. In half the files the proposals with a wrong slot count
+    are dropped; in a file of several records one of them is likely, and
+    it would stop most files before their report."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    images = draw(st.lists(emd_images(k=st.just(k)), min_size=2, max_size=5))
+    right_counts = draw(st.booleans())
+    records, gts = [], {}
+    for n, (sets, image_gts, *_) in enumerate(images):
+        if right_counts:
+            sets = [p for p in sets if len(p.slots) == k]
+        rid = f"img{n}"
+        if gts and draw(st.integers(0, 3)) == 0:
+            rid = draw(st.sampled_from(sorted(gts)))
+        gts.setdefault(rid, image_gts)
+        records.append(PredictionRecord(id=rid, proposals=sets))
+    _, _, cfg, theta, truncate = images[0]
+    return records, gts, cfg, theta, truncate
+
+
+def _oracle_match(rows, k: int) -> ImageMatch:
+    """One record's oracle rows as the arrays the report reads."""
+    p = len(rows)
+    return ImageMatch(
+        n_members=np.array([n for n, _ in rows], dtype=np.intp),
+        permutation=np.array([m.permutation for _, m in rows],
+                             dtype=np.intp).reshape(p, k),
+        per_slot_cost=np.array([m.per_slot_cost for _, m in rows]).reshape(p, k),
+        total=np.array([m.total for _, m in rows]).reshape(p),
+        overflowing=0, dropped=0)
+
+
+class TestBatchedFile:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(emd_files())
+    def test_every_batch_size_equals_per_record_scoring(self, drawn):
+        records, gts, cfg, theta, truncate = drawn
+        config = {"k": cfg.k, "theta": theta}
+        try:
+            want = json_report([(r.id, _oracle_match(oracle.score_record(
+                r, gts[r.id], cfg, theta, truncate), cfg.k)) for r in records],
+                config)
+        except ValueError as e:
+            want, error = None, f"error: {e}\n"
+        n_real = [oracle.build_gt_set(p.proposal, gts[r.id], theta).n_real
+                  for r in records for p in r.proposals]
+        counters = {"proposals": len(n_real),
+                    "overflowing_sets": sum(n > cfg.k for n in n_real),
+                    "members_dropped": sum(n - cfg.k for n in n_real if n > cfg.k)}
+        with tempfile.TemporaryDirectory() as tmp:
+            gt, pred = Path(tmp, "gt.jsonl"), Path(tmp, "pred.jsonl")
+            out, manifest = Path(tmp, "emd.json"), Path(tmp, "manifest.json")
+            write_scene_file([SceneRecord(id=rid, gts=g) for rid, g in gts.items()],
+                             gt)
+            write_prediction_file(records, pred)
+            argv = ["emd", "--gt", str(gt), "--pred", str(pred), "--k",
+                    str(cfg.k), "--theta", repr(theta), "--out", str(out),
+                    "--manifest", str(manifest)]
+            if truncate:
+                argv.append("--truncate-topk")
+            for size in (1, 2, 3, scene_io.BATCH_PROPOSALS):
+                stderr = io.StringIO()
+                with pytest.MonkeyPatch.context() as mp, \
+                        contextlib.redirect_stderr(stderr):
+                    mp.setattr(scene_io, "BATCH_PROPOSALS", size)
+                    code = main(argv)
+                if want is None:
+                    assert (code, stderr.getvalue()) == (1, error)
+                    assert not out.exists()
+                    continue
+                assert code == 0
+                assert out.read_text() == want
+                assert strict_json(manifest)["counters"] == counters
 
 
 class TestManifest:
@@ -702,10 +813,13 @@ STACK = [GroundTruth(box=BBox(0.0, 0.0, 40.0, 80.0)),
 
 class TestEmdErrors:
     def _run(self, tmp_path, capsys, gts, pred_lines, extra=()):
+        """Run emd on ground truths of record "a"; ``pred_lines`` holds
+        objects, or strings written as they are."""
         gt = tmp_path / "gt.jsonl"
         write_scene_file([SceneRecord(id="a", gts=gts)], gt)
         pred = tmp_path / "pred.jsonl"
-        pred.write_text("".join(json.dumps(obj) + "\n" for obj in pred_lines))
+        pred.write_text("".join((obj if isinstance(obj, str) else json.dumps(obj))
+                                + "\n" for obj in pred_lines))
         code = main(["emd", "--gt", str(gt), "--pred", str(pred), "--k", "2",
                      *extra])
         return code, capsys.readouterr().err
@@ -814,3 +928,45 @@ class TestEmdErrors:
         assert code == 1
         assert err.strip() == ("error: target class 2 outside vocabulary of "
                                "2 classes")
+
+    # Batches of one record and the default size: the first error in file
+    # order must not depend on where a batch ends.
+    @pytest.mark.parametrize("size", [1, scene_io.BATCH_PROPOSALS])
+    @pytest.mark.parametrize("lines, message", [
+        pytest.param(
+            [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]},
+             {"id": "a", "proposals": [_proposal((0, 0, 40, 80), [[0.5, 0.5]])]}],
+            "record 'a' proposal 0: ground-truth set has 3 members for k=2 "
+            "(excess 1); pass --truncate-topk to keep the top-k by IoU",
+            id="overflow-before-a-later-slot-count"),
+        # The whole file is read before any record is matched.
+        pytest.param(
+            [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]},
+             {"id": "a", "proposals": [_proposal((0, 0, 40, 80),
+                                                 [[0.3, 0.7], [0.5, 0.6]])]}],
+            "line 2: bad record (class_scores must be a probability vector "
+            "(sum 1))",
+            id="last-line-parse-error-before-a-match-error"),
+        # Ids are checked before any record is matched.
+        pytest.param(
+            [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]},
+             {"id": "b", "proposals": []}],
+            "prediction ids missing from ground-truth file: b",
+            id="missing-id-before-a-match-error"),
+        # A record without proposals is still pending when the malformed
+        # line after it is read.
+        pytest.param(
+            [{"id": "a", "proposals": {}}, '{"id": "b", "proposals": [',
+             {"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]}],
+            "line 1: record 'a': proposals must be a JSON array, got {}",
+            id="bad-record-before-a-malformed-line"),
+    ])
+    def test_first_error_in_file_order_across_batches(
+            self, tmp_path, capsys, monkeypatch, size, lines, message):
+        monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+        out = tmp_path / "emd.json"
+        code, err = self._run(tmp_path, capsys, STACK, lines,
+                              ("--out", str(out)))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()

@@ -11,7 +11,7 @@ from crowdset.assignment import (GroundTruth, build_gt_set, gt_columns,
                                  pad_to_k, truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
                           SlotPrediction, cls_loss, emd_match,
-                          match_image, pair_cost_matrix, reg_loss, smooth_l1)
+                          match_batch, pair_cost_matrix, reg_loss, smooth_l1)
 from crowdset.geometry import BBox, BoxDelta, encode_delta
 from crowdset.scene_io import PredictionRecord
 
@@ -285,13 +285,14 @@ class TestEmdLoss:
 
 
 @st.composite
-def emd_images(draw):
+def emd_images(draw, k=st.sampled_from([1, 2, 3, 4, 7])):
     """One image for the engine, drawn from a seed: crowds of GT boxes on an
     integer grid (shifted copies and exact duplicates give IoU ties),
     ignored GTs, classes that can fall outside a slot's score vector,
     ragged score vectors, duplicate slots (cost ties), proposals mostly
-    near a GT, and now and then a proposal with a wrong slot count."""
-    k = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    near a GT, and now and then a proposal with a wrong slot count. ``k``
+    is drawn from the strategy given."""
+    k = draw(k)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def box(x, y, w, h):
@@ -336,19 +337,19 @@ class TestEngineOracle:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(emd_images())
-    def test_match_image_equals_per_proposal_loop(self, image):
+    def test_match_batch_equals_per_proposal_loop(self, image):
         sets, gts, cfg, theta, truncate = image
         try:
             want = oracle.score_record(PredictionRecord(id="img", proposals=sets),
                                        gts, cfg, theta, truncate)
         except ValueError as e:
             with pytest.raises(ValueError) as got:
-                match_image(PredictionArrays.from_sets("img", sets),
-                            *gt_columns(gts), cfg, theta, truncate)
+                match_batch(PredictionArrays.from_sets([("img", sets)]),
+                            [gt_columns(gts)], cfg, theta, truncate)
             assert str(got.value) == str(e)
             return
-        got = match_image(PredictionArrays.from_sets("img", sets),
-                          *gt_columns(gts), cfg, theta, truncate)
+        (got,) = match_batch(PredictionArrays.from_sets([("img", sets)]),
+                             [gt_columns(gts)], cfg, theta, truncate)
         assert got.n_members.tolist() == [n for n, _ in want]
         assert [tuple(p) for p in got.permutation.tolist()] == \
             [m.permutation for _, m in want]
@@ -396,15 +397,15 @@ class TestEngineOracle:
         assert emd_match(np.zeros((0, 0))) == oracle.emd_match(np.zeros((0, 0)))
 
     def test_image_without_proposals(self):
-        got = match_image(PredictionArrays.from_sets("img", []),
-                          *gt_columns([GroundTruth(box=B(0, 0, 10, 10))]),
-                          EmdConfig(k=2), 0.5)
+        (got,) = match_batch(PredictionArrays.from_sets([("img", [])]),
+                             [gt_columns([GroundTruth(box=B(0, 0, 10, 10))])],
+                             EmdConfig(k=2), 0.5)
         assert got.total.shape == (0,) and got.permutation.shape == (0, 2)
         assert got.overflowing == 0 and got.dropped == 0
 
     @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
     def test_image_without_proposals_checks_theta(self, theta):
         with pytest.raises(ValueError, match=r"theta must be in \(0, 1\]"):
-            match_image(PredictionArrays.from_sets("img", []),
-                        *gt_columns([GroundTruth(box=B(0, 0, 10, 10))]),
+            match_batch(PredictionArrays.from_sets([("img", [])]),
+                        [gt_columns([GroundTruth(box=B(0, 0, 10, 10))])],
                         EmdConfig(k=2), theta)

@@ -14,7 +14,7 @@ from crowdset.assignment import GroundTruth
 from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneFileError, SceneRecord,
-                               _parse_prediction_arrays, _parse_scene_arrays,
+                               _at_line, _parse_scene_arrays, _prediction_batch,
                                parse_prediction_arrays, parse_prediction_file,
                                parse_scene_arrays, parse_scene_file,
                                write_prediction_file, write_scene_arrays,
@@ -465,13 +465,14 @@ class TestPredictionArrays:
     @given(st.integers(0, 2**32 - 1))
     def test_same_records_and_errors_as_the_sequential_parser(self, seed):
         obj = raw_prediction_record(np.random.default_rng(seed))
-        want = _outcome(lambda o: oracle.parse_prediction_record(
-            _strict_slots(o), _strict_floats), obj)
-        got = _outcome(lambda o: [_parse_prediction_arrays(o).prediction_set(i)
-                                  for i in range(len(o["proposals"]))], obj)
+        # Both sides as the record on line 1 of a file: its errors name it.
+        want = _outcome(lambda o: _at_line(1, lambda r: oracle.parse_prediction_record(
+            _strict_slots(r), _strict_floats), o), obj)
+        got = _outcome(lambda o: _prediction_batch([(1, o)]), obj)
         if isinstance(want, tuple):
             assert got == want
             return
+        got = [got.prediction_set(i) for i in range(len(got))]
         assert len(got) == len(want.proposals)
         for g, w in zip(got, want.proposals):
             assert g.proposal == w.proposal
@@ -488,7 +489,7 @@ class TestPredictionArrays:
             {"box_xyxy": [1, 1, 3, 3], "slots": [
                 {"scores": [1.0, 0.0], "delta": [0, 0, 0, 0]}]}]}) + "\n"
         (a,) = parse_prediction_arrays(io.StringIO(text))
-        assert a.id == "a" and len(a) == 2
+        assert a.ids == ("a",) and len(a) == 2
         assert a.n_slots.tolist() == [2, 1]
         assert a.n_classes.tolist() == [[2, 3], [2, 0]]
         assert a.scores.tolist() == [[[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]],
