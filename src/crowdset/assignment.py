@@ -8,14 +8,13 @@ carry no regression target.
 The core takes ground truths as columns: boxes (G, 4), class ids and
 ignore flags. :func:`gt_columns` is the one converter from
 :class:`GroundTruth` lists to those columns. :func:`gt_set_members` is the
-one membership rule: it computes one IoU matrix of a batch of proposals
-against an image's ground-truth boxes and ranks each row with
-:func:`~crowdset.geometry.ranked_overlaps`. The detector simulator and
-:func:`build_gt_set` (a batch of one) call it on one image at a time.
-:func:`grouped_gt_set_members` applies the same rule to the proposals of
-many images at once, with one sparse overlap sweep keyed by image in place
-of a dense matrix per image; the EMD engine calls it once per batch of
-prediction records.
+one membership rule, run as one overlap sweep
+(:func:`~crowdset.geometry.overlaps`) of a batch of proposals against the
+ground truths, keyed by image when the proposals of many images come at
+once, and ranked by :func:`~crowdset.geometry.rank_pairs`. The detector
+simulator calls it once per model family over all its images, the EMD
+engine once per batch of prediction records, and :func:`build_gt_set` on
+a batch of one.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (BBox, boxes_to_array, iou, iou_matrix, overlaps,
-                       rank_pairs, ranked_overlaps)
+from .geometry import BBox, boxes_to_array, iou, overlaps, rank_pairs
 
 # Class id reserved for "no instance"; real annotations use ids >= 1.
 BACKGROUND_CLASS = 0
@@ -131,34 +129,21 @@ def gt_columns(gts: Sequence[GroundTruth]
 
 
 def gt_set_members(proposals: np.ndarray, gt_boxes: np.ndarray,
-                   gt_ignore: np.ndarray, theta: float) -> list[list[int]]:
-    """For each proposal box in ``proposals`` (P, 4), the indices into the
-    ground truths ``gt_boxes`` (G, 4) of its ground-truth set: the ones not
-    flagged in ``gt_ignore`` with IoU >= theta, highest IoU first, ties to
-    the lowest index."""
-    check_theta(theta)
-    ious = iou_matrix(proposals, gt_boxes)
-    ious[:, gt_ignore] = -1.0
-    return ranked_overlaps(ious, theta)
-
-
-def grouped_gt_set_members(proposals: np.ndarray, groups: np.ndarray,
-                           gt_boxes: np.ndarray, gt_groups: np.ndarray,
-                           gt_ignore: np.ndarray, theta: float
-                           ) -> list[list[int]]:
-    """:func:`gt_set_members` of many images at once: each proposal's set
-    among the ground truths of its own image, ``groups`` (P,) and
-    ``gt_groups`` (G,) holding integer image ids. One sweep
-    (:func:`~crowdset.geometry.overlaps`) lists the pairs; their IoUs come
-    from the kernel of :func:`~crowdset.geometry.iou_matrix`, so the sets
-    are the same."""
+                   gt_ignore: np.ndarray, theta: float, groups=None,
+                   gt_groups=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ground-truth sets of the proposal boxes ``proposals`` (P, 4)
+    among ``gt_boxes`` (G, 4): the ground truths not flagged in
+    ``gt_ignore`` with IoU >= theta, as :func:`~crowdset.geometry.rank_pairs`
+    triplets ``(proposal, member, rank)``, highest IoU first and ties to the
+    lowest index. With ``groups`` (P,) and ``gt_groups`` (G,), integer image
+    ids, each proposal's set holds only ground truths of its own image."""
     check_theta(theta)
 
     def keep(i, j, ious):
         return (ious >= theta) & ~gt_ignore[j]
 
     rows, cols, ious, _ = overlaps(proposals, keep, groups, gt_boxes, gt_groups)
-    return rank_pairs(rows, cols, ious, len(proposals))
+    return rank_pairs(rows, cols, ious)
 
 
 def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> GtSet:
@@ -169,8 +154,9 @@ def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> Gt
     unpadded (``n_slots == n_real``).
     """
     boxes, _, ignore = gt_columns(gts)
-    (members,) = gt_set_members(boxes_to_array([proposal]), boxes, ignore, theta)
-    entries = tuple(gts[i] for i in members)
+    _, members, _ = gt_set_members(boxes_to_array([proposal]), boxes, ignore,
+                                   theta)
+    entries = tuple(gts[i] for i in members.tolist())
     return GtSet(entries=entries, source_proposal=proposal, theta=theta,
                  n_slots=len(entries))
 

@@ -10,14 +10,14 @@ exactly to the ordinary single-instance detection loss.
 One batched engine computes the loss. :func:`match_batch` scores every
 proposal of a batch of prediction records at once from
 :class:`PredictionArrays` and each record's ground-truth columns: one
-overlap sweep keyed by record
-(:func:`~crowdset.assignment.grouped_gt_set_members`) gives each
-ground-truth set as member indices, which index the columns for the slot
-targets; one (P, k, k) tensor holds the pair costs, and one argmin over
-the ``k!`` permutation totals per proposal picks the matching. The
-command-line tool matches one batch of records at a time; a single record
-is a batch of one. :func:`pair_cost_matrix` and
-:func:`emd_match` are one-proposal calls of the same code, so the cost
+overlap sweep keyed by record (:func:`~crowdset.assignment.gt_set_members`)
+gives every ground-truth set as ranked (proposal, member, rank) arrays, the
+targets come from the members of rank below ``k``, one (P, k, k) tensor
+holds the pair costs, and one argmin over the ``k!`` permutation totals per
+proposal picks the matching. The command-line tool matches one batch of
+records at a time; a single record is a batch of one.
+:func:`pair_cost_matrix` and :func:`emd_match` are one-proposal calls of
+the same code, so the cost
 formula and the tie rule live in one place. The scalar :func:`cls_loss`,
 :func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
 engine computes the same numbers bit for bit, with the logs taken by
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GtSet, check_theta, grouped_gt_set_members, gt_columns
+from .assignment import GtSet, check_theta, gt_columns, gt_set_members
 from .geometry import BBox, BoxDelta, boxes_to_array, encode_delta
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
@@ -241,17 +241,18 @@ def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None,
     )
 
 
-def _targets(members: Sequence[Sequence[int]], gt_boxes: np.ndarray,
-             gt_classes: np.ndarray, k: int):
-    """Padded slot targets of P sets of at most ``k`` member indices into
-    ``gt_boxes`` and ``gt_classes``: class ids (P, k) with background for
-    dummies, boxes (P, k, 4) and a real-member mask (P, k)."""
-    counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
-    flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
-                       count=int(counts.sum()))
-    return (_pad_ragged(gt_classes[flat], counts, k),
-            _pad_ragged(gt_boxes[flat], counts, k),
-            _pad_ragged(np.ones(len(flat), dtype=bool), counts, k))
+def _targets(members, n: int, gt_boxes: np.ndarray, gt_classes: np.ndarray,
+             k: int):
+    """Padded slot targets of ``n`` proposals from their ranked members
+    ``(proposal, member, rank)``, of which those of rank below ``k`` index
+    ``gt_boxes`` and ``gt_classes``: class ids (n, k) with background for
+    dummies, boxes (n, k, 4) and a real-member mask (n, k)."""
+    rows, cols, rank = (a[members[2] < k] for a in members)
+    classes = np.zeros((n, k), dtype=gt_classes.dtype)
+    boxes, real = np.zeros((n, k, 4)), np.zeros((n, k), dtype=bool)
+    classes[rows, rank], boxes[rows, rank] = gt_classes[cols], gt_boxes[cols]
+    real[rows, rank] = True
+    return classes, boxes, real
 
 
 def _class_errors(classes: np.ndarray, n_classes: np.ndarray) -> np.ndarray:
@@ -348,8 +349,9 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
                          f"expects {cfg.k}")
     arrays = PredictionArrays.from_sets([("", [pred])])
     gt_boxes, gt_classes, _ = gt_columns(gts.entries)
-    classes, boxes, real = _targets([range(gts.n_real)], gt_boxes, gt_classes,
-                                    cfg.k)
+    members = np.arange(gts.n_real)
+    classes, boxes, real = _targets((np.zeros_like(members), members, members),
+                                    1, gt_boxes, gt_classes, cfg.k)
     bad = _class_errors(classes, arrays.n_classes)[0]
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -438,13 +440,11 @@ def match_batch(pred: PredictionArrays,
     wrong = np.flatnonzero(pred.n_slots != k)
     n = int(wrong[0]) if wrong.size else len(pred)  # proposals with k slots
     gt_boxes, gt_classes, gt_ignore = (np.concatenate(c) for c in zip(*gts))
-    members = grouped_gt_set_members(
-        pred.boxes[:n], record[:n], gt_boxes,
-        np.repeat(np.arange(len(gts)), [len(g[0]) for g in gts]), gt_ignore,
-        theta)
-    n_real = np.fromiter(map(len, members), dtype=np.intp, count=n)
-    classes, boxes, real = _targets([m[:k] for m in members], gt_boxes,
-                                    gt_classes, k)
+    members = gt_set_members(
+        pred.boxes[:n], gt_boxes, gt_ignore, theta, record[:n],
+        np.repeat(np.arange(len(gts)), [len(g[0]) for g in gts]))
+    n_real = np.bincount(members[0], minlength=n)
+    classes, boxes, real = _targets(members, n, gt_boxes, gt_classes, k)
     scores, n_classes = pred.scores[:n, :k], pred.n_classes[:n, :k]
     bad_class = _class_errors(classes, n_classes)
     costs = _cost_tensor(pred.boxes[:n], scores, pred.deltas[:n, :k], classes,

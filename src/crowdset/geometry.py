@@ -11,7 +11,8 @@ IoU arithmetic lives in two kernels that compute the same numbers:
   supplied by the caller so that repeated calls over one box set compute
   them once: the overlap engine gathers its candidate pairs into
   aligned arrays, and scene generation scores candidate boxes against the
-  placed ones. :func:`iou_matrix` is its all-pairs wrapper.
+  placed ones. :func:`iou_matrix` is its public all-pairs wrapper; no code
+  in the package calls it.
 * :func:`iou_xyxy` takes one pair of coordinate tuples (:func:`iou` one
   pair of :class:`BBox`): its callers ask for one pair at a time (scene
   generation, ``GtSet`` validation), and numpy's fixed per-call overhead
@@ -26,9 +27,9 @@ on every image's detections against ground truths and ground truths
 against each other.
 
 :func:`rank_pairs` is the one ranking rule, highest IoU first and ties to
-the lowest column. The evaluator ranks its sparse pairs with it, and
-ground-truth set construction (``assignment.gt_set_members``) ranks an IoU
-matrix through its dense wrapper :func:`ranked_overlaps`.
+the lowest column. It ranks the pairs of a sweep: the evaluator's
+detection/ground-truth pairs and ground-truth set construction
+(``assignment.gt_set_members``).
 """
 
 from __future__ import annotations
@@ -248,23 +249,14 @@ def overlaps(a: np.ndarray, keep, groups_a=None,
             np.concatenate(values), swept)
 
 
-def rank_pairs(rows: np.ndarray, cols: np.ndarray, ious: np.ndarray,
-               n_rows: int) -> list[list[int]]:
-    """For each of ``n_rows`` rows, the ``cols`` of its (row, col, IoU)
-    triplets, highest IoU first and ties to the lowest column index."""
-    cols = cols[np.lexsort((cols, -ious, rows))].tolist()
-    ptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
-    ptr = ptr.tolist()
-    return [cols[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-
-
-def ranked_overlaps(ious: np.ndarray, thresh: float) -> list[list[int]]:
-    """For each row of ``ious``, the columns with IoU >= ``thresh``, ranked
-    by :func:`rank_pairs`."""
-    ious = np.asarray(ious)
-    rows, cols = np.nonzero(ious >= thresh)
-    return rank_pairs(rows, cols, ious[rows, cols], ious.shape[0])
+def rank_pairs(rows: np.ndarray, cols: np.ndarray, ious: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, rank)``: the (row, col, IoU) triplets sorted by row,
+    then highest IoU first and ties to the lowest column, with ``rank`` each
+    pair's position within its row."""
+    order = np.lexsort((cols, -ious, rows))
+    rows, cols = rows[order], cols[order]
+    return rows, cols, np.arange(len(rows)) - np.searchsorted(rows, rows)
 
 
 def boxes_to_array(boxes) -> np.ndarray:

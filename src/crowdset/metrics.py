@@ -253,7 +253,10 @@ class Evaluation:
         hits_ignored = np.zeros(n_det, dtype=bool)
         hits_ignored[d[ignored]] = True
         real = ~ignored
-        return (rank_pairs(d[real], g[real], ious[real], n_det), hits_ignored,
+        rows, cols, _ = rank_pairs(d[real], g[real], ious[real])
+        cols = cols.tolist()
+        ptr = np.searchsorted(rows, np.arange(n_det + 1)).tolist()
+        return ([cols[lo:hi] for lo, hi in zip(ptr, ptr[1:])], hits_ignored,
                 swept, len(d))
 
     @cached_property

@@ -23,11 +23,12 @@ A draw does everything that does not depend on ``k`` (the proposals, their
 ranked assignment sets and the noise, in an order that does not depend on
 ``k``), and a selection picks one model's
 :class:`~crowdset.suppression.Detections` from it. The study generates its
-scenes as :class:`~crowdset.scene_io.SceneArrays`, draws once per image per
-model family (configs that differ only in ``k`` or ``mode``), selects each
-``k`` from that draw, and sweeps the ground truths' overlaps once for all
-its rows. :func:`build_scenes` and :func:`simulate_detector` convert
-dataclasses at the edge.
+scenes as :class:`~crowdset.scene_io.SceneArrays`, draws each model family
+(configs that differ only in ``k`` or ``mode``) once over all images, each
+image's noise from its own seed in the order of a draw of that image alone,
+selects each ``k`` from that draw, and sweeps the ground truths' overlaps
+once for all its rows. :func:`build_scenes` and :func:`simulate_detector`
+(a draw over one image) convert dataclasses at the edge.
 """
 
 from __future__ import annotations
@@ -284,28 +285,37 @@ def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normals(rngs: list, image: np.ndarray) -> np.ndarray:
+    """(N, 4) standard normals: for each of the N non-decreasing ``image``
+    ids, 4 from that image's stream in ``rngs``."""
+    counts = np.bincount(image, minlength=len(rngs)).tolist()
+    return np.concatenate([r.standard_normal((n, 4)) for r, n in zip(rngs, counts)])
+
+
 class _Draw:
-    """One image's detector draw, shared by every slot budget ``k``.
+    """One model family's detector draw over all images, shared by every
+    slot budget ``k``; each image's stream gives its proposal noise, then
+    its member noise, as a draw of that image alone does.
 
     ``dets`` holds every (proposal, rank) member's prediction in that order,
-    with its rank in ``slots``; ``dominant`` is the row of each proposal's
-    one-slot prediction. :meth:`select` picks a model's detections from it.
+    with its rank in ``slots`` and its image in ``image``; proposal ids count
+    across images. ``dominant`` is the row of each proposal's one-slot
+    prediction. :meth:`select` picks a model's detections from it.
     """
 
     def __init__(self, gt_boxes: np.ndarray, gt_classes: np.ndarray,
-                 gt_ignore: np.ndarray, params: DetectorSimParams):
-        rng = np.random.default_rng(params.seed)
+                 gt_ignore: np.ndarray, gt_image: np.ndarray, seeds: list,
+                 params: DetectorSimParams):
+        rngs = [np.random.default_rng(s) for s in seeds]
         owners = np.repeat(np.flatnonzero(~gt_ignore), PROPOSALS_PER_GT)
+        owner_image = gt_image[owners]
         proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
-                            rng.standard_normal((len(owners), 4)))
-        ranked = gt_set_members(proposals, gt_boxes, gt_ignore, params.theta)
-        sizes = np.array([len(m) for m in ranked], dtype=np.intp)
-        member = np.array([i for m in ranked for i in m], dtype=np.intp)
-        proposal = np.repeat(np.arange(len(ranked)), sizes)
-        rank = np.arange(len(member)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                            _normals(rngs, owner_image))
+        proposal, member, rank = gt_set_members(
+            proposals, gt_boxes, gt_ignore, params.theta, owner_image, gt_image)
+        self.image = owner_image[proposal]
         target = gt_boxes[member]
-        boxes = _jitter(target, params.proposal_jitter,
-                        rng.standard_normal((len(member), 4)))
+        boxes = _jitter(target, params.proposal_jitter, _normals(rngs, self.image))
         size = target[:, 2:] - target[:, :2]
         error = (np.linalg.norm(boxes - target, axis=1)
                  / np.maximum(np.hypot(size[:, 0], size[:, 1]), 1e-9))
@@ -320,16 +330,16 @@ class _Draw:
         # so a group's first sorted position is where its rank 0 was.
         self.dominant = order[rank == 0]
 
-    def select(self, k: int) -> Detections:
-        """The detections of a model with ``k`` slots: each proposal's
-        members of rank below ``k``, or with one slot its dominant member."""
+    def select(self, k: int) -> tuple[Detections, np.ndarray]:
+        """The detections of a model with ``k`` slots, image by image, and
+        each row's image: each proposal's members of rank below ``k``, or
+        with one slot its dominant member."""
         d = self.dets
-        if k > 1:
-            rows = np.flatnonzero(d.slots < k)
-            return d.take(rows, d.scores[rows])
-        rows = self.dominant
-        return replace(d.take(rows, d.scores[rows]),
-                       slots=np.zeros(len(rows), dtype=np.int64))
+        rows = np.flatnonzero(d.slots < k) if k > 1 else self.dominant
+        dets = d.take(rows, d.scores[rows])
+        if k == 1:
+            dets = replace(dets, slots=np.zeros(len(rows), dtype=np.int64))
+        return dets, self.image[rows]
 
 
 def simulate_detector(gts: Sequence[GroundTruth],
@@ -345,7 +355,9 @@ def simulate_detector(gts: Sequence[GroundTruth],
     ``params.seed``, gives the proposal noise and then every member's noise
     in (proposal, rank) order. Ignored ground truths join no set.
     """
-    return _Draw(*gt_columns(gts), params).select(params.effective_k).to_list()
+    dets, _ = _Draw(*gt_columns(gts), np.zeros(len(gts), dtype=np.intp),
+                    [params.seed], params).select(params.effective_k)
+    return dets.to_list()
 
 
 @dataclass(frozen=True)
@@ -413,9 +425,9 @@ def run_study(scene_params: SceneParams,
 
     Scene seeds depend only on (seed, image); detector seeds only on
     (seed, image), shared by all simulator configs, so rows differ purely in
-    model structure, not in random draws. Each image's work is shared
-    between rows: simulator configs that differ only in ``k`` (or ``mode``)
-    form one family, drawn once per image and selected per ``k``. Each
+    model structure, not in random draws. The draws are shared between
+    rows: simulator configs that differ only in ``k`` (or ``mode``) form
+    one family, drawn once over all images and selected per ``k``. Each
     model's detections of all images are handled in one pass: one overlap
     sweep, from which every suppression config is derived, and one
     :class:`~crowdset.metrics.Evaluation` per config. The ground truths are
@@ -426,14 +438,13 @@ def run_study(scene_params: SceneParams,
     columns = _scene_arrays(scene_params, n_images, seed, counters)
     truth = Truth(columns)
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
-    draws: dict[DetectorSimParams, list[_Draw]] = {}
+    draws: dict[DetectorSimParams, _Draw] = {}
     rows: list[StudyRow] = []
     for sim in sim_params_list:
         family = replace(sim, mode="mip", k=1, seed=0)
         if family not in draws:
-            draws[family] = [
-                _Draw(c.gt_boxes, c.gt_classes, c.gt_ignore, replace(family, seed=s))
-                for c, s in zip(columns, sim_seeds)]
+            draws[family] = _Draw(truth.boxes, truth.classes, truth.ignore,
+                                  truth.image, sim_seeds, family)
             counters["draws"] += n_images
         k = sim.effective_k
         # With one slot, no two boxes share a proposal: Set NMS is NMS.
@@ -441,7 +452,7 @@ def run_study(scene_params: SceneParams,
                 if not (k == 1 and cfg.method == "set_nms")]
         if not cfgs:
             continue
-        raw, image = Detections.concat([d.select(k) for d in draws[family]])
+        raw, image = draws[family].select(k)
         kept = suppress_many(raw, cfgs, image)
         counters["sweeps"] += 1
         for cfg, (keep, scores) in zip(cfgs, kept):

@@ -7,6 +7,8 @@ matrix per image. ``crowdset.metrics`` derives all of them from one sparse
 pass over every image of a call; the tests require both to give identical
 numbers. ``best_ji`` here is a brute force over :func:`jaccard_index` at
 every distinct score, and ``density_stats`` the dense pair count.
+``ranked_overlaps`` is the dense ranking rule that the sparse
+``rank_pairs`` triplets must reproduce.
 """
 
 import math
@@ -25,6 +27,27 @@ CROWD_IOU = 0.5
 TP, FP, IGNORED = 1, 0, -1
 
 _MR_FLOOR = 1e-10
+
+
+def ranked_overlaps(ious: np.ndarray, thresh: float) -> list[list[int]]:
+    """For each row of a dense IoU matrix, the columns with IoU >=
+    ``thresh``, highest IoU first and ties to the lowest column."""
+    return [sorted(np.flatnonzero(row >= thresh).tolist(),
+                   key=lambda j: (-row[j], j))
+            for row in np.asarray(ious)]
+
+
+def as_lists(ranked, n_rows: int) -> list[list[int]]:
+    """``rank_pairs`` triplets ``(rows, cols, rank)`` as one column list per
+    row, checking that the rows come sorted and that each row's ranks count
+    0, 1, 2, ..."""
+    rows, cols, rank = (a.tolist() for a in ranked)
+    assert rows == sorted(rows)
+    out = [[] for _ in range(n_rows)]
+    for r, c, k in zip(rows, cols, rank):
+        assert k == len(out[r])
+        out[r].append(c)
+    return out
 
 
 @dataclass(frozen=True)

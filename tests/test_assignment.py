@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdset.assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
-                                 GtSetOverflowError, build_gt_set,
-                                 grouped_gt_set_members, gt_columns,
+                                 GtSetOverflowError, build_gt_set, gt_columns,
                                  gt_set_members, pad_to_k, truncate_top_k)
-from crowdset.geometry import BBox, boxes_to_array, iou
+from crowdset.geometry import BBox, boxes_to_array, iou, iou_matrix
+from metrics_oracle import as_lists, ranked_overlaps
 
 B = BBox
 
@@ -114,7 +114,8 @@ def max_cardinality(scenes, theta=0.5):
     sizes = [0]
     for gts in scenes:
         boxes, _, ignore = gt_columns(gts)
-        sizes += map(len, gt_set_members(boxes[~ignore], boxes, ignore, theta))
+        proposals, _, _ = gt_set_members(boxes[~ignore], boxes, ignore, theta)
+        sizes += np.bincount(proposals).tolist()
     return max(sizes)
 
 
@@ -163,8 +164,8 @@ class TestGtSetMembers:
     def test_batch_equals_the_scalar_loop(self, seed, theta):
         gts, proposals = grid_scene(np.random.default_rng(seed))
         boxes, _, ignore = gt_columns(gts)
-        rows = gt_set_members(boxes_to_array(proposals), boxes, ignore, theta)
-        assert len(rows) == len(proposals)
+        rows = as_lists(gt_set_members(boxes_to_array(proposals), boxes,
+                                       ignore, theta), len(proposals))
         for p, row in zip(proposals, rows):
             want = oracle.build_gt_set(p, gts, theta).entries
             assert tuple(gts[j] for j in row) == want
@@ -178,18 +179,23 @@ class TestGtSetMembers:
         images = [grid_scene(rng) for _ in range(rng.integers(1, 5))]
         columns = [gt_columns(gts) for gts, _ in images]
         proposals = [boxes_to_array(p).reshape(-1, 4) for _, p in images]
-        rows = grouped_gt_set_members(
-            np.concatenate(proposals),
+        p_all = np.concatenate(proposals)
+        rows = as_lists(gt_set_members(
+            p_all, np.concatenate([c[0] for c in columns]),
+            np.concatenate([c[2] for c in columns]), theta,
             np.repeat(np.arange(len(images)), list(map(len, proposals))),
-            np.concatenate([c[0] for c in columns]),
-            np.repeat(np.arange(len(images)), [len(c[0]) for c in columns]),
-            np.concatenate([c[2] for c in columns]), theta)
-        offset, want = 0, []
+            np.repeat(np.arange(len(images)), [len(c[0]) for c in columns])),
+            len(p_all))
+        offset, want, dense = 0, [], []
         for (boxes, _, ignore), p in zip(columns, proposals):
-            want += [[offset + j for j in row]
-                     for row in gt_set_members(p, boxes, ignore, theta)]
+            want += [[offset + j for j in row] for row in as_lists(
+                gt_set_members(p, boxes, ignore, theta), len(p))]
+            ious = iou_matrix(p, boxes)
+            ious[:, ignore] = -1.0
+            dense += [[offset + j for j in row]
+                      for row in ranked_overlaps(ious, theta)]
             offset += len(boxes)
-        assert rows == want
+        assert rows == want == dense
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))

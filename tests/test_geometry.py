@@ -10,7 +10,8 @@ from crowdset import geometry
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
                                decode_delta, encode_delta, iou, iou_matrix,
-                               overlaps, rank_pairs, ranked_overlaps)
+                               overlaps, rank_pairs)
+from metrics_oracle import as_lists, ranked_overlaps
 
 
 def random_box(rng, lo=0.0, hi=100.0, min_size=1.0, max_size=40.0):
@@ -111,8 +112,8 @@ class TestRankedOverlaps:
                           boxes_to_array([g.box for g in gts]))
         ious[:, [g.ignore for g in gts]] = 0.0
         (ranked,) = ranked_overlaps(ious, theta)
-        # build_gt_set ranks with ranked_overlaps itself; the scalar loop it
-        # replaced is the independent reference.
+        # The dense rule and build_gt_set's sweep must both give the scalar
+        # loop's order.
         want = oracle.build_gt_set(proposal, gts, theta).entries
         assert [gts[j] for j in ranked] == list(want)
         assert build_gt_set(proposal, gts, theta).entries == want
@@ -123,8 +124,10 @@ class TestRankPairs:
         rows = np.array([2, 0, 2, 2, 0])
         cols = np.array([3, 4, 0, 1, 1])
         ious = np.array([0.6, 0.9, 0.8, 0.6, 0.9])
-        assert rank_pairs(rows, cols, ious, 4) == [[1, 4], [], [0, 1, 3], []]
-        assert rank_pairs(rows[:0], cols[:0], ious[:0], 2) == [[], []]
+        assert [a.tolist() for a in rank_pairs(rows, cols, ious)] == \
+            [[0, 0, 2, 2, 2], [1, 4, 0, 1, 3], [0, 1, 0, 1, 2]]
+        assert [a.tolist() for a in rank_pairs(rows[:0], cols[:0], ious[:0])] \
+            == [[], [], []]
 
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_shuffled_triplets_rank_as_the_dense_matrix(self, n_rows, n_cols,
@@ -135,7 +138,7 @@ class TestRankPairs:
         rows, cols = np.nonzero(dense >= 0.5)
         shuffle = rng.permutation(len(rows))
         rows, cols = rows[shuffle], cols[shuffle]
-        assert (rank_pairs(rows, cols, dense[rows, cols], n_rows)
+        assert (as_lists(rank_pairs(rows, cols, dense[rows, cols]), n_rows)
                 == ranked_overlaps(dense, 0.5))
 
 

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from crowdset import geometry
 from crowdset.assignment import GroundTruth
-from crowdset.geometry import BBox, boxes_to_array, iou_matrix, ranked_overlaps
+from crowdset.geometry import BBox, boxes_to_array, iou_matrix
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
                               Evaluation, RecallStats, _max_matching_gains,
                               average_precision, best_ji, density_stats,
@@ -579,7 +579,8 @@ class TestSparsePass:
             usable = (np.array([[d.class_id == g.class_id and not g.ignore
                                  for g in s.gts] for d in s.dets], dtype=bool)
                       .reshape(ious.shape))
-            dense = ranked_overlaps(np.where(usable, ious, -1.0), cfg.iou_thresh)
+            dense = oracle.ranked_overlaps(np.where(usable, ious, -1.0),
+                                           cfg.iou_thresh)
             assert [[j - g0 for j in ev.candidates[d0 + i]] for i in range(n_det)] \
                 == dense
             g0, d0 = g0 + n_gt, d0 + n_det

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth_oracle as oracle
-from crowdset.assignment import GroundTruth
+from crowdset.assignment import GroundTruth, gt_columns
 from crowdset import metrics
 from crowdset.cli import main
 from crowdset.geometry import BBox, boxes_to_array, iou, overlaps
@@ -20,8 +20,8 @@ from crowdset.suppression import (Detections, SuppressionConfig, nms, set_nms,
                                   suppress_arrays)
 from crowdset.synth import (_BISECTION_STEPS, PROPOSALS_PER_GT,
                             DetectorSimParams, SceneGenerationError,
-                            SceneParams, StudyRow, _shift_to_iou, _Scene,
-                            build_scenes, derive_seed, run_study,
+                            SceneParams, StudyRow, _Draw, _shift_to_iou,
+                            _Scene, build_scenes, derive_seed, run_study,
                             simulate_detector)
 
 # Crowded scenes with triples, so three-member assignment sets occur and
@@ -255,6 +255,55 @@ class TestSimulator:
             assert {d.proposal_id for d in dets} == \
                 set(range(PROPOSALS_PER_GT * len(real)))
             assert all(real.get(d.box) == d.class_id for d in dets)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.06])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_a_draw_over_many_images_equals_each_image_drawn_alone(
+            self, jitter, order):
+        # Ignored ground truths of three classes, triples, an empty image and
+        # an all-ignored one, first and last.
+        scenes = edge_scenes()
+        if order == "reversed":
+            scenes = scenes[::-1]
+        seeds = [derive_seed(21, 1, i) for i in range(len(scenes))]
+        columns = [gt_columns(gts) for gts in scenes]
+        image = np.repeat(np.arange(len(scenes)), list(map(len, scenes)))
+        sim = DetectorSimParams(proposal_jitter=jitter)
+        draw = _Draw(*(np.concatenate(c) for c in zip(*columns)), image,
+                     seeds, sim)
+        for k in (1, 2, 3):
+            got, got_image = draw.select(k)
+            want, want_image = Detections.concat([
+                Detections.from_list(simulate_detector(
+                    gts, replace(sim, k=k, seed=seed)))
+                for gts, seed in zip(scenes, seeds)])
+            assert got_image.tolist() == want_image.tolist()
+            assert got.slots.max() == k - 1  # a triple fills every slot
+            for field in ("boxes", "scores"):
+                assert ([v.hex() for v in getattr(got, field).ravel().tolist()]
+                        == [v.hex() for v in getattr(want, field).ravel().tolist()])
+            for field in ("classes", "slots"):
+                assert getattr(got, field).tolist() == getattr(want, field).tolist()
+            offset = got.proposal_ids - want.proposal_ids
+            for i in range(len(scenes)):
+                assert len(set(offset[want_image == i].tolist())) <= 1
+
+    # Under seed 6 the jitter of 200 first overflows in the fourth image;
+    # 1e308 overflows wherever a box is drawn.
+    @pytest.mark.parametrize("jitter, seed", [(200.0, 6), (1e308, 21)])
+    def test_an_overflowing_jitter_fails_as_one_image_does(self, jitter, seed):
+        scenes = edge_scenes()[::-1]  # the empty and all-ignored images first
+        seeds = [derive_seed(seed, 1, i) for i in range(len(scenes))]
+        sim = DetectorSimParams(proposal_jitter=jitter)
+        with pytest.raises(ValueError) as alone:
+            for gts, s in zip(scenes, seeds):
+                simulate_detector(gts, replace(sim, seed=s))
+        columns = [gt_columns(gts) for gts in scenes]
+        image = np.repeat(np.arange(len(scenes)), list(map(len, scenes)))
+        with pytest.raises(ValueError) as batched:
+            _Draw(*(np.concatenate(c) for c in zip(*columns)), image, seeds, sim)
+        assert str(batched.value) == str(alone.value) == (
+            f"proposal_jitter {jitter} overflows a box's area")
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
