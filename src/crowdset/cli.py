@@ -10,7 +10,9 @@ scores best, and is then written as null.
 
 ``eval`` and ``emd`` write one JSON report, indented by two spaces, to
 ``--out`` or stdout, and ``study`` writes ``rows.csv``, ``report.json`` and
-``manifest.json`` to its ``--out`` directory. ``emd`` reads and matches its
+``manifest.json`` to its ``--out`` directory. ``suppress`` suppresses all
+records of its file in one batched pass, as the study does. ``emd`` takes
+``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``), reads and matches its
 predictions in batches of records (``scene_io.BATCH_PROPOSALS``) and
 renders its report record by record, with the bytes of
 ``json.dumps(report, indent=2, allow_nan=False)``.
@@ -42,11 +44,11 @@ import numpy as np
 
 from . import __version__
 from .assignment import check_theta
-from .emd import EmdConfig, ImageMatch, match_batch
+from .emd import ENUMERATION_LIMIT, EmdConfig, ImageMatch, match_batch
 from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays)
-from .suppression import METHODS, Detections, SuppressionConfig, suppress_arrays
+from .suppression import METHODS, Detections, SuppressionConfig, suppress_many
 from .synth import (DetectorSimParams, SceneParams, StudyRow, StudyRows,
                     _scene_arrays, run_study)
 
@@ -151,15 +153,13 @@ def cmd_suppress(args) -> int:
     cfg = SuppressionConfig(method=method, iou_thresh=args.iou,
                             sigma=args.sigma, score_floor=args.score_floor)
     records = parse_scene_arrays(args.infile)
-    counters = {"images": len(records), "dets_in": 0, "dets_out": 0,
-                "anonymous": 0}
-    kept = []
-    for r in records:
-        keep, scores = suppress_arrays(r.dets, cfg)
-        kept.append(replace(r, dets=r.dets.take(keep, scores)))
-        counters["dets_in"] += len(r.dets)
-        counters["dets_out"] += len(keep)
-        counters["anonymous"] += int((r.dets.proposal_ids < 0).sum())
+    dets, image = Detections.concat([r.dets for r in records])
+    ((keep, scores),) = suppress_many(dets, [cfg], image)
+    cuts = np.searchsorted(image[keep], np.arange(1, len(records)))
+    kept = [replace(r, dets=dets.take(k, s)) for r, k, s in
+            zip(records, np.split(keep, cuts), np.split(scores, cuts))]
+    counters = {"images": len(records), "dets_in": len(dets), "dets_out":
+                len(keep), "anonymous": int((dets.proposal_ids < 0).sum())}
     if method == "set_nms" and counters["anonymous"]:
         print(f"warning: {counters['anonymous']} detections carry no "
               f"proposal_id; set-nms treats them as distinct proposals "
@@ -249,7 +249,7 @@ def _emd_report(matches: list[tuple[str, ImageMatch]], config: dict) -> str:
             _json_text(float(costs[~np.isfinite(costs)][0]))  # raises
         totals = m.total.tolist()
         cells = zip(itertools.repeat(json.dumps(rid), p), range(p),
-                    m.n_members.tolist(), *m.permutation.T.tolist(),
+                    np.minimum(m.n_real, k).tolist(), *m.permutation.T.tolist(),
                     *m.per_slot_cost.T.tolist(), totals)
         chunks.append(",\n".join([_emd_row(k)] * p)
                       % tuple(itertools.chain.from_iterable(cells)))
@@ -277,20 +277,21 @@ def cmd_emd(args) -> int:
     gt_by_id = _gts_by_id(gt_records, [i for b in batches for i in b.ids],
                           "prediction")
     matches = []
-    counters = {"proposals": 0, "overflowing_sets": 0, "members_dropped": 0}
     for batch in batches:
         gts = [gt_by_id[i] for i in batch.ids]
         found = match_batch(batch, [(g.gt_boxes, g.gt_classes, g.gt_ignore)
                                     for g in gts],
                             cfg, args.theta, args.truncate_topk)
         matches += zip(batch.ids, found)
-        counters["proposals"] += len(batch)
-        counters["overflowing_sets"] += sum(m.overflowing for m in found)
-        counters["members_dropped"] += sum(m.dropped for m in found)
     config = {"k": args.k, "theta": args.theta}
     _emit(_emd_report(matches, config), args.out)
     if args.manifest:
-        _write_manifest(args.manifest, "emd", config, t0, counters)
+        n_real = np.concatenate([np.zeros(0, dtype=np.intp),
+                                 *(m.n_real for _, m in matches)])
+        excess = n_real[n_real > cfg.k] - cfg.k
+        _write_manifest(args.manifest, "emd", config, t0, {
+            "proposals": len(n_real), "overflowing_sets": len(excess),
+            "members_dropped": int(excess.sum())})
     return 0
 
 
@@ -401,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", required=True)
     p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
     p.add_argument("--fppi-lo", type=float, default=EvalConfig.fppi_lo)
-    p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi)
+    p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi,
+                   help=f"MR^-2 averages the miss rate over FPPI from --fppi-lo "
+                        f"to --fppi-hi, by default EvalConfig's "
+                        f"[{EvalConfig.fppi_lo:g}, {EvalConfig.fppi_hi:g}]")
     p.add_argument("--fppi-points", type=int, default=EvalConfig.fppi_points)
     p.set_defaults(func=cmd_eval)
 
@@ -410,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--pred", required=True, help="prediction JSONL path")
     p.add_argument("--gt", required=True)
-    p.add_argument("--k", type=int, default=EmdConfig.k)
+    p.add_argument("--k", type=int, default=EmdConfig.k,
+                   help=f"slots per proposal, 1 to {ENUMERATION_LIMIT}")
     p.add_argument("--theta", type=float, default=DetectorSimParams.theta,
                    help="IoU threshold for set membership")
     p.add_argument("--truncate-topk", action="store_true",

@@ -14,8 +14,9 @@ overlap sweep keyed by record (:func:`~crowdset.assignment.gt_set_members`)
 gives every ground-truth set as ranked (proposal, member, rank) arrays, the
 targets come from the members of rank below ``k``, one (P, k, k) tensor
 holds the pair costs, and one argmin over the ``k!`` permutation totals per
-proposal picks the matching. The command-line tool matches one batch of
-records at a time; a single record is a batch of one.
+proposal picks the matching; that search is the only matcher, so ``k`` is
+at most ``ENUMERATION_LIMIT`` (6). The command-line tool matches one batch
+of records at a time; a single record is a batch of one.
 :func:`pair_cost_matrix` and :func:`emd_match` are one-proposal calls of
 the same code, so the cost
 formula and the tie rule live in one place. The scalar :func:`cls_loss`,
@@ -40,8 +41,7 @@ from .geometry import BBox, BoxDelta, boxes_to_array, encode_delta
 # Probability floor inside log terms; a zero score is clamped, not an error.
 SCORE_EPS = 1e-12
 
-# Above this slot count, exhaustive permutation search gives way to an
-# assignment solver (factorial guard).
+# The largest slot count the permutation search accepts (factorial guard).
 ENUMERATION_LIMIT = 6
 
 
@@ -183,13 +183,15 @@ class PredictionArrays:
 
 @dataclass(frozen=True)
 class EmdConfig:
-    """The matching loss's one setting: ``k`` slots per proposal."""
+    """The matching loss's one setting: ``k`` slots per proposal, from 1 to
+    ``ENUMERATION_LIMIT``."""
 
     k: int = 2
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if not 1 <= self.k <= ENUMERATION_LIMIT:
+            raise ValueError(f"k must be in [1, {ENUMERATION_LIMIT}], "
+                             f"got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -309,28 +311,21 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
 def _match(costs: np.ndarray):
     """Minimum-total permutation of each (k, k) matrix in ``costs``.
 
-    Up to ``ENUMERATION_LIMIT`` slots every permutation's total is summed
-    from 0.0 in slot order and the first minimum in ``itertools`` order
-    wins, so ties go to the lexicographically smallest permutation; above
-    it scipy's assignment solver runs per matrix, imported on first use so
-    that smaller k never loads scipy. Returns the permutations (P, k), the
-    matched costs (P, k) and their totals (P,), summed the same way. A
-    total beyond float range is inf, without a numpy warning; the report
-    writer rejects it.
+    Every permutation's total is summed from 0.0 in slot order and the
+    first minimum in ``itertools`` order wins, so ties go to the
+    lexicographically smallest permutation. Returns the permutations
+    (P, k), the matched costs (P, k) and their totals (P,), summed the same
+    way. A total beyond float range is inf, without a numpy warning; the
+    report writer rejects it.
     """
     n, k, _ = costs.shape
-    if k <= ENUMERATION_LIMIT:
-        perms = np.array(list(itertools.permutations(range(k))),
-                         dtype=np.intp).reshape(math.factorial(k), k)
-        totals = np.zeros((n, len(perms)))
-        with np.errstate(over="ignore"):
-            for i in range(k):
-                totals += costs[:, i, perms[:, i]]
-        chosen = perms[np.argmin(totals, axis=1)]
-    else:
-        from scipy.optimize import linear_sum_assignment
-        chosen = np.array([linear_sum_assignment(c)[1] for c in costs],
-                          dtype=np.intp).reshape(n, k)
+    perms = np.array(list(itertools.permutations(range(k))),
+                     dtype=np.intp).reshape(math.factorial(k), k)
+    totals = np.zeros((n, len(perms)))
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            totals += costs[:, i, perms[:, i]]
+    chosen = perms[np.argmin(totals, axis=1)]
     per_slot = np.take_along_axis(costs, chosen[:, :, None], axis=2)[:, :, 0]
     total = np.zeros(n)
     with np.errstate(over="ignore"):
@@ -363,16 +358,15 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
 
 
 def emd_match(costs: np.ndarray) -> EmdMatch:
-    """Minimum-total one-to-one matching of a square cost matrix.
-
-    Up to ``ENUMERATION_LIMIT`` rows every permutation is tried and ties go
-    to the lexicographically smallest permutation; larger matrices use
-    scipy's assignment solver, imported on first use (same optimum, tie
-    order unspecified).
+    """Minimum-total one-to-one matching of a square cost matrix of at most
+    ``ENUMERATION_LIMIT`` rows: every permutation is tried and ties go to
+    the lexicographically smallest permutation.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {costs.shape}")
+    if len(costs) > ENUMERATION_LIMIT:
+        raise ValueError(f"cost matrix has {len(costs)} rows, limit {ENUMERATION_LIMIT}")
     if not np.all(np.isfinite(costs)):
         raise ValueError("cost matrix contains non-finite entries")
     perm, per_slot, total = _match(costs[None])
@@ -385,25 +379,15 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
 class ImageMatch:
     """Every proposal of one prediction record matched, in proposal order.
 
-    ``n_members`` (P,) counts the real targets after truncation;
-    ``permutation`` (P, k) maps each slot to its target,
-    ``per_slot_cost`` (P, k) and ``total`` (P,) are as in
-    :class:`EmdMatch`. ``overflowing`` counts the sets with more than ``k``
-    members and ``dropped`` the members truncation removed from them.
+    ``n_real`` (P,) is each ground-truth set's size before truncation,
+    ``permutation`` (P, k) maps each slot to its target, and
+    ``per_slot_cost`` (P, k) and ``total`` (P,) are as in :class:`EmdMatch`.
     """
 
-    n_members: np.ndarray
+    n_real: np.ndarray
     permutation: np.ndarray
     per_slot_cost: np.ndarray
     total: np.ndarray
-    overflowing: int
-    dropped: int
-
-
-def _record_sums(values: np.ndarray, bounds: np.ndarray) -> list[int]:
-    """Sums of integer ``values`` over each record's proposals."""
-    running = np.concatenate(([0], np.cumsum(values)))
-    return (running[bounds[1:]] - running[bounds[:-1]]).tolist()
 
 
 def match_batch(pred: PredictionArrays,
@@ -469,9 +453,6 @@ def match_batch(pred: PredictionArrays,
                          f"expected k={k}")
     perm, per_slot, total = _match(costs)
     cuts = bounds[1:-1]
-    return [ImageMatch(*parts, overflowing=n_over, dropped=n_dropped)
-            for *parts, n_over, n_dropped in zip(
-                np.split(np.minimum(n_real, k), cuts), np.split(perm, cuts),
-                np.split(per_slot, cuts), np.split(total, cuts),
-                _record_sums(over, bounds),
-                _record_sums(np.where(over, n_real - k, 0), bounds))]
+    return [ImageMatch(*parts) for parts in zip(
+        np.split(n_real, cuts), np.split(perm, cuts),
+        np.split(per_slot, cuts), np.split(total, cuts))]

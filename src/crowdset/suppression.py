@@ -6,18 +6,16 @@ predictions are distinct instances by construction. Detections carrying no
 proposal identity (``proposal_id is None``) are treated as all-distinct, so
 Set NMS degenerates to plain NMS on such inputs.
 
-The methods run on :class:`Detections`, detections as a struct of arrays:
-:func:`suppress_arrays` returns one image's kept indices and their scores,
-and the CLI parses, suppresses and writes these arrays without building a
-:class:`Detection` per box. :func:`nms`, :func:`set_nms` and
-:func:`soft_nms` are the list API over the same core.
+The methods run on :class:`Detections`, detections as a struct of arrays,
+and :func:`suppress_many` is the one entry point: the study and the CLI
+each suppress all their images in one call, and :func:`nms`,
+:func:`set_nms` and :func:`soft_nms` are the list API over it.
 
 Every method walks a sparse overlap graph instead of comparing every pick
 with every surviving box, and the configs run on one set of detections
 share one sweep (:class:`OverlapGraph`; :func:`suppress_many` runs a list
-of configs, :func:`suppress_arrays` one). The set may hold many images, one
-after another, with each row's ``image``: every image is suppressed as if
-it ran alone, and the study suppresses each model's images in one pass.
+of configs). The set may hold many images, one after another, with each
+row's ``image``: every image is suppressed as if it ran alone.
 
 * The geometry overlap engine (:func:`~crowdset.geometry.overlaps`) sweeps
   the detections once, keyed by image, at the loosest threshold its configs
@@ -242,9 +240,9 @@ class OverlapGraph:
         return indptr, dst, ious
 
     def suppress(self, cfg: SuppressionConfig):
-        """:func:`suppress_arrays` of ``cfg`` on every image, whose threshold
-        must not be below the sweep's: the kept indices image by image,
-        each image in its own output order."""
+        """Run ``cfg``, whose threshold must not be below the sweep's, on
+        every image: the kept input indices (an intp array) image by image,
+        each image in its own output order, and their output scores."""
         if _sweep_floor(cfg) < self.min_iou:
             raise ValueError(f"{cfg.method} at IoU {_sweep_floor(cfg)} needs "
                              f"pairs the sweep at IoU {self.min_iou} dropped")
@@ -313,7 +311,7 @@ class OverlapGraph:
 def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig],
                   image: np.ndarray | None = None):
     """Run each config over one overlap sweep, at the loosest threshold they
-    need: a list of :func:`suppress_arrays` results, one per config.
+    need: one :meth:`OverlapGraph.suppress` result per config.
 
     ``dets`` is one image, or with ``image`` (each row's image index,
     non-decreasing) many, and each config's kept indices then run image by
@@ -324,14 +322,8 @@ def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig],
     return [graph.suppress(cfg) for cfg in cfgs]
 
 
-def suppress_arrays(dets: Detections, cfg: SuppressionConfig):
-    """Run the configured method on one image's arrays: the kept input
-    indices in output order (an intp array) and their output scores."""
-    return OverlapGraph(dets, _sweep_floor(cfg)).suppress(cfg)
-
-
 def _kept(dets: list[Detection], cfg: SuppressionConfig):
-    keep, scores = suppress_arrays(Detections.from_list(dets), cfg)
+    ((keep, scores),) = suppress_many(Detections.from_list(dets), [cfg])
     return zip(keep.tolist(), scores.tolist())
 
 

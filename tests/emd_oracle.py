@@ -11,11 +11,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from crowdset.assignment import GtSet, pad_to_k, truncate_top_k
-from crowdset.emd import (ENUMERATION_LIMIT, EmdMatch, PredictionSet,
-                          SlotPrediction, cls_loss, reg_loss)
+from crowdset.emd import (EmdMatch, PredictionSet, SlotPrediction, cls_loss,
+                          reg_loss)
 from crowdset.geometry import BBox, BoxDelta, iou
 from crowdset.scene_io import PredictionRecord, SceneFileError
 
@@ -96,20 +95,16 @@ def emd_match(costs):
     if not np.all(np.isfinite(costs)):
         raise ValueError("cost matrix contains non-finite entries")
     k = costs.shape[0]
-    if k <= ENUMERATION_LIMIT:
-        best_perm = None
-        best_total = math.inf
-        for perm in itertools.permutations(range(k)):
-            total = 0.0
-            for i in range(k):
-                total += costs[i, perm[i]]
-            if total < best_total:
-                best_total = total
-                best_perm = perm
-        perm = best_perm
-    else:
-        _, cols = linear_sum_assignment(costs)
-        perm = tuple(int(c) for c in cols)
+    best_perm = None
+    best_total = math.inf
+    for perm in itertools.permutations(range(k)):
+        total = 0.0
+        for i in range(k):
+            total += costs[i, perm[i]]
+        if total < best_total:
+            best_total = total
+            best_perm = perm
+    perm = best_perm
     per_slot = tuple(float(costs[i, perm[i]]) for i in range(k))
     total = 0.0
     for c in per_slot:

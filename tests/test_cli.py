@@ -19,16 +19,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_emd import emd_images
+from test_suppression import _det, _images, _thresh, indexed, oracle_suppress
 
 from crowdset import scene_io
 from crowdset.assignment import GroundTruth, build_gt_set
-from crowdset.cli import _emd_report, _write_manifest, main
-from crowdset.emd import EmdConfig, ImageMatch, PredictionSet, SlotPrediction
+from crowdset.cli import _METHOD_FLAGS, _emd_report, _write_manifest, main
+from crowdset.emd import (EmdConfig, ImageMatch, PredictionSet, SlotPrediction,
+                          emd_match)
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneRecord,
                                parse_prediction_file, parse_scene_file,
                                write_prediction_file, write_scene_file)
-from crowdset.suppression import Detection
+from crowdset.suppression import Detection, SuppressionConfig
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             derive_seed, simulate_detector)
 
@@ -384,6 +386,54 @@ class TestSuppress:
                 "got 2.7" in capsys.readouterr().err)
 
 
+@st.composite
+def suppress_files(draw):
+    """The records of one suppress input file, each a list of detections
+    whose ``slot`` is its index in the record: the images of
+    ``test_suppression._images``, two records of anonymous detections of
+    both classes (so the ids -1 and -2 repeat across records) and an empty
+    record, each inserted at a drawn place."""
+    images = draw(_images())
+    for _ in range(2):
+        dets = draw(st.lists(_det, min_size=2, max_size=8))
+        images.insert(draw(st.integers(0, len(images))), indexed(
+            [replace(d, proposal_id=None, class_id=1 + i % 2)
+             for i, d in enumerate(dets)]))
+    images.insert(draw(st.integers(0, len(images))), [])
+    return images
+
+
+class TestSuppressFile:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(suppress_files(), _thresh, st.sampled_from([0.0, 0.001, 0.2]))
+    def test_each_record_equals_the_oracle_alone(self, images, thresh, floor):
+        records = [SceneRecord(id=f"r{n}", dets=dets)
+                   for n, dets in enumerate(images)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "in.jsonl"), Path(tmp, "out.jsonl")
+            write_scene_file(records, path)
+            for flag, method in _METHOD_FLAGS.items():
+                cfg = SuppressionConfig(method=method, iou_thresh=thresh,
+                                        score_floor=floor)
+                with contextlib.redirect_stderr(io.StringIO()):
+                    assert main(["suppress", "--method", flag, "--iou",
+                                 repr(thresh), "--score-floor", repr(floor),
+                                 "--in", str(path), "--out", str(out)]) == 0
+                got = parse_scene_file(out)
+                want = [oracle_suppress(dets, cfg) for dets in images]
+                assert [r.id for r in got] == [r.id for r in records]
+                for r, kept in zip(got, want):
+                    assert r.dets == kept, flag
+                    assert ([d.score.hex() for d in r.dets]
+                            == [d.score.hex() for d in kept]), flag
+                assert strict_json(str(out) + ".manifest.json")["counters"] == {
+                    "images": len(images), "dets_in": sum(map(len, images)),
+                    "dets_out": sum(map(len, want)),
+                    "anonymous": sum(d.proposal_id is None
+                                     for dets in images for d in dets)}, flag
+
+
 class TestRecordFields:
     @pytest.mark.parametrize("record, error", [
         ({"id": None}, "record None: id must be a JSON string, got None"),
@@ -474,16 +524,17 @@ def emd_inputs(tmp_path):
 
 
 @pytest.fixture
-def emd_k7_pred(emd_inputs, tmp_path):
-    """k=7 predictions on the emd_inputs ground truths: one proposal per
-    GT, each with seven slots of 2- and 3-class scores."""
+def emd_k6_pred(emd_inputs, tmp_path):
+    """k=6 predictions, the largest accepted k, on the emd_inputs ground
+    truths: one proposal per GT, each with six slots of 2- and 3-class
+    scores."""
     gt, _ = emd_inputs
     rng = np.random.default_rng(23)
     records = [PredictionRecord(id=r.id, proposals=[
         PredictionSet(proposal=_jittered(rng, g.box),
-                      slots=tuple(_slot(rng, 2 + j % 2) for j in range(7)))
+                      slots=tuple(_slot(rng, 2 + j % 2) for j in range(6)))
         for g in r.gts]) for r in parse_scene_file(gt)]
-    path = tmp_path / "emd_pred_k7.jsonl"
+    path = tmp_path / "emd_pred_k6.jsonl"
     write_prediction_file(records, path)
     return path
 
@@ -530,20 +581,33 @@ class TestEmd:
             "proposals": len(sizes), "overflowing_sets": overflowing,
             "members_dropped": overflowing}
 
-    def test_k7_totals_equal_the_solver_oracle(self, emd_inputs, emd_k7_pred,
-                                               tmp_path):
+    def test_k6_equals_the_permutation_oracle(self, emd_inputs, emd_k6_pred,
+                                              tmp_path):
         gt, _ = emd_inputs
-        code, out, _ = _run_emd(tmp_path, gt, emd_k7_pred, ["--k", "7"])
+        code, out, _ = _run_emd(tmp_path, gt, emd_k6_pred, ["--k", "6"])
         assert code == 0
         rows = strict_json(out)["proposals"]
         gts = {r.id: r.gts for r in parse_scene_file(gt)}
-        want = [(n, m.total) for rec in parse_prediction_file(emd_k7_pred)
+        want = [(n, list(m.permutation), m.total)
+                for rec in parse_prediction_file(emd_k6_pred)
                 for n, m in oracle.score_record(rec, gts[rec.id],
-                                                EmdConfig(k=7), 0.5, False)]
-        assert any(n > 1 for n, _ in want)
-        # Tie order above the limit is unspecified: compare totals only.
-        assert [(r["n_members"], r["total"]) for r in rows] == want
-        assert all(sorted(r["permutation"]) == list(range(7)) for r in rows)
+                                                EmdConfig(k=6), 0.5, False)]
+        assert any(n > 1 for n, _, _ in want)
+        # Ties go to the lexicographically smallest permutation at every k.
+        assert [(r["n_members"], r["permutation"], r["total"])
+                for r in rows] == want
+
+    def test_k7_is_rejected_before_any_file_is_read(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 6\], got 7"):
+            EmdConfig(k=7)
+        with pytest.raises(ValueError, match="cost matrix has 7 rows, limit 6"):
+            emd_match(np.zeros((7, 7)))
+        # Neither input exists: an error about k shows none was opened.
+        code, out, manifest = _run_emd(tmp_path, tmp_path / "no_gt.jsonl",
+                                       tmp_path / "no_pred.jsonl", ["--k", "7"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: k must be in [1, 6], got 7\n"
+        assert not out.exists() and not manifest.exists()
 
     def test_peak_memory_is_bounded_by_the_batch(self, tmp_path):
         # About 2,000 k=3 proposals. Read and matched in batches of any
@@ -577,7 +641,8 @@ def json_report(matches, config):
     rows, total = [], 0.0
     for rid, m in matches:
         for idx, (n, perm, costs, t) in enumerate(zip(
-                m.n_members.tolist(), m.permutation.tolist(),
+                np.minimum(m.n_real, m.permutation.shape[1]).tolist(),
+                m.permutation.tolist(),
                 m.per_slot_cost.tolist(), m.total.tolist())):
             rows.append({"id": rid, "proposal_index": idx, "n_members": n,
                          "permutation": perm, "per_slot_cost": costs,
@@ -603,7 +668,8 @@ _FINITE = st.one_of(_EDGE_COSTS, st.floats(allow_nan=False,
 @st.composite
 def emd_matches(draw):
     """(matches, config): up to four records of up to four proposals each,
-    k from 1 to 7; the arrays need not come from a real matching."""
+    k from 1 to 7 and set sizes up to k + 2; the arrays need not come from
+    a real matching."""
     k = draw(st.integers(1, 7))
     costs = st.one_of(_FINITE, st.floats()) if draw(st.booleans()) else _FINITE
     matches = []
@@ -611,14 +677,13 @@ def emd_matches(draw):
         p = draw(st.integers(0, 4))
         per_slot = draw(st.lists(costs, min_size=p * k, max_size=p * k))
         matches.append((draw(_IDS), ImageMatch(
-            n_members=np.array(draw(st.lists(st.integers(0, k), min_size=p,
-                                             max_size=p)), dtype=np.intp),
+            n_real=np.array(draw(st.lists(st.integers(0, k + 2), min_size=p,
+                                          max_size=p)), dtype=np.intp),
             permutation=np.array([draw(st.permutations(range(k)))
                                   for _ in range(p)], dtype=np.intp).reshape(p, k),
             per_slot_cost=np.array(per_slot, dtype=np.float64).reshape(p, k),
             total=np.array(draw(st.lists(costs, min_size=p, max_size=p)),
-                           dtype=np.float64),
-            overflowing=0, dropped=0)))
+                           dtype=np.float64))))
     theta = draw(st.floats(0.0, 1.0, exclude_min=True))
     return matches, {"k": k, "theta": theta}
 
@@ -646,7 +711,7 @@ def emd_files(draw):
     ground truths. In half the files the proposals with a wrong slot count
     are dropped; in a file of several records one of them is likely, and
     it would stop most files before their report."""
-    k = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    k = draw(st.sampled_from([1, 2, 3, 4, 6]))
     images = draw(st.lists(emd_images(k=st.just(k)), min_size=2, max_size=5))
     right_counts = draw(st.booleans())
     records, gts = [], {}
@@ -663,15 +728,15 @@ def emd_files(draw):
 
 
 def _oracle_match(rows, k: int) -> ImageMatch:
-    """One record's oracle rows as the arrays the report reads."""
+    """One record's oracle rows as the arrays the report reads; each set's
+    size is its size after truncation, which the report prints the same."""
     p = len(rows)
     return ImageMatch(
-        n_members=np.array([n for n, _ in rows], dtype=np.intp),
+        n_real=np.array([n for n, _ in rows], dtype=np.intp),
         permutation=np.array([m.permutation for _, m in rows],
                              dtype=np.intp).reshape(p, k),
         per_slot_cost=np.array([m.per_slot_cost for _, m in rows]).reshape(p, k),
-        total=np.array([m.total for _, m in rows]).reshape(p),
-        overflowing=0, dropped=0)
+        total=np.array([m.total for _, m in rows]).reshape(p))
 
 
 class TestBatchedFile:
@@ -766,8 +831,8 @@ class TestImports:
                     checked += 1
         assert checked >= 40
 
-    def test_scipy_loads_only_above_the_enumeration_limit(
-            self, round_trip, emd_inputs, emd_k7_pred, tmp_path):
+    def test_no_subcommand_loads_scipy(self, round_trip, emd_inputs,
+                                       emd_k6_pred, tmp_path):
         gt, det = round_trip
         emd_gt, preds = emd_inputs
         out = str(tmp_path / "out")
@@ -784,8 +849,8 @@ class TestImports:
                                      (preds[3], EMD_ARGV["k3"]))]
         runs.append(("study", ["study", "--images", "1", "--out",
                                str(tmp_path / "study")]))
-        runs.append(("emd --k 7", ["emd", "--gt", str(emd_gt), "--pred",
-                                   str(emd_k7_pred), "--out", out, "--k", "7"]))
+        runs.append(("emd --k 6", ["emd", "--gt", str(emd_gt), "--pred",
+                                   str(emd_k6_pred), "--out", out, "--k", "6"]))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -795,7 +860,22 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         steps = json.loads(proc.stdout.splitlines()[-1])
         names = ["import crowdset", "import crowdset.cli"] + [n for n, _ in runs]
-        assert steps == [[n, 0, n == "emd --k 7"] for n in names]
+        assert steps == [[n, 0, False] for n in names]
+
+    def test_no_module_imports_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "crowdset"
+        paths = sorted(src.glob("*.py"))
+        assert len(paths) >= 9
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert not any(m.split(".")[0] == "scipy" for m in modules), \
+                    f"{path.name}:{node.lineno} imports scipy"
 
 
 def _proposal(box, slots):

@@ -10,8 +10,7 @@ from crowdset import geometry
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, OverlapGraph, SuppressionConfig,
-                                  nms, set_nms, soft_nms, suppress_arrays,
-                                  suppress_many)
+                                  nms, set_nms, soft_nms, suppress_many)
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             simulate_detector)
 
@@ -238,8 +237,8 @@ class TestSuppressDispatch:
     def test_dispatches_by_method(self):
         dets = Detections.from_list([det(0, 0, 10, 10, 0.9, pid=0, slot=0),
                                      det(0, 0, 10, 10, 0.8, pid=0, slot=1)])
-        assert suppress_arrays(dets, NMS)[0].tolist() == [0]
-        assert suppress_arrays(dets, SET)[0].tolist() == [0, 1]
+        assert suppress_many(dets, [NMS])[0][0].tolist() == [0]
+        assert suppress_many(dets, [SET])[0][0].tolist() == [0, 1]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -321,7 +320,7 @@ class TestOracleEquivalence:
     def test_greedy_keep_same_indices_same_order(self, dets, thresh):
         for method, respect in (("nms", False), ("set_nms", True)):
             cfg = SuppressionConfig(method=method, iou_thresh=thresh)
-            got = suppress_arrays(Detections.from_list(dets), cfg)[0].tolist()
+            got = suppress_many(Detections.from_list(dets), [cfg])[0][0].tolist()
             want = oracle._greedy_keep(*oracle._to_arrays(dets), thresh, respect)
             assert got == want
         cfg = SuppressionConfig(method="set_nms", iou_thresh=thresh)
@@ -601,7 +600,8 @@ class TestDetections:
         arrays = Detections.from_list([])
         assert arrays.boxes.shape == (0, 4) and len(arrays) == 0
         for method in METHOD_NAMES:
-            keep, scores = suppress_arrays(arrays, SuppressionConfig(method=method))
+            ((keep, scores),) = suppress_many(
+                arrays, [SuppressionConfig(method=method)])
             assert keep.tolist() == [] and scores.tolist() == []
 
     def test_take_keeps_anonymous_ids_negative(self):
@@ -618,7 +618,7 @@ class TestDetections:
     def test_arrays_and_list_api_agree(self, method):
         dets = crowd_cloud(n_scenes=4)
         cfg = SuppressionConfig(method=method, iou_thresh=0.4)
-        keep, scores = suppress_arrays(Detections.from_list(dets), cfg)
+        ((keep, scores),) = suppress_many(Detections.from_list(dets), [cfg])
         out = suppress(dets, cfg)
         assert keep.dtype == np.intp and scores.dtype == np.float64
         assert keep.tolist() == [d.slot for d in out]

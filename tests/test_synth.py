@@ -17,7 +17,7 @@ from crowdset.geometry import BBox, boxes_to_array, iou, overlaps
 from crowdset.metrics import EvalConfig, Evaluation
 from crowdset.scene_io import SceneArrays
 from crowdset.suppression import (Detections, SuppressionConfig, nms, set_nms,
-                                  suppress_arrays)
+                                  suppress_many)
 from crowdset.synth import (_BISECTION_STEPS, PROPOSALS_PER_GT,
                             DetectorSimParams, SceneGenerationError,
                             SceneParams, StudyRow, _Draw, _shift_to_iou,
@@ -414,7 +414,7 @@ class TestStudy:
                 if sim.effective_k == 1 and cfg.method == "set_nms":
                     continue
                 images = [replace(SceneArrays.from_record(scene),
-                                  dets=dets.take(*suppress_arrays(dets, cfg)))
+                                  dets=dets.take(*suppress_many(dets, [cfg])[0]))
                           for scene, dets in zip(scenes, raw)]
                 want.append(StudyRow(sim.label, sim.effective_k, cfg.method,
                                      cfg.iou_thresh,
