@@ -20,9 +20,10 @@ A manifest's text is built before its file is opened, and ``study`` builds
 all three texts before it opens any file, so a study that fails writes
 nothing.
 
-Each metric has one protocol: ``eval`` reports all-point AP, MR^-2, JI over
-a maximum matching and the crowd/sparse recall split; ``emd`` reports the
-set-matching loss with a cross-entropy plus smooth-L1 cost.
+Each metric has one protocol: ``eval`` reports all-point AP, MR^-2 over
+FPPI [10^-2, 10^0] by default, JI over a maximum matching and the
+crowd/sparse recall split; ``emd`` reports the set-matching loss with a
+cross-entropy plus smooth-L1 cost.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -405,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi,
                    help=f"MR^-2 averages the miss rate over FPPI from --fppi-lo "
                         f"to --fppi-hi, by default EvalConfig's "
-                        f"[{EvalConfig.fppi_lo:g}, {EvalConfig.fppi_hi:g}]")
+                        f"[{EvalConfig.fppi_lo:g}, {EvalConfig.fppi_hi:g}], "
+                        f"the Caltech/CrowdHuman range")
     p.add_argument("--fppi-points", type=int, default=EvalConfig.fppi_points)
     p.set_defaults(func=cmd_eval)
 

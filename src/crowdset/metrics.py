@@ -68,8 +68,10 @@ _MR_FLOOR = 1e-10
 @dataclass(frozen=True)
 class EvalConfig:
     iou_thresh: float = 0.5
+    # MR^-2 averages over FPPI in [10^-2, 10^0], the Caltech/CrowdHuman
+    # range (Dollar et al., TPAMI 2012; Shao et al., arXiv 1805.00123).
     fppi_lo: float = 1e-2
-    fppi_hi: float = 1e2
+    fppi_hi: float = 1.0
     fppi_points: int = 9
 
     def __post_init__(self):

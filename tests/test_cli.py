@@ -37,7 +37,7 @@ from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
 # sha256 of outputs whose bytes must not change; a change to any of them is a
 # behaviour change to declare, not a test to update silently.
 RAW_DETECTIONS_SHA256 = "d1894d7acfc152ed5413f09d64a0f3787111dd3aef2628ce69c1e88c32c9dc31"
-EVAL_SET_NMS_SHA256 = "b489e1286cd06b5722b48b8bc135d763209202d6ec085b964219d5b6716b3965"
+EVAL_SET_NMS_SHA256 = "a5dc1a12c9306858cdfe99950ebee234dadeefa8afef3081b0f6821e1c9df952"
 STUDY_ROWS_SHA256 = "d645246ca954da050c364203d1deceb7e14f9c79fab45eda04560e2e482069aa"
 STUDY_REPORT_SHA256 = "4aa56c0b0ee3ab7151ba18d0824dd330541738084454afd7aa877e804fbc16c2"
 # crowdset suppress of the round trip's raw detections, per method flag.

@@ -177,11 +177,22 @@ class TestMr2:
         # Independent oracle: evaluate the hand-built curve at the 9 log
         # points. Curve operating points: (0,1) empty, (0,0.5), (1,0.5), (1,0).
         pts = [(0.0, 1.0), (0.0, 0.5), (1.0, 0.5), (1.0, 0.0)]
-        refs = [10 ** e for e in np.linspace(-2, 2, 9)]
+        refs = [10 ** e for e in np.linspace(-2, 0, 9)]
         samples = [min(m for f, m in pts if f <= r) for r in refs]
         want = math.exp(sum(math.log(max(m, 1e-10)) for m in samples) / len(samples))
         assert mr2([s], CFG) == pytest.approx(want, rel=1e-12)
-        assert want == pytest.approx(2.0448117651147883e-06, rel=1e-9)
+        assert want == pytest.approx(0.041812551547518666, rel=1e-9)
+
+    def test_default_range_is_one_hundredth_to_one(self):
+        # The hand-built curve reaches miss rate 0 only at FPPI 1, so the
+        # range's upper end shows in the result.
+        s = scene("a", [gt(0, 0, 10, 10), gt(50, 50, 60, 60)],
+                  [det(0, 0, 10, 10, 0.9), det(200, 200, 210, 210, 0.8),
+                   det(50, 50, 60, 60, 0.7)])
+        assert (EvalConfig().fppi_lo, EvalConfig().fppi_hi) == (1e-2, 1.0)
+        default = mr2([s], CFG)
+        assert default == mr2([s], EvalConfig(fppi_hi=1.0))
+        assert default != mr2([s], EvalConfig(fppi_hi=100.0))
 
     def test_zero_gts_is_an_error(self):
         with pytest.raises(ValueError):
