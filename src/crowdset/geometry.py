@@ -26,9 +26,10 @@ mask accepts. Suppression runs it on one image's detections, the evaluator
 on every image's detections against ground truths and ground truths
 against each other.
 
-:func:`rank_pairs` is the one ranking rule, highest IoU first and ties to
+:func:`rank_order` is the one ranking rule, highest IoU first and ties to
 the lowest column. It ranks the pairs of a sweep: the evaluator's
-detection/ground-truth pairs and ground-truth set construction
+detection/ground-truth pairs (``metrics.PairSet``) and, through
+:func:`rank_pairs`, ground-truth set construction
 (``assignment.gt_set_members``).
 """
 
@@ -249,12 +250,18 @@ def overlaps(a: np.ndarray, keep, groups_a=None,
             np.concatenate(values), swept)
 
 
+def rank_order(rows: np.ndarray, cols: np.ndarray, ious: np.ndarray
+               ) -> np.ndarray:
+    """The permutation that sorts the (row, col, IoU) triplets by row, then
+    highest IoU first and ties to the lowest column."""
+    return np.lexsort((cols, -ious, rows))
+
+
 def rank_pairs(rows: np.ndarray, cols: np.ndarray, ious: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, rank)``: the (row, col, IoU) triplets sorted by row,
-    then highest IoU first and ties to the lowest column, with ``rank`` each
-    pair's position within its row."""
-    order = np.lexsort((cols, -ious, rows))
+    """``(rows, cols, rank)``: the (row, col, IoU) triplets in
+    :func:`rank_order`, with ``rank`` each pair's position within its row."""
+    order = rank_order(rows, cols, ious)
     rows, cols = rows[order], cols[order]
     return rows, cols, np.arange(len(rows)) - np.searchsorted(rows, rows)
 

@@ -13,11 +13,22 @@ Every metric is a view of one pass over all images of a call
 after another, and builds no dense IoU matrix:
 
 * The geometry overlap engine (:func:`~crowdset.geometry.overlaps`),
-  keyed by image, lists every same-image detection/ground-truth pair and
-  ground-truth/ground-truth pair that overlaps, in one sweep each.
-* A detection's candidates are the non-ignored, same-class ground truths
-  with IoU >= threshold, ranked by :func:`~crowdset.geometry.rank_pairs`:
-  highest IoU first, then lowest index.
+  keyed by image, lists the same-class detection/ground-truth pairs with
+  IoU at or above a floor in one sweep (:class:`PairSet`, ignored ground
+  truths included), and the ground-truth/ground-truth pairs that overlap in
+  another. The pair set is ranked once by
+  :func:`~crowdset.geometry.rank_order`: highest IoU first, then lowest
+  index.
+* An evaluation is a mask over a pair set: its detections are a subset of
+  the set's rows (``keep``), with their own scores, and a detection's
+  candidates are its pairs with a non-ignored ground truth at IoU >= the
+  threshold. Filtering a sorted list keeps its order, so the candidates
+  stay ranked. The mask at each threshold is computed once per pair set,
+  and each evaluation gathers its rows from it. ``crowdset eval`` keeps
+  every row; the study sweeps each model family's draw once and evaluates
+  every model and suppression config as its kept rows. COCO's evaluator
+  is built the same way: IoUs computed once per image, then matched at
+  each threshold (Lin et al., ECCV 2014).
 * The detections are admitted in rank order (descending score, ties by
   input index) into two walks over those lists:
 
@@ -51,7 +62,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import overlaps, rank_pairs
+from .geometry import overlaps, rank_order
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import Detections
 
@@ -194,15 +205,67 @@ class Truth:
                         self.image)
 
 
+class PairSet:
+    """The same-class pairs of one set of detections and a :class:`Truth`
+    with IoU >= ``min_iou``, ignored ground truths included, swept once and
+    ranked once by :func:`~crowdset.geometry.rank_order`: ``rows`` (the
+    detection), ``cols`` (the global ground-truth index), ``ious`` and
+    ``ignored`` (whether the ground truth is), sorted by detection, then
+    highest IoU first, ties to the lowest index.
+
+    ``dets`` holds the detections of every image, one image after another,
+    with each row's ``image`` in ``truth``'s image order. ``swept`` counts
+    the pairs the sweep listed. :meth:`at_iou` masks the pairs at one
+    threshold, and an :class:`Evaluation` of any subset of the rows gathers
+    its rows from that mask.
+    """
+
+    def __init__(self, truth: Truth, dets: Detections, image: np.ndarray,
+                 min_iou: float):
+        self.truth, self.min_iou, self.n_dets = truth, min_iou, len(dets)
+        classes = dets.classes
+        d, g, ious, self.swept = overlaps(
+            dets.boxes,
+            lambda i, j, ov: (ov >= min_iou) & (classes[i] == truth.classes[j]),
+            image, truth.boxes, truth.image)
+        order = rank_order(d, g, ious)
+        self.rows, self.cols, self.ious = d[order], g[order], ious[order]
+        self.ignored = truth.ignore[self.cols]
+        self._masks: dict[float, tuple] = {}
+
+    def at_iou(self, iou_thresh: float):
+        """The pairs with IoU >= ``iou_thresh``, which must not be below the
+        sweep's, by detection: ``(cols, ptr, hits_ignored, n_pairs)``.
+        Detection i's candidates, its non-ignored ground truths in rank
+        order (filtering a sorted list keeps its order), are
+        ``cols[ptr[i]:ptr[i + 1]]``; ``hits_ignored`` says whether it
+        reaches an ignored ground truth, and ``n_pairs`` counts its pairs.
+        Computed once per threshold."""
+        if iou_thresh < self.min_iou:
+            raise ValueError(f"evaluation at IoU {iou_thresh} needs pairs "
+                             f"the sweep at IoU {self.min_iou} dropped")
+        if iou_thresh not in self._masks:
+            n, hit = self.n_dets, self.ious >= iou_thresh
+            real = hit & ~self.ignored
+            ptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.rows[real], minlength=n), out=ptr[1:])
+            hits_ignored = np.zeros(n, dtype=bool)
+            hits_ignored[self.rows[hit & self.ignored]] = True
+            self._masks[iou_thresh] = (
+                self.cols[real].tolist(), ptr, hits_ignored,
+                np.bincount(self.rows[hit], minlength=n))
+        return self._masks[iou_thresh]
+
+
 class Evaluation:
     """Every image of one call matched in one sparse pass (see the module
     docstring); each metric is a view.
 
-    ``truth`` holds the images' ground truths, and ``dets`` the detections
-    of every image, one image after another, with each row's ``image`` in
-    the same image order (:meth:`Detections.concat
-    <crowdset.suppression.Detections.concat>`). :meth:`of_arrays` builds one
-    from :class:`~crowdset.scene_io.SceneArrays`.
+    The detections are the rows ``keep`` of ``pairs``' detections, in that
+    order, with ``scores``; their pairs are those of ``pairs`` at IoU >=
+    ``cfg.iou_thresh``, which must not be below the sweep's. Each image's
+    detections must come in ``pairs``' image order. :meth:`of_arrays` builds
+    one from :class:`~crowdset.scene_io.SceneArrays`, keeping every row.
 
     After construction, ``candidates`` lists each detection's candidate
     ground truths (global indices), ``order`` is the detection at each
@@ -212,16 +275,17 @@ class Evaluation:
     ``gt_matched`` (bool per ground truth; ignored ones stay False).
     """
 
-    def __init__(self, cfg: EvalConfig, truth: Truth, dets: Detections,
-                 image: np.ndarray):
-        self.cfg, self.truth, self.n_images = cfg, truth, truth.n_images
+    def __init__(self, cfg: EvalConfig, pairs: PairSet, keep: np.ndarray,
+                 scores: np.ndarray):
+        truth = pairs.truth
+        self.cfg, self.pairs, self.truth = cfg, pairs, truth
+        self.n_images = truth.n_images
         self.n_gt = int(np.count_nonzero(~truth.ignore))
-        self.scores = dets.scores
+        self.scores = scores
         # Descending score, ties by image, then input index: each image's
         # rank order, and the global order of the AP and MR^-2 sweeps.
         self.order = np.argsort(-self.scores, kind="stable")
-        (self.candidates, hits_ignored, self.det_gt_swept,
-         self.det_gt_above) = self._candidates(image, dets.boxes, dets.classes)
+        self.candidates, hits_ignored, self.det_gt_above = self._candidates(keep)
         det_match = [-1] * len(self.scores)
         taken = [False] * len(truth.boxes)
         for i in self.order.tolist():
@@ -239,27 +303,18 @@ class Evaluation:
     @classmethod
     def of_arrays(cls, images: Sequence[SceneArrays],
                   cfg: EvalConfig) -> "Evaluation":
-        return cls(cfg, Truth(images),
-                   *Detections.concat([r.dets for r in images]))
+        dets, image = Detections.concat([r.dets for r in images])
+        return cls(cfg, PairSet(Truth(images), dets, image, cfg.iou_thresh),
+                   np.arange(len(dets)), dets.scores)
 
-    def _candidates(self, det_image, det_boxes, det_classes):
-        """Each detection's candidate list, whether it reaches an ignored
-        ground truth, the det/GT pairs swept, and how many of them are of
-        one class with IoU >= threshold."""
-        thresh, n_det, truth = self.cfg.iou_thresh, len(det_boxes), self.truth
-        d, g, ious, swept = overlaps(
-            det_boxes,
-            lambda i, j, ov: (ov >= thresh) & (det_classes[i] == truth.classes[j]),
-            det_image, truth.boxes, truth.image)
-        ignored = truth.ignore[g]
-        hits_ignored = np.zeros(n_det, dtype=bool)
-        hits_ignored[d[ignored]] = True
-        real = ~ignored
-        rows, cols, _ = rank_pairs(d[real], g[real], ious[real])
-        cols = cols.tolist()
-        ptr = np.searchsorted(rows, np.arange(n_det + 1)).tolist()
-        return ([cols[lo:hi] for lo, hi in zip(ptr, ptr[1:])], hits_ignored,
-                swept, len(d))
+    def _candidates(self, keep: np.ndarray):
+        """Each kept detection's candidate list, whether it reaches an
+        ignored ground truth, and how many of its pairs are at or above the
+        threshold: the rows ``keep`` of the pairs masked at the threshold."""
+        cols, ptr, hits_ignored, n_pairs = self.pairs.at_iou(self.cfg.iou_thresh)
+        lo, hi = ptr[keep].tolist(), ptr[keep + 1].tolist()
+        return ([cols[a:b] for a, b in zip(lo, hi)], hits_ignored[keep],
+                int(n_pairs[keep].sum()))
 
     @cached_property
     def gains(self) -> np.ndarray:
@@ -269,12 +324,13 @@ class Evaluation:
 
     def counters(self) -> dict:
         """What the pass saw: images, ground truths and detections; pairs
-        the sweep listed (det/GT and GT/GT); same-class det/GT pairs at or
-        above the IoU threshold; GT pairs overlapping beyond ``CROWD_IOU``."""
+        the sweeps listed (the pair set's det/GT and the GT/GT); same-class
+        det/GT pairs of the detections at or above the IoU threshold; GT
+        pairs overlapping beyond ``CROWD_IOU``."""
         _, _, gt_ious, gt_swept = self.truth.pairs
         return {"images": self.n_images, "gts": len(self.truth.boxes),
                 "dets": len(self.scores),
-                "candidate_pairs": self.det_gt_swept + gt_swept,
+                "candidate_pairs": self.pairs.swept + gt_swept,
                 "det_gt_pairs_above_iou": self.det_gt_above,
                 "crowd_pairs": int(np.count_nonzero(gt_ious > CROWD_IOU))}
 

@@ -25,6 +25,11 @@ row's ``image``: every image is suppressed as if it ran alone.
   and, for Set NMS's same-proposal skip, ``proposal ids differ``. Its edges
   are stored in CSR arrays; the edge list is sorted by source box once per
   orientation, so a mask keeps each box's edges in sweep order.
+* A subset of the rows is a mask too: :meth:`OverlapGraph.take` keeps the
+  pairs whose two ends are both in the subset and renumbers them, with no
+  second sweep. The study sweeps each model family's draw once and takes
+  each model's rows from it; ``crowdset suppress`` sweeps its one set of
+  detections.
 * NMS and Set NMS make one greedy pass over the boxes ranked by image,
   then descending score, then input index: a box still alive when reached
   is kept and kills its neighbours. No edge joins two images, so the pass
@@ -176,6 +181,11 @@ def _by_source(src: np.ndarray, dst: np.ndarray, ious: np.ndarray):
     return src[by_row], dst[by_row], ious[by_row]
 
 
+def _check_image(image: np.ndarray) -> None:
+    if np.any(np.diff(image) < 0):
+        raise ValueError("image must list the detections image by image")
+
+
 class OverlapGraph:
     """The same-class pairs of one image with IoU above ``min_iou``, swept
     once; with ``image``, each row's image index, non-decreasing, the pairs
@@ -183,26 +193,48 @@ class OverlapGraph:
 
     :meth:`graph` masks the pairs into the CSR graph of one config and
     :meth:`suppress` runs one config over it, so every config whose
-    threshold is at least ``min_iou`` shares the sweep. ``order``, by image
-    then descending score, is the walks' only per-image state.
+    threshold is at least ``min_iou`` shares the sweep; :meth:`take`
+    restricts the pairs to a subset of the boxes without sweeping again.
+    ``order``, by image then descending score, is the walks' only per-image
+    state.
     """
 
     def __init__(self, dets: Detections, min_iou: float,
                  image: np.ndarray | None = None):
-        self.dets, self.min_iou = dets, min_iou
-        if image is not None and np.any(np.diff(image) < 0):
-            raise ValueError("image must list the detections image by image")
+        if image is not None:
+            _check_image(image)
         classes = dets.classes
-        a, b, self._ious, _ = overlaps(
+        a, b, ious, _ = overlaps(
             dets.boxes,
             lambda i, j, ov: (ov > min_iou) & (classes[i] == classes[j]),
             image)
-        self._a, self._b = a.astype(np.int32), b.astype(np.int32)
         if image is None:
             image = np.zeros(len(dets), dtype=np.intp)
-        self.image = image
+        self._set(dets, min_iou, image, a.astype(np.int32),
+                  b.astype(np.int32), ious)
+
+    def _set(self, dets, min_iou, image, a, b, ious) -> None:
+        self.dets, self.min_iou, self.image = dets, min_iou, image
+        self._a, self._b, self._ious = a, b, ious
         # By image, then descending score, ties by ascending input index.
         self.order = np.lexsort((-dets.scores, image))
+
+    def take(self, rows: np.ndarray) -> "OverlapGraph":
+        """The graph of the detections at ``rows`` (distinct, image by
+        image), in that order: the pairs whose two ends are both in
+        ``rows``, renumbered. Suppressing it equals suppressing those
+        detections alone: IoU is symmetric and a walk's result does not
+        depend on the order of a box's edges."""
+        image = self.image[rows]
+        _check_image(image)
+        at = np.full(len(self.dets), -1, dtype=np.int32)
+        at[rows] = np.arange(len(rows), dtype=np.int32)
+        a, b = at[self._a], at[self._b]
+        both = (a >= 0) & (b >= 0)
+        graph = OverlapGraph.__new__(OverlapGraph)
+        graph._set(self.dets.take(rows, self.dets.scores[rows]), self.min_iou,
+                   image, a[both], b[both], self._ious[both])
+        return graph
 
     @cached_property
     def _ranked(self):

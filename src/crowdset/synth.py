@@ -22,13 +22,20 @@ prediction slot budget ``k`` per model:
 A draw does everything that does not depend on ``k`` (the proposals, their
 ranked assignment sets and the noise, in an order that does not depend on
 ``k``), and a selection picks one model's
-:class:`~crowdset.suppression.Detections` from it. The study generates its
-scenes as :class:`~crowdset.scene_io.SceneArrays`, draws each model family
+:class:`~crowdset.suppression.Detections`, a subset of the draw's rows,
+from it. The study generates its scenes as
+:class:`~crowdset.scene_io.SceneArrays` and draws each model family
 (configs that differ only in ``k`` or ``mode``) once over all images, each
-image's noise from its own seed in the order of a draw of that image alone,
-selects each ``k`` from that draw, and sweeps the ground truths' overlaps
-once for all its rows. :func:`build_scenes` and :func:`simulate_detector`
-(a draw over one image) convert dataclasses at the edge.
+image's noise from its own seed in the order of a draw of that image alone.
+It sweeps each family's draw twice: det/det at the loosest threshold any
+suppression config needs, and det/GT at the evaluation's threshold. Every
+model and config is then a mask over those two sweeps: a model takes its
+rows of the det/det pairs (:meth:`OverlapGraph.take
+<crowdset.suppression.OverlapGraph.take>`), and each config's kept rows
+mask the det/GT pairs (:class:`~crowdset.metrics.PairSet`). The ground
+truths' overlaps are swept once for all rows. :func:`build_scenes` and
+:func:`simulate_detector` (a draw over one image) convert dataclasses at
+the edge.
 """
 
 from __future__ import annotations
@@ -40,9 +47,10 @@ import numpy as np
 
 from .assignment import GroundTruth, check_theta, gt_columns, gt_set_members
 from .geometry import box_areas, iou_arrays, iou_xyxy
-from .metrics import EvalConfig, EvalReport, Evaluation, Truth
+from .metrics import EvalConfig, EvalReport, Evaluation, PairSet, Truth
 from .scene_io import SceneArrays, SceneRecord
-from .suppression import Detection, Detections, SuppressionConfig, suppress_many
+from .suppression import (Detection, Detections, OverlapGraph,
+                          SuppressionConfig, _sweep_floor)
 
 # Namespaces for derived seed streams.
 _NS_SCENE = 0
@@ -330,16 +338,16 @@ class _Draw:
         # so a group's first sorted position is where its rank 0 was.
         self.dominant = order[rank == 0]
 
-    def select(self, k: int) -> tuple[Detections, np.ndarray]:
-        """The detections of a model with ``k`` slots, image by image, and
-        each row's image: each proposal's members of rank below ``k``, or
-        with one slot its dominant member."""
+    def select(self, k: int) -> tuple[Detections, np.ndarray, np.ndarray]:
+        """The detections of a model with ``k`` slots, image by image, each
+        row's image, and its row in :attr:`dets`: each proposal's members of
+        rank below ``k``, or with one slot its dominant member."""
         d = self.dets
         rows = np.flatnonzero(d.slots < k) if k > 1 else self.dominant
         dets = d.take(rows, d.scores[rows])
         if k == 1:
             dets = replace(dets, slots=np.zeros(len(rows), dtype=np.int64))
-        return dets, self.image[rows]
+        return dets, self.image[rows], rows
 
 
 def simulate_detector(gts: Sequence[GroundTruth],
@@ -355,8 +363,8 @@ def simulate_detector(gts: Sequence[GroundTruth],
     ``params.seed``, gives the proposal noise and then every member's noise
     in (proposal, rank) order. Ignored ground truths join no set.
     """
-    dets, _ = _Draw(*gt_columns(gts), np.zeros(len(gts), dtype=np.intp),
-                    [params.seed], params).select(params.effective_k)
+    dets, _, _ = _Draw(*gt_columns(gts), np.zeros(len(gts), dtype=np.intp),
+                       [params.seed], params).select(params.effective_k)
     return dets.to_list()
 
 
@@ -406,10 +414,11 @@ class StudyRows(list):
         self._counters = counters
 
     def counters(self) -> dict:
-        """Images, detector draws (one per image per model family), overlap
-        sweeps (one per model, over all its images), rows, candidate boxes
-        rejected in scene generation, and pair bisections that ran all
-        their steps."""
+        """Images, detector draws (one per image per model family with a
+        config to run), family sweeps (one per such family, over all its
+        images: its det/det pairs for suppression and its det/GT pairs for
+        evaluation), rows, candidate boxes rejected in scene generation, and
+        pair bisections that ran all their steps."""
         return dict(self._counters)
 
 
@@ -425,40 +434,54 @@ def run_study(scene_params: SceneParams,
 
     Scene seeds depend only on (seed, image); detector seeds only on
     (seed, image), shared by all simulator configs, so rows differ purely in
-    model structure, not in random draws. The draws are shared between
-    rows: simulator configs that differ only in ``k`` (or ``mode``) form
-    one family, drawn once over all images and selected per ``k``. Each
-    model's detections of all images are handled in one pass: one overlap
-    sweep, from which every suppression config is derived, and one
-    :class:`~crowdset.metrics.Evaluation` per config. The ground truths are
-    swept once for all rows. The rows are fully deterministic.
+    model structure, not in random draws. The draws and sweeps are shared
+    between rows: simulator configs that differ only in ``k`` (or ``mode``)
+    form one family, drawn once over all images and swept twice, det/det
+    at the loosest suppression threshold and det/GT at the evaluation's. A
+    family is drawn only when one of its models has a config to run. Each
+    model restricts the det/det pairs to its rows and suppresses every
+    config over them, and each config's
+    :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its
+    kept rows. The ground truths are swept once for all rows. The rows are
+    fully deterministic.
     """
     counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0,
                 "placement_retries": 0, "bisection_cap_hits": 0}
     columns = _scene_arrays(scene_params, n_images, seed, counters)
     truth = Truth(columns)
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
-    draws: dict[DetectorSimParams, _Draw] = {}
-    rows: list[StudyRow] = []
+    models = []
+    floors: dict[DetectorSimParams, float] = {}
     for sim in sim_params_list:
         family = replace(sim, mode="mip", k=1, seed=0)
-        if family not in draws:
-            draws[family] = _Draw(truth.boxes, truth.classes, truth.ignore,
-                                  truth.image, sim_seeds, family)
-            counters["draws"] += n_images
-        k = sim.effective_k
         # With one slot, no two boxes share a proposal: Set NMS is NMS.
         cfgs = [cfg for cfg in suppression_cfgs
-                if not (k == 1 and cfg.method == "set_nms")]
-        if not cfgs:
-            continue
-        raw, image = draws[family].select(k)
-        kept = suppress_many(raw, cfgs, image)
-        counters["sweeps"] += 1
-        for cfg, (keep, scores) in zip(cfgs, kept):
-            report = Evaluation(eval_cfg, truth, raw.take(keep, scores),
-                                image[keep]).report()
-            rows.append(StudyRow(sim_label=sim.label, k=k, method=cfg.method,
-                                 iou_thresh=cfg.iou_thresh, report=report))
+                if not (sim.effective_k == 1 and cfg.method == "set_nms")]
+        if cfgs:
+            models.append((sim, family, cfgs))
+            floors[family] = min(floors.get(family, 1.0),
+                                 *map(_sweep_floor, cfgs))
+    # Each family's draw, its det/det sweep and its det/GT sweep.
+    families: dict[DetectorSimParams, tuple] = {}
+    rows: list[StudyRow] = []
+    for sim, family, cfgs in models:
+        if family not in families:
+            draw = _Draw(truth.boxes, truth.classes, truth.ignore, truth.image,
+                         sim_seeds, family)
+            families[family] = (
+                draw, OverlapGraph(draw.dets, floors[family], draw.image),
+                PairSet(truth, draw.dets, draw.image, eval_cfg.iou_thresh))
+            counters["draws"] += n_images
+            counters["sweeps"] += 1
+        draw, family_graph, pairs = families[family]
+        _, _, selected = draw.select(sim.effective_k)
+        graph = family_graph.take(selected)
+        for cfg in cfgs:
+            keep, scores = graph.suppress(cfg)
+            report = Evaluation(eval_cfg, pairs, selected[keep],
+                                scores).report()
+            rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
+                                 method=cfg.method, iou_thresh=cfg.iou_thresh,
+                                 report=report))
     counters["rows"] = len(rows)
     return StudyRows(rows, counters)

@@ -178,14 +178,14 @@ class TestStudy:
 
     def test_manifest_counts_the_shared_work(self, tmp_path):
         # Three models (k = 1, 2, 3) of one family and three configs: one
-        # draw per image, one sweep per model over all its images, and no
-        # Set NMS row for the one-slot model. Placing the three scenes
+        # draw per image, one sweep of the family over all its images, and
+        # no Set NMS row for the one-slot model. Placing the three scenes
         # rejects one candidate box, and no bisection runs out of steps.
         out = tmp_path / "study"
         assert main(["study", "--images", "3", "--k-sweep", "1,2,3",
                      "--nms-sweep", "0.3", "--out", str(out)]) == 0
         counters = strict_json(out / "manifest.json")["counters"]
-        assert counters == {"images": 3, "draws": 3, "sweeps": 3, "rows": 8,
+        assert counters == {"images": 3, "draws": 3, "sweeps": 1, "rows": 8,
                             "placement_retries": 1, "bisection_cap_hits": 0}
         assert len(strict_json(out / "report.json")["rows"]) == 8
 

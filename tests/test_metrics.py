@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from unittest.mock import patch
 
 import metrics_oracle as oracle
@@ -15,11 +16,12 @@ from crowdset import geometry
 from crowdset.assignment import GroundTruth
 from crowdset.geometry import BBox, boxes_to_array, iou_matrix
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
-                              Evaluation, RecallStats, _max_matching_gains,
+                              Evaluation, PairSet, RecallStats, Truth,
+                              _max_matching_gains,
                               average_precision, best_ji, density_stats,
                               evaluate, jaccard_index, mr2, recall_split)
 from crowdset.scene_io import SceneArrays, SceneRecord
-from crowdset.suppression import Detection
+from crowdset.suppression import Detection, Detections
 
 B = BBox
 CFG = EvalConfig()
@@ -620,6 +622,69 @@ class TestSparsePass:
             one_image([gt(0, 0, 1, 1)]).crowd_flags(-0.1)
         with pytest.raises(ValueError, match="iou_thresh"):
             one_image([gt(0, 0, 1, 1)], [], 0.0)
+
+
+@st.composite
+def _kept(draw, image, scores):
+    """Suppression-style output of a batch: a drawn subset of the rows,
+    image by image, each image's rows in a drawn order, with scores decayed
+    as Soft-NMS does (a factor in [0, 1], often 1 or 1/2, so ties stay)."""
+    n = len(image)
+    picked = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                      dtype=bool)
+    rows = np.flatnonzero(picked)
+    shuffle = np.array(draw(st.permutations(range(len(rows)))), dtype=np.intp)
+    keep = rows[np.lexsort((shuffle, image[rows]))]
+    factors = draw(st.lists(st.one_of(st.sampled_from([1.0, 0.5]),
+                                      st.floats(0.0, 1.0)),
+                            min_size=len(keep), max_size=len(keep)))
+    return keep, scores[keep] * np.array(factors, dtype=np.float64)
+
+
+class TestMaskedPairs:
+    """An evaluation of some rows of a pair set swept at a lower threshold
+    against a pass over those rows alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenes=_datasets, swept_at=st.sampled_from([1 / 3, 0.5]),
+           data=st.data())
+    def test_a_mask_equals_a_pass_over_the_kept_rows(self, scenes, swept_at,
+                                                     data):
+        arrays = [SceneArrays.from_record(s) for s in scenes]
+        dets, image = Detections.concat([a.dets for a in arrays])
+        keep, scores = data.draw(_kept(image, dets.scores))
+        pairs = PairSet(Truth(arrays), dets, image, swept_at)
+        kept = dets.take(keep, scores)
+        alone = [replace(a, dets=kept.take(np.flatnonzero(image[keep] == m),
+                                           scores[image[keep] == m]))
+                 for m, a in enumerate(arrays)]
+        for t in (0.5, 0.75):
+            cfg = EvalConfig(iou_thresh=t)
+            got = Evaluation(cfg, pairs, keep, scores)
+            want = Evaluation.of_arrays(alone, cfg)
+            if want.n_gt:
+                assert repr(got.report()) == repr(want.report())
+            else:
+                assert _raises_value_error(got.report)
+            for field in ("det_flags", "det_match", "gt_matched"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and np.array_equal(g, w), field
+            assert got.candidates == want.candidates
+            assert got.det_gt_above == want.det_gt_above
+
+    def test_a_threshold_below_the_sweep_is_rejected(self):
+        arrays = [SceneArrays.from_record(scene("", [gt(0, 0, 4, 4)],
+                                                [det(0, 0, 4, 2, 0.9)]))]
+        dets, image = Detections.concat([a.dets for a in arrays])
+        pairs = PairSet(Truth(arrays), dets, image, 0.5)
+        with pytest.raises(ValueError, match="the sweep at IoU 0.5"):
+            Evaluation(EvalConfig(iou_thresh=0.4), pairs, np.arange(1),
+                       dets.scores)
+        # IoU 1/2 is a pair at 0.5 and none at 0.75.
+        assert Evaluation(CFG, pairs, np.arange(1),
+                          dets.scores).det_flags.tolist() == [TP]
+        assert Evaluation(EvalConfig(iou_thresh=0.75), pairs, np.arange(1),
+                          dets.scores).det_flags.tolist() == [FP]
 
 
 class TestScale:

@@ -10,7 +10,8 @@ from crowdset import geometry
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, OverlapGraph, SuppressionConfig,
-                                  nms, set_nms, soft_nms, suppress_many)
+                                  _sweep_floor, nms, set_nms, soft_nms,
+                                  suppress_many)
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             simulate_detector)
 
@@ -438,6 +439,49 @@ class TestBatchedImages:
         dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])
         with pytest.raises(ValueError, match="image by image"):
             suppress_many(dets, [NMS], np.array([1, 0]))
+
+
+@st.composite
+def _rows_of(draw, image):
+    """Rows of a batch, image by image: none, all, or a drawn subset, with
+    each image's rows in a drawn order."""
+    n = len(image)
+    picked = draw(st.one_of(st.just([False] * n), st.just([True] * n),
+                            st.lists(st.booleans(), min_size=n, max_size=n)))
+    rows = np.flatnonzero(np.array(picked, dtype=bool))
+    shuffle = np.array(draw(st.permutations(range(len(rows)))), dtype=np.intp)
+    return rows[np.lexsort((shuffle, image[rows]))]
+
+
+class TestGraphRestriction:
+    """A graph restricted to some rows against a sweep of those rows alone:
+    same indices, same order, same bits."""
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    @settings(max_examples=150, deadline=None)
+    @given(images=_images(), thresh=_thresh, sigma=st.sampled_from([0.25, 0.5]),
+           floor=st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3]),
+           score_floor=st.sampled_from([0.0, 0.001, 0.2]), data=st.data())
+    def test_take_equals_suppressing_the_rows(self, method, images, thresh,
+                                              sigma, floor, score_floor, data):
+        cfg = SuppressionConfig(method=method, iou_thresh=thresh, sigma=sigma,
+                                score_floor=score_floor)
+        dets, image = Detections.concat([Detections.from_list(d) for d in images])
+        rows = data.draw(_rows_of(image))
+        graph = OverlapGraph(dets, min(floor, _sweep_floor(cfg)), image)
+        keep, scores = graph.take(rows).suppress(cfg)
+        ((want, want_scores),) = suppress_many(
+            dets.take(rows, dets.scores[rows]), [cfg], image[rows])
+        assert keep.tolist() == want.tolist()
+        assert ([s.hex() for s in scores.tolist()]
+                == [s.hex() for s in want_scores.tolist()])
+
+    def test_rows_out_of_image_order_are_rejected(self):
+        dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])
+        graph = OverlapGraph(dets, 0.5, np.array([0, 1]))
+        assert graph.take(np.array([0, 1])).image.tolist() == [0, 1]
+        with pytest.raises(ValueError, match="image by image"):
+            graph.take(np.array([1, 0]))
 
 
 class TestBench:

@@ -272,7 +272,9 @@ class TestSimulator:
         draw = _Draw(*(np.concatenate(c) for c in zip(*columns)), image,
                      seeds, sim)
         for k in (1, 2, 3):
-            got, got_image = draw.select(k)
+            got, got_image, rows = draw.select(k)
+            assert np.array_equal(got.boxes, draw.dets.boxes[rows])
+            assert np.array_equal(got_image, draw.image[rows])
             want, want_image = Detections.concat([
                 Detections.from_list(simulate_detector(
                     gts, replace(sim, k=k, seed=seed)))
@@ -425,9 +427,18 @@ class TestStudy:
         k2 = [r.report for r in rows if r.k == 2][:len(k3)]
         assert len(k3) == len(cfgs) and k3 != k2
         assert rows.counters() == {"images": n, "draws": 2 * n,
-                                   "sweeps": len(sims),
+                                   "sweeps": 2,  # one per family
                                    "rows": len(want), "placement_retries": 0,
                                    "bisection_cap_hits": 0}
+
+    def test_a_family_without_configs_is_neither_drawn_nor_swept(self):
+        # The one-slot model's only config is Set NMS, which it never runs.
+        rows = run_study(SceneParams(), [DetectorSimParams(k=1)],
+                         [SuppressionConfig(method="set_nms")], EvalConfig(),
+                         4, 1)
+        assert len(rows) == 0
+        counters = rows.counters()
+        assert (counters["draws"], counters["sweeps"], counters["rows"]) == (0, 0, 0)
 
     def test_ground_truths_are_swept_once_per_study(self, monkeypatch):
         gt_sweeps = []
