@@ -203,9 +203,8 @@ class EmdMatch:
     total: float
 
 
-def _vocabulary_error(target_class, n_classes) -> ValueError:
-    return ValueError(f"target class {target_class} outside vocabulary of "
-                      f"{n_classes} classes")
+def _vocabulary(target_class, n_classes) -> str:
+    return f"target class {target_class} outside vocabulary of {n_classes} classes"
 
 
 def cls_loss(scores: np.ndarray, target_class: int) -> float:
@@ -213,7 +212,7 @@ def cls_loss(scores: np.ndarray, target_class: int) -> float:
     -log(p), p being the target-class score clamped to ``SCORE_EPS``."""
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target_class < scores.size:
-        raise _vocabulary_error(target_class, scores.size)
+        raise ValueError(_vocabulary(target_class, scores.size))
     return -math.log(max(float(scores[target_class]), SCORE_EPS))
 
 
@@ -350,7 +349,7 @@ def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndar
     bad = _class_errors(classes, arrays.n_classes)[0]
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise _vocabulary_error(classes[0, j], arrays.n_classes[0, i])
+        raise ValueError(_vocabulary(classes[0, j], arrays.n_classes[0, i]))
     if gts.entries and (pred.proposal.width <= 0.0 or pred.proposal.height <= 0.0):
         encode_delta(pred.proposal, gts.entries[0].box)  # raises GeometryError
     return _cost_tensor(arrays.boxes, arrays.scores, arrays.deltas, classes,
@@ -446,8 +445,9 @@ def match_batch(pred: PredictionArrays,
                 f"keep the top-k by IoU")
         if bad_class[i].any():
             s, j = np.argwhere(bad_class[i])[0]
-            raise _vocabulary_error(classes[i, j], n_classes[i, s])
-        raise ValueError("cost matrix contains non-finite entries")
+            raise ValueError(
+                f"{where(i)}: {_vocabulary(classes[i, j], n_classes[i, s])}")
+        raise ValueError(f"{where(i)}: cost matrix contains non-finite entries")
     if wrong.size:
         raise ValueError(f"{where(n)}: has {pred.n_slots[n]} slots, "
                          f"expected k={k}")

@@ -25,11 +25,13 @@ row's ``image``: every image is suppressed as if it ran alone.
   and, for Set NMS's same-proposal skip, ``proposal ids differ``. Its edges
   are stored in CSR arrays; the edge list is sorted by source box once per
   orientation, so a mask keeps each box's edges in sweep order.
-* A subset of the rows is a mask too: :meth:`OverlapGraph.take` keeps the
-  pairs whose two ends are both in the subset and renumbers them, with no
-  second sweep. The study sweeps each model family's draw once and takes
-  each model's rows from it; ``crowdset suppress`` sweeps its one set of
-  detections.
+* A subset of the rows is a mask too: :meth:`OverlapGraph.suppress` with
+  ``rows`` starts every other box dead, so it is never kept and its edges
+  never fire, and returns indices into the swept rows. That equals
+  suppressing the rows alone, in ascending order: ties go to the lower
+  row either way. The study sweeps each model family's draw once and walks
+  each model's rows over it; ``crowdset suppress`` sweeps its one set of
+  detections and walks all of them.
 * NMS and Set NMS make one greedy pass over the boxes ranked by image,
   then descending score, then input index: a box still alive when reached
   is kept and kills its neighbours. No edge joins two images, so the pass
@@ -43,7 +45,8 @@ row's ``image``: every image is suppressed as if it ran alone.
   fresh one is the maximum, ties to the lowest index as ``argmax``. No edge
   joins two images, so each image's picks come in its own order. A box
   under ``score_floor`` is dead before the walk starts, unless it is its
-  image's first box in rank order: that box is the image's first pick.
+  image's first box in rank order among the walked rows: that box is the
+  image's first pick.
 * The walks run over Python lists (``tolist()`` of the graph, scores,
   decay factors and flags): a pick touches about a dozen neighbours, too
   few for numpy's per-call cost to pay. Python floats multiply exactly as
@@ -193,10 +196,11 @@ class OverlapGraph:
 
     :meth:`graph` masks the pairs into the CSR graph of one config and
     :meth:`suppress` runs one config over it, so every config whose
-    threshold is at least ``min_iou`` shares the sweep; :meth:`take`
-    restricts the pairs to a subset of the boxes without sweeping again.
-    ``order``, by image then descending score, is the walks' only per-image
-    state.
+    threshold is at least ``min_iou`` shares the sweep, and so does every
+    subset of the boxes: the boxes outside it start dead. The graph keeps
+    only the columns its walks read: ``scores``, ``proposal_ids`` and
+    ``image``. ``order``, by image then descending score, is the walks'
+    only per-image state.
     """
 
     def __init__(self, dets: Detections, min_iou: float,
@@ -210,31 +214,11 @@ class OverlapGraph:
             image)
         if image is None:
             image = np.zeros(len(dets), dtype=np.intp)
-        self._set(dets, min_iou, image, a.astype(np.int32),
-                  b.astype(np.int32), ious)
-
-    def _set(self, dets, min_iou, image, a, b, ious) -> None:
-        self.dets, self.min_iou, self.image = dets, min_iou, image
-        self._a, self._b, self._ious = a, b, ious
+        self.scores, self.proposal_ids = dets.scores, dets.proposal_ids
+        self.min_iou, self.image = min_iou, image
+        self._a, self._b, self._ious = a.astype(np.int32), b.astype(np.int32), ious
         # By image, then descending score, ties by ascending input index.
         self.order = np.lexsort((-dets.scores, image))
-
-    def take(self, rows: np.ndarray) -> "OverlapGraph":
-        """The graph of the detections at ``rows`` (distinct, image by
-        image), in that order: the pairs whose two ends are both in
-        ``rows``, renumbered. Suppressing it equals suppressing those
-        detections alone: IoU is symmetric and a walk's result does not
-        depend on the order of a box's edges."""
-        image = self.image[rows]
-        _check_image(image)
-        at = np.full(len(self.dets), -1, dtype=np.int32)
-        at[rows] = np.arange(len(rows), dtype=np.int32)
-        a, b = at[self._a], at[self._b]
-        both = (a >= 0) & (b >= 0)
-        graph = OverlapGraph.__new__(OverlapGraph)
-        graph._set(self.dets.take(rows, self.dets.scores[rows]), self.min_iou,
-                   image, a[both], b[both], self._ious[both])
-        return graph
 
     @cached_property
     def _ranked(self):
@@ -262,39 +246,43 @@ class OverlapGraph:
         src, dst, ious = self._ranked if ranked else self._both
         keep = ious > min_iou
         if respect_proposals:
-            pids = self.dets.proposal_ids
+            pids = self.proposal_ids
             keep &= pids[src] != pids[dst]
         if not keep.all():
             src, dst, ious = src[keep], dst[keep], ious[keep]
-        n = len(self.dets)
+        n = len(self.scores)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return indptr, dst, ious
 
-    def suppress(self, cfg: SuppressionConfig):
+    def suppress(self, cfg: SuppressionConfig, rows: np.ndarray | None = None):
         """Run ``cfg``, whose threshold must not be below the sweep's, on
-        every image: the kept input indices (an intp array) image by image,
-        each image in its own output order, and their output scores."""
+        every image's boxes at ``rows`` (default: all): the kept indices (an
+        intp array) image by image, each image in its own output order, and
+        their output scores. That equals suppressing the boxes at ``rows``
+        alone, in ascending order, mapped back through ``rows``."""
         if _sweep_floor(cfg) < self.min_iou:
             raise ValueError(f"{cfg.method} at IoU {_sweep_floor(cfg)} needs "
                              f"pairs the sweep at IoU {self.min_iou} dropped")
+        member = np.zeros(len(self.scores), dtype=bool)
+        member[slice(None) if rows is None else rows] = True
         if cfg.method in ("nms", "set_nms"):
             keep = np.array(self._greedy_keep(cfg.iou_thresh,
-                                              cfg.method == "set_nms"),
+                                              cfg.method == "set_nms", member),
                             dtype=np.intp)
-            return keep, self.dets.scores[keep]
-        keep, scores = self._soft_keep(cfg)
+            return keep, self.scores[keep]
+        keep, scores = self._soft_keep(cfg, member)
         keep = np.array(keep, dtype=np.intp)
         scores = np.array(scores, dtype=np.float64)
         by_image = np.argsort(self.image[keep], kind="stable")
         return keep[by_image], scores[by_image]
 
-    def _greedy_keep(self, iou_thresh, respect_proposals) -> list[int]:
-        """Greedy suppression loop; returns kept input indices in rank
-        order."""
+    def _greedy_keep(self, iou_thresh, respect_proposals, member) -> list[int]:
+        """Greedy suppression loop over the ``member`` boxes; returns kept
+        input indices in rank order."""
         indptr, nbrs, _ = self.graph(iou_thresh, respect_proposals, ranked=True)
         ptr, nbrs = indptr.tolist(), nbrs.tolist()
-        dead = [False] * len(self.order)
+        dead = (~member).tolist()
         keep = []
         for i in self.order.tolist():
             if not dead[i]:
@@ -303,9 +291,9 @@ class OverlapGraph:
                     dead[j] = True
         return keep
 
-    def _soft_keep(self, cfg: SuppressionConfig):
-        """Score-decay loop; returns kept input indices in pick order and
-        their decayed scores."""
+    def _soft_keep(self, cfg: SuppressionConfig, member):
+        """Score-decay loop over the ``member`` boxes; returns kept input
+        indices in pick order and their decayed scores."""
         gaussian = cfg.method == "soft_gaussian"
         indptr, nbrs, ovr = self.graph(_sweep_floor(cfg))
         factor = (np.exp(-(ovr * ovr) / cfg.sigma) if gaussian
@@ -313,10 +301,11 @@ class OverlapGraph:
         ptr, nbrs = indptr.tolist(), nbrs.tolist()
         floor = cfg.score_floor
         # Scores only decay, so a box under the floor is dead from the start,
-        # unless it is its image's first box in ``order``: the first pick.
-        live = self.dets.scores >= floor
-        live[self.order[np.diff(self.image, prepend=-1) != 0]] = True
-        w, alive = self.dets.scores.tolist(), live.tolist()
+        # unless it is its image's first member in ``order``: the first pick.
+        live = member & (self.scores >= floor)
+        ranked = self.order[member[self.order]]
+        live[ranked[np.diff(self.image[ranked], prepend=-1) != 0]] = True
+        w, alive = self.scores.tolist(), live.tolist()
         heap = [(-w[i], i) for i in np.flatnonzero(live).tolist()]
         heapq.heapify(heap)
         keep: list[int] = []

@@ -21,18 +21,18 @@ prediction slot budget ``k`` per model:
 
 A draw does everything that does not depend on ``k`` (the proposals, their
 ranked assignment sets and the noise, in an order that does not depend on
-``k``), and a selection picks one model's
-:class:`~crowdset.suppression.Detections`, a subset of the draw's rows,
-from it. The study generates its scenes as
+``k``), and a model is a subset of the draw's rows. The study generates
+its scenes as
 :class:`~crowdset.scene_io.SceneArrays` and draws each model family
 (configs that differ only in ``k`` or ``mode``) once over all images, each
 image's noise from its own seed in the order of a draw of that image alone.
 It sweeps each family's draw twice: det/det at the loosest threshold any
 suppression config needs, and det/GT at the evaluation's threshold. Every
-model and config is then a mask over those two sweeps: a model takes its
-rows of the det/det pairs (:meth:`OverlapGraph.take
-<crowdset.suppression.OverlapGraph.take>`), and each config's kept rows
-mask the det/GT pairs (:class:`~crowdset.metrics.PairSet`). The ground
+model and config is then a mask over those two sweeps: a model's rows
+start the suppression walk over the det/det pairs
+(:meth:`OverlapGraph.suppress <crowdset.suppression.OverlapGraph.suppress>`),
+and each config's kept rows mask the det/GT pairs
+(:class:`~crowdset.metrics.PairSet`). The ground
 truths' overlaps are swept once for all rows. :func:`build_scenes` and
 :func:`simulate_detector` (a draw over one image) convert dataclasses at
 the edge.
@@ -308,7 +308,7 @@ class _Draw:
     ``dets`` holds every (proposal, rank) member's prediction in that order,
     with its rank in ``slots`` and its image in ``image``; proposal ids count
     across images. ``dominant`` is the row of each proposal's one-slot
-    prediction. :meth:`select` picks a model's detections from it.
+    prediction. :meth:`select` gives a model's rows.
     """
 
     def __init__(self, gt_boxes: np.ndarray, gt_classes: np.ndarray,
@@ -338,16 +338,11 @@ class _Draw:
         # so a group's first sorted position is where its rank 0 was.
         self.dominant = order[rank == 0]
 
-    def select(self, k: int) -> tuple[Detections, np.ndarray, np.ndarray]:
-        """The detections of a model with ``k`` slots, image by image, each
-        row's image, and its row in :attr:`dets`: each proposal's members of
-        rank below ``k``, or with one slot its dominant member."""
-        d = self.dets
-        rows = np.flatnonzero(d.slots < k) if k > 1 else self.dominant
-        dets = d.take(rows, d.scores[rows])
-        if k == 1:
-            dets = replace(dets, slots=np.zeros(len(rows), dtype=np.int64))
-        return dets, self.image[rows], rows
+    def select(self, k: int) -> np.ndarray:
+        """The rows of :attr:`dets` that a model with ``k`` slots predicts,
+        ascending: each proposal's members of rank below ``k``, or with one
+        slot its dominant member."""
+        return np.flatnonzero(self.dets.slots < k) if k > 1 else self.dominant
 
 
 def simulate_detector(gts: Sequence[GroundTruth],
@@ -363,8 +358,12 @@ def simulate_detector(gts: Sequence[GroundTruth],
     ``params.seed``, gives the proposal noise and then every member's noise
     in (proposal, rank) order. Ignored ground truths join no set.
     """
-    dets, _, _ = _Draw(*gt_columns(gts), np.zeros(len(gts), dtype=np.intp),
-                       [params.seed], params).select(params.effective_k)
+    draw = _Draw(*gt_columns(gts), np.zeros(len(gts), dtype=np.intp),
+                 [params.seed], params)
+    rows = draw.select(params.effective_k)
+    dets = draw.dets.take(rows, draw.dets.scores[rows])
+    if params.effective_k == 1:
+        dets.slots[:] = 0
     return dets.to_list()
 
 
@@ -439,8 +438,8 @@ def run_study(scene_params: SceneParams,
     form one family, drawn once over all images and swept twice, det/det
     at the loosest suppression threshold and det/GT at the evaluation's. A
     family is drawn only when one of its models has a config to run. Each
-    model restricts the det/det pairs to its rows and suppresses every
-    config over them, and each config's
+    model suppresses every config over the det/det pairs of its rows alone,
+    and each config's
     :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its
     kept rows. The ground truths are swept once for all rows. The rows are
     fully deterministic.
@@ -473,13 +472,11 @@ def run_study(scene_params: SceneParams,
                 PairSet(truth, draw.dets, draw.image, eval_cfg.iou_thresh))
             counters["draws"] += n_images
             counters["sweeps"] += 1
-        draw, family_graph, pairs = families[family]
-        _, _, selected = draw.select(sim.effective_k)
-        graph = family_graph.take(selected)
+        draw, graph, pairs = families[family]
+        selected = draw.select(sim.effective_k)
         for cfg in cfgs:
-            keep, scores = graph.suppress(cfg)
-            report = Evaluation(eval_cfg, pairs, selected[keep],
-                                scores).report()
+            keep, scores = graph.suppress(cfg, selected)
+            report = Evaluation(eval_cfg, pairs, keep, scores).report()
             rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
                                  method=cfg.method, iou_thresh=cfg.iou_thresh,
                                  report=report))

@@ -131,5 +131,9 @@ def score_record(rec, gts, cfg, theta, truncate):
                     f"{gt_set.n_real - cfg.k}); pass --truncate-topk to "
                     f"keep the top-k by IoU")
         gt_set = pad_to_k(gt_set, cfg.k)
-        rows.append((gt_set.n_real, emd_match(pair_cost_matrix(pred, gt_set, cfg))))
+        try:
+            match = emd_match(pair_cost_matrix(pred, gt_set, cfg))
+        except ValueError as e:
+            raise ValueError(f"record {rec.id!r} proposal {idx}: {e}") from None
+        rows.append((gt_set.n_real, match))
     return rows

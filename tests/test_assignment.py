@@ -107,6 +107,19 @@ class TestPadding:
         ious = [iou(s.source_proposal, e.box) for e in s.entries]
         assert ious == sorted(ious, reverse=True)
 
+    @pytest.mark.parametrize("fit", [pad_to_k, truncate_top_k])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, fit, k):
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+            fit(self.make(1), k)
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_slot_out_of_range(self, j):
+        s = pad_to_k(self.make(1), 2)
+        for slot in (s.slot_class, s.slot_box):
+            with pytest.raises(IndexError, match=f"slot {j} out of range for 2"):
+                slot(j)
+
 
 def max_cardinality(scenes, theta=0.5):
     """Largest ground-truth set over the scenes, each real box standing in
@@ -217,6 +230,15 @@ class TestGtSetValidation:
         with pytest.raises(ValueError):
             GtSet(entries=(gt(50, 50, 60, 60),), source_proposal=B(0, 0, 10, 10),
                   theta=0.5, n_slots=1)
+
+    @pytest.mark.parametrize("member, n_slots, message", [
+        (gt(0, 0, 10, 10), 0, "n_slots cannot be smaller"),
+        (gt(0, 0, 10, 10, ignore=True), 1, "ignored ground truths cannot"),
+    ])
+    def test_inconsistent_set_rejected(self, member, n_slots, message):
+        with pytest.raises(ValueError, match=message):
+            GtSet(entries=(member,), source_proposal=B(0, 0, 10, 10),
+                  theta=0.5, n_slots=n_slots)
 
     def test_background_class_rejected_on_real_instance(self):
         with pytest.raises(ValueError):

@@ -923,7 +923,8 @@ class TestEmdErrors:
                                            class_id=2)],
             [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]}])
         assert code == 1
-        assert "target class 2 outside vocabulary of 2 classes" in err
+        assert ("record 'a' proposal 0: target class 2 outside vocabulary "
+                "of 2 classes" in err)
 
     def test_bad_probability_vector_names_its_line(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, STACK[:1], [
@@ -980,6 +981,22 @@ class TestEmdErrors:
         assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 1
         assert capsys.readouterr().err == err
 
+    def test_non_finite_cost_names_its_record(self, tmp_path, capsys):
+        # Two coordinates of about 1e308 each sum to a non-finite slot cost,
+        # without a warning (which pytest's filterwarnings = error would
+        # raise), so the error is all of stderr.
+        slots = [{"scores": s, "delta": [1e308, 1e308, 0.0, 0.0]}
+                 for s in TWO_SLOTS]
+        out = tmp_path / "emd.json"
+        code, err = self._run(tmp_path, capsys, STACK[:1], [
+            {"id": "a", "proposals": [{"box_xyxy": [0, 0, 40, 80],
+                                       "slots": slots}]}],
+            ("--out", str(out)))
+        assert code == 1
+        assert err == ("error: record 'a' proposal 0: cost matrix contains "
+                       "non-finite entries\n")
+        assert not out.exists()
+
     def test_total_beyond_float_range_writes_no_report(self, tmp_path,
                                                        capsys):
         # Each slot's cost is finite, about 1.5e308; their sum is not. The
@@ -1006,8 +1023,8 @@ class TestEmdErrors:
             {"id": "a", "proposals": [_proposal((200, 0, 240, 80), TWO_SLOTS),
                                       _proposal((0, 0, 40, 80), TWO_SLOTS)]}])
         assert code == 1
-        assert err.strip() == ("error: target class 2 outside vocabulary of "
-                               "2 classes")
+        assert err.strip() == ("error: record 'a' proposal 0: target class "
+                               "2 outside vocabulary of 2 classes")
 
     # Batches of one record and the default size: the first error in file
     # order must not depend on where a batch ends.

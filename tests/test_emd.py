@@ -12,7 +12,7 @@ from crowdset.assignment import (GroundTruth, build_gt_set, gt_columns,
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
                           SlotPrediction, cls_loss, emd_match,
                           match_batch, pair_cost_matrix, reg_loss, smooth_l1)
-from crowdset.geometry import BBox, BoxDelta, encode_delta
+from crowdset.geometry import BBox, BoxDelta, GeometryError, encode_delta
 from crowdset.scene_io import PredictionRecord
 
 B = BBox
@@ -127,6 +127,15 @@ class TestPairCostMatrix:
         # gt entries reorder by descending IoU: (0,0,12,10) has iou 100/120,
         # (1,1,9,9) has iou 64/100, so columns swap relative to input order.
         assert np.allclose(costs, want[:, ::-1], atol=1e-12)
+
+    def test_degenerate_proposal_rejected(self):
+        rng = np.random.default_rng(4)
+        gts = pad_to_k(build_gt_set(B(0, 0, 10, 10),
+                                    [GroundTruth(box=B(1, 0, 11, 10))], 0.5), 2)
+        pred = PredictionSet(proposal=B(5, 5, 5, 5),
+                             slots=(random_slot(rng), random_slot(rng)))
+        with pytest.raises(GeometryError, match="proposal has non-positive size"):
+            pair_cost_matrix(pred, gts, EmdConfig(k=2))
 
     def test_size_mismatch_rejected(self):
         rng = np.random.default_rng(4)

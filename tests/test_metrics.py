@@ -207,6 +207,10 @@ class TestMr2:
         with pytest.raises(ValueError, match="fppi"):
             EvalConfig(fppi_lo=lo, fppi_hi=hi)
 
+    def test_fppi_points_must_be_at_least_two(self):
+        with pytest.raises(ValueError, match="fppi_points must be >= 2"):
+            EvalConfig(fppi_points=1)
+
     def test_high_scoring_fp_never_decreases_mr2(self):
         rng = np.random.default_rng(19)
         for s in random_scenes(rng, 15):
@@ -237,6 +241,8 @@ class TestJaccard:
         s = scene("a", [gt(0, 0, 10, 10)], [det(0, 0, 10, 10, 0.4)])
         assert jaccard_index([s], CFG, 0.5) == 0.0
         assert jaccard_index([s], CFG, 0.4) == 1.0
+        with pytest.raises(ValueError, match="must not be NaN"):
+            jaccard_index([s], CFG, math.nan)
 
     def test_optimal_beats_greedy_on_crossing_fixture(self):
         # Greedy gives the high-score det the best gt and strands the other;

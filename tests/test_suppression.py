@@ -245,6 +245,12 @@ class TestSuppressDispatch:
         with pytest.raises(ValueError):
             SuppressionConfig(method="magic")
 
+    @pytest.mark.parametrize("thresh", [0.0, 1.0, math.nan])
+    def test_iou_thresh_must_be_inside_the_unit_interval(self, thresh):
+        with pytest.raises(ValueError) as exc:
+            SuppressionConfig(iou_thresh=thresh)
+        assert str(exc.value) == f"iou_thresh must be in (0, 1), got {thresh}"
+
     @pytest.mark.parametrize("field, value, rule", [
         ("sigma", math.nan, "> 0"), ("sigma", math.inf, "> 0"),
         ("sigma", 0.0, "> 0"), ("score_floor", math.nan, ">= 0"),
@@ -442,19 +448,17 @@ class TestBatchedImages:
 
 
 @st.composite
-def _rows_of(draw, image):
-    """Rows of a batch, image by image: none, all, or a drawn subset, with
-    each image's rows in a drawn order."""
-    n = len(image)
+def _rows_of(draw, n):
+    """Distinct rows of a batch of ``n``: none, all, or a drawn subset, in a
+    drawn order."""
     picked = draw(st.one_of(st.just([False] * n), st.just([True] * n),
                             st.lists(st.booleans(), min_size=n, max_size=n)))
     rows = np.flatnonzero(np.array(picked, dtype=bool))
-    shuffle = np.array(draw(st.permutations(range(len(rows)))), dtype=np.intp)
-    return rows[np.lexsort((shuffle, image[rows]))]
+    return rows[np.array(draw(st.permutations(range(len(rows)))), dtype=np.intp)]
 
 
 class TestGraphRestriction:
-    """A graph restricted to some rows against a sweep of those rows alone:
+    """A graph walked over some rows against a sweep of those rows alone:
     same indices, same order, same bits."""
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -467,21 +471,26 @@ class TestGraphRestriction:
         cfg = SuppressionConfig(method=method, iou_thresh=thresh, sigma=sigma,
                                 score_floor=score_floor)
         dets, image = Detections.concat([Detections.from_list(d) for d in images])
-        rows = data.draw(_rows_of(image))
+        rows = data.draw(_rows_of(len(dets)))
         graph = OverlapGraph(dets, min(floor, _sweep_floor(cfg)), image)
-        keep, scores = graph.take(rows).suppress(cfg)
+        keep, scores = graph.suppress(cfg, rows)
+        alone = np.sort(rows)
         ((want, want_scores),) = suppress_many(
-            dets.take(rows, dets.scores[rows]), [cfg], image[rows])
-        assert keep.tolist() == want.tolist()
+            dets.take(alone, dets.scores[alone]), [cfg], image[alone])
+        assert keep.tolist() == alone[want].tolist()
         assert ([s.hex() for s in scores.tolist()]
                 == [s.hex() for s in want_scores.tolist()])
 
-    def test_rows_out_of_image_order_are_rejected(self):
-        dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])
-        graph = OverlapGraph(dets, 0.5, np.array([0, 1]))
-        assert graph.take(np.array([0, 1])).image.tolist() == [0, 1]
-        with pytest.raises(ValueError, match="image by image"):
-            graph.take(np.array([1, 0]))
+    def test_the_floor_spares_the_first_box_among_the_rows(self):
+        # Box 0 outranks the rows but is not one of them: the rows' first
+        # box, under the floor, is still its image's first pick.
+        dets = Detections.from_list([det(0, 0, 10, 10, 0.9),
+                                     det(20, 0, 30, 10, 0.1),
+                                     det(20, 0, 30, 10, 0.05)])
+        cfg = SuppressionConfig(method="soft_gaussian", score_floor=0.2)
+        keep, scores = OverlapGraph(dets, 0.0).suppress(cfg, np.array([1, 2]))
+        assert keep.tolist() == [1]
+        assert scores.tolist() == [0.1]
 
 
 class TestBench:

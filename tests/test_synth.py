@@ -138,6 +138,24 @@ class TestGenerator:
             want = boxes_to_array([g.box for g in oracle.generate_scene(params)])
             assert _Scene(params).boxes.tobytes() == want.tobytes()
 
+    def test_a_partner_that_fails_every_try_abandons_its_anchor(self):
+        params = SceneParams(image_w=300, image_h=300, n_objects_mean=30,
+                             crowd_pairs_mean=6, crowd_triples_mean=1.5,
+                             seed=285)
+        failed = []
+
+        class Spy(_Scene):
+            def partner(self, anchor):
+                box = super().partner(anchor)
+                failed.append(box is None)
+                return box
+
+        scene = Spy(params)
+        assert any(failed)
+        assert len(scene.boxes) == 19
+        want = boxes_to_array([g.box for g in oracle.generate_scene(params)])
+        assert scene.boxes.tobytes() == want.tobytes()
+
     def test_rejections_are_counted_on_a_hand_made_stream(self):
         # A uniform row (0, 0, ux, uy) is a 40 x 64 box at
         # (1000 ux, 1000 uy) on this image. A box 10 px right of another
@@ -272,20 +290,23 @@ class TestSimulator:
         draw = _Draw(*(np.concatenate(c) for c in zip(*columns)), image,
                      seeds, sim)
         for k in (1, 2, 3):
-            got, got_image, rows = draw.select(k)
-            assert np.array_equal(got.boxes, draw.dets.boxes[rows])
-            assert np.array_equal(got_image, draw.image[rows])
+            rows = draw.select(k)
+            assert (np.diff(rows) > 0).all()
+            got = draw.dets.take(rows, draw.dets.scores[rows])
+            got_image = draw.image[rows]
             want, want_image = Detections.concat([
                 Detections.from_list(simulate_detector(
                     gts, replace(sim, k=k, seed=seed)))
                 for gts, seed in zip(scenes, seeds)])
             assert got_image.tolist() == want_image.tolist()
-            assert got.slots.max() == k - 1  # a triple fills every slot
+            assert want.slots.max() == k - 1  # a triple fills every slot
             for field in ("boxes", "scores"):
                 assert ([v.hex() for v in getattr(got, field).ravel().tolist()]
                         == [v.hex() for v in getattr(want, field).ravel().tolist()])
-            for field in ("classes", "slots"):
-                assert getattr(got, field).tolist() == getattr(want, field).tolist()
+            assert got.classes.tolist() == want.classes.tolist()
+            # A one-slot prediction is slot 0 whichever member it aims at.
+            slots = got.slots if k > 1 else np.zeros_like(got.slots)
+            assert slots.tolist() == want.slots.tolist()
             offset = got.proposal_ids - want.proposal_ids
             for i in range(len(scenes)):
                 assert len(set(offset[want_image == i].tolist())) <= 1
@@ -312,6 +333,8 @@ class TestSimulator:
             DetectorSimParams(mode="double")
         with pytest.raises(ValueError):
             DetectorSimParams(k=0)
+        with pytest.raises(ValueError, match="pair_iou_range must lie inside"):
+            SceneParams(pair_iou_range=(0.4, 0.6))
 
 
 class TestSizes:
