@@ -63,22 +63,20 @@ def _json_text(obj) -> str:
 
 
 def _manifest_text(subcommand: str, config: dict, t0: float,
-                   counters: dict | None = None) -> str:
-    manifest = {
+                   counters: dict) -> str:
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "tool": "crowdset",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
         "wall_seconds": time.perf_counter() - t0,
-    }
-    if counters is not None:
-        manifest["counters"] = counters
-    return _json_text(manifest)
+        "counters": counters,
+    })
 
 
 def _write_manifest(path: str, subcommand: str, config: dict, t0: float,
-                    counters: dict | None = None) -> None:
+                    counters: dict) -> None:
     _emit(_manifest_text(subcommand, config, t0, counters), path)
 
 
@@ -116,7 +114,6 @@ def _scene_params_from(args) -> SceneParams:
         crowd_pairs_mean=args.pairs_mean,
         crowd_triples_mean=args.triples_mean,
         pair_iou_range=(args.pair_iou_lo, args.pair_iou_hi),
-        seed=args.seed,
     )
 
 

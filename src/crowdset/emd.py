@@ -76,15 +76,13 @@ class PredictionSet:
             raise ValueError("a prediction set needs at least one slot")
 
 
-def _pad_ragged(values: np.ndarray, lengths: np.ndarray,
-                width: int | None = None) -> np.ndarray:
+def _pad_ragged(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Split ``values`` into consecutive rows of the given ``lengths`` and
-    zero-pad each to ``width`` (default: the longest), so (sum(lengths), ...)
-    becomes (len(lengths), width, ...)."""
+    zero-pad each to the longest, so (sum(lengths), ...) becomes
+    (len(lengths), max(lengths), ...)."""
     lengths = np.asarray(lengths, dtype=np.intp)
     values = np.asarray(values)
-    if width is None:
-        width = int(lengths.max(initial=0))
+    width = int(lengths.max(initial=0))
     out = np.zeros((len(lengths), width) + values.shape[1:], dtype=values.dtype)
     rows = np.repeat(np.arange(len(lengths)), lengths)
     cols = np.arange(len(values)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -216,16 +214,16 @@ def cls_loss(scores: np.ndarray, target_class: int) -> float:
     return -math.log(max(float(scores[target_class]), SCORE_EPS))
 
 
-def smooth_l1(x: float, beta: float = 1.0) -> float:
-    """Huber-style penalty: quadratic inside ``beta``, linear outside."""
+def smooth_l1(x: float) -> float:
+    """Smooth-L1 at beta 1 (Girshick, Fast R-CNN): 0.5 x^2 for |x| < 1,
+    else |x| - 0.5; :func:`_cost_tensor` computes the same."""
     ax = abs(x)
-    if ax < beta:
-        return 0.5 * x * x / beta
-    return ax - 0.5 * beta
+    if ax < 1.0:
+        return 0.5 * x * x
+    return ax - 0.5
 
 
-def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None,
-             beta: float = 1.0) -> float:
+def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None) -> float:
     """Smooth-L1 regression loss of a predicted delta against a target box.
 
     A dummy target (``None``) contributes exactly 0: background slots carry
@@ -235,10 +233,10 @@ def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None,
         return 0.0
     want = encode_delta(proposal, target_box)
     return (
-        smooth_l1(pred.dx - want.dx, beta)
-        + smooth_l1(pred.dy - want.dy, beta)
-        + smooth_l1(pred.dw - want.dw, beta)
-        + smooth_l1(pred.dh - want.dh, beta)
+        smooth_l1(pred.dx - want.dx)
+        + smooth_l1(pred.dy - want.dy)
+        + smooth_l1(pred.dw - want.dw)
+        + smooth_l1(pred.dh - want.dh)
     )
 
 

@@ -190,13 +190,13 @@ def _range_pairs(lo: np.ndarray, hi: np.ndarray, chunk: int):
         s = e
 
 
-def sweep_pairs(a: np.ndarray, chunk: int, groups_a=None,
+def sweep_pairs(a: np.ndarray, groups_a=None,
                 b: np.ndarray | None = None, groups_b=None):
     """Every pair of boxes that can have IoU > 0, by a sort-and-sweep on x1.
 
-    Yields chunks ``(i, j)`` of index arrays, about ``chunk`` pairs each, so
-    the caller's temporaries over one chunk stay bounded. Without ``b``,
-    each unordered pair of distinct boxes of ``a`` whose x-extents intersect
+    Yields chunks ``(i, j)`` of index arrays, about ``_SWEEP_PAIRS`` pairs
+    each, so the caller's temporaries stay bounded. Without ``b``, each
+    unordered pair of distinct boxes of ``a`` whose x-extents intersect
     comes once; with ``b``, each such pair of a box ``i`` of ``a`` and a box
     ``j`` of ``b``. With ``groups_a`` (and ``groups_b``), integer group ids
     such as image indices, only boxes of one group pair up. Boxes whose
@@ -214,7 +214,7 @@ def sweep_pairs(a: np.ndarray, chunk: int, groups_a=None,
         order = np.argsort(keys, kind="stable")
         end = np.searchsorted(keys[order], _x_keys(a, 2, groups_a)[order],
                               side="left")
-        for p, q in _range_pairs(np.arange(1, len(a) + 1), end, chunk):
+        for p, q in _range_pairs(np.arange(1, len(a) + 1), end, _SWEEP_PAIRS):
             yield order[p], order[q]
         return
     for x, gx, y, gy, side, flip in ((a, groups_a, b, groups_b, "left", False),
@@ -224,7 +224,7 @@ def sweep_pairs(a: np.ndarray, chunk: int, groups_a=None,
         keys = keys[order]
         lo = np.searchsorted(keys, _x_keys(x, 0, gx), side=side)
         hi = np.searchsorted(keys, _x_keys(x, 2, gx), side="left")
-        for p, q in _range_pairs(lo, hi, chunk):
+        for p, q in _range_pairs(lo, hi, _SWEEP_PAIRS):
             yield (order[q], p) if flip else (p, order[q])
 
 
@@ -239,7 +239,7 @@ def overlaps(a: np.ndarray, keep, groups_a=None,
     empty = np.zeros(0, dtype=np.intp)
     firsts, seconds, values = [empty], [empty], [np.zeros(0)]
     swept = 0
-    for i, j in sweep_pairs(a, _SWEEP_PAIRS, groups_a, b, groups_b):
+    for i, j in sweep_pairs(a, groups_a, b, groups_b):
         swept += len(i)
         ious = iou_arrays(a[i], area_a[i], other[j], area_b[j])
         hit = keep(i, j, ious)

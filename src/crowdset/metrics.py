@@ -41,9 +41,9 @@ after another, and builds no dense IoU matrix:
   Each walk runs once over all images, with global ground-truth indices.
   No candidate joins two images, so each image's flags and gains are
   those of a walk over that image alone.
-* The pairs of non-ignored ground truths with IoU > 0 are kept, so the
-  crowd flags and the density count at any ``crowd_iou`` are views too.
-  They are swept once per :class:`Truth`, which the study's rows share.
+* The non-ignored ground-truth pairs with IoU > ``CROWD_IOU`` are kept,
+  so the crowd flags and the density count are views of them. They are
+  swept once per :class:`Truth`, which the study's rows share.
 
 Neither walk's decision for a detection depends on lower-ranked detections,
 so keeping only the detections that score >= t gives a prefix of the pass
@@ -170,12 +170,6 @@ def _max_matching_gains(adj: list[list[int]], order: Iterable[int],
                     dtype=np.int64)
 
 
-def _check_crowd_iou(crowd_iou: float) -> None:
-    # Only ground-truth pairs with IoU > 0 are kept.
-    if not crowd_iou >= 0.0:
-        raise ValueError(f"crowd_iou must be >= 0, got {crowd_iou}")
-
-
 def _cat(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else empty
 
@@ -197,11 +191,11 @@ class Truth:
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Each pair of non-ignored ground truths of one image with IoU > 0,
-        once, with its IoU; and the number of ground-truth pairs swept."""
+        """Each crowd pair (non-ignored ground truths of one image at IoU >
+        ``CROWD_IOU``) once, with its IoU; and the ground-truth pairs swept."""
         real = ~self.ignore
         return overlaps(self.boxes,
-                        lambda a, b, ov: real[a] & real[b] & (ov > 0.0),
+                        lambda a, b, ov: real[a] & real[b] & (ov > CROWD_IOU),
                         self.image)
 
 
@@ -327,12 +321,12 @@ class Evaluation:
         the sweeps listed (the pair set's det/GT and the GT/GT); same-class
         det/GT pairs of the detections at or above the IoU threshold; GT
         pairs overlapping beyond ``CROWD_IOU``."""
-        _, _, gt_ious, gt_swept = self.truth.pairs
+        crowd, _, _, gt_swept = self.truth.pairs
         return {"images": self.n_images, "gts": len(self.truth.boxes),
                 "dets": len(self.scores),
                 "candidate_pairs": self.pairs.swept + gt_swept,
                 "det_gt_pairs_above_iou": self.det_gt_above,
-                "crowd_pairs": int(np.count_nonzero(gt_ious > CROWD_IOU))}
+                "crowd_pairs": len(crowd)}
 
     def _sweep(self) -> np.ndarray:
         """Global is-TP flags sorted by descending score, ignored detections
@@ -386,23 +380,21 @@ class Evaluation:
                 best_val, best_thr = float(vals[k]), float(s_sorted[ends[k]])
         return best_val, best_thr
 
-    def crowd_flags(self, crowd_iou: float) -> np.ndarray:
+    def crowd_flags(self) -> np.ndarray:
         """Per ground truth: another non-ignored ground truth of its image
-        overlaps it with IoU > ``crowd_iou``; ignored ones stay False."""
-        _check_crowd_iou(crowd_iou)
-        a, b, ious, _ = self.truth.pairs
-        over = ious > crowd_iou
+        overlaps it with IoU > ``CROWD_IOU``; ignored ones stay False."""
+        a, b, _, _ = self.truth.pairs
         flags = np.zeros(len(self.truth.boxes), dtype=bool)
-        flags[a[over]] = True
-        flags[b[over]] = True
+        flags[a] = True
+        flags[b] = True
         return flags
 
-    def recall_split(self, score_threshold: float, crowd_iou: float
+    def recall_split(self, score_threshold: float
                      ) -> tuple[RecallStats, RecallStats, RecallStats]:
         found = np.zeros(len(self.truth.boxes), dtype=bool)
         at = self.det_match[self.scores >= score_threshold]
         found[at[at >= 0]] = True
-        real, crowd = ~self.truth.ignore, self.crowd_flags(crowd_iou)
+        real, crowd = ~self.truth.ignore, self.crowd_flags()
 
         def stats(mask: np.ndarray) -> RecallStats:
             return RecallStats(int((found & mask).sum()), int(mask.sum()))
@@ -412,18 +404,17 @@ class Evaluation:
                             sparse.total + crowd_.total)
         return total, sparse, crowd_
 
-    def density_stats(self, crowd_iou: float = CROWD_IOU) -> DensityStats:
-        _check_crowd_iou(crowd_iou)
+    def density_stats(self) -> DensityStats:
         if self.n_images == 0:
             return DensityStats(0.0, 0.0)
-        pairs = int(np.count_nonzero(self.truth.pairs[2] > crowd_iou))
+        pairs = len(self.truth.pairs[0])
         return DensityStats(self.n_gt / self.n_images, pairs / self.n_images)
 
     def report(self) -> EvalReport:
         """AP, MR^-2, best-threshold JI, and crowd/sparse recall at the
         best-JI threshold."""
         ji, thr = self.best_ji()
-        total, sparse, crowd = self.recall_split(thr, CROWD_IOU)
+        total, sparse, crowd = self.recall_split(thr)
         return EvalReport(ap=self.average_precision(), mr2=self.mr2(), ji=ji,
                           ji_best_threshold=thr, recall_total=total,
                           recall_sparse=sparse, recall_crowd=crowd)
@@ -473,15 +464,14 @@ def best_ji(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> tuple[float, floa
 
 
 def recall_split(scenes: Sequence[SceneRecord], cfg: EvalConfig,
-                 score_threshold: float,
-                 crowd_iou: float = CROWD_IOU) -> tuple[RecallStats, RecallStats, RecallStats]:
+                 score_threshold: float) -> tuple[RecallStats, RecallStats, RecallStats]:
     """Recall of crowd vs. sparse ground truths at one confidence threshold.
 
     Returns (total, sparse, crowd) counts; a ground truth counts as matched
     when its greedy match scores >= ``score_threshold``, and as crowd when
-    another one overlaps it beyond ``crowd_iou``.
+    another one overlaps it beyond ``CROWD_IOU``.
     """
-    return _of_scenes(scenes, cfg).recall_split(score_threshold, crowd_iou)
+    return _of_scenes(scenes, cfg).recall_split(score_threshold)
 
 
 def evaluate(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> EvalReport:
@@ -490,10 +480,9 @@ def evaluate(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> EvalReport:
     return _of_scenes(scenes, cfg).report()
 
 
-def density_stats(scenes: Sequence[SceneRecord],
-                  crowd_iou: float = CROWD_IOU) -> DensityStats:
+def density_stats(scenes: Sequence[SceneRecord]) -> DensityStats:
     """Instance density: mean non-ignored ground truths per image and mean
-    count of ground-truth pairs overlapping beyond ``crowd_iou`` (which
-    must be >= 0), from the ground-truth pairs the sweep finds."""
+    count of ground-truth pairs overlapping beyond ``CROWD_IOU``, from the
+    ground-truth pairs the sweep finds."""
     return _of_scenes([SceneRecord(s.id, gts=s.gts) for s in scenes],
-                      EvalConfig()).density_stats(crowd_iou)
+                      EvalConfig()).density_stats()

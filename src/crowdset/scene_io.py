@@ -307,15 +307,20 @@ def _write_jsonl(objs: Iterable[dict], dest: PathOrStream, kind: str) -> None:
             stream.close()
 
 
+def _check_unique(ids: Iterable[str]) -> None:
+    """Raise on the first id that repeats an earlier one."""
+    seen = set()
+    for rid in ids:
+        if rid in seen:
+            raise SceneFileError(f"duplicate record id {rid!r}")
+        seen.add(rid)
+
+
 def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
     """Read a whole scene file as columns, enforcing unique record ids."""
     records = [_at_line(lineno, _parse_scene_arrays, obj)
                for lineno, obj in _decoded(source)]
-    seen = set()
-    for r in records:
-        if r.id in seen:
-            raise SceneFileError(f"duplicate record id {r.id!r}")
-        seen.add(r.id)
+    _check_unique(r.id for r in records)
     return records
 
 
@@ -447,10 +452,12 @@ def parse_prediction_arrays(source: PathOrStream) -> list[PredictionArrays]:
     """Read a JSONL prediction file (see :func:`parse_prediction_file`) as
     batches of consecutive records, each a
     :class:`~crowdset.emd.PredictionArrays` of at least ``BATCH_PROPOSALS``
-    proposals except the last."""
+    proposals except the last, enforcing unique record ids."""
     # map keeps no reference to a batch's decoded lines once their arrays
     # are built, so at most one batch of decoded JSON is alive.
-    return list(map(_prediction_batch, _batches(_decoded(source))))
+    batches = list(map(_prediction_batch, _batches(_decoded(source))))
+    _check_unique(rid for b in batches for rid in b.ids)
+    return batches
 
 
 def parse_prediction_file(source: PathOrStream) -> list[PredictionRecord]:

@@ -337,8 +337,6 @@ def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig],
     ``dets`` is one image, or with ``image`` (each row's image index,
     non-decreasing) many, and each config's kept indices then run image by
     image, each image in its own output order."""
-    if not cfgs:
-        return []
     graph = OverlapGraph(dets, min(_sweep_floor(cfg) for cfg in cfgs), image)
     return [graph.suppress(cfg) for cfg in cfgs]
 

@@ -81,12 +81,12 @@ class SceneGenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SceneParams:
-    """Crowded-scene generator knobs.
+    """Crowded-scene generator knobs, the same for every image; each image's
+    seed comes from :func:`derive_seed`.
 
     The density defaults (22.64 objects and 2.40 overlapping pairs per image)
     match the per-image instance density of a heavily crowded pedestrian
-    benchmark, so studies run at realistic crowding out of the box.
-    """
+    benchmark, so studies run at realistic crowding out of the box."""
 
     image_w: int = 1280
     image_h: int = 800
@@ -94,7 +94,6 @@ class SceneParams:
     crowd_pairs_mean: float = 2.40
     crowd_triples_mean: float = 0.0
     pair_iou_range: tuple[float, float] = (0.55, 0.8)
-    seed: int = 0
 
     def __post_init__(self):
         for name, size in (("image_w", self.image_w), ("image_h", self.image_h)):
@@ -188,8 +187,8 @@ def _shift_to_iou(anchor: tuple, ux: float, uy: float,
 
 
 class _Scene:
-    """One scene's ground truths, deterministic under ``params.seed``: its
-    (G, 4) ``boxes``, candidate boxes rejected and bisections capped.
+    """One scene's ground truths, deterministic under ``seed``: its (G, 4)
+    ``boxes``, candidate boxes rejected and bisections capped.
 
     Triples, then pairs, then isolated boxes are placed, in Poisson counts,
     each partner at a target IoU from ``pair_iou_range`` with its anchor.
@@ -199,8 +198,8 @@ class _Scene:
     past the last one needed; the generator dies with the scene.
     """
 
-    def __init__(self, params: SceneParams):
-        self.rng = rng = np.random.default_rng(params.seed)
+    def __init__(self, params: SceneParams, seed: int):
+        self.rng = rng = np.random.default_rng(seed)
         n_total = int(rng.poisson(params.n_objects_mean))
         n_pairs = int(rng.poisson(params.crowd_pairs_mean))
         n_triples = (int(rng.poisson(params.crowd_triples_mean))
@@ -386,7 +385,7 @@ def _scene_arrays(scene_params: SceneParams, n_images: int, seed: int,
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     scenes = []
     for i in range(n_images):
-        scene = _Scene(replace(scene_params, seed=derive_seed(seed, _NS_SCENE, i)))
+        scene = _Scene(scene_params, derive_seed(seed, _NS_SCENE, i))
         counters["placement_retries"] += scene.retries
         counters["bisection_cap_hits"] += scene.cap_hits
         g = len(scene.boxes)

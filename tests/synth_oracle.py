@@ -96,9 +96,9 @@ def _place_cluster(rng: np.random.Generator, params: SceneParams,
     )
 
 
-def generate_scene(params: SceneParams) -> list[GroundTruth]:
-    """Generate one scene's ground truths, deterministic under params.seed."""
-    rng = np.random.default_rng(params.seed)
+def generate_scene(params: SceneParams, seed: int) -> list[GroundTruth]:
+    """Generate one scene's ground truths, deterministic under seed."""
+    rng = np.random.default_rng(seed)
     n_total = int(rng.poisson(params.n_objects_mean))
     n_pairs = int(rng.poisson(params.crowd_pairs_mean))
     n_triples = int(rng.poisson(params.crowd_triples_mean)) if params.crowd_triples_mean > 0 else 0

@@ -707,10 +707,10 @@ class TestEmdReport:
 def emd_files(draw):
     """(records, gts, cfg, theta, truncate): several emd_images() as one
     prediction file scored at one k, theta and truncate flag. Now and then
-    a record takes an earlier record's id, and with it that record's
-    ground truths. In half the files the proposals with a wrong slot count
-    are dropped; in a file of several records one of them is likely, and
-    it would stop most files before their report."""
+    a record takes an earlier record's id, which fails the file. In half
+    the files the proposals with a wrong slot count are dropped; in a file
+    of several records one of them is likely, and it would stop most files
+    before their report."""
     k = draw(st.sampled_from([1, 2, 3, 4, 6]))
     images = draw(st.lists(emd_images(k=st.just(k)), min_size=2, max_size=5))
     right_counts = draw(st.booleans())
@@ -740,13 +740,19 @@ def _oracle_match(rows, k: int) -> ImageMatch:
 
 
 class TestBatchedFile:
-    @settings(max_examples=60, deadline=None,
+    # About half the drawn files repeat an id and fail, so 120 examples
+    # score about as many whole files as 60 did when repeats were accepted.
+    @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(emd_files())
     def test_every_batch_size_equals_per_record_scoring(self, drawn):
         records, gts, cfg, theta, truncate = drawn
         config = {"k": cfg.k, "theta": theta}
+        ids = [r.id for r in records]
+        repeat = next((i for n, i in enumerate(ids) if i in ids[:n]), None)
         try:
+            if repeat is not None:
+                raise ValueError(f"duplicate record id {repeat!r}")
             want = json_report([(r.id, _oracle_match(oracle.score_record(
                 r, gts[r.id], cfg, theta, truncate), cfg.k)) for r in records],
                 config)
@@ -787,7 +793,7 @@ class TestManifest:
     def test_manifest_that_cannot_be_written_leaves_no_file(self, tmp_path):
         path = tmp_path / "manifest.json"
         with pytest.raises(ValueError, match="Out of range float values"):
-            _write_manifest(str(path), "study", {"jitter": math.nan}, 0.0)
+            _write_manifest(str(path), "study", {"jitter": math.nan}, 0.0, {})
         assert not path.exists()
 
 
@@ -892,11 +898,11 @@ STACK = [GroundTruth(box=BBox(0.0, 0.0, 40.0, 80.0)),
 
 
 class TestEmdErrors:
-    def _run(self, tmp_path, capsys, gts, pred_lines, extra=()):
-        """Run emd on ground truths of record "a"; ``pred_lines`` holds
-        objects, or strings written as they are."""
+    def _run(self, tmp_path, capsys, gts, pred_lines, extra=(), ids=("a",)):
+        """Run emd on ground truths ``gts`` of each record in ``ids``;
+        ``pred_lines`` holds objects, or strings written as they are."""
         gt = tmp_path / "gt.jsonl"
-        write_scene_file([SceneRecord(id="a", gts=gts)], gt)
+        write_scene_file([SceneRecord(id=i, gts=gts) for i in ids], gt)
         pred = tmp_path / "pred.jsonl"
         pred.write_text("".join((obj if isinstance(obj, str) else json.dumps(obj))
                                 + "\n" for obj in pred_lines))
@@ -997,6 +1003,15 @@ class TestEmdErrors:
                        "non-finite entries\n")
         assert not out.exists()
 
+    def test_repeated_record_id_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "emd.json"
+        line = {"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]}
+        code, err = self._run(tmp_path, capsys, STACK[:1], [line, line],
+                              ("--out", str(out)))
+        assert code == 1
+        assert err == "error: duplicate record id 'a'\n"
+        assert not out.exists()
+
     def test_total_beyond_float_range_writes_no_report(self, tmp_path,
                                                        capsys):
         # Each slot's cost is finite, about 1.5e308; their sum is not. The
@@ -1032,7 +1047,7 @@ class TestEmdErrors:
     @pytest.mark.parametrize("lines, message", [
         pytest.param(
             [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]},
-             {"id": "a", "proposals": [_proposal((0, 0, 40, 80), [[0.5, 0.5]])]}],
+             {"id": "a2", "proposals": [_proposal((0, 0, 40, 80), [[0.5, 0.5]])]}],
             "record 'a' proposal 0: ground-truth set has 3 members for k=2 "
             "(excess 1); pass --truncate-topk to keep the top-k by IoU",
             id="overflow-before-a-later-slot-count"),
@@ -1063,7 +1078,7 @@ class TestEmdErrors:
         monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
         out = tmp_path / "emd.json"
         code, err = self._run(tmp_path, capsys, STACK, lines,
-                              ("--out", str(out)))
+                              ("--out", str(out)), ids=("a", "a2"))
         assert code == 1
         assert err == f"error: {message}\n"
         assert not out.exists()

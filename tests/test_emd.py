@@ -62,7 +62,6 @@ class TestRegLoss:
         assert smooth_l1(0.5) == 0.125
         assert smooth_l1(2.0) == 1.5
         assert smooth_l1(-0.5) == 0.125
-        assert smooth_l1(0.5, beta=2.0) == 0.0625
 
     def test_exact_prediction_is_zero(self):
         proposal, target = B(0, 0, 10, 10), B(2, 1, 9, 12)

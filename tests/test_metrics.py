@@ -302,11 +302,11 @@ class TestBestJi:
 class TestRecallSplit:
     def test_pair_is_crowd(self):
         gts = [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5)]  # iou 0.6
-        flags = one_image(gts).crowd_flags(CROWD_IOU)
+        flags = one_image(gts).crowd_flags()
         assert flags.tolist() == [True, True]
 
     def test_isolated_is_sparse(self):
-        assert one_image([gt(0, 0, 10, 10)]).crowd_flags(CROWD_IOU).tolist() == [False]
+        assert one_image([gt(0, 0, 10, 10)]).crowd_flags().tolist() == [False]
 
     def test_two_crowd_one_sparse(self):
         gts = [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5), gt(100, 100, 120, 140)]
@@ -321,7 +321,7 @@ class TestRecallSplit:
         from crowdset.geometry import iou as scalar_iou
         rng = np.random.default_rng(31)
         for s in random_scenes(rng, 25):
-            flags = one_image(s.gts).crowd_flags(CROWD_IOU)
+            flags = one_image(s.gts).crowd_flags()
             for j, g in enumerate(s.gts):
                 want = any(scalar_iou(g.box, o.box) > CROWD_IOU
                            for jj, o in enumerate(s.gts) if jj != j)
@@ -552,15 +552,14 @@ class TestSparsePass:
 
     @settings(max_examples=300, deadline=None)
     @given(scenes=_datasets, iou_thresh=st.sampled_from(_THRESHOLDS),
-           crowd_iou=st.sampled_from((0.0, *_THRESHOLDS)),
            chunk=st.sampled_from([1, 7, geometry._SWEEP_PAIRS]))
-    def test_equals_the_dense_oracle(self, scenes, iou_thresh, crowd_iou, chunk):
+    def test_equals_the_dense_oracle(self, scenes, iou_thresh, chunk):
         cfg = EvalConfig(iou_thresh=iou_thresh)
         with patch.object(geometry, "_SWEEP_PAIRS", chunk):
             ev = Evaluation.of_arrays([SceneArrays.from_record(s) for s in scenes], cfg)
-            self._check(scenes, cfg, crowd_iou, ev)
+            self._check(scenes, cfg, ev)
 
-    def _check(self, scenes, cfg, crowd_iou, ev):
+    def _check(self, scenes, cfg, ev):
         if any(not g.ignore for s in scenes for g in s.gts):
             assert ev.report() == evaluate(scenes, cfg)
             assert ev.average_precision() == oracle.average_precision(scenes, cfg)
@@ -573,19 +572,19 @@ class TestSparsePass:
         for t in sorted(thresholds)[::3]:
             assert ev.jaccard_index(t) == jaccard_index(scenes, cfg, t) \
                 == oracle.jaccard_index(scenes, cfg, t)
-            want = oracle.recall_split(scenes, cfg, t, crowd_iou)
-            assert ev.recall_split(t, crowd_iou) == want
-            assert recall_split(scenes, cfg, t, crowd_iou) == want
-        density = density_stats(scenes, crowd_iou)
+            want = oracle.recall_split(scenes, cfg, t)
+            assert ev.recall_split(t) == want
+            assert recall_split(scenes, cfg, t) == want
+        density = density_stats(scenes)
         assert (density.objects_per_image, density.overlaps_per_image) == \
-            oracle.density_stats(scenes, crowd_iou)
+            oracle.density_stats(scenes)
         g0 = d0 = 0
         for s in scenes:
             n_gt, n_det = len(s.gts), len(s.dets)
             got = one_image(s.gts, s.dets, cfg.iou_thresh)
-            assert got.crowd_flags(crowd_iou).tolist() == \
-                oracle.crowd_flags(s.gts, crowd_iou).tolist() == \
-                ev.crowd_flags(crowd_iou)[g0:g0 + n_gt].tolist()
+            assert got.crowd_flags().tolist() == \
+                oracle.crowd_flags(s.gts).tolist() == \
+                ev.crowd_flags()[g0:g0 + n_gt].tolist()
             want = oracle.match_greedy(s.dets, s.gts, cfg.iou_thresh)
             for field in ("det_flags", "det_match", "gt_matched"):
                 g, w = getattr(got, field), getattr(want, field)
@@ -612,9 +611,8 @@ class TestSparsePass:
         s = scene("edge", half, dets)
         ev = one_image(half, dets)
         assert ev.det_match.tolist() == [0, 1, -1]
-        assert ev.crowd_flags(CROWD_IOU).tolist() == [False] * 4
-        assert ev.crowd_flags(0.49).tolist() == [True, True, False, False]
-        assert density_stats([s], 0.0).overlaps_per_image == 1.0
+        assert ev.crowd_flags().tolist() == [False] * 4
+        assert density_stats([s]).overlaps_per_image == 0.0
         assert ev.candidates == [[0, 1], [0, 1], []]
         # The sweep lists each pair whose x-extents meet in more than an
         # edge: 8 det/GT pairs (the zero-width boxes sit inside two boxes'
@@ -624,8 +622,6 @@ class TestSparsePass:
                                  "det_gt_pairs_above_iou": 4, "crowd_pairs": 0}
 
     def test_negative_crowd_iou_is_rejected(self):
-        with pytest.raises(ValueError, match="crowd_iou"):
-            one_image([gt(0, 0, 1, 1)]).crowd_flags(-0.1)
         with pytest.raises(ValueError, match="iou_thresh"):
             one_image([gt(0, 0, 1, 1)], [], 0.0)
 

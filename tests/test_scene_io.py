@@ -739,8 +739,9 @@ class TestSceneArrays:
 
     def test_duplicate_ids_rejected(self):
         text = "\n".join(json.dumps({"id": "x"}) for _ in range(2))
-        with pytest.raises(SceneFileError, match="duplicate"):
-            parse_scene_arrays(io.StringIO(text))
+        for parse in (parse_scene_arrays, parse_prediction_arrays):
+            with pytest.raises(SceneFileError, match="duplicate record id 'x'"):
+                parse(io.StringIO(text))
 
 
 class _FailingStream(io.StringIO):

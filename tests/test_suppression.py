@@ -376,9 +376,6 @@ class TestSharedSweep:
             assert ([s.hex() for s in scores.tolist()]
                     == [d.score.hex() for d in want]), cfg
 
-    def test_no_configs_no_sweep(self):
-        assert suppress_many(Detections.from_list([det(0, 0, 1, 1, 0.5)]), []) == []
-
     def test_config_below_the_sweep_is_rejected(self):
         graph = OverlapGraph(Detections.from_list([det(0, 0, 1, 1, 0.5)]), 0.5)
         for cfg in (SuppressionConfig(iou_thresh=0.4),

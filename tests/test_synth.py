@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,7 +61,7 @@ SYNTH_SHA256 = {
 # Too many clusters for the image: seed 4 cannot place them all.
 TINY_CROWD = SceneParams(image_w=120, image_h=100, n_objects_mean=6.0,
                          crowd_pairs_mean=3.0, crowd_triples_mean=1.5,
-                         pair_iou_range=(0.51, 0.52), seed=4)
+                         pair_iou_range=(0.51, 0.52))
 
 
 @st.composite
@@ -80,13 +80,13 @@ def scene_params(draw):
         n_objects_mean=draw(st.floats(0.0, 80.0)),
         crowd_pairs_mean=draw(st.floats(0.0, 6.0)),
         crowd_triples_mean=draw(st.floats(0.0, 1.5)),
-        pair_iou_range=(lo, hi), seed=draw(st.integers(0, 2**63 - 1)))
+        pair_iou_range=(lo, hi))
 
 
-def outcome(generate, params):
+def outcome(generate, params, seed):
     """The generated boxes' bytes, or the error message."""
     try:
-        return generate(params).tobytes()
+        return generate(params, seed).tobytes()
     except SceneGenerationError as e:
         return str(e)
 
@@ -100,6 +100,9 @@ class TestDeterminism:
                          "--triples-mean", "1", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        # The seed is recorded once, at the top of the config.
+        config = json.loads((tmp_path / "a.jsonl.manifest.json").read_text())["config"]
+        assert config["seed"] == 9 and "seed" not in config["scene_params"]
         other = tmp_path / "c.jsonl"
         assert main(["synth", "--images", "5", "--seed", "10",
                      "--triples-mean", "1", "--out", str(other)]) == 0
@@ -123,25 +126,33 @@ class TestDeterminism:
 
 
 class TestGenerator:
-    @given(scene_params())
+    @given(scene_params(), st.integers(0, 2**63 - 1))
     @settings(max_examples=300, deadline=None)
-    @example(TINY_CROWD)  # a 2-box cluster fails
-    @example(replace(TINY_CROWD, crowd_triples_mean=3.0))  # a 3-box one
-    def test_array_generator_equals_the_scalar_oracle(self, params):
-        want = outcome(lambda p: boxes_to_array(
-            [g.box for g in oracle.generate_scene(p)]), params)
-        assert outcome(lambda p: _Scene(p).boxes, params) == want
+    @example(TINY_CROWD, 4)  # a 2-box cluster fails
+    @example(replace(TINY_CROWD, crowd_triples_mean=3.0), 4)  # a 3-box one
+    def test_array_generator_equals_the_scalar_oracle(self, params, seed):
+        want = outcome(lambda p, s: boxes_to_array(
+            [g.box for g in oracle.generate_scene(p, s)]), params, seed)
+        assert outcome(lambda p, s: _Scene(p, s).boxes, params, seed) == want
 
     def test_generate_scene_gives_the_oracles_ground_truths(self):
         for seed in range(5):
-            params = replace(CROWDED, seed=seed)
-            want = boxes_to_array([g.box for g in oracle.generate_scene(params)])
-            assert _Scene(params).boxes.tobytes() == want.tobytes()
+            want = boxes_to_array([g.box for g in oracle.generate_scene(CROWDED, seed)])
+            assert _Scene(CROWDED, seed).boxes.tobytes() == want.tobytes()
+
+    def test_every_scene_param_changes_the_scenes(self):
+        other = {"image_w": 640, "image_h": 400, "n_objects_mean": 10.0,
+                 "crowd_pairs_mean": 5.0, "crowd_triples_mean": 1.0,
+                 "pair_iou_range": (0.6, 0.7)}
+        assert set(other) == {f.name for f in fields(SceneParams)}
+        base = build_scenes(SceneParams(), 4, 0)
+        for name, value in other.items():
+            assert build_scenes(replace(SceneParams(), **{name: value}), 4, 0) \
+                != base, name
 
     def test_a_partner_that_fails_every_try_abandons_its_anchor(self):
-        params = SceneParams(image_w=300, image_h=300, n_objects_mean=30,
-                             crowd_pairs_mean=6, crowd_triples_mean=1.5,
-                             seed=285)
+        params, seed = SceneParams(image_w=300, image_h=300, n_objects_mean=30,
+                                   crowd_pairs_mean=6, crowd_triples_mean=1.5), 285
         failed = []
 
         class Spy(_Scene):
@@ -150,10 +161,10 @@ class TestGenerator:
                 failed.append(box is None)
                 return box
 
-        scene = Spy(params)
+        scene = Spy(params, seed)
         assert any(failed)
         assert len(scene.boxes) == 19
-        want = boxes_to_array([g.box for g in oracle.generate_scene(params)])
+        want = boxes_to_array([g.box for g in oracle.generate_scene(params, seed)])
         assert scene.boxes.tobytes() == want.tobytes()
 
     def test_rejections_are_counted_on_a_hand_made_stream(self):
@@ -161,7 +172,7 @@ class TestGenerator:
         # (1000 ux, 1000 uy) on this image. A box 10 px right of another
         # overlaps it at IoU 30/50 = 0.6, one 30 px right at 10/70.
         scene = _Scene(SceneParams(image_w=1040, image_h=1064,
-                                   n_objects_mean=0.0, crowd_pairs_mean=0.0))
+                                   n_objects_mean=0.0, crowd_pairs_mean=0.0), 0)
         assert scene.boxes.shape == (0, 4) and scene.retries == 0
         scene.placed.append((900.0, 900.0, 940.0, 964.0))
         rows = np.array([(0, 0, 0, 0),       # placed
@@ -484,7 +495,7 @@ class TestStudy:
         params, n, seed = replace(CROWDED, image_w=400, image_h=300), 4, 3
         rows = run_study(params, [DetectorSimParams()], [SuppressionConfig()],
                          EvalConfig(), n, seed)
-        retries = [_Scene(replace(params, seed=derive_seed(seed, 0, i))).retries
+        retries = [_Scene(params, derive_seed(seed, 0, i)).retries
                    for i in range(n)]
         counters = rows.counters()
         assert counters["placement_retries"] == sum(retries) > 0
