@@ -311,9 +311,9 @@ def _match(costs: np.ndarray):
     Every permutation's total is summed from 0.0 in slot order and the
     first minimum in ``itertools`` order wins, so ties go to the
     lexicographically smallest permutation. Returns the permutations
-    (P, k), the matched costs (P, k) and their totals (P,), summed the same
-    way. A total beyond float range is inf, without a numpy warning; the
-    report writer rejects it.
+    (P, k), the matched costs (P, k) and their totals (P,), the search's
+    own sums. A total beyond float range is inf, without a numpy warning;
+    the report writer rejects it.
     """
     n, k, _ = costs.shape
     perms = np.array(list(itertools.permutations(range(k))),
@@ -322,13 +322,10 @@ def _match(costs: np.ndarray):
     with np.errstate(over="ignore"):
         for i in range(k):
             totals += costs[:, i, perms[:, i]]
-    chosen = perms[np.argmin(totals, axis=1)]
+    best = np.argmin(totals, axis=1)
+    chosen = perms[best]
     per_slot = np.take_along_axis(costs, chosen[:, :, None], axis=2)[:, :, 0]
-    total = np.zeros(n)
-    with np.errstate(over="ignore"):
-        for i in range(k):
-            total += per_slot[:, i]
-    return chosen, per_slot, total
+    return chosen, per_slot, totals[np.arange(n), best]
 
 
 def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndarray:

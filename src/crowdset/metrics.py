@@ -30,24 +30,24 @@ after another, and builds no dense IoU matrix:
   is built the same way: IoUs computed once per image, then matched at
   each threshold (Lin et al., ECCV 2014).
 * The detections are admitted in rank order (descending score, ties by
-  input index) into two walks over those lists:
+  input index) in one walk over those lists that keeps two matchings:
 
-  * the greedy walk: a detection takes its first unmatched candidate (TP),
-    else is IGNORED when it overlaps an ignored ground truth, else is a FP;
-  * the maximum-matching walk: a detection searches one augmenting path
-    (Kuhn's algorithm, iterative), so the matching of the top n detections
-    is maximum for every n, and the per-rank gain says whether it grew.
+  * greedy: a detection takes its first untaken candidate (TP), else is
+    IGNORED when it overlaps an ignored ground truth, else is a FP;
+  * maximum: a detection searches one augmenting path (Kuhn's algorithm,
+    iterative), so the matching of the top n detections is maximum for
+    every n, and the per-rank gain says whether it grew.
 
-  Each walk runs once over all images, with global ground-truth indices.
+  The walk runs once over all images, with global ground-truth indices.
   No candidate joins two images, so each image's flags and gains are
   those of a walk over that image alone.
 * The non-ignored ground-truth pairs with IoU > ``CROWD_IOU`` are kept,
   so the crowd flags and the density count are views of them. They are
   swept once per :class:`Truth`, which the study's rows share.
 
-Neither walk's decision for a detection depends on lower-ranked detections,
-so keeping only the detections that score >= t gives a prefix of the pass
-for every threshold t. AP and MR^-2 sweep the greedy flags of all images;
+Neither matching's step for a detection depends on lower-ranked ones, so
+keeping only the detections that score >= t gives a prefix of the pass for
+every threshold t. AP and MR^-2 sweep the greedy flags of all images;
 :func:`jaccard_index` sums the maximum-matching gains of the prefix;
 :func:`best_ji` scans every prefix end at once; and :func:`recall_split`
 counts a ground truth as found when its greedy match scores >= t.
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .suppression import Detections
 # overlaps it beyond this IoU; everything else is "sparse".
 CROWD_IOU = 0.5
 
-# Greedy-walk flag values of a detection (Evaluation.det_flags).
+# Greedy-matching flag values of a detection (Evaluation.det_flags).
 TP, FP, IGNORED = 1, 0, -1
 
 _MR_FLOOR = 1e-10
@@ -156,18 +156,6 @@ def _augment(root: int, adj: list[list[int]], match_right: list[int],
         stack.append((match_right[v], iter(adj[match_right[v]])))
     dead |= seen
     return False
-
-
-def _max_matching_gains(adj: list[list[int]], order: Iterable[int],
-                        n_right: int) -> np.ndarray:
-    """Admit left vertices in ``order``, augmenting from each; 1 at each
-    rank where the matching grew. The matching stays maximum at every
-    prefix, so the gains summed over the first n ranks are the maximum
-    matching size of the first n vertices."""
-    match_right = [-1] * n_right
-    dead: set[int] = set()
-    return np.array([_augment(u, adj, match_right, dead) for u in order],
-                    dtype=np.int64)
 
 
 def _cat(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
@@ -263,10 +251,11 @@ class Evaluation:
 
     After construction, ``candidates`` lists each detection's candidate
     ground truths (global indices), ``order`` is the detection at each
-    global rank, and the greedy walk's result is, in input order:
-    ``det_flags`` (int8: TP, FP or IGNORED per detection), ``det_match``
-    (the matched global ground-truth index, -1 when unmatched) and
-    ``gt_matched`` (bool per ground truth; ignored ones stay False).
+    global rank, the greedy matching is, in input order: ``det_flags``
+    (int8: TP, FP or IGNORED per detection), ``det_match`` (the matched
+    global ground-truth index, -1 when unmatched) and ``gt_matched`` (bool
+    per ground truth; ignored ones stay False); and ``gains`` holds the
+    maximum matching's gain (0 or 1) at each global rank.
     """
 
     def __init__(self, cfg: EvalConfig, pairs: PairSet, keep: np.ndarray,
@@ -282,14 +271,19 @@ class Evaluation:
         self.candidates, hits_ignored, self.det_gt_above = self._candidates(keep)
         det_match = [-1] * len(self.scores)
         taken = [False] * len(truth.boxes)
+        match_right = [-1] * len(truth.boxes)
+        dead: set[int] = set()
+        gains = []
         for i in self.order.tolist():
             for j in self.candidates[i]:
                 if not taken[j]:
                     taken[j] = True
                     det_match[i] = j
                     break
+            gains.append(_augment(i, self.candidates, match_right, dead))
         self.det_match = np.array(det_match, dtype=np.int64)
         self.gt_matched = np.array(taken, dtype=bool)
+        self.gains = np.array(gains, dtype=np.int64)
         self.det_flags = np.where(
             self.det_match >= 0, TP,
             np.where(hits_ignored, IGNORED, FP)).astype(np.int8)
@@ -309,12 +303,6 @@ class Evaluation:
         lo, hi = ptr[keep].tolist(), ptr[keep + 1].tolist()
         return ([cols[a:b] for a, b in zip(lo, hi)], hits_ignored[keep],
                 int(n_pairs[keep].sum()))
-
-    @cached_property
-    def gains(self) -> np.ndarray:
-        """The maximum-matching walk's gain at each global rank."""
-        return _max_matching_gains(self.candidates, self.order.tolist(),
-                                   len(self.truth.boxes))
 
     def counters(self) -> dict:
         """What the pass saw: images, ground truths and detections; pairs
@@ -357,6 +345,8 @@ class Evaluation:
         return float(np.exp(np.log(np.maximum(samples, _MR_FLOOR)).mean()))
 
     def jaccard_index(self, score_threshold: float) -> float:
+        if math.isnan(score_threshold):
+            raise ValueError("score_threshold must not be NaN")
         kept = self.scores[self.order] >= score_threshold
         m, d = int(self.gains[kept].sum()), int(kept.sum())
         if d + self.n_gt == 0:
@@ -391,6 +381,8 @@ class Evaluation:
 
     def recall_split(self, score_threshold: float
                      ) -> tuple[RecallStats, RecallStats, RecallStats]:
+        if math.isnan(score_threshold):
+            raise ValueError("score_threshold must not be NaN")
         found = np.zeros(len(self.truth.boxes), dtype=bool)
         at = self.det_match[self.scores >= score_threshold]
         found[at[at >= 0]] = True
@@ -451,8 +443,6 @@ def jaccard_index(scenes: Sequence[SceneRecord], cfg: EvalConfig,
     sum(matches) / (sum(dets) + sum(gts) - sum(matches)). A dataset with no
     detections and no ground truths scores 1.0 (vacuous agreement).
     """
-    if math.isnan(score_threshold):
-        raise ValueError("score_threshold must not be NaN")
     return _of_scenes(scenes, cfg).jaccard_index(score_threshold)
 
 

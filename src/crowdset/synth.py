@@ -434,11 +434,11 @@ def run_study(scene_params: SceneParams,
     (seed, image), shared by all simulator configs, so rows differ purely in
     model structure, not in random draws. The draws and sweeps are shared
     between rows: simulator configs that differ only in ``k`` (or ``mode``)
-    form one family, drawn once over all images and swept twice, det/det
-    at the loosest suppression threshold and det/GT at the evaluation's. A
-    family is drawn only when one of its models has a config to run. Each
-    model suppresses every config over the det/det pairs of its rows alone,
-    and each config's
+    form one family, drawn once over all images when one of its models has
+    a config to run, and swept twice: det/det at the loosest threshold of
+    all the configs, which each mask at their own, and det/GT at the
+    evaluation's. Each model suppresses every config over the det/det pairs
+    of its rows alone, and each config's
     :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its
     kept rows. The ground truths are swept once for all rows. The rows are
     fully deterministic.
@@ -448,26 +448,22 @@ def run_study(scene_params: SceneParams,
     columns = _scene_arrays(scene_params, n_images, seed, counters)
     truth = Truth(columns)
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
-    models = []
-    floors: dict[DetectorSimParams, float] = {}
-    for sim in sim_params_list:
-        family = replace(sim, mode="mip", k=1, seed=0)
-        # With one slot, no two boxes share a proposal: Set NMS is NMS.
-        cfgs = [cfg for cfg in suppression_cfgs
-                if not (sim.effective_k == 1 and cfg.method == "set_nms")]
-        if cfgs:
-            models.append((sim, family, cfgs))
-            floors[family] = min(floors.get(family, 1.0),
-                                 *map(_sweep_floor, cfgs))
     # Each family's draw, its det/det sweep and its det/GT sweep.
     families: dict[DetectorSimParams, tuple] = {}
     rows: list[StudyRow] = []
-    for sim, family, cfgs in models:
+    for sim in sim_params_list:
+        # With one slot, no two boxes share a proposal: Set NMS is NMS.
+        cfgs = [cfg for cfg in suppression_cfgs
+                if not (sim.effective_k == 1 and cfg.method == "set_nms")]
+        if not cfgs:
+            continue
+        family = replace(sim, mode="mip", k=1, seed=0)
         if family not in families:
             draw = _Draw(truth.boxes, truth.classes, truth.ignore, truth.image,
                          sim_seeds, family)
+            floor = min(map(_sweep_floor, suppression_cfgs))
             families[family] = (
-                draw, OverlapGraph(draw.dets, floors[family], draw.image),
+                draw, OverlapGraph(draw.dets, floor, draw.image),
                 PairSet(truth, draw.dets, draw.image, eval_cfg.iou_thresh))
             counters["draws"] += n_images
             counters["sweeps"] += 1

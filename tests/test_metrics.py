@@ -17,9 +17,9 @@ from crowdset.assignment import GroundTruth
 from crowdset.geometry import BBox, boxes_to_array, iou_matrix
 from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
                               Evaluation, PairSet, RecallStats, Truth,
-                              _max_matching_gains,
-                              average_precision, best_ji, density_stats,
-                              evaluate, jaccard_index, mr2, recall_split)
+                              _augment, average_precision, best_ji,
+                              density_stats, evaluate, jaccard_index, mr2,
+                              recall_split)
 from crowdset.scene_io import SceneArrays, SceneRecord
 from crowdset.suppression import Detection, Detections
 
@@ -241,8 +241,13 @@ class TestJaccard:
         s = scene("a", [gt(0, 0, 10, 10)], [det(0, 0, 10, 10, 0.4)])
         assert jaccard_index([s], CFG, 0.5) == 0.0
         assert jaccard_index([s], CFG, 0.4) == 1.0
-        with pytest.raises(ValueError, match="must not be NaN"):
-            jaccard_index([s], CFG, math.nan)
+        ev = Evaluation.of_arrays([SceneArrays.from_record(s)], CFG)
+        for call in (lambda: jaccard_index([s], CFG, math.nan),
+                     lambda: recall_split([s], CFG, math.nan),
+                     lambda: ev.jaccard_index(math.nan),
+                     lambda: ev.recall_split(math.nan)):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                call()
 
     def test_optimal_beats_greedy_on_crossing_fixture(self):
         # Greedy gives the high-score det the best gt and strands the other;
@@ -488,9 +493,10 @@ class TestAugmentingChain:
     def test_long_chain_needs_no_recursion(self):
         adj = chain_adjacency(self.N)
         assert sys.getrecursionlimit() < self.N
-        gains = _max_matching_gains(adj, range(self.N), self.N)
+        match_right, dead = [-1] * self.N, set()
+        gains = [_augment(u, adj, match_right, dead) for u in range(self.N)]
         assert gains[-1] == 1
-        assert int(gains.sum()) == scipy_matching_size(adj, self.N) == self.N
+        assert sum(gains) == scipy_matching_size(adj, self.N) == self.N
         with pytest.raises(RecursionError):
             match_right = [-1] * self.N
             for u in range(self.N):
@@ -668,7 +674,7 @@ class TestMaskedPairs:
                 assert repr(got.report()) == repr(want.report())
             else:
                 assert _raises_value_error(got.report)
-            for field in ("det_flags", "det_match", "gt_matched"):
+            for field in ("det_flags", "det_match", "gt_matched", "gains"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
             assert got.candidates == want.candidates
