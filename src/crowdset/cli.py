@@ -1,24 +1,28 @@
 """Command-line surface: generate scenes, suppress, evaluate, score
 prediction sets, and run studies.
 
-Every run writes a manifest (JSON) describing the resolved configuration,
-seeds, paths, and wall-clock timing, so results are reproducible from the
-manifest alone. Data outputs are byte-deterministic under a fixed seed;
-manifests are not (they carry timings). JSON output is strict: no NaN or
-Infinity. The best-JI threshold is +inf only when the empty detection set
-scores best, and is then written as null.
+Each subcommand writes its data outputs and returns its counters, and
+:func:`main` then writes the run's manifest (JSON), timed from the parsed
+arguments: to ``<out>.manifest.json`` for ``synth`` and ``suppress``,
+``<out>/manifest.json`` for ``study``, and ``--manifest``, if given, for
+``eval`` and ``emd``. Its ``config`` is the parsed arguments and its
+``env`` the Python and numpy versions and the platform, so results are
+reproducible from the manifest alone. Data outputs are byte-deterministic
+under a fixed seed; manifests are not (they carry timings). JSON output is
+strict: no NaN or Infinity. The best-JI threshold is +inf only when the
+empty detection set scores best, and is then written as null.
 
 ``eval`` and ``emd`` write one JSON report, indented by two spaces, to
 ``--out`` or stdout, and ``study`` writes ``rows.csv``, ``report.json`` and
-``manifest.json`` to its ``--out`` directory. ``suppress`` suppresses all
+its manifest to its ``--out`` directory. ``suppress`` suppresses all
 records of its file in one batched pass, as the study does. ``emd`` takes
 ``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``), reads and matches its
 predictions in batches of records (``scene_io.BATCH_PROPOSALS``) and
 renders its report record by record, with the bytes of
 ``json.dumps(report, indent=2, allow_nan=False)``.
 A manifest's text is built before its file is opened, and ``study`` builds
-all three texts before it opens any file, so a study that fails writes
-nothing.
+the texts of ``rows.csv`` and ``report.json`` before it creates its
+directory, so a study whose rows fail writes nothing.
 
 Each metric has one protocol: ``eval`` reports all-point AP, MR^-2 over
 FPPI [10^-2, 10^0] by default, JI over a maximum matching and the
@@ -37,9 +41,10 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,8 +55,8 @@ from .metrics import EvalConfig, EvalReport, Evaluation
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays)
 from .suppression import METHODS, Detections, SuppressionConfig, suppress_many
-from .synth import (DetectorSimParams, SceneParams, StudyRow, StudyRows,
-                    _scene_arrays, run_study)
+from .synth import (DetectorSimParams, SceneParams, StudyRow, _scene_arrays,
+                    run_study)
 
 SCHEMA_VERSION = 1
 
@@ -62,22 +67,27 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _manifest_text(subcommand: str, config: dict, t0: float,
-                   counters: dict) -> str:
+def _manifest_text(args, wall_seconds: float, counters: dict) -> str:
     return _json_text({
         "schema_version": SCHEMA_VERSION,
         "tool": "crowdset",
         "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "wall_seconds": time.perf_counter() - t0,
+        "subcommand": args.command,
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("func", "command")},
+        "env": {"python": platform.python_version(),
+                "numpy": np.__version__, "platform": sys.platform},
+        "wall_seconds": wall_seconds,
         "counters": counters,
     })
 
 
-def _write_manifest(path: str, subcommand: str, config: dict, t0: float,
-                    counters: dict) -> None:
-    _emit(_manifest_text(subcommand, config, t0, counters), path)
+def _manifest_path(args) -> str | None:
+    if args.command == "study":
+        return os.path.join(args.out, "manifest.json")
+    if args.command in ("synth", "suppress"):
+        return args.out + ".manifest.json"
+    return args.manifest
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -131,22 +141,14 @@ def _add_scene_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair-iou-hi", type=float, default=d.pair_iou_range[1])
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
-    counters = {"placement_retries": 0, "bisection_cap_hits": 0}
-    write_scene_arrays(_scene_arrays(_scene_params_from(args), args.images,
-                                     args.seed, counters), args.out)
-    _write_manifest(args.out + ".manifest.json", "synth", {
-        "images": args.images,
-        "seed": args.seed,
-        "out": args.out,
-        "scene_params": asdict(_scene_params_from(args)),
-    }, t0, counters)
-    return 0
+def cmd_synth(args) -> dict:
+    scenes, counters = _scene_arrays(_scene_params_from(args), args.images,
+                                     args.seed)
+    write_scene_arrays(scenes, args.out)
+    return counters
 
 
-def cmd_suppress(args) -> int:
-    t0 = time.perf_counter()
+def cmd_suppress(args) -> dict:
     method = _METHOD_FLAGS[args.method]
     cfg = SuppressionConfig(method=method, iou_thresh=args.iou,
                             sigma=args.sigma, score_floor=args.score_floor)
@@ -163,11 +165,7 @@ def cmd_suppress(args) -> int:
               f"proposal_id; set-nms treats them as distinct proposals "
               f"(plain nms)", file=sys.stderr)
     write_scene_arrays(kept, args.out)
-    _write_manifest(args.out + ".manifest.json", "suppress", {
-        "in": args.infile, "out": args.out, "method": args.method,
-        "iou": args.iou, "sigma": args.sigma, "score_floor": args.score_floor,
-    }, t0, counters)
-    return 0
+    return counters
 
 
 def _gts_by_id(gt_records: list, ids, kind: str) -> dict:
@@ -188,8 +186,7 @@ def _merge_gt_det(gt_records: list[SceneArrays],
     return [replace(r, dets=det_by_id.get(r.id, no_dets)) for r in gt_records]
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args) -> dict:
     cfg = EvalConfig(iou_thresh=args.iou, fppi_lo=args.fppi_lo,
                      fppi_hi=args.fppi_hi, fppi_points=args.fppi_points)
     gt_records = parse_scene_arrays(args.gt)
@@ -208,12 +205,7 @@ def cmd_eval(args) -> int:
                    "fppi_hi": args.fppi_hi, "fppi_points": args.fppi_points},
     }
     _emit(_json_text(out), args.out)
-    if args.manifest:
-        _write_manifest(args.manifest, "eval", {
-            "gt": args.gt, "det": args.det, "iou": args.iou,
-            "fppi": [args.fppi_lo, args.fppi_hi, args.fppi_points],
-        }, t0, ev.counters())
-    return 0
+    return ev.counters()
 
 
 _ITEMS = ",\n        "
@@ -263,11 +255,10 @@ def _emd_report(matches: list[tuple[str, ImageMatch]], config: dict) -> str:
                         '"proposals": [\n' + ",\n".join(chunks) + "\n  ]", 1)
 
 
-def cmd_emd(args) -> int:
+def cmd_emd(args) -> dict:
     """Score each prediction record against its ground truths, one batch
     of records at a time; the report is written record by record
     (:func:`_emd_report`)."""
-    t0 = time.perf_counter()
     cfg = EmdConfig(k=args.k)
     check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
@@ -281,19 +272,15 @@ def cmd_emd(args) -> int:
                                     for g in gts],
                             cfg, args.theta, args.truncate_topk)
         matches += zip(batch.ids, found)
-    config = {"k": args.k, "theta": args.theta}
-    _emit(_emd_report(matches, config), args.out)
-    if args.manifest:
-        n_real = np.concatenate([np.zeros(0, dtype=np.intp),
-                                 *(m.n_real for _, m in matches)])
-        excess = n_real[n_real > cfg.k] - cfg.k
-        _write_manifest(args.manifest, "emd", config, t0, {
-            "proposals": len(n_real), "overflowing_sets": len(excess),
-            "members_dropped": int(excess.sum())})
-    return 0
+    _emit(_emd_report(matches, {"k": args.k, "theta": args.theta}), args.out)
+    n_real = np.concatenate([np.zeros(0, dtype=np.intp),
+                             *(m.n_real for _, m in matches)])
+    excess = n_real[n_real > cfg.k] - cfg.k
+    return {"proposals": len(n_real), "overflowing_sets": len(excess),
+            "members_dropped": int(excess.sum())}
 
 
-def _study_rows(args) -> StudyRows:
+def _study_rows(args) -> tuple[list[StudyRow], dict]:
     """One model per distinct k and one config per distinct (method,
     threshold), each in first-seen order, so no row is computed twice."""
     sims = dict.fromkeys(
@@ -325,9 +312,8 @@ def _row_csv(row: StudyRow) -> list:
             r.recall_crowd.total]
 
 
-def cmd_study(args) -> int:
-    t0 = time.perf_counter()
-    rows = _study_rows(args)
+def cmd_study(args) -> dict:
+    rows, counters = _study_rows(args)
     table = io.StringIO()
     w = csv.writer(table, lineterminator="\n")
     w.writerow(_CSV_COLUMNS)
@@ -340,18 +326,11 @@ def cmd_study(args) -> int:
                       "iou_thresh": row.iou_thresh, **_report_dict(row.report)}
                      for row in rows],
         }),
-        "manifest.json": _manifest_text("study", {
-            "images": args.images, "seed": args.seed, "k": args.k,
-            "k_sweep": args.k_sweep, "nms_sweep": args.nms_sweep,
-            "iou": args.iou, "jitter": args.jitter, "theta": args.theta,
-            "out": args.out,
-            "scene_params": asdict(_scene_params_from(args)),
-        }, t0, rows.counters()),
     }
     os.makedirs(args.out, exist_ok=True)
     for name, text in texts.items():
         _emit(text, os.path.join(args.out, name))
-    return 0
+    return counters
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,13 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        counters = args.func(args)
+        path = _manifest_path(args)
+        if path:
+            _emit(_manifest_text(args, time.perf_counter() - t0, counters),
+                  path)
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,10 +6,12 @@ predictions are distinct instances by construction. Detections carrying no
 proposal identity (``proposal_id is None``) are treated as all-distinct, so
 Set NMS degenerates to plain NMS on such inputs.
 
-The methods run on :class:`Detections`, detections as a struct of arrays,
-and :func:`suppress_many` is the one entry point: the study and the CLI
-each suppress all their images in one call, and :func:`nms`,
-:func:`set_nms` and :func:`soft_nms` are the list API over it.
+The methods run on :class:`Detections`, detections as a struct of arrays.
+``crowdset suppress`` suppresses all its images in one call of
+:func:`suppress_many`, and :func:`nms`, :func:`set_nms` and
+:func:`soft_nms` are the list API over it. The study builds one
+:class:`OverlapGraph` per model family and suppresses each model's rows
+with :meth:`OverlapGraph.suppress`.
 
 Every method walks a sparse overlap graph instead of comparing every pick
 with every surviving box, and the configs run on one set of detections

@@ -377,13 +377,14 @@ class StudyRow:
     report: EvalReport
 
 
-def _scene_arrays(scene_params: SceneParams, n_images: int, seed: int,
-                  counters: dict) -> list[SceneArrays]:
-    """:func:`build_scenes` as columns; counts rejections and capped
-    bisections into ``counters``."""
+def _scene_arrays(scene_params: SceneParams, n_images: int,
+                  seed: int) -> tuple[list[SceneArrays], dict]:
+    """:func:`build_scenes` as columns, with the count of rejected
+    candidate boxes and of pair bisections that ran all their steps."""
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     scenes = []
+    counters = {"placement_retries": 0, "bisection_cap_hits": 0}
     for i in range(n_images):
         scene = _Scene(scene_params, derive_seed(seed, _NS_SCENE, i))
         counters["placement_retries"] += scene.retries
@@ -393,31 +394,13 @@ def _scene_arrays(scene_params: SceneParams, n_images: int, seed: int,
             f"synthetic-{i:05d}", scene_params.image_w, scene_params.image_h,
             scene.boxes, np.ones(g, dtype=np.int64), np.zeros(g, dtype=bool),
             Detections.from_list([])))
-    return scenes
+    return scenes, counters
 
 
 def build_scenes(scene_params: SceneParams, n_images: int, seed: int) -> list[SceneRecord]:
     """Generate ``n_images`` (at least one) scene records with per-image
     derived seeds."""
-    counters = {"placement_retries": 0, "bisection_cap_hits": 0}
-    return [s.record() for s in _scene_arrays(scene_params, n_images, seed, counters)]
-
-
-class StudyRows(list):
-    """:func:`run_study`'s rows, in order, with :meth:`counters` of the work
-    done to build them."""
-
-    def __init__(self, rows: Sequence[StudyRow], counters: dict):
-        super().__init__(rows)
-        self._counters = counters
-
-    def counters(self) -> dict:
-        """Images, detector draws (one per image per model family with a
-        config to run), family sweeps (one per such family, over all its
-        images: its det/det pairs for suppression and its det/GT pairs for
-        evaluation), rows, candidate boxes rejected in scene generation, and
-        pair bisections that ran all their steps."""
-        return dict(self._counters)
+    return [s.record() for s in _scene_arrays(scene_params, n_images, seed)[0]]
 
 
 def run_study(scene_params: SceneParams,
@@ -425,7 +408,7 @@ def run_study(scene_params: SceneParams,
               suppression_cfgs: Sequence[SuppressionConfig],
               eval_cfg: EvalConfig,
               n_images: int,
-              seed: int) -> StudyRows:
+              seed: int) -> tuple[list[StudyRow], dict]:
     """Simulate and evaluate every (simulator, suppression) combination over
     the same ``n_images`` seeded scenes, except Set NMS on a one-slot
     simulator, which equals its NMS row.
@@ -442,10 +425,15 @@ def run_study(scene_params: SceneParams,
     :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its
     kept rows. The ground truths are swept once for all rows. The rows are
     fully deterministic.
+
+    Returns the rows, in order, and the counters of their work: images,
+    draws (one per image) and sweeps (one) of each model family with a
+    config to run, rows, candidate boxes rejected in scene generation, and
+    pair bisections that ran all their steps.
     """
+    columns, generated = _scene_arrays(scene_params, n_images, seed)
     counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0,
-                "placement_retries": 0, "bisection_cap_hits": 0}
-    columns = _scene_arrays(scene_params, n_images, seed, counters)
+                **generated}
     truth = Truth(columns)
     sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
     # Each family's draw, its det/det sweep and its det/GT sweep.
@@ -476,4 +464,4 @@ def run_study(scene_params: SceneParams,
                                  method=cfg.method, iou_thresh=cfg.iou_thresh,
                                  report=report))
     counters["rows"] = len(rows)
-    return StudyRows(rows, counters)
+    return rows, counters

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,8 @@ from test_suppression import _det, _images, _thresh, indexed, oracle_suppress
 
 from crowdset import scene_io
 from crowdset.assignment import GroundTruth, build_gt_set
-from crowdset.cli import _METHOD_FLAGS, _emd_report, _write_manifest, main
+from crowdset.cli import (_METHOD_FLAGS, _emd_report, _emit, _manifest_text,
+                          build_parser, main)
 from crowdset.emd import (EmdConfig, ImageMatch, PredictionSet, SlotPrediction,
                           emd_match)
 from crowdset.geometry import BBox, BoxDelta
@@ -792,9 +794,69 @@ class TestBatchedFile:
 class TestManifest:
     def test_manifest_that_cannot_be_written_leaves_no_file(self, tmp_path):
         path = tmp_path / "manifest.json"
+        args = build_parser().parse_args(["study", "--out", str(tmp_path)])
+        args.jitter = math.nan
         with pytest.raises(ValueError, match="Out of range float values"):
-            _write_manifest(str(path), "study", {"jitter": math.nan}, 0.0, {})
+            # As main writes it: the text is built before the file opens.
+            _emit(_manifest_text(args, 0.0, {}), str(path))
         assert not path.exists()
+
+    def test_config_is_the_parsed_arguments(self, round_trip, emd_inputs,
+                                            tmp_path):
+        gt, det = round_trip
+        emd_gt, preds = emd_inputs
+        runs = [
+            (["synth", "--images", "2", "--seed", "4", "--pair-iou-hi", "0.7",
+              "--out", str(tmp_path / "s.jsonl")], tmp_path / "s.jsonl.manifest.json"),
+            (["suppress", "--method", "soft-gaussian", "--sigma", "0.4",
+              "--in", str(det), "--out", str(tmp_path / "k.jsonl")],
+             tmp_path / "k.jsonl.manifest.json"),
+            (["eval", "--gt", str(gt), "--det", str(det), "--fppi-points", "5",
+              "--out", str(tmp_path / "e.json"), "--manifest",
+              str(tmp_path / "e.manifest.json")], tmp_path / "e.manifest.json"),
+            (["emd", "--k", "3", "--gt", str(emd_gt), "--pred", str(preds[3]),
+              "--manifest", str(tmp_path / "m.manifest.json")],
+             tmp_path / "m.manifest.json"),
+            (["study", "--images", "2", "--k-sweep", "1,3", "--triples-mean",
+              "0.5", "--out", str(tmp_path / "study")],
+             tmp_path / "study" / "manifest.json"),
+        ]
+        for argv, manifest in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            want = vars(build_parser().parse_args(argv))
+            assert want.pop("command") == argv[0]
+            assert callable(want.pop("func"))
+            got = strict_json(manifest)
+            assert got["subcommand"] == argv[0]
+            assert got["config"] == want
+
+    def test_emd_records_truncation_and_both_inputs(self, emd_inputs,
+                                                    tmp_path):
+        gt, preds = emd_inputs
+        code, _, manifest = _run_emd(tmp_path, gt, preds[2],
+                                     ["--k", "2", "--truncate-topk"])
+        assert code == 0
+        config = strict_json(manifest)["config"]
+        assert config["truncate_topk"] is True
+        assert (config["pred"], config["gt"]) == (str(preds[2]), str(gt))
+        assert strict_json(manifest)["counters"]["members_dropped"] > 0
+
+    def test_env_is_the_running_interpreter(self, tmp_path):
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--images", "1", "--out", str(out)]) == 0
+        assert strict_json(str(out) + ".manifest.json")["env"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "platform": sys.platform}
+
+    def test_eval_and_emd_write_a_manifest_only_when_asked(self, round_trip,
+                                                          tmp_path):
+        gt, det = round_trip
+        before = set(tmp_path.iterdir())
+        out = tmp_path / "e.json"
+        assert main(["eval", "--gt", str(gt), "--det", str(det),
+                     "--out", str(out)]) == 0
+        assert set(tmp_path.iterdir()) - before == {out}
 
 
 # Run in a fresh interpreter: the tests import scipy themselves (the oracles

@@ -100,13 +100,25 @@ class TestDeterminism:
                          "--triples-mean", "1", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-        # The seed is recorded once, at the top of the config.
+        # The seed is recorded once, as the parsed --seed.
         config = json.loads((tmp_path / "a.jsonl.manifest.json").read_text())["config"]
-        assert config["seed"] == 9 and "seed" not in config["scene_params"]
+        assert config["seed"] == 9 and [k for k in config if "seed" in k] == ["seed"]
         other = tmp_path / "c.jsonl"
         assert main(["synth", "--images", "5", "--seed", "10",
                      "--triples-mean", "1", "--out", str(other)]) == 0
         assert other.read_bytes() != outs[0]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--image-w", "1000"), ("--image-h", "700"), ("--objects-mean", "10"),
+        ("--pairs-mean", "5"), ("--triples-mean", "1"),
+        ("--pair-iou-lo", "0.6"), ("--pair-iou-hi", "0.7")])
+    def test_every_scene_flag_changes_synth_bytes(self, tmp_path, flag, value):
+        outs = []
+        for name, extra in (("default.jsonl", []), ("flag.jsonl", [flag, value])):
+            out = tmp_path / name
+            assert main(["synth", "--images", "4", *extra, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] != outs[1]
 
     def test_synth_manifest_counts_the_generator_work(self, tmp_path):
         # The three scenes of TestStudy's shared-work study, with its counts.
@@ -404,9 +416,9 @@ class TestStudy:
     def test_set_nms_on_sets_beats_nms_beats_one_slot(self):
         nms = SuppressionConfig(method="nms")
         set_nms = SuppressionConfig(method="set_nms")
-        rows = run_study(SceneParams(), [DetectorSimParams(k=1),
-                                         DetectorSimParams(k=2)],
-                         [nms, set_nms], EvalConfig(), n_images=24, seed=0)
+        rows, _ = run_study(SceneParams(), [DetectorSimParams(k=1),
+                                            DetectorSimParams(k=2)],
+                            [nms, set_nms], EvalConfig(), n_images=24, seed=0)
         by = {(r.sim_label, r.method): r.report for r in rows}
         order = [by["mip2", "set_nms"], by["mip2", "nms"], by["mip1", "nms"]]
         for better, worse in zip(order, order[1:]):
@@ -438,7 +450,7 @@ class TestStudy:
                 SuppressionConfig(method="soft_linear", iou_thresh=0.4),
                 SuppressionConfig(method="set_nms", iou_thresh=0.3)]
         eval_cfg, n, seed = EvalConfig(), 5, 21
-        rows = run_study(CROWDED, sims, cfgs, eval_cfg, n, seed)
+        rows, counters = run_study(CROWDED, sims, cfgs, eval_cfg, n, seed)
 
         scenes = build_scenes(CROWDED, n, seed)
         want = []
@@ -460,18 +472,17 @@ class TestStudy:
         k3 = [r.report for r in rows if r.k == 3]
         k2 = [r.report for r in rows if r.k == 2][:len(k3)]
         assert len(k3) == len(cfgs) and k3 != k2
-        assert rows.counters() == {"images": n, "draws": 2 * n,
-                                   "sweeps": 2,  # one per family
-                                   "rows": len(want), "placement_retries": 0,
-                                   "bisection_cap_hits": 0}
+        assert counters == {"images": n, "draws": 2 * n,
+                            "sweeps": 2,  # one per family
+                            "rows": len(want), "placement_retries": 0,
+                            "bisection_cap_hits": 0}
 
     def test_a_family_without_configs_is_neither_drawn_nor_swept(self):
         # The one-slot model's only config is Set NMS, which it never runs.
-        rows = run_study(SceneParams(), [DetectorSimParams(k=1)],
-                         [SuppressionConfig(method="set_nms")], EvalConfig(),
-                         4, 1)
+        rows, counters = run_study(SceneParams(), [DetectorSimParams(k=1)],
+                                   [SuppressionConfig(method="set_nms")],
+                                   EvalConfig(), 4, 1)
         assert len(rows) == 0
-        counters = rows.counters()
         assert (counters["draws"], counters["sweeps"], counters["rows"]) == (0, 0, 0)
 
     def test_ground_truths_are_swept_once_per_study(self, monkeypatch):
@@ -483,20 +494,20 @@ class TestStudy:
             return overlaps(a, keep, groups_a, b, groups_b)
 
         monkeypatch.setattr(metrics, "overlaps", counting)
-        rows = run_study(CROWDED, [DetectorSimParams(k=1), DetectorSimParams(k=2)],
-                         [SuppressionConfig(method="nms"),
-                          SuppressionConfig(method="set_nms")],
-                         EvalConfig(), n_images=3, seed=21)
+        rows, _ = run_study(CROWDED, [DetectorSimParams(k=1),
+                                      DetectorSimParams(k=2)],
+                            [SuppressionConfig(method="nms"),
+                             SuppressionConfig(method="set_nms")],
+                            EvalConfig(), n_images=3, seed=21)
         assert len(rows) == 3
         assert gt_sweeps == [sum(len(s.gts) for s in build_scenes(CROWDED, 3, 21))]
 
     def test_counters_add_up_each_scenes_rejections(self):
         # Crowded scenes on a small image reject candidates.
         params, n, seed = replace(CROWDED, image_w=400, image_h=300), 4, 3
-        rows = run_study(params, [DetectorSimParams()], [SuppressionConfig()],
-                         EvalConfig(), n, seed)
+        _, counters = run_study(params, [DetectorSimParams()],
+                                [SuppressionConfig()], EvalConfig(), n, seed)
         retries = [_Scene(params, derive_seed(seed, 0, i)).retries
                    for i in range(n)]
-        counters = rows.counters()
         assert counters["placement_retries"] == sum(retries) > 0
         assert counters["bisection_cap_hits"] == 0
