@@ -21,10 +21,11 @@ IoU arithmetic lives in two kernels that compute the same numbers:
 :func:`overlaps` is the one overlap engine for many boxes. It walks
 :func:`sweep_pairs`, a sort-and-sweep on x1 that lists the pairs whose
 x-extents intersect (every other pair has IoU exactly 0) in chunks of at
-most ``_SWEEP_PAIRS``, computes their IoU and keeps the pairs the caller's
-mask accepts. Suppression runs it on one image's detections, the evaluator
-on every image's detections against ground truths and ground truths
-against each other.
+most ``_SWEEP_PAIRS``, drops the pairs whose y-extents do not intersect
+(their IoU is 0 too), computes the IoU of the rest and keeps the pairs the
+caller's mask accepts. Suppression runs it on one image's detections, the
+evaluator on every image's detections against ground truths and ground
+truths against each other.
 
 :func:`rank_order` is the one ranking rule, highest IoU first and ties to
 the lowest column. It ranks the pairs of a sweep: the evaluator's
@@ -192,7 +193,8 @@ def _range_pairs(lo: np.ndarray, hi: np.ndarray, chunk: int):
 
 def sweep_pairs(a: np.ndarray, groups_a=None,
                 b: np.ndarray | None = None, groups_b=None):
-    """Every pair of boxes that can have IoU > 0, by a sort-and-sweep on x1.
+    """Every pair of boxes whose x-extents intersect, by a sort-and-sweep on
+    x1; every other pair has IoU 0.
 
     Yields chunks ``(i, j)`` of index arrays, about ``_SWEEP_PAIRS`` pairs
     each, so the caller's temporaries stay bounded. Without ``b``, each
@@ -200,7 +202,9 @@ def sweep_pairs(a: np.ndarray, groups_a=None,
     comes once; with ``b``, each such pair of a box ``i`` of ``a`` and a box
     ``j`` of ``b``. With ``groups_a`` (and ``groups_b``), integer group ids
     such as image indices, only boxes of one group pair up. Boxes whose
-    x-extents only touch are not paired; their IoU is 0.
+    x-extents only touch are not paired; their IoU is 0. A box of zero
+    width is paired with the boxes whose x-extent holds its x1, although
+    the two meet in no interval of positive width; y is not looked at.
 
     Boxes are sorted by (group, x1), and ``searchsorted`` on a box's edges
     bounds the run of boxes whose left edge falls inside its x-extent. Every
@@ -228,19 +232,38 @@ def sweep_pairs(a: np.ndarray, groups_a=None,
             yield (order[q], p) if flip else (p, order[q])
 
 
+def _y_edges(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y1, y2)`` for the y-test of :func:`overlaps`, with y1 = +inf for a
+    box of zero width: the x-sweep pairs such a box with the boxes around
+    it, but it meets none of them in x, and an infinite y1 fails it."""
+    return np.where(boxes[:, 2] > boxes[:, 0], boxes[:, 1], np.inf), boxes[:, 3]
+
+
 def overlaps(a: np.ndarray, keep, groups_a=None,
              b: np.ndarray | None = None, groups_b=None):
     """``(i, j, ious, swept)``: the pairs of :func:`sweep_pairs` (same
     arguments) that ``keep(i, j, ious)``, a mask over one chunk, accepts, as
-    aligned arrays in sweep order; and the number of pairs swept."""
+    aligned arrays in sweep order; and ``swept``, the number of pairs the
+    x-sweep listed.
+
+    ``keep`` sees only the pairs whose boxes intersect in both axes, each in
+    an interval of positive length: the sweep's pairs whose y-extents do
+    not intersect, or that hold a box of zero width, have IoU 0 and are
+    dropped before the IoU is computed. So a ``keep`` that rejects IoU 0
+    gets the same pairs as over every pair of the sweep."""
     other = a if b is None else b
     area_a = box_areas(a)
     area_b = area_a if b is None else box_areas(b)
+    top_a, bottom_a = _y_edges(a)
+    top_b, bottom_b = (top_a, bottom_a) if b is None else _y_edges(b)
     empty = np.zeros(0, dtype=np.intp)
     firsts, seconds, values = [empty], [empty], [np.zeros(0)]
     swept = 0
     for i, j in sweep_pairs(a, groups_a, b, groups_b):
         swept += len(i)
+        meet = (np.minimum(bottom_a[i], bottom_b[j])
+                > np.maximum(top_a[i], top_b[j]))
+        i, j = i[meet], j[meet]
         ious = iou_arrays(a[i], area_a[i], other[j], area_b[j])
         hit = keep(i, j, ious)
         firsts.append(i[hit])

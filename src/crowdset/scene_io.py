@@ -33,9 +33,16 @@ only a record, or a batch, that fails one is rebuilt element by element in
 file order, record by record, so that its error is the file's first, in
 the dataclass's own words and with its record's line. A malformed line
 first checks the records decoded before it, so an earlier bad record still
-fails first. One writer emits columns through ``.tolist()``, whose floats
-keep their ``repr``. :func:`parse_scene_file` and :func:`write_scene_file`
-convert to and from the dataclasses.
+fails first.
+
+The scene writer streams one record at a time and fills fixed row
+templates from each record's columns (``.tolist()``), in json.dumps's
+spelling: its separators, ``float.__repr__`` for floats, ``%d`` for ints,
+``true``/``false`` and the id through ``json.dumps``. It writes no dict and
+no json encoder runs per detection. JSON holds no NaN or infinity, so a
+record with a non-finite box or score raises ``ValueError``, naming the
+record, before any of its text is written. :func:`parse_scene_file` and
+:func:`write_scene_file` convert to and from the dataclasses.
 """
 
 from __future__ import annotations
@@ -216,6 +223,8 @@ def _gt_columns(gts: list, record_id: str):
 
 def _det_columns(dets: list, record_id: str) -> Detections | None:
     """The detections' columns, or None when a check fails."""
+    if not dets:  # as in every record of a ground-truth file
+        return Detections.from_list([])
     boxes = _box_column(dets, record_id)
     scores = [d["score"] for d in dets]
     classes = [d.get("class", 1) for d in dets]
@@ -293,12 +302,12 @@ def _at_line(lineno: int, parse, obj):
         raise SceneFileError(f"line {lineno}: bad record ({e})") from e
 
 
-def _write_jsonl(objs: Iterable[dict], dest: PathOrStream, kind: str) -> None:
-    """Write one JSON object per line; I/O errors name the destination."""
+def _write_jsonl(lines: Iterable[str], dest: PathOrStream, kind: str) -> None:
+    """Write one JSON text per line; I/O errors name the destination."""
     stream, owned = _open_for(dest, "w")
     try:
-        for obj in objs:
-            stream.write(json.dumps(obj))
+        for line in lines:
+            stream.write(line)
             stream.write("\n")
     except OSError as e:
         raise OSError(f"failed writing {kind} file {getattr(dest, 'name', dest)}: {e}") from e
@@ -329,30 +338,49 @@ def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
     return [a.record() for a in parse_scene_arrays(source)]
 
 
-def _scene_obj(r: SceneArrays) -> dict:
+# The ``%`` templates of a scene line, in json.dumps's spelling: its
+# separators, ``%r`` for floats (``float.__repr__``, as json writes them)
+# and ``%d`` for ints. Every detection row takes the same eight values (box,
+# score, class, proposal_id, slot); ``%.0s`` takes a value and writes
+# nothing, for the fields that an anonymous detection omits.
+_BOX_FIELD = '{"box_xyxy": [%r, %r, %r, %r], '
+_GT_ROW = _BOX_FIELD + '"class": %d, "ignore": %s}'
+_DET_ROWS = (
+    _BOX_FIELD + '"score": %r, "class": %d, "proposal_id": %d, "slot": %d}',
+    _BOX_FIELD + '"score": %r, "class": %d%.0s, "slot": %d}',  # anonymous
+    _BOX_FIELD + '"score": %r, "class": %d%.0s%.0s}',  # anonymous, slot 0
+)
+_SCENE_LINE = '{"id": %s, "width": %d, "height": %d, "gts": [%s], "dets": [%s]}'
+
+
+def _rows(templates: list, columns: list) -> str:
+    """One row per template, filled from ``columns`` row by row."""
+    return ", ".join(templates) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _scene_line(r: SceneArrays) -> str:
+    """The record's JSON text; a box or score that is not finite, which
+    JSON cannot hold, raises ValueError."""
     d = r.dets
-    dets = []
-    for box, score, cls, pid, slot in zip(d.boxes.tolist(), d.scores.tolist(),
-                                          d.classes.tolist(),
-                                          d.proposal_ids.tolist(), d.slots.tolist()):
-        obj = {"box_xyxy": box, "score": score, "class": cls}
-        if pid >= 0:
-            obj["proposal_id"] = pid
-            obj["slot"] = slot
-        elif slot:
-            obj["slot"] = slot
-        dets.append(obj)
-    return {"id": r.id, "width": r.width, "height": r.height,
-            "gts": [{"box_xyxy": box, "class": cls, "ignore": ignore}
-                    for box, cls, ignore in zip(r.gt_boxes.tolist(),
-                                                r.gt_classes.tolist(),
-                                                r.gt_ignore.tolist())],
-            "dets": dets}
+    if not (np.isfinite(r.gt_boxes).all() and np.isfinite(d.boxes).all()
+            and np.isfinite(d.scores).all()):
+        raise ValueError(f"record {r.id!r}: a box or score is not finite, "
+                         "which JSON cannot hold")
+    kinds = np.where(d.proposal_ids >= 0, 0, np.where(d.slots != 0, 1, 2))
+    dets = _rows([_DET_ROWS[k] for k in kinds.tolist()],
+                 [*d.boxes.T.tolist(), d.scores.tolist(), d.classes.tolist(),
+                  d.proposal_ids.tolist(), d.slots.tolist()])
+    gts = _rows([_GT_ROW] * len(r.gt_boxes),
+                [*r.gt_boxes.T.tolist(), r.gt_classes.tolist(),
+                 ["true" if v else "false" for v in r.gt_ignore.tolist()]])
+    return _SCENE_LINE % (json.dumps(r.id), r.width, r.height, gts, dets)
 
 
 def write_scene_arrays(records: Iterable[SceneArrays], dest: PathOrStream) -> None:
-    """Write records as one JSON object per line, corner-form boxes."""
-    _write_jsonl(map(_scene_obj, records), dest, "scene")
+    """Write records as one JSON object per line, corner-form boxes, one
+    record at a time. A record whose box or score is not finite raises
+    ValueError, naming the record, and no text of it is written."""
+    _write_jsonl(map(_scene_line, records), dest, "scene")
 
 
 def write_scene_file(records: Iterable[SceneRecord], dest: PathOrStream) -> None:
@@ -484,5 +512,6 @@ def _proposal_obj(p: PredictionSet) -> dict:
 def write_prediction_file(records: Iterable[PredictionRecord],
                           dest: PathOrStream) -> None:
     """Write prediction records as one JSON object per line."""
-    _write_jsonl(({"id": r.id, "proposals": [_proposal_obj(p) for p in r.proposals]}
+    _write_jsonl((json.dumps({"id": r.id,
+                              "proposals": [_proposal_obj(p) for p in r.proposals]})
                   for r in records), dest, "prediction")

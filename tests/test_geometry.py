@@ -150,20 +150,38 @@ class TestOverlaps:
                                                 chunk):
         rng = np.random.default_rng(seed)
 
+        stacked = rng.random() < 0.5
+
         def boxes(n):
             # A coarse grid gives shared edges, duplicates and zero areas.
+            # Stacked boxes all overlap in x, and their y-extents are often
+            # disjoint, only touch or have zero height.
             xy = rng.integers(0, 12, size=(n, 2))
-            return np.hstack([xy, xy + rng.integers(0, 6, size=(n, 2))]
-                             ).astype(np.float64)
+            wh = rng.integers(0, 6, size=(n, 2))
+            if stacked:
+                xy[:, 0] = rng.integers(0, 2, n)
+                wh[:, 0] = rng.integers(3, 6, n)
+                wh[:, 1] = rng.integers(0, 3, n)
+            return np.hstack([xy, xy + wh]).astype(np.float64)
 
         a = boxes(int(rng.integers(0, 10)))
         b = boxes(int(rng.integers(0, 10))) if two_sets else None
         ga = rng.integers(0, 2, len(a)) if grouped else None
         gb = rng.integers(0, 2, len(b)) if grouped and two_sets else None
-        with patch.object(geometry, "_SWEEP_PAIRS", chunk):
-            i, j, ious, swept = overlaps(a, lambda i, j, ov: ov >= 0.2,
-                                         ga, b, gb)
         other, g_other = (a, ga) if b is None else (b, gb)
+        seen = []
+
+        def keep(i, j, ov):
+            seen.append((a[i], other[j]))
+            return ov >= 0.2
+
+        with patch.object(geometry, "_SWEEP_PAIRS", chunk):
+            i, j, ious, swept = overlaps(a, keep, ga, b, gb)
+            listed = sum(len(p) for p, _ in geometry.sweep_pairs(a, ga, b, gb))
+        assert swept == listed
+        for first, second in seen:  # keep sees only pairs that meet
+            assert (np.minimum(first[:, 2:], second[:, 2:])
+                    > np.maximum(first[:, :2], second[:, :2])).all()
         dense = iou_matrix(a, other)
         want = dense >= 0.2
         if grouped:
@@ -174,6 +192,25 @@ class TestOverlaps:
         assert sorted(zip(i.tolist(), j.tolist())) == list(zip(*np.nonzero(want)))
         assert ious.tolist() == dense[i, j].tolist()
         assert swept >= len(i)
+
+    def test_keep_sees_only_the_pairs_that_meet_in_both_axes(self):
+        a = np.array([[0, 0, 10, 10],
+                      [0, 10, 10, 20],   # touches box 0 in y
+                      [0, 30, 10, 40],   # y-disjoint from all
+                      [2, 5, 8, 5],      # zero height, inside box 0
+                      [5, 0, 5, 10],     # zero width, inside box 0
+                      [5, 2, 15, 8]], dtype=np.float64)
+        seen = []
+
+        def keep(i, j, ov):
+            seen.extend(zip(i.tolist(), j.tolist(), ov.tolist()))
+            return ov >= 0.0
+
+        i, j, ious, swept = overlaps(a, keep)
+        assert [(min(p, q), max(p, q), v) for p, q, v in seen] == [
+            (0, 5, 30 / 130)]
+        assert (i.tolist(), j.tolist(), ious.tolist()) == ([0], [5], [30 / 130])
+        assert swept == 14  # every pair but box 4 with box 5
 
 
 class TestDeltas:

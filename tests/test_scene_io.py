@@ -2,6 +2,7 @@ import io
 import json
 import re
 import sys
+from itertools import chain
 
 import emd_oracle as oracle
 import numpy as np
@@ -13,12 +14,12 @@ from hypothesis import strategies as st
 from crowdset.assignment import GroundTruth
 from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
-from crowdset.scene_io import (PredictionRecord, SceneFileError, SceneRecord,
-                               _at_line, _parse_scene_arrays, _prediction_batch,
-                               parse_prediction_arrays, parse_prediction_file,
-                               parse_scene_arrays, parse_scene_file,
-                               write_prediction_file, write_scene_arrays,
-                               write_scene_file)
+from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneFileError,
+                               SceneRecord, _at_line, _parse_scene_arrays,
+                               _prediction_batch, parse_prediction_arrays,
+                               parse_prediction_file, parse_scene_arrays,
+                               parse_scene_file, write_prediction_file,
+                               write_scene_arrays, write_scene_file)
 from crowdset.suppression import Detection
 
 B = BBox
@@ -547,6 +548,9 @@ _SCENE_BOXES = {
     "bool": lambda b: {"box_xyxy": [False, *b[1:]]},
     "nested": lambda b: {"box_xyxy": [[v] for v in b]},
     "not_a_list": lambda b: {"box_xyxy": 7},
+    # Floats whose spelling json takes from float.__repr__: a signed zero,
+    # the least subnormal and both exponent forms.
+    "edge_floats": lambda b: {"box_xyxy": [-0.0, 5e-324, 1e16, 1e-07]},
 }
 _STRICT_BOXES = {"string", "numeric_string", "none", "bool", "nested",
                  "not_a_list"}
@@ -585,6 +589,10 @@ _DET_FIELDS = {
     "score_string": _strict("score", "0.25"),
     "score_none": _strict("score", None),
     "score_int": ({"score": 1}, None),
+    "score_negative_zero": ({"score": -0.0}, None),
+    "score_subnormal": ({"score": 5e-324}, None),
+    "score_tiny": ({"score": 1e-07}, None),
+    "pid_max": ({"proposal_id": 2**63 - 1}, None),
     "class_zero": ({"class": 0}, None),
     "pid_negative": ({"proposal_id": -2}, None),
     "slot_negative": ({"slot": -3}, None),
@@ -614,6 +622,11 @@ def _element(rng, base):
     return {k: v for k, v in obj.items() if v is not _DROP}, strict
 
 
+# Record ids; all but the first need JSON escapes: a quote, a backslash,
+# non-ASCII and control characters.
+_IDS = ["r", 'r"q', "r\\s", "r\u00e9\u4e2d", "r\x07\n"]
+
+
 def raw_scene_record(rng):
     """A scene record and, per element in file order, its strict-field
     error or None."""
@@ -640,6 +653,9 @@ def raw_scene_record(rng):
         strict.append(("height", None, _strict("height", "tall")[1]))
     if kind == 4:  # checked before any element
         strict.insert(0, ("record", None, _strict("dets", None)[1]))
+    obj["id"] = _pick(rng, _IDS)
+    strict = [(key, j, e.replace("record 'r'", f"record {obj['id']!r}", 1))
+              for key, j, e in strict]
     return obj, strict
 
 
@@ -689,14 +705,25 @@ class TestSceneArrays:
             for d in obj.get("dets") or []:
                 if "proposal_id" not in d:
                     seen.add("anonymous-slot" if d.get("slot") else "anonymous")
+                elif d["proposal_id"] == 2**63 - 1:
+                    seen.add("pid-max")
+                if "score" in d and d["score"] in (-0.0, 5e-324, 1e-07):
+                    seen.add(f"score-{d['score']!r}")
+            if obj["id"] != "r":
+                seen.add("escaped-id")
             seen.update(k for k in ("width", "gts", "dets") if k not in obj)
             seen.update(f"empty-{k}" for k in ("gts", "dets") if obj.get(k) == [])
             for g in obj.get("gts", []):
                 seen.update(k for k in ("box_xywh",) if k in g)
+            for e in chain(obj.get("gts", []), obj.get("dets") or []):
+                if e.get("box_xyxy") == [-0.0, 5e-324, 1e16, 1e-07]:
+                    seen.add("edge-floats")
         assert seen >= {"error", "record", "class", "ignore", "proposal_id",
                         "slot", "score", "box_xyxy", "height", "anonymous",
                         "anonymous-slot", "width", "gts", "dets", "empty-gts",
-                        "empty-dets", "box_xywh"}
+                        "empty-dets", "box_xywh", "pid-max", "score--0.0",
+                        "score-5e-324", "score-1e-07", "escaped-id",
+                        "edge-floats"}
 
     @pytest.mark.parametrize("det", [
         {"score": [0.5]}, {"score": "0.5"}, {"score": True},
@@ -718,6 +745,20 @@ class TestSceneArrays:
             assert got == want
         else:
             assert got.record() == want
+
+    @pytest.mark.parametrize("column, value", [
+        ("scores", float("nan")), ("boxes", float("inf")),
+        ("gt_boxes", -float("inf"))])
+    def test_a_non_finite_value_raises_and_writes_no_text_of_its_record(
+            self, column, value):
+        good, bad = (SceneArrays.from_record(random_record(
+            np.random.default_rng(5), rid)) for rid in ("good", "bad"))
+        bad_column = getattr(bad if column == "gt_boxes" else bad.dets, column)
+        bad_column.flat[-1] = value
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="record 'bad': .* not finite"):
+            write_scene_arrays([good, bad, good], buf)
+        assert buf.getvalue() == scene_io_oracle.record_line(good.record())
 
     def test_columns(self):
         text = json.dumps({"id": "a", "width": 8, "gts": [
