@@ -27,7 +27,12 @@ directory, so a study whose rows fail writes nothing.
 Each metric has one protocol: ``eval`` reports all-point AP, MR^-2 over
 FPPI [10^-2, 10^0] by default, JI over a maximum matching and the
 crowd/sparse recall split; ``emd`` reports the set-matching loss with a
-cross-entropy plus smooth-L1 cost.
+cross-entropy plus smooth-L1 cost, and its ``config`` records ``k``,
+``theta`` and ``truncate_topk``.
+
+:func:`main` builds only the invoked subcommand's arguments; all five
+subcommands stay registered, so help and usage errors read as those of the
+full :func:`build_parser`.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -272,7 +277,8 @@ def cmd_emd(args) -> dict:
                                     for g in gts],
                             cfg, args.theta, args.truncate_topk)
         matches += zip(batch.ids, found)
-    _emit(_emd_report(matches, {"k": args.k, "theta": args.theta}), args.out)
+    config = {"k": args.k, "theta": args.theta, "truncate_topk": args.truncate_topk}
+    _emit(_emd_report(matches, config), args.out)
     n_real = np.concatenate([np.zeros(0, dtype=np.intp),
                              *(m.n_real for _, m in matches)])
     excess = n_real[n_real > cfg.k] - cfg.k
@@ -333,7 +339,8 @@ def cmd_study(args) -> dict:
     return counters
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with ``command``, only that subcommand has arguments."""
     parser = argparse.ArgumentParser(
         prog="crowdset",
         description="Crowded-detection toolkit: synthetic scenes, duplicate "
@@ -355,72 +362,81 @@ def build_parser() -> argparse.ArgumentParser:
                            help="optional manifest path")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic scene file")
-    common(p, seed=True, report=False)
-    p.add_argument("--images", type=int, required=True)
-    p.add_argument("--out", required=True, help="output scene JSONL path")
-    _add_scene_flags(p)
-    p.set_defaults(func=cmd_synth)
+    if command in (None, "synth"):
+        common(p, seed=True, report=False)
+        p.add_argument("--images", type=int, required=True)
+        p.add_argument("--out", required=True, help="output scene JSONL path")
+        _add_scene_flags(p)
+        p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("suppress", help="apply a suppression method to a "
                        "detection file")
-    common(p, report=False)
-    p.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True)
-    p.add_argument("--iou", type=float, default=SuppressionConfig.iou_thresh)
-    p.add_argument("--sigma", type=float, default=SuppressionConfig.sigma)
-    p.add_argument("--score-floor", type=float,
-                   default=SuppressionConfig.score_floor)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_suppress)
+    if command in (None, "suppress"):
+        common(p, report=False)
+        p.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True)
+        p.add_argument("--iou", type=float, default=SuppressionConfig.iou_thresh)
+        p.add_argument("--sigma", type=float, default=SuppressionConfig.sigma)
+        p.add_argument("--score-floor", type=float,
+                       default=SuppressionConfig.score_floor)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_suppress)
 
     p = sub.add_parser("eval", help="evaluate detections against ground truth")
-    common(p)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--det", required=True)
-    p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
-    p.add_argument("--fppi-lo", type=float, default=EvalConfig.fppi_lo)
-    p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi,
-                   help=f"MR^-2 averages the miss rate over FPPI from --fppi-lo "
-                        f"to --fppi-hi, by default EvalConfig's "
-                        f"[{EvalConfig.fppi_lo:g}, {EvalConfig.fppi_hi:g}], "
-                        f"the Caltech/CrowdHuman range")
-    p.add_argument("--fppi-points", type=int, default=EvalConfig.fppi_points)
-    p.set_defaults(func=cmd_eval)
+    if command in (None, "eval"):
+        common(p)
+        p.add_argument("--gt", required=True)
+        p.add_argument("--det", required=True)
+        p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
+        p.add_argument("--fppi-lo", type=float, default=EvalConfig.fppi_lo)
+        p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi,
+                       help=f"MR^-2 averages the miss rate over FPPI from "
+                            f"--fppi-lo to --fppi-hi, by default EvalConfig's "
+                            f"[{EvalConfig.fppi_lo:g}, {EvalConfig.fppi_hi:g}], "
+                            f"the Caltech/CrowdHuman range")
+        p.add_argument("--fppi-points", type=int, default=EvalConfig.fppi_points)
+        p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("emd", help="score slot predictions against "
                        "ground-truth sets")
-    common(p)
-    p.add_argument("--pred", required=True, help="prediction JSONL path")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--k", type=int, default=EmdConfig.k,
-                   help=f"slots per proposal, 1 to {ENUMERATION_LIMIT}")
-    p.add_argument("--theta", type=float, default=DetectorSimParams.theta,
-                   help="IoU threshold for set membership")
-    p.add_argument("--truncate-topk", action="store_true",
-                   help="keep the top-k members by IoU on overflow")
-    p.set_defaults(func=cmd_emd)
+    if command in (None, "emd"):
+        common(p)
+        p.add_argument("--pred", required=True, help="prediction JSONL path")
+        p.add_argument("--gt", required=True)
+        p.add_argument("--k", type=int, default=EmdConfig.k,
+                       help=f"slots per proposal, 1 to {ENUMERATION_LIMIT}")
+        p.add_argument("--theta", type=float, default=DetectorSimParams.theta,
+                       help="IoU threshold for set membership")
+        p.add_argument("--truncate-topk", action="store_true",
+                       help="keep the top-k members by IoU on overflow")
+        p.set_defaults(func=cmd_emd)
 
     p = sub.add_parser("study", help="run the full synthetic comparison study")
-    common(p, seed=True, report=False)
-    p.add_argument("--images", type=int, default=200)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k", type=int, default=DetectorSimParams.k)
-    p.add_argument("--k-sweep", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[], help="extra mip k values, e.g. 1,2,3")
-    p.add_argument("--nms-sweep", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[], help="extra nms thresholds, e.g. 0.3,0.4")
-    p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
-    p.add_argument("--jitter", type=float,
-                   default=DetectorSimParams.proposal_jitter)
-    p.add_argument("--theta", type=float, default=DetectorSimParams.theta)
-    _add_scene_flags(p)
-    p.set_defaults(func=cmd_study)
+    if command in (None, "study"):
+        common(p, seed=True, report=False)
+        p.add_argument("--images", type=int, default=200)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--k", type=int, default=DetectorSimParams.k)
+        p.add_argument("--k-sweep", type=lambda s: [int(v) for v in s.split(",")],
+                       default=[], help="extra mip k values, e.g. 1,2,3")
+        p.add_argument("--nms-sweep", type=lambda s: [float(v) for v in s.split(",")],
+                       default=[], help="extra nms thresholds, e.g. 0.3,0.4")
+        p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
+        p.add_argument("--jitter", type=float,
+                       default=DetectorSimParams.proposal_jitter)
+        p.add_argument("--theta", type=float, default=DetectorSimParams.theta)
+        _add_scene_flags(p)
+        p.set_defaults(func=cmd_study)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option values, so the first word that
+    # is not an option names the subcommand.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     t0 = time.perf_counter()
     try:
         counters = args.func(args)

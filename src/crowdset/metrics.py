@@ -23,12 +23,12 @@ after another, and builds no dense IoU matrix:
   the set's rows (``keep``), with their own scores, and a detection's
   candidates are its pairs with a non-ignored ground truth at IoU >= the
   threshold. Filtering a sorted list keeps its order, so the candidates
-  stay ranked. The mask at each threshold is computed once per pair set,
-  and each evaluation gathers its rows from it. ``crowdset eval`` keeps
-  every row; the study sweeps each model family's draw once and evaluates
-  every model and suppression config as its kept rows. COCO's evaluator
-  is built the same way: IoUs computed once per image, then matched at
-  each threshold (Lin et al., ECCV 2014).
+  stay ranked. Each row's candidate list at each threshold is built once
+  per pair set, and each evaluation gathers its rows' lists. ``crowdset
+  eval`` keeps every row; the study sweeps each model family's draw once
+  and evaluates every model and suppression config as its kept rows.
+  COCO's evaluator is built the same way: IoUs computed once per image,
+  then matched at each threshold (Lin et al., ECCV 2014).
 * The detections are admitted in rank order (descending score, ties by
   input index) in one walk over those lists that keeps two matchings:
 
@@ -43,7 +43,11 @@ after another, and builds no dense IoU matrix:
   those of a walk over that image alone.
 * The non-ignored ground-truth pairs with IoU > ``CROWD_IOU`` are kept,
   so the crowd flags and the density count are views of them. They are
-  swept once per :class:`Truth`, which the study's rows share.
+  swept, and the crowd flags and totals counted, once per :class:`Truth`,
+  which the study's rows share. What a pair set or truth builds once is
+  read-only: its arrays are, and no one modifies its lists. MR^-2's
+  reference points are built once per :class:`EvalConfig`, and an
+  evaluation ranks its flags and scores once for AP, MR^-2 and JI.
 
 Neither matching's step for a detection depends on lower-ranked ones, so
 keeping only the detections that score >= t gives a prefix of the pass for
@@ -93,6 +97,14 @@ class EvalConfig:
                              f"fppi_hi, got {self.fppi_lo} and {self.fppi_hi}")
         if self.fppi_points < 2:
             raise ValueError("fppi_points must be >= 2")
+
+    @cached_property
+    def _fppi_refs(self) -> np.ndarray:
+        """MR^-2's reference FPPI points, built once; read-only."""
+        refs = np.logspace(math.log10(self.fppi_lo), math.log10(self.fppi_hi),
+                           self.fppi_points)
+        refs.flags.writeable = False
+        return refs
 
 
 @dataclass(frozen=True)
@@ -176,6 +188,7 @@ class Truth:
         self.classes = _cat([r.gt_classes for r in images],
                             np.zeros(0, dtype=np.int64))
         self.ignore = _cat([r.gt_ignore for r in images], np.zeros(0, dtype=bool))
+        self.n_real = int(np.count_nonzero(~self.ignore))
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -185,6 +198,22 @@ class Truth:
         return overlaps(self.boxes,
                         lambda a, b, ov: real[a] & real[b] & (ov > CROWD_IOU),
                         self.image)
+
+    @cached_property
+    def crowd(self) -> np.ndarray:
+        """Per ground truth: another non-ignored ground truth of its image
+        overlaps it with IoU > ``CROWD_IOU``; ignored ones stay False.
+        Read-only."""
+        a, b, _, _ = self.pairs
+        flags = np.zeros(len(self.boxes), dtype=bool)
+        flags[a] = True
+        flags[b] = True
+        flags.flags.writeable = False
+        return flags
+
+    @cached_property
+    def n_crowd(self) -> int:
+        return int(np.count_nonzero(self.crowd))
 
 
 class PairSet:
@@ -217,12 +246,13 @@ class PairSet:
 
     def at_iou(self, iou_thresh: float):
         """The pairs with IoU >= ``iou_thresh``, which must not be below the
-        sweep's, by detection: ``(cols, ptr, hits_ignored, n_pairs)``.
-        Detection i's candidates, its non-ignored ground truths in rank
-        order (filtering a sorted list keeps its order), are
-        ``cols[ptr[i]:ptr[i + 1]]``; ``hits_ignored`` says whether it
-        reaches an ignored ground truth, and ``n_pairs`` counts its pairs.
-        Computed once per threshold."""
+        sweep's, by detection: ``(candidates, hits_ignored, n_pairs)``.
+        Detection i's candidates, ``candidates[i]``, are its non-ignored
+        ground truths in rank order (filtering a sorted list keeps its
+        order); ``hits_ignored`` says whether it reaches an ignored ground
+        truth, and ``n_pairs`` counts its pairs. Built once per threshold
+        and shared by the evaluations: the arrays are read-only, and no
+        one modifies the lists."""
         if iou_thresh < self.min_iou:
             raise ValueError(f"evaluation at IoU {iou_thresh} needs pairs "
                              f"the sweep at IoU {self.min_iou} dropped")
@@ -231,11 +261,14 @@ class PairSet:
             real = hit & ~self.ignored
             ptr = np.zeros(n + 1, dtype=np.intp)
             np.cumsum(np.bincount(self.rows[real], minlength=n), out=ptr[1:])
+            cols, ptr = self.cols[real].tolist(), ptr.tolist()
             hits_ignored = np.zeros(n, dtype=bool)
             hits_ignored[self.rows[hit & self.ignored]] = True
+            n_pairs = np.bincount(self.rows[hit], minlength=n)
+            hits_ignored.flags.writeable = n_pairs.flags.writeable = False
             self._masks[iou_thresh] = (
-                self.cols[real].tolist(), ptr, hits_ignored,
-                np.bincount(self.rows[hit], minlength=n))
+                [cols[a:b] for a, b in zip(ptr, ptr[1:])], hits_ignored,
+                n_pairs)
         return self._masks[iou_thresh]
 
 
@@ -263,11 +296,12 @@ class Evaluation:
         truth = pairs.truth
         self.cfg, self.pairs, self.truth = cfg, pairs, truth
         self.n_images = truth.n_images
-        self.n_gt = int(np.count_nonzero(~truth.ignore))
+        self.n_gt = truth.n_real
         self.scores = scores
         # Descending score, ties by image, then input index: each image's
         # rank order, and the global order of the AP and MR^-2 sweeps.
         self.order = np.argsort(-self.scores, kind="stable")
+        self._ranked_scores = scores[self.order]
         self.candidates, hits_ignored, self.det_gt_above = self._candidates(keep)
         det_match = [-1] * len(self.scores)
         taken = [False] * len(truth.boxes)
@@ -299,9 +333,8 @@ class Evaluation:
         """Each kept detection's candidate list, whether it reaches an
         ignored ground truth, and how many of its pairs are at or above the
         threshold: the rows ``keep`` of the pairs masked at the threshold."""
-        cols, ptr, hits_ignored, n_pairs = self.pairs.at_iou(self.cfg.iou_thresh)
-        lo, hi = ptr[keep].tolist(), ptr[keep + 1].tolist()
-        return ([cols[a:b] for a, b in zip(lo, hi)], hits_ignored[keep],
+        candidates, hits_ignored, n_pairs = self.pairs.at_iou(self.cfg.iou_thresh)
+        return ([candidates[i] for i in keep.tolist()], hits_ignored[keep],
                 int(n_pairs[keep].sum()))
 
     def counters(self) -> dict:
@@ -316,16 +349,17 @@ class Evaluation:
                 "det_gt_pairs_above_iou": self.det_gt_above,
                 "crowd_pairs": len(crowd)}
 
-    def _sweep(self) -> np.ndarray:
-        """Global is-TP flags sorted by descending score, ignored detections
-        dropped."""
+    @cached_property
+    def _tp_cum(self) -> np.ndarray:
+        """The running TP count of the global sweep by descending score,
+        ignored detections dropped: the curve of AP and MR^-2."""
         flags = self.det_flags[self.order]
-        return flags[flags != IGNORED] == TP
+        return np.cumsum(flags[flags != IGNORED] == TP)
 
     def average_precision(self) -> float:
         if self.n_gt == 0:
             raise ValueError("average precision is undefined without ground truths")
-        tp_cum = np.cumsum(self._sweep())
+        tp_cum = self._tp_cum
         precision = tp_cum / np.arange(1, len(tp_cum) + 1)  # TP + FP = rank
         envelope = np.maximum.accumulate(precision[::-1])[::-1]
         return float(np.sum(np.diff(tp_cum / self.n_gt, prepend=0.0) * envelope))
@@ -334,27 +368,26 @@ class Evaluation:
         n_images, n_gt, cfg = self.n_images, self.n_gt, self.cfg
         if n_images == 0 or n_gt == 0:
             raise ValueError("miss rate needs at least one image and one ground truth")
-        flags = self._sweep()
-        fppi = np.concatenate(([0.0], np.cumsum(~flags) / n_images))
-        miss = np.concatenate(([1.0], 1.0 - np.cumsum(flags) / n_gt))
-        refs = np.logspace(math.log10(cfg.fppi_lo), math.log10(cfg.fppi_hi),
-                           cfg.fppi_points)
+        tp_cum = self._tp_cum
+        fp_cum = np.arange(1, len(tp_cum) + 1) - tp_cum
+        fppi = np.concatenate(([0.0], fp_cum / n_images))
+        miss = np.concatenate(([1.0], 1.0 - tp_cum / n_gt))
         # FPPI rises from 0 < fppi_lo: each reference sees a non-empty prefix.
         samples = np.minimum.accumulate(miss)[
-            np.searchsorted(fppi, refs, side="right") - 1]
+            np.searchsorted(fppi, cfg._fppi_refs, side="right") - 1]
         return float(np.exp(np.log(np.maximum(samples, _MR_FLOOR)).mean()))
 
     def jaccard_index(self, score_threshold: float) -> float:
         if math.isnan(score_threshold):
             raise ValueError("score_threshold must not be NaN")
-        kept = self.scores[self.order] >= score_threshold
+        kept = self._ranked_scores >= score_threshold
         m, d = int(self.gains[kept].sum()), int(kept.sum())
         if d + self.n_gt == 0:
             return 1.0
         return m / (d + self.n_gt - m)
 
     def best_ji(self) -> tuple[float, float]:
-        s_sorted = self.scores[self.order]
+        s_sorted = self._ranked_scores
         # Empty-set candidate at threshold +inf.
         best_val = 1.0 if self.n_gt == 0 else 0.0
         best_thr = math.inf
@@ -371,30 +404,22 @@ class Evaluation:
         return best_val, best_thr
 
     def crowd_flags(self) -> np.ndarray:
-        """Per ground truth: another non-ignored ground truth of its image
-        overlaps it with IoU > ``CROWD_IOU``; ignored ones stay False."""
-        a, b, _, _ = self.truth.pairs
-        flags = np.zeros(len(self.truth.boxes), dtype=bool)
-        flags[a] = True
-        flags[b] = True
-        return flags
+        """:attr:`Truth.crowd`: per ground truth, whether it is crowd."""
+        return self.truth.crowd
 
     def recall_split(self, score_threshold: float
                      ) -> tuple[RecallStats, RecallStats, RecallStats]:
         if math.isnan(score_threshold):
             raise ValueError("score_threshold must not be NaN")
-        found = np.zeros(len(self.truth.boxes), dtype=bool)
+        # Each matched ground truth once; the greedy matching takes only
+        # non-ignored ones.
         at = self.det_match[self.scores >= score_threshold]
-        found[at[at >= 0]] = True
-        real, crowd = ~self.truth.ignore, self.crowd_flags()
-
-        def stats(mask: np.ndarray) -> RecallStats:
-            return RecallStats(int((found & mask).sum()), int(mask.sum()))
-
-        sparse, crowd_ = stats(real & ~crowd), stats(real & crowd)
-        total = RecallStats(sparse.matched + crowd_.matched,
-                            sparse.total + crowd_.total)
-        return total, sparse, crowd_
+        at = at[at >= 0]
+        crowd = int(np.count_nonzero(self.truth.crowd[at]))
+        n_crowd = self.truth.n_crowd
+        return (RecallStats(len(at), self.n_gt),
+                RecallStats(len(at) - crowd, self.n_gt - n_crowd),
+                RecallStats(crowd, n_crowd))
 
     def density_stats(self) -> DensityStats:
         if self.n_images == 0:

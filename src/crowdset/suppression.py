@@ -53,6 +53,11 @@ row's ``image``: every image is suppressed as if it ran alone.
   decay factors and flags): a pick touches about a dozen neighbours, too
   few for numpy's per-call cost to pay. Python floats multiply exactly as
   float64 arrays do.
+* A graph builds its rank order, as an array and a list, once, and each
+  graph config (threshold, same-proposal skip, ranked or both ways) once,
+  as CSR arrays and the lists the walks read: every walk with that config
+  shares them, such as each study model's NMS at one threshold. The walks
+  only read them, and the arrays are read-only.
 
 The output equals that of the dense loops on each image bit for bit: a
 pair without an edge has a decay factor of exactly 1.
@@ -221,6 +226,9 @@ class OverlapGraph:
         self._a, self._b, self._ious = a.astype(np.int32), b.astype(np.int32), ious
         # By image, then descending score, ties by ascending input index.
         self.order = np.lexsort((-dets.scores, image))
+        self.order.flags.writeable = False
+        self._order = self.order.tolist()
+        self._graphs: dict[tuple, tuple] = {}
 
     @cached_property
     def _ranked(self):
@@ -244,18 +252,29 @@ class OverlapGraph:
         ``respect_proposals``, different proposal ids) as a CSR graph
         ``(indptr, neighbours, ious)``: box i's neighbours are
         ``neighbours[indptr[i]:indptr[i + 1]]``. Each edge is stored both
-        ways, or with ``ranked`` once, from the box ranked first."""
-        src, dst, ious = self._ranked if ranked else self._both
-        keep = ious > min_iou
-        if respect_proposals:
-            pids = self.proposal_ids
-            keep &= pids[src] != pids[dst]
-        if not keep.all():
-            src, dst, ious = src[keep], dst[keep], ious[keep]
-        n = len(self.scores)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst, ious
+        ways, or with ``ranked`` once, from the box ranked first. Built
+        once per key, with the walks' lists; the arrays are read-only."""
+        return self._walk(min_iou, respect_proposals, ranked)[:3]
+
+    def _walk(self, min_iou, respect_proposals, ranked):
+        """:meth:`graph`, and its ``indptr`` and ``neighbours`` as lists."""
+        key = (min_iou, respect_proposals, ranked)
+        if key not in self._graphs:
+            src, dst, ious = self._ranked if ranked else self._both
+            keep = ious > min_iou
+            if respect_proposals:
+                pids = self.proposal_ids
+                keep &= pids[src] != pids[dst]
+            if not keep.all():
+                src, dst, ious = src[keep], dst[keep], ious[keep]
+            n = len(self.scores)
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+            for array in (indptr, dst, ious):
+                array.flags.writeable = False
+            self._graphs[key] = (indptr, dst, ious,
+                                 indptr.tolist(), dst.tolist())
+        return self._graphs[key]
 
     def suppress(self, cfg: SuppressionConfig, rows: np.ndarray | None = None):
         """Run ``cfg``, whose threshold must not be below the sweep's, on
@@ -282,11 +301,10 @@ class OverlapGraph:
     def _greedy_keep(self, iou_thresh, respect_proposals, member) -> list[int]:
         """Greedy suppression loop over the ``member`` boxes; returns kept
         input indices in rank order."""
-        indptr, nbrs, _ = self.graph(iou_thresh, respect_proposals, ranked=True)
-        ptr, nbrs = indptr.tolist(), nbrs.tolist()
+        *_, ptr, nbrs = self._walk(iou_thresh, respect_proposals, True)
         dead = (~member).tolist()
         keep = []
-        for i in self.order.tolist():
+        for i in self._order:
             if not dead[i]:
                 keep.append(i)
                 for j in nbrs[ptr[i]:ptr[i + 1]]:
@@ -297,10 +315,9 @@ class OverlapGraph:
         """Score-decay loop over the ``member`` boxes; returns kept input
         indices in pick order and their decayed scores."""
         gaussian = cfg.method == "soft_gaussian"
-        indptr, nbrs, ovr = self.graph(_sweep_floor(cfg))
+        _, _, ovr, ptr, nbrs = self._walk(_sweep_floor(cfg), False, False)
         factor = (np.exp(-(ovr * ovr) / cfg.sigma) if gaussian
                   else 1.0 - ovr).tolist()
-        ptr, nbrs = indptr.tolist(), nbrs.tolist()
         floor = cfg.score_floor
         # Scores only decay, so a box under the floor is dead from the start,
         # unless it is its image's first member in ``order``: the first pick.

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from test_emd import emd_images
 from test_suppression import _det, _images, _thresh, indexed, oracle_suppress
 
-from crowdset import scene_io
+from crowdset import __version__, scene_io
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.cli import (_METHOD_FLAGS, _emd_report, _emit, _manifest_text,
                           build_parser, main)
@@ -296,6 +296,18 @@ class TestExitCodes:
         assert not out.exists()
 
 
+COMMANDS = ("synth", "suppress", "eval", "emd", "study")
+
+
+def _exit_of(parse, argv) -> tuple:
+    """The exit code, stdout and stderr of ``parse(argv)``, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code or 0, out.getvalue(), err.getvalue()
+
+
 class TestSurface:
     @pytest.mark.parametrize("flag", ["nms", "set-nms", "soft-linear",
                                       "soft-gaussian"])
@@ -312,6 +324,20 @@ class TestSurface:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "bench" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["--version"], 0),
+        *(([command, "--help"], 0) for command in COMMANDS),
+        ([], 2), (["bogus"], 2), (["bogus", "eval"], 2),
+        (["eval", "--det", "d.jsonl"], 2), (["--jobs", "1", "study"], 2)])
+    def test_main_parses_as_the_full_parser(self, argv, code):
+        # main builds only the invoked subcommand's arguments.
+        got = _exit_of(main, argv)
+        assert got == _exit_of(build_parser().parse_args, argv)
+        exit_code, out, err = got
+        assert exit_code == code and (err if code else out)
+        if argv == ["--version"]:
+            assert out == __version__ + "\n"
 
 
 class TestSuppress:
@@ -460,8 +486,8 @@ class TestRecordFields:
 EMD_SCENES = SceneParams(image_w=480, image_h=320, n_objects_mean=8.0,
                          crowd_pairs_mean=1.0, crowd_triples_mean=1.5)
 EMD_SHA256 = {
-    "k2-truncate": "c04daa6b954402d21e14cde7fb4b21a6aa19c41bf8bc5ec35c6f8276386c79b5",
-    "k3": "cd4bd62179e7d779836fbe09e46273609a93c9e1e9764204db966de2d0556508",
+    "k2-truncate": "a5531b8d5efcd1907af88901706cda74fbc4bb0a52dc113e0e1780e810928109",
+    "k3": "3bdb5ab1cf87fd799a227a6232b21f43c918b175af5cf1705155e0722abe7a2e",
 }
 EMD_ARGV = {
     "k2-truncate": ["--k", "2", "--truncate-topk"],
@@ -557,6 +583,9 @@ class TestEmd:
         code, out, _ = _run_emd(tmp_path, gt, preds[k], EMD_ARGV[run])
         assert code == 0
         assert sha256(out) == EMD_SHA256[run]
+        assert strict_json(out)["config"] == {
+            "k": k, "theta": 0.5,
+            "truncate_topk": "--truncate-topk" in EMD_ARGV[run]}
 
     def test_inputs_cover_the_edge_cases(self, emd_inputs, tmp_path):
         gt, preds = emd_inputs
@@ -687,7 +716,8 @@ def emd_matches(draw):
             total=np.array(draw(st.lists(costs, min_size=p, max_size=p)),
                            dtype=np.float64))))
     theta = draw(st.floats(0.0, 1.0, exclude_min=True))
-    return matches, {"k": k, "theta": theta}
+    return matches, {"k": k, "theta": theta,
+                     "truncate_topk": draw(st.booleans())}
 
 
 class TestEmdReport:
@@ -749,7 +779,7 @@ class TestBatchedFile:
     @given(emd_files())
     def test_every_batch_size_equals_per_record_scoring(self, drawn):
         records, gts, cfg, theta, truncate = drawn
-        config = {"k": cfg.k, "theta": theta}
+        config = {"k": cfg.k, "theta": theta, "truncate_topk": truncate}
         ids = [r.id for r in records]
         repeat = next((i for n, i in enumerate(ids) if i in ids[:n]), None)
         try:

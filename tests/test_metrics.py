@@ -695,6 +695,56 @@ class TestMaskedPairs:
                           dets.scores).det_flags.tolist() == [FP]
 
 
+class TestSharedPairs:
+    """One pair set and truth evaluated many times, kept rows and
+    thresholds interleaved, against a fresh pair set and truth for each
+    evaluation: what they build once is left as it was."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleaved_evaluations_equal_fresh_pair_sets(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        arrays = [SceneArrays.from_record(s) for s in oracle_scenes(rng, 30)]
+        dets, image = Detections.concat([a.dets for a in arrays])
+        shared = PairSet(Truth(arrays), dets, image, 0.5)
+        runs = []
+        for _ in range(2):
+            # Ascending rows keep each image's rows together; some scores
+            # decay, as Soft-NMS's do.
+            keep = np.flatnonzero(rng.random(len(dets)) < 0.7)
+            scores = dets.scores[keep] * np.where(
+                rng.random(len(keep)) < 0.5, 1.0, rng.random(len(keep)))
+            runs += [(keep, scores, t) for t in (0.5, 0.6, 0.75)]
+        runs = [runs[i] for i in rng.permutation(len(runs))]
+        # Each run again after all the others.
+        for keep, scores, t in runs + runs:
+            cfg = EvalConfig(iou_thresh=t)
+            got = Evaluation(cfg, shared, keep, scores)
+            want = Evaluation(cfg, PairSet(Truth(arrays), dets, image, 0.5),
+                              keep, scores)
+            for field in ("det_flags", "det_match", "gt_matched", "gains"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and np.array_equal(g, w), field
+            assert got.candidates == want.candidates
+            assert repr(got.report()) == repr(got.report()) \
+                == repr(want.report())
+
+    def test_shared_arrays_are_read_only(self):
+        arrays = [SceneArrays.from_record(scene("", [
+            gt(0, 0, 10, 10), gt(1, 0, 11, 10), gt(50, 50, 60, 60, ignore=True)],
+            [det(0, 0, 10, 10, 0.9), det(50, 50, 60, 60, 0.8)]))]
+        dets, image = Detections.concat([a.dets for a in arrays])
+        pairs = PairSet(Truth(arrays), dets, image, 0.5)
+        before = repr(Evaluation(CFG, pairs, np.arange(2), dets.scores).report())
+        ev = Evaluation(CFG, pairs, np.arange(2), dets.scores)
+        _, hits_ignored, n_pairs = pairs.at_iou(0.5)
+        assert ev.crowd_flags().tolist() == [True, True, False]
+        for array in (ev.crowd_flags(), hits_ignored, n_pairs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+        assert repr(Evaluation(CFG, pairs, np.arange(2),
+                               dets.scores).report()) == before
+
+
 class TestScale:
     def test_wide_image_needs_no_dense_matrix(self):
         # 20,000 disjoint ground truths, each with one detection 1 px to its

@@ -490,6 +490,41 @@ class TestGraphRestriction:
         assert scores.tolist() == [0.1]
 
 
+class TestGraphCache:
+    """One graph walked many times, configs and row subsets interleaved,
+    against a fresh graph for each walk: the graph and lists a config's
+    walk reads are built once and left as they were."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(images=_images(), data=st.data())
+    def test_interleaved_walks_equal_fresh_graphs(self, images, data):
+        dets, image = Detections.concat([Detections.from_list(d) for d in images])
+        subsets = [None, data.draw(_rows_of(len(dets))),
+                   data.draw(_rows_of(len(dets)))]
+        cfgs = [SuppressionConfig(method=m, iou_thresh=t, score_floor=0.2)
+                for m in METHOD_NAMES for t in (0.4, 0.6)]
+        runs = data.draw(st.permutations([(cfg, rows) for cfg in cfgs
+                                          for rows in subsets]))
+        shared = OverlapGraph(dets, 0.0, image)
+        # Each run again after all the others.
+        for cfg, rows in runs + runs:
+            keep, scores = shared.suppress(cfg, rows)
+            want, want_scores = OverlapGraph(dets, 0.0, image).suppress(cfg, rows)
+            assert keep.tolist() == want.tolist(), cfg
+            assert scores.tobytes() == want_scores.tobytes(), cfg
+
+    def test_shared_arrays_are_read_only(self):
+        graph = OverlapGraph(Detections.from_list(crowd_cloud(n_scenes=2)), 0.0)
+        before = graph.suppress(SET)
+        for array in (graph.order, *graph.graph(0.5),
+                      *graph.graph(0.5, True, ranked=True)):
+            assert len(array)
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(graph.suppress(SET), before))
+
+
 class TestBench:
     """Degenerate clouds: one box, all disjoint, all identical."""
 
