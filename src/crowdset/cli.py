@@ -25,10 +25,10 @@ the texts of ``rows.csv`` and ``report.json`` before it creates its
 directory, so a study whose rows fail writes nothing.
 
 Each metric has one protocol: ``eval`` reports all-point AP, MR^-2 over
-FPPI [10^-2, 10^0] by default, JI over a maximum matching and the
-crowd/sparse recall split; ``emd`` reports the set-matching loss with a
-cross-entropy plus smooth-L1 cost, and its ``config`` records ``k``,
-``theta`` and ``truncate_topk``.
+FPPI [10^-2, 10^0], JI over a maximum matching and the crowd/sparse recall
+split, and its ``config`` records the IoU threshold and the FPPI grid;
+``emd`` reports the set-matching loss with a cross-entropy plus smooth-L1
+cost, and its ``config`` records ``k``, ``theta`` and ``truncate_topk``.
 
 :func:`main` builds only the invoked subcommand's arguments; all five
 subcommands stay registered, so help and usage errors read as those of the
@@ -56,7 +56,8 @@ import numpy as np
 from . import __version__
 from .assignment import check_theta
 from .emd import ENUMERATION_LIMIT, EmdConfig, ImageMatch, match_batch
-from .metrics import EvalConfig, EvalReport, Evaluation
+from .metrics import (CROWD_IOU, FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig,
+                      EvalReport, Evaluation)
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays)
 from .suppression import METHODS, Detections, SuppressionConfig, suppress_many
@@ -139,7 +140,7 @@ def _add_scene_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objects-mean", type=float, default=d.n_objects_mean,
                    help="mean ground truths per image")
     p.add_argument("--pairs-mean", type=float, default=d.crowd_pairs_mean,
-                   help="mean crowd pairs (IoU > 0.5) per image")
+                   help=f"mean crowd pairs (IoU > {CROWD_IOU}) per image")
     p.add_argument("--triples-mean", type=float, default=d.crowd_triples_mean,
                    help="mean crowd triples per image")
     p.add_argument("--pair-iou-lo", type=float, default=d.pair_iou_range[0])
@@ -192,8 +193,7 @@ def _merge_gt_det(gt_records: list[SceneArrays],
 
 
 def cmd_eval(args) -> dict:
-    cfg = EvalConfig(iou_thresh=args.iou, fppi_lo=args.fppi_lo,
-                     fppi_hi=args.fppi_hi, fppi_points=args.fppi_points)
+    cfg = EvalConfig(iou_thresh=args.iou)
     gt_records = parse_scene_arrays(args.gt)
     det_records = parse_scene_arrays(args.det)
     scenes = _merge_gt_det(gt_records, det_records)
@@ -206,8 +206,8 @@ def cmd_eval(args) -> dict:
             "objects_per_image": density.objects_per_image,
             "overlaps_per_image": density.overlaps_per_image,
         },
-        "config": {"iou": args.iou, "fppi_lo": args.fppi_lo,
-                   "fppi_hi": args.fppi_hi, "fppi_points": args.fppi_points},
+        "config": {"iou": args.iou, "fppi_lo": FPPI_LO, "fppi_hi": FPPI_HI,
+                   "fppi_points": FPPI_POINTS},
     }
     _emit(_json_text(out), args.out)
     return ev.counters()
@@ -388,13 +388,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--gt", required=True)
         p.add_argument("--det", required=True)
         p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
-        p.add_argument("--fppi-lo", type=float, default=EvalConfig.fppi_lo)
-        p.add_argument("--fppi-hi", type=float, default=EvalConfig.fppi_hi,
-                       help=f"MR^-2 averages the miss rate over FPPI from "
-                            f"--fppi-lo to --fppi-hi, by default EvalConfig's "
-                            f"[{EvalConfig.fppi_lo:g}, {EvalConfig.fppi_hi:g}], "
-                            f"the Caltech/CrowdHuman range")
-        p.add_argument("--fppi-points", type=int, default=EvalConfig.fppi_points)
         p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("emd", help="score slot predictions against "

@@ -3,10 +3,12 @@ index with best-threshold search, and crowd/sparse recall splits.
 
 All metrics run at a single IoU threshold (default 0.5), each under one
 protocol: AP is the area under the all-point interpolated precision-recall
-curve, MR^-2 the log-average miss rate over log-spaced FPPI points, and JI
-counts a maximum one-to-one matching. Ignored ground truths never enter a
-denominator; detections whose only qualifying overlap is an ignored ground
-truth are excluded from the precision/recall sweeps.
+curve, MR^-2 the log-average miss rate at ``FPPI_POINTS`` log-spaced FPPI
+points in [``FPPI_LO``, ``FPPI_HI``], and JI counts a maximum one-to-one
+matching. No config changes a protocol; :class:`EvalConfig` sets only the
+IoU threshold. Ignored ground truths never enter a denominator; detections
+whose only qualifying overlap is an ignored ground truth are excluded from
+the precision/recall sweeps.
 
 Every metric is a view of one pass over all images of a call
 (:class:`Evaluation`). The pass holds the images as columns, one image
@@ -46,8 +48,8 @@ after another, and builds no dense IoU matrix:
   swept, and the crowd flags and totals counted, once per :class:`Truth`,
   which the study's rows share. What a pair set or truth builds once is
   read-only: its arrays are, and no one modifies its lists. MR^-2's
-  reference points are built once per :class:`EvalConfig`, and an
-  evaluation ranks its flags and scores once for AP, MR^-2 and JI.
+  reference points are one read-only module array, and an evaluation
+  ranks its flags and scores once for AP, MR^-2 and JI.
 
 Neither matching's step for a detection depends on lower-ranked ones, so
 keeping only the detections that score >= t gives a prefix of the pass for
@@ -77,34 +79,23 @@ CROWD_IOU = 0.5
 # Greedy-matching flag values of a detection (Evaluation.det_flags).
 TP, FP, IGNORED = 1, 0, -1
 
+# MR^-2 averages the miss rate at FPPI_POINTS log-spaced FPPI points in
+# [FPPI_LO, FPPI_HI], the Caltech/CrowdHuman protocol (Dollar et al., TPAMI
+# 2012; Shao et al., arXiv 1805.00123); _FPPI_REFS holds them, read-only.
+FPPI_LO, FPPI_HI, FPPI_POINTS = 1e-2, 1.0, 9
+_FPPI_REFS = np.logspace(math.log10(FPPI_LO), math.log10(FPPI_HI), FPPI_POINTS)
+_FPPI_REFS.flags.writeable = False
+
 _MR_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     iou_thresh: float = 0.5
-    # MR^-2 averages over FPPI in [10^-2, 10^0], the Caltech/CrowdHuman
-    # range (Dollar et al., TPAMI 2012; Shao et al., arXiv 1805.00123).
-    fppi_lo: float = 1e-2
-    fppi_hi: float = 1.0
-    fppi_points: int = 9
 
     def __post_init__(self):
         if not 0.0 < self.iou_thresh < 1.0:
             raise ValueError(f"iou_thresh must be in (0, 1), got {self.iou_thresh}")
-        if not 0.0 < self.fppi_lo < self.fppi_hi < math.inf:
-            raise ValueError(f"fppi bounds must be finite with 0 < fppi_lo < "
-                             f"fppi_hi, got {self.fppi_lo} and {self.fppi_hi}")
-        if self.fppi_points < 2:
-            raise ValueError("fppi_points must be >= 2")
-
-    @cached_property
-    def _fppi_refs(self) -> np.ndarray:
-        """MR^-2's reference FPPI points, built once; read-only."""
-        refs = np.logspace(math.log10(self.fppi_lo), math.log10(self.fppi_hi),
-                           self.fppi_points)
-        refs.flags.writeable = False
-        return refs
 
 
 @dataclass(frozen=True)
@@ -365,16 +356,16 @@ class Evaluation:
         return float(np.sum(np.diff(tp_cum / self.n_gt, prepend=0.0) * envelope))
 
     def mr2(self) -> float:
-        n_images, n_gt, cfg = self.n_images, self.n_gt, self.cfg
+        n_images, n_gt = self.n_images, self.n_gt
         if n_images == 0 or n_gt == 0:
             raise ValueError("miss rate needs at least one image and one ground truth")
         tp_cum = self._tp_cum
         fp_cum = np.arange(1, len(tp_cum) + 1) - tp_cum
         fppi = np.concatenate(([0.0], fp_cum / n_images))
         miss = np.concatenate(([1.0], 1.0 - tp_cum / n_gt))
-        # FPPI rises from 0 < fppi_lo: each reference sees a non-empty prefix.
+        # FPPI rises from 0 < FPPI_LO: each reference sees a non-empty prefix.
         samples = np.minimum.accumulate(miss)[
-            np.searchsorted(fppi, cfg._fppi_refs, side="right") - 1]
+            np.searchsorted(fppi, _FPPI_REFS, side="right") - 1]
         return float(np.exp(np.log(np.maximum(samples, _MR_FLOOR)).mean()))
 
     def jaccard_index(self, score_threshold: float) -> float:
@@ -449,7 +440,8 @@ def average_precision(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
 
 
 def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
-    """Log-average miss rate over log-spaced FPPI sample points.
+    """Log-average miss rate at ``FPPI_POINTS`` log-spaced FPPI sample
+    points in [``FPPI_LO``, ``FPPI_HI``].
 
     The miss-rate/FPPI curve is swept from the highest score down, starting
     at the empty prediction set (FPPI 0, miss rate 1). At each sample point

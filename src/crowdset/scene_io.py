@@ -263,25 +263,23 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
                        _int_field(obj, "height", 0, rid), *gt_cols, det_cols)
 
 
-def _open_for(source: PathOrStream, mode: str):
-    if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False
-    return open(source, mode, encoding="utf-8", newline="\n"), True
-
-
 def _decoded(source: PathOrStream) -> Iterator[tuple[int, object]]:
     """``(line number, value)`` of each non-blank line; a malformed line
-    raises, naming the line."""
-    stream, owned = _open_for(source, "r")
+    raises, naming the line. A path is read as bytes and each line decoded
+    on its own, so a line that is not UTF-8 is named like any other."""
+    owned = not hasattr(source, "read")
+    stream = open(source, "rb") if owned else source
     try:
         for lineno, line in enumerate(stream, start=1):
-            if line.isspace():
-                continue
             try:
+                line = line.decode("utf-8") if owned else line
+                if line.isspace():
+                    continue
                 obj = json.loads(line)
-            except ValueError as e:
-                # A JSONDecodeError, or an integer literal longer than
-                # Python's int-string conversion limit.
+            except (ValueError, RecursionError) as e:
+                # A line that is not UTF-8, a JSONDecodeError, an integer
+                # literal longer than Python's int-string conversion limit,
+                # or nesting deeper than the recursion limit.
                 raise SceneFileError(
                     f"line {lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
             yield lineno, obj
@@ -304,7 +302,8 @@ def _at_line(lineno: int, parse, obj):
 
 def _write_jsonl(lines: Iterable[str], dest: PathOrStream, kind: str) -> None:
     """Write one JSON text per line; I/O errors name the destination."""
-    stream, owned = _open_for(dest, "w")
+    owned = not hasattr(dest, "write")
+    stream = open(dest, "w", encoding="utf-8", newline="\n") if owned else dest
     try:
         for line in lines:
             stream.write(line)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .assignment import GroundTruth, check_theta, gt_columns, gt_set_members
 from .geometry import box_areas, iou_arrays, iou_xyxy
-from .metrics import EvalConfig, EvalReport, Evaluation, PairSet, Truth
+from .metrics import CROWD_IOU, EvalConfig, EvalReport, Evaluation, PairSet, Truth
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import (Detection, Detections, OverlapGraph,
                           SuppressionConfig, _sweep_floor)
@@ -100,8 +100,8 @@ class SceneParams:
             if size < 1:
                 raise ValueError(f"{name} must be >= 1, got {size}")
         lo, hi = self.pair_iou_range
-        if not 0.5 < lo <= hi < 1.0:
-            raise ValueError("pair_iou_range must lie inside (0.5, 1.0)")
+        if not CROWD_IOU < lo <= hi < 1.0:
+            raise ValueError(f"pair_iou_range must lie inside ({CROWD_IOU}, 1.0)")
         for name in ("n_objects_mean", "crowd_pairs_mean", "crowd_triples_mean"):
             mean = getattr(self, name)
             if not (np.isfinite(mean) and mean >= 0):
@@ -192,7 +192,7 @@ class _Scene:
 
     Triples, then pairs, then isolated boxes are placed, in Poisson counts,
     each partner at a target IoU from ``pair_iou_range`` with its anchor.
-    A box overlapping an earlier one beyond IoU 0.5 is rejected, and
+    A box overlapping an earlier one beyond ``CROWD_IOU`` is rejected, and
     ``_PLACEMENT_TRIES`` rejections in a row raise
     :class:`SceneGenerationError`. A block of isolated candidates may draw
     past the last one needed; the generator dies with the scene.
@@ -211,8 +211,8 @@ class _Scene:
         self.boxes = self.isolated(max(0, n_total - 2 * n_pairs - 3 * n_triples))
 
     def fits(self, box: tuple) -> bool:
-        """No placed box overlaps ``box`` beyond 0.5; counts a rejection."""
-        ok = all(iou_xyxy(box, other) <= 0.5 for other in self.placed)
+        """No placed box overlaps ``box`` past CROWD_IOU; counts a rejection."""
+        ok = all(iou_xyxy(box, other) <= CROWD_IOU for other in self.placed)
         self.retries += not ok
         return ok
 
@@ -241,8 +241,8 @@ class _Scene:
                 self.placed += members
                 return
         raise SceneGenerationError(
-            f"could not place a {n_partners + 1}-box cluster without accidental "
-            f"IoU > 0.5 against existing boxes after {_PLACEMENT_TRIES} attempts")
+            f"could not place a {n_partners + 1}-box cluster without accidental IoU "
+            f"> {CROWD_IOU} against existing boxes after {_PLACEMENT_TRIES} attempts")
 
     def isolated(self, n: int) -> np.ndarray:
         """The placed boxes, then ``n`` isolated ones, as a (G, 4) array.
@@ -254,14 +254,14 @@ class _Scene:
                                           self.params), axis=1)
             both = np.concatenate([boxes, cands])
             over = iou_arrays(cands[:, None], box_areas(cands)[:, None],
-                              both[None], box_areas(both)[None]) > 0.5
+                              both[None], box_areas(both)[None]) > CROWD_IOU
             blocked, kept = over[:, :len(boxes)].any(axis=1), []
             for i in range(_CANDIDATE_BLOCK):
                 misses = misses + 1 if blocked[i] else 0
                 if misses == _PLACEMENT_TRIES:
                     raise SceneGenerationError(
                         f"could not place an isolated box without accidental "
-                        f"IoU > 0.5 after {_PLACEMENT_TRIES} attempts")
+                        f"IoU > {CROWD_IOU} after {_PLACEMENT_TRIES} attempts")
                 if not blocked[i]:
                     kept.append(i)
                     blocked |= over[i, len(boxes):]

@@ -19,7 +19,7 @@ import numpy as np
 
 from crowdset.assignment import GroundTruth
 from crowdset.geometry import boxes_to_array, iou_matrix
-from crowdset.metrics import EvalConfig, RecallStats
+from crowdset.metrics import FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig, RecallStats
 from crowdset.scene_io import SceneRecord
 from crowdset.suppression import Detection
 
@@ -139,7 +139,8 @@ def average_precision(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
 
 
 def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
-    """Log-average miss rate over log-spaced FPPI sample points.
+    """Log-average miss rate at FPPI_POINTS log-spaced FPPI sample points
+    in [FPPI_LO, FPPI_HI].
 
     The miss-rate/FPPI curve is swept from the highest score down, starting
     at the empty prediction set (FPPI 0, miss rate 1). At each sample point
@@ -155,8 +156,7 @@ def mr2(scenes: Sequence[SceneRecord], cfg: EvalConfig) -> float:
     fp_cum = np.cumsum(~flags) if flags.size else np.zeros(0)
     fppi = np.concatenate(([0.0], fp_cum / n_images))
     miss = np.concatenate(([1.0], 1.0 - tp_cum / n_gt))
-    refs = np.logspace(math.log10(cfg.fppi_lo), math.log10(cfg.fppi_hi),
-                       cfg.fppi_points)
+    refs = np.logspace(math.log10(FPPI_LO), math.log10(FPPI_HI), FPPI_POINTS)
     samples = []
     for ref in refs:
         within = miss[fppi <= ref]

@@ -248,6 +248,18 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 "error: line 1: bad record (int too large to convert to float)\n")
 
+    @pytest.mark.parametrize("bad_line", [b"[" * 100_000, b'{"id": "\xff"}'],
+                             ids=["nested-too-deeply", "not-utf-8"])
+    def test_undecodable_line_is_a_runtime_failure(self, tmp_path, capsys,
+                                                   bad_line):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"id": "a"}\n' + bad_line + b"\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", "nms", "--in", str(src),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: malformed JSON (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--gt", "g", "--det", "d", "--bogus"],
         ["suppress", "--method", "fast-nms", "--in", "a", "--out", "b"],
@@ -266,18 +278,20 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--fppi-lo", "0"),
-                                             ("--fppi-lo", "-1"),
-                                             ("--fppi-hi", "inf")])
-    def test_fppi_bounds_are_runtime_failures(self, round_trip, tmp_path,
-                                               capsys, flag, value):
+    @pytest.mark.parametrize("flag, value", [("--fppi-lo", "0.1"),
+                                             ("--fppi-hi", "2"),
+                                             ("--fppi-points", "5")])
+    def test_fppi_flags_are_usage_errors(self, round_trip, tmp_path, capsys,
+                                         flag, value):
+        # MR^-2's FPPI grid is a protocol constant that no flag changes.
         gt, det = round_trip
         capsys.readouterr()
         out = tmp_path / "eval.json"
-        assert main(["eval", "--gt", str(gt), "--det", str(det), flag, value,
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: fppi bounds must be") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gt", str(gt), "--det", str(det), flag, value,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("pred_text", ["", '{"id": "a", "proposals": []}\n',
@@ -841,7 +855,7 @@ class TestManifest:
             (["suppress", "--method", "soft-gaussian", "--sigma", "0.4",
               "--in", str(det), "--out", str(tmp_path / "k.jsonl")],
              tmp_path / "k.jsonl.manifest.json"),
-            (["eval", "--gt", str(gt), "--det", str(det), "--fppi-points", "5",
+            (["eval", "--gt", str(gt), "--det", str(det),
               "--out", str(tmp_path / "e.json"), "--manifest",
               str(tmp_path / "e.manifest.json")], tmp_path / "e.manifest.json"),
             (["emd", "--k", "3", "--gt", str(emd_gt), "--pred", str(preds[3]),

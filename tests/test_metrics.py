@@ -1,7 +1,7 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import metrics_oracle as oracle
@@ -15,11 +15,11 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from crowdset import geometry
 from crowdset.assignment import GroundTruth
 from crowdset.geometry import BBox, boxes_to_array, iou_matrix
-from crowdset.metrics import (CROWD_IOU, FP, IGNORED, TP, EvalConfig,
-                              Evaluation, PairSet, RecallStats, Truth,
-                              _augment, average_precision, best_ji,
-                              density_stats, evaluate, jaccard_index, mr2,
-                              recall_split)
+from crowdset.metrics import (CROWD_IOU, FP, FPPI_HI, FPPI_LO, FPPI_POINTS,
+                              IGNORED, TP, EvalConfig, Evaluation, PairSet,
+                              RecallStats, Truth, _augment, average_precision,
+                              best_ji, density_stats, evaluate, jaccard_index,
+                              mr2, recall_split)
 from crowdset.scene_io import SceneArrays, SceneRecord
 from crowdset.suppression import Detection, Detections
 
@@ -191,25 +191,18 @@ class TestMr2:
         s = scene("a", [gt(0, 0, 10, 10), gt(50, 50, 60, 60)],
                   [det(0, 0, 10, 10, 0.9), det(200, 200, 210, 210, 0.8),
                    det(50, 50, 60, 60, 0.7)])
-        assert (EvalConfig().fppi_lo, EvalConfig().fppi_hi) == (1e-2, 1.0)
-        default = mr2([s], CFG)
-        assert default == mr2([s], EvalConfig(fppi_hi=1.0))
-        assert default != mr2([s], EvalConfig(fppi_hi=100.0))
+        assert (FPPI_LO, FPPI_HI, FPPI_POINTS) == (1e-2, 1.0, 9)
+        # Eight points below FPPI 1 sample miss rate 0.5; the last samples 0.
+        want = math.exp((8 * math.log(0.5) + math.log(1e-10)) / 9)
+        assert mr2([s], CFG) == pytest.approx(want, rel=1e-12)
+
+    def test_config_holds_only_the_iou_threshold(self):
+        # The MR^-2 grid is a protocol constant, not a setting.
+        assert [f.name for f in fields(EvalConfig)] == ["iou_thresh"]
 
     def test_zero_gts_is_an_error(self):
         with pytest.raises(ValueError):
             mr2([scene("a", [], [])], CFG)
-
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.1, 1.0), (1e-2, math.inf),
-                                        (math.nan, 1.0), (1e-2, math.nan),
-                                        (1.0, 1.0)])
-    def test_fppi_bounds_must_be_finite_and_positive(self, lo, hi):
-        with pytest.raises(ValueError, match="fppi"):
-            EvalConfig(fppi_lo=lo, fppi_hi=hi)
-
-    def test_fppi_points_must_be_at_least_two(self):
-        with pytest.raises(ValueError, match="fppi_points must be >= 2"):
-            EvalConfig(fppi_points=1)
 
     def test_high_scoring_fp_never_decreases_mr2(self):
         rng = np.random.default_rng(19)
@@ -532,8 +525,15 @@ def _image(draw, sid):
     boxes = [g.box.as_tuple() for g in gts]
     dets = []
     for _ in range(draw(st.integers(0, 8))):
-        box = (draw(st.sampled_from(boxes)) if boxes and draw(st.booleans())
-               else draw(_grid_box))
+        if boxes and draw(st.booleans()):
+            # A ground truth, or its copy shifted by one grid unit: IoU 3/5,
+            # 1/2, 1/3 or 9/23 on the grid's sides, which a threshold mask
+            # at 0.5 or 0.75 drops.
+            x1, y1, x2, y2 = draw(st.sampled_from(boxes))
+            dx, dy = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
+            box = (x1 + dx, y1 + dy, x2 + dx, y2 + dy)
+        else:
+            box = draw(_grid_box)
         score = draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
                                st.floats(0.0, 1.0)))
         dets.append(det(*box, score=score, class_id=draw(st.integers(1, 2))))
@@ -679,6 +679,24 @@ class TestMaskedPairs:
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
             assert got.candidates == want.candidates
             assert got.det_gt_above == want.det_gt_above
+
+    def test_drawn_datasets_reach_a_dropped_candidate(self):
+        # Some drawn datasets have a candidate at the sweep's threshold
+        # that the mask at 0.75 drops, so the test above checks masks that
+        # remove pairs.
+        dropped = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(scenes=_datasets, swept_at=st.sampled_from([1 / 3, 0.5]))
+        def sweep(scenes, swept_at):
+            arrays = [SceneArrays.from_record(s) for s in scenes]
+            dets, image = Detections.concat([a.dets for a in arrays])
+            pairs = PairSet(Truth(arrays), dets, image, swept_at)
+            dropped.append(pairs.at_iou(swept_at)[0] != pairs.at_iou(0.75)[0])
+
+        sweep()
+        assert sum(dropped) >= len(dropped) // 8
 
     def test_a_threshold_below_the_sweep_is_rejected(self):
         arrays = [SceneArrays.from_record(scene("", [gt(0, 0, 4, 4)],

@@ -86,6 +86,19 @@ class TestParse:
         with pytest.raises(SceneFileError, match="line 2"):
             parse_scene_file(io.StringIO(text))
 
+    @pytest.mark.parametrize("bad_line", [b"[" * 100_000, b'{"id": "\xff"}'],
+                             ids=["nested-too-deeply", "not-utf-8"])
+    @pytest.mark.parametrize("parse, first", [
+        (parse_scene_arrays, {"id": "a"}), (parse_scene_file, {"id": "a"}),
+        (parse_prediction_arrays, {"id": "a", "proposals": []}),
+        (parse_prediction_file, {"id": "a", "proposals": []})])
+    def test_undecodable_line_reports_its_number(self, tmp_path, parse, first,
+                                                 bad_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps(first).encode() + b"\n" + bad_line + b"\n")
+        with pytest.raises(SceneFileError, match=r"^line 2: malformed JSON \("):
+            parse(path)
+
     def test_duplicate_ids_rejected(self):
         text = "\n".join(json.dumps({"id": "x"}) for _ in range(2))
         with pytest.raises(SceneFileError, match="duplicate"):
