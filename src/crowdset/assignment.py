@@ -12,7 +12,7 @@ one membership rule, run as one overlap sweep
 (:func:`~crowdset.geometry.overlaps`) of a batch of proposals against the
 ground truths, keyed by image when the proposals of many images come at
 once, and ranked by :func:`~crowdset.geometry.rank_pairs`. The detector
-simulator calls it once per model family over all its images, the EMD
+simulator calls it once per study, over all its images, the EMD
 engine once per batch of prediction records, and :func:`build_gt_set` on
 a batch of one.
 """

@@ -289,15 +289,14 @@ def cmd_emd(args) -> dict:
 def _study_rows(args) -> tuple[list[StudyRow], dict]:
     """One model per distinct k and one config per distinct (method,
     threshold), each in first-seen order, so no row is computed twice."""
-    sims = dict.fromkeys(
-        DetectorSimParams(k=k, proposal_jitter=args.jitter, theta=args.theta)
-        for k in [1, args.k, *args.k_sweep])
+    sim = DetectorSimParams(proposal_jitter=args.jitter, theta=args.theta)
+    ks = dict.fromkeys([1, args.k, *args.k_sweep])
     cfgs = dict.fromkeys([
         SuppressionConfig(method="nms", iou_thresh=args.iou),
         SuppressionConfig(method="set_nms", iou_thresh=args.iou),
         *(SuppressionConfig(method="nms", iou_thresh=t) for t in args.nms_sweep),
     ])
-    return run_study(_scene_params_from(args), list(sims), list(cfgs),
+    return run_study(_scene_params_from(args), sim, list(ks), list(cfgs),
                      EvalConfig(iou_thresh=args.iou), args.images, args.seed)
 
 
@@ -309,7 +308,7 @@ _CSV_COLUMNS = ["sim", "k", "method", "iou_thresh", "ap", "mr2", "ji",
 
 def _row_csv(row: StudyRow) -> list:
     r = row.report
-    return [row.sim_label, row.k, row.method, row.iou_thresh, repr(r.ap),
+    return [f"mip{row.k}", row.k, row.method, row.iou_thresh, repr(r.ap),
             repr(r.mr2), repr(r.ji), repr(r.ji_best_threshold),
             repr(r.recall_total.ratio), repr(r.recall_sparse.ratio),
             repr(r.recall_crowd.ratio), r.recall_total.matched,
@@ -328,7 +327,7 @@ def cmd_study(args) -> dict:
         "rows.csv": table.getvalue(),
         "report.json": _json_text({
             "schema_version": SCHEMA_VERSION,
-            "rows": [{"sim": row.sim_label, "k": row.k, "method": row.method,
+            "rows": [{"sim": f"mip{row.k}", "k": row.k, "method": row.method,
                       "iou_thresh": row.iou_thresh, **_report_dict(row.report)}
                      for row in rows],
         }),

@@ -162,10 +162,9 @@ class PredictionArrays:
                 for s in range(int(self.n_slots[i]))))
 
     def invalid(self) -> np.ndarray:
-        """Per proposal: whether a check of the dataclasses fails."""
-        b = self.boxes
-        bad = (~np.isfinite(b).all(axis=1) | (b[:, 2] < b[:, 0])
-               | (b[:, 3] < b[:, 1]) | (self.n_slots == 0))
+        """Per proposal: whether a check of the dataclasses fails, other
+        than the box rule, which the parser checks on the box column."""
+        bad = self.n_slots == 0
         used = np.arange(self.scores.shape[1]) < self.n_slots[:, None]
         # Sum each vector over its own length only: zero padding would change
         # numpy's pairwise summation order on vectors of 8 or more.

@@ -1,9 +1,12 @@
 """Axis-aligned box geometry: IoU and box-regression delta transforms.
 
 Boxes live in corner form (x1, y1, x2, y2) with real pixel coordinates.
-Zero-area boxes are legal inputs to IoU (the result is 0) but are rejected
-as proposals or targets for delta encoding, where log-size ratios must stay
-finite.
+A box is valid when its coordinates are finite, it is not inverted, and
+twice its area is finite (:class:`BBox` and :func:`invalid_boxes` hold the
+rule). The area bound keeps the intersection and union of any two valid
+boxes finite, so both IoU kernels agree on them. Zero-area boxes are legal
+inputs to IoU (the result is 0) but are rejected as proposals or targets
+for delta encoding, where log-size ratios must stay finite.
 
 IoU arithmetic lives in two kernels that compute the same numbers:
 
@@ -64,6 +67,8 @@ class BBox:
             raise GeometryError(f"non-finite box coordinates: {self}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise GeometryError(f"inverted box: {self}")
+        if not math.isfinite(2.0 * self.area):
+            raise GeometryError(f"box area overflows: {self}")
 
     @property
     def width(self) -> float:
@@ -131,6 +136,16 @@ def box_areas(boxes: np.ndarray) -> np.ndarray:
     return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
+def invalid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Per row of (N, 4) corner-form boxes: whether it breaks the box rule
+    of :class:`BBox` (a coordinate not finite, inverted, or twice its area
+    not finite), with numpy's overflow warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] < boxes[:, 0])
+                | (boxes[:, 3] < boxes[:, 1])
+                | ~np.isfinite(2.0 * box_areas(boxes)))
+
+
 def iou_arrays(a: np.ndarray, area_a: np.ndarray,
                b: np.ndarray, area_b: np.ndarray) -> np.ndarray:
     """IoU of boxes ``a`` against boxes ``b`` under numpy broadcasting.
@@ -138,14 +153,16 @@ def iou_arrays(a: np.ndarray, area_a: np.ndarray,
     ``a`` and ``b`` hold corner-form boxes along their last axis and
     ``area_a``/``area_b`` their :func:`box_areas`; the result has the
     broadcast shape of the areas. Entries with zero union area are 0.
+    The gap between two valid boxes far apart may overflow to -inf; it
+    clips to 0 without a warning.
     """
-    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
-                    - np.maximum(a[..., 0], b[..., 0]))
-    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3])
-                    - np.maximum(a[..., 1], b[..., 1]))
-    inter = iw * ih
-    union = area_a + area_b - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
+                        - np.maximum(a[..., 0], b[..., 0]))
+        ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3])
+                        - np.maximum(a[..., 1], b[..., 1]))
+        inter = iw * ih
+        union = area_a + area_b - inter
         return np.where(union > 0.0, inter / union, 0.0)
 
 

@@ -27,8 +27,8 @@ after another, and builds no dense IoU matrix:
   threshold. Filtering a sorted list keeps its order, so the candidates
   stay ranked. Each row's candidate list at each threshold is built once
   per pair set, and each evaluation gathers its rows' lists. ``crowdset
-  eval`` keeps every row; the study sweeps each model family's draw once
-  and evaluates every model and suppression config as its kept rows.
+  eval`` keeps every row; the study sweeps its draw once and
+  evaluates every model and suppression config as its kept rows.
   COCO's evaluator is built the same way: IoUs computed once per image,
   then matched at each threshold (Lin et al., ECCV 2014).
 * The detections are admitted in rank order (descending score, ties by
@@ -393,10 +393,6 @@ class Evaluation:
             if vals[k] > best_val:
                 best_val, best_thr = float(vals[k]), float(s_sorted[ends[k]])
         return best_val, best_thr
-
-    def crowd_flags(self) -> np.ndarray:
-        """:attr:`Truth.crowd`: per ground truth, whether it is crowd."""
-        return self.truth.crowd
 
     def recall_split(self, score_threshold: float
                      ) -> tuple[RecallStats, RecallStats, RecallStats]:

@@ -16,7 +16,11 @@ checked, not coerced: ``id`` must be a JSON string; ``gts``, ``dets``,
 detection scores, slot ``scores`` and ``delta`` must be JSON numbers (not
 strings or booleans); ``ignore`` must be a JSON boolean; ``width``,
 ``height``, ``class``, ``proposal_id`` and ``slot`` must be JSON integers
-that fit in 64 bits, and ``slot`` must not be negative.
+that fit in 64 bits, and ``slot`` must not be negative. A box's
+coordinates must be finite, it must not be inverted, and twice its area
+must be finite (a square box's side stays below about 9.48e153), so that
+the IoU of any two boxes is computed without overflow; a box that breaks
+this rule (:func:`~crowdset.geometry.invalid_boxes`) fails its record.
 
 ``proposal_id``/``slot`` are optional on detections; a missing proposal_id
 leaves the detection anonymous (treated as unique by Set NMS) and is omitted
@@ -57,7 +61,7 @@ import numpy as np
 
 from .assignment import GroundTruth, gt_columns
 from .emd import PredictionArrays, PredictionSet, SlotPrediction
-from .geometry import BBox, BoxDelta
+from .geometry import BBox, BoxDelta, invalid_boxes
 from .suppression import Detection, Detections
 
 PathOrStream = Union[str, os.PathLike, IO[str]]
@@ -196,16 +200,13 @@ def _typed(values, kinds: set) -> bool:
 
 def _box_column(objs: list, record_id: str) -> np.ndarray | None:
     """(N, 4) corner boxes, or None when a value is not a JSON number or a
-    box is not finite or inverted."""
+    box breaks the box rule (:func:`~crowdset.geometry.invalid_boxes`)."""
     rows = [o["box_xyxy"] if "box_xyxy" in o else _box_coords(o, record_id)
             for o in objs]
     if not _typed(chain.from_iterable(rows), _REAL):
         return None
     boxes = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-    if (~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] < boxes[:, 0])
-            | (boxes[:, 3] < boxes[:, 1])).any():
-        return None
-    return boxes
+    return None if invalid_boxes(boxes).any() else boxes
 
 
 def _gt_columns(gts: list, record_id: str):

@@ -10,7 +10,7 @@ The methods run on :class:`Detections`, detections as a struct of arrays.
 ``crowdset suppress`` suppresses all its images in one call of
 :func:`suppress_many`, and :func:`nms`, :func:`set_nms` and
 :func:`soft_nms` are the list API over it. The study builds one
-:class:`OverlapGraph` per model family and suppresses each model's rows
+:class:`OverlapGraph` over its one draw and suppresses each model's rows
 with :meth:`OverlapGraph.suppress`.
 
 Every method walks a sparse overlap graph instead of comparing every pick
@@ -31,7 +31,7 @@ row's ``image``: every image is suppressed as if it ran alone.
   ``rows`` starts every other box dead, so it is never kept and its edges
   never fire, and returns indices into the swept rows. That equals
   suppressing the rows alone, in ascending order: ties go to the lower
-  row either way. The study sweeps each model family's draw once and walks
+  row either way. The study sweeps its draw once and walks
   each model's rows over it; ``crowdset suppress`` sweeps its one set of
   detections and walks all of them.
 * NMS and Set NMS make one greedy pass over the boxes ranked by image,
@@ -201,7 +201,7 @@ class OverlapGraph:
     once; with ``image``, each row's image index, non-decreasing, the pairs
     of every image.
 
-    :meth:`graph` masks the pairs into the CSR graph of one config and
+    :meth:`_walk` masks the pairs into the CSR graph of one config and
     :meth:`suppress` runs one config over it, so every config whose
     threshold is at least ``min_iou`` shares the sweep, and so does every
     subset of the boxes: the boxes outside it start dead. The graph keeps
@@ -246,18 +246,15 @@ class OverlapGraph:
         return _by_source(np.concatenate((a, b)), np.concatenate((b, a)),
                           np.tile(self._ious, 2))
 
-    def graph(self, min_iou: float, respect_proposals: bool = False,
+    def _walk(self, min_iou: float, respect_proposals: bool = False,
               ranked: bool = False):
         """The pairs with IoU > ``min_iou`` (and, under
         ``respect_proposals``, different proposal ids) as a CSR graph
-        ``(indptr, neighbours, ious)``: box i's neighbours are
-        ``neighbours[indptr[i]:indptr[i + 1]]``. Each edge is stored both
-        ways, or with ``ranked`` once, from the box ranked first. Built
-        once per key, with the walks' lists; the arrays are read-only."""
-        return self._walk(min_iou, respect_proposals, ranked)[:3]
-
-    def _walk(self, min_iou, respect_proposals, ranked):
-        """:meth:`graph`, and its ``indptr`` and ``neighbours`` as lists."""
+        ``(indptr, neighbours, ious, indptr list, neighbours list)``: box
+        i's neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``. Each
+        edge is stored both ways, or with ``ranked`` once, from the box
+        ranked first. Built once per key, with the lists the walks read;
+        the arrays are read-only."""
         key = (min_iou, respect_proposals, ranked)
         if key not in self._graphs:
             src, dst, ious = self._ranked if ranked else self._both

@@ -22,14 +22,12 @@ prediction slot budget ``k`` per model:
 A draw does everything that does not depend on ``k`` (the proposals, their
 ranked assignment sets and the noise, in an order that does not depend on
 ``k``), and a model is a subset of the draw's rows. The study generates
-its scenes as
-:class:`~crowdset.scene_io.SceneArrays` and draws each model family
-(configs that differ only in ``k`` or ``mode``) once over all images, each
-image's noise from its own seed in the order of a draw of that image alone.
-It sweeps each family's draw twice: det/det at the loosest threshold any
-suppression config needs, and det/GT at the evaluation's threshold. Every
-model and config is then a mask over those two sweeps: a model's rows
-start the suppression walk over the det/det pairs
+its scenes as :class:`~crowdset.scene_io.SceneArrays` and draws once over
+all images, each image's noise from its own seed in the order of a draw
+of that image alone. It sweeps the draw twice: det/det at the loosest
+threshold any suppression config needs, and det/GT at the evaluation's
+threshold. Every model and config is then a mask over those two sweeps: a
+model's rows start the suppression walk over the det/det pairs
 (:meth:`OverlapGraph.suppress <crowdset.suppression.OverlapGraph.suppress>`),
 and each config's kept rows mask the det/GT pairs
 (:class:`~crowdset.metrics.PairSet`). The ground
@@ -40,13 +38,13 @@ the edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .assignment import GroundTruth, check_theta, gt_columns, gt_set_members
-from .geometry import box_areas, iou_arrays, iou_xyxy
+from .geometry import box_areas, invalid_boxes, iou_arrays, iou_xyxy
 from .metrics import CROWD_IOU, EvalConfig, EvalReport, Evaluation, PairSet, Truth
 from .scene_io import SceneArrays, SceneRecord
 from .suppression import (Detection, Detections, OverlapGraph,
@@ -108,6 +106,12 @@ class SceneParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {mean}")
 
 
+def _check_k(k: int) -> None:
+    """Raise unless the slot budget ``k`` is at least 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 @dataclass(frozen=True)
 class DetectorSimParams:
     """Detector simulation knobs.
@@ -132,8 +136,7 @@ class DetectorSimParams:
     def __post_init__(self):
         if self.mode not in ("single", "mip"):
             raise ValueError(f"mode must be 'single' or 'mip', got {self.mode!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_k(self.k)
         if not (np.isfinite(self.proposal_jitter) and self.proposal_jitter >= 0):
             raise ValueError(f"proposal_jitter must be finite and >= 0, "
                              f"got {self.proposal_jitter}")
@@ -287,7 +290,7 @@ def _jitter(boxes: np.ndarray, rel_std: float, noise: np.ndarray) -> np.ndarray:
     center = boxes[:, :2] + 0.5 * size + noise[:, :2] * rel_std * size
     half = 0.5 * size * np.exp(noise[:, 2:] * rel_std)
     out = np.concatenate([center - half, center + half], axis=1)
-    if not np.isfinite(box_areas(out)).all():
+    if invalid_boxes(out).any():
         raise ValueError(f"proposal_jitter {rel_std} overflows a box's area")
     return out
 
@@ -300,9 +303,9 @@ def _normals(rngs: list, image: np.ndarray) -> np.ndarray:
 
 
 class _Draw:
-    """One model family's detector draw over all images, shared by every
-    slot budget ``k``; each image's stream gives its proposal noise, then
-    its member noise, as a draw of that image alone does.
+    """One detector draw over all images, shared by every slot budget
+    ``k``; each image's stream gives its proposal noise, then its member
+    noise, as a draw of that image alone does.
 
     ``dets`` holds every (proposal, rank) member's prediction in that order,
     with its rank in ``slots`` and its image in ``image``; proposal ids count
@@ -368,9 +371,8 @@ def simulate_detector(gts: Sequence[GroundTruth],
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One (simulator, suppression) combination with its evaluation report."""
+    """One (k, suppression config) pair with its evaluation report."""
 
-    sim_label: str
     k: int
     method: str
     iou_thresh: float
@@ -404,64 +406,51 @@ def build_scenes(scene_params: SceneParams, n_images: int, seed: int) -> list[Sc
 
 
 def run_study(scene_params: SceneParams,
-              sim_params_list: Sequence[DetectorSimParams],
+              sim_params: DetectorSimParams,
+              ks: Sequence[int],
               suppression_cfgs: Sequence[SuppressionConfig],
               eval_cfg: EvalConfig,
               n_images: int,
               seed: int) -> tuple[list[StudyRow], dict]:
-    """Simulate and evaluate every (simulator, suppression) combination over
-    the same ``n_images`` seeded scenes, except Set NMS on a one-slot
-    simulator, which equals its NMS row.
+    """Simulate and evaluate every (k, suppression config) pair, in that
+    order, over the same ``n_images`` seeded scenes, except Set NMS at
+    ``k = 1``, which equals its NMS row.
 
-    Scene seeds depend only on (seed, image); detector seeds only on
-    (seed, image), shared by all simulator configs, so rows differ purely in
-    model structure, not in random draws. The draws and sweeps are shared
-    between rows: simulator configs that differ only in ``k`` (or ``mode``)
-    form one family, drawn once over all images when one of its models has
-    a config to run, and swept twice: det/det at the loosest threshold of
-    all the configs, which each mask at their own, and det/GT at the
-    evaluation's. Each model suppresses every config over the det/det pairs
-    of its rows alone, and each config's
-    :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its
-    kept rows. The ground truths are swept once for all rows. The rows are
-    fully deterministic.
+    Scene and detector seeds depend only on (seed, image). The detector is
+    drawn once over all images with ``sim_params``' ``proposal_jitter`` and
+    ``theta`` (its ``k``, ``mode`` and ``seed`` are not read), and each
+    ``k`` selects its rows from that draw, so rows differ only in model
+    structure. The draw is swept twice, det/det at the loosest threshold of
+    the configs and det/GT at the evaluation's; each model suppresses each
+    config over the det/det pairs of its rows, and each
+    :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its kept
+    rows. The ground truths are swept once. The rows are deterministic.
 
-    Returns the rows, in order, and the counters of their work: images,
-    draws (one per image) and sweeps (one) of each model family with a
-    config to run, rows, candidate boxes rejected in scene generation, and
-    pair bisections that ran all their steps.
+    Returns the rows and the counters of their work: images, draws (one per
+    image) and sweeps (one), both 0 when no row runs, rows, candidate boxes
+    rejected in scene generation, and pair bisections that ran all their
+    steps.
     """
+    for k in ks:
+        _check_k(k)
     columns, generated = _scene_arrays(scene_params, n_images, seed)
-    counters = {"images": n_images, "draws": 0, "sweeps": 0, "rows": 0,
-                **generated}
+    # With one slot, no two boxes share a proposal: Set NMS is NMS.
+    runs = [(k, cfg) for k in ks for cfg in suppression_cfgs
+            if not (k == 1 and cfg.method == "set_nms")]
+    counters = {"images": n_images, "draws": n_images if runs else 0,
+                "sweeps": int(bool(runs)), "rows": len(runs), **generated}
+    if not runs:
+        return [], counters
     truth = Truth(columns)
-    sim_seeds = [derive_seed(seed, _NS_SIM, i) for i in range(n_images)]
-    # Each family's draw, its det/det sweep and its det/GT sweep.
-    families: dict[DetectorSimParams, tuple] = {}
-    rows: list[StudyRow] = []
-    for sim in sim_params_list:
-        # With one slot, no two boxes share a proposal: Set NMS is NMS.
-        cfgs = [cfg for cfg in suppression_cfgs
-                if not (sim.effective_k == 1 and cfg.method == "set_nms")]
-        if not cfgs:
-            continue
-        family = replace(sim, mode="mip", k=1, seed=0)
-        if family not in families:
-            draw = _Draw(truth.boxes, truth.classes, truth.ignore, truth.image,
-                         sim_seeds, family)
-            floor = min(map(_sweep_floor, suppression_cfgs))
-            families[family] = (
-                draw, OverlapGraph(draw.dets, floor, draw.image),
-                PairSet(truth, draw.dets, draw.image, eval_cfg.iou_thresh))
-            counters["draws"] += n_images
-            counters["sweeps"] += 1
-        draw, graph, pairs = families[family]
-        selected = draw.select(sim.effective_k)
-        for cfg in cfgs:
-            keep, scores = graph.suppress(cfg, selected)
-            report = Evaluation(eval_cfg, pairs, keep, scores).report()
-            rows.append(StudyRow(sim_label=sim.label, k=sim.effective_k,
-                                 method=cfg.method, iou_thresh=cfg.iou_thresh,
-                                 report=report))
-    counters["rows"] = len(rows)
+    draw = _Draw(truth.boxes, truth.classes, truth.ignore, truth.image,
+                 [derive_seed(seed, _NS_SIM, i) for i in range(n_images)],
+                 sim_params)
+    graph = OverlapGraph(draw.dets, min(map(_sweep_floor, suppression_cfgs)),
+                         draw.image)
+    pairs = PairSet(truth, draw.dets, draw.image, eval_cfg.iou_thresh)
+    rows = []
+    for k, cfg in runs:
+        keep, scores = graph.suppress(cfg, draw.select(k))
+        report = Evaluation(eval_cfg, pairs, keep, scores).report()
+        rows.append(StudyRow(k, cfg.method, cfg.iou_thresh, report))
     return rows, counters

@@ -179,8 +179,8 @@ class TestStudy:
         assert strict_json(out / "manifest.json")["subcommand"] == "study"
 
     def test_manifest_counts_the_shared_work(self, tmp_path):
-        # Three models (k = 1, 2, 3) of one family and three configs: one
-        # draw per image, one sweep of the family over all its images, and
+        # Three models (k = 1, 2, 3) of one draw and three configs: one
+        # draw per image, one sweep of the draw over all its images, and
         # no Set NMS row for the one-slot model. Placing the three scenes
         # rejects one candidate box, and no bisection runs out of steps.
         out = tmp_path / "study"

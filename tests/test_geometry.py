@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest.mock import patch
 
 import emd_oracle as oracle
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from crowdset import geometry
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
-                               decode_delta, encode_delta, iou, iou_matrix,
-                               overlaps, rank_pairs)
+                               decode_delta, encode_delta, invalid_boxes, iou,
+                               iou_matrix, overlaps, rank_pairs)
 from metrics_oracle import as_lists, ranked_overlaps
 
 
@@ -41,6 +42,32 @@ class TestBBox:
     def test_non_finite_rejected(self):
         with pytest.raises(GeometryError):
             BBox(0.0, 0.0, math.inf, 1.0)
+
+    def test_box_whose_doubled_area_overflows_rejected(self):
+        # Its area, 1e308, is finite, but two such areas sum to inf: the
+        # union of the box with itself would overflow.
+        with pytest.raises(GeometryError, match="box area overflows"):
+            BBox(0.0, 0.0, 1e154, 1e154)
+        with pytest.raises(GeometryError, match="box area overflows"):
+            BBox(-1e308, 0.0, 1e308, 1.0)  # its width overflows
+
+    def test_invalid_boxes_is_the_bbox_rule(self):
+        rows = [[0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 1e153, 1e153],
+                [0, 0, 1e154, 1e154], [-1e308, 0, 1e308, 1], [0, 0, 1e308, 0],
+                [2, 0, 1, 1], [0, 2, 1, 1], [math.nan, 0, 1, 1],
+                [0, 0, math.inf, 1], [1e200, 1e200, 2e200, 2e200]]
+        want = []
+        for row in rows:
+            try:
+                BBox(*row)
+                want.append(False)
+            except GeometryError:
+                want.append(True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invalid_boxes(np.array(rows, dtype=np.float64))
+        assert got.tolist() == want == [False, False, False, True, True, False,
+                                        True, True, True, True, True]
 
 
 class TestIou:
@@ -81,6 +108,20 @@ class TestIou:
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert mat[i, j] == iou(a, b)
+
+    def test_the_kernels_agree_on_valid_boxes_at_the_bound(self):
+        # The largest valid boxes: every intersection and union stays
+        # finite, and the gap between two of them far apart clips to 0.
+        b = BBox(0.0, 0.0, 1e153, 1e153)
+        far = [BBox(-1e308, 0.0, -9e307, 1.0), BBox(9e307, 0.0, 1e308, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou(b, b) == iou_matrix(boxes_to_array([b]),
+                                           boxes_to_array([b]))[0, 0] == 1.0
+            assert iou_matrix(boxes_to_array(far),
+                              boxes_to_array(far)).tolist() == [[1.0, 0.0],
+                                                                [0.0, 1.0]]
+            assert iou(*far) == 0.0
 
     def test_matrix_empty(self):
         assert iou_matrix(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)

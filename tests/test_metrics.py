@@ -41,7 +41,7 @@ def scene(sid, gts, dets=()):
 
 def one_image(gts, dets=(), iou_thresh=0.5):
     """The evaluation pass over one image: its greedy walk's ``det_flags``,
-    ``det_match`` and ``gt_matched``, and its ``crowd_flags``."""
+    ``det_match`` and ``gt_matched``, and its ``truth.crowd``."""
     return Evaluation.of_arrays([SceneArrays.from_record(scene("", gts, dets))],
                                 EvalConfig(iou_thresh=iou_thresh))
 
@@ -300,11 +300,11 @@ class TestBestJi:
 class TestRecallSplit:
     def test_pair_is_crowd(self):
         gts = [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5)]  # iou 0.6
-        flags = one_image(gts).crowd_flags()
+        flags = one_image(gts).truth.crowd
         assert flags.tolist() == [True, True]
 
     def test_isolated_is_sparse(self):
-        assert one_image([gt(0, 0, 10, 10)]).crowd_flags().tolist() == [False]
+        assert one_image([gt(0, 0, 10, 10)]).truth.crowd.tolist() == [False]
 
     def test_two_crowd_one_sparse(self):
         gts = [gt(0, 0, 10, 10), gt(0, 2.5, 10, 12.5), gt(100, 100, 120, 140)]
@@ -319,7 +319,7 @@ class TestRecallSplit:
         from crowdset.geometry import iou as scalar_iou
         rng = np.random.default_rng(31)
         for s in random_scenes(rng, 25):
-            flags = one_image(s.gts).crowd_flags()
+            flags = one_image(s.gts).truth.crowd
             for j, g in enumerate(s.gts):
                 want = any(scalar_iou(g.box, o.box) > CROWD_IOU
                            for jj, o in enumerate(s.gts) if jj != j)
@@ -588,9 +588,9 @@ class TestSparsePass:
         for s in scenes:
             n_gt, n_det = len(s.gts), len(s.dets)
             got = one_image(s.gts, s.dets, cfg.iou_thresh)
-            assert got.crowd_flags().tolist() == \
+            assert got.truth.crowd.tolist() == \
                 oracle.crowd_flags(s.gts).tolist() == \
-                ev.crowd_flags()[g0:g0 + n_gt].tolist()
+                ev.truth.crowd[g0:g0 + n_gt].tolist()
             want = oracle.match_greedy(s.dets, s.gts, cfg.iou_thresh)
             for field in ("det_flags", "det_match", "gt_matched"):
                 g, w = getattr(got, field), getattr(want, field)
@@ -617,7 +617,7 @@ class TestSparsePass:
         s = scene("edge", half, dets)
         ev = one_image(half, dets)
         assert ev.det_match.tolist() == [0, 1, -1]
-        assert ev.crowd_flags().tolist() == [False] * 4
+        assert ev.truth.crowd.tolist() == [False] * 4
         assert density_stats([s]).overlaps_per_image == 0.0
         assert ev.candidates == [[0, 1], [0, 1], []]
         # The sweep lists each pair whose x-extents meet in more than an
@@ -755,8 +755,8 @@ class TestSharedPairs:
         before = repr(Evaluation(CFG, pairs, np.arange(2), dets.scores).report())
         ev = Evaluation(CFG, pairs, np.arange(2), dets.scores)
         _, hits_ignored, n_pairs = pairs.at_iou(0.5)
-        assert ev.crowd_flags().tolist() == [True, True, False]
-        for array in (ev.crowd_flags(), hits_ignored, n_pairs):
+        assert ev.truth.crowd.tolist() == [True, True, False]
+        for array in (ev.truth.crowd, hits_ignored, n_pairs):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
         assert repr(Evaluation(CFG, pairs, np.arange(2),

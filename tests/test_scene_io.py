@@ -99,6 +99,17 @@ class TestParse:
         with pytest.raises(SceneFileError, match=r"^line 2: malformed JSON \("):
             parse(path)
 
+    @pytest.mark.parametrize("parse", [parse_scene_arrays, parse_scene_file])
+    @pytest.mark.parametrize("key", ["gts", "dets"])
+    def test_box_whose_doubled_area_overflows_reports_its_line(self, parse,
+                                                               key):
+        box = {"box_xyxy": [0, 0, 1e154, 1e154], "score": 0.5}
+        text = (json.dumps({"id": "a"}) + "\n"
+                + json.dumps({"id": "b", key: [box]}) + "\n")
+        with pytest.raises(SceneFileError,
+                           match=r"^line 2: bad record \(box area overflows"):
+            parse(io.StringIO(text))
+
     def test_duplicate_ids_rejected(self):
         text = "\n".join(json.dumps({"id": "x"}) for _ in range(2))
         with pytest.raises(SceneFileError, match="duplicate"):
@@ -377,6 +388,17 @@ class TestPredictionFiles:
         with pytest.raises(SceneFileError, match="line 3: bad record"):
             parse_prediction_file(io.StringIO(text))
 
+    @pytest.mark.parametrize("parse", [parse_prediction_arrays,
+                                       parse_prediction_file])
+    def test_box_whose_doubled_area_overflows_reports_its_line(self, parse):
+        slot = {"scores": [0.5, 0.5], "delta": [0, 0, 0, 0]}
+        text = ('{"id": "a", "proposals": []}\n' + json.dumps(
+            {"id": "b", "proposals": [{"box_xyxy": [0, 0, 1e154, 1e154],
+                                       "slots": [slot]}]}) + "\n")
+        with pytest.raises(SceneFileError,
+                           match=r"^line 2: bad record \(box area overflows"):
+            parse(io.StringIO(text))
+
 
 # Ways a proposal's box, its slot list or one slot can be written; all but
 # the first of each are rare, and some of them are valid.
@@ -386,6 +408,7 @@ _BOXES = {
     "inverted": lambda b: {"box_xyxy": [b[2] + 1, b[1], b[0], b[3]]},
     "nan": lambda b: {"box_xyxy": [float("nan"), *b[1:]]},
     "inf": lambda b: {"box_xyxy": [*b[:3], float("inf")]},
+    "huge": lambda b: {"box_xyxy": [b[0], b[1], b[0] + 1e154, b[1] + 1e154]},
     "negative_xywh": lambda b: {"box_xywh": [b[0], b[1], -1.0, 2.0]},
     "no_key": lambda b: {},
     "three_values": lambda b: {"box_xyxy": b[:3]},

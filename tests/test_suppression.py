@@ -516,8 +516,8 @@ class TestGraphCache:
     def test_shared_arrays_are_read_only(self):
         graph = OverlapGraph(Detections.from_list(crowd_cloud(n_scenes=2)), 0.0)
         before = graph.suppress(SET)
-        for array in (graph.order, *graph.graph(0.5),
-                      *graph.graph(0.5, True, ranked=True)):
+        for array in (graph.order, *graph._walk(0.5)[:3],
+                      *graph._walk(0.5, True, ranked=True)[:3]):
             assert len(array)
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
@@ -719,8 +719,8 @@ class TestGraphEdges:
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         graph = OverlapGraph(arrays, 0.5)
-        _, both, ious = graph.graph(0.5)
-        indptr, once, once_ious = graph.graph(0.5, True, ranked=True)
+        _, both, ious = graph._walk(0.5)[:3]
+        indptr, once, once_ious = graph._walk(0.5, True, ranked=True)[:3]
         assert len(both) == len(ious) == n * (n - 1)
         assert len(once) == len(once_ious) == n * (n - 1) // 2
         # Each stored edge runs from the higher score to the lower one.

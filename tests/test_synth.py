@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import synth_oracle as oracle
 from crowdset.assignment import GroundTruth, gt_columns
-from crowdset import metrics
+from crowdset import metrics, synth
 from crowdset.cli import main
 from crowdset.geometry import BBox, boxes_to_array, iou, overlaps
 from crowdset.metrics import EvalConfig, Evaluation
@@ -416,11 +416,10 @@ class TestStudy:
     def test_set_nms_on_sets_beats_nms_beats_one_slot(self):
         nms = SuppressionConfig(method="nms")
         set_nms = SuppressionConfig(method="set_nms")
-        rows, _ = run_study(SceneParams(), [DetectorSimParams(k=1),
-                                            DetectorSimParams(k=2)],
+        rows, _ = run_study(SceneParams(), DetectorSimParams(), [1, 2],
                             [nms, set_nms], EvalConfig(), n_images=24, seed=0)
-        by = {(r.sim_label, r.method): r.report for r in rows}
-        order = [by["mip2", "set_nms"], by["mip2", "nms"], by["mip1", "nms"]]
+        by = {(r.k, r.method): r.report for r in rows}
+        order = [by[2, "set_nms"], by[2, "nms"], by[1, "nms"]]
         for better, worse in zip(order, order[1:]):
             assert better.ap > worse.ap
             assert better.mr2 < worse.mr2
@@ -438,11 +437,9 @@ class TestStudy:
                 assert set_nms(dets, replace(cfg, method="set_nms")) == kept
 
     def test_shared_rows_equal_rows_built_one_at_a_time(self):
-        # Two model families (the jitter differs) and every method, with
-        # equal and distinct thresholds; triples make k=3 differ from k=2.
-        sims = [DetectorSimParams(k=1), DetectorSimParams(k=3),
-                DetectorSimParams(k=2), DetectorSimParams(k=2, proposal_jitter=0.1),
-                DetectorSimParams(mode="single", k=3)]
+        # Every method, with equal and distinct thresholds, at two jitters,
+        # so both draws are covered; triples make k=3 differ from k=2.
+        ks = (1, 3, 2)
         cfgs = [SuppressionConfig(method="nms"),
                 SuppressionConfig(method="set_nms"),
                 SuppressionConfig(method="nms", iou_thresh=0.3),
@@ -450,36 +447,34 @@ class TestStudy:
                 SuppressionConfig(method="soft_linear", iou_thresh=0.4),
                 SuppressionConfig(method="set_nms", iou_thresh=0.3)]
         eval_cfg, n, seed = EvalConfig(), 5, 21
-        rows, counters = run_study(CROWDED, sims, cfgs, eval_cfg, n, seed)
-
         scenes = build_scenes(CROWDED, n, seed)
-        want = []
-        for sim in sims:
-            raw = [Detections.from_list(simulate_detector(
-                       scene.gts, replace(sim, seed=derive_seed(seed, 1, i))))
-                   for i, scene in enumerate(scenes)]
-            for cfg in cfgs:
-                if sim.effective_k == 1 and cfg.method == "set_nms":
-                    continue
-                images = [replace(SceneArrays.from_record(scene),
-                                  dets=dets.take(*suppress_many(dets, [cfg])[0]))
-                          for scene, dets in zip(scenes, raw)]
-                want.append(StudyRow(sim.label, sim.effective_k, cfg.method,
-                                     cfg.iou_thresh,
-                                     Evaluation.of_arrays(images, eval_cfg).report()))
-        assert [repr(r) for r in rows] == [repr(r) for r in want]
-        # The k=3 model's rows are not its family's k=2 rows.
-        k3 = [r.report for r in rows if r.k == 3]
-        k2 = [r.report for r in rows if r.k == 2][:len(k3)]
-        assert len(k3) == len(cfgs) and k3 != k2
-        assert counters == {"images": n, "draws": 2 * n,
-                            "sweeps": 2,  # one per family
-                            "rows": len(want), "placement_retries": 0,
-                            "bisection_cap_hits": 0}
+        for sim in (DetectorSimParams(), DetectorSimParams(proposal_jitter=0.1)):
+            rows, counters = run_study(CROWDED, sim, ks, cfgs, eval_cfg, n, seed)
+            want = []
+            for k in ks:
+                raw = [Detections.from_list(simulate_detector(
+                           scene.gts, replace(sim, k=k, seed=derive_seed(seed, 1, i))))
+                       for i, scene in enumerate(scenes)]
+                for cfg in cfgs:
+                    if k == 1 and cfg.method == "set_nms":
+                        continue
+                    images = [replace(SceneArrays.from_record(scene),
+                                      dets=dets.take(*suppress_many(dets, [cfg])[0]))
+                              for scene, dets in zip(scenes, raw)]
+                    want.append(StudyRow(k, cfg.method, cfg.iou_thresh,
+                                         Evaluation.of_arrays(images, eval_cfg).report()))
+            assert [repr(r) for r in rows] == [repr(r) for r in want]
+            # The k=3 model's rows are not the k=2 model's rows.
+            k3 = [r.report for r in rows if r.k == 3]
+            k2 = [r.report for r in rows if r.k == 2]
+            assert len(k3) == len(k2) == len(cfgs) and k3 != k2
+            assert counters == {"images": n, "draws": n, "sweeps": 1,
+                                "rows": len(want), "placement_retries": 0,
+                                "bisection_cap_hits": 0}
 
     def test_a_family_without_configs_is_neither_drawn_nor_swept(self):
         # The one-slot model's only config is Set NMS, which it never runs.
-        rows, counters = run_study(SceneParams(), [DetectorSimParams(k=1)],
+        rows, counters = run_study(SceneParams(), DetectorSimParams(), [1],
                                    [SuppressionConfig(method="set_nms")],
                                    EvalConfig(), 4, 1)
         assert len(rows) == 0
@@ -494,8 +489,7 @@ class TestStudy:
             return overlaps(a, keep, groups_a, b, groups_b)
 
         monkeypatch.setattr(metrics, "overlaps", counting)
-        rows, _ = run_study(CROWDED, [DetectorSimParams(k=1),
-                                      DetectorSimParams(k=2)],
+        rows, _ = run_study(CROWDED, DetectorSimParams(), [1, 2],
                             [SuppressionConfig(method="nms"),
                              SuppressionConfig(method="set_nms")],
                             EvalConfig(), n_images=3, seed=21)
@@ -505,9 +499,26 @@ class TestStudy:
     def test_counters_add_up_each_scenes_rejections(self):
         # Crowded scenes on a small image reject candidates.
         params, n, seed = replace(CROWDED, image_w=400, image_h=300), 4, 3
-        _, counters = run_study(params, [DetectorSimParams()],
+        _, counters = run_study(params, DetectorSimParams(), [2],
                                 [SuppressionConfig()], EvalConfig(), n, seed)
         retries = [_Scene(params, derive_seed(seed, 0, i)).retries
                    for i in range(n)]
         assert counters["placement_retries"] == sum(retries) > 0
         assert counters["bisection_cap_hits"] == 0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_a_k_below_one_fails_before_any_scene(self, monkeypatch, k):
+        def no_scenes(*args):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(synth, "_scene_arrays", no_scenes)
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            run_study(SceneParams(), DetectorSimParams(), [2, k],
+                      [SuppressionConfig()], EvalConfig(), 2, 0)
+
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--k-sweep", "2,0"]])
+    def test_study_rejects_a_k_below_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "study"
+        assert main(["study", "--images", "1", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+        assert not out.exists()
