@@ -11,10 +11,11 @@ ignore flags. :func:`gt_columns` is the one converter from
 one membership rule, run as one overlap sweep
 (:func:`~crowdset.geometry.overlaps`) of a batch of proposals against the
 ground truths, keyed by image when the proposals of many images come at
-once, and ranked by :func:`~crowdset.geometry.rank_pairs`. The detector
-simulator calls it once per study, over all its images, the EMD
-engine once per batch of prediction records, and :func:`build_gt_set` on
-a batch of one.
+once, and ranked by :func:`~crowdset.geometry.rank_pairs`. A batch's
+ground truths are one :class:`~crowdset.metrics.Truth`, whose columns and
+image ids go straight in: the detector simulator calls it once per study,
+over all its images, the EMD engine once per batch of prediction
+records, and :func:`build_gt_set` on a batch of one.
 """
 
 from __future__ import annotations

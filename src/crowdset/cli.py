@@ -57,10 +57,10 @@ from . import __version__
 from .assignment import check_theta
 from .emd import ENUMERATION_LIMIT, EmdConfig, ImageMatch, match_batch
 from .metrics import (CROWD_IOU, FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig,
-                      EvalReport, Evaluation)
+                      EvalReport, Evaluation, Truth)
 from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
                        write_scene_arrays)
-from .suppression import METHODS, Detections, SuppressionConfig, suppress_many
+from .suppression import METHODS, Detections, OverlapGraph, SuppressionConfig
 from .synth import (DetectorSimParams, SceneParams, StudyRow, _scene_arrays,
                     run_study)
 
@@ -160,7 +160,7 @@ def cmd_suppress(args) -> dict:
                             sigma=args.sigma, score_floor=args.score_floor)
     records = parse_scene_arrays(args.infile)
     dets, image = Detections.concat([r.dets for r in records])
-    ((keep, scores),) = suppress_many(dets, [cfg], image)
+    keep, scores = OverlapGraph(dets, [cfg], image).suppress(cfg)
     cuts = np.searchsorted(image[keep], np.arange(1, len(records)))
     kept = [replace(r, dets=dets.take(k, s)) for r, k, s in
             zip(records, np.split(keep, cuts), np.split(scores, cuts))]
@@ -272,10 +272,8 @@ def cmd_emd(args) -> dict:
                           "prediction")
     matches = []
     for batch in batches:
-        gts = [gt_by_id[i] for i in batch.ids]
-        found = match_batch(batch, [(g.gt_boxes, g.gt_classes, g.gt_ignore)
-                                    for g in gts],
-                            cfg, args.theta, args.truncate_topk)
+        truth = Truth([gt_by_id[i] for i in batch.ids])
+        found = match_batch(batch, truth, cfg, args.theta, args.truncate_topk)
         matches += zip(batch.ids, found)
     config = {"k": args.k, "theta": args.theta, "truncate_topk": args.truncate_topk}
     _emit(_emd_report(matches, config), args.out)

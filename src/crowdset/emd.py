@@ -9,7 +9,8 @@ exactly to the ordinary single-instance detection loss.
 
 One batched engine computes the loss. :func:`match_batch` scores every
 proposal of a batch of prediction records at once from
-:class:`PredictionArrays` and each record's ground-truth columns: one
+:class:`PredictionArrays` and the batch's ground truths, one
+:class:`~crowdset.metrics.Truth` whose images are the records: one
 overlap sweep keyed by record (:func:`~crowdset.assignment.gt_set_members`)
 gives every ground-truth set as ranked (proposal, member, rank) arrays, the
 targets come from the members of rank below ``k``, one (P, k, k) tensor
@@ -31,12 +32,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .assignment import GtSet, check_theta, gt_columns, gt_set_members
 from .geometry import BBox, BoxDelta, boxes_to_array, encode_delta
+
+if TYPE_CHECKING:  # metrics imports scene_io, which imports this module
+    from .metrics import Truth
 
 # Probability floor inside log terms; a zero score is clamped, not an error.
 SCORE_EPS = 1e-12
@@ -383,13 +387,11 @@ class ImageMatch:
     total: np.ndarray
 
 
-def match_batch(pred: PredictionArrays,
-                gts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                cfg: EmdConfig, theta: float,
-                truncate: bool = False) -> list[ImageMatch]:
+def match_batch(pred: PredictionArrays, truth: Truth, cfg: EmdConfig,
+                theta: float, truncate: bool = False) -> list[ImageMatch]:
     """Match every proposal of a batch of records, one :class:`ImageMatch`
-    per record. ``gts`` holds each record's ground-truth columns (boxes
-    (G, 4), class ids, ignore flags), aligned with ``pred.ids``.
+    per record. ``truth`` holds the records' ground truths, its image i
+    being the record ``pred.ids[i]``.
 
     Each proposal's ground-truth set holds its record's ground truths with
     IoU >= ``theta``; the top ``cfg.k`` members are kept when ``truncate``
@@ -416,12 +418,10 @@ def match_batch(pred: PredictionArrays,
 
     wrong = np.flatnonzero(pred.n_slots != k)
     n = int(wrong[0]) if wrong.size else len(pred)  # proposals with k slots
-    gt_boxes, gt_classes, gt_ignore = (np.concatenate(c) for c in zip(*gts))
-    members = gt_set_members(
-        pred.boxes[:n], gt_boxes, gt_ignore, theta, record[:n],
-        np.repeat(np.arange(len(gts)), [len(g[0]) for g in gts]))
+    members = gt_set_members(pred.boxes[:n], truth.boxes, truth.ignore, theta,
+                             record[:n], truth.image)
     n_real = np.bincount(members[0], minlength=n)
-    classes, boxes, real = _targets(members, n, gt_boxes, gt_classes, k)
+    classes, boxes, real = _targets(members, n, truth.boxes, truth.classes, k)
     scores, n_classes = pred.scores[:n, :k], pred.n_classes[:n, :k]
     bad_class = _class_errors(classes, n_classes)
     costs = _cost_tensor(pred.boxes[:n], scores, pred.deltas[:n, :k], classes,

@@ -217,11 +217,12 @@ def sweep_pairs(a: np.ndarray, groups_a=None,
     each, so the caller's temporaries stay bounded. Without ``b``, each
     unordered pair of distinct boxes of ``a`` whose x-extents intersect
     comes once; with ``b``, each such pair of a box ``i`` of ``a`` and a box
-    ``j`` of ``b``. With ``groups_a`` (and ``groups_b``), integer group ids
-    such as image indices, only boxes of one group pair up. Boxes whose
-    x-extents only touch are not paired; their IoU is 0. A box of zero
-    width is paired with the boxes whose x-extent holds its x1, although
-    the two meet in no interval of positive width; y is not looked at.
+    ``j`` of ``b``. With ``groups_a`` (and, with ``b``, ``groups_b``: both
+    or neither, else ValueError), integer group ids such as image indices,
+    only boxes of one group pair up. Boxes whose x-extents only touch are
+    not paired; their IoU is 0. A box of zero width is paired with the
+    boxes whose x-extent holds its x1, although the two meet in no
+    interval of positive width; y is not looked at.
 
     Boxes are sorted by (group, x1), and ``searchsorted`` on a box's edges
     bounds the run of boxes whose left edge falls inside its x-extent. Every
@@ -230,6 +231,8 @@ def sweep_pairs(a: np.ndarray, groups_a=None,
     two sets ``a`` claims the ``b`` boxes with x1 in ``[x1, x2)`` and ``b``
     the ``a`` boxes with x1 in ``(x1, x2)``, so no pair comes twice.
     """
+    if b is not None and (groups_a is None) != (groups_b is None):
+        raise ValueError("groups_a and groups_b must be given together")
     if b is None:
         keys = _x_keys(a, 0, groups_a)
         order = np.argsort(keys, kind="stable")

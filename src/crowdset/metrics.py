@@ -169,7 +169,8 @@ class Truth:
     """The ground truths of every image, as columns one image after
     another: ``boxes`` (G, 4), ``classes``, ``ignore`` and each row's
     ``image``; evaluations over the same images share one, and with it the
-    sweep of :attr:`pairs`."""
+    sweep of :attr:`pairs`. It is the one table of a batch's ground truths:
+    the detector draw and the EMD engine read it too."""
 
     def __init__(self, images: Sequence[SceneArrays]):
         self.n_images = len(images)

@@ -7,17 +7,16 @@ proposal identity (``proposal_id is None``) are treated as all-distinct, so
 Set NMS degenerates to plain NMS on such inputs.
 
 The methods run on :class:`Detections`, detections as a struct of arrays.
-``crowdset suppress`` suppresses all its images in one call of
-:func:`suppress_many`, and :func:`nms`, :func:`set_nms` and
-:func:`soft_nms` are the list API over it. The study builds one
-:class:`OverlapGraph` over its one draw and suppresses each model's rows
-with :meth:`OverlapGraph.suppress`.
+Every caller builds one :class:`OverlapGraph` from its detections and the
+configs it will run, and runs each with :meth:`OverlapGraph.suppress`:
+``crowdset suppress`` over all its images with its one config, the list
+API (:func:`nms`, :func:`set_nms` and :func:`soft_nms`) over one image,
+and the study over its one draw, each model's rows in turn.
 
 Every method walks a sparse overlap graph instead of comparing every pick
 with every surviving box, and the configs run on one set of detections
-share one sweep (:class:`OverlapGraph`; :func:`suppress_many` runs a list
-of configs). The set may hold many images, one after another, with each
-row's ``image``: every image is suppressed as if it ran alone.
+share one sweep. The set may hold many images, one after another, with
+each row's ``image``: every image is suppressed as if it ran alone.
 
 * The geometry overlap engine (:func:`~crowdset.geometry.overlaps`) sweeps
   the detections once, keyed by image, at the loosest threshold its configs
@@ -197,9 +196,10 @@ def _check_image(image: np.ndarray) -> None:
 
 
 class OverlapGraph:
-    """The same-class pairs of one image with IoU above ``min_iou``, swept
-    once; with ``image``, each row's image index, non-decreasing, the pairs
-    of every image.
+    """The same-class pairs of one image that any of ``cfgs`` acts on,
+    swept once at the loosest threshold they need (``min_iou``); with
+    ``image``, each row's image index, non-decreasing, the pairs of every
+    image.
 
     :meth:`_walk` masks the pairs into the CSR graph of one config and
     :meth:`suppress` runs one config over it, so every config whose
@@ -210,10 +210,11 @@ class OverlapGraph:
     only per-image state.
     """
 
-    def __init__(self, dets: Detections, min_iou: float,
+    def __init__(self, dets: Detections, cfgs: Sequence[SuppressionConfig],
                  image: np.ndarray | None = None):
         if image is not None:
             _check_image(image)
+        min_iou = min(map(_sweep_floor, cfgs))
         classes = dets.classes
         a, b, ious, _ = overlaps(
             dets.boxes,
@@ -345,20 +346,8 @@ class OverlapGraph:
         return keep, scores
 
 
-def suppress_many(dets: Detections, cfgs: Sequence[SuppressionConfig],
-                  image: np.ndarray | None = None):
-    """Run each config over one overlap sweep, at the loosest threshold they
-    need: one :meth:`OverlapGraph.suppress` result per config.
-
-    ``dets`` is one image, or with ``image`` (each row's image index,
-    non-decreasing) many, and each config's kept indices then run image by
-    image, each image in its own output order."""
-    graph = OverlapGraph(dets, min(_sweep_floor(cfg) for cfg in cfgs), image)
-    return [graph.suppress(cfg) for cfg in cfgs]
-
-
 def _kept(dets: list[Detection], cfg: SuppressionConfig):
-    ((keep, scores),) = suppress_many(Detections.from_list(dets), [cfg])
+    keep, scores = OverlapGraph(Detections.from_list(dets), [cfg]).suppress(cfg)
     return zip(keep.tolist(), scores.tolist())
 
 

@@ -22,18 +22,20 @@ prediction slot budget ``k`` per model:
 A draw does everything that does not depend on ``k`` (the proposals, their
 ranked assignment sets and the noise, in an order that does not depend on
 ``k``), and a model is a subset of the draw's rows. The study generates
-its scenes as :class:`~crowdset.scene_io.SceneArrays` and draws once over
-all images, each image's noise from its own seed in the order of a draw
-of that image alone. It sweeps the draw twice: det/det at the loosest
-threshold any suppression config needs, and det/GT at the evaluation's
-threshold. Every model and config is then a mask over those two sweeps: a
-model's rows start the suppression walk over the det/det pairs
-(:meth:`OverlapGraph.suppress <crowdset.suppression.OverlapGraph.suppress>`),
-and each config's kept rows mask the det/GT pairs
-(:class:`~crowdset.metrics.PairSet`). The ground
-truths' overlaps are swept once for all rows. :func:`build_scenes` and
-:func:`simulate_detector` (a draw over one image) convert dataclasses at
-the edge.
+its scenes as :class:`~crowdset.scene_io.SceneArrays`, holds their ground
+truths as one :class:`~crowdset.metrics.Truth`, and draws once over it,
+each image's noise from its own seed in the order of a draw of that image
+alone; each row keeps its target's row of the table (``member``). It
+sweeps the draw twice: det/det in one
+:class:`~crowdset.suppression.OverlapGraph` built from its suppression
+configs, and det/GT at the evaluation's threshold. Every model and config
+is then a mask over those two sweeps: a model's rows start the
+suppression walk over the det/det pairs (:meth:`OverlapGraph.suppress
+<crowdset.suppression.OverlapGraph.suppress>`), and each config's kept
+rows mask the det/GT pairs (:class:`~crowdset.metrics.PairSet`). The
+ground truths' overlaps are swept once for all rows. :func:`build_scenes`
+and :func:`simulate_detector` (a draw over a one-image table) convert
+dataclasses at the edge.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GroundTruth, check_theta, gt_columns, gt_set_members
+from .assignment import GroundTruth, check_theta, gt_set_members
 from .geometry import box_areas, invalid_boxes, iou_arrays, iou_xyxy
 from .metrics import CROWD_IOU, EvalConfig, EvalReport, Evaluation, PairSet, Truth
 from .scene_io import SceneArrays, SceneRecord
-from .suppression import (Detection, Detections, OverlapGraph,
-                          SuppressionConfig, _sweep_floor)
+from .suppression import Detection, Detections, OverlapGraph, SuppressionConfig
 
 # Namespaces for derived seed streams.
 _NS_SCENE = 0
@@ -303,28 +304,29 @@ def _normals(rngs: list, image: np.ndarray) -> np.ndarray:
 
 
 class _Draw:
-    """One detector draw over all images, shared by every slot budget
-    ``k``; each image's stream gives its proposal noise, then its member
-    noise, as a draw of that image alone does.
+    """One detector draw over the images of ``truth``, shared by every slot
+    budget ``k``; image i's stream, seeded by ``seeds[i]``, gives its
+    proposal noise, then its member noise, as a draw of that image alone
+    does.
 
     ``dets`` holds every (proposal, rank) member's prediction in that order,
-    with its rank in ``slots`` and its image in ``image``; proposal ids count
-    across images. ``dominant`` is the row of each proposal's one-slot
-    prediction. :meth:`select` gives a model's rows.
+    with its rank in ``slots``, its target (a row of ``truth``) in
+    ``member`` and its image in ``image``; proposal ids count across
+    images. ``dominant`` is the row of each proposal's one-slot prediction.
+    :meth:`select` gives a model's rows.
     """
 
-    def __init__(self, gt_boxes: np.ndarray, gt_classes: np.ndarray,
-                 gt_ignore: np.ndarray, gt_image: np.ndarray, seeds: list,
-                 params: DetectorSimParams):
+    def __init__(self, truth: Truth, seeds: list, params: DetectorSimParams):
         rngs = [np.random.default_rng(s) for s in seeds]
-        owners = np.repeat(np.flatnonzero(~gt_ignore), PROPOSALS_PER_GT)
-        owner_image = gt_image[owners]
-        proposals = _jitter(gt_boxes[owners], params.proposal_jitter,
+        owners = np.repeat(np.flatnonzero(~truth.ignore), PROPOSALS_PER_GT)
+        owner_image = truth.image[owners]
+        proposals = _jitter(truth.boxes[owners], params.proposal_jitter,
                             _normals(rngs, owner_image))
-        proposal, member, rank = gt_set_members(
-            proposals, gt_boxes, gt_ignore, params.theta, owner_image, gt_image)
+        proposal, self.member, rank = gt_set_members(
+            proposals, truth.boxes, truth.ignore, params.theta, owner_image,
+            truth.image)
         self.image = owner_image[proposal]
-        target = gt_boxes[member]
+        target = truth.boxes[self.member]
         boxes = _jitter(target, params.proposal_jitter, _normals(rngs, self.image))
         size = target[:, 2:] - target[:, :2]
         error = (np.linalg.norm(boxes - target, axis=1)
@@ -332,8 +334,8 @@ class _Draw:
         self.dets = Detections(
             boxes=boxes,
             scores=np.clip(SCORE_BASE - SCORE_PENALTY * error, 0.05, 0.99),
-            classes=gt_classes[member], proposal_ids=proposal.astype(np.int64),
-            slots=rank.astype(np.int64))
+            classes=truth.classes[self.member],
+            proposal_ids=proposal.astype(np.int64), slots=rank.astype(np.int64))
         order = np.lexsort((rank, -target[:, 3], -target[:, 2], -target[:, 1],
                             -target[:, 0], -box_areas(target), proposal))
         # Sorting keeps each proposal's members in the positions they held,
@@ -360,8 +362,8 @@ def simulate_detector(gts: Sequence[GroundTruth],
     ``params.seed``, gives the proposal noise and then every member's noise
     in (proposal, rank) order. Ignored ground truths join no set.
     """
-    draw = _Draw(*gt_columns(gts), np.zeros(len(gts), dtype=np.intp),
-                 [params.seed], params)
+    truth = Truth([SceneArrays.from_record(SceneRecord("", gts=gts))])
+    draw = _Draw(truth, [params.seed], params)
     rows = draw.select(params.effective_k)
     dets = draw.dets.take(rows, draw.dets.scores[rows])
     if params.effective_k == 1:
@@ -417,14 +419,15 @@ def run_study(scene_params: SceneParams,
     ``k = 1``, which equals its NMS row.
 
     Scene and detector seeds depend only on (seed, image). The detector is
-    drawn once over all images with ``sim_params``' ``proposal_jitter`` and
-    ``theta`` (its ``k``, ``mode`` and ``seed`` are not read), and each
-    ``k`` selects its rows from that draw, so rows differ only in model
-    structure. The draw is swept twice, det/det at the loosest threshold of
-    the configs and det/GT at the evaluation's; each model suppresses each
-    config over the det/det pairs of its rows, and each
-    :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its kept
-    rows. The ground truths are swept once. The rows are deterministic.
+    drawn once over the scenes' :class:`~crowdset.metrics.Truth` with
+    ``sim_params``' ``proposal_jitter`` and ``theta`` (its ``k``, ``mode``
+    and ``seed`` are not read), and each ``k`` selects its rows from that
+    draw, so rows differ only in model structure. The draw is swept twice,
+    det/det by an :class:`~crowdset.suppression.OverlapGraph` of the
+    configs and det/GT at the evaluation's threshold; each model suppresses
+    each config over the det/det pairs of its rows, and each
+    :class:`~crowdset.metrics.Evaluation` masks the det/GT pairs by its
+    kept rows. The ground truths are swept once. The rows are deterministic.
 
     Returns the rows and the counters of their work: images, draws (one per
     image) and sweeps (one), both 0 when no row runs, rows, candidate boxes
@@ -442,11 +445,9 @@ def run_study(scene_params: SceneParams,
     if not runs:
         return [], counters
     truth = Truth(columns)
-    draw = _Draw(truth.boxes, truth.classes, truth.ignore, truth.image,
-                 [derive_seed(seed, _NS_SIM, i) for i in range(n_images)],
+    draw = _Draw(truth, [derive_seed(seed, _NS_SIM, i) for i in range(n_images)],
                  sim_params)
-    graph = OverlapGraph(draw.dets, min(map(_sweep_floor, suppression_cfgs)),
-                         draw.image)
+    graph = OverlapGraph(draw.dets, suppression_cfgs, draw.image)
     pairs = PairSet(truth, draw.dets, draw.image, eval_cfg.iou_thresh)
     rows = []
     for k, cfg in runs:

@@ -7,15 +7,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crowdset.assignment import (GroundTruth, build_gt_set, gt_columns,
-                                 pad_to_k, truncate_top_k)
+from crowdset.assignment import (GroundTruth, build_gt_set, pad_to_k,
+                                 truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
                           SlotPrediction, cls_loss, emd_match,
                           match_batch, pair_cost_matrix, reg_loss, smooth_l1)
 from crowdset.geometry import BBox, BoxDelta, GeometryError, encode_delta
-from crowdset.scene_io import PredictionRecord
+from crowdset.metrics import Truth
+from crowdset.scene_io import PredictionRecord, SceneArrays, SceneRecord
 
 B = BBox
+
+
+def truth_of(gts):
+    """The ground-truth table of one record holding ``gts``."""
+    return Truth([SceneArrays.from_record(SceneRecord("img", gts=gts))])
 
 
 def brute_force_match(costs):
@@ -356,11 +362,11 @@ class TestEngineOracle:
         except ValueError as e:
             with pytest.raises(ValueError) as got:
                 match_batch(PredictionArrays.from_sets([("img", sets)]),
-                            [gt_columns(gts)], cfg, theta, truncate)
+                            truth_of(gts), cfg, theta, truncate)
             assert str(got.value) == str(e)
             return
         (got,) = match_batch(PredictionArrays.from_sets([("img", sets)]),
-                             [gt_columns(gts)], cfg, theta, truncate)
+                             truth_of(gts), cfg, theta, truncate)
         n_real = [oracle.build_gt_set(p.proposal, gts, theta).n_real for p in sets]
         assert got.n_real.tolist() == n_real
         assert np.minimum(got.n_real, cfg.k).tolist() == [n for n, _ in want]
@@ -408,7 +414,7 @@ class TestEngineOracle:
 
     def test_image_without_proposals(self):
         (got,) = match_batch(PredictionArrays.from_sets([("img", [])]),
-                             [gt_columns([GroundTruth(box=B(0, 0, 10, 10))])],
+                             truth_of([GroundTruth(box=B(0, 0, 10, 10))]),
                              EmdConfig(k=2), 0.5)
         assert got.total.shape == (0,) and got.permutation.shape == (0, 2)
         assert got.n_real.shape == (0,)
@@ -417,5 +423,5 @@ class TestEngineOracle:
     def test_image_without_proposals_checks_theta(self, theta):
         with pytest.raises(ValueError, match=r"theta must be in \(0, 1\]"):
             match_batch(PredictionArrays.from_sets([("img", [])]),
-                        [gt_columns([GroundTruth(box=B(0, 0, 10, 10))])],
+                        truth_of([GroundTruth(box=B(0, 0, 10, 10))]),
                         EmdConfig(k=2), theta)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdset import geometry
-from crowdset.assignment import GroundTruth, build_gt_set
+from crowdset.assignment import GroundTruth, build_gt_set, gt_set_members
 from crowdset.geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
                                decode_delta, encode_delta, invalid_boxes, iou,
                                iou_matrix, overlaps, rank_pairs)
@@ -233,6 +233,24 @@ class TestOverlaps:
         assert sorted(zip(i.tolist(), j.tolist())) == list(zip(*np.nonzero(want)))
         assert ious.tolist() == dense[i, j].tolist()
         assert swept >= len(i)
+
+    @pytest.mark.parametrize("ga, gb", [([0, 1], None), (None, [0, 1])])
+    def test_groups_of_one_set_alone_are_rejected(self, ga, gb):
+        # Box i of a overlaps box i of b, in x and in y. Both sets grouped,
+        # or neither, pair them; one set alone grouped used to pair none.
+        a = np.array([[0, 0, 10, 10], [20, 0, 30, 10]], dtype=np.float64)
+        b = a + 1.0
+        for both in ((None, None), ([0, 1], [0, 1])):
+            chunks = list(geometry.sweep_pairs(a, both[0], b, both[1]))
+            i, j = (np.concatenate(c) for c in zip(*chunks))
+            assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (1, 1)]
+        ga, gb = (None if g is None else np.array(g) for g in (ga, gb))
+        for call in (lambda: list(geometry.sweep_pairs(a, ga, b, gb)),
+                     lambda: overlaps(a, lambda i, j, ov: ov > 0, ga, b, gb),
+                     lambda: gt_set_members(a, b, np.zeros(2, dtype=bool),
+                                            0.5, ga, gb)):
+            with pytest.raises(ValueError, match="given together"):
+                call()
 
     def test_keep_sees_only_the_pairs_that_meet_in_both_axes(self):
         a = np.array([[0, 0, 10, 10],

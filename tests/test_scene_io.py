@@ -796,6 +796,40 @@ class TestSceneArrays:
             write_scene_arrays([good, bad, good], buf)
         assert buf.getvalue() == scene_io_oracle.record_line(good.record())
 
+    @pytest.mark.parametrize("column", ["boxes", "gt_boxes"])
+    @pytest.mark.parametrize("box", [[0.0, 0.0, 1e154, 1e154],  # area overflows
+                                     [10.0, 0.0, 0.0, 10.0]])   # inverted
+    def test_a_box_the_parser_rejects_is_not_written(self, column, box):
+        good, bad = (SceneArrays.from_record(random_record(
+            np.random.default_rng(5), rid)) for rid in ("good", "bad"))
+        getattr(bad if column == "gt_boxes" else bad.dets, column)[-1] = box
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="record 'bad': a box is not "
+                                             "finite, is inverted or its area "
+                                             "overflows"):
+            write_scene_arrays([good, bad, good], buf)
+        assert buf.getvalue() == scene_io_oracle.record_line(good.record())
+        # The parser rejects such a box, which is why the writer does.
+        line = json.dumps({"id": "bad", "gts": [{"box_xyxy": box}]})
+        with pytest.raises(SceneFileError, match="line 1: "):
+            parse_scene_arrays(io.StringIO(line))
+
+    def test_boxes_at_the_edge_of_the_box_rule_round_trip(self):
+        # The largest square whose doubled area is finite, and boxes of zero
+        # area, are valid: written, parsed and written again, byte for byte.
+        rec = SceneRecord(id="edge", gts=[
+            GroundTruth(box=B(0.0, 0.0, 9e153, 9e153)),
+            GroundTruth(box=B(5.0, 5.0, 5.0, 5.0))], dets=[
+            Detection(box=B(-9e153, 0.0, 0.0, 9e153), score=0.5),
+            Detection(box=B(1.0, 2.0, 1.0, 7.0), score=1.0, proposal_id=3)])
+        first = io.StringIO()
+        write_scene_arrays([SceneArrays.from_record(rec)], first)
+        assert first.getvalue() == scene_io_oracle.record_line(rec)
+        again = io.StringIO()
+        write_scene_arrays(parse_scene_arrays(io.StringIO(first.getvalue())),
+                           again)
+        assert again.getvalue() == first.getvalue()
+
     def test_columns(self):
         text = json.dumps({"id": "a", "width": 8, "gts": [
             {"box_xywh": [1, 2, 3, 4], "class": 2, "ignore": True}], "dets": [

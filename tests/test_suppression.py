@@ -10,14 +10,15 @@ from crowdset import geometry
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, OverlapGraph, SuppressionConfig,
-                                  _sweep_floor, nms, set_nms, soft_nms,
-                                  suppress_many)
+                                  nms, set_nms, soft_nms)
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             simulate_detector)
 
 B = BBox
 NMS = SuppressionConfig(method="nms", iou_thresh=0.5)
 SET = SuppressionConfig(method="set_nms", iou_thresh=0.5)
+# Gaussian Soft-NMS acts on any overlap: a graph of it sweeps at IoU 0.
+GAUSS = SuppressionConfig(method="soft_gaussian")
 
 
 def det(x1, y1, x2, y2, score, class_id=1, pid=None, slot=0):
@@ -238,8 +239,9 @@ class TestSuppressDispatch:
     def test_dispatches_by_method(self):
         dets = Detections.from_list([det(0, 0, 10, 10, 0.9, pid=0, slot=0),
                                      det(0, 0, 10, 10, 0.8, pid=0, slot=1)])
-        assert suppress_many(dets, [NMS])[0][0].tolist() == [0]
-        assert suppress_many(dets, [SET])[0][0].tolist() == [0, 1]
+        graph = OverlapGraph(dets, [NMS, SET])
+        assert graph.suppress(NMS)[0].tolist() == [0]
+        assert graph.suppress(SET)[0].tolist() == [0, 1]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -327,7 +329,7 @@ class TestOracleEquivalence:
     def test_greedy_keep_same_indices_same_order(self, dets, thresh):
         for method, respect in (("nms", False), ("set_nms", True)):
             cfg = SuppressionConfig(method=method, iou_thresh=thresh)
-            got = suppress_many(Detections.from_list(dets), [cfg])[0][0].tolist()
+            got = OverlapGraph(Detections.from_list(dets), [cfg]).suppress(cfg)[0].tolist()
             want = oracle._greedy_keep(*oracle._to_arrays(dets), thresh, respect)
             assert got == want
         cfg = SuppressionConfig(method="set_nms", iou_thresh=thresh)
@@ -368,16 +370,16 @@ class TestSharedSweep:
     @settings(max_examples=600, deadline=None)
     @given(_clouds, _config_lists())
     def test_every_config_equals_the_oracle(self, dets, cfgs):
-        results = suppress_many(Detections.from_list(dets), cfgs)
-        assert len(results) == len(cfgs)
-        for cfg, (keep, scores) in zip(cfgs, results):
+        graph = OverlapGraph(Detections.from_list(dets), cfgs)
+        for cfg in cfgs:
+            keep, scores = graph.suppress(cfg)
             want = oracle_suppress(dets, cfg)
             assert keep.tolist() == [d.slot for d in want], cfg
             assert ([s.hex() for s in scores.tolist()]
                     == [d.score.hex() for d in want]), cfg
 
     def test_config_below_the_sweep_is_rejected(self):
-        graph = OverlapGraph(Detections.from_list([det(0, 0, 1, 1, 0.5)]), 0.5)
+        graph = OverlapGraph(Detections.from_list([det(0, 0, 1, 1, 0.5)]), [NMS])
         for cfg in (SuppressionConfig(iou_thresh=0.4),
                     SuppressionConfig(method="soft_gaussian")):
             with pytest.raises(ValueError, match="the sweep at IoU 0.5"):
@@ -408,8 +410,9 @@ class TestBatchedImages:
     def test_each_image_equals_the_oracle_alone(self, images, cfgs):
         dets, image = Detections.concat([Detections.from_list(d) for d in images])
         start = np.cumsum([0] + [len(d) for d in images])
-        results = suppress_many(dets, cfgs, image)
-        for cfg, (keep, scores) in zip(cfgs, results):
+        graph = OverlapGraph(dets, cfgs, image)
+        for cfg in cfgs:
+            keep, scores = graph.suppress(cfg)
             at = image[keep]
             assert (np.diff(at) >= 0).all(), cfg  # image by image
             for m, part in enumerate(images):
@@ -429,7 +432,7 @@ class TestBatchedImages:
                   indexed([det(0, 0, 10, 10, 0.1), det(20, 20, 30, 30, 0.15),
                            det(80, 80, 90, 90, 0.02)])]
         dets, image = Detections.concat([Detections.from_list(d) for d in images])
-        ((keep, scores),) = suppress_many(dets, [cfg], image)
+        keep, scores = OverlapGraph(dets, [cfg], image).suppress(cfg)
         assert keep.tolist() == [1, 5]
         assert scores.tolist() == [0.1, 0.15]
         for m, start in enumerate((0, 4)):
@@ -441,7 +444,7 @@ class TestBatchedImages:
     def test_images_out_of_order_are_rejected(self):
         dets = Detections.from_list([det(0, 0, 1, 1, 0.5), det(0, 0, 1, 1, 0.7)])
         with pytest.raises(ValueError, match="image by image"):
-            suppress_many(dets, [NMS], np.array([1, 0]))
+            OverlapGraph(dets, [NMS], np.array([1, 0]))
 
 
 @st.composite
@@ -461,19 +464,21 @@ class TestGraphRestriction:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     @settings(max_examples=150, deadline=None)
     @given(images=_images(), thresh=_thresh, sigma=st.sampled_from([0.25, 0.5]),
-           floor=st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3]),
+           floor_cfg=st.sampled_from([GAUSS, *(SuppressionConfig(iou_thresh=t)
+                                               for t in (1 / 3, 0.5, 2 / 3))]),
            score_floor=st.sampled_from([0.0, 0.001, 0.2]), data=st.data())
     def test_take_equals_suppressing_the_rows(self, method, images, thresh,
-                                              sigma, floor, score_floor, data):
+                                              sigma, floor_cfg, score_floor,
+                                              data):
         cfg = SuppressionConfig(method=method, iou_thresh=thresh, sigma=sigma,
                                 score_floor=score_floor)
         dets, image = Detections.concat([Detections.from_list(d) for d in images])
         rows = data.draw(_rows_of(len(dets)))
-        graph = OverlapGraph(dets, min(floor, _sweep_floor(cfg)), image)
+        graph = OverlapGraph(dets, [cfg, floor_cfg], image)
         keep, scores = graph.suppress(cfg, rows)
         alone = np.sort(rows)
-        ((want, want_scores),) = suppress_many(
-            dets.take(alone, dets.scores[alone]), [cfg], image[alone])
+        want, want_scores = OverlapGraph(
+            dets.take(alone, dets.scores[alone]), [cfg], image[alone]).suppress(cfg)
         assert keep.tolist() == alone[want].tolist()
         assert ([s.hex() for s in scores.tolist()]
                 == [s.hex() for s in want_scores.tolist()])
@@ -485,7 +490,7 @@ class TestGraphRestriction:
                                      det(20, 0, 30, 10, 0.1),
                                      det(20, 0, 30, 10, 0.05)])
         cfg = SuppressionConfig(method="soft_gaussian", score_floor=0.2)
-        keep, scores = OverlapGraph(dets, 0.0).suppress(cfg, np.array([1, 2]))
+        keep, scores = OverlapGraph(dets, [cfg]).suppress(cfg, np.array([1, 2]))
         assert keep.tolist() == [1]
         assert scores.tolist() == [0.1]
 
@@ -505,16 +510,17 @@ class TestGraphCache:
                 for m in METHOD_NAMES for t in (0.4, 0.6)]
         runs = data.draw(st.permutations([(cfg, rows) for cfg in cfgs
                                           for rows in subsets]))
-        shared = OverlapGraph(dets, 0.0, image)
+        shared = OverlapGraph(dets, cfgs, image)
         # Each run again after all the others.
         for cfg, rows in runs + runs:
             keep, scores = shared.suppress(cfg, rows)
-            want, want_scores = OverlapGraph(dets, 0.0, image).suppress(cfg, rows)
+            want, want_scores = OverlapGraph(dets, cfgs, image).suppress(cfg, rows)
             assert keep.tolist() == want.tolist(), cfg
             assert scores.tobytes() == want_scores.tobytes(), cfg
 
     def test_shared_arrays_are_read_only(self):
-        graph = OverlapGraph(Detections.from_list(crowd_cloud(n_scenes=2)), 0.0)
+        graph = OverlapGraph(Detections.from_list(crowd_cloud(n_scenes=2)),
+                             [GAUSS])
         before = graph.suppress(SET)
         for array in (graph.order, *graph._walk(0.5)[:3],
                       *graph._walk(0.5, True, ranked=True)[:3]):
@@ -685,8 +691,8 @@ class TestDetections:
         arrays = Detections.from_list([])
         assert arrays.boxes.shape == (0, 4) and len(arrays) == 0
         for method in METHOD_NAMES:
-            ((keep, scores),) = suppress_many(
-                arrays, [SuppressionConfig(method=method)])
+            cfg = SuppressionConfig(method=method)
+            keep, scores = OverlapGraph(arrays, [cfg]).suppress(cfg)
             assert keep.tolist() == [] and scores.tolist() == []
 
     def test_take_keeps_anonymous_ids_negative(self):
@@ -703,7 +709,7 @@ class TestDetections:
     def test_arrays_and_list_api_agree(self, method):
         dets = crowd_cloud(n_scenes=4)
         cfg = SuppressionConfig(method=method, iou_thresh=0.4)
-        ((keep, scores),) = suppress_many(Detections.from_list(dets), [cfg])
+        keep, scores = OverlapGraph(Detections.from_list(dets), [cfg]).suppress(cfg)
         out = suppress(dets, cfg)
         assert keep.dtype == np.intp and scores.dtype == np.float64
         assert keep.tolist() == [d.slot for d in out]
@@ -718,7 +724,7 @@ class TestGraphEdges:
         order = np.argsort(-arrays.scores, kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
-        graph = OverlapGraph(arrays, 0.5)
+        graph = OverlapGraph(arrays, [NMS])
         _, both, ious = graph._walk(0.5)[:3]
         indptr, once, once_ious = graph._walk(0.5, True, ranked=True)[:3]
         assert len(both) == len(ious) == n * (n - 1)

@@ -10,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth_oracle as oracle
-from crowdset.assignment import GroundTruth, gt_columns
+from crowdset.assignment import GroundTruth
 from crowdset import metrics, synth
 from crowdset.cli import main
 from crowdset.geometry import BBox, boxes_to_array, iou, overlaps
-from crowdset.metrics import EvalConfig, Evaluation
-from crowdset.scene_io import SceneArrays
-from crowdset.suppression import (Detections, SuppressionConfig, nms, set_nms,
-                                  suppress_many)
+from crowdset.metrics import EvalConfig, Evaluation, Truth
+from crowdset.scene_io import SceneArrays, SceneRecord
+from crowdset.suppression import (Detections, OverlapGraph, SuppressionConfig,
+                                  nms, set_nms)
 from crowdset.synth import (_BISECTION_STEPS, PROPOSALS_PER_GT,
                             DetectorSimParams, SceneGenerationError,
                             SceneParams, StudyRow, _Draw, _shift_to_iou,
@@ -42,8 +42,18 @@ def edge_scenes():
     return mixed + [[], [replace(g, ignore=True) for g in mixed[0]]]
 
 
+def truth_of(scenes):
+    """One ground-truth table of the scenes' GroundTruth lists."""
+    return Truth([SceneArrays.from_record(SceneRecord(str(i), gts=gts))
+                  for i, gts in enumerate(scenes)])
+
+
 # sha256 of simulate_detector over edge_scenes() at k = 1, 2 and 3.
 EDGE_SCENES_SHA256 = "27183d786003f98a5d55bf8e64b45e220d5254ddde1405967dd9b1e1f90b074d"
+
+# sha256 of the rows `_Draw.select(k)` gives at k = 1, 2 and 3 of one draw
+# over all of edge_scenes(), at jitter 0 and then 0.06.
+SELECT_SHA256 = "54c50c08b137b1ff86a74de2fdd966eb83407b6f0ba8772600eb8ed533079251"
 
 # sha256 of `crowdset synth --images 8 --seed 5` at (--pairs-mean,
 # --triples-mean), as the scalar generator wrote it.
@@ -307,11 +317,8 @@ class TestSimulator:
         if order == "reversed":
             scenes = scenes[::-1]
         seeds = [derive_seed(21, 1, i) for i in range(len(scenes))]
-        columns = [gt_columns(gts) for gts in scenes]
-        image = np.repeat(np.arange(len(scenes)), list(map(len, scenes)))
         sim = DetectorSimParams(proposal_jitter=jitter)
-        draw = _Draw(*(np.concatenate(c) for c in zip(*columns)), image,
-                     seeds, sim)
+        draw = _Draw(truth_of(scenes), seeds, sim)
         for k in (1, 2, 3):
             rows = draw.select(k)
             assert (np.diff(rows) > 0).all()
@@ -344,12 +351,34 @@ class TestSimulator:
         with pytest.raises(ValueError) as alone:
             for gts, s in zip(scenes, seeds):
                 simulate_detector(gts, replace(sim, seed=s))
-        columns = [gt_columns(gts) for gts in scenes]
-        image = np.repeat(np.arange(len(scenes)), list(map(len, scenes)))
         with pytest.raises(ValueError) as batched:
-            _Draw(*(np.concatenate(c) for c in zip(*columns)), image, seeds, sim)
+            _Draw(truth_of(scenes), seeds, sim)
         assert str(batched.value) == str(alone.value) == (
             f"proposal_jitter {jitter} overflows a box's area")
+
+    def test_each_row_keeps_its_target(self):
+        # Zero jitter predicts every target exactly, so each row's box and
+        # class are its member's, bit for bit.
+        scenes = edge_scenes()
+        truth = truth_of(scenes)
+        draw = _Draw(truth, [derive_seed(21, 1, i) for i in range(len(scenes))],
+                     DetectorSimParams(proposal_jitter=0.0))
+        assert len(draw.member) == len(draw.dets) > 0
+        assert draw.dets.boxes.tobytes() == truth.boxes[draw.member].tobytes()
+        assert draw.dets.classes.tobytes() == truth.classes[draw.member].tobytes()
+        assert truth.image[draw.member].tolist() == draw.image.tolist()
+        assert not truth.ignore[draw.member].any()
+
+    def test_selected_rows_are_pinned(self):
+        scenes = edge_scenes()
+        seeds = [derive_seed(21, 1, i) for i in range(len(scenes))]
+        digest = hashlib.sha256()
+        for jitter in (0.0, 0.06):
+            draw = _Draw(truth_of(scenes), seeds,
+                         DetectorSimParams(proposal_jitter=jitter))
+            for k in (1, 2, 3):
+                digest.update(repr(draw.select(k).tolist()).encode())
+        assert digest.hexdigest() == SELECT_SHA256
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -458,8 +487,8 @@ class TestStudy:
                 for cfg in cfgs:
                     if k == 1 and cfg.method == "set_nms":
                         continue
-                    images = [replace(SceneArrays.from_record(scene),
-                                      dets=dets.take(*suppress_many(dets, [cfg])[0]))
+                    images = [replace(SceneArrays.from_record(scene), dets=dets.take(
+                                  *OverlapGraph(dets, [cfg]).suppress(cfg)))
                               for scene, dets in zip(scenes, raw)]
                     want.append(StudyRow(k, cfg.method, cfg.iou_thresh,
                                          Evaluation.of_arrays(images, eval_cfg).report()))
