@@ -25,14 +25,12 @@ after another, and builds no dense IoU matrix:
   the set's rows (``keep``), with their own scores, and a detection's
   candidates are its pairs with a non-ignored ground truth at IoU >= the
   threshold. Filtering a sorted list keeps its order, so the candidates
-  stay ranked. Each row's candidate list at each threshold is built once
-  per pair set, and each evaluation gathers its rows' lists. ``crowdset
-  eval`` keeps every row; the study sweeps its draw once and
-  evaluates every model and suppression config as its kept rows.
-  COCO's evaluator is built the same way: IoUs computed once per image,
-  then matched at each threshold (Lin et al., ECCV 2014).
+  stay ranked. ``crowdset eval`` keeps every row; the study sweeps its
+  draw once and evaluates every model and suppression config as its kept
+  rows. COCO's evaluator is built the same way: IoUs computed once per
+  image, then matched at each threshold (Lin et al., ECCV 2014).
 * The detections are admitted in rank order (descending score, ties by
-  input index) in one walk over those lists that keeps two matchings:
+  input index) under two matchings:
 
   * greedy: a detection takes its first untaken candidate (TP), else is
     IGNORED when it overlaps an ignored ground truth, else is a FP;
@@ -40,9 +38,17 @@ after another, and builds no dense IoU matrix:
     iterative), so the matching of the top n detections is maximum for
     every n, and the per-rank gain says whether it grew.
 
-  The walk runs once over all images, with global ground-truth indices.
-  No candidate joins two images, so each image's flags and gains are
-  those of a walk over that image alone.
+  A ground truth is *contested* at a threshold when a row of the pair set
+  with two or more candidates lists it. A row whose one candidate is
+  uncontested shares it only with rows like itself: the best-ranked of
+  them takes it in both matchings (gain 1), which numpy settles with one
+  stable sort by ground truth. Only the other rows are walked in Python,
+  in rank order; the two parts share no ground truth. The split is made
+  once per threshold over all the pair set's rows, so an evaluation may
+  walk a row whose contest left with a dropped row, which changes nothing.
+  Both parts use global ground-truth indices; no candidate joins two
+  images, so each image's flags and gains are those of a pass over that
+  image alone.
 * The non-ignored ground-truth pairs with IoU > ``CROWD_IOU`` are kept,
   so the crowd flags and the density count are views of them. They are
   swept, and the crowd flags and totals counted, once per :class:`Truth`,
@@ -208,6 +214,22 @@ class Truth:
         return int(np.count_nonzero(self.crowd))
 
 
+@dataclass(frozen=True)
+class PairMask:
+    """A pair set's pairs at one threshold, by detection row: ``easy_gt``,
+    the one candidate of a row whose only candidate is uncontested, else
+    -1; ``hard``, whether a row is walked (it has a contested candidate);
+    ``candidates``, each such row's candidates in rank order;
+    ``hits_ignored``, whether a row reaches an ignored ground truth; and
+    ``n_pairs``, how many pairs it has. Shared by the evaluations: the
+    arrays are read-only, and no one modifies the lists."""
+    easy_gt: np.ndarray
+    hard: np.ndarray
+    candidates: dict[int, list[int]]
+    hits_ignored: np.ndarray
+    n_pairs: np.ndarray
+
+
 class PairSet:
     """The same-class pairs of one set of detections and a :class:`Truth`
     with IoU >= ``min_iou``, ignored ground truths included, swept once and
@@ -234,33 +256,40 @@ class PairSet:
         order = rank_order(d, g, ious)
         self.rows, self.cols, self.ious = d[order], g[order], ious[order]
         self.ignored = truth.ignore[self.cols]
-        self._masks: dict[float, tuple] = {}
+        self._masks: dict[float, PairMask] = {}
 
-    def at_iou(self, iou_thresh: float):
+    def at_iou(self, iou_thresh: float) -> PairMask:
         """The pairs with IoU >= ``iou_thresh``, which must not be below the
-        sweep's, by detection: ``(candidates, hits_ignored, n_pairs)``.
-        Detection i's candidates, ``candidates[i]``, are its non-ignored
-        ground truths in rank order (filtering a sorted list keeps its
-        order); ``hits_ignored`` says whether it reaches an ignored ground
-        truth, and ``n_pairs`` counts its pairs. Built once per threshold
-        and shared by the evaluations: the arrays are read-only, and no
-        one modifies the lists."""
+        sweep's, split into the rows numpy settles and the rows the walk
+        visits (see the module docstring). A row's candidates are its
+        non-ignored ground truths in rank order. Built once per threshold
+        over every row, so all evaluations of the pair set share it."""
         if iou_thresh < self.min_iou:
             raise ValueError(f"evaluation at IoU {iou_thresh} needs pairs "
                              f"the sweep at IoU {self.min_iou} dropped")
         if iou_thresh not in self._masks:
             n, hit = self.n_dets, self.ious >= iou_thresh
             real = hit & ~self.ignored
-            ptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(self.rows[real], minlength=n), out=ptr[1:])
-            cols, ptr = self.cols[real].tolist(), ptr.tolist()
+            rows, cols = self.rows[real], self.cols[real]
+            contested = np.zeros(len(self.truth.boxes), dtype=bool)
+            contested[cols[np.bincount(rows, minlength=n)[rows] > 1]] = True
+            on = contested[cols]   # a contested pair makes its row hard
+            hard = np.zeros(n, dtype=bool)
+            hard[rows[on]] = True
+            easy_gt = np.full(n, -1, dtype=np.int64)
+            easy_gt[rows[~on]] = cols[~on]
+            rows, cols = rows[on], cols[on].tolist()
+            ptr = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
             hits_ignored = np.zeros(n, dtype=bool)
             hits_ignored[self.rows[hit & self.ignored]] = True
             n_pairs = np.bincount(self.rows[hit], minlength=n)
-            hits_ignored.flags.writeable = n_pairs.flags.writeable = False
-            self._masks[iou_thresh] = (
-                [cols[a:b] for a, b in zip(ptr, ptr[1:])], hits_ignored,
-                n_pairs)
+            for a in (easy_gt, hard, hits_ignored, n_pairs):
+                a.flags.writeable = False
+            self._masks[iou_thresh] = PairMask(
+                easy_gt, hard,
+                {r: cols[a:b] for r, a, b in
+                 zip(rows[ptr].tolist(), ptr, ptr[1:] + [len(cols)])},
+                hits_ignored, n_pairs)
         return self._masks[iou_thresh]
 
 
@@ -274,13 +303,13 @@ class Evaluation:
     detections must come in ``pairs``' image order. :meth:`of_arrays` builds
     one from :class:`~crowdset.scene_io.SceneArrays`, keeping every row.
 
-    After construction, ``candidates`` lists each detection's candidate
-    ground truths (global indices), ``order`` is the detection at each
-    global rank, the greedy matching is, in input order: ``det_flags``
-    (int8: TP, FP or IGNORED per detection), ``det_match`` (the matched
-    global ground-truth index, -1 when unmatched) and ``gt_matched`` (bool
-    per ground truth; ignored ones stay False); and ``gains`` holds the
-    maximum matching's gain (0 or 1) at each global rank.
+    After construction, ``order`` is the detection at each global rank,
+    the greedy matching is, in input order: ``det_flags`` (int8: TP, FP or
+    IGNORED per detection), ``det_match`` (the matched global ground-truth
+    index, -1 when unmatched) and ``gt_matched`` (bool per ground truth;
+    ignored ones stay False); ``gains`` holds the maximum matching's gain
+    (0 or 1) at each global rank; and ``walked`` counts the detections the
+    Python walk visited.
     """
 
     def __init__(self, cfg: EvalConfig, pairs: PairSet, keep: np.ndarray,
@@ -294,25 +323,43 @@ class Evaluation:
         # rank order, and the global order of the AP and MR^-2 sweeps.
         self.order = np.argsort(-self.scores, kind="stable")
         self._ranked_scores = scores[self.order]
-        self.candidates, hits_ignored, self.det_gt_above = self._candidates(keep)
-        det_match = [-1] * len(self.scores)
+        mask = pairs.at_iou(cfg.iou_thresh)
+        self.det_gt_above = int(mask.n_pairs[keep].sum())
+        ranked = keep[self.order]   # the pair set's row at each rank
+        # An uncontested ground truth goes to the best-ranked row on it.
+        easy_gt = mask.easy_gt[ranked]
+        easy = np.flatnonzero(easy_gt >= 0)
+        easy = easy[np.argsort(easy_gt[easy], kind="stable")]
+        easy = easy[np.diff(easy_gt[easy], prepend=-1) != 0]
+        match = np.full(len(ranked), -1, dtype=np.int64)   # by rank
+        match[easy] = easy_gt[easy]
+        gains = (match >= 0).astype(np.int64)
+        # The hard rows, walked in rank order, list no easy ground truth.
+        walk = np.flatnonzero(mask.hard[ranked])
+        adj = [mask.candidates[r] for r in ranked[walk].tolist()]
+        self.walked = len(adj)
         taken = [False] * len(truth.boxes)
         match_right = [-1] * len(truth.boxes)
         dead: set[int] = set()
-        gains = []
-        for i in self.order.tolist():
-            for j in self.candidates[i]:
+        walk_match, walk_gains = [-1] * len(adj), []
+        for p, candidates in enumerate(adj):
+            for j in candidates:
                 if not taken[j]:
                     taken[j] = True
-                    det_match[i] = j
+                    walk_match[p] = j
                     break
-            gains.append(_augment(i, self.candidates, match_right, dead))
-        self.det_match = np.array(det_match, dtype=np.int64)
-        self.gt_matched = np.array(taken, dtype=bool)
-        self.gains = np.array(gains, dtype=np.int64)
+            # A row whose candidates are all dead has no augmenting path.
+            walk_gains.append(not dead.issuperset(candidates)
+                              and _augment(p, adj, match_right, dead))
+        match[walk], gains[walk] = walk_match, walk_gains
+        self.det_match = np.empty_like(match)
+        self.det_match[self.order] = match
+        self.gt_matched = np.zeros(len(truth.boxes), dtype=bool)
+        self.gt_matched[match[match >= 0]] = True
+        self.gains = gains
         self.det_flags = np.where(
             self.det_match >= 0, TP,
-            np.where(hits_ignored, IGNORED, FP)).astype(np.int8)
+            np.where(mask.hits_ignored[keep], IGNORED, FP)).astype(np.int8)
 
     @classmethod
     def of_arrays(cls, images: Sequence[SceneArrays],
@@ -321,25 +368,18 @@ class Evaluation:
         return cls(cfg, PairSet(Truth(images), dets, image, cfg.iou_thresh),
                    np.arange(len(dets)), dets.scores)
 
-    def _candidates(self, keep: np.ndarray):
-        """Each kept detection's candidate list, whether it reaches an
-        ignored ground truth, and how many of its pairs are at or above the
-        threshold: the rows ``keep`` of the pairs masked at the threshold."""
-        candidates, hits_ignored, n_pairs = self.pairs.at_iou(self.cfg.iou_thresh)
-        return ([candidates[i] for i in keep.tolist()], hits_ignored[keep],
-                int(n_pairs[keep].sum()))
-
     def counters(self) -> dict:
         """What the pass saw: images, ground truths and detections; pairs
         the sweeps listed (the pair set's det/GT and the GT/GT); same-class
         det/GT pairs of the detections at or above the IoU threshold; GT
-        pairs overlapping beyond ``CROWD_IOU``."""
+        pairs overlapping beyond ``CROWD_IOU``; detections the Python walk
+        visited."""
         crowd, _, _, gt_swept = self.truth.pairs
         return {"images": self.n_images, "gts": len(self.truth.boxes),
                 "dets": len(self.scores),
                 "candidate_pairs": self.pairs.swept + gt_swept,
                 "det_gt_pairs_above_iou": self.det_gt_above,
-                "crowd_pairs": len(crowd)}
+                "crowd_pairs": len(crowd), "walked": self.walked}
 
     @cached_property
     def _tp_cum(self) -> np.ndarray:

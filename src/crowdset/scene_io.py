@@ -43,11 +43,11 @@ The scene writer streams one record at a time and fills fixed row
 templates from each record's columns (``.tolist()``), in json.dumps's
 spelling: its separators, ``float.__repr__`` for floats, ``%d`` for ints,
 ``true``/``false`` and the id through ``json.dumps``. It writes no dict and
-no json encoder runs per detection. A record with a box that breaks the box
-rule, which the parser would reject, or a score that is not finite, which
-JSON cannot hold, raises ``ValueError``, naming the record, before any of
-its text is written. :func:`parse_scene_file` and :func:`write_scene_file`
-convert to and from the dataclasses.
+no json encoder runs per detection. A record the parser would reject (a box
+that breaks the box rule, a ground truth of class <= 0, a score that is
+not finite in [0, 1] or a negative slot) raises ``ValueError``, naming the
+record, before any of its text is written. :func:`parse_scene_file` and
+:func:`write_scene_file` convert to and from the dataclasses.
 """
 
 from __future__ import annotations
@@ -360,15 +360,19 @@ def _rows(templates: list, columns: list) -> str:
 
 
 def _scene_line(r: SceneArrays) -> str:
-    """The record's JSON text; a box that breaks the box rule or a score
-    that is not finite raises ValueError."""
+    """The record's JSON text; a value the parser would reject raises
+    ValueError."""
     d = r.dets
     if invalid_boxes(r.gt_boxes).any() or invalid_boxes(d.boxes).any():
         raise ValueError(f"record {r.id!r}: a box is not finite, is inverted "
                          "or its area overflows")
-    if not np.isfinite(d.scores).all():
-        raise ValueError(f"record {r.id!r}: a score is not finite, which JSON "
-                         "cannot hold")
+    if (r.gt_classes <= 0).any():
+        raise ValueError(f"record {r.id!r}: a ground truth's class is not "
+                         ">= 1 (0 is the background)")
+    if not ((d.scores >= 0.0) & (d.scores <= 1.0)).all():
+        raise ValueError(f"record {r.id!r}: a score is not finite in [0, 1]")
+    if (d.slots < 0).any():
+        raise ValueError(f"record {r.id!r}: a slot is negative")
     kinds = np.where(d.proposal_ids >= 0, 0, np.where(d.slots != 0, 1, 2))
     dets = _rows([_DET_ROWS[k] for k in kinds.tolist()],
                  [*d.boxes.T.tolist(), d.scores.tolist(), d.classes.tolist(),
@@ -381,9 +385,10 @@ def _scene_line(r: SceneArrays) -> str:
 
 def write_scene_arrays(records: Iterable[SceneArrays], dest: PathOrStream) -> None:
     """Write records as one JSON object per line, corner-form boxes, one
-    record at a time. A record with a box that breaks the box rule or a
-    score that is not finite raises ValueError, naming the record, and no
-    text of it is written."""
+    record at a time. A record the parser would reject (a box that breaks
+    the box rule, a ground truth of class <= 0, a score that is not finite
+    in [0, 1] or a negative slot) raises ValueError, naming the record, and
+    no text of it is written."""
     _write_jsonl(map(_scene_line, records), dest, "scene")
 
 

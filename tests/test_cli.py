@@ -143,10 +143,11 @@ class TestEvalCounters:
                      str(tmp_path / "eval.json"), "--manifest", str(manifest)]) == 0
         # Pairs whose x-extents intersect: 6 det/GT, 3 GT/GT. At IoU >= 0.5
         # and the same class: the first detection with both boxes of the
-        # pair, the third with the ignored box.
+        # pair (two candidates: the one detection walked), the third with
+        # the ignored box.
         assert strict_json(manifest)["counters"] == {
             "images": 2, "gts": 5, "dets": 3, "candidate_pairs": 9,
-            "det_gt_pairs_above_iou": 3, "crowd_pairs": 1}
+            "det_gt_pairs_above_iou": 3, "crowd_pairs": 1, "walked": 1}
         rep = strict_json(tmp_path / "eval.json")
         assert rep["density"] == {"objects_per_image": 2.0,
                                   "overlaps_per_image": 0.5}

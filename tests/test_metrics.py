@@ -46,6 +46,16 @@ def one_image(gts, dets=(), iou_thresh=0.5):
                                 EvalConfig(iou_thresh=iou_thresh))
 
 
+def ranked_candidates(pairs, iou_thresh, rows):
+    """Each of ``rows``' candidates: the pair set's ranked pairs masked at
+    the threshold (IoU >= it, ground truth not ignored), in their order."""
+    real = (pairs.ious >= iou_thresh) & ~pairs.ignored
+    lists = {}
+    for r, c in zip(pairs.rows[real].tolist(), pairs.cols[real].tolist()):
+        lists.setdefault(r, []).append(c)
+    return [lists.get(r, []) for r in rows]
+
+
 def perfect_scene(sid, boxes, score=0.9):
     gts = [gt(*b) for b in boxes]
     dets = [det(*b, score=score) for b in boxes]
@@ -605,8 +615,8 @@ class TestSparsePass:
                       .reshape(ious.shape))
             dense = oracle.ranked_overlaps(np.where(usable, ious, -1.0),
                                            cfg.iou_thresh)
-            assert [[j - g0 for j in ev.candidates[d0 + i]] for i in range(n_det)] \
-                == dense
+            assert [[j - g0 for j in cands] for cands in ranked_candidates(
+                ev.pairs, cfg.iou_thresh, range(d0, d0 + n_det))] == dense
             g0, d0 = g0 + n_gt, d0 + n_det
 
     def test_the_grid_meets_the_boundaries(self):
@@ -619,13 +629,15 @@ class TestSparsePass:
         assert ev.det_match.tolist() == [0, 1, -1]
         assert ev.truth.crowd.tolist() == [False] * 4
         assert density_stats([s]).overlaps_per_image == 0.0
-        assert ev.candidates == [[0, 1], [0, 1], []]
+        assert ranked_candidates(ev.pairs, 0.5, range(3)) == \
+            [[0, 1], [0, 1], []]
         # The sweep lists each pair whose x-extents meet in more than an
         # edge: 8 det/GT pairs (the zero-width boxes sit inside two boxes'
         # extents) and 3 GT/GT pairs.
         assert ev.counters() == {"images": 1, "gts": 4, "dets": 3,
                                  "candidate_pairs": 11,
-                                 "det_gt_pairs_above_iou": 4, "crowd_pairs": 0}
+                                 "det_gt_pairs_above_iou": 4, "crowd_pairs": 0,
+                                 "walked": 2}
 
     def test_negative_crowd_iou_is_rejected(self):
         with pytest.raises(ValueError, match="iou_thresh"):
@@ -647,6 +659,21 @@ def _kept(draw, image, scores):
                                       st.floats(0.0, 1.0)),
                             min_size=len(keep), max_size=len(keep)))
     return keep, scores[keep] * np.array(factors, dtype=np.float64)
+
+
+def _check_split(pairs, iou_thresh):
+    """The mask's split against the ranked pairs: a row is settled by numpy
+    when its one candidate is listed by no row with two or more; every
+    other row with a candidate is walked, with its ranked list."""
+    mask = pairs.at_iou(iou_thresh)
+    lists = ranked_candidates(pairs, iou_thresh, range(pairs.n_dets))
+    contested = {j for cands in lists if len(cands) > 1 for j in cands}
+    for r, cands in enumerate(lists):
+        easy = len(cands) == 1 and cands[0] not in contested
+        assert mask.easy_gt[r] == (cands[0] if easy else -1)
+        assert mask.hard[r] == (bool(cands) and not easy)
+        assert mask.candidates.get(r, []) == ([] if easy else cands)
+    assert sorted(mask.candidates) == np.flatnonzero(mask.hard).tolist()
 
 
 class TestMaskedPairs:
@@ -677,8 +704,10 @@ class TestMaskedPairs:
             for field in ("det_flags", "det_match", "gt_matched", "gains"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
-            assert got.candidates == want.candidates
+            assert ranked_candidates(pairs, t, keep) == ranked_candidates(
+                want.pairs, t, range(len(keep)))
             assert got.det_gt_above == want.det_gt_above
+            _check_split(pairs, t)
 
     def test_drawn_datasets_reach_a_dropped_candidate(self):
         # Some drawn datasets have a candidate at the sweep's threshold
@@ -693,7 +722,9 @@ class TestMaskedPairs:
             arrays = [SceneArrays.from_record(s) for s in scenes]
             dets, image = Detections.concat([a.dets for a in arrays])
             pairs = PairSet(Truth(arrays), dets, image, swept_at)
-            dropped.append(pairs.at_iou(swept_at)[0] != pairs.at_iou(0.75)[0])
+            rows = range(pairs.n_dets)
+            dropped.append(ranked_candidates(pairs, swept_at, rows)
+                           != ranked_candidates(pairs, 0.75, rows))
 
         sweep()
         assert sum(dropped) >= len(dropped) // 8
@@ -711,6 +742,59 @@ class TestMaskedPairs:
                           dets.scores).det_flags.tolist() == [TP]
         assert Evaluation(EvalConfig(iou_thresh=0.75), pairs, np.arange(1),
                           dets.scores).det_flags.tolist() == [FP]
+
+
+class TestContestedSplit:
+    """The rows numpy settles and the rows the walk visits, at the split's
+    edges, against the oracle's greedy matching and maximum-matching
+    gains."""
+
+    # g0 and g1 meet at IoU 1/4. d0 and d2 each cover one of them; d1 sits
+    # midway, at IoU 7/13 with both, so it contests both.
+    GTS = [gt(0, 0, 10, 10), gt(6, 0, 16, 10)]
+    DETS = [det(0, 0, 10, 10, 0.9), det(3, 0, 13, 10, 0.8),
+            det(6, 0, 16, 10, 0.85)]
+
+    @staticmethod
+    def _check(ev, dets, gts, walked):
+        want = oracle.match_greedy(dets, gts, CFG.iou_thresh)
+        for field in ("det_flags", "det_match", "gt_matched"):
+            g, w = getattr(ev, field), getattr(want, field)
+            assert g.dtype == w.dtype and np.array_equal(g, w), field
+        # The gain at rank n: how much the oracle's maximum matching of the
+        # top n + 1 detections exceeds that of the top n.
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        sizes = [oracle._match_count([dets[i] for i in order[:n]], gts, CFG)
+                 for n in range(len(dets) + 1)]
+        assert ev.gains.tolist() == np.diff(sizes).tolist()
+        assert ev.walked == ev.counters()["walked"] == walked
+
+    def test_a_single_candidate_above_a_contest_is_walked(self):
+        ev = one_image(self.GTS, self.DETS)
+        assert ev.det_flags.tolist() == [TP, FP, TP]
+        assert ev.gains.tolist() == [1, 1, 0]   # by rank: d0, d2, d1
+        self._check(ev, self.DETS, self.GTS, walked=3)
+
+    def test_a_kept_subset_without_the_contest_walks_its_rows(self):
+        # The split is decided over the pair set's rows, so d0 and d2 are
+        # walked though the kept rows hold no contest.
+        arrays = [SceneArrays.from_record(scene("", self.GTS, self.DETS))]
+        dets, image = Detections.concat([a.dets for a in arrays])
+        pairs = PairSet(Truth(arrays), dets, image, 0.5)
+        keep = np.array([0, 2])
+        ev = Evaluation(CFG, pairs, keep, dets.scores[keep])
+        assert pairs.at_iou(0.5).hard.tolist() == [True, True, True]
+        self._check(ev, [self.DETS[0], self.DETS[2]], self.GTS, walked=2)
+
+    def test_an_ignored_only_overlap_is_not_walked(self):
+        gts = [gt(0, 0, 10, 10, ignore=True), gt(20, 0, 30, 10),
+               gt(21, 0, 31, 10, ignore=True)]
+        dets = [det(0, 0, 10, 10, 0.9), det(20, 0, 30, 10, 0.8)]
+        ev = one_image(gts, dets)
+        assert ev.det_flags.tolist() == [IGNORED, TP]
+        mask = ev.pairs.at_iou(0.5)
+        assert mask.easy_gt.tolist() == [-1, 1] and not mask.hard.any()
+        self._check(ev, dets, gts, walked=0)
 
 
 class TestSharedPairs:
@@ -742,7 +826,9 @@ class TestSharedPairs:
             for field in ("det_flags", "det_match", "gt_matched", "gains"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
-            assert got.candidates == want.candidates
+            assert ranked_candidates(shared, t, keep) == ranked_candidates(
+                want.pairs, t, keep)
+            _check_split(shared, t)
             assert repr(got.report()) == repr(got.report()) \
                 == repr(want.report())
 
@@ -754,9 +840,10 @@ class TestSharedPairs:
         pairs = PairSet(Truth(arrays), dets, image, 0.5)
         before = repr(Evaluation(CFG, pairs, np.arange(2), dets.scores).report())
         ev = Evaluation(CFG, pairs, np.arange(2), dets.scores)
-        _, hits_ignored, n_pairs = pairs.at_iou(0.5)
+        mask = pairs.at_iou(0.5)
         assert ev.truth.crowd.tolist() == [True, True, False]
-        for array in (ev.truth.crowd, hits_ignored, n_pairs):
+        for array in (ev.truth.crowd, mask.easy_gt, mask.hard,
+                      mask.hits_ignored, mask.n_pairs):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
         assert repr(Evaluation(CFG, pairs, np.arange(2),

@@ -814,6 +814,29 @@ class TestSceneArrays:
         with pytest.raises(SceneFileError, match="line 1: "):
             parse_scene_arrays(io.StringIO(line))
 
+    @pytest.mark.parametrize("column, value, rule, obj", [
+        ("gt_classes", 0, "a ground truth's class is not >= 1",
+         {"gts": [{"box_xyxy": [0, 0, 1, 1], "class": 0}]}),
+        ("scores", 1.5, "a score is not finite in",
+         {"dets": [{"box_xyxy": [0, 0, 1, 1], "score": 1.5}]}),
+        ("scores", -0.25, "a score is not finite in",
+         {"dets": [{"box_xyxy": [0, 0, 1, 1], "score": -0.25}]}),
+        ("slots", -1, "a slot is negative",
+         {"dets": [{"box_xyxy": [0, 0, 1, 1], "score": 0.5, "slot": -1}]})])
+    def test_a_value_the_parser_rejects_is_not_written(self, column, value,
+                                                        rule, obj):
+        good, bad = (SceneArrays.from_record(random_record(
+            np.random.default_rng(5), rid)) for rid in ("good", "bad"))
+        owner = bad if column == "gt_classes" else bad.dets
+        getattr(owner, column)[-1] = value
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"record 'bad': {rule}"):
+            write_scene_arrays([good, bad, good], buf)
+        assert buf.getvalue() == scene_io_oracle.record_line(good.record())
+        # The parser rejects such a value, which is why the writer does.
+        with pytest.raises(SceneFileError, match="line 1: "):
+            parse_scene_arrays(io.StringIO(json.dumps({"id": "bad", **obj})))
+
     def test_boxes_at_the_edge_of_the_box_rule_round_trip(self):
         # The largest square whose doubled area is finite, and boxes of zero
         # area, are valid: written, parsed and written again, byte for byte.
