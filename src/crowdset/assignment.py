@@ -99,26 +99,6 @@ class GtSet:
     def n_real(self) -> int:
         return len(self.entries)
 
-    @property
-    def n_dummy(self) -> int:
-        return self.n_slots - len(self.entries)
-
-    def slot_class(self, j: int) -> int:
-        """Class id of slot ``j``; dummies report the background class."""
-        if not 0 <= j < self.n_slots:
-            raise IndexError(f"slot {j} out of range for {self.n_slots} slots")
-        if j < len(self.entries):
-            return self.entries[j].class_id
-        return BACKGROUND_CLASS
-
-    def slot_box(self, j: int) -> BBox | None:
-        """Box target of slot ``j``; ``None`` for dummies."""
-        if not 0 <= j < self.n_slots:
-            raise IndexError(f"slot {j} out of range for {self.n_slots} slots")
-        if j < len(self.entries):
-            return self.entries[j].box
-        return None
-
 
 def gt_columns(gts: Sequence[GroundTruth]
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,10 +43,12 @@ The scene writer streams one record at a time and fills fixed row
 templates from each record's columns (``.tolist()``), in json.dumps's
 spelling: its separators, ``float.__repr__`` for floats, ``%d`` for ints,
 ``true``/``false`` and the id through ``json.dumps``. It writes no dict and
-no json encoder runs per detection. A record the parser would reject (a box
-that breaks the box rule, a ground truth of class <= 0, a score that is
-not finite in [0, 1] or a negative slot) raises ``ValueError``, naming the
-record, before any of its text is written. :func:`parse_scene_file` and
+no json encoder runs per detection. A record the parser would reject (an
+id that is not a string or repeats an earlier one, a width or height that
+is not a 64-bit integer, a box that breaks the box rule, a ground truth of
+class <= 0, a score that is not finite in [0, 1] or a negative slot) raises
+``ValueError``, naming the record, before any of its text is written; the
+prediction writer checks ids the same way. :func:`parse_scene_file` and
 :func:`write_scene_file` convert to and from the dataclasses.
 """
 
@@ -200,14 +202,12 @@ def _typed(values, kinds: set) -> bool:
 
 
 def _box_column(objs: list, record_id: str) -> np.ndarray | None:
-    """(N, 4) corner boxes, or None when a value is not a JSON number or a
-    box breaks the box rule (:func:`~crowdset.geometry.invalid_boxes`)."""
+    """(N, 4) corner boxes, or None when a value is not a JSON number."""
     rows = [o["box_xyxy"] if "box_xyxy" in o else _box_coords(o, record_id)
             for o in objs]
     if not _typed(chain.from_iterable(rows), _REAL):
         return None
-    boxes = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-    return None if invalid_boxes(boxes).any() else boxes
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
 def _gt_columns(gts: list, record_id: str):
@@ -217,10 +217,8 @@ def _gt_columns(gts: list, record_id: str):
     ignore = [g.get("ignore", False) for g in gts]
     if boxes is None or not (_typed(classes, _INT) and _typed(ignore, {bool})):
         return None
-    classes = np.array(classes, dtype=np.int64)
-    if (classes <= 0).any():
-        return None
-    return boxes, classes, np.array(ignore, dtype=bool)
+    return (boxes, np.array(classes, dtype=np.int64),
+            np.array(ignore, dtype=bool))
 
 
 def _det_columns(dets: list, record_id: str) -> Detections | None:
@@ -242,11 +240,25 @@ def _det_columns(dets: list, record_id: str) -> Detections | None:
                          classes=np.array(classes, dtype=np.int64),
                          proposal_ids=np.array(pids, dtype=np.int64),
                          slots=np.array(slots, dtype=np.int64))
-    s = columns.scores
-    if ((~np.isfinite(s) | (s < 0.0) | (s > 1.0) | (columns.slots < 0)).any()
-            or np.count_nonzero(columns.proposal_ids < 0) != len(anonymous)):
+    if np.count_nonzero(columns.proposal_ids < 0) != len(anonymous):
         return None
     return columns
+
+
+def _broken_rule(gt_boxes: np.ndarray, gt_classes: np.ndarray,
+                 dets: Detections) -> str | None:
+    """The first rule of a scene record that its columns break, or None.
+    The parser reads a record that breaks one element by element, for the
+    element's own error; the writer refuses it."""
+    if invalid_boxes(gt_boxes).any() or invalid_boxes(dets.boxes).any():
+        return "a box is not finite, is inverted or its area overflows"
+    if (gt_classes <= 0).any():
+        return "a ground truth's class is not >= 1 (0 is the background)"
+    if not ((dets.scores >= 0.0) & (dets.scores <= 1.0)).all():
+        return "a score is not finite in [0, 1]"
+    if (dets.slots < 0).any():
+        return "a slot is negative"
+    return None
 
 
 def _parse_scene_arrays(obj: dict) -> SceneArrays:
@@ -255,7 +267,8 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
         gt_cols, det_cols = _gt_columns(gts, rid), _det_columns(dets, rid)
     except (LookupError, TypeError, ValueError, ArithmeticError):
         gt_cols = det_cols = None
-    if gt_cols is None or det_cols is None:
+    if (gt_cols is None or det_cols is None
+            or _broken_rule(*gt_cols[:2], det_cols)):
         # A check failed or a field is odd (a number written as a string, a
         # box in an unexpected form): build the dataclasses in file order,
         # so that the first invalid element raises its own error.
@@ -317,20 +330,27 @@ def _write_jsonl(lines: Iterable[str], dest: PathOrStream, kind: str) -> None:
             stream.close()
 
 
-def _check_unique(ids: Iterable[str]) -> None:
-    """Raise on the first id that repeats an earlier one."""
-    seen = set()
+def _check_unique(ids: Iterable[str], seen: set) -> None:
+    """Add ``ids`` to ``seen``, raising on the first already there."""
     for rid in ids:
         if rid in seen:
             raise SceneFileError(f"duplicate record id {rid!r}")
         seen.add(rid)
 
 
+def _unique(records: Iterable) -> Iterator:
+    """``records`` in order, each id checked as the parsers check it."""
+    seen = set()
+    for r in records:
+        _check_unique(_record_fields(vars(r)), seen)
+        yield r
+
+
 def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
     """Read a whole scene file as columns, enforcing unique record ids."""
     records = [_at_line(lineno, _parse_scene_arrays, obj)
                for lineno, obj in _decoded(source)]
-    _check_unique(r.id for r in records)
+    _check_unique((r.id for r in records), set())
     return records
 
 
@@ -363,16 +383,11 @@ def _scene_line(r: SceneArrays) -> str:
     """The record's JSON text; a value the parser would reject raises
     ValueError."""
     d = r.dets
-    if invalid_boxes(r.gt_boxes).any() or invalid_boxes(d.boxes).any():
-        raise ValueError(f"record {r.id!r}: a box is not finite, is inverted "
-                         "or its area overflows")
-    if (r.gt_classes <= 0).any():
-        raise ValueError(f"record {r.id!r}: a ground truth's class is not "
-                         ">= 1 (0 is the background)")
-    if not ((d.scores >= 0.0) & (d.scores <= 1.0)).all():
-        raise ValueError(f"record {r.id!r}: a score is not finite in [0, 1]")
-    if (d.slots < 0).any():
-        raise ValueError(f"record {r.id!r}: a slot is negative")
+    rule = _broken_rule(r.gt_boxes, r.gt_classes, d)
+    if rule:
+        raise ValueError(f"record {r.id!r}: {rule}")
+    width, height = (_int_field(vars(r), key, 0, r.id)
+                     for key in ("width", "height"))
     kinds = np.where(d.proposal_ids >= 0, 0, np.where(d.slots != 0, 1, 2))
     dets = _rows([_DET_ROWS[k] for k in kinds.tolist()],
                  [*d.boxes.T.tolist(), d.scores.tolist(), d.classes.tolist(),
@@ -380,16 +395,14 @@ def _scene_line(r: SceneArrays) -> str:
     gts = _rows([_GT_ROW] * len(r.gt_boxes),
                 [*r.gt_boxes.T.tolist(), r.gt_classes.tolist(),
                  ["true" if v else "false" for v in r.gt_ignore.tolist()]])
-    return _SCENE_LINE % (json.dumps(r.id), r.width, r.height, gts, dets)
+    return _SCENE_LINE % (json.dumps(r.id), width, height, gts, dets)
 
 
 def write_scene_arrays(records: Iterable[SceneArrays], dest: PathOrStream) -> None:
     """Write records as one JSON object per line, corner-form boxes, one
-    record at a time. A record the parser would reject (a box that breaks
-    the box rule, a ground truth of class <= 0, a score that is not finite
-    in [0, 1] or a negative slot) raises ValueError, naming the record, and
-    no text of it is written."""
-    _write_jsonl(map(_scene_line, records), dest, "scene")
+    record at a time. A record the parser would reject raises ValueError,
+    naming the record, and no text of it is written."""
+    _write_jsonl(map(_scene_line, _unique(records)), dest, "scene")
 
 
 def write_scene_file(records: Iterable[SceneRecord], dest: PathOrStream) -> None:
@@ -438,7 +451,7 @@ def _prediction_columns(objs: list) -> PredictionArrays | None:
     # A box error only sends the batch to the element path, which raises
     # it again with its record's id.
     boxes = _box_column(proposals, "")
-    if boxes is None:
+    if boxes is None or invalid_boxes(boxes).any():
         return None
     arrays = PredictionArrays.stack([rid for rid, _ in fields],
                                     [len(p) for _, p in fields], boxes,
@@ -493,7 +506,7 @@ def parse_prediction_arrays(source: PathOrStream) -> list[PredictionArrays]:
     # map keeps no reference to a batch's decoded lines once their arrays
     # are built, so at most one batch of decoded JSON is alive.
     batches = list(map(_prediction_batch, _batches(_decoded(source))))
-    _check_unique(rid for b in batches for rid in b.ids)
+    _check_unique((rid for b in batches for rid in b.ids), set())
     return batches
 
 
@@ -520,7 +533,9 @@ def _proposal_obj(p: PredictionSet) -> dict:
 
 def write_prediction_file(records: Iterable[PredictionRecord],
                           dest: PathOrStream) -> None:
-    """Write prediction records as one JSON object per line."""
+    """Write prediction records as one JSON object per line. An id the
+    parser would reject raises ValueError, and no text of its record is
+    written."""
     _write_jsonl((json.dumps({"id": r.id,
                               "proposals": [_proposal_obj(p) for p in r.proposals]})
-                  for r in records), dest, "prediction")
+                  for r in _unique(records)), dest, "prediction")

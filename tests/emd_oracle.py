@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from crowdset.assignment import GtSet, pad_to_k, truncate_top_k
+from crowdset.assignment import (BACKGROUND_CLASS, GtSet, pad_to_k,
+                                 truncate_top_k)
 from crowdset.emd import (EmdMatch, PredictionSet, SlotPrediction, cls_loss,
                           reg_loss)
 from crowdset.geometry import BBox, BoxDelta, iou
@@ -82,8 +83,11 @@ def pair_cost_matrix(pred, gts, cfg):
     costs = np.zeros((cfg.k, cfg.k), dtype=np.float64)
     for i, slot in enumerate(pred.slots):
         for j in range(cfg.k):
-            c = cls_loss(slot.class_scores, gts.slot_class(j))
-            r = reg_loss(slot.delta, pred.proposal, gts.slot_box(j))
+            # The slots past the real members are background dummies.
+            g = gts.entries[j] if j < gts.n_real else None
+            c = cls_loss(slot.class_scores,
+                         BACKGROUND_CLASS if g is None else g.class_id)
+            r = reg_loss(slot.delta, pred.proposal, None if g is None else g.box)
             costs[i, j] = c + r
     return costs
 

@@ -74,16 +74,12 @@ class TestPadding:
 
     def test_pad_empty_to_two_dummies(self):
         s = pad_to_k(self.make(0), 2)
-        assert s.n_slots == 2 and s.n_real == 0 and s.n_dummy == 2
-        assert s.slot_class(0) == BACKGROUND_CLASS
-        assert s.slot_box(1) is None
+        assert s.n_slots == 2 and s.n_real == 0 and s.entries == ()
 
     def test_pad_one_real(self):
         s = pad_to_k(self.make(1), 2)
-        assert (s.n_real, s.n_dummy) == (1, 1)
-        assert s.slot_class(0) == 1
-        assert s.slot_box(0) == B(0, 0, 10, 10)
-        assert s.slot_class(1) == BACKGROUND_CLASS
+        assert (s.n_slots, s.n_real) == (2, 1)
+        assert [(g.class_id, g.box) for g in s.entries] == [(1, B(0, 0, 10, 10))]
 
     def test_overflow_reports_excess(self):
         with pytest.raises(GtSetOverflowError) as exc:
@@ -112,13 +108,6 @@ class TestPadding:
     def test_k_below_one_rejected(self, fit, k):
         with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
             fit(self.make(1), k)
-
-    @pytest.mark.parametrize("j", [-1, 2])
-    def test_slot_out_of_range(self, j):
-        s = pad_to_k(self.make(1), 2)
-        for slot in (s.slot_class, s.slot_box):
-            with pytest.raises(IndexError, match=f"slot {j} out of range for 2"):
-                slot(j)
 
 
 def max_cardinality(scenes, theta=0.5):

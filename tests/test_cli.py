@@ -206,6 +206,76 @@ class TestStudy:
                         if (k, method) != (1, "set_nms")]
 
 
+# Crowd pairs and triples on four images: sets of three members, and k = 3
+# rows that differ from the k = 2 rows.
+DENSE = ["--images", "4", "--pairs-mean", "6", "--triples-mean", "0.8"]
+
+
+@pytest.fixture
+def dense(tmp_path):
+    """Dense scenes from synth and k = 3 simulated detections on them."""
+    gt, det = tmp_path / "dense.jsonl", tmp_path / "dense_det.jsonl"
+    assert main(["synth", *DENSE, "--out", str(gt)]) == 0
+    write_scene_file([SceneRecord(id=r.id, dets=simulate_detector(
+        r.gts, DetectorSimParams(k=3, seed=i)))
+        for i, r in enumerate(parse_scene_file(gt))], det)
+    return gt, det
+
+
+class TestRepeatedRuns:
+    """Outputs that no golden pins: each repeats byte for byte under a
+    seed, and a model's study rows do not depend on the other models."""
+
+    @pytest.mark.parametrize("iou", ["0.5", "0.75"])
+    def test_eval_repeats_and_records_the_fppi_grid(self, dense, tmp_path,
+                                                    iou):
+        gt, det = dense
+        outs = [tmp_path / f"eval_{run}.json" for run in "ab"]
+        for out in outs:
+            assert main(["eval", "--iou", iou, "--gt", str(gt), "--det",
+                         str(det), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert strict_json(outs[0])["config"] == {
+            "iou": float(iou), "fppi_lo": 0.01, "fppi_hi": 1.0,
+            "fppi_points": 9}
+
+    def test_soft_nms_output_repeats_in_strict_json(self, dense, tmp_path):
+        _, det = dense
+        outs = [tmp_path / f"soft_{run}.jsonl" for run in "ab"]
+        for out in outs:
+            assert main(["suppress", "--method", "soft-gaussian", "--in",
+                         str(det), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        lines = outs[0].read_text().splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            json.loads(line, parse_constant=lambda c: pytest.fail(c))
+
+    @pytest.mark.parametrize("flags", [
+        ["--images", "4", "--iou", "0.75", "--k-sweep", "1,2,3"],
+        [*DENSE, "--k", "3", "--k-sweep", "1,2,3"]], ids=["iou-0.75", "dense"])
+    def test_study_repeats(self, tmp_path, flags):
+        for run in "ab":
+            assert main(["study", *flags, "--out", str(tmp_path / run)]) == 0
+        for name in ("rows.csv", "report.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+    def test_one_slot_rows_do_not_depend_on_the_other_models(self, tmp_path):
+        # The one-slot model's rows of a study of it alone equal its rows
+        # of a study that also runs k = 2 and k = 3 on the same draw.
+        rows = {}
+        for name, flags in (("alone", ["--k", "1"]),
+                            ("shared", ["--k", "3", "--k-sweep", "1,2,3"])):
+            out = tmp_path / name
+            assert main(["study", *DENSE, *flags, "--nms-sweep", "0.3,0.4",
+                         "--out", str(out)]) == 0
+            rows[name] = [line for line in (out / "rows.csv").read_text()
+                          .splitlines() if line.startswith("mip1,")]
+        assert len(rows["alone"]) == 3
+        assert rows["alone"] == rows["shared"]
+
+
 class TestExitCodes:
     def test_id_mismatch_is_runtime_failure(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
@@ -259,6 +329,18 @@ class TestExitCodes:
         assert main(["suppress", "--method", "nms", "--in", str(src),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: line 2: malformed JSON (")
+        assert not out.exists()
+
+    def test_a_box_whose_area_overflows_is_a_runtime_failure(self, tmp_path,
+                                                             capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"id": "a"}\n' + json.dumps({"id": "b", "dets": [
+            {"box_xyxy": [0, 0, 1e154, 1e154], "score": 0.5}]}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["suppress", "--method", "nms", "--in", str(src),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: bad record (box area overflows")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -602,6 +684,18 @@ class TestEmd:
             "k": k, "theta": 0.5,
             "truncate_topk": "--truncate-topk" in EMD_ARGV[run]}
 
+    def test_an_empty_prediction_file_scores_no_proposals(self, emd_inputs,
+                                                          tmp_path, capsys):
+        gt, _ = emd_inputs
+        pred = tmp_path / "empty.jsonl"
+        pred.write_text("")
+        assert main(["emd", "--gt", str(gt), "--pred", str(pred)]) == 0
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=lambda c: pytest.fail(c))
+        assert report == {"schema_version": 1, "proposals": [],
+                          "mean_loss": 0.0, "config": {
+                              "k": 2, "theta": 0.5, "truncate_topk": False}}
+
     def test_inputs_cover_the_edge_cases(self, emd_inputs, tmp_path):
         gt, preds = emd_inputs
         _, out, _ = _run_emd(tmp_path, gt, preds[3], ["--k", "3"])
@@ -815,7 +909,10 @@ class TestBatchedFile:
             out, manifest = Path(tmp, "emd.json"), Path(tmp, "manifest.json")
             write_scene_file([SceneRecord(id=rid, gts=g) for rid, g in gts.items()],
                              gt)
-            write_prediction_file(records, pred)
+            # One record per call: the writer refuses a repeated id.
+            with open(pred, "w", encoding="utf-8", newline="\n") as f:
+                for r in records:
+                    write_prediction_file([r], f)
             argv = ["emd", "--gt", str(gt), "--pred", str(pred), "--k",
                     str(cfg.k), "--theta", repr(theta), "--out", str(out),
                     "--manifest", str(manifest)]

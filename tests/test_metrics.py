@@ -532,8 +532,18 @@ def _image(draw, sid):
     gts = [gt(*draw(_grid_box), class_id=draw(st.integers(1, 2)),
               ignore=draw(st.sampled_from([False, False, False, True])))
            for _ in range(draw(st.integers(0, 6)))]
-    boxes = [g.box.as_tuple() for g in gts]
     dets = []
+    if draw(st.sampled_from([False, False, True])):
+        # Two ground truths a shift of 1 or 2 apart (IoU 3/5 or 1/3) and a
+        # detection midway, at IoU 7/9 or 3/5 with both: it contests both
+        # at 0.5, and at 0.75 after the shift of 1.
+        x, y, h = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(1, 4))
+        shift, cls = draw(st.sampled_from([1, 2])), draw(st.integers(1, 2))
+        gts += [gt(x + dx, y, x + dx + 4.0, y + h, class_id=cls)
+                for dx in (0, shift)]
+        dets.append(det(x + shift / 2, y, x + shift / 2 + 4.0, y + h,
+                        score=draw(st.floats(0.0, 1.0)), class_id=cls))
+    boxes = [g.box.as_tuple() for g in gts]
     for _ in range(draw(st.integers(0, 8))):
         if boxes and draw(st.booleans()):
             # A ground truth, or its copy shifted by one grid unit: IoU 3/5,

@@ -20,7 +20,7 @@ from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneFileError,
                                parse_prediction_file, parse_scene_arrays,
                                parse_scene_file, write_prediction_file,
                                write_scene_arrays, write_scene_file)
-from crowdset.suppression import Detection
+from crowdset.suppression import Detection, Detections
 
 B = BBox
 
@@ -878,6 +878,90 @@ class TestSceneArrays:
                 parse(io.StringIO(text))
 
 
+# One value per rule of a scene record that breaks it; the writer must
+# refuse each. Integer columns hold int64, so a width or height is the only
+# place a Python value outside int64, or a float, can reach the writer.
+_BROKEN = {
+    "gt_boxes": [[0.0, 0.0, 1e154, 1e154], [10.0, 0.0, 0.0, 10.0],
+                 [0.0, float("nan"), 1.0, 1.0], [0.0, 0.0, float("inf"), 1.0]],
+    "gt_classes": [0, -1, -2**63],
+    "boxes": [[0.0, 0.0, 1e154, 1e154], [0.0, 10.0, 10.0, 0.0],
+              [float("-inf"), 0.0, 1.0, 1.0]],
+    "scores": [float("nan"), float("inf"), -0.5, 1.0000000000000002, 1e300],
+    "slots": [-1, -2**63],
+    "width": [1.5, 2**63, -2**63 - 1, True, None, "640"],
+    "height": [2**64, 0.0, False],
+}
+_EDGE_SCORES = [0.0, -0.0, 5e-324, 1e-07, 1.0]
+
+
+def scene_columns(rng):
+    """A scene record as columns that the parser accepts, or the same with
+    one value breaking one rule, and the name of the broken column (None
+    when every rule holds)."""
+    g, n = rng.integers(0, 5), rng.integers(0, 6)
+
+    def boxes(m):
+        # Corners and sides up to 1e9; about a tenth of the sides are 0.
+        xy = rng.uniform(-1e9, 1e9, (m, 2))
+        return np.hstack([xy, xy + rng.uniform(0, 1e9, (m, 2))
+                          * (rng.random((m, 2)) < 0.9)])
+
+    def ints(lo, hi, m):
+        return rng.integers(lo, hi, m, dtype=np.int64, endpoint=True)
+
+    scores = rng.uniform(0, 1, n)
+    edge = rng.random(n) < 0.3
+    scores[edge] = rng.choice(_EDGE_SCORES, edge.sum())
+    # A negative proposal id is anonymous: written without a proposal_id.
+    dets = Detections(boxes(n), scores, ints(-2**63, 2**63 - 1, n),
+                      np.where(rng.random(n) < 0.3, -1,
+                               ints(0, 2**63 - 1, n)),
+                      np.where(rng.random(n) < 0.5, 0, ints(0, 2**63 - 1, n)))
+    r = SceneArrays("r", *ints(-2**63, 2**63 - 1, 2).tolist(), boxes(g),
+                    np.where(rng.random(g) < 0.5, 1, ints(1, 2**63 - 1, g)),
+                    rng.random(g) < 0.2, dets)
+    rules = ["width", "height", *(["gt_boxes", "gt_classes"] * bool(g)),
+             *(["boxes", "scores", "slots"] * bool(n))]
+    broken = rules[rng.integers(len(rules))] if rng.random() < 0.5 else None
+    value = _BROKEN[broken][rng.integers(len(_BROKEN[broken]))] if broken else None
+    if broken in ("width", "height"):
+        setattr(r, broken, value)
+    elif broken:
+        column = getattr(r if broken.startswith("gt_") else dets, broken)
+        column[rng.integers(len(column))] = value
+    return r, broken
+
+
+class TestSceneRules:
+    """The writer and the parser share one rule for a scene record's
+    columns, so the writer refuses exactly what the parser would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_the_writer_refuses_what_the_parser_rejects(self, seed):
+        r, broken = scene_columns(np.random.default_rng(seed))
+        buf = io.StringIO()
+        if broken:
+            with pytest.raises(ValueError, match="^record 'r': "):
+                write_scene_arrays([r], buf)
+            assert buf.getvalue() == ""
+            return
+        write_scene_arrays([r], buf)
+        (back,) = parse_scene_arrays(io.StringIO(buf.getvalue()))
+        assert (back.id, back.width, back.height) == (r.id, r.width, r.height)
+        for got, want, columns in (
+                (back, r, ("gt_boxes", "gt_classes", "gt_ignore")),
+                (back.dets, r.dets, ("boxes", "scores", "classes", "slots"))):
+            for name in columns:
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+        # Anonymous detections parse back anonymous, with ids of their own.
+        ids = r.dets.proposal_ids
+        assert np.array_equal(back.dets.proposal_ids >= 0, ids >= 0)
+        assert np.array_equal(back.dets.proposal_ids[ids >= 0], ids[ids >= 0])
+
+
 class _FailingStream(io.StringIO):
     name = "full-disk.jsonl"
 
@@ -893,3 +977,25 @@ class TestWriteErrors:
     def test_os_error_names_the_file(self, write, record):
         with pytest.raises(OSError, match="full-disk.jsonl.*no space left"):
             write([record], _FailingStream())
+
+    @pytest.mark.parametrize("write, record, parse", [
+        (write_scene_arrays,
+         lambda rid: SceneArrays.from_record(SceneRecord(id=rid)),
+         parse_scene_arrays),
+        (write_scene_file, lambda rid: SceneRecord(id=rid), parse_scene_file),
+        (write_prediction_file, lambda rid: PredictionRecord(id=rid),
+         parse_prediction_file),
+    ], ids=["scene-arrays", "scene-file", "prediction-file"])
+    def test_an_id_the_parser_rejects_is_not_written(self, write, record,
+                                                     parse):
+        for ids, error in ((["x", "x"], "duplicate record id 'x'"),
+                           ([5], "record 5: id must be a JSON string, got 5")):
+            buf = io.StringIO()
+            with pytest.raises(SceneFileError, match=f"^{re.escape(error)}$"):
+                write([record(rid) for rid in ids], buf)
+            # The first "x" is written; the repeat is not.
+            assert buf.getvalue().count("\n") == len(ids) - 1
+            # The parser rejects such a file in the same words.
+            text = "".join(json.dumps({"id": rid}) + "\n" for rid in ids)
+            with pytest.raises(SceneFileError, match=re.escape(error)):
+                parse(io.StringIO(text))
