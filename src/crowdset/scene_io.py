@@ -291,6 +291,9 @@ def _decoded(source: PathOrStream) -> Iterator[tuple[int, object]]:
                 if line.isspace():
                     continue
                 obj = json.loads(line)
+                # The text is dead once parsed: free it before the caller
+                # builds the record's columns while this generator waits.
+                del line
             except (ValueError, RecursionError) as e:
                 # A line that is not UTF-8, a JSONDecodeError, an integer
                 # literal longer than Python's int-string conversion limit,

@@ -48,15 +48,19 @@ each row's ``image``: every image is suppressed as if it ran alone.
   under ``score_floor`` is dead before the walk starts, unless it is its
   image's first box in rank order among the walked rows: that box is the
   image's first pick.
-* The walks run over Python lists (``tolist()`` of the graph, scores,
-  decay factors and flags): a pick touches about a dozen neighbours, too
-  few for numpy's per-call cost to pay. Python floats multiply exactly as
-  float64 arrays do.
+* The walks run in Python: a pick touches about a dozen neighbours, too
+  few for numpy's per-call cost to pay. They hold the per-box state
+  (scores, flags, row pointers) in Python lists, and read each pick's
+  neighbours and decay factors as ``memoryview`` slices of the graph's
+  arrays, which yield Python ints and floats one at a time: no edge is
+  copied into a Python object, so an edge costs its array bytes alone.
+  Python floats multiply exactly as float64 arrays do.
 * A graph builds its rank order, as an array and a list, once, and each
   graph config (threshold, same-proposal skip, ranked or both ways) once,
-  as CSR arrays and the lists the walks read: every walk with that config
-  shares them, such as each study model's NMS at one threshold. The walks
-  only read them, and the arrays are read-only.
+  as CSR arrays, the row-pointer list and the neighbour view the walks
+  read: every walk with that config shares them, such as each study
+  model's NMS at one threshold. The walks only read them, and the arrays
+  and the view are read-only.
 
 The output equals that of the dense loops on each image bit for bit: a
 pair without an edge has a decay factor of exactly 1.
@@ -251,11 +255,12 @@ class OverlapGraph:
               ranked: bool = False):
         """The pairs with IoU > ``min_iou`` (and, under
         ``respect_proposals``, different proposal ids) as a CSR graph
-        ``(indptr, neighbours, ious, indptr list, neighbours list)``: box
+        ``(indptr, neighbours, ious, indptr list, neighbours view)``: box
         i's neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``. Each
         edge is stored both ways, or with ``ranked`` once, from the box
-        ranked first. Built once per key, with the lists the walks read;
-        the arrays are read-only."""
+        ranked first. Built once per key, with the list and the
+        ``memoryview`` the walks read; the arrays and the view are
+        read-only."""
         key = (min_iou, respect_proposals, ranked)
         if key not in self._graphs:
             src, dst, ious = self._ranked if ranked else self._both
@@ -271,7 +276,7 @@ class OverlapGraph:
             for array in (indptr, dst, ious):
                 array.flags.writeable = False
             self._graphs[key] = (indptr, dst, ious,
-                                 indptr.tolist(), dst.tolist())
+                                 indptr.tolist(), memoryview(dst))
         return self._graphs[key]
 
     def suppress(self, cfg: SuppressionConfig, rows: np.ndarray | None = None):
@@ -314,8 +319,8 @@ class OverlapGraph:
         indices in pick order and their decayed scores."""
         gaussian = cfg.method == "soft_gaussian"
         _, _, ovr, ptr, nbrs = self._walk(_sweep_floor(cfg), False, False)
-        factor = (np.exp(-(ovr * ovr) / cfg.sigma) if gaussian
-                  else 1.0 - ovr).tolist()
+        factor = memoryview(np.exp(-(ovr * ovr) / cfg.sigma) if gaussian
+                            else 1.0 - ovr)
         floor = cfg.score_floor
         # Scores only decay, so a box under the floor is dead from the start,
         # unless it is its image's first member in ``order``: the first pick.

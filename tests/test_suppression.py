@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -527,6 +528,11 @@ class TestGraphCache:
             assert len(array)
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
+        for walk in (graph._walk(0.5), graph._walk(0.5, True, ranked=True)):
+            view = walk[-1]
+            assert view.readonly and view.obj is walk[1] and len(view)
+            with pytest.raises(TypeError, match="read-only"):
+                view[0] = 0
         assert all(np.array_equal(a, b)
                    for a, b in zip(graph.suppress(SET), before))
 
@@ -552,6 +558,33 @@ class TestBench:
         assert len(nms(dets, NMS)) == 1
         assert len(set_nms(dets, SET)) == 1
         assert nms(dets, NMS)[0] is dets[-1]
+
+    @pytest.mark.parametrize("cfg", [NMS, SET, GAUSS], ids=lambda c: c.method)
+    def test_identical_clique_costs_array_bytes_per_edge(self, cfg):
+        # A clique of 300 identical boxes after 300 disjoint ones, so that
+        # its row numbers are past CPython's cached small ints: a walk that
+        # copied each edge into a Python int (28 bytes, plus 8 for its list
+        # slot) would pass the limit. Building the CSR arrays peaks at about
+        # 40 bytes per stored edge, on the sort's temporaries.
+        n, pad = 300, 300
+        boxes = np.tile([10.0, 10.0, 55.0, 80.0], (pad + n, 1))
+        boxes[:pad] += 100.0 * np.arange(1, pad + 1)[:, None]
+        dets = Detections(boxes=boxes, scores=np.linspace(0.9, 0.1, pad + n),
+                          classes=np.ones(pad + n, dtype=np.int64),
+                          proposal_ids=np.arange(pad + n, dtype=np.int64),
+                          slots=np.zeros(pad + n, dtype=np.int64))
+        graph = OverlapGraph(dets, [cfg])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            keep, _ = graph.suppress(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        edges = n * (n - 1) // 2 * (2 if cfg is GAUSS else 1)
+        assert peak / edges < 48
+        assert keep.tolist()[:pad] == list(range(pad))
 
 
 # Every method at two thresholds; the soft ones also with no floor, the
