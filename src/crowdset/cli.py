@@ -16,10 +16,12 @@ empty detection set scores best, and is then written as null.
 ``--out`` or stdout, and ``study`` writes ``rows.csv``, ``report.json`` and
 its manifest to its ``--out`` directory. ``suppress`` suppresses all
 records of its file in one batched pass, as the study does. ``emd`` takes
-``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``), reads and matches its
-predictions in batches of records (``scene_io.BATCH_PROPOSALS``) and
-renders its report record by record, with the bytes of
-``json.dumps(report, indent=2, allow_nan=False)``.
+``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``) and reads and matches its
+predictions in batches of records (``scene_io.BATCH_PROPOSALS``). It then
+checks every cost for finiteness and computes ``mean_loss``, and only
+then opens its destination and writes each record's rows as they are
+rendered, with the bytes of ``json.dumps(report, indent=2,
+allow_nan=False)``; a report that fails its check writes nothing.
 A manifest's text is built before its file is opened, and ``study`` builds
 the texts of ``rows.csv`` and ``report.json`` before it creates its
 directory, so a study whose rows fail writes nothing.
@@ -49,6 +51,7 @@ import os
 import platform
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -96,12 +99,13 @@ def _manifest_path(args) -> str | None:
     return args.manifest
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` in order to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _report_dict(report: EvalReport) -> dict:
@@ -209,7 +213,7 @@ def cmd_eval(args) -> dict:
         "config": {"iou": args.iou, "fppi_lo": FPPI_LO, "fppi_hi": FPPI_HI,
                    "fppi_points": FPPI_POINTS},
     }
-    _emit(_json_text(out), args.out)
+    _emit([_json_text(out)], args.out)
     return ev.counters()
 
 
@@ -228,42 +232,53 @@ def _emd_row(k: int) -> str:
             '      "total": %r\n    }')
 
 
-def _emd_report(matches: list[tuple[str, ImageMatch]], config: dict) -> str:
-    """The emd report of each record's match, one row per proposal, built
-    record by record with one template: the text of :func:`_json_text`,
-    json's int and float spellings, and its ValueError for the first
-    non-finite cost."""
-    chunks = []
+def _emd_report(matches: list[tuple[str, ImageMatch]],
+                config: dict) -> Iterable[str]:
+    """The emd report of each record's match, one row per proposal, as
+    pieces of the text of :func:`_json_text`: the header, one piece per
+    record from one template with json's int and float spellings, and the
+    trailer. Every cost is checked and ``mean_loss`` summed before this
+    returns, so json's ValueError for the first non-finite cost is raised
+    here, before anything is written."""
     total, n = 0.0, 0
-    for rid, m in matches:
-        p, k = m.permutation.shape
-        if not p:
-            continue
+    for _, m in matches:
         if not (np.isfinite(m.per_slot_cost).all() and np.isfinite(m.total).all()):
             costs = np.column_stack([m.per_slot_cost, m.total])  # report order
             _json_text(float(costs[~np.isfinite(costs)][0]))  # raises
-        totals = m.total.tolist()
-        cells = zip(itertools.repeat(json.dumps(rid), p), range(p),
-                    np.minimum(m.n_real, k).tolist(), *m.permutation.T.tolist(),
-                    *m.per_slot_cost.T.tolist(), totals)
-        chunks.append(",\n".join([_emd_row(k)] * p)
-                      % tuple(itertools.chain.from_iterable(cells)))
-        for t in totals:
+        for t in m.total.tolist():
             total += t
-        n += p
+        n += len(m.total)
     text = _json_text({"schema_version": SCHEMA_VERSION, "proposals": [],
                        "mean_loss": (total / n) if n else 0.0,
                        "config": config})
     if not n:
-        return text
-    return text.replace('"proposals": []',
-                        '"proposals": [\n' + ",\n".join(chunks) + "\n  ]", 1)
+        return [text]
+    head, _, tail = text.partition('"proposals": []')
+    return itertools.chain([head + '"proposals": [\n'], _emd_rows(matches),
+                           ["\n  ]" + tail])
+
+
+def _emd_rows(matches: list[tuple[str, ImageMatch]]) -> Iterator[str]:
+    """The report rows of each record with proposals, one piece per record,
+    each after the first led by the rows' separator."""
+    sep = ""
+    for rid, m in matches:
+        p, k = m.permutation.shape
+        if not p:
+            continue
+        cells = zip(itertools.repeat(json.dumps(rid), p), range(p),
+                    np.minimum(m.n_real, k).tolist(), *m.permutation.T.tolist(),
+                    *m.per_slot_cost.T.tolist(), m.total.tolist())
+        yield sep + (",\n".join([_emd_row(k)] * p)
+                     % tuple(itertools.chain.from_iterable(cells)))
+        sep = ",\n"
 
 
 def cmd_emd(args) -> dict:
     """Score each prediction record against its ground truths, one batch
-    of records at a time; the report is written record by record
-    (:func:`_emd_report`)."""
+    of records at a time. The report's costs are checked and its
+    ``mean_loss`` computed before the destination is opened; each record's
+    rows are then written as they are rendered (:func:`_emd_report`)."""
     cfg = EmdConfig(k=args.k)
     check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
@@ -332,7 +347,7 @@ def cmd_study(args) -> dict:
     }
     os.makedirs(args.out, exist_ok=True)
     for name, text in texts.items():
-        _emit(text, os.path.join(args.out, name))
+        _emit([text], os.path.join(args.out, name))
     return counters
 
 
@@ -432,7 +447,7 @@ def main(argv=None) -> int:
         counters = args.func(args)
         path = _manifest_path(args)
         if path:
-            _emit(_manifest_text(args, time.perf_counter() - t0, counters),
+            _emit([_manifest_text(args, time.perf_counter() - t0, counters)],
                   path)
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -684,6 +684,15 @@ class TestEmd:
             "k": k, "theta": 0.5,
             "truncate_topk": "--truncate-topk" in EMD_ARGV[run]}
 
+    @pytest.mark.parametrize("run", list(EMD_ARGV))
+    def test_stdout_bytes_are_pinned(self, emd_inputs, capsys, run):
+        gt, preds = emd_inputs
+        k = int(EMD_ARGV[run][1])
+        assert main(["emd", "--gt", str(gt), "--pred", str(preds[k]),
+                     *EMD_ARGV[run]]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == EMD_SHA256[run]
+
     def test_an_empty_prediction_file_scores_no_proposals(self, emd_inputs,
                                                           tmp_path, capsys):
         gt, _ = emd_inputs
@@ -751,9 +760,10 @@ class TestEmd:
 
     def test_peak_memory_is_bounded_by_the_batch(self, tmp_path):
         # About 2,000 k=3 proposals. Read and matched in batches of any
-        # size up to 512, the traced peak was 2.7 MB (Python 3.11, numpy
-        # 2.4), mostly the report text; as one whole-file batch it was
-        # 5.3 MB, mostly the file's decoded JSON.
+        # size up to 512, with the report written record by record, the
+        # traced peak is 2.2 MB (Python 3.11, numpy 2.4); with the report
+        # text held whole it was 3.6 MB, and as one whole-file batch 5.3 MB,
+        # mostly the file's decoded JSON.
         scenes = build_scenes(EMD_SCENES, 56, seed=11)
         rng = np.random.default_rng(29)
         records = [PredictionRecord(id=r.id, proposals=[
@@ -841,7 +851,49 @@ class TestEmdReport:
                 _emd_report(matches, config)
             assert str(got.value) == str(e)
         else:
-            assert _emd_report(matches, config) == want
+            assert "".join(_emd_report(matches, config)) == want
+
+    def test_peak_is_a_fraction_of_the_report(self, tmp_path):
+        # 48 records of 40 proposals at k=3, about 0.5 MB of report. Held
+        # whole, the text and its splice into the header put three copies
+        # at the peak (about 3x its length); written record by record, the
+        # peak is about one record's rows.
+        rng = np.random.default_rng(41)
+        p, k = 40, 3
+        matches = [(f"img-{i:03d}", ImageMatch(
+            n_real=rng.integers(0, k + 2, p),
+            permutation=np.array([rng.permutation(k) for _ in range(p)]),
+            per_slot_cost=rng.uniform(0.0, 5.0, (p, k)),
+            total=rng.uniform(0.0, 15.0, p))) for i in range(48)]
+        config = {"k": k, "theta": 0.5, "truncate_topk": True}
+        path = tmp_path / "emd.json"
+        tracemalloc.start()
+        try:
+            _emit(_emd_report(matches, config), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text(encoding="utf-8")
+        assert text == json_report(matches, config)
+        assert peak < len(text) / 4
+
+    @pytest.mark.parametrize("per_slot, totals, error", [
+        ([[1.0], [math.nan]], [1.0, 2.0], "Out of range float values"),
+        ([[1.0], [2.0]], [1e308, 1e308], "Out of range float values"),
+    ], ids=["slot-cost-nan", "mean-beyond-float-range"])
+    def test_a_failed_check_leaves_an_existing_file(self, tmp_path, per_slot,
+                                                    totals, error):
+        # The failing record comes after a good one, so a check made while
+        # writing would already have truncated the file.
+        matches = [(rid, ImageMatch(
+            n_real=np.array([1]), permutation=np.array([[0]]),
+            per_slot_cost=np.array([cost]), total=np.array([t])))
+            for rid, cost, t in zip("ab", per_slot, totals)]
+        path = tmp_path / "emd.json"
+        path.write_bytes(b"an earlier report\n")
+        with pytest.raises(ValueError, match=error):
+            _emit(_emd_report(matches, {"k": 1}), path)
+        assert path.read_bytes() == b"an earlier report\n"
 
 
 @st.composite
@@ -940,7 +992,7 @@ class TestManifest:
         args.jitter = math.nan
         with pytest.raises(ValueError, match="Out of range float values"):
             # As main writes it: the text is built before the file opens.
-            _emit(_manifest_text(args, 0.0, {}), str(path))
+            _emit([_manifest_text(args, 0.0, {})], str(path))
         assert not path.exists()
 
     def test_config_is_the_parsed_arguments(self, round_trip, emd_inputs,
@@ -1233,6 +1285,25 @@ class TestEmdErrors:
                               "JSON compliant")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta, gts, error", [
+        ([1.5e308, 0.0, 0.0, 0.0], STACK[:2],
+         "error: Out of range float values are not JSON compliant"),
+        ([1e308, 1e308, 0.0, 0.0], STACK[:1],
+         "error: record 'a' proposal 0: cost matrix contains non-finite"),
+    ], ids=["total-beyond-float-range", "non-finite-slot-cost"])
+    def test_failed_run_leaves_an_existing_report(self, tmp_path, capsys,
+                                                  delta, gts, error):
+        out = tmp_path / "emd.json"
+        out.write_bytes(b'{"an": "earlier report"}\n')
+        slots = [{"scores": s, "delta": delta} for s in TWO_SLOTS]
+        code, err = self._run(tmp_path, capsys, gts, [
+            {"id": "a", "proposals": [{"box_xyxy": [0, 0, 40, 80],
+                                       "slots": slots}]}],
+            ("--out", str(out)))
+        assert code == 1
+        assert err.startswith(error)
+        assert out.read_bytes() == b'{"an": "earlier report"}\n'
 
     def test_class_error_before_a_later_overflow(self, tmp_path, capsys):
         # Proposal 0 covers only the class-2 box; proposal 1 overflows.
