@@ -13,7 +13,7 @@ from .assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
                          GtSetOverflowError, build_gt_set, pad_to_k,
                          truncate_top_k)
 from .emd import (EmdConfig, EmdMatch, PredictionSet, SlotPrediction,
-                  cls_loss, emd_match, pair_cost_matrix, reg_loss, smooth_l1)
+                  emd_match, pair_cost_matrix)
 from .geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
                        decode_delta, encode_delta, iou, iou_matrix)
 from .metrics import (EvalConfig, EvalReport, RecallStats, average_precision,
@@ -31,8 +31,8 @@ __all__ = [
     "__version__",
     "BACKGROUND_CLASS", "GroundTruth", "GtSet", "GtSetOverflowError",
     "build_gt_set", "pad_to_k", "truncate_top_k",
-    "EmdConfig", "EmdMatch", "PredictionSet", "SlotPrediction", "cls_loss",
-    "emd_match", "pair_cost_matrix", "reg_loss", "smooth_l1",
+    "EmdConfig", "EmdMatch", "PredictionSet", "SlotPrediction", "emd_match",
+    "pair_cost_matrix",
     "BBox", "BoxDelta", "GeometryError", "boxes_to_array", "decode_delta",
     "encode_delta", "iou", "iou_matrix",
     "EvalConfig", "EvalReport", "RecallStats", "average_precision", "best_ji",

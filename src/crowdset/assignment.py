@@ -43,8 +43,7 @@ class GtSetOverflowError(ValueError):
         self.excess = n_real - k
         super().__init__(
             f"ground-truth set has {n_real} real members but only {k} slots "
-            f"(excess {self.excess})"
-        )
+            f"(excess {self.excess})")
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,12 @@ def check_theta(theta: float) -> None:
     """Raise unless the membership threshold ``theta`` is in (0, 1]."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
+
+
+def check_k(k: int) -> None:
+    """Raise unless the slot budget ``k`` is at least 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,7 @@ class GtSet:
             if iou(self.source_proposal, g.box) < self.theta:
                 raise ValueError(
                     f"member {g.box} falls below theta={self.theta} for proposal "
-                    f"{self.source_proposal}"
-                )
+                    f"{self.source_proposal}")
 
     @property
     def n_real(self) -> int:
@@ -148,8 +152,7 @@ def pad_to_k(gt_set: GtSet, k: int) -> GtSet:
     Raises :class:`GtSetOverflowError` when the set holds more than ``k``
     real members; idempotent when already at size ``k``.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    check_k(k)
     if gt_set.n_real > k:
         raise GtSetOverflowError(gt_set.n_real, k)
     if gt_set.n_slots == k:
@@ -162,9 +165,6 @@ def truncate_top_k(gt_set: GtSet, k: int) -> GtSet:
 
     This is the opt-in overflow policy; see :class:`GtSetOverflowError`.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if gt_set.n_real <= k:
-        return pad_to_k(gt_set, k)
+    check_k(k)
     return replace(gt_set, entries=gt_set.entries[:k], n_slots=k)
 

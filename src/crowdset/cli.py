@@ -161,7 +161,7 @@ def cmd_synth(args) -> dict:
 def cmd_suppress(args) -> dict:
     method = _METHOD_FLAGS[args.method]
     cfg = SuppressionConfig(method=method, iou_thresh=args.iou,
-                            sigma=args.sigma, score_floor=args.score_floor)
+                            score_floor=args.score_floor)
     records = parse_scene_arrays(args.infile)
     dets, image = Detections.concat([r.dets for r in records])
     keep, scores = OverlapGraph(dets, [cfg], image).suppress(cfg)
@@ -385,9 +385,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        "detection file")
     if command in (None, "suppress"):
         common(p, report=False)
-        p.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True)
+        p.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True,
+                       help="soft-gaussian uses a fixed sigma of 0.5")
         p.add_argument("--iou", type=float, default=SuppressionConfig.iou_thresh)
-        p.add_argument("--sigma", type=float, default=SuppressionConfig.sigma)
         p.add_argument("--score-floor", type=float,
                        default=SuppressionConfig.score_floor)
         p.add_argument("--in", dest="infile", required=True)

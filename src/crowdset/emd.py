@@ -3,9 +3,12 @@ ground-truth set.
 
 Each proposal emits ``k`` slot predictions. The loss pairs slots with the
 padded ground-truth set one-to-one, scoring every pairing with one cost,
-cross-entropy of the target class plus smooth-L1 of the box delta, and
-keeps the permutation with the smallest total. At ``k == 1`` this reduces
-exactly to the ordinary single-instance detection loss.
+and keeps the permutation with the smallest total. The cost of slot i
+against target j is -log max(p, ``SCORE_EPS``), p being the slot's score
+for the target's class, plus the smooth-L1 (beta 1) of the four terms
+``delta - encode_delta(proposal, target)``, summed dx, dy, dw, dh; a dummy
+target scores background and adds no regression term. At ``k == 1`` this
+reduces exactly to the ordinary single-instance detection loss.
 
 One batched engine computes the loss. :func:`match_batch` scores every
 proposal of a batch of prediction records at once from
@@ -14,17 +17,13 @@ proposal of a batch of prediction records at once from
 overlap sweep keyed by record (:func:`~crowdset.assignment.gt_set_members`)
 gives every ground-truth set as ranked (proposal, member, rank) arrays, the
 targets come from the members of rank below ``k``, one (P, k, k) tensor
-holds the pair costs, and one argmin over the ``k!`` permutation totals per
-proposal picks the matching; that search is the only matcher, so ``k`` is
-at most ``ENUMERATION_LIMIT`` (6). The command-line tool matches one batch
-of records at a time; a single record is a batch of one.
-:func:`pair_cost_matrix` and :func:`emd_match` are one-proposal calls of
-the same code, so the cost
-formula and the tie rule live in one place. The scalar :func:`cls_loss`,
-:func:`reg_loss` and :func:`smooth_l1` are the documented definitions; the
-engine computes the same numbers bit for bit, with the logs taken by
-``math.log`` (numpy's vectorised log can differ in the last bit) and every
-sum in the scalar order.
+(:func:`_cost_tensor`) holds the pair costs, and one argmin over the ``k!``
+permutation totals per proposal picks the matching; that search is the
+only matcher, so ``k`` is at most ``ENUMERATION_LIMIT`` (6). The
+command-line tool matches one batch of records at a time; a single record
+is a batch of one. :func:`pair_cost_matrix` and :func:`emd_match` are
+one-proposal calls of the same code, so the cost formula and the tie rule
+live in one place.
 """
 
 from __future__ import annotations
@@ -208,41 +207,6 @@ def _vocabulary(target_class, n_classes) -> str:
     return f"target class {target_class} outside vocabulary of {n_classes} classes"
 
 
-def cls_loss(scores: np.ndarray, target_class: int) -> float:
-    """Cross-entropy of a probability vector against a target class:
-    -log(p), p being the target-class score clamped to ``SCORE_EPS``."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= target_class < scores.size:
-        raise ValueError(_vocabulary(target_class, scores.size))
-    return -math.log(max(float(scores[target_class]), SCORE_EPS))
-
-
-def smooth_l1(x: float) -> float:
-    """Smooth-L1 at beta 1 (Girshick, Fast R-CNN): 0.5 x^2 for |x| < 1,
-    else |x| - 0.5; :func:`_cost_tensor` computes the same."""
-    ax = abs(x)
-    if ax < 1.0:
-        return 0.5 * x * x
-    return ax - 0.5
-
-
-def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None) -> float:
-    """Smooth-L1 regression loss of a predicted delta against a target box.
-
-    A dummy target (``None``) contributes exactly 0: background slots carry
-    no regression supervision.
-    """
-    if target_box is None:
-        return 0.0
-    want = encode_delta(proposal, target_box)
-    return (
-        smooth_l1(pred.dx - want.dx)
-        + smooth_l1(pred.dy - want.dy)
-        + smooth_l1(pred.dw - want.dw)
-        + smooth_l1(pred.dh - want.dh)
-    )
-
-
 def _targets(members, n: int, gt_boxes: np.ndarray, gt_classes: np.ndarray,
              k: int):
     """Padded slot targets of ``n`` proposals from their ranked members
@@ -266,7 +230,10 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
                  classes: np.ndarray, boxes: np.ndarray,
                  real: np.ndarray) -> np.ndarray:
     """(P, k, k) pair costs: entry (p, i, j) scores slot i of proposal p
-    against target j, as :func:`cls_loss` and :func:`reg_loss` do.
+    against target j by the module's cost. The numbers must equal the test
+    oracle's scalar definitions bit for bit, so every log is ``math.log``
+    (numpy's vectorised log can differ in the last bit) and every sum runs
+    in the scalar order.
 
     ``scores`` (P, k, C) and ``deltas`` (P, k, 4) are the slots and
     ``classes``, ``boxes`` and ``real`` the targets of :func:`_targets`.
@@ -278,7 +245,7 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
     target = np.minimum(classes, scores.shape[2] - 1)
     p = scores[np.arange(n)[:, None, None], np.arange(k)[None, :, None],
                target[:, None, :]]
-    # cls_loss of each clamped score, by math.log so it equals the scalar one.
+    # -log of each clamped score, by math.log.
     flat = np.maximum(p, SCORE_EPS).ravel().tolist()
     cls = -np.fromiter(map(math.log, flat), dtype=np.float64,
                        count=len(flat)).reshape(p.shape)
@@ -296,8 +263,8 @@ def _cost_tensor(proposals: np.ndarray, scores: np.ndarray, deltas: np.ndarray,
         want[..., 1] = (boxes[..., 1] + 0.5 * th - py) / ph
         for axis, ratio in ((2, tw / pw), (3, th / ph)):
             want[..., axis][real] = list(map(math.log, ratio[real].tolist()))
-        # Smooth-L1 one delta axis at a time, summed s0 + s1 + s2 + s3 as
-        # reg_loss sums them, so no (P, k, k, 4) temporary is built.
+        # Smooth-L1 one delta axis at a time, summed s0 + s1 + s2 + s3,
+        # so no (P, k, k, 4) temporary is built.
         reg = None
         for axis in range(4):
             x = deltas[:, :, None, axis] - want[:, None, :, axis]

@@ -79,6 +79,8 @@ import numpy as np
 from .geometry import BBox, boxes_to_array, overlaps
 
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
+# Gaussian Soft-NMS's decay width sigma, Bodla et al.'s (ICCV 2017) value.
+SOFT_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,6 @@ class Detections:
 class SuppressionConfig:
     method: str = "nms"
     iou_thresh: float = 0.5
-    sigma: float = 0.5          # gaussian decay width
     score_floor: float = 0.001  # soft modes drop detections rescored below this
 
     def __post_init__(self):
@@ -175,8 +176,6 @@ class SuppressionConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.iou_thresh < 1.0:
             raise ValueError(f"iou_thresh must be in (0, 1), got {self.iou_thresh}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0.0 <= self.score_floor < math.inf:
             raise ValueError(f"score_floor must be finite and >= 0, "
                              f"got {self.score_floor}")
@@ -319,7 +318,7 @@ class OverlapGraph:
         indices in pick order and their decayed scores."""
         gaussian = cfg.method == "soft_gaussian"
         _, _, ovr, ptr, nbrs = self._walk(_sweep_floor(cfg), False, False)
-        factor = memoryview(np.exp(-(ovr * ovr) / cfg.sigma) if gaussian
+        factor = memoryview(np.exp(-(ovr * ovr) / SOFT_SIGMA) if gaussian
                             else 1.0 - ovr)
         floor = cfg.score_floor
         # Scores only decay, so a box under the floor is dead from the start,
@@ -374,7 +373,7 @@ def soft_nms(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
 
     Linear mode multiplies same-class neighbors by (1 - IoU) when IoU is
     strictly above the threshold; gaussian mode multiplies by
-    exp(-IoU^2 / sigma) for any overlap. Any method other than
+    exp(-IoU^2 / ``SOFT_SIGMA``) for any overlap. Any method other than
     ``soft_gaussian`` runs linear mode. Detections rescored below
     ``score_floor`` are dropped. Output carries the decayed scores, in
     descending rescored order.

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import GroundTruth, check_theta, gt_set_members
+from .assignment import GroundTruth, check_k, check_theta, gt_set_members
 from .geometry import box_areas, invalid_boxes, iou_arrays, iou_xyxy
 from .metrics import CROWD_IOU, EvalConfig, EvalReport, Evaluation, PairSet, Truth
 from .scene_io import SceneArrays, SceneRecord
@@ -107,12 +107,6 @@ class SceneParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {mean}")
 
 
-def _check_k(k: int) -> None:
-    """Raise unless the slot budget ``k`` is at least 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 @dataclass(frozen=True)
 class DetectorSimParams:
     """Detector simulation knobs.
@@ -137,7 +131,7 @@ class DetectorSimParams:
     def __post_init__(self):
         if self.mode not in ("single", "mip"):
             raise ValueError(f"mode must be 'single' or 'mip', got {self.mode!r}")
-        _check_k(self.k)
+        check_k(self.k)
         if not (np.isfinite(self.proposal_jitter) and self.proposal_jitter >= 0):
             raise ValueError(f"proposal_jitter must be finite and >= 0, "
                              f"got {self.proposal_jitter}")
@@ -435,7 +429,7 @@ def run_study(scene_params: SceneParams,
     steps.
     """
     for k in ks:
-        _check_k(k)
+        check_k(k)
     columns, generated = _scene_arrays(scene_params, n_images, seed)
     # With one slot, no two boxes share a proposal: Set NMS is NMS.
     runs = [(k, cfg) for k in ks for cfg in suppression_cfgs

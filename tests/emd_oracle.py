@@ -1,10 +1,12 @@
 """The EMD path as it was before the batched engine, kept verbatim as an
-oracle: the prediction-record parser that validated one dataclass at a
-time (its reading of number lists is a parameter, so a test can apply the
-strict number rule the parser has since gained), the scalar ground-truth set construction, the k x k cost loop, the
-permutation loop and the command's per-proposal loop. The engine must give
-the same permutations, member counts and cost bits, and raise the same
-errors for the same proposals.
+oracle: the scalar cost definitions (:func:`cls_loss`, :func:`smooth_l1`
+and :func:`reg_loss`), the prediction-record parser that validated one
+dataclass at a time (its reading of number lists is a parameter, so a test
+can apply the strict number rule the parser has since gained), the scalar
+ground-truth set construction, the k x k cost loop, the permutation loop
+and the command's per-proposal loop. The engine must give the same
+permutations, member counts and cost bits, and raise the same errors for
+the same proposals.
 """
 
 import itertools
@@ -14,10 +16,45 @@ import numpy as np
 
 from crowdset.assignment import (BACKGROUND_CLASS, GtSet, pad_to_k,
                                  truncate_top_k)
-from crowdset.emd import (EmdMatch, PredictionSet, SlotPrediction, cls_loss,
-                          reg_loss)
-from crowdset.geometry import BBox, BoxDelta, iou
+from crowdset.emd import (SCORE_EPS, EmdMatch, PredictionSet, SlotPrediction,
+                          _vocabulary)
+from crowdset.geometry import BBox, BoxDelta, encode_delta, iou
 from crowdset.scene_io import PredictionRecord, SceneFileError
+
+
+def cls_loss(scores: np.ndarray, target_class: int) -> float:
+    """Cross-entropy of a probability vector against a target class:
+    -log(p), p being the target-class score clamped to ``SCORE_EPS``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not 0 <= target_class < scores.size:
+        raise ValueError(_vocabulary(target_class, scores.size))
+    return -math.log(max(float(scores[target_class]), SCORE_EPS))
+
+
+def smooth_l1(x: float) -> float:
+    """Smooth-L1 at beta 1 (Girshick, Fast R-CNN): 0.5 x^2 for |x| < 1,
+    else |x| - 0.5; ``crowdset.emd._cost_tensor`` computes the same."""
+    ax = abs(x)
+    if ax < 1.0:
+        return 0.5 * x * x
+    return ax - 0.5
+
+
+def reg_loss(pred: BoxDelta, proposal: BBox, target_box: BBox | None) -> float:
+    """Smooth-L1 regression loss of a predicted delta against a target box.
+
+    A dummy target (``None``) contributes exactly 0: background slots carry
+    no regression supervision.
+    """
+    if target_box is None:
+        return 0.0
+    want = encode_delta(proposal, target_box)
+    return (
+        smooth_l1(pred.dx - want.dx)
+        + smooth_l1(pred.dy - want.dy)
+        + smooth_l1(pred.dw - want.dw)
+        + smooth_l1(pred.dh - want.dh)
+    )
 
 
 def coerced_floats(values, key, record_id):

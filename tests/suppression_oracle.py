@@ -10,6 +10,9 @@ import numpy as np
 from crowdset.geometry import boxes_to_array
 from crowdset.suppression import Detection, SuppressionConfig
 
+# Gaussian Soft-NMS's decay width (Bodla et al., ICCV 2017).
+SIGMA = 0.5
+
 
 def _to_arrays(dets: list[Detection]):
     boxes = boxes_to_array([d.box for d in dets])
@@ -62,7 +65,7 @@ def soft_nms(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
 
     Linear mode multiplies same-class neighbors by (1 - IoU) when IoU is
     strictly above the threshold; gaussian mode multiplies by
-    exp(-IoU^2 / sigma) for any overlap. Detections rescored below
+    exp(-IoU^2 / SIGMA) for any overlap. Detections rescored below
     ``score_floor`` are dropped. Output carries the decayed scores, in
     descending rescored order.
     """
@@ -93,7 +96,7 @@ def soft_nms(dets: list[Detection], cfg: SuppressionConfig) -> list[Detection]:
         with np.errstate(divide="ignore", invalid="ignore"):
             ovr = np.where(union > 0.0, inter / union, 0.0)
         if gaussian:
-            factor = np.exp(-(ovr * ovr) / cfg.sigma)
+            factor = np.exp(-(ovr * ovr) / SIGMA)
         else:
             factor = np.where(ovr > cfg.iou_thresh, 1.0 - ovr, 1.0)
         factor = np.where(classes[rest] == classes[i], factor, 1.0)

@@ -106,7 +106,7 @@ class TestPadding:
     @pytest.mark.parametrize("fit", [pad_to_k, truncate_top_k])
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, fit, k):
-        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             fit(self.make(1), k)
 
 

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import emd_oracle as oracle
@@ -29,10 +30,11 @@ from crowdset.cli import (_METHOD_FLAGS, _emd_report, _emit, _manifest_text,
 from crowdset.emd import (EmdConfig, ImageMatch, PredictionSet, SlotPrediction,
                           emd_match)
 from crowdset.geometry import BBox, BoxDelta
+from crowdset.metrics import EvalConfig
 from crowdset.scene_io import (PredictionRecord, SceneRecord,
                                parse_prediction_file, parse_scene_file,
                                write_prediction_file, write_scene_file)
-from crowdset.suppression import Detection, SuppressionConfig
+from crowdset.suppression import SOFT_SIGMA, Detection, SuppressionConfig
 from crowdset.synth import (DetectorSimParams, SceneParams, build_scenes,
                             derive_seed, simulate_detector)
 
@@ -405,7 +407,71 @@ def _exit_of(parse, argv) -> tuple:
     return exc.value.code or 0, out.getvalue(), err.getvalue()
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# The config dataclasses bench/ builds with keyword arguments.
+BENCH_CONFIGS = {cls.__name__: cls for cls in (
+    DetectorSimParams, SceneParams, SuppressionConfig, EvalConfig, EmdConfig)}
+# Each bench workload and the subcommand its ops run.
+BENCH_WORKLOADS = {"study": "study", "dense_eval": "eval",
+                   "suppress_large": "suppress", "emd_loss": "emd"}
+
+
+def _bench_nodes():
+    """Every AST node of each bench/*.py, with its file name."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 class TestSurface:
+    """The package surface bench/ uses, read from bench/'s source: bench/
+    changes only together with the benchmark, so a change to the package
+    must keep the names, config fields and command lines it uses."""
+
+    def test_every_bench_import_resolves(self):
+        checked = 0
+        for name, node in _bench_nodes():
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "crowdset"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), \
+                    f"{name}: {node.module} has no {alias.name}"
+                checked += 1
+        assert checked >= 40
+
+    def test_every_bench_config_keyword_is_a_field(self):
+        checked = 0
+        for name, node in _bench_nodes():
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            cls = BENCH_CONFIGS.get(getattr(func, "id",
+                                            getattr(func, "attr", "")))
+            if cls is None:
+                continue
+            names = {f.name for f in fields(cls)}
+            for kw in node.keywords:
+                assert kw.arg in names, \
+                    f"{name}:{node.lineno} {cls.__name__} has no {kw.arg}"
+                checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("workload, command", BENCH_WORKLOADS.items())
+    def test_every_bench_op_parses(self, workload, command):
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert workloads.WORKLOADS == tuple(BENCH_WORKLOADS)
+        inputs = {"images": 1, "study_seeds": [31], "dets": 1, "proposals": 1}
+        ops = workloads.plan(workload, 31, inputs, "in", "out")["ops"]
+        assert ops
+        for op in ops:
+            args = build_parser().parse_args(op["argv"])
+            assert args.command == command and args.jobs == 1
+
     @pytest.mark.parametrize("flag", ["nms", "set-nms", "soft-linear",
                                       "soft-gaussian"])
     def test_every_method_flag_runs_with_jobs_1(self, round_trip, tmp_path,
@@ -417,6 +483,12 @@ class TestSurface:
         assert (strict_json(str(out) + ".manifest.json")["config"]["method"]
                 == flag)
 
+    def test_suppress_help_states_the_fixed_sigma(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["suppress", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"fixed sigma of {SOFT_SIGMA}" in help_text
+
     def test_help_lists_no_bench(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -426,7 +498,9 @@ class TestSurface:
         (["--help"], 0), (["--version"], 0),
         *(([command, "--help"], 0) for command in COMMANDS),
         ([], 2), (["bogus"], 2), (["bogus", "eval"], 2),
-        (["eval", "--det", "d.jsonl"], 2), (["--jobs", "1", "study"], 2)])
+        (["eval", "--det", "d.jsonl"], 2), (["--jobs", "1", "study"], 2),
+        (["suppress", "--method", "soft-gaussian", "--sigma", "0.5", "--in",
+          "d.jsonl", "--out", "k.jsonl"], 2)])
     def test_main_parses_as_the_full_parser(self, argv, code):
         # main builds only the invoked subcommand's arguments.
         got = _exit_of(main, argv)
@@ -476,7 +550,6 @@ class TestSuppress:
             assert err == ""
 
     @pytest.mark.parametrize("flag, value, rule", [
-        ("--sigma", "nan", "> 0"), ("--sigma", "inf", "> 0"),
         ("--score-floor", "nan", ">= 0"), ("--score-floor", "inf", ">= 0")])
     def test_non_finite_soft_settings_write_nothing(self, tmp_path, capsys,
                                                     flag, value, rule):
@@ -1002,7 +1075,7 @@ class TestManifest:
         runs = [
             (["synth", "--images", "2", "--seed", "4", "--pair-iou-hi", "0.7",
               "--out", str(tmp_path / "s.jsonl")], tmp_path / "s.jsonl.manifest.json"),
-            (["suppress", "--method", "soft-gaussian", "--sigma", "0.4",
+            (["suppress", "--method", "soft-gaussian", "--score-floor", "0.01",
               "--in", str(det), "--out", str(tmp_path / "k.jsonl")],
              tmp_path / "k.jsonl.manifest.json"),
             (["eval", "--gt", str(gt), "--det", str(det),
@@ -1076,23 +1149,6 @@ print(json.dumps(steps))
 
 
 class TestImports:
-    def test_every_bench_import_resolves(self):
-        # bench/ drives the public API; a name it imports must not be
-        # deleted from the package without the bench moving off it.
-        bench = Path(__file__).resolve().parents[1] / "bench"
-        checked = 0
-        for path in sorted(bench.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not (isinstance(node, ast.ImportFrom)
-                        and (node.module or "").split(".")[0] == "crowdset"):
-                    continue
-                module = importlib.import_module(node.module)
-                for alias in node.names:
-                    assert hasattr(module, alias.name), \
-                        f"{path.name}: {node.module} has no {alias.name}"
-                    checked += 1
-        assert checked >= 40
-
     def test_no_subcommand_loads_scipy(self, round_trip, emd_inputs,
                                        emd_k6_pred, tmp_path):
         gt, det = round_trip

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import emd_oracle as oracle
+from emd_oracle import cls_loss, reg_loss, smooth_l1
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from crowdset.assignment import (GroundTruth, build_gt_set, pad_to_k,
                                  truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
-                          SlotPrediction, cls_loss, emd_match,
-                          match_batch, pair_cost_matrix, reg_loss, smooth_l1)
+                          SlotPrediction, emd_match, match_batch,
+                          pair_cost_matrix)
 from crowdset.geometry import BBox, BoxDelta, GeometryError, encode_delta
 from crowdset.metrics import Truth
 from crowdset.scene_io import PredictionRecord, SceneArrays, SceneRecord

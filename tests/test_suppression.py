@@ -196,7 +196,7 @@ class TestSoftNms:
     LINEAR = SuppressionConfig(method="soft_linear", iou_thresh=0.5,
                                score_floor=0.0)
     GAUSS = SuppressionConfig(method="soft_gaussian", iou_thresh=0.5,
-                              sigma=0.5, score_floor=0.0)
+                              score_floor=0.0)
 
     def test_disjoint_scores_unchanged(self):
         dets = [det(0, 0, 10, 10, 0.9), det(50, 50, 60, 60, 0.8)]
@@ -255,11 +255,10 @@ class TestSuppressDispatch:
         assert str(exc.value) == f"iou_thresh must be in (0, 1), got {thresh}"
 
     @pytest.mark.parametrize("field, value, rule", [
-        ("sigma", math.nan, "> 0"), ("sigma", math.inf, "> 0"),
-        ("sigma", 0.0, "> 0"), ("score_floor", math.nan, ">= 0"),
-        ("score_floor", math.inf, ">= 0"), ("score_floor", -0.5, ">= 0")])
+        ("score_floor", math.nan, ">= 0"), ("score_floor", math.inf, ">= 0"),
+        ("score_floor", -0.5, ">= 0")])
     def test_soft_settings_must_be_finite(self, field, value, rule):
-        # A NaN sigma or floor used to keep Soft-NMS's heap walk going forever.
+        # A NaN floor used to keep Soft-NMS's heap walk going forever.
         with pytest.raises(ValueError) as exc:
             SuppressionConfig(method="soft_gaussian", **{field: value})
         assert str(exc.value) == f"{field} must be finite and {rule}, got {value}"
@@ -340,10 +339,9 @@ class TestOracleEquivalence:
 
     @settings(max_examples=600, deadline=None)
     @given(_clouds, st.sampled_from(["soft_linear", "soft_gaussian"]),
-           _thresh, st.sampled_from([0.25, 0.5]),
-           st.sampled_from([0.0, 0.001, 0.2]))
-    def test_soft_scores_bit_identical(self, dets, method, thresh, sigma, floor):
-        cfg = SuppressionConfig(method=method, iou_thresh=thresh, sigma=sigma,
+           _thresh, st.sampled_from([0.0, 0.001, 0.2]))
+    def test_soft_scores_bit_identical(self, dets, method, thresh, floor):
+        cfg = SuppressionConfig(method=method, iou_thresh=thresh,
                                 score_floor=floor)
         got = soft_nms(dets, cfg)
         want = oracle.soft_nms(dets, cfg)
@@ -352,7 +350,7 @@ class TestOracleEquivalence:
 
 
 _config = st.builds(SuppressionConfig, method=st.sampled_from(METHOD_NAMES),
-                    iou_thresh=_thresh, sigma=st.sampled_from([0.25, 0.5]),
+                    iou_thresh=_thresh,
                     score_floor=st.sampled_from([0.0, 0.001, 0.2]))
 
 
@@ -464,14 +462,13 @@ class TestGraphRestriction:
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     @settings(max_examples=150, deadline=None)
-    @given(images=_images(), thresh=_thresh, sigma=st.sampled_from([0.25, 0.5]),
+    @given(images=_images(), thresh=_thresh,
            floor_cfg=st.sampled_from([GAUSS, *(SuppressionConfig(iou_thresh=t)
                                                for t in (1 / 3, 0.5, 2 / 3))]),
            score_floor=st.sampled_from([0.0, 0.001, 0.2]), data=st.data())
     def test_take_equals_suppressing_the_rows(self, method, images, thresh,
-                                              sigma, floor_cfg, score_floor,
-                                              data):
-        cfg = SuppressionConfig(method=method, iou_thresh=thresh, sigma=sigma,
+                                              floor_cfg, score_floor, data):
+        cfg = SuppressionConfig(method=method, iou_thresh=thresh,
                                 score_floor=score_floor)
         dets, image = Detections.concat([Detections.from_list(d) for d in images])
         rows = data.draw(_rows_of(len(dets)))
