@@ -9,13 +9,11 @@ harness for end-to-end studies.
 
 __version__ = "0.1.0"
 
-from .assignment import (BACKGROUND_CLASS, GroundTruth, GtSet,
-                         GtSetOverflowError, build_gt_set, pad_to_k,
-                         truncate_top_k)
+from .assignment import GroundTruth, GtSet, build_gt_set, pad_to_k, truncate_top_k
 from .emd import (EmdConfig, EmdMatch, PredictionSet, SlotPrediction,
                   emd_match, pair_cost_matrix)
 from .geometry import (BBox, BoxDelta, GeometryError, boxes_to_array,
-                       decode_delta, encode_delta, iou, iou_matrix)
+                       decode_delta, encode_delta, iou_matrix)
 from .metrics import (EvalConfig, EvalReport, RecallStats, average_precision,
                       best_ji, density_stats, evaluate, jaccard_index, mr2,
                       recall_split)
@@ -29,12 +27,11 @@ from .synth import (DetectorSimParams, SceneGenerationError, SceneParams,
 
 __all__ = [
     "__version__",
-    "BACKGROUND_CLASS", "GroundTruth", "GtSet", "GtSetOverflowError",
-    "build_gt_set", "pad_to_k", "truncate_top_k",
+    "GroundTruth", "GtSet", "build_gt_set", "pad_to_k", "truncate_top_k",
     "EmdConfig", "EmdMatch", "PredictionSet", "SlotPrediction", "emd_match",
     "pair_cost_matrix",
     "BBox", "BoxDelta", "GeometryError", "boxes_to_array", "decode_delta",
-    "encode_delta", "iou", "iou_matrix",
+    "encode_delta", "iou_matrix",
     "EvalConfig", "EvalReport", "RecallStats", "average_precision", "best_ji",
     "density_stats", "evaluate", "jaccard_index", "mr2", "recall_split",
     "PredictionRecord", "SceneFileError", "SceneRecord",

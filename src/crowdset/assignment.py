@@ -31,21 +31,6 @@ from .geometry import BBox, boxes_to_array, iou, overlaps, rank_pairs
 BACKGROUND_CLASS = 0
 
 
-class GtSetOverflowError(ValueError):
-    """A ground-truth set holds more real members than the slot budget.
-
-    ``excess`` counts the members beyond the budget. Callers opt into
-    truncation explicitly via :func:`truncate_top_k`; silently dropping
-    labels is never the default.
-    """
-
-    def __init__(self, n_real: int, k: int):
-        self.excess = n_real - k
-        super().__init__(
-            f"ground-truth set has {n_real} real members but only {k} slots "
-            f"(excess {self.excess})")
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """An annotated instance box with class tag and ignore flag."""
@@ -149,12 +134,14 @@ def build_gt_set(proposal: BBox, gts: Sequence[GroundTruth], theta: float) -> Gt
 def pad_to_k(gt_set: GtSet, k: int) -> GtSet:
     """Pad (or re-pad) a set to exactly ``k`` slots with trailing dummies.
 
-    Raises :class:`GtSetOverflowError` when the set holds more than ``k``
-    real members; idempotent when already at size ``k``.
+    Raises ``ValueError`` when the set holds more than ``k`` real members
+    (:func:`truncate_top_k` is the opt-in policy); idempotent at size ``k``.
     """
     check_k(k)
     if gt_set.n_real > k:
-        raise GtSetOverflowError(gt_set.n_real, k)
+        raise ValueError(
+            f"ground-truth set has {gt_set.n_real} real members but only {k} "
+            f"slots (excess {gt_set.n_real - k})")
     if gt_set.n_slots == k:
         return gt_set
     return replace(gt_set, n_slots=k)
@@ -163,7 +150,7 @@ def pad_to_k(gt_set: GtSet, k: int) -> GtSet:
 def truncate_top_k(gt_set: GtSet, k: int) -> GtSet:
     """Keep the ``k`` highest-IoU members, then pad to ``k`` slots.
 
-    This is the opt-in overflow policy; see :class:`GtSetOverflowError`.
+    This is the opt-in overflow policy; :func:`pad_to_k` refuses overflow.
     """
     check_k(k)
     return replace(gt_set, entries=gt_set.entries[:k], n_slots=k)

@@ -305,17 +305,16 @@ class Evaluation:
 
     After construction, ``order`` is the detection at each global rank,
     the greedy matching is, in input order: ``det_flags`` (int8: TP, FP or
-    IGNORED per detection), ``det_match`` (the matched global ground-truth
-    index, -1 when unmatched) and ``gt_matched`` (bool per ground truth;
-    ignored ones stay False); ``gains`` holds the maximum matching's gain
-    (0 or 1) at each global rank; and ``walked`` counts the detections the
-    Python walk visited.
+    IGNORED per detection) and ``det_match`` (the matched global
+    ground-truth index, -1 when unmatched); ``gains`` holds the maximum
+    matching's gain (0 or 1) at each global rank; and ``walked`` counts the
+    detections the Python walk visited.
     """
 
     def __init__(self, cfg: EvalConfig, pairs: PairSet, keep: np.ndarray,
                  scores: np.ndarray):
         truth = pairs.truth
-        self.cfg, self.pairs, self.truth = cfg, pairs, truth
+        self.pairs, self.truth = pairs, truth
         self.n_images = truth.n_images
         self.n_gt = truth.n_real
         self.scores = scores
@@ -354,8 +353,6 @@ class Evaluation:
         match[walk], gains[walk] = walk_match, walk_gains
         self.det_match = np.empty_like(match)
         self.det_match[self.order] = match
-        self.gt_matched = np.zeros(len(truth.boxes), dtype=bool)
-        self.gt_matched[match[match >= 0]] = True
         self.gains = gains
         self.det_flags = np.where(
             self.det_match >= 0, TP,

@@ -40,8 +40,8 @@ def scene(sid, gts, dets=()):
 
 
 def one_image(gts, dets=(), iou_thresh=0.5):
-    """The evaluation pass over one image: its greedy walk's ``det_flags``,
-    ``det_match`` and ``gt_matched``, and its ``truth.crowd``."""
+    """The evaluation pass over one image: its greedy walk's ``det_flags``
+    and ``det_match``, and its ``truth.crowd``."""
     return Evaluation.of_arrays([SceneArrays.from_record(scene("", gts, dets))],
                                 EvalConfig(iou_thresh=iou_thresh))
 
@@ -94,7 +94,7 @@ class TestMatchGreedy:
     def test_exact_hit_is_tp(self):
         res = one_image([gt(0, 0, 10, 10)], [det(0, 0, 10, 10, 0.9)])
         assert res.det_flags.tolist() == [TP]
-        assert res.gt_matched.tolist() == [True]
+        assert res.det_match.tolist() == [0]
 
     def test_one_to_one_second_det_is_fp(self):
         res = one_image([gt(0, 0, 10, 10)],
@@ -105,7 +105,7 @@ class TestMatchGreedy:
         res = one_image([gt(0, 0, 10, 10, ignore=True)],
                         [det(0, 0, 10, 10, 0.9)])
         assert res.det_flags.tolist() == [IGNORED]
-        assert res.gt_matched.tolist() == [False]
+        assert res.det_match.tolist() == [-1]
 
     def test_class_mismatch_is_fp(self):
         res = one_image([gt(0, 0, 10, 10, class_id=1)],
@@ -436,7 +436,7 @@ class TestOracleEquivalence:
             for s in scenes:
                 got = one_image(s.gts, s.dets)
                 want = oracle.match_greedy(s.dets, s.gts, 0.5)
-                for field in ("det_flags", "det_match", "gt_matched"):
+                for field in ("det_flags", "det_match"):
                     g, w = getattr(got, field), getattr(want, field)
                     assert g.dtype == w.dtype and np.array_equal(g, w), field
 
@@ -612,7 +612,7 @@ class TestSparsePass:
                 oracle.crowd_flags(s.gts).tolist() == \
                 ev.truth.crowd[g0:g0 + n_gt].tolist()
             want = oracle.match_greedy(s.dets, s.gts, cfg.iou_thresh)
-            for field in ("det_flags", "det_match", "gt_matched"):
+            for field in ("det_flags", "det_match"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
             assert ev.det_flags[d0:d0 + n_det].tolist() == want.det_flags.tolist()
@@ -711,7 +711,7 @@ class TestMaskedPairs:
                 assert repr(got.report()) == repr(want.report())
             else:
                 assert _raises_value_error(got.report)
-            for field in ("det_flags", "det_match", "gt_matched", "gains"):
+            for field in ("det_flags", "det_match", "gains"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
             assert ranked_candidates(pairs, t, keep) == ranked_candidates(
@@ -768,7 +768,7 @@ class TestContestedSplit:
     @staticmethod
     def _check(ev, dets, gts, walked):
         want = oracle.match_greedy(dets, gts, CFG.iou_thresh)
-        for field in ("det_flags", "det_match", "gt_matched"):
+        for field in ("det_flags", "det_match"):
             g, w = getattr(ev, field), getattr(want, field)
             assert g.dtype == w.dtype and np.array_equal(g, w), field
         # The gain at rank n: how much the oracle's maximum matching of the
@@ -833,7 +833,7 @@ class TestSharedPairs:
             got = Evaluation(cfg, shared, keep, scores)
             want = Evaluation(cfg, PairSet(Truth(arrays), dets, image, 0.5),
                               keep, scores)
-            for field in ("det_flags", "det_match", "gt_matched", "gains"):
+            for field in ("det_flags", "det_match", "gains"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
             assert ranked_candidates(shared, t, keep) == ranked_candidates(

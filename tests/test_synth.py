@@ -14,11 +14,12 @@ from crowdset.assignment import GroundTruth
 from crowdset import metrics, synth
 from crowdset.cli import main
 from crowdset.geometry import BBox, boxes_to_array, iou, overlaps
-from crowdset.metrics import EvalConfig, Evaluation, Truth
+from crowdset.metrics import CROWD_IOU, EvalConfig, Evaluation, Truth
 from crowdset.scene_io import SceneArrays, SceneRecord
 from crowdset.suppression import (Detections, OverlapGraph, SuppressionConfig,
                                   nms, set_nms)
-from crowdset.synth import (_BISECTION_STEPS, PROPOSALS_PER_GT,
+from crowdset.synth import (_BISECTION_STEPS, _PAIR_IOU_TOL, ASPECT_RANGE,
+                            BOX_SCALE_RANGE, PROPOSALS_PER_GT,
                             DetectorSimParams, SceneGenerationError,
                             SceneParams, StudyRow, _Draw, _shift_to_iou,
                             _Scene, build_scenes, derive_seed, run_study,
@@ -67,6 +68,9 @@ SYNTH_SHA256 = {
     ("6.0", "0"): "66570a8ad5e8902fb107ef805c1c6eae5231cb38a76005bc0d6a883ebf71b271",
     ("6.0", "0.8"): "c20cc4e96911e926cfdcfa4f79e62535e158789e442c970c715116f062aead0e",
 }
+
+# The largest density mean a scene can draw.
+POISSON_MAX = synth._POISSON_LAM_MAX
 
 # Too many clusters for the image: seed 4 cannot place them all.
 TINY_CROWD = SceneParams(image_w=120, image_h=100, n_objects_mean=6.0,
@@ -135,8 +139,7 @@ class TestDeterminism:
         out = tmp_path / "scenes.jsonl"
         assert main(["synth", "--images", "3", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "scenes.jsonl.manifest.json").read_text())
-        assert manifest["counters"] == {"placement_retries": 1,
-                                        "bisection_cap_hits": 0}
+        assert manifest["counters"] == {"placement_retries": 1}
 
     @pytest.mark.parametrize("pairs, triples", list(SYNTH_SHA256))
     def test_synth_bytes_are_pinned(self, tmp_path, pairs, triples):
@@ -210,17 +213,29 @@ class TestGenerator:
         assert boxes.tolist() == [[900, 900, 940, 964], [0, 0, 40, 64],
                                   [500, 500, 540, 564], [30, 0, 70, 64]]
 
-    def test_bisection_reports_when_it_runs_out_of_steps(self):
+    def test_bisection_finds_the_offset_of_a_known_iou(self):
         # Shifting a 40 x 64 box d px right gives IoU (40 - d) / (40 + d),
         # which is 0.6 at d = 10.
-        box, capped = _shift_to_iou((0.0, 0.0, 40.0, 64.0), 1.0, 0.0, 0.6)
-        assert not capped
+        box = _shift_to_iou((0.0, 0.0, 40.0, 64.0), 1.0, 0.0, 0.6)
         assert box[0] == pytest.approx(10.0, abs=0.01)
         assert box[1:] == (0.0, box[0] + 40.0, 64.0)
-        # A zero-area anchor has IoU 0 with every shift: every step runs.
-        assert _shift_to_iou((5.0, 5.0, 5.0, 5.0), 1.0, 0.0, 0.6) == (
-            (5.0, 5.0, 5.0, 5.0), True)
         assert _BISECTION_STEPS == 80
+
+    @settings(max_examples=300)
+    @given(w=st.floats(*BOX_SCALE_RANGE), aspect=st.floats(*ASPECT_RANGE),
+           angle=st.floats(0.0, 2.0 * math.pi),
+           target=st.floats(CROWD_IOU, 1.0, exclude_min=True, exclude_max=True))
+    def test_bisection_lands_within_tolerance_of_any_target(self, w, aspect,
+                                                            angle, target):
+        # Every anchor the generator samples, any direction, any pair IoU
+        # a SceneParams allows. IoU falls by at most 2 (1/40 + 1/64) per
+        # pixel of offset, so 19 halvings of the (w + h) px bracket reach
+        # the tolerance: the 80-step bound is never what ends the loop.
+        anchor = (100.0, 200.0, 100.0 + w, 200.0 + w * aspect)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth, "_BISECTION_STEPS", 19)
+            box = _shift_to_iou(anchor, math.cos(angle), math.sin(angle), target)
+        assert abs(iou(BBox(*anchor), BBox(*box)) - target) <= _PAIR_IOU_TOL
 
 
 class TestSimulator:
@@ -385,6 +400,8 @@ class TestSimulator:
             DetectorSimParams(mode="double")
         with pytest.raises(ValueError):
             DetectorSimParams(k=0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            DetectorSimParams(seed=-1)
         with pytest.raises(ValueError, match="pair_iou_range must lie inside"):
             SceneParams(pair_iou_range=(0.4, 0.6))
 
@@ -403,6 +420,10 @@ class TestSizes:
          "crowd_triples_mean must be finite and >= 0, got -inf"),
         (["--images", "1", "--pairs-mean", "-0.5"],
          "crowd_pairs_mean must be finite and >= 0, got -0.5"),
+        (["--images", "1", "--objects-mean", "1e300"],
+         f"n_objects_mean must be <= {POISSON_MAX} (numpy's Poisson limit), "
+         "got 1e+300"),
+        (["--images", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_synth_writes_nothing_it_cannot_draw(self, tmp_path, capsys, argv,
                                                  message):
@@ -418,6 +439,28 @@ class TestSizes:
         assert capsys.readouterr().err == (
             "error: n_objects_mean must be finite and >= 0, got nan\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pairs-mean", "1e19"], f"crowd_pairs_mean must be <= {POISSON_MAX} "
+         "(numpy's Poisson limit), got 1e+19"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_study_rejects_what_numpy_cannot_draw(self, tmp_path, capsys,
+                                                  flags, message):
+        out = tmp_path / "study"
+        assert main(["study", "--images", "1", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_the_density_limit_is_numpys_poisson_limit(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_MAX)
+        SceneParams(crowd_triples_mean=POISSON_MAX)
+        above = math.nextafter(POISSON_MAX, math.inf)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(above)
+        with pytest.raises(ValueError, match="^crowd_triples_mean must be <="):
+            SceneParams(crowd_triples_mean=above)
 
     @pytest.mark.parametrize("jitter", ["nan", "inf"])
     def test_study_rejects_a_non_finite_jitter(self, tmp_path, capsys, jitter):
@@ -498,8 +541,7 @@ class TestStudy:
             k2 = [r.report for r in rows if r.k == 2]
             assert len(k3) == len(k2) == len(cfgs) and k3 != k2
             assert counters == {"images": n, "draws": n, "sweeps": 1,
-                                "rows": len(want), "placement_retries": 0,
-                                "bisection_cap_hits": 0}
+                                "rows": len(want), "placement_retries": 0}
 
     def test_a_family_without_configs_is_neither_drawn_nor_swept(self):
         # The one-slot model's only config is Set NMS, which it never runs.
@@ -533,7 +575,6 @@ class TestStudy:
         retries = [_Scene(params, derive_seed(seed, 0, i)).retries
                    for i in range(n)]
         assert counters["placement_retries"] == sum(retries) > 0
-        assert counters["bisection_cap_hits"] == 0
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_a_k_below_one_fails_before_any_scene(self, monkeypatch, k):
