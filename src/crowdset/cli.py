@@ -6,8 +6,8 @@ Each subcommand writes its data outputs and returns its counters, and
 arguments: to ``<out>.manifest.json`` for ``synth`` and ``suppress``,
 ``<out>/manifest.json`` for ``study``, and ``--manifest``, if given, for
 ``eval`` and ``emd``. Its ``config`` is the parsed arguments and its
-``env`` the Python and numpy versions and the platform, so results are
-reproducible from the manifest alone. Data outputs are byte-deterministic
+``env`` the Python, numpy and orjson versions and the platform, so results
+are reproducible from the manifest alone. Data outputs are byte-deterministic
 under a fixed seed; manifests are not (they carry timings). JSON output is
 strict: no NaN or Infinity. The best-JI threshold is +inf only when the
 empty detection set scores best, and is then written as null.
@@ -55,6 +55,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .assignment import check_theta
@@ -84,8 +85,8 @@ def _manifest_text(args, wall_seconds: float, counters: dict) -> str:
         "subcommand": args.command,
         "config": {k: v for k, v in vars(args).items()
                    if k not in ("func", "command")},
-        "env": {"python": platform.python_version(),
-                "numpy": np.__version__, "platform": sys.platform},
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "orjson": orjson.__version__, "platform": sys.platform},
         "wall_seconds": wall_seconds,
         "counters": counters,
     })

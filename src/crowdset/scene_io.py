@@ -32,12 +32,15 @@ Prediction records parse into :class:`~crowdset.emd.PredictionArrays` in
 batches of consecutive records holding at least ``BATCH_PROPOSALS``
 proposals (the last batch may hold fewer), so the columns of a batch are
 built in one pass and only one batch's decoded JSON is held at a time.
-Each line is decoded once, and the dataclasses' checks run on the arrays;
-only a record, or a batch, that fails one is rebuilt element by element in
-file order, record by record, so that its error is the file's first, in
-the dataclass's own words and with its record's line. A malformed line
-first checks the records decoded before it, so an earlier bad record still
-fails first.
+Each line is decoded once, by orjson, and the dataclasses' checks run on
+the arrays; only a record, or a batch, that fails one is rebuilt element by
+element in file order, record by record, so that its error is the file's
+first, in the dataclass's own words and with its record's line. Stdlib json
+decodes the lines orjson rejects (``NaN``, a lone surrogate) and, as orjson
+reads an integer beyond 64 bits as a float, a failing record's lines again:
+records and errors are json's, but a key the parser ignores may nest past
+json's recursion limit. A malformed line first checks the records decoded
+before it, so an earlier bad record still fails first.
 
 The scene writer streams one record at a time and fills fixed row
 templates from each record's columns (``.tolist()``), in json.dumps's
@@ -61,6 +64,7 @@ from itertools import chain
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
+import orjson
 
 from .assignment import GroundTruth, gt_columns
 from .emd import PredictionArrays, PredictionSet, SlotPrediction
@@ -71,6 +75,7 @@ PathOrStream = Union[str, os.PathLike, IO[str]]
 
 _REAL, _INT = {float, int}, {int}
 _ABSENT = object()  # a detection's missing proposal_id, while parsing
+_BLANK = object()  # a line of Unicode whitespace, while decoding
 
 # Proposals per batch of prediction records. Batches amortise the fixed
 # cost of building columns and of matching over many small records, while
@@ -278,29 +283,39 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
                        _int_field(obj, "height", 0, rid), *gt_cols, det_cols)
 
 
-def _decoded(source: PathOrStream) -> Iterator[tuple[int, object]]:
-    """``(line number, value)`` of each non-blank line; a malformed line
-    raises, naming the line. A path is read as bytes and each line decoded
-    on its own, so a line that is not UTF-8 is named like any other."""
+def _json(lineno: int, line, decode: bool = False):
+    """``line`` decoded by stdlib json, after UTF-8 if ``decode``, or
+    ``_BLANK`` if blank; a malformed line raises, naming the line. A line
+    once decoded needs no ``decode``: json.loads reads its bytes as UTF-8."""
+    try:
+        line = line.decode("utf-8") if decode else line
+        return _BLANK if line.isspace() else json.loads(line)
+    except (ValueError, RecursionError) as e:
+        # A line that is not UTF-8, a JSONDecodeError, an integer literal
+        # longer than Python's int-string conversion limit, or nesting
+        # deeper than the recursion limit.
+        raise SceneFileError(
+            f"line {lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
+
+
+def _decoded(source: PathOrStream) -> Iterator[tuple[int, object, object]]:
+    """``(line number, value, line)`` of each non-blank line; a malformed
+    line raises, naming the line. A path is read as bytes and each line
+    decoded on its own, so a line that is not UTF-8 is named like any other.
+    A path's line is kept as bytes, not text, for :func:`_json` to reread."""
     owned = not hasattr(source, "read")
     stream = open(source, "rb") if owned else source
     try:
         for lineno, line in enumerate(stream, start=1):
+            if line.isspace():
+                continue
             try:
-                line = line.decode("utf-8") if owned else line
-                if line.isspace():
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                obj = _json(lineno, line, owned)
+                if obj is _BLANK:
                     continue
-                obj = json.loads(line)
-                # The text is dead once parsed: free it before the caller
-                # builds the record's columns while this generator waits.
-                del line
-            except (ValueError, RecursionError) as e:
-                # A line that is not UTF-8, a JSONDecodeError, an integer
-                # literal longer than Python's int-string conversion limit,
-                # or nesting deeper than the recursion limit.
-                raise SceneFileError(
-                    f"line {lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
-            yield lineno, obj
+            yield lineno, obj, line
     finally:
         if owned:
             stream.close()
@@ -349,10 +364,19 @@ def _unique(records: Iterable) -> Iterator:
         yield r
 
 
+def _scene_arrays(lineno: int, obj, line) -> SceneArrays:
+    """A decoded scene line as columns, parsed again from json's value if
+    orjson's fails: orjson reads an integer beyond 64 bits as a float, and
+    a RecursionError means a value nested deeper than json can read."""
+    try:
+        return _at_line(lineno, _parse_scene_arrays, obj)
+    except (SceneFileError, RecursionError):
+        return _at_line(lineno, _parse_scene_arrays, _json(lineno, line))
+
+
 def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
     """Read a whole scene file as columns, enforcing unique record ids."""
-    records = [_at_line(lineno, _parse_scene_arrays, obj)
-               for lineno, obj in _decoded(source)]
+    records = [_scene_arrays(*decoded) for decoded in _decoded(source)]
     _check_unique((r.id for r in records), set())
     return records
 
@@ -462,17 +486,21 @@ def _prediction_columns(objs: list) -> PredictionArrays | None:
     return None if arrays.invalid().any() else arrays
 
 
-def _prediction_batch(lines: list[tuple[int, object]]) -> PredictionArrays:
-    """Decoded records ``(line number, value)`` as one batch of arrays."""
+def _prediction_batch(lines: list[tuple[int, object, object]]) -> PredictionArrays:
+    """Decoded lines ``(line number, value, line)`` as one batch of arrays."""
     try:
-        arrays = _prediction_columns([obj for _, obj in lines])
-    except (LookupError, TypeError, ValueError, ArithmeticError):
+        arrays = _prediction_columns([obj for _, obj, _ in lines])
+    except (LookupError, TypeError, ValueError, ArithmeticError, RecursionError):
         arrays = None
     if arrays is None:
-        # Build the dataclasses record by record in file order: the first
-        # invalid element raises its own error, as in _parse_scene_arrays.
-        arrays = PredictionArrays.from_sets(
-            [_at_line(lineno, _prediction_sets, obj) for lineno, obj in lines])
+        # Build the dataclasses record by record in file order, from json's
+        # values if they fail: the first invalid element raises its error.
+        try:
+            sets = [_at_line(n, _prediction_sets, obj) for n, obj, _ in lines]
+        except (SceneFileError, RecursionError):
+            sets = [_at_line(n, _prediction_sets, _json(n, line))
+                    for n, _, line in lines]
+        arrays = PredictionArrays.from_sets(sets)
     return arrays
 
 
@@ -481,15 +509,15 @@ def _proposal_count(obj) -> int:
     return len(proposals) if type(proposals) is list else 0
 
 
-def _batches(lines: Iterator[tuple[int, object]]) -> Iterator[list]:
+def _batches(lines: Iterator[tuple[int, object, object]]) -> Iterator[list]:
     """Consecutive decoded lines in lists of at least ``BATCH_PROPOSALS``
     proposals. A malformed line first yields the lines before it, so that
     an earlier bad record fails first."""
     pending, size = [], 0
     try:
-        for lineno, obj in lines:
-            pending.append((lineno, obj))
-            size += _proposal_count(obj)
+        for decoded in lines:
+            pending.append(decoded)
+            size += _proposal_count(decoded[1])
             if size >= BATCH_PROPOSALS:
                 yield pending
                 pending, size = [], 0

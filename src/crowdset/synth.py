@@ -41,6 +41,7 @@ dataclasses at the edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -209,7 +210,7 @@ class _Scene:
         n_pairs = int(rng.poisson(params.crowd_pairs_mean))
         n_triples = int(rng.poisson(params.crowd_triples_mean))
         self.params, self.placed, self.retries = params, [], 0
-        for n_partners in [2] * n_triples + [1] * n_pairs:
+        for n_partners in chain(repeat(2, n_triples), repeat(1, n_pairs)):
             self.cluster(n_partners)
         self.boxes = self.isolated(max(0, n_total - 2 * n_pairs - 3 * n_triples))
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import emd_oracle as oracle
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -1147,7 +1148,7 @@ class TestManifest:
         assert main(["synth", "--images", "1", "--out", str(out)]) == 0
         assert strict_json(str(out) + ".manifest.json")["env"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "platform": sys.platform}
+            "orjson": orjson.__version__, "platform": sys.platform}
 
     def test_eval_and_emd_write_a_manifest_only_when_asked(self, round_trip,
                                                           tmp_path):

@@ -1,22 +1,29 @@
+import dataclasses
+import decimal
 import io
 import json
+import math
 import re
+import struct
 import sys
 from itertools import chain
+from unittest import mock
 
 import emd_oracle as oracle
 import numpy as np
+import orjson
 import scene_io_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdset import scene_io
 from crowdset.assignment import GroundTruth
 from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneFileError,
                                SceneRecord, _at_line, _parse_scene_arrays,
-                               _prediction_batch, parse_prediction_arrays,
+                               _prediction_batch, _scene_arrays, parse_prediction_arrays,
                                parse_prediction_file, parse_scene_arrays,
                                parse_scene_file, write_prediction_file,
                                write_scene_arrays, write_scene_file)
@@ -505,7 +512,7 @@ class TestPredictionArrays:
         # Both sides as the record on line 1 of a file: its errors name it.
         want = _outcome(lambda o: _at_line(1, lambda r: oracle.parse_prediction_record(
             _strict_slots(r), _strict_floats), o), obj)
-        got = _outcome(lambda o: _prediction_batch([(1, o)]), obj)
+        got = _outcome(lambda o: _prediction_batch([(1, o, json.dumps(o))]), obj)
         if isinstance(want, tuple):
             assert got == want
             return
@@ -999,3 +1006,243 @@ class TestWriteErrors:
             text = "".join(json.dumps({"id": rid}) + "\n" for rid in ids)
             with pytest.raises(SceneFileError, match=re.escape(error)):
                 parse(io.StringIO(text))
+
+
+def _stdlib_loads(line):
+    """Stdlib json in orjson's place. A line it rejects raises orjson's
+    error, so that the parser's fallback reads it as it would without
+    orjson."""
+    try:
+        return json.loads(line.decode("utf-8") if type(line) is bytes else line)
+    except (ValueError, RecursionError) as e:
+        raise orjson.JSONDecodeError(str(e), "", 0) from e
+
+
+def _columns(value):
+    """A parse result as comparable values, each array as its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            _columns(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_columns, value))
+    return value
+
+
+def _parsed(parse, source):
+    try:
+        return _columns(parse(source))
+    except Exception as e:  # compared by type and text
+        return type(e), str(e)
+
+
+def _both_decoders(parse, data: bytes, tmp_dir):
+    """``[(with orjson, with stdlib json)]`` of ``parse`` on ``data`` as a
+    file and, when it is UTF-8, as a text stream."""
+    path = tmp_dir / "lines.jsonl"
+    path.write_bytes(data)
+    sources = [lambda: path]
+    try:
+        text = data.decode("utf-8")
+        sources.append(lambda: io.StringIO(text))
+    except UnicodeDecodeError:
+        pass
+    pairs = []
+    for source in sources:
+        got = _parsed(parse, source())
+        with mock.patch.object(scene_io.orjson, "loads", _stdlib_loads):
+            pairs.append((got, _parsed(parse, source())))
+    return pairs
+
+
+# One record per kind, each value a ``%(name)b`` slot; the _DEFAULTS dicts
+# fill them with a valid record.
+_SCENE_LINE = (
+    b'{"id": %(id)b, "width": %(width)b, "height": %(height)b, "gts": '
+    b'[{"box_xyxy": [%(gx1)b, %(gy1)b, %(gx2)b, %(gy2)b], "class": %(gclass)b,'
+    b' "ignore": false}], "dets": [{"box_xyxy": [%(dx1)b, %(dy1)b, %(dx2)b, '
+    b'%(dy2)b], "score": %(score)b, "class": %(dclass)b, "proposal_id": '
+    b'%(pid)b, "slot": %(slot)b}], "extra": %(extra)b}')
+_SCENE_DEFAULTS = {
+    "id": b'"a"', "width": b"640", "height": b"480", "gx1": b"10.5",
+    "gy1": b"20", "gx2": b"30.25", "gy2": b"60", "gclass": b"1",
+    "dx1": b"12", "dy1": b"22.5", "dx2": b"31", "dy2": b"58",
+    "score": b"0.75", "dclass": b"1", "pid": b"3", "slot": b"0",
+    "extra": b"0"}
+_PREDICTION_LINE = (
+    b'{"id": %(id)b, "proposals": [{"box_xyxy": [%(x1)b, %(y1)b, %(x2)b, '
+    b'%(y2)b], "slots": [{"scores": [%(s1)b, %(s2)b], "delta": [%(d1)b, '
+    b'%(d2)b, %(d3)b, %(d4)b]}]}], "extra": %(extra)b}')
+_PREDICTION_DEFAULTS = {
+    "id": b'"a"', "x1": b"10", "y1": b"20", "x2": b"30.5", "y2": b"60",
+    "s1": b"0.25", "s2": b"0.75", "d1": b"0.1", "d2": b"-0.2", "d3": b"0",
+    "d4": b"1.5", "extra": b"0"}
+
+
+def _render(line: bytes, values: dict) -> bytes:
+    return line % {key.encode(): value for key, value in values.items()}
+
+
+_KINDS = [(parse_scene_arrays, _SCENE_LINE, _SCENE_DEFAULTS),
+          (parse_prediction_arrays, _PREDICTION_LINE, _PREDICTION_DEFAULTS)]
+_KIND_IDS = ["scene", "prediction"]
+
+# orjson reads an integer outside [-2**63, 2**64) as a float, and refuses
+# one beyond float range and NaN and Infinity, which json reads.
+_EDGE_LITERALS = [str(n).encode() for n in (
+    2**63, -2**63, -2**63 - 1, 2**64, 10**25, 10**400)] + [
+    b"1e400", b"NaN", b"Infinity", b"-Infinity"]
+_ID_LITERALS = [b'"\\ud800"', b'"x\\udfff"', b'"\xff"', b'"\xed\xa0\x80"',
+                b'"\xc3\xa9\xe2\x80\xa8"']
+_BLANK_LINES = [b"", b" \t", b"\x0b\x0c", "\u00a0".encode(),
+                "\u2028".encode(), b"\x1c"]
+
+
+def _float_texts(f: float) -> list[bytes]:
+    """Spellings of ``f``: shortest, 17 and 41 digits, exact, and the exact
+    midpoint to the next float up, which rounds to even."""
+    if not math.isfinite(f):
+        return [b"NaN" if math.isnan(f) else b"Infinity" if f > 0 else b"-Infinity"]
+    texts = [repr(f), "%.16e" % f, "%.40e" % f, str(decimal.Decimal(f))]
+    up = math.nextafter(f, math.inf)
+    if math.isfinite(up):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 2000
+            texts.append(str((decimal.Decimal(f) + decimal.Decimal(up)) / 2))
+    return [t.encode() for t in texts]
+
+
+@st.composite
+def _number_literals(draw) -> bytes:
+    f = draw(st.one_of(
+        st.integers(0, 2**64 - 1).map(
+            lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+        st.floats(0, 1)))
+    return draw(st.sampled_from(_float_texts(f)))
+
+
+_LITERALS = st.one_of(
+    _number_literals(),
+    st.from_regex(rb"-?(0|[1-9][0-9]{0,24})\.[0-9]{17,60}([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.integers(-2**70, 2**70).map(lambda n: str(n).encode()),
+    st.sampled_from(_EDGE_LITERALS + _ID_LITERALS))
+
+
+@st.composite
+def _jsonl(draw, line: bytes, defaults: dict) -> bytes:
+    """1-3 records, each with up to three values swapped for a drawn
+    literal, maybe a BOM, and blank lines between them."""
+    lines = []
+    for i in range(draw(st.integers(1, 3))):
+        values = {**defaults, "id": b'"r%d"' % i}
+        for key, literal in draw(st.lists(st.tuples(
+                st.sampled_from(sorted(defaults)), _LITERALS), max_size=3)):
+            values[key] = literal
+        lines.append(draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+                     + _render(line, values))
+        lines += draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=1))
+    return b"\n".join(lines) + b"\n"
+
+
+class TestDecoders:
+    """orjson decodes each line; stdlib json reads what orjson rejects or
+    misreads. Records and errors are as with stdlib json alone."""
+
+    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_columns_and_errors_as_stdlib_json(self, tmp_path_factory,
+                                                    parse, line, defaults,
+                                                    data):
+        text = data.draw(_jsonl(line, defaults))
+        tmp_dir = tmp_path_factory.mktemp("decoders")
+        for got, want in _both_decoders(parse, text, tmp_dir):
+            assert got == want
+
+    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
+    def test_edge_literals_in_every_field(self, tmp_path, parse, line,
+                                          defaults):
+        assert len(parse(io.BytesIO(_render(line, defaults)))) == 1
+        for key in defaults:
+            for literal in _EDGE_LITERALS + _ID_LITERALS:
+                data = _render(line, {**defaults, key: literal}) + b"\n"
+                for got, want in _both_decoders(parse, data, tmp_path):
+                    assert got == want, (key, literal)
+
+    def test_an_int_field_beyond_64_bits_fails_in_json_s_words(self):
+        line = _render(_SCENE_LINE, {**_SCENE_DEFAULTS,
+                                     "width": b"18446744073709551616"})
+        with pytest.raises(SceneFileError, match=re.escape(
+                "line 1: record 'a': width must be a 64-bit integer, "
+                "got 18446744073709551616")):
+            parse_scene_arrays(io.BytesIO(line))
+
+    def test_a_real_field_beyond_64_bits_parses(self):
+        line = _render(_SCENE_LINE, {**_SCENE_DEFAULTS,
+                                     "gx2": b"10000000000000000000000000"})
+        (r,) = parse_scene_arrays(io.BytesIO(line))
+        assert r.gt_boxes[0, 2] == float(10**25)
+
+    def test_json_reads_no_line_that_orjson_reads(self):
+        with mock.patch.object(scene_io.json, "loads", side_effect=AssertionError):
+            for parse, line, defaults in _KINDS:
+                assert len(parse(io.BytesIO(_render(line, defaults)))) == 1
+
+    @pytest.mark.parametrize("blank", ["\u00a0", "\u2028", "\x1c"],
+                             ids=["nbsp", "line-separator", "file-separator"])
+    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
+    def test_a_unicode_blank_line_is_skipped(self, tmp_path, parse, line,
+                                             defaults, blank):
+        data = (_render(line, {**defaults, "id": b'"a"'}) + b"\n" + blank.encode()
+                + b"\n" + _render(line, {**defaults, "id": b'"b"'}) + b"\n")
+        path = tmp_path / "blank.jsonl"
+        path.write_bytes(data)
+        for source in (path, io.StringIO(data.decode())):
+            ids = [rid for a in parse(source)
+                   for rid in (a.ids if hasattr(a, "ids") else [a.id])]
+            assert ids == ["a", "b"]
+
+    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
+    def test_deep_nesting_in_an_ignored_key_now_parses(self, tmp_path, parse,
+                                                       line, defaults):
+        # Declared: orjson nests past json's recursion limit, so this line
+        # parses where stdlib json alone calls it malformed.
+        deep = b"[" * 1010 + b"]" * 1010
+        got, want = _both_decoders(
+            parse, _render(line, {**defaults, "extra": deep}) + b"\n", tmp_path)[0]
+        plain, _ = _both_decoders(parse, _render(line, defaults) + b"\n",
+                                  tmp_path)[0]
+        assert got == plain
+        assert want[0] is SceneFileError
+        assert want[1].startswith("line 1: malformed JSON (maximum recursion depth")
+
+    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
+    @pytest.mark.parametrize("nested_id", [True, False],
+                             ids=["nested-id", "open-brackets"])
+    def test_nesting_json_cannot_read_keeps_its_error(self, tmp_path, parse,
+                                                      line, defaults,
+                                                      nested_id):
+        # An id nested past json's limit fails on orjson's value (its repr
+        # in the error recurses too deep), and the rebuild's json.loads
+        # raises json's RecursionError; so does a line orjson rejects.
+        data = (_render(line, {**defaults, "id": b"[" * 1010 + b"]" * 1010})
+                if nested_id else b"[" * 100_000) + b"\n"
+        for got, want in _both_decoders(parse, data, tmp_path):
+            assert got == want
+            assert got[0] is SceneFileError
+            assert got[1].startswith(
+                "line 1: malformed JSON (maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("line, message", [
+        (b'{"id": 5', "Expecting ',' delimiter"),
+        (b'{"id": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_the_json_rebuild_wraps_its_value_error(self, line, message):
+        # Lines orjson would not have read, fed to the rebuild directly.
+        for rebuild in (lambda: _scene_arrays(4, {"id": 5}, line),
+                        lambda: _prediction_batch([(4, {"id": 5}, line)])):
+            with pytest.raises(SceneFileError, match=re.escape(
+                    f"line 4: malformed JSON ({message}")):
+                rebuild()

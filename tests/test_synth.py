@@ -432,6 +432,20 @@ class TestSizes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_a_density_no_image_holds_fails_at_placement(self, tmp_path,
+                                                         capsys):
+        # 1e18 pairs are drawn but never listed: the first cluster that
+        # finds no room ends the run. Keep the image small (a 1280 px image
+        # takes seconds to fill) and the mean far from 1e9, where a list of
+        # the draws would take gigabytes.
+        out = tmp_path / "scenes.jsonl"
+        assert main(["synth", "--images", "1", "--pairs-mean", "1e18",
+                     "--image-w", "64", "--image-h", "64",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: could not place a 2-box cluster ")
+        assert not out.exists()
+
     def test_study_rejects_a_nan_density_mean(self, tmp_path, capsys):
         out = tmp_path / "study"
         assert main(["study", "--images", "1", "--objects-mean", "nan",
