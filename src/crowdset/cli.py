@@ -21,7 +21,8 @@ predictions in batches of records (``scene_io.BATCH_PROPOSALS``). It then
 checks every cost for finiteness and computes ``mean_loss``, and only
 then opens its destination and writes each record's rows as they are
 rendered, with the bytes of ``json.dumps(report, indent=2,
-allow_nan=False)``; a report that fails its check writes nothing.
+allow_nan=False)``, its costs spelled by orjson or, outside [1e-4, 1e16),
+by ``float.__repr__``; a report that fails its check writes nothing.
 A manifest's text is built before its file is opened, and ``study`` builds
 the texts of ``rows.csv`` and ``report.json`` before it creates its
 directory, so a study whose rows fail writes nothing.
@@ -62,8 +63,8 @@ from .assignment import check_theta
 from .emd import ENUMERATION_LIMIT, EmdConfig, ImageMatch, match_batch
 from .metrics import (CROWD_IOU, FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig,
                       EvalReport, Evaluation, Truth)
-from .scene_io import (SceneArrays, parse_prediction_arrays, parse_scene_arrays,
-                       write_scene_arrays)
+from .scene_io import (SceneArrays, _float_columns, parse_prediction_arrays,
+                       parse_scene_arrays, write_scene_arrays)
 from .suppression import METHODS, Detections, OverlapGraph, SuppressionConfig
 from .synth import (DetectorSimParams, SceneParams, StudyRow, _scene_arrays,
                     run_study)
@@ -222,15 +223,15 @@ _ITEMS = ",\n        "
 
 
 def _emd_row(k: int) -> str:
-    """The ``%`` template of one report row at ``k`` slots: ``%s`` takes
-    the quoted id, ``%d`` json's int spelling and ``%r`` its float
-    spelling, ``float.__repr__``."""
+    """The ``%`` template of one report row at ``k`` slots: ``%d`` takes
+    json's int spelling and ``%s`` the quoted id and the costs, spelled by
+    orjson or, outside [1e-4, 1e16), by repr, as json writes them."""
     return ('    {\n      "id": %s,\n      "proposal_index": %d,\n'
             '      "n_members": %d,\n      "permutation": [\n        '
             + _ITEMS.join(["%d"] * k) + '\n      ],\n'
             '      "per_slot_cost": [\n        '
-            + _ITEMS.join(["%r"] * k) + '\n      ],\n'
-            '      "total": %r\n    }')
+            + _ITEMS.join(["%s"] * k) + '\n      ],\n'
+            '      "total": %s\n    }')
 
 
 def _emd_report(matches: list[tuple[str, ImageMatch]],
@@ -269,7 +270,7 @@ def _emd_rows(matches: list[tuple[str, ImageMatch]]) -> Iterator[str]:
             continue
         cells = zip(itertools.repeat(json.dumps(rid), p), range(p),
                     np.minimum(m.n_real, k).tolist(), *m.permutation.T.tolist(),
-                    *m.per_slot_cost.T.tolist(), m.total.tolist())
+                    *_float_columns(np.column_stack([m.per_slot_cost, m.total])))
         yield sep + (",\n".join([_emd_row(k)] * p)
                      % tuple(itertools.chain.from_iterable(cells)))
         sep = ",\n"
@@ -352,6 +353,14 @@ def cmd_study(args) -> dict:
     return counters
 
 
+def _list_of(kind: type):
+    """Comma-separated ``kind`` values; argparse names it "<kind> list"."""
+    def convert(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    convert.__name__ = f"{kind.__name__} list"
+    return convert
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; with ``command``, only that subcommand has arguments."""
     parser = argparse.ArgumentParser(
@@ -423,10 +432,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--images", type=int, default=200)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--k", type=int, default=DetectorSimParams.k)
-        p.add_argument("--k-sweep", type=lambda s: [int(v) for v in s.split(",")],
-                       default=[], help="extra mip k values, e.g. 1,2,3")
-        p.add_argument("--nms-sweep", type=lambda s: [float(v) for v in s.split(",")],
-                       default=[], help="extra nms thresholds, e.g. 0.3,0.4")
+        p.add_argument("--k-sweep", type=_list_of(int), default=[],
+                       help="extra mip k values, e.g. 1,2,3")
+        p.add_argument("--nms-sweep", type=_list_of(float), default=[],
+                       help="extra nms thresholds, e.g. 0.3,0.4")
         p.add_argument("--iou", type=float, default=EvalConfig.iou_thresh)
         p.add_argument("--jitter", type=float,
                        default=DetectorSimParams.proposal_jitter)

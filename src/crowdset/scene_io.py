@@ -43,16 +43,17 @@ json's recursion limit. A malformed line first checks the records decoded
 before it, so an earlier bad record still fails first.
 
 The scene writer streams one record at a time and fills fixed row
-templates from each record's columns (``.tolist()``), in json.dumps's
-spelling: its separators, ``float.__repr__`` for floats, ``%d`` for ints,
-``true``/``false`` and the id through ``json.dumps``. It writes no dict and
-no json encoder runs per detection. A record the parser would reject (an
-id that is not a string or repeats an earlier one, a width or height that
-is not a 64-bit integer, a box that breaks the box rule, a ground truth of
-class <= 0, a score that is not finite in [0, 1] or a negative slot) raises
-``ValueError``, naming the record, before any of its text is written; the
-prediction writer checks ids the same way. :func:`parse_scene_file` and
-:func:`write_scene_file` convert to and from the dataclasses.
+templates from each record's columns with json.dumps's bytes: separators,
+``%d`` ints, ``true``/``false``, the id through ``json.dumps``, and floats
+spelled by orjson, or by ``float.__repr__`` outside [1e-4, 1e16). It
+writes no dict and no json encoder runs per detection. A record the parser
+would reject (an id that is not a string or repeats an earlier one, a
+width or height that is not a 64-bit integer, a box that breaks the box
+rule, a ground truth of class <= 0, a score that is not finite in [0, 1] or
+a negative slot) raises ``ValueError``, naming the record, before any of
+its text is written; the prediction writer checks ids the same way.
+:func:`parse_scene_file` and :func:`write_scene_file` convert to and from
+the dataclasses.
 """
 
 from __future__ import annotations
@@ -386,17 +387,39 @@ def parse_scene_file(source: PathOrStream) -> list[SceneRecord]:
     return [a.record() for a in parse_scene_arrays(source)]
 
 
-# The ``%`` templates of a scene line, in json.dumps's spelling: its
-# separators, ``%r`` for floats (``float.__repr__``, as json writes them)
-# and ``%d`` for ints. Every detection row takes the same eight values (box,
-# score, class, proposal_id, slot); ``%.0s`` takes a value and writes
-# nothing, for the fields that an anonymous detection omits.
-_BOX_FIELD = '{"box_xyxy": [%r, %r, %r, %r], '
+def _float_texts(values: np.ndarray) -> list[str]:
+    """json.dumps's text of each float in the float64 array ``values``: one
+    orjson call's, but repr's where orjson's layout differs, 0 < |v| < 1e-4
+    (``0.00001``, not ``1e-05``) and |v| >= 1e16 (``1e16``, not ``1e+16``).
+    orjson writes each such value with ``e`` or ``0.0000``; a text with
+    neither needs no pass over the values."""
+    flat = np.ravel(values)  # C-contiguous, as orjson needs: copies a column
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    texts = text.split(",") if text else []
+    if "e" in text or "0.0000" in text:
+        mag = np.abs(flat)
+        for i in np.flatnonzero(((mag < 1e-4) & (mag != 0)) | (mag >= 1e16)).tolist():
+            texts[i] = repr(float(flat[i]))
+    return texts
+
+
+def _float_columns(table: np.ndarray) -> list[list[str]]:
+    """The JSON texts of a float64 table (N, m), column by column."""
+    texts, m = _float_texts(table), table.shape[1]
+    return [texts[j::m] for j in range(m)]
+
+
+# The ``%`` templates of a scene line, with json.dumps's bytes: its
+# separators, ``%d`` for ints and ``%s`` for floats, spelled by orjson or,
+# outside [1e-4, 1e16), by repr (:func:`_float_texts`). Every detection row
+# takes the same eight values (box, score, class, proposal_id, slot);
+# ``%.0s`` writes nothing, for the fields an anonymous detection omits.
+_BOX_FIELD = '{"box_xyxy": [%s, %s, %s, %s], '
 _GT_ROW = _BOX_FIELD + '"class": %d, "ignore": %s}'
 _DET_ROWS = (
-    _BOX_FIELD + '"score": %r, "class": %d, "proposal_id": %d, "slot": %d}',
-    _BOX_FIELD + '"score": %r, "class": %d%.0s, "slot": %d}',  # anonymous
-    _BOX_FIELD + '"score": %r, "class": %d%.0s%.0s}',  # anonymous, slot 0
+    _BOX_FIELD + '"score": %s, "class": %d, "proposal_id": %d, "slot": %d}',
+    _BOX_FIELD + '"score": %s, "class": %d%.0s, "slot": %d}',  # anonymous
+    _BOX_FIELD + '"score": %s, "class": %d%.0s%.0s}',  # anonymous, slot 0
 )
 _SCENE_LINE = '{"id": %s, "width": %d, "height": %d, "gts": [%s], "dets": [%s]}'
 
@@ -417,10 +440,10 @@ def _scene_line(r: SceneArrays) -> str:
                      for key in ("width", "height"))
     kinds = np.where(d.proposal_ids >= 0, 0, np.where(d.slots != 0, 1, 2))
     dets = _rows([_DET_ROWS[k] for k in kinds.tolist()],
-                 [*d.boxes.T.tolist(), d.scores.tolist(), d.classes.tolist(),
-                  d.proposal_ids.tolist(), d.slots.tolist()])
+                 [*_float_columns(np.column_stack([d.boxes, d.scores])),
+                  d.classes.tolist(), d.proposal_ids.tolist(), d.slots.tolist()])
     gts = _rows([_GT_ROW] * len(r.gt_boxes),
-                [*r.gt_boxes.T.tolist(), r.gt_classes.tolist(),
+                [*_float_columns(r.gt_boxes), r.gt_classes.tolist(),
                  ["true" if v else "false" for v in r.gt_ignore.tolist()]])
     return _SCENE_LINE % (json.dumps(r.id), width, height, gts, dets)
 

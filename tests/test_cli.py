@@ -366,6 +366,18 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--k-sweep", "1,x", "int list"), ("--nms-sweep", "0.3,", "float list")])
+    def test_bad_sweep_names_its_type(self, tmp_path, capsys, flag, value,
+                                      kind):
+        out = tmp_path / "study"
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--images", "1", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: invalid {kind} value: {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--fppi-lo", "0.1"),
                                              ("--fppi-hi", "2"),
                                              ("--fppi-points", "5")])
@@ -913,11 +925,14 @@ def json_report(matches, config):
 
 _IDS = st.one_of(st.text(max_size=8), st.sampled_from(
     ['"', "\\", "\x00\x1f\x7f", "a\"b\\c\nd\te", "é☃\U0001f600\u2028", ""]))
-# -0.0, the smallest subnormal and normal, the largest finite magnitude and
-# integral floats, among arbitrary finite ones; some examples also draw
-# NaN and infinities.
+# -0.0, the smallest subnormal and normal, the largest finite magnitude,
+# integral floats and both sides of both edges of [1e-4, 1e16), where the
+# writer takes orjson's spelling, among arbitrary finite ones; some
+# examples also draw NaN and infinities.
 _EDGE_COSTS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
-                               1e308, -1e308, 1.0, 3.0, 1e16, 2.0**53])
+                               1e308, -1e308, 1.0, 3.0, 1e16, 2.0**53,
+                               math.nextafter(1e-4, 0), 1e-4,
+                               math.nextafter(1e16, 0), -1e-05])
 _FINITE = st.one_of(_EDGE_COSTS, st.floats(allow_nan=False,
                                            allow_infinity=False))
 

@@ -583,6 +583,7 @@ class TestPredictionArrays:
 # some of them are valid. The box modes in _STRICT_BOXES hold values that
 # are not JSON numbers.
 _DROP = object()
+_BELOW_1E_4, _BELOW_1E16 = (math.nextafter(v, 0) for v in (1e-4, 1e16))
 _SCENE_BOXES = {
     **_BOXES,
     "integers": lambda b: {"box_xyxy": [int(v) for v in b]},
@@ -594,6 +595,10 @@ _SCENE_BOXES = {
     # Floats whose spelling json takes from float.__repr__: a signed zero,
     # the least subnormal and both exponent forms.
     "edge_floats": lambda b: {"box_xyxy": [-0.0, 5e-324, 1e16, 1e-07]},
+    # Both sides of both edges of the range where the writers take orjson's
+    # spelling, [1e-4, 1e16).
+    "orjson_edges": lambda b: {"box_xyxy": [-1e-05, _BELOW_1E_4, 1e-4,
+                                            _BELOW_1E16]},
 }
 _STRICT_BOXES = {"string", "numeric_string", "none", "bool", "nested",
                  "not_a_list"}
@@ -635,6 +640,8 @@ _DET_FIELDS = {
     "score_negative_zero": ({"score": -0.0}, None),
     "score_subnormal": ({"score": 5e-324}, None),
     "score_tiny": ({"score": 1e-07}, None),
+    "score_below_1e-4": ({"score": _BELOW_1E_4}, None),
+    "score_1e-4": ({"score": 1e-4}, None),
     "pid_max": ({"proposal_id": 2**63 - 1}, None),
     "class_zero": ({"class": 0}, None),
     "pid_negative": ({"proposal_id": -2}, None),
@@ -750,7 +757,8 @@ class TestSceneArrays:
                     seen.add("anonymous-slot" if d.get("slot") else "anonymous")
                 elif d["proposal_id"] == 2**63 - 1:
                     seen.add("pid-max")
-                if "score" in d and d["score"] in (-0.0, 5e-324, 1e-07):
+                if "score" in d and d["score"] in (-0.0, 5e-324, 1e-07,
+                                                   _BELOW_1E_4, 1e-4):
                     seen.add(f"score-{d['score']!r}")
             if obj["id"] != "r":
                 seen.add("escaped-id")
@@ -761,12 +769,15 @@ class TestSceneArrays:
             for e in chain(obj.get("gts", []), obj.get("dets") or []):
                 if e.get("box_xyxy") == [-0.0, 5e-324, 1e16, 1e-07]:
                     seen.add("edge-floats")
+                if e.get("box_xyxy") == [-1e-05, _BELOW_1E_4, 1e-4, _BELOW_1E16]:
+                    seen.add("orjson-edges")
         assert seen >= {"error", "record", "class", "ignore", "proposal_id",
                         "slot", "score", "box_xyxy", "height", "anonymous",
                         "anonymous-slot", "width", "gts", "dets", "empty-gts",
                         "empty-dets", "box_xywh", "pid-max", "score--0.0",
                         "score-5e-324", "score-1e-07", "escaped-id",
-                        "edge-floats"}
+                        "edge-floats", "score-9.999999999999999e-05",
+                        "score-0.0001", "orjson-edges"}
 
     @pytest.mark.parametrize("det", [
         {"score": [0.5]}, {"score": "0.5"}, {"score": True},
@@ -967,6 +978,48 @@ class TestSceneRules:
         ids = r.dets.proposal_ids
         assert np.array_equal(back.dets.proposal_ids >= 0, ids >= 0)
         assert np.array_equal(back.dets.proposal_ids[ids >= 0], ids[ids >= 0])
+
+
+# Floats at the edges of float64 and of the range [1e-4, 1e16) where the
+# writers take orjson's spelling.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, np.finfo(np.float64).tiny, _BELOW_1E_4,
+                1e-4, _BELOW_1E16, 1e16, -1e-05, np.finfo(np.float64).max]
+
+
+def _reprs(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+class TestFloatTexts:
+    """The writers' float texts are json.dumps's, through the helper's own
+    orjson call: an orjson build that spells a value otherwise fails here,
+    rather than changing the bytes written."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_repr(self, seed):
+        rng = np.random.default_rng(seed)
+        bits = np.frombuffer(rng.bytes(8 * 400), dtype=np.float64)
+        signs = rng.choice([-1.0, 1.0], 200)
+        for values in (bits[np.isfinite(bits)], rng.uniform(0, 1, 200),
+                       rng.uniform(-100, 2000, 200),  # pixel coordinates
+                       signs * 10 ** rng.uniform(-7, 19, 200),
+                       signs * 10 ** rng.uniform(-5, -3, 200)):
+            assert scene_io._float_texts(values) == _reprs(values)
+
+    def test_edges(self):
+        values = np.array(_EDGE_FLOATS)
+        for v in (values, -values, *values[:, None], *-values[:, None]):
+            assert scene_io._float_texts(v) == _reprs(v)
+
+    def test_empty(self):
+        assert scene_io._float_texts(np.zeros(0)) == []
+        assert scene_io._float_columns(np.zeros((0, 5))) == [[]] * 5
+
+    def test_a_strided_column_and_a_table(self):
+        boxes = np.random.default_rng(3).uniform(0, 500, (50, 4))
+        assert scene_io._float_texts(boxes.T[0]) == _reprs(boxes[:, 0])
+        assert scene_io._float_columns(boxes) == [_reprs(c) for c in boxes.T]
 
 
 class _FailingStream(io.StringIO):
