@@ -16,13 +16,15 @@ empty detection set scores best, and is then written as null.
 ``--out`` or stdout, and ``study`` writes ``rows.csv``, ``report.json`` and
 its manifest to its ``--out`` directory. ``suppress`` suppresses all
 records of its file in one batched pass, as the study does. ``emd`` takes
-``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``) and reads and matches its
-predictions in batches of records (``scene_io.BATCH_PROPOSALS``). It then
-checks every cost for finiteness and computes ``mean_loss``, and only
-then opens its destination and writes each record's rows as they are
-rendered, with the bytes of ``json.dumps(report, indent=2,
-allow_nan=False)``, its costs spelled by orjson or, outside [1e-4, 1e16),
-by ``float.__repr__``; a report that fails its check writes nothing.
+``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``). It decodes both input
+files in batches of records (``scene_io.BATCH_PROPOSALS``), reads the
+predictions as one table and matches it in chunks of whole records
+(``emd.chunk_proposals``), one engine call each. It then checks every
+cost for finiteness and computes ``mean_loss``, and only then opens its
+destination and writes each record's rows as they are rendered, with the
+bytes of ``json.dumps(report, indent=2, allow_nan=False)``, its costs
+spelled by orjson or, outside [1e-4, 1e16), by ``float.__repr__``; a
+report that fails its check writes nothing.
 A manifest's text is built before its file is opened, and ``study`` builds
 the texts of ``rows.csv`` and ``report.json`` before it creates its
 directory, so a study whose rows fail writes nothing.
@@ -60,7 +62,8 @@ import orjson
 
 from . import __version__
 from .assignment import check_theta
-from .emd import ENUMERATION_LIMIT, EmdConfig, ImageMatch, match_batch
+from .emd import (ENUMERATION_LIMIT, EmdConfig, ImageMatch, chunk_proposals,
+                  match_batch)
 from .metrics import (CROWD_IOU, FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig,
                       EvalReport, Evaluation, Truth)
 from .scene_io import (SceneArrays, _float_columns, parse_prediction_arrays,
@@ -277,28 +280,29 @@ def _emd_rows(matches: list[tuple[str, ImageMatch]]) -> Iterator[str]:
 
 
 def cmd_emd(args) -> dict:
-    """Score each prediction record against its ground truths, one batch
-    of records at a time. The report's costs are checked and its
-    ``mean_loss`` computed before the destination is opened; each record's
-    rows are then written as they are rendered (:func:`_emd_report`)."""
+    """Score each prediction record against its ground truths, one chunk
+    of records per engine call; the ``chunks`` counter counts the calls.
+    The report's costs are checked and its ``mean_loss`` computed before
+    the destination is opened; each record's rows are then written as they
+    are rendered (:func:`_emd_report`)."""
     cfg = EmdConfig(k=args.k)
     check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
-    batches = parse_prediction_arrays(args.pred)
-    gt_by_id = _gts_by_id(gt_records, [i for b in batches for i in b.ids],
-                          "prediction")
-    matches = []
-    for batch in batches:
-        truth = Truth([gt_by_id[i] for i in batch.ids])
-        found = match_batch(batch, truth, cfg, args.theta, args.truncate_topk)
-        matches += zip(batch.ids, found)
+    pred = parse_prediction_arrays(args.pred)
+    gt_by_id = _gts_by_id(gt_records, pred.ids, "prediction")
+    matches, chunks = [], 0
+    for chunk in pred.chunks(chunk_proposals(cfg.k)):
+        truth = Truth([gt_by_id[i] for i in chunk.ids])
+        found = match_batch(chunk, truth, cfg, args.theta, args.truncate_topk)
+        matches += zip(chunk.ids, found)
+        chunks += 1
     config = {"k": args.k, "theta": args.theta, "truncate_topk": args.truncate_topk}
     _emit(_emd_report(matches, config), args.out)
     n_real = np.concatenate([np.zeros(0, dtype=np.intp),
                              *(m.n_real for _, m in matches)])
     excess = n_real[n_real > cfg.k] - cfg.k
     return {"proposals": len(n_real), "overflowing_sets": len(excess),
-            "members_dropped": int(excess.sum())}
+            "members_dropped": int(excess.sum()), "chunks": chunks}
 
 
 def _study_rows(args) -> tuple[list[StudyRow], dict]:

@@ -20,8 +20,12 @@ targets come from the members of rank below ``k``, one (P, k, k) tensor
 (:func:`_cost_tensor`) holds the pair costs, and one argmin over the ``k!``
 permutation totals per proposal picks the matching; that search is the
 only matcher, so ``k`` is at most ``ENUMERATION_LIMIT`` (6). The
-command-line tool matches one batch of records at a time; a single record
-is a batch of one. :func:`pair_cost_matrix` and :func:`emd_match` are
+command-line tool reads a prediction file as one :class:`PredictionArrays`
+and matches it in chunks of consecutive whole records
+(:meth:`PredictionArrays.chunks`), each holding at least
+:func:`chunk_proposals` proposals: ``MATCH_PROPOSALS`` (1,024), or 256 at
+k = 6, so a chunk's k! permutation totals stay bounded; a single record is
+a chunk of one. :func:`pair_cost_matrix` and :func:`emd_match` are
 one-proposal calls of the same code, so the cost formula and the tie rule
 live in one place.
 """
@@ -31,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +50,13 @@ SCORE_EPS = 1e-12
 
 # The largest slot count the permutation search accepts (factorial guard).
 ENUMERATION_LIMIT = 6
+
+# Proposals per engine call of the command-line tool: chunks of whole
+# records amortise the fixed cost of a call. :func:`chunk_proposals` keeps
+# a chunk's (P, k!) permutation totals within _MATCH_TOTALS, 256 proposals
+# at k = 6, so engine temporaries stay bounded at every k.
+MATCH_PROPOSALS = 1024
+_MATCH_TOTALS = 256 * math.factorial(ENUMERATION_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,46 @@ class PredictionArrays:
                          [len(p.slots) for p in sets],
                          [s.class_scores for s in slots],
                          [s.delta.as_tuple() for s in slots])
+
+    @classmethod
+    def concat(cls, parts: Sequence["PredictionArrays"]) -> "PredictionArrays":
+        """One table of the records of ``parts``, one part after another,
+        zero-padded to the largest slot count and score vector."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.stack((), (), np.zeros((0, 4)), (), (), ())
+
+        def joined(name):
+            arrays = [getattr(p, name) for p in parts]
+            width = np.max([a.shape for a in arrays], axis=0)[1:]
+            out = np.zeros((sum(map(len, arrays)), *width), dtype=arrays[0].dtype)
+            start = 0
+            for a in arrays:
+                out[(slice(start, start + len(a)), *map(slice, a.shape[1:]))] = a
+                start += len(a)
+            return out
+
+        return cls(ids=tuple(itertools.chain.from_iterable(p.ids for p in parts)),
+                   counts=joined("counts"), boxes=joined("boxes"),
+                   n_slots=joined("n_slots"), scores=joined("scores"),
+                   n_classes=joined("n_classes"), deltas=joined("deltas"))
+
+    def chunks(self, size: int) -> Iterator["PredictionArrays"]:
+        """Consecutive whole records in tables of at least ``size``
+        proposals, the last of which may hold fewer; the tables' arrays are
+        views of this one's."""
+        first = proposal = total = 0
+        for i, n in enumerate(self.counts.tolist(), start=1):
+            total += n
+            if total >= size or i == len(self.ids):
+                rows = slice(proposal, proposal + total)
+                yield PredictionArrays(
+                    ids=self.ids[first:i], counts=self.counts[first:i],
+                    boxes=self.boxes[rows], n_slots=self.n_slots[rows],
+                    scores=self.scores[rows], n_classes=self.n_classes[rows],
+                    deltas=self.deltas[rows])
+                first, proposal, total = i, proposal + total, 0
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -339,6 +390,12 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
                     total=float(total[0]))
 
 
+def chunk_proposals(k: int) -> int:
+    """Proposals per engine call at ``k`` slots: ``MATCH_PROPOSALS``, or
+    fewer where the k! permutation totals would outgrow the bound."""
+    return min(MATCH_PROPOSALS, _MATCH_TOTALS // math.factorial(k))
+
+
 @dataclass(frozen=True)
 class ImageMatch:
     """Every proposal of one prediction record matched, in proposal order.
@@ -357,8 +414,10 @@ class ImageMatch:
 def match_batch(pred: PredictionArrays, truth: Truth, cfg: EmdConfig,
                 theta: float, truncate: bool = False) -> list[ImageMatch]:
     """Match every proposal of a batch of records, one :class:`ImageMatch`
-    per record. ``truth`` holds the records' ground truths, its image i
-    being the record ``pred.ids[i]``.
+    per record: one engine call, whose temporaries grow with the batch's
+    proposals times k!, so callers bound a batch (:func:`chunk_proposals`).
+    ``truth`` holds the records' ground truths, its image i being the record
+    ``pred.ids[i]``.
 
     Each proposal's ground-truth set holds its record's ground truths with
     IoU >= ``theta``; the top ``cfg.k`` members are kept when ``truncate``

@@ -27,15 +27,18 @@ leaves the detection anonymous (treated as unique by Set NMS) and is omitted
 again on write, so files from single-prediction detectors round-trip without
 fabricated identities.
 
-Scene records parse into columns, :class:`SceneArrays`, one per record.
-Prediction records parse into :class:`~crowdset.emd.PredictionArrays` in
-batches of consecutive records holding at least ``BATCH_PROPOSALS``
-proposals (the last batch may hold fewer), so the columns of a batch are
-built in one pass and only one batch's decoded JSON is held at a time.
+Both kinds of file are read in batches of consecutive records holding at
+least ``BATCH_PROPOSALS`` elements (the last batch may hold fewer): ground
+truths plus detections in a scene file, proposals in a prediction file.
+A batch's columns are built in one pass, and only one batch's decoded JSON
+is held at a time. A scene file parses into :class:`SceneArrays`, one per
+record, each holding slices of its batch's columns; a prediction file
+parses into one :class:`~crowdset.emd.PredictionArrays` for the whole file.
 Each line is decoded once, by orjson, and the dataclasses' checks run on
-the arrays; only a record, or a batch, that fails one is rebuilt element by
-element in file order, record by record, so that its error is the file's
-first, in the dataclass's own words and with its record's line. Stdlib json
+the arrays; a batch that fails one, and a batch of one record, is read
+record by record, and a record that fails one is rebuilt element by
+element in file order, so that its error is the file's first, in the
+dataclass's own words and with its record's line. Stdlib json
 decodes the lines orjson rejects (``NaN``, a lone surrogate) and, as orjson
 reads an integer beyond 64 bits as a float, a failing record's lines again:
 records and errors are json's, but a key the parser ignores may nest past
@@ -78,9 +81,11 @@ _REAL, _INT = {float, int}, {int}
 _ABSENT = object()  # a detection's missing proposal_id, while parsing
 _BLANK = object()  # a line of Unicode whitespace, while decoding
 
-# Proposals per batch of prediction records. Batches amortise the fixed
-# cost of building columns and of matching over many small records, while
-# only one batch's decoded JSON and cost temporaries are held at a time.
+# Elements per batch of records: proposals in a prediction file, ground
+# truths plus detections in a scene file. Batches amortise the fixed cost
+# of building columns over many small records, while only one batch's
+# decoded JSON is held at a time. Matching has its own chunk size,
+# ``emd.MATCH_PROPOSALS``.
 BATCH_PROPOSALS = 256
 
 
@@ -207,18 +212,20 @@ def _typed(values, kinds: set) -> bool:
     return set(map(type, values)) <= kinds
 
 
-def _box_column(objs: list, record_id: str) -> np.ndarray | None:
-    """(N, 4) corner boxes, or None when a value is not a JSON number."""
-    rows = [o["box_xyxy"] if "box_xyxy" in o else _box_coords(o, record_id)
+def _box_column(objs: list) -> np.ndarray | None:
+    """(N, 4) corner boxes, or None when a value is not a JSON number. A
+    box error raised here names no record: it only sends the batch to the
+    element path, which raises it again with its record's id."""
+    rows = [o["box_xyxy"] if "box_xyxy" in o else _box_coords(o, "")
             for o in objs]
     if not _typed(chain.from_iterable(rows), _REAL):
         return None
     return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
-def _gt_columns(gts: list, record_id: str):
+def _gt_columns(gts: list):
     """``(boxes, classes, ignore)``, or None when a check fails."""
-    boxes = _box_column(gts, record_id)
+    boxes = _box_column(gts)
     classes = [g.get("class", 1) for g in gts]
     ignore = [g.get("ignore", False) for g in gts]
     if boxes is None or not (_typed(classes, _INT) and _typed(ignore, {bool})):
@@ -227,11 +234,15 @@ def _gt_columns(gts: list, record_id: str):
             np.array(ignore, dtype=bool))
 
 
-def _det_columns(dets: list, record_id: str) -> Detections | None:
-    """The detections' columns, or None when a check fails."""
+def _det_columns(dets: list, first: np.ndarray | None = None
+                 ) -> Detections | None:
+    """The detections' columns, or None when a check fails. With the
+    detections of consecutive records, ``first`` (N,) gives each one the
+    index of its record's first, so that anonymous ids are numbered per
+    record."""
     if not dets:  # as in every record of a ground-truth file
         return Detections.from_list([])
-    boxes = _box_column(dets, record_id)
+    boxes = _box_column(dets)
     scores = [d["score"] for d in dets]
     classes = [d.get("class", 1) for d in dets]
     pids = [d.get("proposal_id", _ABSENT) for d in dets]
@@ -248,6 +259,8 @@ def _det_columns(dets: list, record_id: str) -> Detections | None:
                          slots=np.array(slots, dtype=np.int64))
     if np.count_nonzero(columns.proposal_ids < 0) != len(anonymous):
         return None
+    if first is not None and anonymous:
+        columns.proposal_ids[anonymous] += first[anonymous]
     return columns
 
 
@@ -267,10 +280,36 @@ def _broken_rule(gt_boxes: np.ndarray, gt_classes: np.ndarray,
     return None
 
 
+def _scene_columns(objs: list) -> list[SceneArrays] | None:
+    """Consecutive scene records as columns, built in one pass and sliced
+    into records, or None when a check fails or a field is odd (a number
+    written as a string, a box in an unexpected form)."""
+    try:
+        fields = [_record_fields(obj, "gts", "dets") for obj in objs]
+        sizes = np.array([(len(g), len(d)) for _, g, d in fields],
+                         dtype=np.intp)
+        starts = np.cumsum(sizes, axis=0) - sizes  # each record's first gt, det
+        gt_cols = _gt_columns(list(chain.from_iterable(g for _, g, _ in fields)))
+        det_cols = _det_columns(list(chain.from_iterable(d for _, _, d in fields)),
+                                np.repeat(starts[:, 1], sizes[:, 1]))
+        if (gt_cols is None or det_cols is None
+                or _broken_rule(*gt_cols[:2], det_cols)):
+            return None
+        bounds = np.column_stack([starts, starts + sizes]).tolist()
+        return [SceneArrays(rid, _int_field(obj, "width", 0, rid),
+                            _int_field(obj, "height", 0, rid),
+                            *(c[g0:g1] for c in gt_cols),
+                            det_cols.take(slice(d0, d1), det_cols.scores[d0:d1]))
+                for obj, (rid, _, _), (g0, d0, g1, d1)
+                in zip(objs, fields, bounds)]
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        return None
+
+
 def _parse_scene_arrays(obj: dict) -> SceneArrays:
     rid, gts, dets = _record_fields(obj, "gts", "dets")
     try:
-        gt_cols, det_cols = _gt_columns(gts, rid), _det_columns(dets, rid)
+        gt_cols, det_cols = _gt_columns(gts), _det_columns(dets)
     except (LookupError, TypeError, ValueError, ArithmeticError):
         gt_cols = det_cols = None
     if (gt_cols is None or det_cols is None
@@ -282,6 +321,17 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
         det_cols = Detections.from_list([_det(d, rid) for d in dets])
     return SceneArrays(rid, _int_field(obj, "width", 0, rid),
                        _int_field(obj, "height", 0, rid), *gt_cols, det_cols)
+
+
+def _scene_batch(lines: list[tuple[int, object, object]]) -> list[SceneArrays]:
+    """Decoded lines ``(line number, value, line)`` as scene records: a
+    batch of many in one pass or, if a check fails, record by record, so
+    that the first bad record raises its own error with its line."""
+    if len(lines) > 1:
+        records = _scene_columns([obj for _, obj, _ in lines])
+        if records:
+            return records
+    return [_scene_arrays(*decoded) for decoded in lines]
 
 
 def _json(lineno: int, line, decode: bool = False):
@@ -375,9 +425,20 @@ def _scene_arrays(lineno: int, obj, line) -> SceneArrays:
         return _at_line(lineno, _parse_scene_arrays, _json(lineno, line))
 
 
+def _element_count(obj) -> int:
+    """A scene record's ground truths plus detections."""
+    if type(obj) is not dict:
+        return 0
+    return sum(len(v) for v in (obj.get("gts"), obj.get("dets"))
+               if type(v) is list)
+
+
 def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
-    """Read a whole scene file as columns, enforcing unique record ids."""
-    records = [_scene_arrays(*decoded) for decoded in _decoded(source)]
+    """Read a whole scene file as columns, in batches of consecutive
+    records holding at least ``BATCH_PROPOSALS`` ground truths and
+    detections, enforcing unique record ids."""
+    records = list(chain.from_iterable(
+        map(_scene_batch, _batches(_decoded(source), _element_count))))
     _check_unique((r.id for r in records), set())
     return records
 
@@ -498,9 +559,7 @@ def _prediction_columns(objs: list) -> PredictionArrays | None:
     if (set(map(len, deltas)) - {4}
             or not _typed(chain.from_iterable(scores + deltas), _REAL)):
         return None
-    # A box error only sends the batch to the element path, which raises
-    # it again with its record's id.
-    boxes = _box_column(proposals, "")
+    boxes = _box_column(proposals)
     if boxes is None or invalid_boxes(boxes).any():
         return None
     arrays = PredictionArrays.stack([rid for rid, _ in fields],
@@ -532,15 +591,17 @@ def _proposal_count(obj) -> int:
     return len(proposals) if type(proposals) is list else 0
 
 
-def _batches(lines: Iterator[tuple[int, object, object]]) -> Iterator[list]:
+def _batches(lines: Iterator[tuple[int, object, object]],
+             count) -> Iterator[list]:
     """Consecutive decoded lines in lists of at least ``BATCH_PROPOSALS``
-    proposals. A malformed line first yields the lines before it, so that
-    an earlier bad record fails first."""
+    elements, as ``count`` counts a record's. A malformed line first
+    yields the lines before it, so that an earlier bad record fails
+    first."""
     pending, size = [], 0
     try:
         for decoded in lines:
             pending.append(decoded)
-            size += _proposal_count(decoded[1])
+            size += count(decoded[1])
             if size >= BATCH_PROPOSALS:
                 yield pending
                 pending, size = [], 0
@@ -552,28 +613,29 @@ def _batches(lines: Iterator[tuple[int, object, object]]) -> Iterator[list]:
         yield pending
 
 
-def parse_prediction_arrays(source: PathOrStream) -> list[PredictionArrays]:
+def parse_prediction_arrays(source: PathOrStream) -> PredictionArrays:
     """Read a JSONL prediction file (see :func:`parse_prediction_file`) as
-    batches of consecutive records, each a
-    :class:`~crowdset.emd.PredictionArrays` of at least ``BATCH_PROPOSALS``
-    proposals except the last, enforcing unique record ids."""
+    one :class:`~crowdset.emd.PredictionArrays`, enforcing unique record
+    ids. Records are decoded and checked in batches of consecutive records
+    holding at least ``BATCH_PROPOSALS`` proposals."""
     # map keeps no reference to a batch's decoded lines once their arrays
     # are built, so at most one batch of decoded JSON is alive.
-    batches = list(map(_prediction_batch, _batches(_decoded(source))))
-    _check_unique((rid for b in batches for rid in b.ids), set())
-    return batches
+    table = PredictionArrays.concat(
+        list(map(_prediction_batch,
+                 _batches(_decoded(source), _proposal_count))))
+    _check_unique(table.ids, set())
+    return table
 
 
 def parse_prediction_file(source: PathOrStream) -> list[PredictionRecord]:
     """Read a JSONL prediction file: per line ``{"id", "proposals": [
     {"box_xyxy", "slots": [{"scores": [...], "delta": [dx,dy,dw,dh]}]}]}``."""
-    records = []
-    for a in parse_prediction_arrays(source):
-        start = 0
-        for rid, n in zip(a.ids, a.counts.tolist()):
-            records.append(PredictionRecord(id=rid, proposals=[
-                a.prediction_set(i) for i in range(start, start + n)]))
-            start += n
+    a = parse_prediction_arrays(source)
+    records, start = [], 0
+    for rid, n in zip(a.ids, a.counts.tolist()):
+        records.append(PredictionRecord(id=rid, proposals=[
+            a.prediction_set(i) for i in range(start, start + n)]))
+        start += n
     return records
 
 

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from test_emd import emd_images
 from test_suppression import _det, _images, _thresh, indexed, oracle_suppress
 
 import crowdset
-from crowdset import __version__, cli, scene_io, synth
+from crowdset import __version__, cli, emd, scene_io, synth
 from crowdset.assignment import GroundTruth, build_gt_set
 from crowdset.cli import (_METHOD_FLAGS, _emd_report, _emit, _manifest_text,
                           build_parser, main)
@@ -840,14 +841,15 @@ class TestEmd:
         _, out, manifest = _run_emd(tmp_path, gt, preds[3], ["--k", "3"], "k3.json")
         sizes = [r["n_members"] for r in strict_json(out)["proposals"]]
         assert strict_json(manifest)["counters"] == {
-            "proposals": len(sizes), "overflowing_sets": 0, "members_dropped": 0}
+            "proposals": len(sizes), "overflowing_sets": 0, "members_dropped": 0,
+            "chunks": 1}
         _, _, manifest = _run_emd(tmp_path, gt, preds[2],
                                   EMD_ARGV["k2-truncate"], "k2.json")
         overflowing = sum(n == 3 for n in sizes)
         assert overflowing > 0
         assert strict_json(manifest)["counters"] == {
             "proposals": len(sizes), "overflowing_sets": overflowing,
-            "members_dropped": overflowing}
+            "members_dropped": overflowing, "chunks": 1}
 
     def test_k6_equals_the_permutation_oracle(self, emd_inputs, emd_k6_pred,
                                               tmp_path):
@@ -1054,6 +1056,18 @@ def _oracle_match(rows, k: int) -> ImageMatch:
         total=np.array([m.total for _, m in rows]).reshape(p))
 
 
+def _chunk_count(counts: list[int], size: int) -> int:
+    """Engine calls over records of ``counts`` proposals: each takes
+    consecutive whole records until it holds ``size`` proposals, and the
+    last takes what is left."""
+    chunks, held = 0, None
+    for n in counts:
+        held = (held or 0) + n
+        if held >= size:
+            chunks, held = chunks + 1, None
+    return chunks + (held is not None)
+
+
 class TestBatchedFile:
     # About half the drawn files repeat an id and fail, so 120 examples
     # score about as many whole files as 60 did when repeats were accepted.
@@ -1078,6 +1092,7 @@ class TestBatchedFile:
         counters = {"proposals": len(n_real),
                     "overflowing_sets": sum(n > cfg.k for n in n_real),
                     "members_dropped": sum(n - cfg.k for n in n_real if n > cfg.k)}
+        counts = [len(r.proposals) for r in records]
         with tempfile.TemporaryDirectory() as tmp:
             gt, pred = Path(tmp, "gt.jsonl"), Path(tmp, "pred.jsonl")
             out, manifest = Path(tmp, "emd.json"), Path(tmp, "manifest.json")
@@ -1092,11 +1107,14 @@ class TestBatchedFile:
                     "--manifest", str(manifest)]
             if truncate:
                 argv.append("--truncate-topk")
-            for size in (1, 2, 3, scene_io.BATCH_PROPOSALS):
+            for size, chunk in itertools.product(
+                    (1, 2, 3, scene_io.BATCH_PROPOSALS),
+                    (1, 2, 3, emd.MATCH_PROPOSALS)):
                 stderr = io.StringIO()
                 with pytest.MonkeyPatch.context() as mp, \
                         contextlib.redirect_stderr(stderr):
                     mp.setattr(scene_io, "BATCH_PROPOSALS", size)
+                    mp.setattr(emd, "MATCH_PROPOSALS", chunk)
                     code = main(argv)
                 if want is None:
                     assert (code, stderr.getvalue()) == (1, error)
@@ -1104,7 +1122,10 @@ class TestBatchedFile:
                     continue
                 assert code == 0
                 assert out.read_text() == want
-                assert strict_json(manifest)["counters"] == counters
+                chunks = _chunk_count(counts, min(
+                    chunk, 256 * 720 // math.factorial(cfg.k)))
+                assert strict_json(manifest)["counters"] == {
+                    **counters, "chunks": chunks}
 
 
 class TestManifest:
@@ -1421,10 +1442,22 @@ class TestEmdErrors:
         assert err.strip() == ("error: record 'a' proposal 0: target class "
                                "2 outside vocabulary of 2 classes")
 
-    # Batches of one record and the default size: the first error in file
-    # order must not depend on where a batch ends.
+    # Batches of one record and the default size, and engine chunks of one
+    # to three proposals and the default: the first error in file order
+    # must not depend on where a batch or a chunk ends.
+    @pytest.mark.parametrize("chunk", [1, 2, 3, emd.MATCH_PROPOSALS])
     @pytest.mark.parametrize("size", [1, scene_io.BATCH_PROPOSALS])
     @pytest.mark.parametrize("lines, message", [
+        # A chunk of one or two proposals ends inside record a2, one of
+        # three after it, and only the default holds a3 too.
+        pytest.param(
+            [{"id": "a", "proposals": [_proposal((500, 0, 540, 80), TWO_SLOTS)] * 2},
+             {"id": "a2", "proposals": [_proposal((500, 0, 540, 80), TWO_SLOTS),
+                                        _proposal((0, 0, 40, 80), TWO_SLOTS)]},
+             {"id": "a3", "proposals": [_proposal((0, 0, 40, 80), [[0.5, 0.5]])]}],
+            "record 'a2' proposal 1: ground-truth set has 3 members for k=2 "
+            "(excess 1); pass --truncate-topk to keep the top-k by IoU",
+            id="overflow-in-a-later-chunk-before-a-slot-count"),
         pytest.param(
             [{"id": "a", "proposals": [_proposal((0, 0, 40, 80), TWO_SLOTS)]},
              {"id": "a2", "proposals": [_proposal((0, 0, 40, 80), [[0.5, 0.5]])]}],
@@ -1454,11 +1487,12 @@ class TestEmdErrors:
             id="bad-record-before-a-malformed-line"),
     ])
     def test_first_error_in_file_order_across_batches(
-            self, tmp_path, capsys, monkeypatch, size, lines, message):
+            self, tmp_path, capsys, monkeypatch, size, chunk, lines, message):
         monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+        monkeypatch.setattr(emd, "MATCH_PROPOSALS", chunk)
         out = tmp_path / "emd.json"
         code, err = self._run(tmp_path, capsys, STACK, lines,
-                              ("--out", str(out)), ids=("a", "a2"))
+                              ("--out", str(out)), ids=("a", "a2", "a3"))
         assert code == 1
         assert err == f"error: {message}\n"
         assert not out.exists()

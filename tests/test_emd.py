@@ -8,11 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crowdset import emd
 from crowdset.assignment import (GroundTruth, build_gt_set, pad_to_k,
                                  truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
-                          SlotPrediction, emd_match, match_batch,
-                          pair_cost_matrix)
+                          SlotPrediction, chunk_proposals, emd_match,
+                          match_batch, pair_cost_matrix)
 from crowdset.geometry import BBox, BoxDelta, GeometryError, encode_delta
 from crowdset.metrics import Truth
 from crowdset.scene_io import PredictionRecord, SceneArrays, SceneRecord
@@ -426,3 +427,54 @@ class TestEngineOracle:
             match_batch(PredictionArrays.from_sets([("img", [])]),
                         truth_of([GroundTruth(box=B(0, 0, 10, 10))]),
                         EmdConfig(k=2), theta)
+
+
+def _table_fields(a: PredictionArrays) -> list:
+    return [a.ids, *((x.dtype, x.shape, x.tobytes()) for x in (
+        a.counts, a.boxes, a.n_slots, a.scores, a.n_classes, a.deltas))]
+
+
+class TestPredictionTable:
+    @staticmethod
+    def records(rng):
+        """Records of 0 to 3 proposals, of 1 to 3 slots of 2 to 4 classes."""
+        return [(f"r{i}", [PredictionSet(
+            B(0, 0, 10 + j, 20), tuple(random_slot(rng, int(rng.integers(2, 5)))
+                                       for _ in range(int(rng.integers(1, 4)))))
+            for j in range(int(rng.integers(0, 4)))]) for i in range(6)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_concat_equals_one_stack(self, seed):
+        records = self.records(np.random.default_rng(seed))
+        whole = PredictionArrays.from_sets(records)
+        for cut in range(len(records) + 1):
+            parts = [PredictionArrays.from_sets(records[:cut]),
+                     PredictionArrays.from_sets(records[cut:])]
+            assert _table_fields(PredictionArrays.concat(parts)) == \
+                _table_fields(whole)
+        singles = [PredictionArrays.from_sets([r]) for r in records]
+        assert _table_fields(PredictionArrays.concat(singles)) == \
+            _table_fields(whole)
+
+    def test_concat_of_nothing_is_an_empty_table(self):
+        empty = PredictionArrays.concat([])
+        assert empty.ids == () and len(empty) == 0
+        assert list(empty.chunks(1)) == []
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 1024])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chunks_are_whole_records_of_at_least_size(self, seed, size):
+        records = self.records(np.random.default_rng(seed))
+        whole = PredictionArrays.from_sets(records)
+        chunks = list(whole.chunks(size))
+        assert all(len(c) >= size for c in chunks[:-1])
+        assert _table_fields(PredictionArrays.concat(chunks)) == \
+            _table_fields(whole)
+        # A chunk ends at the first record that brings it to size.
+        assert all(int(c.counts[:-1].sum()) < size for c in chunks)
+
+    def test_chunk_proposals_bound_the_permutation_totals(self, monkeypatch):
+        assert [chunk_proposals(k) for k in range(1, 7)] == \
+            [1024, 1024, 1024, 1024, 1024, 256]
+        monkeypatch.setattr(emd, "MATCH_PROPOSALS", 3)
+        assert [chunk_proposals(k) for k in range(1, 7)] == [3] * 6

@@ -532,7 +532,7 @@ class TestPredictionArrays:
                 {"scores": [0.2, 0.3, 0.5], "delta": [1, 2, 3, 4]}]},
             {"box_xyxy": [1, 1, 3, 3], "slots": [
                 {"scores": [1.0, 0.0], "delta": [0, 0, 0, 0]}]}]}) + "\n"
-        (a,) = parse_prediction_arrays(io.StringIO(text))
+        a = parse_prediction_arrays(io.StringIO(text))
         assert a.ids == ("a",) and len(a) == 2
         assert a.n_slots.tolist() == [2, 1]
         assert a.n_classes.tolist() == [[2, 3], [2, 0]]
@@ -573,8 +573,28 @@ class TestPredictionArrays:
             "class_scores must be a probability vector (sum 1)"
 
     def test_record_without_proposals(self):
-        (a,) = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
+        a = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
         assert len(a) == 0 and a.scores.shape[0] == 0
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_one_table_at_every_batch_size(self, monkeypatch, size):
+        # Records of differing slot counts and score lengths, so batches
+        # differ in width and the table pads them to the widest.
+        records = [{"id": f"r{i}", "proposals": [
+            {"box_xyxy": [0, 0, 2 + j, 2], "slots": [
+                {"scores": [1.0] + [0.0] * (i % 3 + 1), "delta": [i, j, s, 0]}
+                for s in range(j % 2 + 1)]} for j in range(i % 4)]}
+            for i in range(7)]
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        whole = parse_prediction_arrays(io.StringIO(text))
+        monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+        got = parse_prediction_arrays(io.StringIO(text))
+        assert got.ids == whole.ids == tuple(r["id"] for r in records)
+        for name in ("counts", "boxes", "n_slots", "scores", "n_classes",
+                     "deltas"):
+            x, y = getattr(got, name), getattr(whole, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                       y.tobytes())
 
 
 # Ways one ground truth or detection can be written: the fields it sets or
@@ -744,6 +764,95 @@ class TestSceneArrays:
             buf = io.StringIO()
             write([record], buf)
             assert buf.getvalue() == line
+
+    # Files of valid records, one of which, at ``bad``, fails when ``bad``
+    # is below ``n``: at batch sizes 1 to 3 and the default, the file parses
+    # to the one-record parser's columns and bytes, or fails with the bad
+    # record's own error and line.
+    @pytest.mark.parametrize("size", [1, 2, 3, scene_io.BATCH_PROPOSALS])
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 11))
+    def test_many_records_same_records_bytes_and_errors_in_any_batch(
+            self, size, seed, n, bad):
+        rng = np.random.default_rng(seed)
+        objs, first_error = [], None
+        for i in range(n):
+            while True:
+                obj, strict = raw_scene_record(rng)
+                # Unique ids, so only a record's own fields can fail it.
+                rid, obj["id"] = obj["id"], f"{obj['id']}{i}"
+                strict = [(key, j, e.replace(f"record {rid!r}",
+                                             f"record {obj['id']!r}", 1))
+                          for key, j, e in strict]
+                want = _expected(obj, strict)
+                if isinstance(want, tuple) == (i == bad):
+                    break
+            objs.append(obj)
+            if i == bad:
+                kind, message = want
+                first_error = (f"line {i + 1}: {message}"
+                               if kind is SceneFileError
+                               else f"line {i + 1}: bad record ({message})")
+        text = "".join(json.dumps(obj) + "\n" for obj in objs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scene_io, "BATCH_PROPOSALS", size)
+            if first_error is not None:
+                with pytest.raises(SceneFileError) as raised:
+                    parse_scene_arrays(io.StringIO(text))
+                assert str(raised.value) == first_error
+                return
+            got = parse_scene_arrays(io.StringIO(text))
+        # Each record's columns are the one-record parser's, dtype and all.
+        assert len(got) == n
+        for a, obj in zip(got, objs):
+            b = _parse_scene_arrays(obj)
+            assert (a.id, a.width, a.height) == (b.id, b.width, b.height)
+            for x, y in zip((a.gt_boxes, a.gt_classes, a.gt_ignore,
+                             *vars(a.dets).values()),
+                            (b.gt_boxes, b.gt_classes, b.gt_ignore,
+                             *vars(b.dets).values())):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                           y.tobytes())
+        buf = io.StringIO()
+        write_scene_arrays(got, buf)
+        assert buf.getvalue() == "".join(
+            scene_io_oracle.record_line(scene_io_oracle.parse_record(obj))
+            for obj in objs)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, scene_io.BATCH_PROPOSALS])
+    def test_anonymous_ids_are_numbered_per_record(self, monkeypatch, size):
+        monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+
+        def det(**fields):
+            return {"box_xyxy": [0, 0, 2, 2], "score": 0.5, **fields}
+
+        lines = [{"id": "a", "dets": [det(), det(proposal_id=4), det()]},
+                 {"id": "none", "gts": [{"box_xyxy": [1, 1, 3, 3]}]},
+                 {"id": "b", "dets": [det(slot=1), det()]},
+                 {"id": "empty", "dets": []},
+                 {"id": "c", "dets": [det(proposal_id=0)]}]
+        got = parse_scene_arrays(io.StringIO(
+            "".join(json.dumps(obj) + "\n" for obj in lines)))
+        assert [(r.id, r.dets.proposal_ids.tolist(), r.dets.slots.tolist())
+                for r in got] == [("a", [-1, 4, -3], [0, 0, 0]),
+                                  ("none", [], []), ("b", [-1, -2], [1, 0]),
+                                  ("empty", [], []), ("c", [0], [0])]
+        assert [len(r.gt_boxes) for r in got] == [0, 1, 0, 0, 0]
+        assert got[1].dets.boxes.shape == (0, 4)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, scene_io.BATCH_PROPOSALS])
+    def test_bad_record_inside_a_batch_fails_with_its_line(self, monkeypatch,
+                                                           size):
+        monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+        good = {"gts": [{"box_xyxy": [0, 0, 2, 2]}]}
+        lines = [{"id": "a", **good}, {"id": "b", **good},
+                 {"id": "c", "gts": [{"box_xyxy": [0, 0, 2, 2], "class": 0}]},
+                 {"id": "d", "gts": [{"box_xyxy": [3, 0, 2, 2]}]}]
+        with pytest.raises(SceneFileError, match=re.escape(
+                "line 3: bad record (a real instance cannot carry the "
+                "background class)")):
+            parse_scene_arrays(io.StringIO(
+                "".join(json.dumps(obj) + "\n" for obj in lines)))
 
     def test_generator_reaches_every_case(self):
         seen = set()
@@ -1241,7 +1350,8 @@ class TestDecoders:
     def test_json_reads_no_line_that_orjson_reads(self):
         with mock.patch.object(scene_io.json, "loads", side_effect=AssertionError):
             for parse, line, defaults in _KINDS:
-                assert len(parse(io.BytesIO(_render(line, defaults)))) == 1
+                parsed = parse(io.BytesIO(_render(line, defaults)))
+                assert len(getattr(parsed, "ids", parsed)) == 1
 
     @pytest.mark.parametrize("blank", ["\u00a0", "\u2028", "\x1c"],
                              ids=["nbsp", "line-separator", "file-separator"])
@@ -1253,8 +1363,9 @@ class TestDecoders:
         path = tmp_path / "blank.jsonl"
         path.write_bytes(data)
         for source in (path, io.StringIO(data.decode())):
-            ids = [rid for a in parse(source)
-                   for rid in (a.ids if hasattr(a, "ids") else [a.id])]
+            parsed = parse(source)
+            ids = (list(parsed.ids) if hasattr(parsed, "ids")
+                   else [r.id for r in parsed])
             assert ids == ["a", "b"]
 
     @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
