@@ -33,12 +33,12 @@ truths plus detections in a scene file, proposals in a prediction file.
 A batch's columns are built in one pass, and only one batch's decoded JSON
 is held at a time. A scene file parses into :class:`SceneArrays`, one per
 record, each holding slices of its batch's columns; a prediction file
-parses into one :class:`~crowdset.emd.PredictionArrays` for the whole file.
-Each line is decoded once, by orjson, and the dataclasses' checks run on
-the arrays; a batch that fails one, and a batch of one record, is read
-record by record, and a record that fails one is rebuilt element by
-element in file order, so that its error is the file's first, in the
-dataclass's own words and with its record's line. Stdlib json
+parses into one :class:`~crowdset.emd.PredictionArrays` for the whole file,
+zero-padded to the file's widest slot count and score vector. Each line
+is decoded once, by orjson, and the dataclasses' checks run on the arrays;
+a batch that fails one is rebuilt record by record and element by element
+in file order, so that its first bad record's error is the file's first,
+in the dataclass's own words and with its record's line. Stdlib json
 decodes the lines orjson rejects (``NaN``, a lone surrogate) and, as orjson
 reads an integer beyond 64 bits as a float, a failing record's lines again:
 records and errors are json's, but a key the parser ignores may nest past
@@ -234,12 +234,10 @@ def _gt_columns(gts: list):
             np.array(ignore, dtype=bool))
 
 
-def _det_columns(dets: list, first: np.ndarray | None = None
-                 ) -> Detections | None:
-    """The detections' columns, or None when a check fails. With the
-    detections of consecutive records, ``first`` (N,) gives each one the
-    index of its record's first, so that anonymous ids are numbered per
-    record."""
+def _det_columns(dets: list, counts: np.ndarray) -> Detections | None:
+    """The detections of consecutive records as columns, or None when a
+    check fails. ``counts`` gives each record's detections, so that
+    anonymous ids are numbered per record."""
     if not dets:  # as in every record of a ground-truth file
         return Detections.from_list([])
     boxes = _box_column(dets)
@@ -259,7 +257,8 @@ def _det_columns(dets: list, first: np.ndarray | None = None
                          slots=np.array(slots, dtype=np.int64))
     if np.count_nonzero(columns.proposal_ids < 0) != len(anonymous):
         return None
-    if first is not None and anonymous:
+    if anonymous:
+        first = np.repeat(np.cumsum(counts) - counts, counts)
         columns.proposal_ids[anonymous] += first[anonymous]
     return columns
 
@@ -291,7 +290,7 @@ def _scene_columns(objs: list) -> list[SceneArrays] | None:
         starts = np.cumsum(sizes, axis=0) - sizes  # each record's first gt, det
         gt_cols = _gt_columns(list(chain.from_iterable(g for _, g, _ in fields)))
         det_cols = _det_columns(list(chain.from_iterable(d for _, _, d in fields)),
-                                np.repeat(starts[:, 1], sizes[:, 1]))
+                                sizes[:, 1])
         if (gt_cols is None or det_cols is None
                 or _broken_rule(*gt_cols[:2], det_cols)):
             return None
@@ -302,36 +301,29 @@ def _scene_columns(objs: list) -> list[SceneArrays] | None:
                             det_cols.take(slice(d0, d1), det_cols.scores[d0:d1]))
                 for obj, (rid, _, _), (g0, d0, g1, d1)
                 in zip(objs, fields, bounds)]
-    except (LookupError, TypeError, ValueError, ArithmeticError):
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            RecursionError):
+        # RecursionError: a value nested past the recursion limit, whose
+        # repr in an error recurses too deep.
         return None
 
 
 def _parse_scene_arrays(obj: dict) -> SceneArrays:
+    """One scene record built element by element in file order, so that
+    its first invalid element raises its own error."""
     rid, gts, dets = _record_fields(obj, "gts", "dets")
-    try:
-        gt_cols, det_cols = _gt_columns(gts), _det_columns(dets)
-    except (LookupError, TypeError, ValueError, ArithmeticError):
-        gt_cols = det_cols = None
-    if (gt_cols is None or det_cols is None
-            or _broken_rule(*gt_cols[:2], det_cols)):
-        # A check failed or a field is odd (a number written as a string, a
-        # box in an unexpected form): build the dataclasses in file order,
-        # so that the first invalid element raises its own error.
-        gt_cols = gt_columns([_gt(g, rid) for g in gts])
-        det_cols = Detections.from_list([_det(d, rid) for d in dets])
+    gt_cols = gt_columns([_gt(g, rid) for g in gts])
+    det_cols = Detections.from_list([_det(d, rid) for d in dets])
     return SceneArrays(rid, _int_field(obj, "width", 0, rid),
                        _int_field(obj, "height", 0, rid), *gt_cols, det_cols)
 
 
 def _scene_batch(lines: list[tuple[int, object, object]]) -> list[SceneArrays]:
-    """Decoded lines ``(line number, value, line)`` as scene records: a
-    batch of many in one pass or, if a check fails, record by record, so
+    """Decoded lines ``(line number, value, line)`` as scene records: the
+    whole batch in one pass or, if a check fails, record by record, so
     that the first bad record raises its own error with its line."""
-    if len(lines) > 1:
-        records = _scene_columns([obj for _, obj, _ in lines])
-        if records:
-            return records
-    return [_scene_arrays(*decoded) for decoded in lines]
+    return (_scene_columns([obj for _, obj, _ in lines])
+            or [_scene_arrays(*decoded) for decoded in lines])
 
 
 def _json(lineno: int, line, decode: bool = False):
@@ -416,9 +408,10 @@ def _unique(records: Iterable) -> Iterator:
 
 
 def _scene_arrays(lineno: int, obj, line) -> SceneArrays:
-    """A decoded scene line as columns, parsed again from json's value if
-    orjson's fails: orjson reads an integer beyond 64 bits as a float, and
-    a RecursionError means a value nested deeper than json can read."""
+    """A decoded scene line built element by element, parsed again from
+    json's value if orjson's fails: orjson reads an integer beyond 64 bits
+    as a float, and a RecursionError means a value nested deeper than json
+    can read."""
     try:
         return _at_line(lineno, _parse_scene_arrays, obj)
     except (SceneFileError, RecursionError):
@@ -617,7 +610,11 @@ def parse_prediction_arrays(source: PathOrStream) -> PredictionArrays:
     """Read a JSONL prediction file (see :func:`parse_prediction_file`) as
     one :class:`~crowdset.emd.PredictionArrays`, enforcing unique record
     ids. Records are decoded and checked in batches of consecutive records
-    holding at least ``BATCH_PROPOSALS`` proposals."""
+    holding at least ``BATCH_PROPOSALS`` proposals, and the batches' arrays
+    joined at the end. Every proposal of the table is zero-padded to the
+    widest slot count and score vector in the whole file, so one record
+    with wide slots widens all of it, and the batches and the joined table
+    are held together while they are joined."""
     # map keeps no reference to a batch's decoded lines once their arrays
     # are built, so at most one batch of decoded JSON is alive.
     table = PredictionArrays.concat(

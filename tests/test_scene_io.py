@@ -6,7 +6,7 @@ import math
 import re
 import struct
 import sys
-from itertools import chain
+from itertools import chain, product
 from unittest import mock
 
 import emd_oracle as oracle
@@ -23,7 +23,8 @@ from crowdset.emd import PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneFileError,
                                SceneRecord, _at_line, _parse_scene_arrays,
-                               _prediction_batch, _scene_arrays, parse_prediction_arrays,
+                               _prediction_batch, _scene_arrays, _scene_columns,
+                               parse_prediction_arrays,
                                parse_prediction_file, parse_scene_arrays,
                                parse_scene_file, write_prediction_file,
                                write_scene_arrays, write_scene_file)
@@ -474,6 +475,14 @@ def _outcome(parse, obj):
         return type(e), str(e)
 
 
+def _batch_of_one(obj):
+    """``obj`` as the parser reads a batch of one record, without its line:
+    the batch's columns or, where a check fails, the element-by-element
+    rebuild."""
+    (record,) = _scene_columns([obj]) or [_parse_scene_arrays(obj)]
+    return record
+
+
 def _strict_floats(values, key, record_id):
     """A list of numbers under the strict rule: JSON numbers only, so no
     strings, booleans, nulls or nested lists."""
@@ -579,7 +588,9 @@ class TestPredictionArrays:
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_one_table_at_every_batch_size(self, monkeypatch, size):
         # Records of differing slot counts and score lengths, so batches
-        # differ in width and the table pads them to the widest.
+        # differ in width. Declared: every proposal of the file's table is
+        # padded to the widest slot count (2) and score vector (4) in the
+        # whole file, and no wider.
         records = [{"id": f"r{i}", "proposals": [
             {"box_xyxy": [0, 0, 2 + j, 2], "slots": [
                 {"scores": [1.0] + [0.0] * (i % 3 + 1), "delta": [i, j, s, 0]}
@@ -590,6 +601,8 @@ class TestPredictionArrays:
         monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
         got = parse_prediction_arrays(io.StringIO(text))
         assert got.ids == whole.ids == tuple(r["id"] for r in records)
+        assert got.scores.shape == (9, 2, 4)
+        assert got.n_classes.shape == got.deltas.shape[:2] == (9, 2)
         for name in ("counts", "boxes", "n_slots", "scores", "n_classes",
                      "deltas"):
             x, y = getattr(got, name), getattr(whole, name)
@@ -754,11 +767,13 @@ class TestSceneArrays:
     def test_same_records_bytes_and_errors_as_the_sequential_parser(self, seed):
         obj, strict = raw_scene_record(np.random.default_rng(seed))
         want = _expected(obj, strict)
-        got = _outcome(_parse_scene_arrays, obj)
+        got = _outcome(_batch_of_one, obj)
+        # The rebuild that a batch failing a check takes, on its own.
+        rebuilt = _outcome(_parse_scene_arrays, obj)
         if isinstance(want, tuple):
-            assert got == want
+            assert got == rebuilt == want
             return
-        assert got.record() == want
+        assert got.record() == rebuilt.record() == want
         line = scene_io_oracle.record_line(want)
         for write, record in ((write_scene_arrays, got), (write_scene_file, want)):
             buf = io.StringIO()
@@ -767,8 +782,8 @@ class TestSceneArrays:
 
     # Files of valid records, one of which, at ``bad``, fails when ``bad``
     # is below ``n``: at batch sizes 1 to 3 and the default, the file parses
-    # to the one-record parser's columns and bytes, or fails with the bad
-    # record's own error and line.
+    # to the columns and bytes of each record parsed alone, by either
+    # builder, or fails with the bad record's own error and line.
     @pytest.mark.parametrize("size", [1, 2, 3, scene_io.BATCH_PROPOSALS])
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 11))
@@ -802,10 +817,11 @@ class TestSceneArrays:
                 assert str(raised.value) == first_error
                 return
             got = parse_scene_arrays(io.StringIO(text))
-        # Each record's columns are the one-record parser's, dtype and all.
+        # Each record's columns are those of the record alone, dtype and all.
         assert len(got) == n
-        for a, obj in zip(got, objs):
-            b = _parse_scene_arrays(obj)
+        for (a, obj), alone in product(zip(got, objs), (_batch_of_one,
+                                                        _parse_scene_arrays)):
+            b = alone(obj)
             assert (a.id, a.width, a.height) == (b.id, b.width, b.height)
             for x, y in zip((a.gt_boxes, a.gt_classes, a.gt_ignore,
                              *vars(a.dets).values()),
@@ -903,7 +919,7 @@ class TestSceneArrays:
         strict = ([] if len(det.get("box_xyxy", ())) == 8
                   else [("dets", 0, _strict(key, value)[1])])
         want = _expected(obj, strict)
-        got = _outcome(_parse_scene_arrays, obj)
+        got = _outcome(_batch_of_one, obj)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -1385,19 +1401,33 @@ class TestDecoders:
     @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
     @pytest.mark.parametrize("nested_id", [True, False],
                              ids=["nested-id", "open-brackets"])
+    @pytest.mark.parametrize("before", [None, "valid", "bad"],
+                             ids=["alone", "after-a-valid-record",
+                                  "after-a-bad-record"])
     def test_nesting_json_cannot_read_keeps_its_error(self, tmp_path, parse,
                                                       line, defaults,
-                                                      nested_id):
+                                                      nested_id, before):
         # An id nested past json's limit fails on orjson's value (its repr
         # in the error recurses too deep), and the rebuild's json.loads
-        # raises json's RecursionError; so does a line orjson rejects.
-        data = (_render(line, {**defaults, "id": b"[" * 1010 + b"]" * 1010})
-                if nested_id else b"[" * 100_000) + b"\n"
+        # raises json's RecursionError; so does a line orjson rejects. After
+        # another record of the same batch, it keeps its line; after a bad
+        # record (an inverted box), the bad record fails first.
+        first = {None: b"", "valid": _render(line, {**defaults, "id": b'"v"'}),
+                 "bad": _render(line, {**defaults, "id": b'"v"', (
+                     "gx1" if "gx1" in defaults else "x1"): b"40"})}[before]
+        data = (first + b"\n" if first else b"") + (
+            _render(line, {**defaults, "id": b"[" * 1010 + b"]" * 1010})
+            if nested_id else b"[" * 100_000) + b"\n"
+        lineno = 2 if first else 1
         for got, want in _both_decoders(parse, data, tmp_path):
             assert got == want
             assert got[0] is SceneFileError
-            assert got[1].startswith(
-                "line 1: malformed JSON (maximum recursion depth exceeded")
+            if before == "bad":
+                assert got[1].startswith("line 1: ")
+                assert "malformed JSON" not in got[1]
+            else:
+                assert got[1].startswith(f"line {lineno}: malformed JSON "
+                                         "(maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("line, message", [
         (b'{"id": 5', "Expecting ',' delimiter"),
