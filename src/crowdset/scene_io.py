@@ -38,20 +38,21 @@ zero-padded to the file's widest slot count and score vector. Each line
 is decoded once, by orjson, and the dataclasses' checks run on the arrays;
 a batch that fails one is rebuilt record by record and element by element
 in file order, so that its first bad record's error is the file's first,
-in the dataclass's own words and with its record's line. Stdlib json
-decodes the lines orjson rejects (``NaN``, a lone surrogate) and, as orjson
-reads an integer beyond 64 bits as a float, a failing record's lines again:
-records and errors are json's, but a key the parser ignores may nest past
-json's recursion limit. A malformed line first checks the records decoded
-before it, so an earlier bad record still fails first.
+in the dataclass's own words and with its record's line. Input must be
+strict JSON (RFC 8259): a line orjson rejects (``NaN``, ``1e400``, a lone
+surrogate, a BOM) fails as malformed, and an integer orjson reads as a
+float (one outside [-2**63, 2**64)) fails its field's check. A line is
+blank, and skipped, only if it holds nothing but ASCII whitespace as
+``bytes.isspace`` counts it. A malformed line first checks the records
+decoded before it, so an earlier bad record still fails first.
 
 The scene writer streams one record at a time and fills fixed row
 templates from each record's columns with json.dumps's bytes: separators,
 ``%d`` ints, ``true``/``false``, the id through ``json.dumps``, and floats
 spelled by orjson, or by ``float.__repr__`` outside [1e-4, 1e16). It
 writes no dict and no json encoder runs per detection. A record the parser
-would reject (an id that is not a string or repeats an earlier one, a
-width or height that is not a 64-bit integer, a box that breaks the box
+would reject (an id that is not a UTF-8 string or repeats an earlier one,
+a width or height that is not a 64-bit integer, a box that breaks the box
 rule, a ground truth of class <= 0, a score that is not finite in [0, 1] or
 a negative slot) raises ``ValueError``, naming the record, before any of
 its text is written; the prediction writer checks ids the same way.
@@ -79,7 +80,10 @@ PathOrStream = Union[str, os.PathLike, IO[str]]
 
 _REAL, _INT = {float, int}, {int}
 _ABSENT = object()  # a detection's missing proposal_id, while parsing
-_BLANK = object()  # a line of Unicode whitespace, while decoding
+# What building records from odd JSON values raises. ArithmeticError: an
+# integer beyond int64 in a column; RecursionError: a value nested past the
+# recursion limit, whose repr in an error recurses too deep.
+_ODD = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
 
 # Elements per batch of records: proposals in a prediction file, ground
 # truths plus detections in a scene file. Batches amortise the fixed cost
@@ -301,10 +305,7 @@ def _scene_columns(objs: list) -> list[SceneArrays] | None:
                             det_cols.take(slice(d0, d1), det_cols.scores[d0:d1]))
                 for obj, (rid, _, _), (g0, d0, g1, d1)
                 in zip(objs, fields, bounds)]
-    except (LookupError, TypeError, ValueError, ArithmeticError,
-            RecursionError):
-        # RecursionError: a value nested past the recursion limit, whose
-        # repr in an error recurses too deep.
+    except _ODD:
         return None
 
 
@@ -318,47 +319,32 @@ def _parse_scene_arrays(obj: dict) -> SceneArrays:
                        _int_field(obj, "height", 0, rid), *gt_cols, det_cols)
 
 
-def _scene_batch(lines: list[tuple[int, object, object]]) -> list[SceneArrays]:
-    """Decoded lines ``(line number, value, line)`` as scene records: the
-    whole batch in one pass or, if a check fails, record by record, so
-    that the first bad record raises its own error with its line."""
-    return (_scene_columns([obj for _, obj, _ in lines])
-            or [_scene_arrays(*decoded) for decoded in lines])
+def _scene_batch(lines: list[tuple[int, object]]) -> list[SceneArrays]:
+    """Decoded lines ``(line number, value)`` as scene records: the whole
+    batch in one pass or, if a check fails, record by record, so that the
+    first bad record raises its own error with its line."""
+    return (_scene_columns([obj for _, obj in lines])
+            or [_at_line(n, _parse_scene_arrays, obj) for n, obj in lines])
 
 
-def _json(lineno: int, line, decode: bool = False):
-    """``line`` decoded by stdlib json, after UTF-8 if ``decode``, or
-    ``_BLANK`` if blank; a malformed line raises, naming the line. A line
-    once decoded needs no ``decode``: json.loads reads its bytes as UTF-8."""
-    try:
-        line = line.decode("utf-8") if decode else line
-        return _BLANK if line.isspace() else json.loads(line)
-    except (ValueError, RecursionError) as e:
-        # A line that is not UTF-8, a JSONDecodeError, an integer literal
-        # longer than Python's int-string conversion limit, or nesting
-        # deeper than the recursion limit.
-        raise SceneFileError(
-            f"line {lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
-
-
-def _decoded(source: PathOrStream) -> Iterator[tuple[int, object, object]]:
-    """``(line number, value, line)`` of each non-blank line; a malformed
-    line raises, naming the line. A path is read as bytes and each line
-    decoded on its own, so a line that is not UTF-8 is named like any other.
-    A path's line is kept as bytes, not text, for :func:`_json` to reread."""
+def _decoded(source: PathOrStream) -> Iterator[tuple[int, object]]:
+    """``(line number, value)`` of each non-blank line; a line orjson
+    rejects raises, naming the line. A path is read as bytes and each line
+    decoded on its own, so a line that is not UTF-8 is named like any other."""
     owned = not hasattr(source, "read")
     stream = open(source, "rb") if owned else source
     try:
         for lineno, line in enumerate(stream, start=1):
-            if line.isspace():
+            # Blank: ASCII whitespace only, as bytes.isspace counts it;
+            # isspace stops at a record line's first character.
+            if line.isspace() and (type(line) is bytes or line.encode().isspace()):
                 continue
             try:
                 obj = orjson.loads(line)
-            except orjson.JSONDecodeError:
-                obj = _json(lineno, line, owned)
-                if obj is _BLANK:
-                    continue
-            yield lineno, obj, line
+            except orjson.JSONDecodeError as e:
+                # e.msg leaves out the "line 1 column C" that str(e) adds.
+                raise SceneFileError(f"line {lineno}: malformed JSON ({e.msg})") from e
+            yield lineno, obj
     finally:
         if owned:
             stream.close()
@@ -370,9 +356,7 @@ def _at_line(lineno: int, parse, obj):
         return parse(obj)
     except SceneFileError as e:
         raise SceneFileError(f"line {lineno}: {e}") from e
-    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
-        # ArithmeticError: an integer beyond float range, as float() raises
-        # it.
+    except _ODD as e:
         raise SceneFileError(f"line {lineno}: bad record ({e})") from e
 
 
@@ -400,22 +384,17 @@ def _check_unique(ids: Iterable[str], seen: set) -> None:
 
 
 def _unique(records: Iterable) -> Iterator:
-    """``records`` in order, each id checked as the parsers check it."""
+    """``records`` in order, each id checked as the parsers check it: a
+    string that encodes as UTF-8 (no lone surrogate) and is not repeated."""
     seen = set()
     for r in records:
-        _check_unique(_record_fields(vars(r)), seen)
+        (rid,) = _record_fields(vars(r))
+        try:
+            rid.encode()
+        except UnicodeEncodeError as e:
+            raise ValueError(f"record {rid!r}: id is not UTF-8 ({e.reason})") from e
+        _check_unique([rid], seen)
         yield r
-
-
-def _scene_arrays(lineno: int, obj, line) -> SceneArrays:
-    """A decoded scene line built element by element, parsed again from
-    json's value if orjson's fails: orjson reads an integer beyond 64 bits
-    as a float, and a RecursionError means a value nested deeper than json
-    can read."""
-    try:
-        return _at_line(lineno, _parse_scene_arrays, obj)
-    except (SceneFileError, RecursionError):
-        return _at_line(lineno, _parse_scene_arrays, _json(lineno, line))
 
 
 def _element_count(obj) -> int:
@@ -561,21 +540,17 @@ def _prediction_columns(objs: list) -> PredictionArrays | None:
     return None if arrays.invalid().any() else arrays
 
 
-def _prediction_batch(lines: list[tuple[int, object, object]]) -> PredictionArrays:
-    """Decoded lines ``(line number, value, line)`` as one batch of arrays."""
+def _prediction_batch(lines: list[tuple[int, object]]) -> PredictionArrays:
+    """Decoded lines ``(line number, value)`` as one batch of arrays."""
     try:
-        arrays = _prediction_columns([obj for _, obj, _ in lines])
-    except (LookupError, TypeError, ValueError, ArithmeticError, RecursionError):
+        arrays = _prediction_columns([obj for _, obj in lines])
+    except _ODD:
         arrays = None
     if arrays is None:
-        # Build the dataclasses record by record in file order, from json's
-        # values if they fail: the first invalid element raises its error.
-        try:
-            sets = [_at_line(n, _prediction_sets, obj) for n, obj, _ in lines]
-        except (SceneFileError, RecursionError):
-            sets = [_at_line(n, _prediction_sets, _json(n, line))
-                    for n, _, line in lines]
-        arrays = PredictionArrays.from_sets(sets)
+        # Build the dataclasses record by record in file order: the first
+        # invalid element raises its error.
+        arrays = PredictionArrays.from_sets(
+            [_at_line(n, _prediction_sets, obj) for n, obj in lines])
     return arrays
 
 
@@ -584,8 +559,7 @@ def _proposal_count(obj) -> int:
     return len(proposals) if type(proposals) is list else 0
 
 
-def _batches(lines: Iterator[tuple[int, object, object]],
-             count) -> Iterator[list]:
+def _batches(lines: Iterator[tuple[int, object]], count) -> Iterator[list]:
     """Consecutive decoded lines in lists of at least ``BATCH_PROPOSALS``
     elements, as ``count`` counts a record's. A malformed line first
     yields the lines before it, so that an earlier bad record fails

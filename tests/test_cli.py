@@ -305,9 +305,11 @@ class TestExitCodes:
         assert ("prediction ids missing from ground-truth file: b"
                 in capsys.readouterr().err)
 
-    def test_integer_beyond_float_range_is_a_bad_record(self, tmp_path,
-                                                        capsys):
-        paths = {}
+    def test_integer_beyond_float_range_is_malformed_json(self, tmp_path,
+                                                          capsys):
+        # orjson rejects the literal; its message is taken from orjson, as
+        # its wording may differ between versions.
+        paths, lines = {}, {}
         for name, record in [
                 ("gt", {"id": "a", "gts": [{"box_xyxy": [0, 0, 40, 80]}]}),
                 ("big_gt", {"id": "a", "gts": [{"box_xyxy": [0, 0, 40, 10**400]}]}),
@@ -316,14 +318,19 @@ class TestExitCodes:
                     "box_xyxy": [0, 0, 40, 80],
                     "slots": [{"scores": [0.5, 0.5], "delta": [0, 10**400, 0, 0]}]}]})]:
             paths[name] = str(tmp_path / f"{name}.jsonl")
-            Path(paths[name]).write_text(json.dumps(record) + "\n")
-        for argv in (["eval", "--gt", paths["big_gt"], "--det", paths["gt"]],
-                     ["emd", "--gt", paths["big_gt"], "--pred", paths["pred"]],
-                     ["emd", "--k", "1", "--gt", paths["gt"], "--pred",
-                      paths["big_pred"]]):
+            lines[name] = json.dumps(record)
+            Path(paths[name]).write_text(lines[name] + "\n")
+        for argv, bad in ((["eval", "--gt", paths["big_gt"], "--det", paths["gt"]],
+                           "big_gt"),
+                          (["emd", "--gt", paths["big_gt"], "--pred", paths["pred"]],
+                           "big_gt"),
+                          (["emd", "--k", "1", "--gt", paths["gt"], "--pred",
+                            paths["big_pred"]], "big_pred")):
+            with pytest.raises(orjson.JSONDecodeError) as rejected:
+                orjson.loads(lines[bad])
             assert main(argv) == 1
             assert capsys.readouterr().err == (
-                "error: line 1: bad record (int too large to convert to float)\n")
+                f"error: line 1: malformed JSON ({rejected.value.msg})\n")
 
     @pytest.mark.parametrize("bad_line", [b"[" * 100_000, b'{"id": "\xff"}'],
                              ids=["nested-too-deeply", "not-utf-8"])
@@ -1323,15 +1330,17 @@ class TestEmdErrors:
         assert ("line 2: bad record (class_scores must be a probability "
                 "vector (sum 1))" in err)
 
-    def test_nan_score_is_not_a_probability_vector(self, tmp_path, capsys):
-        # NaN sums to NaN, which no tolerance comparison accepts; no ground
-        # truth targets class 2, so only the check can catch it.
-        code, err = self._run(tmp_path, capsys, STACK[:1], [
-            {"id": "a", "proposals": [
-                _proposal((0, 0, 40, 80), [[0.5, 0.5, math.nan], [0.3, 0.7]])]}])
+    def test_nan_score_is_malformed_json(self, tmp_path, capsys):
+        # Input is strict JSON: orjson rejects the NaN literal before any
+        # check. A NaN score vector in memory fails the probability check
+        # (TestPredictionArrays in test_scene_io.py).
+        line = json.dumps({"id": "a", "proposals": [
+            _proposal((0, 0, 40, 80), [[0.5, 0.5, math.nan], [0.3, 0.7]])]})
+        with pytest.raises(orjson.JSONDecodeError) as rejected:
+            orjson.loads(line)
+        code, err = self._run(tmp_path, capsys, STACK[:1], [line])
         assert code == 1
-        assert ("line 1: bad record (class_scores must be a probability "
-                "vector (sum 1))" in err)
+        assert err == f"error: line 1: malformed JSON ({rejected.value.msg})\n"
 
     @pytest.mark.parametrize("first, second, message", [
         ([[0.3, 0.7], [0.6, 0.4]], [[1.0, 0.0]],

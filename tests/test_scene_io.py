@@ -1,13 +1,9 @@
 import dataclasses
-import decimal
 import io
 import json
 import math
 import re
-import struct
-import sys
 from itertools import chain, product
-from unittest import mock
 
 import emd_oracle as oracle
 import numpy as np
@@ -19,11 +15,12 @@ from hypothesis import strategies as st
 
 from crowdset import scene_io
 from crowdset.assignment import GroundTruth
-from crowdset.emd import PredictionSet, SlotPrediction
+from crowdset.emd import PredictionArrays, PredictionSet, SlotPrediction
 from crowdset.geometry import BBox, BoxDelta
 from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneFileError,
                                SceneRecord, _at_line, _parse_scene_arrays,
-                               _prediction_batch, _scene_arrays, _scene_columns,
+                               _prediction_batch, _prediction_sets,
+                               _scene_columns,
                                parse_prediction_arrays,
                                parse_prediction_file, parse_scene_arrays,
                                parse_scene_file, write_prediction_file,
@@ -87,11 +84,6 @@ class TestParse:
                                                    "score": 0.5}]}))
         with pytest.raises(SceneFileError,
                            match="line 3: record 'b': box needs a box_xyxy"):
-            parse_scene_file(io.StringIO(text))
-
-    def test_malformed_json_reports_line_number(self):
-        text = json.dumps({"id": "a"}) + "\n{nope\n"
-        with pytest.raises(SceneFileError, match="line 2"):
             parse_scene_file(io.StringIO(text))
 
     @pytest.mark.parametrize("bad_line", [b"[" * 100_000, b'{"id": "\xff"}'],
@@ -164,43 +156,27 @@ class TestStrictFields:
                            r"must be true or false, got " + repr(value)):
             parse_scene_file(_one_line(gt={"ignore": value}))
 
-    @pytest.mark.parametrize("field", [{"gt": {"class": 1.9}},
-                                       {"gt": {"class": True}},
-                                       {"det": {"class": 1.9}},
-                                       {"det": {"class": "1"}}])
-    def test_class_must_be_a_json_integer(self, field):
-        (value,) = next(iter(field.values())).values()
-        with pytest.raises(SceneFileError, match=r"line 2: record 'a': class "
-                           r"must be a 64-bit integer, got " + repr(value)):
-            parse_scene_file(_one_line(**field))
-
-    @pytest.mark.parametrize("value", [2.7, False, "3", None])
-    def test_proposal_id_must_be_a_json_integer(self, value):
-        with pytest.raises(SceneFileError, match=r"line 2: record 'a': "
-                           r"proposal_id must be a 64-bit integer, got "
-                           + repr(value)):
-            parse_scene_file(_one_line(det={"proposal_id": value}))
-
-    @pytest.mark.parametrize("value", [1.0, True])
-    def test_slot_must_be_a_json_integer(self, value):
-        with pytest.raises(SceneFileError, match=r"line 2: record 'a': slot "
-                           r"must be a 64-bit integer, got " + repr(value)):
-            parse_scene_file(_one_line(det={"proposal_id": 0, "slot": value}))
+    @pytest.mark.parametrize("element, key, value", [
+        ("gt", "class", 1.9), ("gt", "class", True), ("det", "class", 1.9),
+        ("det", "class", "1"),
+        *(("det", "proposal_id", v) for v in (2.7, False, "3", None)),
+        ("det", "slot", 1.0), ("det", "slot", True),
+        ("gt", "class", 2**63), ("det", "class", -2**63 - 1),
+        ("det", "proposal_id", 2**63), ("det", "slot", 2**64)])
+    def test_integer_fields_must_be_64_bit_json_integers(self, element, key,
+                                                         value):
+        # Declared: orjson reads an integer outside [-2**63, 2**64) as a
+        # float, and the message shows that float.
+        read = orjson.loads(json.dumps(value))
+        with pytest.raises(SceneFileError, match=re.escape(
+                f"line 2: record 'a': {key} must be a 64-bit integer, "
+                f"got {read!r}")):
+            parse_scene_file(_one_line(**{element: {key: value}}))
 
     def test_slot_must_not_be_negative(self):
         with pytest.raises(SceneFileError, match=r"line 2: bad record \(slot "
                            r"must be non-negative, got -3\)"):
             parse_scene_file(_one_line(det={"slot": -3}))
-
-    @pytest.mark.parametrize("field", [{"gt": {"class": 2**63}},
-                                       {"det": {"class": -2**63 - 1}},
-                                       {"det": {"proposal_id": 2**63}},
-                                       {"det": {"slot": 2**64}}])
-    def test_integers_must_fit_in_int64(self, field):
-        ((key, value),) = next(iter(field.values())).items()
-        with pytest.raises(SceneFileError, match=rf"line 2: record 'a': {key} "
-                           rf"must be a 64-bit integer, got {value}"):
-            parse_scene_arrays(_one_line(**field))
 
     @pytest.mark.parametrize("field", [{"gt": {"box_xyxy": ["1", 0, 10, True]}},
                                        {"det": {"box_xyxy": [0, 0, None, 4]}},
@@ -280,33 +256,23 @@ class TestStrictFields:
                     f"{value!r}")):
                 parse(io.StringIO(text))
 
-    @pytest.mark.parametrize("field", [{"gt": {"box_xyxy": [0, 0, 10**400, 4]}},
-                                       {"det": {"box_xyxy": [0, -10**400, 4, 4]}},
-                                       {"det": {"score": 10**400}}])
-    def test_integer_beyond_float_range_is_a_bad_record(self, field):
-        for parse in (parse_scene_arrays, parse_scene_file):
-            with pytest.raises(SceneFileError, match=re.escape(
-                    "line 2: bad record (int too large to convert to float)")):
-                parse(_one_line(**field))
-
-    @pytest.mark.parametrize("key", ["box_xyxy", "scores", "delta"])
-    def test_prediction_integer_beyond_float_range_is_a_bad_record(self, key):
-        slot = {"scores": [0.5, 0.5], "delta": [0, 0, 0, 0]}
-        proposal = {"box_xyxy": [0, 0, 2, 2], "slots": [slot]}
-        (proposal if key == "box_xyxy" else slot)[key][1] = 10**400
-        text = json.dumps({"id": "a", "proposals": [proposal]}) + "\n"
-        for parse in (parse_prediction_arrays, parse_prediction_file):
-            with pytest.raises(SceneFileError, match=re.escape(
-                    "line 1: bad record (int too large to convert to float)")):
-                parse(io.StringIO(text))
-
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this Python has no int-string conversion limit")
-    def test_integer_past_the_digit_limit_is_malformed_json(self):
-        digits = "1" + "0" * sys.get_int_max_str_digits()
-        text = json.dumps({"id": "ok"}) + '\n{"id": "a", "width": ' + digits + "}\n"
-        with pytest.raises(SceneFileError, match=r"line 2: malformed JSON \(Exceeds"):
-            parse_scene_file(io.StringIO(text))
+    @pytest.mark.parametrize("parse, line", [
+        (parse_scene_file, '{"id": "a", "gts": [{"box_xyxy": [0, 0, 1%s, 4]}]}'),
+        (parse_scene_arrays,
+         '{"id": "a", "dets": [{"box_xyxy": [0, 0, 4, 4], "score": 1%s}]}'),
+        (parse_prediction_file, '{"id": "a", "proposals": [{"box_xyxy": [0, '
+         '0, 2, 2], "slots": [{"scores": [0.5, 0.5], "delta": [0, 1%s, 0, 0]}]}]}'),
+        (parse_prediction_arrays, '{"id": "a", "proposals": [{"box_xyxy": [0, '
+         '0, 2, 2], "slots": [{"scores": [0.5, -1%s], "delta": [0, 0, 0, 0]}]}]}')],
+        ids=["scene-file", "scene-arrays", "prediction-file", "prediction-arrays"])
+    @pytest.mark.parametrize("zeros", [400, 4300],
+                             ids=["beyond-float-range", "past-the-digit-limit"])
+    def test_integer_beyond_float_range_is_malformed_json(self, parse, line,
+                                                          zeros):
+        # 4,300 digits is Python's default int-string limit.
+        line = line % ("0" * zeros) + "\n"
+        with pytest.raises(SceneFileError, match=re.escape(_malformed(2, line))):
+            parse(io.StringIO('{"id": "ok"}\n' + line))
 
     def test_int64_bounds_are_accepted(self):
         (rec,) = parse_scene_file(io.StringIO(json.dumps({"id": "a", "dets": [
@@ -384,10 +350,6 @@ class TestPredictionFiles:
                 for gs, ws in zip(gp.slots, wp.slots):
                     assert np.array_equal(gs.class_scores, ws.class_scores)
                     assert gs.delta == ws.delta
-
-    def test_malformed_line_reported(self):
-        with pytest.raises(SceneFileError, match="line 1"):
-            parse_prediction_file(io.StringIO("{broken"))
 
     def test_bad_record_reports_line_number(self):
         # The record on line 3 has a proposal without "slots".
@@ -521,7 +483,7 @@ class TestPredictionArrays:
         # Both sides as the record on line 1 of a file: its errors name it.
         want = _outcome(lambda o: _at_line(1, lambda r: oracle.parse_prediction_record(
             _strict_slots(r), _strict_floats), o), obj)
-        got = _outcome(lambda o: _prediction_batch([(1, o, json.dumps(o))]), obj)
+        got = _outcome(lambda o: _prediction_batch([(1, o)]), obj)
         if isinstance(want, tuple):
             assert got == want
             return
@@ -571,13 +533,13 @@ class TestPredictionArrays:
     @pytest.mark.parametrize("scores", [_SLOTS["nan_score"]["scores"],
                                         [0.5, 0.5, float("nan")]])
     def test_nan_score_is_not_a_probability_vector(self, scores):
+        # A file cannot hold NaN, which is malformed JSON, but the batch's
+        # columns are checked for it all the same.
         record = {"id": "a", "proposals": [{"box_xyxy": [0, 0, 2, 2], "slots": [
             {"scores": scores, "delta": [0, 0, 0, 0]}]}]}
-        text = json.dumps(record) + "\n"
-        for parse in (parse_prediction_arrays, parse_prediction_file):
-            with pytest.raises(SceneFileError, match="line 1: bad record "
-                               r"\(class_scores must be a probability vector"):
-                parse(io.StringIO(text))
+        with pytest.raises(SceneFileError, match="line 1: bad record "
+                           r"\(class_scores must be a probability vector"):
+            _prediction_batch([(1, record)])
         assert _outcome(oracle.parse_prediction_record, record)[1] == \
             "class_scores must be a probability vector (sum 1)"
 
@@ -686,7 +648,10 @@ _DET_FIELDS = {
     "pid_string": _strict("proposal_id", "3"),
     "pid_huge": _strict("proposal_id", 2**63),
     "slot_float": _strict("slot", 1.0),
-    "slot_huge": _strict("slot", -2**63 - 1),
+    # The largest integer orjson reads as an int. A file's integer below
+    # -2**63 reads as a float, whose message
+    # test_integer_fields_must_be_64_bit_json_integers pins.
+    "slot_huge": _strict("slot", 2**64 - 1),
 }
 
 
@@ -761,6 +726,16 @@ def _expected(obj, strict):
     return before if isinstance(before, tuple) else (SceneFileError, error)
 
 
+def _line_outcome(obj, strict):
+    """:func:`_expected` of ``obj`` read from its json.dumps line, which
+    orjson rejects if it holds a NaN or an infinity."""
+    try:
+        orjson.loads(json.dumps(obj))
+    except orjson.JSONDecodeError as e:
+        return SceneFileError, f"malformed JSON ({e.msg})"
+    return _expected(obj, strict)
+
+
 class TestSceneArrays:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -783,7 +758,8 @@ class TestSceneArrays:
     # Files of valid records, one of which, at ``bad``, fails when ``bad``
     # is below ``n``: at batch sizes 1 to 3 and the default, the file parses
     # to the columns and bytes of each record parsed alone, by either
-    # builder, or fails with the bad record's own error and line.
+    # builder, or fails with the bad record's own error and line. A record
+    # with a NaN or an infinity is malformed JSON.
     @pytest.mark.parametrize("size", [1, 2, 3, scene_io.BATCH_PROPOSALS])
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 11))
@@ -799,7 +775,7 @@ class TestSceneArrays:
                 strict = [(key, j, e.replace(f"record {rid!r}",
                                              f"record {obj['id']!r}", 1))
                           for key, j, e in strict]
-                want = _expected(obj, strict)
+                want = _line_outcome(obj, strict)
                 if isinstance(want, tuple) == (i == bad):
                     break
             objs.append(obj)
@@ -1154,6 +1130,16 @@ class _FailingStream(io.StringIO):
         raise OSError("no space left on device")
 
 
+# Each writer, a record with a given id, and the parser of its files.
+_WRITERS = pytest.mark.parametrize("write, record, parse", [
+    (write_scene_arrays, lambda rid: SceneArrays.from_record(SceneRecord(id=rid)),
+     parse_scene_arrays),
+    (write_scene_file, lambda rid: SceneRecord(id=rid), parse_scene_file),
+    (write_prediction_file, lambda rid: PredictionRecord(id=rid),
+     parse_prediction_file),
+], ids=["scene-arrays", "scene-file", "prediction-file"])
+
+
 class TestWriteErrors:
     @pytest.mark.parametrize("write, record", [
         (write_scene_file, SceneRecord(id="a")),
@@ -1163,14 +1149,7 @@ class TestWriteErrors:
         with pytest.raises(OSError, match="full-disk.jsonl.*no space left"):
             write([record], _FailingStream())
 
-    @pytest.mark.parametrize("write, record, parse", [
-        (write_scene_arrays,
-         lambda rid: SceneArrays.from_record(SceneRecord(id=rid)),
-         parse_scene_arrays),
-        (write_scene_file, lambda rid: SceneRecord(id=rid), parse_scene_file),
-        (write_prediction_file, lambda rid: PredictionRecord(id=rid),
-         parse_prediction_file),
-    ], ids=["scene-arrays", "scene-file", "prediction-file"])
+    @_WRITERS
     def test_an_id_the_parser_rejects_is_not_written(self, write, record,
                                                      parse):
         for ids, error in ((["x", "x"], "duplicate record id 'x'"),
@@ -1185,15 +1164,26 @@ class TestWriteErrors:
             with pytest.raises(SceneFileError, match=re.escape(error)):
                 parse(io.StringIO(text))
 
-
-def _stdlib_loads(line):
-    """Stdlib json in orjson's place. A line it rejects raises orjson's
-    error, so that the parser's fallback reads it as it would without
-    orjson."""
-    try:
-        return json.loads(line.decode("utf-8") if type(line) is bytes else line)
-    except (ValueError, RecursionError) as e:
-        raise orjson.JSONDecodeError(str(e), "", 0) from e
+    @_WRITERS
+    @settings(max_examples=200, deadline=None)
+    @given(rid=st.text(st.one_of(st.characters(),
+                                 st.characters(categories=["Cs"]))))
+    def test_the_parser_reads_back_every_id_the_writer_writes(self, write,
+                                                              record, parse,
+                                                              rid):
+        # An id with a surrogate, which json.dumps escapes and orjson
+        # rejects, or reads as another character if paired, is refused.
+        buf = io.StringIO()
+        try:
+            write([record(rid)], buf)
+        except ValueError as e:
+            assert str(e).startswith(f"record {rid!r}: id is not UTF-8 (")
+            assert buf.getvalue() == ""
+            with pytest.raises(UnicodeEncodeError):
+                rid.encode()
+            return
+        (back,) = parse(io.StringIO(buf.getvalue()))
+        assert back.id == rid
 
 
 def _columns(value):
@@ -1215,23 +1205,47 @@ def _parsed(parse, source):
         return type(e), str(e)
 
 
-def _both_decoders(parse, data: bytes, tmp_dir):
-    """``[(with orjson, with stdlib json)]`` of ``parse`` on ``data`` as a
-    file and, when it is UTF-8, as a text stream."""
+def _element_by_element(kind: str, data: bytes):
+    """What a file of ``data`` parses to: orjson's value of each line that
+    is not ASCII whitespace, built record by record and element by element,
+    or the first error in file order (a line orjson rejects, a bad record,
+    a repeated id), naming its line."""
+    build = _parse_scene_arrays if kind == "scene" else _prediction_sets
+    built = []
+    for n, line in enumerate(io.BytesIO(data), start=1):
+        if line.isspace():
+            continue
+        try:
+            built.append(build(orjson.loads(line)))
+        except orjson.JSONDecodeError as e:
+            return SceneFileError, f"line {n}: malformed JSON ({e.msg})"
+        except SceneFileError as e:
+            return SceneFileError, f"line {n}: {e}"
+        except (LookupError, TypeError, ValueError, RecursionError) as e:
+            return SceneFileError, f"line {n}: bad record ({e})"
+    ids = [r.id for r in built] if kind == "scene" else [rid for rid, _ in built]
+    for i, rid in enumerate(ids):
+        if rid in ids[:i]:
+            return SceneFileError, f"duplicate record id {rid!r}"
+    return _columns(built if kind == "scene" else PredictionArrays.from_sets(built))
+
+
+def _malformed(lineno: int, line) -> str:
+    """The parser's error for a line orjson rejects, in the words of the
+    installed orjson, which may differ between versions."""
+    with pytest.raises(orjson.JSONDecodeError) as rejected:
+        orjson.loads(line)
+    return f"line {lineno}: malformed JSON ({rejected.value.msg})"
+
+
+def _sources(data: bytes, tmp_dir):
+    """``data`` as a file and, when it is UTF-8, as a text stream."""
     path = tmp_dir / "lines.jsonl"
     path.write_bytes(data)
-    sources = [lambda: path]
     try:
-        text = data.decode("utf-8")
-        sources.append(lambda: io.StringIO(text))
+        return [path, io.StringIO(data.decode("utf-8"))]
     except UnicodeDecodeError:
-        pass
-    pairs = []
-    for source in sources:
-        got = _parsed(parse, source())
-        with mock.patch.object(scene_io.orjson, "loads", _stdlib_loads):
-            pairs.append((got, _parsed(parse, source())))
-    return pairs
+        return [path]
 
 
 # One record per kind, each value a ``%(name)b`` slot; the _DEFAULTS dicts
@@ -1262,50 +1276,29 @@ def _render(line: bytes, values: dict) -> bytes:
     return line % {key.encode(): value for key, value in values.items()}
 
 
-_KINDS = [(parse_scene_arrays, _SCENE_LINE, _SCENE_DEFAULTS),
-          (parse_prediction_arrays, _PREDICTION_LINE, _PREDICTION_DEFAULTS)]
-_KIND_IDS = ["scene", "prediction"]
+_KINDS = {"scene": (parse_scene_arrays, _SCENE_LINE, _SCENE_DEFAULTS),
+          "prediction": (parse_prediction_arrays, _PREDICTION_LINE,
+                         _PREDICTION_DEFAULTS)}
 
-# orjson reads an integer outside [-2**63, 2**64) as a float, and refuses
-# one beyond float range and NaN and Infinity, which json reads.
+# orjson reads an integer outside [-2**63, 2**64) as a float, and rejects
+# one beyond float range, NaN and Infinity. _DEEP nests past Python's
+# recursion limit, which orjson reads.
 _EDGE_LITERALS = [str(n).encode() for n in (
     2**63, -2**63, -2**63 - 1, 2**64, 10**25, 10**400)] + [
     b"1e400", b"NaN", b"Infinity", b"-Infinity"]
+_DEEP = b"[" * 1010 + b"]" * 1010
 _ID_LITERALS = [b'"\\ud800"', b'"x\\udfff"', b'"\xff"', b'"\xed\xa0\x80"',
                 b'"\xc3\xa9\xe2\x80\xa8"']
 _BLANK_LINES = [b"", b" \t", b"\x0b\x0c", "\u00a0".encode(),
                 "\u2028".encode(), b"\x1c"]
 
 
-def _float_texts(f: float) -> list[bytes]:
-    """Spellings of ``f``: shortest, 17 and 41 digits, exact, and the exact
-    midpoint to the next float up, which rounds to even."""
-    if not math.isfinite(f):
-        return [b"NaN" if math.isnan(f) else b"Infinity" if f > 0 else b"-Infinity"]
-    texts = [repr(f), "%.16e" % f, "%.40e" % f, str(decimal.Decimal(f))]
-    up = math.nextafter(f, math.inf)
-    if math.isfinite(up):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 2000
-            texts.append(str((decimal.Decimal(f) + decimal.Decimal(up)) / 2))
-    return [t.encode() for t in texts]
-
-
-@st.composite
-def _number_literals(draw) -> bytes:
-    f = draw(st.one_of(
-        st.integers(0, 2**64 - 1).map(
-            lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
-        st.floats(0, 1)))
-    return draw(st.sampled_from(_float_texts(f)))
-
-
 _LITERALS = st.one_of(
-    _number_literals(),
+    st.floats().map(lambda f: json.dumps(f).encode()),
     st.from_regex(rb"-?(0|[1-9][0-9]{0,24})\.[0-9]{17,60}([eE][+-]?[0-9]{1,3})?",
                   fullmatch=True),
     st.integers(-2**70, 2**70).map(lambda n: str(n).encode()),
-    st.sampled_from(_EDGE_LITERALS + _ID_LITERALS))
+    st.sampled_from(_EDGE_LITERALS + _ID_LITERALS + [_DEEP]))
 
 
 @st.composite
@@ -1324,119 +1317,47 @@ def _jsonl(draw, line: bytes, defaults: dict) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-class TestDecoders:
-    """orjson decodes each line; stdlib json reads what orjson rejects or
-    misreads. Records and errors are as with stdlib json alone."""
+class TestStrictJson:
+    """orjson alone decodes each line: input is strict JSON (RFC 8259)."""
 
-    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
+    @pytest.mark.parametrize("kind", _KINDS)
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_same_columns_and_errors_as_stdlib_json(self, tmp_path_factory,
-                                                    parse, line, defaults,
-                                                    data):
+    def test_records_are_orjson_values_built_element_by_element(
+            self, tmp_path_factory, kind, data):
+        parse, line, defaults = _KINDS[kind]
         text = data.draw(_jsonl(line, defaults))
-        tmp_dir = tmp_path_factory.mktemp("decoders")
-        for got, want in _both_decoders(parse, text, tmp_dir):
-            assert got == want
+        want = _element_by_element(kind, text)
+        for source in _sources(text, tmp_path_factory.mktemp("strict")):
+            assert _parsed(parse, source) == want
 
-    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
-    def test_edge_literals_in_every_field(self, tmp_path, parse, line,
-                                          defaults):
-        assert len(parse(io.BytesIO(_render(line, defaults)))) == 1
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_edge_literals_in_every_field(self, tmp_path, kind):
+        # After a valid record, so that both share a batch. _DEEP fails as a
+        # bad record where a field's error shows it (its repr recurses too
+        # deep), and parses under the ignored key "extra".
+        parse, line, defaults = _KINDS[kind]
+        valid = _render(line, {**defaults, "id": b'"v"'}) + b"\n"
+        assert len(parse(io.BytesIO(valid))) == 1
         for key in defaults:
-            for literal in _EDGE_LITERALS + _ID_LITERALS:
-                data = _render(line, {**defaults, key: literal}) + b"\n"
-                for got, want in _both_decoders(parse, data, tmp_path):
-                    assert got == want, (key, literal)
+            for literal in _EDGE_LITERALS + _ID_LITERALS + [_DEEP]:
+                data = valid + _render(line, {**defaults, key: literal}) + b"\n"
+                want = _element_by_element(kind, data)
+                for source in _sources(data, tmp_path):
+                    assert _parsed(parse, source) == want, (key, literal)
 
-    def test_an_int_field_beyond_64_bits_fails_in_json_s_words(self):
-        line = _render(_SCENE_LINE, {**_SCENE_DEFAULTS,
-                                     "width": b"18446744073709551616"})
-        with pytest.raises(SceneFileError, match=re.escape(
-                "line 1: record 'a': width must be a 64-bit integer, "
-                "got 18446744073709551616")):
-            parse_scene_arrays(io.BytesIO(line))
-
-    def test_a_real_field_beyond_64_bits_parses(self):
-        line = _render(_SCENE_LINE, {**_SCENE_DEFAULTS,
-                                     "gx2": b"10000000000000000000000000"})
-        (r,) = parse_scene_arrays(io.BytesIO(line))
-        assert r.gt_boxes[0, 2] == float(10**25)
-
-    def test_json_reads_no_line_that_orjson_reads(self):
-        with mock.patch.object(scene_io.json, "loads", side_effect=AssertionError):
-            for parse, line, defaults in _KINDS:
-                parsed = parse(io.BytesIO(_render(line, defaults)))
-                assert len(getattr(parsed, "ids", parsed)) == 1
-
-    @pytest.mark.parametrize("blank", ["\u00a0", "\u2028", "\x1c"],
-                             ids=["nbsp", "line-separator", "file-separator"])
-    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
-    def test_a_unicode_blank_line_is_skipped(self, tmp_path, parse, line,
-                                             defaults, blank):
-        data = (_render(line, {**defaults, "id": b'"a"'}) + b"\n" + blank.encode()
-                + b"\n" + _render(line, {**defaults, "id": b'"b"'}) + b"\n")
-        path = tmp_path / "blank.jsonl"
-        path.write_bytes(data)
-        for source in (path, io.StringIO(data.decode())):
-            parsed = parse(source)
-            ids = (list(parsed.ids) if hasattr(parsed, "ids")
-                   else [r.id for r in parsed])
-            assert ids == ["a", "b"]
-
-    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
-    def test_deep_nesting_in_an_ignored_key_now_parses(self, tmp_path, parse,
-                                                       line, defaults):
-        # Declared: orjson nests past json's recursion limit, so this line
-        # parses where stdlib json alone calls it malformed.
-        deep = b"[" * 1010 + b"]" * 1010
-        got, want = _both_decoders(
-            parse, _render(line, {**defaults, "extra": deep}) + b"\n", tmp_path)[0]
-        plain, _ = _both_decoders(parse, _render(line, defaults) + b"\n",
-                                  tmp_path)[0]
-        assert got == plain
-        assert want[0] is SceneFileError
-        assert want[1].startswith("line 1: malformed JSON (maximum recursion depth")
-
-    @pytest.mark.parametrize("parse, line, defaults", _KINDS, ids=_KIND_IDS)
-    @pytest.mark.parametrize("nested_id", [True, False],
-                             ids=["nested-id", "open-brackets"])
-    @pytest.mark.parametrize("before", [None, "valid", "bad"],
-                             ids=["alone", "after-a-valid-record",
-                                  "after-a-bad-record"])
-    def test_nesting_json_cannot_read_keeps_its_error(self, tmp_path, parse,
-                                                      line, defaults,
-                                                      nested_id, before):
-        # An id nested past json's limit fails on orjson's value (its repr
-        # in the error recurses too deep), and the rebuild's json.loads
-        # raises json's RecursionError; so does a line orjson rejects. After
-        # another record of the same batch, it keeps its line; after a bad
-        # record (an inverted box), the bad record fails first.
-        first = {None: b"", "valid": _render(line, {**defaults, "id": b'"v"'}),
-                 "bad": _render(line, {**defaults, "id": b'"v"', (
-                     "gx1" if "gx1" in defaults else "x1"): b"40"})}[before]
-        data = (first + b"\n" if first else b"") + (
-            _render(line, {**defaults, "id": b"[" * 1010 + b"]" * 1010})
-            if nested_id else b"[" * 100_000) + b"\n"
-        lineno = 2 if first else 1
-        for got, want in _both_decoders(parse, data, tmp_path):
-            assert got == want
-            assert got[0] is SceneFileError
-            if before == "bad":
-                assert got[1].startswith("line 1: ")
-                assert "malformed JSON" not in got[1]
-            else:
-                assert got[1].startswith(f"line {lineno}: malformed JSON "
-                                         "(maximum recursion depth exceeded")
-
-    @pytest.mark.parametrize("line, message", [
-        (b'{"id": 5', "Expecting ',' delimiter"),
-        (b'{"id": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
-    ])
-    def test_the_json_rebuild_wraps_its_value_error(self, line, message):
-        # Lines orjson would not have read, fed to the rebuild directly.
-        for rebuild in (lambda: _scene_arrays(4, {"id": 5}, line),
-                        lambda: _prediction_batch([(4, {"id": 5}, line)])):
-            with pytest.raises(SceneFileError, match=re.escape(
-                    f"line 4: malformed JSON ({message}")):
-                rebuild()
+    @pytest.mark.parametrize("blank, skipped", [
+        ("\u00a0", False), ("\u2028", False), ("\x1c", False), ("\x85", False),
+        (" \t", True), ("\x0b\x0c", True)],
+        ids=["nbsp", "line-separator", "file-separator", "next-line",
+             "space-tab", "vt-ff"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_only_an_ascii_blank_line_is_skipped(self, tmp_path, kind, blank,
+                                                 skipped):
+        # Blank as bytes.isspace counts it, from a path and a text stream.
+        parse, line, defaults = _KINDS[kind]
+        a, b = (_render(line, {**defaults, "id": rid}) for rid in (b'"a"', b'"b"'))
+        want = (_element_by_element(kind, a + b"\n" + b + b"\n") if skipped
+                else (SceneFileError, _malformed(2, blank.encode())))
+        for source in _sources(b"\n".join([a, blank.encode(), b, b""]), tmp_path):
+            assert _parsed(parse, source) == want
