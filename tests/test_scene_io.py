@@ -86,6 +86,11 @@ class TestParse:
                            match="line 3: record 'b': box needs a box_xyxy"):
             parse_scene_file(io.StringIO(text))
 
+    def test_malformed_json_reports_line_number(self):
+        text = json.dumps({"id": "a"}) + "\n{nope\n"
+        with pytest.raises(SceneFileError, match="line 2"):
+            parse_scene_file(io.StringIO(text))
+
     @pytest.mark.parametrize("bad_line", [b"[" * 100_000, b'{"id": "\xff"}'],
                              ids=["nested-too-deeply", "not-utf-8"])
     @pytest.mark.parametrize("parse, first", [
@@ -350,6 +355,10 @@ class TestPredictionFiles:
                 for gs, ws in zip(gp.slots, wp.slots):
                     assert np.array_equal(gs.class_scores, ws.class_scores)
                     assert gs.delta == ws.delta
+
+    def test_malformed_line_reported(self):
+        with pytest.raises(SceneFileError, match="line 1"):
+            parse_prediction_file(io.StringIO("{broken"))
 
     def test_bad_record_reports_line_number(self):
         # The record on line 3 has a proposal without "slots".
@@ -1345,6 +1354,61 @@ class TestStrictJson:
                 want = _element_by_element(kind, data)
                 for source in _sources(data, tmp_path):
                     assert _parsed(parse, source) == want, (key, literal)
+
+    def test_an_int_field_beyond_64_bits_fails_as_the_float_orjson_reads(self):
+        line = _render(_SCENE_LINE, {**_SCENE_DEFAULTS,
+                                     "width": b"18446744073709551616"})
+        with pytest.raises(SceneFileError, match=re.escape(
+                "line 1: record 'a': width must be a 64-bit integer, "
+                "got 1.8446744073709552e+19")):
+            parse_scene_arrays(io.BytesIO(line))
+
+    def test_a_real_field_beyond_64_bits_parses(self):
+        line = _render(_SCENE_LINE, {**_SCENE_DEFAULTS,
+                                     "gx2": b"10000000000000000000000000"})
+        (r,) = parse_scene_arrays(io.BytesIO(line))
+        assert r.gt_boxes[0, 2] == float(10**25)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_deep_nesting_in_an_ignored_key_parses(self, tmp_path, kind):
+        parse, line, defaults = _KINDS[kind]
+        data = _render(line, {**defaults, "extra": _DEEP}) + b"\n"
+        plain = _parsed(parse, io.BytesIO(_render(line, defaults)))
+        assert plain[0] != SceneFileError
+        for source in _sources(data, tmp_path):
+            assert _parsed(parse, source) == plain
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("nested_id", [True, False],
+                             ids=["nested-id", "open-brackets"])
+    @pytest.mark.parametrize("before", [None, "valid", "bad"],
+                             ids=["alone", "after-a-valid-record",
+                                  "after-a-bad-record"])
+    def test_deep_nesting_keeps_its_line(self, tmp_path, kind, nested_id,
+                                         before):
+        # An id nested past the recursion limit fails as a bad record (its
+        # repr in the error recurses too deep); a line orjson rejects as
+        # too deep is malformed. After another record of the same batch it
+        # keeps its line; after a bad record (an inverted box), the bad
+        # record fails first.
+        parse, line, defaults = _KINDS[kind]
+        x1 = "gx1" if "gx1" in defaults else "x1"
+        first = {None: b"", "valid": _render(line, {**defaults, "id": b'"v"'}),
+                 "bad": _render(line, {**defaults, "id": b'"v"', x1: b"40"})}[before]
+        deep = (_render(line, {**defaults, "id": _DEEP}) if nested_id
+                else b"[" * 100_000)
+        data = (first + b"\n" if first else b"") + deep + b"\n"
+        lineno = 2 if first else 1
+        for source in _sources(data, tmp_path):
+            got = _parsed(parse, source)
+            assert got[0] is SceneFileError
+            if before == "bad":
+                assert got[1].startswith("line 1: bad record (inverted box")
+            elif nested_id:
+                assert got[1].startswith(f"line {lineno}: bad record "
+                                         "(maximum recursion depth exceeded")
+            else:
+                assert got[1] == _malformed(lineno, deep)
 
     @pytest.mark.parametrize("blank, skipped", [
         ("\u00a0", False), ("\u2028", False), ("\x1c", False), ("\x85", False),
