@@ -14,9 +14,9 @@ ground truths, keyed by image when the proposals of many images come at
 once, and ranked by :func:`~crowdset.geometry.rank_pairs`. A batch's
 ground truths are one :class:`~crowdset.metrics.Truth`, whose columns and
 image ids go straight in: the detector simulator calls it once per study,
-over all its images, the EMD engine once per chunk of prediction records
-(:func:`~crowdset.emd.chunk_proposals`), and :func:`build_gt_set` on a
-batch of one.
+over all its images, the EMD engine once per chunk of consecutive
+prediction batches (:func:`~crowdset.emd.chunk_proposals`), and
+:func:`build_gt_set` on a batch of one.
 """
 
 from __future__ import annotations

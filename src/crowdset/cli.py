@@ -17,14 +17,15 @@ empty detection set scores best, and is then written as null.
 its manifest to its ``--out`` directory. ``suppress`` suppresses all
 records of its file in one batched pass, as the study does. ``emd`` takes
 ``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``). It decodes both input
-files in batches of records (``scene_io.BATCH_PROPOSALS``), reads the
-predictions as one table and matches it in chunks of whole records
-(``emd.chunk_proposals``), one engine call each. It then checks every
-cost for finiteness and computes ``mean_loss``, and only then opens its
-destination and writes each record's rows as they are rendered, with the
-bytes of ``json.dumps(report, indent=2, allow_nan=False)``, its costs
-spelled by orjson or, outside [1e-4, 1e16), by ``float.__repr__``; a
-report that fails its check writes nothing.
+files in batches of records (``scene_io.BATCH_PROPOSALS``), each
+prediction batch padded to its own widest slots, and matches chunks of
+consecutive whole batches holding ``emd.chunk_proposals`` proposals, one
+engine call each. It then checks every cost for finiteness and computes
+``mean_loss``, and only then opens its destination and writes each
+record's rows as they are rendered, with the bytes of
+``json.dumps(report, indent=2, allow_nan=False)``, its costs spelled by
+orjson or, outside [1e-4, 1e16), by ``float.__repr__``; a report that
+fails its check writes nothing.
 A manifest's text is built before its file is opened, and ``study`` builds
 the texts of ``rows.csv`` and ``report.json`` before it creates its
 directory, so a study whose rows fail writes nothing.
@@ -62,12 +63,13 @@ import orjson
 
 from . import __version__
 from .assignment import check_theta
-from .emd import (ENUMERATION_LIMIT, EmdConfig, ImageMatch, chunk_proposals,
-                  match_batch)
+from .emd import (ENUMERATION_LIMIT, EmdConfig, ImageMatch, PredictionArrays,
+                  chunk_proposals, match_batch)
 from .metrics import (CROWD_IOU, FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig,
                       EvalReport, Evaluation, Truth)
-from .scene_io import (SceneArrays, _float_columns, parse_prediction_arrays,
-                       parse_scene_arrays, write_scene_arrays)
+from .scene_io import (SceneArrays, _batches, _float_columns,
+                       parse_prediction_arrays, parse_scene_arrays,
+                       write_scene_arrays)
 from .suppression import METHODS, Detections, OverlapGraph, SuppressionConfig
 from .synth import (DetectorSimParams, SceneParams, StudyRow, _scene_arrays,
                     run_study)
@@ -280,18 +282,21 @@ def _emd_rows(matches: list[tuple[str, ImageMatch]]) -> Iterator[str]:
 
 
 def cmd_emd(args) -> dict:
-    """Score each prediction record against its ground truths, one chunk
-    of records per engine call; the ``chunks`` counter counts the calls.
-    The report's costs are checked and its ``mean_loss`` computed before
-    the destination is opened; each record's rows are then written as they
-    are rendered (:func:`_emd_report`)."""
+    """Score each prediction record against its ground truths, one engine
+    call per chunk of parse batches, joined once they hold
+    ``chunk_proposals(k)`` proposals; the ``chunks`` counter counts the
+    calls. The report's costs are checked and its ``mean_loss`` computed
+    before the destination is opened; each record's rows are then written
+    as they are rendered (:func:`_emd_report`)."""
     cfg = EmdConfig(k=args.k)
     check_theta(args.theta)
     gt_records = parse_scene_arrays(args.gt)
-    pred = parse_prediction_arrays(args.pred)
-    gt_by_id = _gts_by_id(gt_records, pred.ids, "prediction")
+    batches = parse_prediction_arrays(args.pred)
+    gt_by_id = _gts_by_id(gt_records, [i for b in batches for i in b.ids],
+                          "prediction")
     matches, chunks = [], 0
-    for chunk in pred.chunks(chunk_proposals(cfg.k)):
+    for group in _batches(batches, len, chunk_proposals(cfg.k)):
+        chunk = PredictionArrays.concat(group)
         truth = Truth([gt_by_id[i] for i in chunk.ids])
         found = match_batch(chunk, truth, cfg, args.theta, args.truncate_topk)
         matches += zip(chunk.ids, found)

@@ -20,12 +20,12 @@ targets come from the members of rank below ``k``, one (P, k, k) tensor
 (:func:`_cost_tensor`) holds the pair costs, and one argmin over the ``k!``
 permutation totals per proposal picks the matching; that search is the
 only matcher, so ``k`` is at most ``ENUMERATION_LIMIT`` (6). The
-command-line tool reads a prediction file as one :class:`PredictionArrays`
-and matches it in chunks of consecutive whole records
-(:meth:`PredictionArrays.chunks`), each holding at least
+command-line tool reads a prediction file in parse batches, each its own
+:class:`PredictionArrays`, and joins consecutive whole batches
+(:meth:`PredictionArrays.concat`) into chunks holding at least
 :func:`chunk_proposals` proposals: ``MATCH_PROPOSALS`` (1,024), or 256 at
-k = 6, so a chunk's k! permutation totals stay bounded; a single record is
-a chunk of one. :func:`pair_cost_matrix` and :func:`emd_match` are
+k = 6, so a chunk's k! permutation totals stay bounded and its padding
+spans that chunk only. :func:`pair_cost_matrix` and :func:`emd_match` are
 one-proposal calls of the same code, so the cost formula and the tie rule
 live in one place.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -164,8 +164,8 @@ class PredictionArrays:
 
     @classmethod
     def concat(cls, parts: Sequence["PredictionArrays"]) -> "PredictionArrays":
-        """One table of the records of ``parts``, one part after another,
-        zero-padded to the largest slot count and score vector."""
+        """The records of ``parts``, one part after another, zero-padded
+        to the parts' largest slot count and score vector."""
         if len(parts) == 1:
             return parts[0]
         if not parts:
@@ -185,22 +185,6 @@ class PredictionArrays:
                    counts=joined("counts"), boxes=joined("boxes"),
                    n_slots=joined("n_slots"), scores=joined("scores"),
                    n_classes=joined("n_classes"), deltas=joined("deltas"))
-
-    def chunks(self, size: int) -> Iterator["PredictionArrays"]:
-        """Consecutive whole records in tables of at least ``size``
-        proposals, the last of which may hold fewer; the tables' arrays are
-        views of this one's."""
-        first = proposal = total = 0
-        for i, n in enumerate(self.counts.tolist(), start=1):
-            total += n
-            if total >= size or i == len(self.ids):
-                rows = slice(proposal, proposal + total)
-                yield PredictionArrays(
-                    ids=self.ids[first:i], counts=self.counts[first:i],
-                    boxes=self.boxes[rows], n_slots=self.n_slots[rows],
-                    scores=self.scores[rows], n_classes=self.n_classes[rows],
-                    deltas=self.deltas[rows])
-                first, proposal, total = i, proposal + total, 0
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -415,7 +399,8 @@ def match_batch(pred: PredictionArrays, truth: Truth, cfg: EmdConfig,
                 theta: float, truncate: bool = False) -> list[ImageMatch]:
     """Match every proposal of a batch of records, one :class:`ImageMatch`
     per record: one engine call, whose temporaries grow with the batch's
-    proposals times k!, so callers bound a batch (:func:`chunk_proposals`).
+    proposals times k! and with its padded width, so callers bound a batch
+    (:func:`chunk_proposals`) and pad it only to its own widest slots.
     ``truth`` holds the records' ground truths, its image i being the record
     ``pred.ids[i]``.
 

@@ -33,9 +33,9 @@ truths plus detections in a scene file, proposals in a prediction file.
 A batch's columns are built in one pass, and only one batch's decoded JSON
 is held at a time. A scene file parses into :class:`SceneArrays`, one per
 record, each holding slices of its batch's columns; a prediction file
-parses into one :class:`~crowdset.emd.PredictionArrays` for the whole file,
-zero-padded to the file's widest slot count and score vector. Each line
-is decoded once, by orjson, and the dataclasses' checks run on the arrays;
+parses into one :class:`~crowdset.emd.PredictionArrays` per batch, each
+zero-padded to its own widest slot count and score vector. Each line is
+decoded once, by orjson, and the dataclasses' checks run on the arrays;
 a batch that fails one is rebuilt record by record and element by element
 in file order, so that its first bad record's error is the file's first,
 in the dataclass's own words and with its record's line. Input must be
@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
@@ -88,8 +88,8 @@ _ODD = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
 # Elements per batch of records: proposals in a prediction file, ground
 # truths plus detections in a scene file. Batches amortise the fixed cost
 # of building columns over many small records, while only one batch's
-# decoded JSON is held at a time. Matching has its own chunk size,
-# ``emd.MATCH_PROPOSALS``.
+# decoded JSON is held at a time. ``crowdset emd`` joins consecutive
+# prediction batches into engine chunks of ``emd.chunk_proposals`` each.
 BATCH_PROPOSALS = 256
 
 
@@ -397,8 +397,9 @@ def _unique(records: Iterable) -> Iterator:
         yield r
 
 
-def _element_count(obj) -> int:
-    """A scene record's ground truths plus detections."""
+def _element_count(decoded: tuple[int, object]) -> int:
+    """A decoded scene line's ground truths plus detections."""
+    obj = decoded[1]
     if type(obj) is not dict:
         return 0
     return sum(len(v) for v in (obj.get("gts"), obj.get("dets"))
@@ -409,8 +410,8 @@ def parse_scene_arrays(source: PathOrStream) -> list[SceneArrays]:
     """Read a whole scene file as columns, in batches of consecutive
     records holding at least ``BATCH_PROPOSALS`` ground truths and
     detections, enforcing unique record ids."""
-    records = list(chain.from_iterable(
-        map(_scene_batch, _batches(_decoded(source), _element_count))))
+    records = list(chain.from_iterable(map(_scene_batch, _batches(
+        _decoded(source), _element_count, BATCH_PROPOSALS))))
     _check_unique((r.id for r in records), set())
     return records
 
@@ -554,24 +555,25 @@ def _prediction_batch(lines: list[tuple[int, object]]) -> PredictionArrays:
     return arrays
 
 
-def _proposal_count(obj) -> int:
+def _proposal_count(decoded: tuple[int, object]) -> int:
+    obj = decoded[1]
     proposals = obj.get("proposals") if type(obj) is dict else None
     return len(proposals) if type(proposals) is list else 0
 
 
-def _batches(lines: Iterator[tuple[int, object]], count) -> Iterator[list]:
-    """Consecutive decoded lines in lists of at least ``BATCH_PROPOSALS``
-    elements, as ``count`` counts a record's. A malformed line first
-    yields the lines before it, so that an earlier bad record fails
-    first."""
-    pending, size = [], 0
+def _batches(items: Iterator, count, size: int) -> Iterator[list]:
+    """Consecutive ``items`` in lists holding at least ``size`` elements,
+    as ``count`` counts an item's; the last list may hold fewer. A
+    malformed line raised by ``items`` first yields the items before it,
+    so that an earlier bad record fails first."""
+    pending, held = [], 0
     try:
-        for decoded in lines:
-            pending.append(decoded)
-            size += count(decoded[1])
-            if size >= BATCH_PROPOSALS:
+        for item in items:
+            pending.append(item)
+            held += count(item)
+            if held >= size:
                 yield pending
-                pending, size = [], 0
+                pending, held = [], 0
     except SceneFileError:
         if pending:
             yield pending
@@ -580,33 +582,29 @@ def _batches(lines: Iterator[tuple[int, object]], count) -> Iterator[list]:
         yield pending
 
 
-def parse_prediction_arrays(source: PathOrStream) -> PredictionArrays:
-    """Read a JSONL prediction file (see :func:`parse_prediction_file`) as
-    one :class:`~crowdset.emd.PredictionArrays`, enforcing unique record
-    ids. Records are decoded and checked in batches of consecutive records
-    holding at least ``BATCH_PROPOSALS`` proposals, and the batches' arrays
-    joined at the end. Every proposal of the table is zero-padded to the
-    widest slot count and score vector in the whole file, so one record
-    with wide slots widens all of it, and the batches and the joined table
-    are held together while they are joined."""
+def parse_prediction_arrays(source: PathOrStream) -> list[PredictionArrays]:
+    """Read a JSONL prediction file (see :func:`parse_prediction_file`) in
+    batches of consecutive records holding at least ``BATCH_PROPOSALS``
+    proposals (the last may hold fewer), one
+    :class:`~crowdset.emd.PredictionArrays` each, zero-padded to its own
+    widest slot count and score vector, enforcing unique record ids across
+    the file."""
     # map keeps no reference to a batch's decoded lines once their arrays
     # are built, so at most one batch of decoded JSON is alive.
-    table = PredictionArrays.concat(
-        list(map(_prediction_batch,
-                 _batches(_decoded(source), _proposal_count))))
-    _check_unique(table.ids, set())
-    return table
+    batches = list(map(_prediction_batch, _batches(
+        _decoded(source), _proposal_count, BATCH_PROPOSALS)))
+    _check_unique((rid for b in batches for rid in b.ids), set())
+    return batches
 
 
 def parse_prediction_file(source: PathOrStream) -> list[PredictionRecord]:
     """Read a JSONL prediction file: per line ``{"id", "proposals": [
     {"box_xyxy", "slots": [{"scores": [...], "delta": [dx,dy,dw,dh]}]}]}``."""
-    a = parse_prediction_arrays(source)
-    records, start = [], 0
-    for rid, n in zip(a.ids, a.counts.tolist()):
-        records.append(PredictionRecord(id=rid, proposals=[
-            a.prediction_set(i) for i in range(start, start + n)]))
-        start += n
+    records = []
+    for a in parse_prediction_arrays(source):
+        sets = map(a.prediction_set, range(len(a)))
+        records += [PredictionRecord(id=rid, proposals=list(islice(sets, n)))
+                    for rid, n in zip(a.ids, a.counts.tolist())]
     return records
 
 

@@ -886,12 +886,11 @@ class TestEmd:
         assert capsys.readouterr().err == "error: k must be in [1, 6], got 7\n"
         assert not out.exists() and not manifest.exists()
 
-    def test_peak_memory_is_bounded_by_the_batch(self, tmp_path):
-        # About 2,000 k=3 proposals. Read and matched in batches of any
-        # size up to 512, with the report written record by record, the
-        # traced peak is 2.2 MB (Python 3.11, numpy 2.4); with the report
-        # text held whole it was 3.6 MB, and as one whole-file batch 5.3 MB,
-        # mostly the file's decoded JSON.
+    @staticmethod
+    def _traced_peak(tmp_path, wide: int | None = None) -> int:
+        """The traced peak of ``crowdset emd --k 3`` on about 2,000
+        proposals of 2-class slots; with ``wide``, the first slot of the
+        first record with proposals has ``wide`` classes."""
         scenes = build_scenes(EMD_SCENES, 56, seed=11)
         rng = np.random.default_rng(29)
         records = [PredictionRecord(id=r.id, proposals=[
@@ -899,6 +898,11 @@ class TestEmd:
                           slots=tuple(_slot(rng, 2) for _ in range(3)))
             for g in r.gts for _ in range(4)]) for r in scenes]
         assert 1800 <= sum(len(r.proposals) for r in records) <= 2200
+        if wide:
+            first = next(r for r in records if r.proposals)
+            p = first.proposals[0]
+            first.proposals[0] = replace(p, slots=(_slot(rng, wide),
+                                                   *p.slots[1:]))
         gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
         write_scene_file(scenes, gt)
         write_prediction_file(records, pred)
@@ -907,10 +911,57 @@ class TestEmd:
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.0e6
+
+    def test_peak_memory_is_bounded_by_the_batch(self, tmp_path):
+        # About 2,000 k=3 proposals. Read and matched in batches of any
+        # size up to 512, with the report written record by record, the
+        # traced peak is 2.2 MB (Python 3.11, numpy 2.4); with the report
+        # text held whole it was 3.6 MB, and as one whole-file batch 5.3 MB,
+        # mostly the file's decoded JSON. Each engine chunk joined as a copy
+        # of its parse batches, it is 3.3 MB; as views of one table, 3.0 MB.
+        assert self._traced_peak(tmp_path) < 4.0e6
+
+    def test_peak_memory_of_a_wide_slot_is_bounded_by_its_chunk(self,
+                                                                tmp_path):
+        # The same proposals, one slot of 1,000 classes. Padded per parse
+        # batch and per engine chunk, the traced peak is 35.8 MB (Python
+        # 3.11, numpy 2.4), mostly the wide record's chunk of at least
+        # 1,024 proposals; padded to the file's widest vector, as one
+        # table, it was 56.2 MB.
+        assert self._traced_peak(tmp_path, 1000) < 45.0e6
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, scene_io.BATCH_PROPOSALS])
+    def test_a_wide_slot_widens_only_its_own_chunk(self, tmp_path,
+                                                   monkeypatch, size, chunk):
+        # The first record's first slot has 1,000 classes, every other slot
+        # 2. Each engine chunk is padded to its own widest score vector, so
+        # every chunk without the first record is 2 classes wide.
+        wide = [0.5, 0.5] + [0.0] * 998
+        ids = [f"r{i}" for i in range(300)]
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+        write_scene_file([SceneRecord(id=i, gts=STACK[:1]) for i in ids], gt)
+        pred.write_text("".join(json.dumps({"id": i, "proposals": [_proposal(
+            (0, 0, 40, 80), [wide if i == "r0" else [0.5, 0.5], [0.5, 0.5]])]})
+            + "\n" for i in ids))
+        monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+        monkeypatch.setattr(emd, "MATCH_PROPOSALS", chunk)
+        calls = []
+
+        def spy(pred, *args):
+            calls.append((pred.ids, pred.scores.shape))
+            return emd.match_batch(pred, *args)
+
+        monkeypatch.setattr(cli, "match_batch", spy)
+        code, _, _ = _run_emd(tmp_path, gt, pred, ["--k", "2"])
+        assert code == 0
+        assert [i for chunk_ids, _ in calls for i in chunk_ids] == ids
+        assert len(calls) == _chunk_count([1] * len(ids), size, chunk) > 1
+        for chunk_ids, shape in calls:
+            assert shape[1:] == (2, 1000 if "r0" in chunk_ids else 2)
 
 
 def json_report(matches, config):
@@ -1063,16 +1114,22 @@ def _oracle_match(rows, k: int) -> ImageMatch:
         total=np.array([m.total for _, m in rows]).reshape(p))
 
 
-def _chunk_count(counts: list[int], size: int) -> int:
-    """Engine calls over records of ``counts`` proposals: each takes
-    consecutive whole records until it holds ``size`` proposals, and the
-    last takes what is left."""
-    chunks, held = 0, None
+def _grouped(counts: list[int], size: int) -> list[int]:
+    """The proposals of each group of consecutive ``counts``: a group takes
+    whole counts until it holds ``size``, and the last takes what is left."""
+    groups, held = [], None
     for n in counts:
         held = (held or 0) + n
         if held >= size:
-            chunks, held = chunks + 1, None
-    return chunks + (held is not None)
+            groups, held = groups + [held], None
+    return groups + ([] if held is None else [held])
+
+
+def _chunk_count(counts: list[int], batch: int, size: int) -> int:
+    """Engine calls over records of ``counts`` proposals: the records are
+    parsed in batches of at least ``batch`` proposals, and each call takes
+    consecutive whole batches until it holds ``size``."""
+    return len(_grouped(_grouped(counts, batch), size))
 
 
 class TestBatchedFile:
@@ -1129,7 +1186,7 @@ class TestBatchedFile:
                     continue
                 assert code == 0
                 assert out.read_text() == want
-                chunks = _chunk_count(counts, min(
+                chunks = _chunk_count(counts, size, min(
                     chunk, 256 * 720 // math.factorial(cfg.k)))
                 assert strict_json(manifest)["counters"] == {
                     **counters, "chunks": chunks}

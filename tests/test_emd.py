@@ -16,7 +16,8 @@ from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
                           match_batch, pair_cost_matrix)
 from crowdset.geometry import BBox, BoxDelta, GeometryError, encode_delta
 from crowdset.metrics import Truth
-from crowdset.scene_io import PredictionRecord, SceneArrays, SceneRecord
+from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneRecord,
+                               _batches)
 
 B = BBox
 
@@ -459,19 +460,33 @@ class TestPredictionTable:
     def test_concat_of_nothing_is_an_empty_table(self):
         empty = PredictionArrays.concat([])
         assert empty.ids == () and len(empty) == 0
-        assert list(empty.chunks(1)) == []
+        assert empty.scores.shape == (0, 0, 0)
+        assert list(_batches([], len, 1)) == []
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 1024])
     @pytest.mark.parametrize("seed", range(10))
-    def test_chunks_are_whole_records_of_at_least_size(self, seed, size):
-        records = self.records(np.random.default_rng(seed))
-        whole = PredictionArrays.from_sets(records)
-        chunks = list(whole.chunks(size))
-        assert all(len(c) >= size for c in chunks[:-1])
-        assert _table_fields(PredictionArrays.concat(chunks)) == \
-            _table_fields(whole)
-        # A chunk ends at the first record that brings it to size.
-        assert all(int(c.counts[:-1].sum()) < size for c in chunks)
+    def test_chunks_are_whole_batches_of_at_least_size(self, seed, size):
+        # crowdset emd's engine chunks: parse batches of consecutive whole
+        # records, grouped as the command groups them.
+        rng = np.random.default_rng(seed)
+        records = self.records(rng)
+        cuts = [0, *sorted(set(rng.integers(1, len(records), 3).tolist())),
+                len(records)]
+        parts = [records[a:b] for a, b in zip(cuts, cuts[1:])]
+        batches = [PredictionArrays.from_sets(p) for p in parts]
+        groups = list(_batches(batches, len, size))
+        grouped = [b for g in groups for b in g]
+        assert len(grouped) == len(batches)
+        assert all(x is y for x, y in zip(grouped, batches))
+        assert all(sum(map(len, g)) >= size for g in groups[:-1])
+        # A group ends at the first batch that brings it to size.
+        assert all(sum(map(len, g[:-1])) < size for g in groups)
+        start = 0
+        for g in groups:
+            own = [r for part in parts[start:start + len(g)] for r in part]
+            assert _table_fields(PredictionArrays.concat(g)) == \
+                _table_fields(PredictionArrays.from_sets(own))
+            start += len(g)
 
     def test_chunk_proposals_bound_the_permutation_totals(self, monkeypatch):
         assert [chunk_proposals(k) for k in range(1, 7)] == \

@@ -512,7 +512,7 @@ class TestPredictionArrays:
                 {"scores": [0.2, 0.3, 0.5], "delta": [1, 2, 3, 4]}]},
             {"box_xyxy": [1, 1, 3, 3], "slots": [
                 {"scores": [1.0, 0.0], "delta": [0, 0, 0, 0]}]}]}) + "\n"
-        a = parse_prediction_arrays(io.StringIO(text))
+        (a,) = parse_prediction_arrays(io.StringIO(text))
         assert a.ids == ("a",) and len(a) == 2
         assert a.n_slots.tolist() == [2, 1]
         assert a.n_classes.tolist() == [[2, 3], [2, 0]]
@@ -553,30 +553,41 @@ class TestPredictionArrays:
             "class_scores must be a probability vector (sum 1)"
 
     def test_record_without_proposals(self):
-        a = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
+        (a,) = parse_prediction_arrays(io.StringIO('{"id": "a"}\n'))
         assert len(a) == 0 and a.scores.shape[0] == 0
 
     @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_one_table_at_every_batch_size(self, monkeypatch, size):
+    def test_each_batch_is_padded_to_its_own_width(self, monkeypatch, size):
         # Records of differing slot counts and score lengths, so batches
-        # differ in width. Declared: every proposal of the file's table is
-        # padded to the widest slot count (2) and score vector (4) in the
-        # whole file, and no wider.
+        # differ in width. Each batch is padded to its own widest slot count
+        # and score vector, and no wider; joined, the batches are the
+        # one-batch read of the file, padded to the file's widest (2, 4).
         records = [{"id": f"r{i}", "proposals": [
             {"box_xyxy": [0, 0, 2 + j, 2], "slots": [
                 {"scores": [1.0] + [0.0] * (i % 3 + 1), "delta": [i, j, s, 0]}
                 for s in range(j % 2 + 1)]} for j in range(i % 4)]}
             for i in range(7)]
         text = "".join(json.dumps(r) + "\n" for r in records)
-        whole = parse_prediction_arrays(io.StringIO(text))
+        (whole,) = parse_prediction_arrays(io.StringIO(text))
+        assert whole.scores.shape == (9, 2, 4)
         monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
         got = parse_prediction_arrays(io.StringIO(text))
-        assert got.ids == whole.ids == tuple(r["id"] for r in records)
-        assert got.scores.shape == (9, 2, 4)
-        assert got.n_classes.shape == got.deltas.shape[:2] == (9, 2)
+        assert len(got) > 1
+        for batch in got:
+            assert len(batch) >= size or batch is got[-1]
+            own = [p["slots"] for r in records if r["id"] in batch.ids
+                   for p in r["proposals"]]
+            width = (max(map(len, own), default=0),
+                     max((len(s["scores"]) for slots in own for s in slots),
+                         default=0))
+            assert batch.scores.shape == (len(batch), *width)
+            assert batch.n_classes.shape == batch.deltas.shape[:2] == \
+                (len(batch), width[0])
+        joined = PredictionArrays.concat(got)
+        assert joined.ids == whole.ids == tuple(r["id"] for r in records)
         for name in ("counts", "boxes", "n_slots", "scores", "n_classes",
                      "deltas"):
-            x, y = getattr(got, name), getattr(whole, name)
+            x, y = getattr(joined, name), getattr(whole, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
                                                        y.tobytes())
 
@@ -1236,7 +1247,9 @@ def _element_by_element(kind: str, data: bytes):
     for i, rid in enumerate(ids):
         if rid in ids[:i]:
             return SceneFileError, f"duplicate record id {rid!r}"
-    return _columns(built if kind == "scene" else PredictionArrays.from_sets(built))
+    # A prediction file of a few proposals parses to one batch.
+    return _columns(built if kind == "scene"
+                    else [PredictionArrays.from_sets(built)])
 
 
 def _malformed(lineno: int, line) -> str:
