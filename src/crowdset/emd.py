@@ -173,7 +173,7 @@ class PredictionArrays:
 
         def joined(name):
             arrays = [getattr(p, name) for p in parts]
-            width = np.max([a.shape for a in arrays], axis=0)[1:]
+            width = [max(n) for n in zip(*(a.shape[1:] for a in arrays))]
             out = np.zeros((sum(map(len, arrays)), *width), dtype=arrays[0].dtype)
             start = 0
             for a in arrays:
@@ -209,7 +209,7 @@ class PredictionArrays:
         sums = np.zeros(used.shape)
         for n in np.unique(self.n_classes[used]):
             at = used & (self.n_classes == n)
-            sums[at] = self.scores[at][:, :n].sum(axis=-1)
+            sums[at] = self.scores[:, :, :n][at].sum(axis=-1)
         slot_bad = (~np.isfinite(self.deltas).all(axis=-1) | (self.n_classes < 2)
                     | (self.scores < 0.0).any(axis=-1)
                     | ~(np.abs(sums - 1.0) <= 1e-6))

@@ -289,8 +289,13 @@ def overlaps(a: np.ndarray, keep, groups_a=None,
         firsts.append(i[hit])
         seconds.append(j[hit])
         values.append(ious[hit])
-    return (np.concatenate(firsts), np.concatenate(seconds),
-            np.concatenate(values), swept)
+    # One list at a time, each emptied once joined, so that the chunks of
+    # only one list are alive beside its join.
+    joined = []
+    for chunks in (firsts, seconds, values):
+        joined.append(np.concatenate(chunks))
+        chunks.clear()
+    return (*joined, swept)
 
 
 def rank_order(rows: np.ndarray, cols: np.ndarray, ious: np.ndarray

@@ -40,21 +40,38 @@ each row's ``image``: every image is suppressed as if it ran alone.
   boxes ranked after it, so each edge is stored once, from the
   higher-ranked box; a clique of N boxes holds N(N-1)/2 edges.
 * Soft-NMS decays both ends of an edge, so it stores edges both ways. It
-  computes the decay factors once, over all edges. Its picks come from a
-  lazy max-heap keyed ``(-score, index)``: scores only decay, so a popped
-  entry whose key is stale is pushed back with the current score, and a
-  fresh one is the maximum, ties to the lowest index as ``argmax``. No edge
-  joins two images, so each image's picks come in its own order. A box
-  under ``score_floor`` is dead before the walk starts, unless it is its
-  image's first box in rank order among the walked rows: that box is the
-  image's first pick.
-* The walks run in Python: a pick touches about a dozen neighbours, too
-  few for numpy's per-call cost to pay. They hold the per-box state
-  (scores, flags, row pointers) in Python lists, and read each pick's
-  neighbours and decay factors as ``memoryview`` slices of the graph's
-  arrays, which yield Python ints and floats one at a time: no edge is
-  copied into a Python object, so an edge costs its array bytes alone.
-  Python floats multiply exactly as float64 arrays do.
+  computes the decay factors once, over all edges. A box under
+  ``score_floor`` is dead before the walk starts, unless it is its image's
+  first box in rank order among the walked rows: that box is the image's
+  first pick. Each pick is the live box of highest current score, ties to
+  the lowest index as ``argmax``. The walk has two phases.
+
+  - **Rounds, in numpy.** The graph's connected components are labelled
+    once (:func:`_components`). No edge joins two components, so each one
+    is walked as if it were alone. In a round, every component with a live
+    box picks its best one, and one gather and multiply applies all the
+    picks' rows. With one pick per component per round, each box takes its
+    decays in the order of its component's picks, the sequential order:
+    the same factors multiplied in the same order give the same bits.
+  - **The heap tail.** A round costs numpy's per-call overhead plus a scan
+    of every live box; a heap pick costs a few microseconds. So rounds run
+    while at least ``_ROUND_COMPONENTS`` components are live, plus one for
+    every ``_ROUND_BOXES`` live boxes; a lone large component, such as a
+    chain of thousands of boxes, takes no round. A lazy max-heap keyed
+    ``(-score, index)`` then goes on from the current scores: a popped
+    entry whose key is stale is pushed back with the current score, and a
+    fresh one is the maximum.
+  - **Output order.** Scores only decay, so the sequential walk picks in
+    descending score at pick, ties to the lowest index: a box picked later
+    at the same score already held it, and lost the tie. The picks of both
+    phases are sorted by image, then that key: each image's own order.
+* The greedy walks and the heap tail run in Python: a pick touches about a
+  dozen neighbours, too few for numpy's per-call cost to pay. They hold
+  the per-box state (scores, flags, row pointers) in Python lists, and
+  read each pick's neighbours and decay factors as ``memoryview`` slices
+  of the graph's arrays, which yield Python ints and floats one at a time:
+  no edge is copied into a Python object, so an edge costs its array
+  bytes alone. Python floats multiply exactly as float64 arrays do.
 * A graph builds its rank order, as an array and a list, once, and each
   graph config (threshold, same-proposal skip, ranked or both ways) once,
   as CSR arrays, the row-pointer list and the neighbour view the walks
@@ -81,6 +98,11 @@ from .geometry import BBox, boxes_to_array, overlaps
 METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
 # Gaussian Soft-NMS's decay width sigma, Bodla et al.'s (ICCV 2017) value.
 SOFT_SIGMA = 0.5
+# Soft-NMS runs numpy rounds while at least _ROUND_COMPONENTS overlap
+# components are live, plus one for every _ROUND_BOXES live boxes a round
+# scans (see "The heap tail" above).
+_ROUND_COMPONENTS = 32
+_ROUND_BOXES = 512
 
 
 @dataclass(frozen=True)
@@ -294,11 +316,7 @@ class OverlapGraph:
                                               cfg.method == "set_nms", member),
                             dtype=np.intp)
             return keep, self.scores[keep]
-        keep, scores = self._soft_keep(cfg, member)
-        keep = np.array(keep, dtype=np.intp)
-        scores = np.array(scores, dtype=np.float64)
-        by_image = np.argsort(self.image[keep], kind="stable")
-        return keep[by_image], scores[by_image]
+        return self._soft_keep(cfg, member)
 
     def _greedy_keep(self, iou_thresh, respect_proposals, member) -> list[int]:
         """Greedy suppression loop over the ``member`` boxes; returns kept
@@ -314,40 +332,123 @@ class OverlapGraph:
         return keep
 
     def _soft_keep(self, cfg: SuppressionConfig, member):
-        """Score-decay loop over the ``member`` boxes; returns kept input
-        indices in pick order and their decayed scores."""
+        """Score-decay walk over the ``member`` boxes; returns the kept
+        input indices (an intp array) and their decayed scores, by image,
+        then descending score at pick, then index: the order of the
+        sequential walk, as scores only decay."""
         gaussian = cfg.method == "soft_gaussian"
-        _, _, ovr, ptr, nbrs = self._walk(_sweep_floor(cfg), False, False)
-        factor = memoryview(np.exp(-(ovr * ovr) / SOFT_SIGMA) if gaussian
-                            else 1.0 - ovr)
+        indptr, dst, ovr, ptr, nbrs = self._walk(_sweep_floor(cfg), False,
+                                                 False)
+        factor = (np.exp(-(ovr * ovr) / SOFT_SIGMA) if gaussian
+                  else 1.0 - ovr)
         floor = cfg.score_floor
         # Scores only decay, so a box under the floor is dead from the start,
         # unless it is its image's first member in ``order``: the first pick.
-        live = member & (self.scores >= floor)
+        alive = member & (self.scores >= floor)
         ranked = self.order[member[self.order]]
-        live[ranked[np.diff(self.image[ranked], prepend=-1) != 0]] = True
-        w, alive = self.scores.tolist(), live.tolist()
-        heap = [(-w[i], i) for i in np.flatnonzero(live).tolist()]
-        heapq.heapify(heap)
-        keep: list[int] = []
-        scores: list[float] = []
-        while heap:
-            key, i = heapq.heappop(heap)
-            if not alive[i]:
-                continue
-            wi = w[i]
-            if wi != -key:  # decayed since it was pushed
-                heapq.heappush(heap, (-wi, i))
-                continue
-            alive[i] = False
-            keep.append(i)
-            scores.append(wi)
-            lo, hi = ptr[i], ptr[i + 1]
-            for j, f in zip(nbrs[lo:hi], factor[lo:hi]):
-                w[j] *= f
-                if w[j] < floor:
-                    alive[j] = False
-        return keep, scores
+        alive[ranked[np.diff(self.image[ranked], prepend=-1) != 0]] = True
+        w = self.scores.copy()
+        picks, at_pick, rest = _rounds(w, alive, indptr, dst, factor, floor)
+        keep, scores = _heap_walk(w.tolist(), alive.tolist(), rest, ptr, nbrs,
+                                  memoryview(factor), floor)
+        keep = np.concatenate([*picks, np.array(keep, dtype=np.intp)])
+        scores = np.concatenate([*at_pick, np.array(scores, dtype=np.float64)])
+        # The heap's picks come in the walk's order; those of rounds do not.
+        by = (np.lexsort((keep, -scores, self.image[keep])) if picks
+              else np.argsort(self.image[keep], kind="stable"))
+        return keep[by], scores[by]
+
+
+def _rounds(w, alive, indptr, nbrs, factor, floor):
+    """Soft-NMS's numpy rounds over the CSR graph ``(indptr, nbrs)``, whose
+    edge decays are ``factor``: while enough overlap components are live,
+    each picks its live box of highest score in ``w``, ties to the lowest
+    index. Updates ``w`` and ``alive`` in place; returns each round's picks
+    and their scores at pick, and the boxes still live."""
+    boxes = np.flatnonzero(alive)
+    label = _components(indptr, nbrs)[boxes]
+    by = np.argsort(label, kind="stable")
+    # The live boxes by component, then index, with their labels.
+    boxes, label = boxes[by], label[by]
+    picks, at_pick = [], []
+    while True:
+        start = np.flatnonzero(np.diff(label, prepend=-1))
+        if len(start) < _ROUND_COMPONENTS + len(boxes) // _ROUND_BOXES:
+            return picks, at_pick, boxes
+        score = w[boxes]
+        top = np.repeat(np.maximum.reduceat(score, start),
+                        np.diff(start, append=len(boxes)))
+        hit = np.flatnonzero(score == top)
+        # Each component's first hit: its best score, lowest index.
+        pick = boxes[hit[np.diff(label[hit], prepend=-1) != 0]]
+        picks.append(pick)
+        at_pick.append(w[pick])
+        alive[pick] = False
+        # Every pick's row at once: no box is in two of them.
+        lo = indptr[pick]
+        count = indptr[pick + 1] - lo
+        edges = (np.repeat(lo - np.cumsum(count) + count, count)
+                 + np.arange(count.sum()))
+        near = nbrs[edges]
+        w[near] *= factor[edges]
+        alive[near[w[near] < floor]] = False
+        still = alive[boxes]
+        boxes, label = boxes[still], label[still]
+
+
+def _components(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Each box's connected component in the CSR graph ``(indptr, nbrs)``,
+    whose edges are stored both ways, labelled by its lowest box index.
+
+    Every label is a box of its component, and a root's label is itself.
+    Each step hooks the root of every row's tree under the lowest label
+    beside the row, then jumps the pointers until every box points at its
+    root. A tree that has a neighbour either hooks or, next step, sees a
+    lower root beside it, so the trees of a component halve at least every
+    two steps. It stops when no row sees a label below its own."""
+    label = np.arange(len(indptr) - 1, dtype=np.int32)
+    if not len(nbrs):
+        return label
+    rows = np.flatnonzero(np.diff(indptr))
+    start = indptr[rows]
+    while True:
+        low = np.minimum.reduceat(label[nbrs], start)
+        mine = label[rows]
+        if (low >= mine).all():
+            return label
+        np.minimum.at(label, mine, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _heap_walk(w, alive, boxes, ptr, nbrs, factor, floor):
+    """The sequential Soft-NMS walk over the live ``boxes`` (an array)
+    from the scores ``w`` and flags ``alive`` (lists): the picks in pick
+    order and their scores."""
+    heap = [(-w[i], i) for i in boxes.tolist()]
+    heapq.heapify(heap)
+    keep: list[int] = []
+    scores: list[float] = []
+    while heap:
+        key, i = heapq.heappop(heap)
+        if not alive[i]:
+            continue
+        wi = w[i]
+        if wi != -key:  # decayed since it was pushed
+            heapq.heappush(heap, (-wi, i))
+            continue
+        alive[i] = False
+        keep.append(i)
+        scores.append(wi)
+        lo, hi = ptr[i], ptr[i + 1]
+        for j, f in zip(nbrs[lo:hi], factor[lo:hi]):
+            w[j] *= f
+            if w[j] < floor:
+                alive[j] = False
+    return keep, scores
 
 
 def _kept(dets: list[Detection], cfg: SuppressionConfig):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import suppression_oracle as oracle
-from crowdset import geometry
+from crowdset import geometry, suppression
 from crowdset.geometry import BBox, iou
 from crowdset.suppression import (METHODS as METHOD_NAMES, Detection,
                                   Detections, OverlapGraph, SuppressionConfig,
@@ -583,6 +583,30 @@ class TestBench:
         assert peak / edges < 48
         assert keep.tolist()[:pad] == list(range(pad))
 
+    def test_graph_build_peak_per_swept_pair(self):
+        # 800 identical boxes: the x-sweep lists every pair and keeps it.
+        # The sweep joins its three outputs one at a time and empties each
+        # chunk list once it is joined, so the build peaks at about 32
+        # bytes per pair; with every chunk list alive beside the joins it
+        # peaked at about 48.
+        n = 800
+        dets = Detections(boxes=np.tile([10.0, 10.0, 55.0, 80.0], (n, 1)),
+                          scores=np.linspace(0.9, 0.1, n),
+                          classes=np.ones(n, dtype=np.int64),
+                          proposal_ids=np.arange(n, dtype=np.int64),
+                          slots=np.zeros(n, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            graph = OverlapGraph(dets, [NMS])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        pairs = n * (n - 1) // 2
+        assert len(graph._a) == pairs
+        assert peak / pairs < 40
+
 
 # Every method at two thresholds; the soft ones also with no floor, the
 # default floor and a floor high enough to drop untouched boxes.
@@ -651,6 +675,83 @@ class TestCrowdCloud:
             monkeypatch.setattr(geometry, "_SWEEP_PAIRS", chunk)
             for cfg, want in zip(_CONFIGS, wants):
                 assert_same_output(suppress(dets, cfg), want, cfg)
+
+
+def component_cloud(n_scenes=8, seed=11):
+    """One image and one class: ``crowd_cloud``'s boxes, in many small
+    overlap components, beside a chain of 300 boxes, each overlapping the
+    next two at IoU 0.6 and 1/3, and a clique of 80 identical boxes, all in
+    a shuffled order. The chain and the clique draw their scores from four
+    values, so picks tie and go to the lowest index."""
+    cloud = [replace(d, class_id=1) for d in crowd_cloud(n_scenes, seed)]
+    rng = np.random.default_rng(seed)
+    tied = [0.25, 0.5, 0.75, 1.0]
+    chain = [det(10.0 * i, 3000, 10.0 * i + 40.0, 3040, s, pid=10**6 + i)
+             for i, s in enumerate(rng.choice(tied, 300).tolist())]
+    clique = [det(100, 3500, 145, 3570, s, pid=2 * 10**6 + i)
+              for i, s in enumerate(rng.choice(tied, 80).tolist())]
+    dets = cloud + chain + clique
+    return indexed([dets[i] for i in rng.permutation(len(dets)).tolist()])
+
+
+class TestSoftPhases:
+    """Soft-NMS's numpy rounds, one pick per live overlap component, and
+    the lazy heap that finishes the components left."""
+
+    def test_every_soft_config_matches_the_oracle(self, monkeypatch):
+        dets = component_cloud()
+        soft = [cfg for cfg in _CONFIGS if cfg.method.startswith("soft")]
+        wants = [oracle_suppress(dets, cfg) for cfg in soft]
+        heap_walk, heaped = suppression._heap_walk, []
+
+        def counted(*args):
+            keep, scores = heap_walk(*args)
+            heaped.append(len(keep))
+            return keep, scores
+
+        monkeypatch.setattr(suppression, "_heap_walk", counted)
+        many = len(dets) + 1
+        # Rounds to the last pick, the heap alone, and the default switch.
+        for components, boxes, phases in (
+                (1, many, "rounds"), (many, 1, "heap"),
+                (suppression._ROUND_COMPONENTS, suppression._ROUND_BOXES,
+                 "both")):
+            monkeypatch.setattr(suppression, "_ROUND_COMPONENTS", components)
+            monkeypatch.setattr(suppression, "_ROUND_BOXES", boxes)
+            for cfg, want in zip(soft, wants):
+                got = suppress(dets, cfg)
+                assert_same_output(got, want, cfg)
+                picks = heaped.pop()
+                assert {"rounds": picks == 0, "heap": picks == len(got),
+                        "both": 0 < picks < len(got)}[phases], cfg
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_components_are_labelled_by_their_lowest_index(self, seed):
+        # A path over a shuffled subset of the boxes plus random edges.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        path = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        m = int(rng.integers(0, n))
+        a = np.concatenate((path[:-1], rng.integers(0, n, m)))
+        b = np.concatenate((path[1:], rng.integers(0, n, m)))
+        pairs = sorted({(min(p), max(p)) for p in zip(a.tolist(), b.tolist())
+                        if p[0] != p[1]})
+        links = [[] for _ in range(n)]
+        for i, j in pairs:
+            links[i].append(j)
+            links[j].append(i)
+        indptr = np.cumsum([0] + [len(row) for row in links])
+        nbrs = np.array([j for row in links for j in row], dtype=np.int32)
+        want = list(range(n))
+        for i in range(n):  # each unlabelled box floods its component
+            if want[i] == i:
+                stack = [i]
+                while stack:
+                    for j in links[stack.pop()]:
+                        if want[j] == j and j != i:
+                            want[j] = i
+                            stack.append(j)
+        assert suppression._components(indptr, nbrs).tolist() == want
 
 
 class TestSweepBoundaries:
