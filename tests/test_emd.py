@@ -494,7 +494,7 @@ class TestPredictionTable:
         # wide, so ``scores`` is (256, 3, 1000), about 6.1 MB. Each vector
         # length's sums slice the table to that length before gathering
         # its slots: the checks peak at about 0.78 MB, on the table-wide
-        # sign test. Gathering the slots at full width first peaked at 7.25.
+        # sign test. Gathering the slots at full width first peaked at 6.2.
         rng = np.random.default_rng(0)
         sets = [PredictionSet(B(0, 0, 10, 20), tuple(
             random_slot(rng, 1000 if (i, s) == (0, 1) else 2)
