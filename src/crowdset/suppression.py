@@ -47,7 +47,8 @@ each row's ``image``: every image is suppressed as if it ran alone.
   the lowest index as ``argmax``. The walk has two phases.
 
   - **Rounds, in numpy.** The graph's connected components are labelled
-    once (:func:`_components`). No edge joins two components, so each one
+    once (:func:`_components`), unless its first step already shows too
+    few of them for a round. No edge joins two components, so each one
     is walked as if it were alone. In a round, every component with a live
     box picks its best one, and one gather and multiply applies all the
     picks' rows. With one pick per component per round, each box takes its
@@ -55,12 +56,11 @@ each row's ``image``: every image is suppressed as if it ran alone.
     the same factors multiplied in the same order give the same bits.
   - **The heap tail.** A round costs numpy's per-call overhead plus a scan
     of every live box; a heap pick costs a few microseconds. So rounds run
-    while at least ``_ROUND_COMPONENTS`` components are live, plus one for
-    every ``_ROUND_BOXES`` live boxes; a lone large component, such as a
-    chain of thousands of boxes, takes no round. A lazy max-heap keyed
-    ``(-score, index)`` then goes on from the current scores: a popped
-    entry whose key is stale is pushed back with the current score, and a
-    fresh one is the maximum.
+    while at least ``_ROUND_COMPONENTS`` components are live; a lone large
+    component, such as a chain of thousands of boxes, takes no round. A
+    lazy max-heap keyed ``(-score, index)`` then goes on from the current
+    scores: a popped entry whose key is stale is pushed back with the
+    current score, and a fresh one is the maximum.
   - **Output order.** Scores only decay, so the sequential walk picks in
     descending score at pick, ties to the lowest index: a box picked later
     at the same score already held it, and lost the tie. The picks of both
@@ -99,10 +99,8 @@ METHODS = ("nms", "soft_linear", "soft_gaussian", "set_nms")
 # Gaussian Soft-NMS's decay width sigma, Bodla et al.'s (ICCV 2017) value.
 SOFT_SIGMA = 0.5
 # Soft-NMS runs numpy rounds while at least _ROUND_COMPONENTS overlap
-# components are live, plus one for every _ROUND_BOXES live boxes a round
-# scans (see "The heap tail" above).
+# components are live (see "The heap tail" above).
 _ROUND_COMPONENTS = 32
-_ROUND_BOXES = 512
 
 
 @dataclass(frozen=True)
@@ -353,9 +351,7 @@ class OverlapGraph:
                                   memoryview(factor), floor)
         keep = np.concatenate([*picks, np.array(keep, dtype=np.intp)])
         scores = np.concatenate([*at_pick, np.array(scores, dtype=np.float64)])
-        # The heap's picks come in the walk's order; those of rounds do not.
-        by = (np.lexsort((keep, -scores, self.image[keep])) if picks
-              else np.argsort(self.image[keep], kind="stable"))
+        by = np.lexsort((keep, -scores, self.image[keep]))
         return keep[by], scores[by]
 
 
@@ -366,14 +362,17 @@ def _rounds(w, alive, indptr, nbrs, factor, floor):
     index. Updates ``w`` and ``alive`` in place; returns each round's picks
     and their scores at pick, and the boxes still live."""
     boxes = np.flatnonzero(alive)
-    label = _components(indptr, nbrs)[boxes]
+    label = _components(indptr, nbrs, _ROUND_COMPONENTS)
+    if label is None:
+        return [], [], boxes
+    label = label[boxes]
     by = np.argsort(label, kind="stable")
     # The live boxes by component, then index, with their labels.
     boxes, label = boxes[by], label[by]
     picks, at_pick = [], []
     while True:
         start = np.flatnonzero(np.diff(label, prepend=-1))
-        if len(start) < _ROUND_COMPONENTS + len(boxes) // _ROUND_BOXES:
+        if len(start) < _ROUND_COMPONENTS:
             return picks, at_pick, boxes
         score = w[boxes]
         top = np.repeat(np.maximum.reduceat(score, start),
@@ -396,23 +395,31 @@ def _rounds(w, alive, indptr, nbrs, factor, floor):
         boxes, label = boxes[still], label[still]
 
 
-def _components(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+def _components(indptr: np.ndarray, nbrs: np.ndarray,
+                fewest: int = 0) -> np.ndarray | None:
     """Each box's connected component in the CSR graph ``(indptr, nbrs)``,
-    whose edges are stored both ways, labelled by its lowest box index.
+    whose edges are stored both ways, labelled by its lowest box index; or
+    None if the first step leaves fewer than ``fewest`` trees.
 
     Every label is a box of its component, and a root's label is itself.
     Each step hooks the root of every row's tree under the lowest label
     beside the row, then jumps the pointers until every box points at its
     root. A tree that has a neighbour either hooks or, next step, sees a
     lower root beside it, so the trees of a component halve at least every
-    two steps. It stops when no row sees a label below its own."""
-    label = np.arange(len(indptr) - 1, dtype=np.int32)
-    if not len(nbrs):
-        return label
-    rows = np.flatnonzero(np.diff(indptr))
+    two steps. It stops when no row sees a label below its own.
+
+    The first step reads the neighbours' own indices, as every box is its
+    own label, so it gathers no labels. It leaves one tree per box with no
+    lower neighbour, and trees only merge, so there are never fewer trees
+    than components: a chain in index order or a clique leaves one tree,
+    and is not labelled further."""
+    rows = np.flatnonzero(indptr[1:] != indptr[:-1])
     start = indptr[rows]
+    low = np.minimum.reduceat(nbrs, start) if len(rows) else rows
+    if len(indptr) - 1 - np.count_nonzero(low < rows) < fewest:
+        return None
+    label = np.arange(len(indptr) - 1, dtype=np.int32)
     while True:
-        low = np.minimum.reduceat(label[nbrs], start)
         mine = label[rows]
         if (low >= mine).all():
             return label
@@ -422,6 +429,7 @@ def _components(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        low = np.minimum.reduceat(label[nbrs], start)
 
 
 def _heap_walk(w, alive, boxes, ptr, nbrs, factor, floor):

@@ -710,14 +710,10 @@ class TestSoftPhases:
             return keep, scores
 
         monkeypatch.setattr(suppression, "_heap_walk", counted)
-        many = len(dets) + 1
         # Rounds to the last pick, the heap alone, and the default switch.
-        for components, boxes, phases in (
-                (1, many, "rounds"), (many, 1, "heap"),
-                (suppression._ROUND_COMPONENTS, suppression._ROUND_BOXES,
-                 "both")):
+        for components, phases in ((1, "rounds"), (len(dets) + 1, "heap"),
+                                   (suppression._ROUND_COMPONENTS, "both")):
             monkeypatch.setattr(suppression, "_ROUND_COMPONENTS", components)
-            monkeypatch.setattr(suppression, "_ROUND_BOXES", boxes)
             for cfg, want in zip(soft, wants):
                 got = suppress(dets, cfg)
                 assert_same_output(got, want, cfg)
@@ -752,6 +748,21 @@ class TestSoftPhases:
                             want[j] = i
                             stack.append(j)
         assert suppression._components(indptr, nbrs).tolist() == want
+        # The first step's tree count is never below the component count.
+        count = len(set(want))
+        assert suppression._components(indptr, nbrs, count).tolist() == want
+        more = suppression._components(indptr, nbrs, count + 1)
+        assert more is None or more.tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_a_chain_in_index_order_or_a_clique_is_not_labelled(self, n):
+        chain = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+        clique = [[j for j in range(n) if j != i] for i in range(n)]
+        for links in (chain, clique):
+            indptr = np.cumsum([0] + [len(row) for row in links])
+            nbrs = np.array([j for row in links for j in row], dtype=np.int32)
+            assert suppression._components(indptr, nbrs, 2) is None
+            assert suppression._components(indptr, nbrs, 1).tolist() == [0] * n
 
 
 class TestSweepBoundaries:
