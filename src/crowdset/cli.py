@@ -17,10 +17,11 @@ empty detection set scores best, and is then written as null.
 its manifest to its ``--out`` directory. ``suppress`` suppresses all
 records of its file in one batched pass, as the study does. ``emd`` takes
 ``--k`` from 1 to 6 (``emd.ENUMERATION_LIMIT``). It decodes both input
-files in batches of records (``scene_io.BATCH_PROPOSALS``), each
-prediction batch padded to its own widest slots, and matches chunks of
-consecutive whole batches holding ``emd.chunk_proposals`` proposals, one
-engine call each. It then checks every cost for finiteness and computes
+files in batches of whole records holding at least
+``scene_io.BATCH_PROPOSALS`` elements, each prediction batch padded to its
+own widest slots, and matches each prediction batch in one engine call,
+whose search bounds its k! permutation totals itself. It then checks
+every cost for finiteness and computes
 ``mean_loss``, and only then opens its destination and writes each
 record's rows as they are rendered, with the bytes of
 ``json.dumps(report, indent=2, allow_nan=False)``, its costs spelled by
@@ -63,13 +64,11 @@ import orjson
 
 from . import __version__
 from .assignment import check_theta
-from .emd import (ENUMERATION_LIMIT, EmdConfig, ImageMatch, PredictionArrays,
-                  chunk_proposals, match_batch)
+from .emd import ENUMERATION_LIMIT, EmdConfig, ImageMatch, match_batch
 from .metrics import (CROWD_IOU, FPPI_HI, FPPI_LO, FPPI_POINTS, EvalConfig,
                       EvalReport, Evaluation, Truth)
-from .scene_io import (SceneArrays, _batches, _float_columns,
-                       parse_prediction_arrays, parse_scene_arrays,
-                       write_scene_arrays)
+from .scene_io import (SceneArrays, _float_columns, parse_prediction_arrays,
+                       parse_scene_arrays, write_scene_arrays)
 from .suppression import METHODS, Detections, OverlapGraph, SuppressionConfig
 from .synth import (DetectorSimParams, SceneParams, StudyRow, _scene_arrays,
                     run_study)
@@ -283,9 +282,8 @@ def _emd_rows(matches: list[tuple[str, ImageMatch]]) -> Iterator[str]:
 
 def cmd_emd(args) -> dict:
     """Score each prediction record against its ground truths, one engine
-    call per chunk of parse batches, joined once they hold
-    ``chunk_proposals(k)`` proposals; the ``chunks`` counter counts the
-    calls. The report's costs are checked and its ``mean_loss`` computed
+    call per parse batch of whole records; the ``chunks`` counter counts
+    the calls. The report's costs are checked and its ``mean_loss`` computed
     before the destination is opened; each record's rows are then written
     as they are rendered (:func:`_emd_report`)."""
     cfg = EmdConfig(k=args.k)
@@ -294,20 +292,18 @@ def cmd_emd(args) -> dict:
     batches = parse_prediction_arrays(args.pred)
     gt_by_id = _gts_by_id(gt_records, [i for b in batches for i in b.ids],
                           "prediction")
-    matches, chunks = [], 0
-    for group in _batches(batches, len, chunk_proposals(cfg.k)):
-        chunk = PredictionArrays.concat(group)
-        truth = Truth([gt_by_id[i] for i in chunk.ids])
-        found = match_batch(chunk, truth, cfg, args.theta, args.truncate_topk)
-        matches += zip(chunk.ids, found)
-        chunks += 1
+    matches = []
+    for batch in batches:
+        truth = Truth([gt_by_id[i] for i in batch.ids])
+        matches += zip(batch.ids, match_batch(batch, truth, cfg, args.theta,
+                                              args.truncate_topk))
     config = {"k": args.k, "theta": args.theta, "truncate_topk": args.truncate_topk}
     _emit(_emd_report(matches, config), args.out)
     n_real = np.concatenate([np.zeros(0, dtype=np.intp),
                              *(m.n_real for _, m in matches)])
     excess = n_real[n_real > cfg.k] - cfg.k
     return {"proposals": len(n_real), "overflowing_sets": len(excess),
-            "members_dropped": int(excess.sum()), "chunks": chunks}
+            "members_dropped": int(excess.sum()), "chunks": len(batches)}
 
 
 def _study_rows(args) -> tuple[list[StudyRow], dict]:

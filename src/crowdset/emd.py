@@ -19,15 +19,14 @@ gives every ground-truth set as ranked (proposal, member, rank) arrays, the
 targets come from the members of rank below ``k``, one (P, k, k) tensor
 (:func:`_cost_tensor`) holds the pair costs, and one argmin over the ``k!``
 permutation totals per proposal picks the matching; that search is the
-only matcher, so ``k`` is at most ``ENUMERATION_LIMIT`` (6). The
-command-line tool reads a prediction file in parse batches, each its own
-:class:`PredictionArrays`, and joins consecutive whole batches
-(:meth:`PredictionArrays.concat`) into chunks holding at least
-:func:`chunk_proposals` proposals: ``MATCH_PROPOSALS`` (1,024), or 256 at
-k = 6, so a chunk's k! permutation totals stay bounded and its padding
-spans that chunk only. :func:`pair_cost_matrix` and :func:`emd_match` are
-one-proposal calls of the same code, so the cost formula and the tie rule
-live in one place.
+only matcher, so ``k`` is at most ``ENUMERATION_LIMIT`` (6). The search
+sums its totals a slice of proposals at a time, ``_MATCH_TOTALS // k!``
+of them (256 at k = 6), so they stay bounded for any batch, a single
+record of thousands of proposals included. The command-line tool matches
+each parse batch of a prediction file, whole records holding at least
+``scene_io.BATCH_PROPOSALS`` proposals, in one engine call.
+:func:`pair_cost_matrix` and :func:`emd_match` are one-proposal calls of
+the same code, so the cost formula and the tie rule live in one place.
 """
 
 from __future__ import annotations
@@ -51,11 +50,8 @@ SCORE_EPS = 1e-12
 # The largest slot count the permutation search accepts (factorial guard).
 ENUMERATION_LIMIT = 6
 
-# Proposals per engine call of the command-line tool: chunks of whole
-# records amortise the fixed cost of a call. :func:`chunk_proposals` keeps
-# a chunk's (P, k!) permutation totals within _MATCH_TOTALS, 256 proposals
-# at k = 6, so engine temporaries stay bounded at every k.
-MATCH_PROPOSALS = 1024
+# Permutation totals the search holds at once: it sums them for
+# _MATCH_TOTALS // k! proposals at a time, 256 at k = 6.
 _MATCH_TOTALS = 256 * math.factorial(ENUMERATION_LIMIT)
 
 
@@ -88,20 +84,6 @@ class PredictionSet:
         object.__setattr__(self, "slots", tuple(self.slots))
         if not self.slots:
             raise ValueError("a prediction set needs at least one slot")
-
-
-def _pad_ragged(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Split ``values`` into consecutive rows of the given ``lengths`` and
-    zero-pad each to the longest, so (sum(lengths), ...) becomes
-    (len(lengths), max(lengths), ...)."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    values = np.asarray(values)
-    width = int(lengths.max(initial=0))
-    out = np.zeros((len(lengths), width) + values.shape[1:], dtype=values.dtype)
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    cols = np.arange(len(values)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    out[rows, cols] = values
-    return out
 
 
 @dataclass(frozen=True)
@@ -138,15 +120,26 @@ class PredictionArrays:
             return np.fromiter(itertools.chain.from_iterable(rows),
                                dtype=np.float64, count=count)
 
+        def within(lengths):
+            """Each item's index in its run of consecutive ``lengths``."""
+            return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths,
+                                                        lengths)
+
         lengths = np.fromiter(map(len, scores), dtype=np.intp, count=len(scores))
         n_slots = np.asarray(n_slots, dtype=np.intp)
+        # Each listed slot's (proposal, slot) cell; each table is one scatter.
+        row, col = np.repeat(np.arange(len(n_slots)), n_slots), within(n_slots)
+        shape = (len(n_slots), int(n_slots.max(initial=0)))
+        n_classes = np.zeros(shape, dtype=np.intp)
+        n_classes[row, col] = lengths
+        table = np.zeros((*shape, 4))
+        table[row, col] = floats(deltas, 4 * len(deltas)).reshape(-1, 4)
+        values = np.zeros((*shape, int(lengths.max(initial=0))))
+        values[np.repeat(row, lengths), np.repeat(col, lengths),
+               within(lengths)] = floats(scores, int(lengths.sum()))
         return cls(ids=tuple(ids), counts=np.asarray(counts, dtype=np.intp),
-                   boxes=boxes, n_slots=n_slots,
-                   scores=_pad_ragged(_pad_ragged(floats(scores, int(lengths.sum())),
-                                                  lengths), n_slots),
-                   n_classes=_pad_ragged(lengths, n_slots),
-                   deltas=_pad_ragged(floats(deltas, 4 * len(deltas)).reshape(-1, 4),
-                                      n_slots))
+                   boxes=boxes, n_slots=n_slots, scores=values,
+                   n_classes=n_classes, deltas=table)
 
     @classmethod
     def from_sets(cls, records: Sequence[tuple[str, Sequence[PredictionSet]]]
@@ -161,30 +154,6 @@ class PredictionArrays:
                          [len(p.slots) for p in sets],
                          [s.class_scores for s in slots],
                          [s.delta.as_tuple() for s in slots])
-
-    @classmethod
-    def concat(cls, parts: Sequence["PredictionArrays"]) -> "PredictionArrays":
-        """The records of ``parts``, one part after another, zero-padded
-        to the parts' largest slot count and score vector."""
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return cls.stack((), (), np.zeros((0, 4)), (), (), ())
-
-        def joined(name):
-            arrays = [getattr(p, name) for p in parts]
-            width = [max(n) for n in zip(*(a.shape[1:] for a in arrays))]
-            out = np.zeros((sum(map(len, arrays)), *width), dtype=arrays[0].dtype)
-            start = 0
-            for a in arrays:
-                out[(slice(start, start + len(a)), *map(slice, a.shape[1:]))] = a
-                start += len(a)
-            return out
-
-        return cls(ids=tuple(itertools.chain.from_iterable(p.ids for p in parts)),
-                   counts=joined("counts"), boxes=joined("boxes"),
-                   n_slots=joined("n_slots"), scores=joined("scores"),
-                   n_classes=joined("n_classes"), deltas=joined("deltas"))
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -204,15 +173,16 @@ class PredictionArrays:
         than the box rule, which the parser checks on the box column."""
         bad = self.n_slots == 0
         used = np.arange(self.scores.shape[1]) < self.n_slots[:, None]
-        # Sum each vector over its own length only: zero padding would change
-        # numpy's pairwise summation order on vectors of 8 or more.
-        sums = np.zeros(used.shape)
+        # Check each vector over its own length only: zero padding would
+        # change numpy's pairwise summation order on vectors of 8 or more,
+        # and a wide slot would make the sign test table-wide.
+        sums, negative = np.zeros(used.shape), np.zeros(used.shape, dtype=bool)
         for n in np.unique(self.n_classes[used]):
             at = used & (self.n_classes == n)
-            sums[at] = self.scores[:, :, :n][at].sum(axis=-1)
+            vectors = self.scores[:, :, :n][at]
+            sums[at], negative[at] = vectors.sum(axis=-1), (vectors < 0.0).any(axis=-1)
         slot_bad = (~np.isfinite(self.deltas).all(axis=-1) | (self.n_classes < 2)
-                    | (self.scores < 0.0).any(axis=-1)
-                    | ~(np.abs(sums - 1.0) <= 1e-6))
+                    | negative | ~(np.abs(sums - 1.0) <= 1e-6))
         return bad | (used & slot_bad).any(axis=1)
 
 
@@ -318,19 +288,25 @@ def _match(costs: np.ndarray):
     lexicographically smallest permutation. Returns the permutations
     (P, k), the matched costs (P, k) and their totals (P,), the search's
     own sums. A total beyond float range is inf, without a numpy warning;
-    the report writer rejects it.
+    the report writer rejects it. The (proposal, permutation) totals are
+    summed for ``_MATCH_TOTALS // k!`` proposals at a time.
     """
     n, k, _ = costs.shape
     perms = np.array(list(itertools.permutations(range(k))),
                      dtype=np.intp).reshape(math.factorial(k), k)
-    totals = np.zeros((n, len(perms)))
-    with np.errstate(over="ignore"):
-        for i in range(k):
-            totals += costs[:, i, perms[:, i]]
-    best = np.argmin(totals, axis=1)
+    step = _MATCH_TOTALS // len(perms)
+    best, total = np.zeros(n, dtype=np.intp), np.zeros(n)
+    for start in range(0, n, step):
+        at = slice(start, start + step)
+        totals = np.zeros((len(best[at]), len(perms)))
+        with np.errstate(over="ignore"):
+            for i in range(k):
+                totals += costs[at, i, perms[:, i]]
+        best[at] = np.argmin(totals, axis=1)
+        total[at] = totals[np.arange(len(totals)), best[at]]
     chosen = perms[best]
     per_slot = np.take_along_axis(costs, chosen[:, :, None], axis=2)[:, :, 0]
-    return chosen, per_slot, totals[np.arange(n), best]
+    return chosen, per_slot, total
 
 
 def pair_cost_matrix(pred: PredictionSet, gts: GtSet, cfg: EmdConfig) -> np.ndarray:
@@ -374,12 +350,6 @@ def emd_match(costs: np.ndarray) -> EmdMatch:
                     total=float(total[0]))
 
 
-def chunk_proposals(k: int) -> int:
-    """Proposals per engine call at ``k`` slots: ``MATCH_PROPOSALS``, or
-    fewer where the k! permutation totals would outgrow the bound."""
-    return min(MATCH_PROPOSALS, _MATCH_TOTALS // math.factorial(k))
-
-
 @dataclass(frozen=True)
 class ImageMatch:
     """Every proposal of one prediction record matched, in proposal order.
@@ -399,8 +369,9 @@ def match_batch(pred: PredictionArrays, truth: Truth, cfg: EmdConfig,
                 theta: float, truncate: bool = False) -> list[ImageMatch]:
     """Match every proposal of a batch of records, one :class:`ImageMatch`
     per record: one engine call, whose temporaries grow with the batch's
-    proposals times k! and with its padded width, so callers bound a batch
-    (:func:`chunk_proposals`) and pad it only to its own widest slots.
+    proposals and with its padded width, so callers bound a batch and pad
+    it only to its own widest slots. The k! permutation totals are bounded
+    inside the search (:func:`_match`), whatever the batch's size.
     ``truth`` holds the records' ground truths, its image i being the record
     ``pred.ids[i]``.
 

@@ -27,14 +27,16 @@ leaves the detection anonymous (treated as unique by Set NMS) and is omitted
 again on write, so files from single-prediction detectors round-trip without
 fabricated identities.
 
-Both kinds of file are read in batches of consecutive records holding at
-least ``BATCH_PROPOSALS`` elements (the last batch may hold fewer): ground
-truths plus detections in a scene file, proposals in a prediction file.
-A batch's columns are built in one pass, and only one batch's decoded JSON
-is held at a time. A scene file parses into :class:`SceneArrays`, one per
-record, each holding slices of its batch's columns; a prediction file
-parses into one :class:`~crowdset.emd.PredictionArrays` per batch, each
-zero-padded to its own widest slot count and score vector. Each line is
+Both kinds of file are read in batches of consecutive whole records
+holding at least ``BATCH_PROPOSALS`` elements (the last batch may hold
+fewer): ground truths plus detections in a scene file, proposals in a
+prediction file. A batch's columns are built in one pass, and only one
+batch's decoded JSON is held at a time. A scene file parses into
+:class:`SceneArrays`, one per record, each holding slices of its batch's
+columns; a prediction file parses into one
+:class:`~crowdset.emd.PredictionArrays` per batch, each zero-padded once,
+to its own widest slot count and score vector, and ``crowdset emd``
+matches each in one engine call. Each line is
 decoded once, by orjson, and the dataclasses' checks run on the arrays;
 a batch that fails one is rebuilt record by record and element by element
 in file order, so that its first bad record's error is the file's first,
@@ -87,10 +89,9 @@ _ODD = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
 
 # Elements per batch of records: proposals in a prediction file, ground
 # truths plus detections in a scene file. Batches amortise the fixed cost
-# of building columns over many small records, while only one batch's
-# decoded JSON is held at a time. ``crowdset emd`` joins consecutive
-# prediction batches into engine chunks of ``emd.chunk_proposals`` each.
-BATCH_PROPOSALS = 256
+# of building columns, and ``crowdset emd``'s of an engine call, over many
+# small records, while only one batch's decoded JSON is held at a time.
+BATCH_PROPOSALS = 512
 
 
 class SceneFileError(ValueError):

@@ -921,25 +921,29 @@ class TestEmd:
         # traced peak is 2.2 MB (Python 3.11, numpy 2.4); with the report
         # text held whole it was 3.6 MB, and as one whole-file batch 5.3 MB,
         # mostly the file's decoded JSON. Each engine chunk joined as a copy
-        # of its parse batches, it is 3.3 MB; as views of one table, 3.0 MB.
+        # of its parse batches, it was 3.3 MB; as views of one table, 3.0
+        # MB. Matched one parse batch of 512 at a time, with no join, it is
+        # 2.7 MB.
         assert self._traced_peak(tmp_path) < 4.0e6
 
     def test_peak_memory_of_a_wide_slot_is_bounded_by_its_chunk(self,
                                                                 tmp_path):
-        # The same proposals, one slot of 1,000 classes. Padded per parse
-        # batch and per engine chunk, the traced peak is 35.8 MB (Python
-        # 3.11, numpy 2.4), mostly the wide record's chunk of at least
-        # 1,024 proposals; padded to the file's widest vector, as one
-        # table, it was 56.2 MB.
+        # The same proposals, one slot of 1,000 classes. Padded once, per
+        # parse batch of at least 512 proposals, each batch one engine call,
+        # the traced peak is 14.9 MB (Python 3.11, numpy 2.4), mostly the
+        # wide record's batch. Padded per batch and again per engine chunk
+        # of at least 1,024 proposals it was 35.8 MB, and padded to the
+        # file's widest vector, as one table, 56.2 MB.
         assert self._traced_peak(tmp_path, 1000) < 45.0e6
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    @pytest.mark.parametrize("size", [1, scene_io.BATCH_PROPOSALS])
-    def test_a_wide_slot_widens_only_its_own_chunk(self, tmp_path,
-                                                   monkeypatch, size, chunk):
+    @pytest.mark.parametrize("per_slice", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_a_wide_slot_widens_only_its_own_batch(self, tmp_path, monkeypatch,
+                                                   size, per_slice):
         # The first record's first slot has 1,000 classes, every other slot
-        # 2. Each engine chunk is padded to its own widest score vector, so
-        # every chunk without the first record is 2 classes wide.
+        # 2. Each parse batch, one engine call, is padded to its own widest
+        # score vector, so every batch without the first record is 2
+        # classes wide, whatever the search's slices.
         wide = [0.5, 0.5] + [0.0] * 998
         ids = [f"r{i}" for i in range(300)]
         gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
@@ -948,7 +952,7 @@ class TestEmd:
             (0, 0, 40, 80), [wide if i == "r0" else [0.5, 0.5], [0.5, 0.5]])]})
             + "\n" for i in ids))
         monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
-        monkeypatch.setattr(emd, "MATCH_PROPOSALS", chunk)
+        monkeypatch.setattr(emd, "_MATCH_TOTALS", per_slice * 2)
         calls = []
 
         def spy(pred, *args):
@@ -959,9 +963,70 @@ class TestEmd:
         code, _, _ = _run_emd(tmp_path, gt, pred, ["--k", "2"])
         assert code == 0
         assert [i for chunk_ids, _ in calls for i in chunk_ids] == ids
-        assert len(calls) == _chunk_count([1] * len(ids), size, chunk) > 1
+        assert len(calls) == _chunk_count([1] * len(ids), size) > 1
         for chunk_ids, shape in calls:
             assert shape[1:] == (2, 1000 if "r0" in chunk_ids else 2)
+
+    @staticmethod
+    def _one_record(tmp_path, proposals: int):
+        """Ground truths of one scene and one prediction record of about
+        ``proposals`` proposals jittered around them, each with six slots
+        of 2- and 3-class scores."""
+        (scene,) = build_scenes(EMD_SCENES, 1, seed=13)
+        rng = np.random.default_rng(31)
+        per_gt = -(-proposals // len(scene.gts))
+        record = PredictionRecord(id=scene.id, proposals=[
+            PredictionSet(proposal=_jittered(rng, g.box),
+                          slots=tuple(_slot(rng, 2 + j % 2) for j in range(6)))
+            for g in scene.gts for _ in range(per_gt)])
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+        write_scene_file([scene], gt)
+        write_prediction_file([record], pred)
+        return scene, record, gt, pred
+
+    def test_a_record_longer_than_a_slice_equals_per_proposal_matching(
+            self, tmp_path, monkeypatch):
+        # One record of 24 proposals at k = 6, searched two proposals at a
+        # time: its report is per-proposal emd_match's, bit for bit.
+        scene, record, gt, pred = self._one_record(tmp_path, 24)
+        assert len(record.proposals) >= 24
+        monkeypatch.setattr(emd, "_MATCH_TOTALS", 2 * 720)
+        argmin, searched = np.argmin, []
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 2 and np.shape(a)[1] == 720:
+                searched.append(len(a))
+            return argmin(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmin", spy)
+        code, out, manifest = _run_emd(tmp_path, gt, pred,
+                                       ["--k", "6", "--truncate-topk"])
+        assert code == 0
+        assert searched == [2] * (len(record.proposals) // 2)
+        cfg = EmdConfig(k=6)
+        want = _oracle_match(oracle.score_record(record, scene.gts, cfg, 0.5,
+                                                 True), cfg.k)
+        assert out.read_text() == json_report([(record.id, want)], {
+            "k": 6, "theta": 0.5, "truncate_topk": True})
+        assert strict_json(manifest)["counters"]["chunks"] == 1
+
+    def test_peak_memory_of_one_long_record_bounds_the_totals(self, tmp_path):
+        # One record of about 5,000 k=6 proposals is one parse batch and one
+        # engine call; the search sums its (P, 720) permutation totals 256
+        # proposals at a time. The traced peak is 29.8 MB (Python 3.11,
+        # numpy 2.4), the parse of the record's JSON; with all 5,000
+        # proposals' totals at once it was 64.2 MB.
+        _, record, gt, pred = self._one_record(tmp_path, 5000)
+        assert 5000 <= len(record.proposals) <= 5100
+        argv = ["emd", "--k", "6", "--truncate-topk", "--gt", str(gt),
+                "--pred", str(pred), "--out", str(tmp_path / "emd.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40.0e6
 
 
 def json_report(matches, config):
@@ -1125,11 +1190,10 @@ def _grouped(counts: list[int], size: int) -> list[int]:
     return groups + ([] if held is None else [held])
 
 
-def _chunk_count(counts: list[int], batch: int, size: int) -> int:
-    """Engine calls over records of ``counts`` proposals: the records are
-    parsed in batches of at least ``batch`` proposals, and each call takes
-    consecutive whole batches until it holds ``size``."""
-    return len(_grouped(_grouped(counts, batch), size))
+def _chunk_count(counts: list[int], batch: int) -> int:
+    """Engine calls over records of ``counts`` proposals: one per parse
+    batch of consecutive whole records holding at least ``batch``."""
+    return len(_grouped(counts, batch))
 
 
 class TestBatchedFile:
@@ -1171,14 +1235,17 @@ class TestBatchedFile:
                     "--manifest", str(manifest)]
             if truncate:
                 argv.append("--truncate-topk")
-            for size, chunk in itertools.product(
+            # Parse batches of one record to the default size, and search
+            # slices of one to three proposals and the default.
+            for size, totals in itertools.product(
                     (1, 2, 3, scene_io.BATCH_PROPOSALS),
-                    (1, 2, 3, emd.MATCH_PROPOSALS)):
+                    (*(n * math.factorial(cfg.k) for n in (1, 2, 3)),
+                     emd._MATCH_TOTALS)):
                 stderr = io.StringIO()
                 with pytest.MonkeyPatch.context() as mp, \
                         contextlib.redirect_stderr(stderr):
                     mp.setattr(scene_io, "BATCH_PROPOSALS", size)
-                    mp.setattr(emd, "MATCH_PROPOSALS", chunk)
+                    mp.setattr(emd, "_MATCH_TOTALS", totals)
                     code = main(argv)
                 if want is None:
                     assert (code, stderr.getvalue()) == (1, error)
@@ -1186,10 +1253,8 @@ class TestBatchedFile:
                     continue
                 assert code == 0
                 assert out.read_text() == want
-                chunks = _chunk_count(counts, size, min(
-                    chunk, 256 * 720 // math.factorial(cfg.k)))
                 assert strict_json(manifest)["counters"] == {
-                    **counters, "chunks": chunks}
+                    **counters, "chunks": _chunk_count(counts, size)}
 
 
 class TestManifest:
@@ -1508,14 +1573,14 @@ class TestEmdErrors:
         assert err.strip() == ("error: record 'a' proposal 0: target class "
                                "2 outside vocabulary of 2 classes")
 
-    # Batches of one record and the default size, and engine chunks of one
+    # Batches of one record and the default size, and search slices of one
     # to three proposals and the default: the first error in file order
-    # must not depend on where a batch or a chunk ends.
-    @pytest.mark.parametrize("chunk", [1, 2, 3, emd.MATCH_PROPOSALS])
+    # must not depend on where a batch or a slice ends.
+    @pytest.mark.parametrize("per_slice", [1, 2, 3, emd._MATCH_TOTALS // 2])
     @pytest.mark.parametrize("size", [1, scene_io.BATCH_PROPOSALS])
     @pytest.mark.parametrize("lines, message", [
-        # A chunk of one or two proposals ends inside record a2, one of
-        # three after it, and only the default holds a3 too.
+        # Batches of one record each, or one batch of the whole file; a
+        # slice of one or three proposals ends inside record a2.
         pytest.param(
             [{"id": "a", "proposals": [_proposal((500, 0, 540, 80), TWO_SLOTS)] * 2},
              {"id": "a2", "proposals": [_proposal((500, 0, 540, 80), TWO_SLOTS),
@@ -1553,9 +1618,10 @@ class TestEmdErrors:
             id="bad-record-before-a-malformed-line"),
     ])
     def test_first_error_in_file_order_across_batches(
-            self, tmp_path, capsys, monkeypatch, size, chunk, lines, message):
+            self, tmp_path, capsys, monkeypatch, size, per_slice, lines,
+            message):
         monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
-        monkeypatch.setattr(emd, "MATCH_PROPOSALS", chunk)
+        monkeypatch.setattr(emd, "_MATCH_TOTALS", per_slice * 2)
         out = tmp_path / "emd.json"
         code, err = self._run(tmp_path, capsys, STACK, lines,
                               ("--out", str(out)), ids=("a", "a2", "a3"))

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import tracemalloc
@@ -9,16 +10,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crowdset import emd
+from crowdset import emd, scene_io
 from crowdset.assignment import (GroundTruth, build_gt_set, pad_to_k,
                                  truncate_top_k)
 from crowdset.emd import (EmdConfig, PredictionArrays, PredictionSet,
-                          SlotPrediction, chunk_proposals, emd_match,
-                          match_batch, pair_cost_matrix)
+                          SlotPrediction, emd_match, match_batch,
+                          pair_cost_matrix)
 from crowdset.geometry import BBox, BoxDelta, GeometryError, encode_delta
 from crowdset.metrics import Truth
 from crowdset.scene_io import (PredictionRecord, SceneArrays, SceneRecord,
-                               _batches)
+                               _batches, parse_prediction_arrays,
+                               write_prediction_file)
 
 B = BBox
 
@@ -446,55 +448,76 @@ class TestPredictionTable:
             for j in range(int(rng.integers(0, 4)))]) for i in range(6)]
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_concat_equals_one_stack(self, seed):
+    def test_stack_equals_an_element_by_element_oracle(self, seed):
         records = self.records(np.random.default_rng(seed))
-        whole = PredictionArrays.from_sets(records)
-        for cut in range(len(records) + 1):
-            parts = [PredictionArrays.from_sets(records[:cut]),
-                     PredictionArrays.from_sets(records[cut:])]
-            assert _table_fields(PredictionArrays.concat(parts)) == \
-                _table_fields(whole)
-        singles = [PredictionArrays.from_sets([r]) for r in records]
-        assert _table_fields(PredictionArrays.concat(singles)) == \
-            _table_fields(whole)
+        sets = [p for _, record in records for p in record]
+        slots = max((len(p.slots) for p in sets), default=0)
+        classes = max((len(s.class_scores) for p in sets for s in p.slots),
+                      default=0)
+        boxes = np.zeros((len(sets), 4))
+        scores = np.zeros((len(sets), slots, classes))
+        n_classes = np.zeros((len(sets), slots), dtype=np.intp)
+        deltas = np.zeros((len(sets), slots, 4))
+        for i, p in enumerate(sets):
+            for a, v in enumerate(p.proposal.as_tuple()):
+                boxes[i, a] = v
+            for j, slot in enumerate(p.slots):
+                n_classes[i, j] = len(slot.class_scores)
+                for c, v in enumerate(slot.class_scores):
+                    scores[i, j, c] = v
+                for a, v in enumerate(slot.delta.as_tuple()):
+                    deltas[i, j, a] = v
+        want = PredictionArrays(
+            ids=tuple(rid for rid, _ in records),
+            counts=np.array([len(r) for _, r in records], dtype=np.intp),
+            boxes=boxes, n_slots=np.array([len(p.slots) for p in sets],
+                                          dtype=np.intp),
+            scores=scores, n_classes=n_classes, deltas=deltas)
+        assert _table_fields(PredictionArrays.from_sets(records)) == \
+            _table_fields(want)
 
-    def test_concat_of_nothing_is_an_empty_table(self):
-        empty = PredictionArrays.concat([])
+    def test_stack_of_nothing_is_an_empty_table(self):
+        empty = PredictionArrays.stack((), (), np.zeros((0, 4)), (), (), ())
         assert empty.ids == () and len(empty) == 0
         assert empty.scores.shape == (0, 0, 0)
+        assert empty.n_classes.shape == (0, 0)
+        assert empty.deltas.shape == (0, 0, 4)
+        assert not empty.invalid().any()
         assert list(_batches([], len, 1)) == []
+        assert parse_prediction_arrays(io.StringIO("")) == []
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 1024])
     @pytest.mark.parametrize("seed", range(10))
-    def test_chunks_are_whole_batches_of_at_least_size(self, seed, size):
-        # crowdset emd's engine chunks: parse batches of consecutive whole
-        # records, grouped as the command groups them.
-        rng = np.random.default_rng(seed)
-        records = self.records(rng)
-        cuts = [0, *sorted(set(rng.integers(1, len(records), 3).tolist())),
-                len(records)]
-        parts = [records[a:b] for a, b in zip(cuts, cuts[1:])]
-        batches = [PredictionArrays.from_sets(p) for p in parts]
-        groups = list(_batches(batches, len, size))
-        grouped = [b for g in groups for b in g]
-        assert len(grouped) == len(batches)
-        assert all(x is y for x, y in zip(grouped, batches))
-        assert all(sum(map(len, g)) >= size for g in groups[:-1])
-        # A group ends at the first batch that brings it to size.
-        assert all(sum(map(len, g[:-1])) < size for g in groups)
+    def test_parse_batches_are_whole_records_of_at_least_size(
+            self, monkeypatch, seed, size):
+        # crowdset emd's engine calls: one per parse batch of consecutive
+        # whole records.
+        records = self.records(np.random.default_rng(seed))
+        text = io.StringIO()
+        write_prediction_file([PredictionRecord(rid, sets)
+                               for rid, sets in records], text)
+        monkeypatch.setattr(scene_io, "BATCH_PROPOSALS", size)
+        batches = parse_prediction_arrays(io.StringIO(text.getvalue()))
+        assert [rid for b in batches for rid in b.ids] == \
+            [rid for rid, _ in records]
         start = 0
-        for g in groups:
-            own = [r for part in parts[start:start + len(g)] for r in part]
-            assert _table_fields(PredictionArrays.concat(g)) == \
+        for b in batches:
+            own = records[start:start + len(b.ids)]
+            counts = [len(sets) for _, sets in own]
+            assert sum(counts) >= size or b is batches[-1]
+            # A batch ends at the first record that brings it to size.
+            assert sum(counts[:-1]) < size
+            assert _table_fields(b) == \
                 _table_fields(PredictionArrays.from_sets(own))
-            start += len(g)
+            start += len(b.ids)
 
     def test_checks_of_a_wide_slot_gather_only_used_widths(self):
         # 256 proposals of 3 two-class slots, one slot of them 1,000 classes
         # wide, so ``scores`` is (256, 3, 1000), about 6.1 MB. Each vector
-        # length's sums slice the table to that length before gathering
-        # its slots: the checks peak at about 0.78 MB, on the table-wide
-        # sign test. Gathering the slots at full width first peaked at 6.2.
+        # length's sums and sign test slice the table to that length before
+        # gathering its slots: the checks peak at 0.038 MB (Python 3.11,
+        # numpy 2.4). A table-wide sign test peaked at 0.78 MB, and
+        # gathering the slots at full width first at 6.2.
         rng = np.random.default_rng(0)
         sets = [PredictionSet(B(0, 0, 10, 20), tuple(
             random_slot(rng, 1000 if (i, s) == (0, 1) else 2)
@@ -511,10 +534,32 @@ class TestPredictionTable:
         finally:
             tracemalloc.stop()
         assert not bad.any()
-        assert peak < 1.5e6
+        assert peak < 5.0e4
 
-    def test_chunk_proposals_bound_the_permutation_totals(self, monkeypatch):
-        assert [chunk_proposals(k) for k in range(1, 7)] == \
-            [1024, 1024, 1024, 1024, 1024, 256]
-        monkeypatch.setattr(emd, "MATCH_PROPOSALS", 3)
-        assert [chunk_proposals(k) for k in range(1, 7)] == [3] * 6
+    def test_match_slices_bound_the_permutation_totals(self, monkeypatch):
+        # The search sums the (proposal, permutation) totals of
+        # _MATCH_TOTALS // k! proposals at a time, 256 at k = 6.
+        assert [emd._MATCH_TOTALS // math.factorial(k) for k in range(1, 7)] \
+            == [184320, 92160, 30720, 7680, 1536, 256]
+        argmin, seen = np.argmin, []
+
+        def spy(totals, *args, **kwargs):
+            seen.append(totals.shape)
+            return argmin(totals, *args, **kwargs)
+
+        rng = np.random.default_rng(0)
+        for k in range(1, 7):
+            step = 1440 // math.factorial(k)   # 1,440 totals a slice
+            # Costs on a coarse grid tie often.
+            costs = rng.integers(0, 3, (2 * step + 1, k, k)) * 0.5
+            whole = emd._match(costs)
+            with monkeypatch.context() as mp:
+                mp.setattr(emd, "_MATCH_TOTALS", 1440)
+                mp.setattr(np, "argmin", spy)
+                seen.clear()
+                sliced = emd._match(costs)
+            assert seen == [(step, math.factorial(k))] * 2 + \
+                [(1, math.factorial(k))]
+            for x, y in zip(sliced, whole):
+                assert (x.dtype, x.shape, x.tobytes()) == \
+                    (y.dtype, y.shape, y.tobytes())

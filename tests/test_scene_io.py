@@ -560,7 +560,7 @@ class TestPredictionArrays:
     def test_each_batch_is_padded_to_its_own_width(self, monkeypatch, size):
         # Records of differing slot counts and score lengths, so batches
         # differ in width. Each batch is padded to its own widest slot count
-        # and score vector, and no wider; joined, the batches are the
+        # and score vector, and no wider; each is its records' rows of the
         # one-batch read of the file, padded to the file's widest (2, 4).
         records = [{"id": f"r{i}", "proposals": [
             {"box_xyxy": [0, 0, 2 + j, 2], "slots": [
@@ -583,13 +583,27 @@ class TestPredictionArrays:
             assert batch.scores.shape == (len(batch), *width)
             assert batch.n_classes.shape == batch.deltas.shape[:2] == \
                 (len(batch), width[0])
-        joined = PredictionArrays.concat(got)
-        assert joined.ids == whole.ids == tuple(r["id"] for r in records)
-        for name in ("counts", "boxes", "n_slots", "scores", "n_classes",
-                     "deltas"):
-            x, y = getattr(joined, name), getattr(whole, name)
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
-                                                       y.tobytes())
+        assert [i for b in got for i in b.ids] == list(whole.ids) == \
+            [r["id"] for r in records]
+        first = start = 0
+        for batch in got:
+            rows = slice(start, start + len(batch))
+            width = batch.scores.shape[1:]
+            cut = {"counts": whole.counts[first:first + len(batch.ids)],
+                   "boxes": whole.boxes[rows], "n_slots": whole.n_slots[rows],
+                   "scores": whole.scores[rows, :width[0], :width[1]],
+                   "n_classes": whole.n_classes[rows, :width[0]],
+                   "deltas": whole.deltas[rows, :width[0]]}
+            for name, y in cut.items():
+                x = getattr(batch, name)
+                assert (x.dtype, x.shape, x.tobytes()) == \
+                    (y.dtype, y.shape, np.ascontiguousarray(y).tobytes())
+            # and the file's padding past the batch's width is all zeros.
+            assert not whole.scores[rows, width[0]:].any()
+            assert not whole.scores[rows, :, width[1]:].any()
+            assert not whole.n_classes[rows, width[0]:].any()
+            assert not whole.deltas[rows, width[0]:].any()
+            first, start = first + len(batch.ids), rows.stop
 
 
 # Ways one ground truth or detection can be written: the fields it sets or
